@@ -66,8 +66,7 @@ from .quadrature import (
     ConvergenceError,
     QuadratureSettings,
     bias_t3,
-    g_integrand,
-    quad_adaptive_1d,
+    bias_t3_batch,
 )
 from .selection import (
     RegionGrid,

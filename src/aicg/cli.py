@@ -35,6 +35,7 @@ from .estimators import (
     EstimatorRule,
     InfeasibleError,
     minimax_radius,
+    transformed_observation,
     uo_radius,
 )
 from .geometry import Counts, DomainError, GeometryParams, TransformedPoint, mu0y
@@ -45,10 +46,6 @@ from .selection import parse_model_id, region_grid, score
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
-
-_DETERMINISTIC_METHODS = {"closed-form", "quadrature", "plugin", "aic",
-                          "llf", "ulf", "uo", "minimax", "consistent"}
-
 
 class UsageError(ValueError):
     pass
@@ -180,7 +177,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise UsageError("config file must hold a JSON object")
         for key, val in file_values.items():
             k = key.replace("-", "_")
-            if k in values and values[k] is None:
+            if k not in values:
+                raise UsageError(f"unknown key {key!r} in config {args.config!r} "
+                                 f"for the {args.cmd} subcommand")
+            if values[k] is None:
                 values[k] = val
     return RunConfig(args.cmd, values)
 
@@ -235,10 +235,11 @@ def cmd_bias(cfg: RunConfig) -> str:
                              bootstrap_b=int(cfg.get("samples") or 1000))
         from .selection import _bias_for  # single scoring path for all estimators
         est = _bias_for(model, counts, counts.n, rule, seed, quad)
-        mu_out = est.settings.get("mu_hat", est.settings.get("center", (0.0, 0.0)))
-        if isinstance(mu_out, tuple):
-            mu_out = math.hypot(*mu_out)
-        return _bias_row(cfg, model, float(mu_out), est)
+        # the observed distance, whichever estimator ran; models without a
+        # line have no distance to report
+        mu_hat = (transformed_observation(model, counts).geometry.mu0y
+                  if model.variant in (T1, T3) else 0.0)
+        return _bias_row(cfg, model, mu_hat, est)
 
     mu = float(mu)
     if mu < 0:

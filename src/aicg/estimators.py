@@ -42,11 +42,12 @@ from .models import (
     project_points,
 )
 from .montecarlo import McSettings, mc_bias_gaussian
-from .quadrature import QuadratureSettings, bias_t3_value, quad_adaptive_1d
-from .special import bessel_i0e, erf, norm_cdf
+from .quadrature import QuadratureSettings, bias_t3_batch, bias_t3_value
+from .special import erf, norm_cdf
 
 _SQRT2 = math.sqrt(2.0)
 _T3_SING = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
+_FAR = 40.0
 
 # Published reference radii (derived at reference sample size 1e6); used when
 # a neighborhood rule is applied without an explicit radius.
@@ -256,22 +257,57 @@ def neighborhood_rule(model: ModelSpec, r: float, observed: TransformedPoint,
                                   "inside": bool(inside)})
 
 
-def rice_density(rho, center_norm: float):
-    """Density of ||z||, z ~ N(mu, I_2) with ||mu|| = center_norm."""
-    rho = np.asarray(rho, dtype=float)
-    s = center_norm
-    return rho * bessel_i0e(rho * s) * np.exp(-0.5 * (rho - s) ** 2)
+def noncentral_radius_cdf(r: float, center_norm):
+    """P(||z|| <= r) for z ~ N(mu, I_2) with ||mu|| = center_norm, elementwise
+    in center_norm (scalars in give scalars out).
 
-
-def noncentral_radius_cdf(r: float, center_norm: float,
-                          abs_tol: float = 1e-10) -> float:
-    """P(||z|| <= r) for z ~ N(mu, I_2), by quadrature of the radial density."""
+    ||z||^2 is noncentral chi-square with 2 degrees of freedom: a
+    Poisson(center_norm^2 / 2) mixture of central chi-square laws with 2 + 2j
+    degrees of freedom, whose CDFs at r^2 are P(Poisson(r^2 / 2) > j).
+    """
     if r < 0:
         raise DomainError("radius must be nonnegative")
-    if r == 0.0:
-        return 0.0
-    return min(1.0, quad_adaptive_1d(lambda rho: rice_density(rho, center_norm),
-                                     0.0, r, abs_tol))
+    s = np.asarray(center_norm, dtype=float)
+    flat = np.atleast_1d(s)
+    # once |center_norm - r| > _FAR, the probability that z lies that far
+    # from its center, e^{-_FAR^2 / 2}, underflows: P is exactly 0 or 1
+    probs = np.where(flat < r, 1.0, 0.0)
+    near = np.abs(flat - r) <= _FAR
+    if r > 0.0 and np.any(near):
+        probs[near] = _poisson_mixture(r, flat[near])
+    return float(probs[0]) if s.ndim == 0 else probs
+
+
+def _poisson_mixture(r: float, center_norm: np.ndarray) -> np.ndarray:
+    """The mixture over one window of indices k that holds the mass of
+    Poisson(r^2 / 2) and of every row's Poisson(center_norm^2 / 2)."""
+    x = 0.5 * r * r
+    half_lam = 0.5 * center_norm ** 2
+
+    def reach(v: float) -> float:  # Poisson(v) mass beyond v +- reach(v) is negligible
+        return 12.0 * math.sqrt(v) + 40.0
+
+    low = min(float(np.min(half_lam)), x)
+    high = max(float(np.max(half_lam)), x)
+    k = np.arange(max(0, int(low - reach(low))), int(high + reach(high)) + 2)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in k])
+    pois_x = _poisson_pmf(np.array([x]), k, log_fact)[0]
+    # P(Poisson(x) > k), summed from the top so small tails keep their
+    # relative accuracy
+    chi_cdf = np.append(np.cumsum(pois_x[::-1])[::-1][1:], 0.0)
+    return np.clip(_poisson_pmf(half_lam, k, log_fact) @ chi_cdf, 0.0, 1.0)
+
+
+def _poisson_pmf(rates: np.ndarray, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+    """Poisson(rate) pmf at k, one row per rate, from log space and normalised
+    over k.  The window holds all of each law's mass, so normalising leaves
+    the values unchanged but cancels the rounding of k log(rate) and log k!
+    that the window's indices share; e^{-rate} is never formed, so large
+    rates cannot underflow the pmf to zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.where(k == 0, 0.0, k * np.log(rates)[:, None]) - log_fact
+    p = np.exp(log_p - np.max(log_p, axis=1, keepdims=True))
+    return p / np.sum(p, axis=1, keepdims=True)
 
 
 def expected_neighborhood_value(model: ModelSpec, r: float, mu_grid: np.ndarray) -> np.ndarray:
@@ -286,23 +322,18 @@ def expected_neighborhood_value(model: ModelSpec, r: float, mu_grid: np.ndarray)
         return 2.0 - norm_cdf(r - mu_grid)
     if model.variant == T3:
         h = _T3_SING - 2.0
-        probs = np.array([noncentral_radius_cdf(r, m) for m in mu_grid])
-        return 2.0 + h * probs
+        return 2.0 + h * noncentral_radius_cdf(r, mu_grid)
     raise DomainError(f"no expected-rule closed form for {model.model_id}")
 
 
 @lru_cache(maxsize=64)
 def _truth_grid(model_variant: str, grid_key: tuple[float, ...], n: float,
                 quad: QuadratureSettings) -> tuple[float, ...]:
-    model = ModelSpec(model_variant, topology=1 if model_variant == T1 else None)
-    out = []
-    for mu in grid_key:
-        if model_variant == T1:
-            out.append(1.0 + erf(mu / _SQRT2))
-        else:
-            geo = GeometryParams.from_mu0y(mu, n)
-            out.append(bias_t3_value(mu, geo.alpha0, quad))
-    return tuple(out)
+    mus = np.array(grid_key)
+    if model_variant == T1:
+        return tuple(1.0 + erf(mus / _SQRT2))
+    alphas = [GeometryParams.from_mu0y(mu, n).alpha0 for mu in grid_key]
+    return tuple(bias_t3_batch(mus, alphas, quad))
 
 
 def _radius_grid(grid) -> tuple[float, ...]:
@@ -476,8 +507,7 @@ def crude_bounds(model: ModelSpec) -> tuple[BiasEstimate, BiasEstimate]:
 def _t3_bias_table(alpha0: float, mu_max: float,
                    quad: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
     xs = np.arange(0.0, mu_max + 0.05, 0.05)
-    ys = np.array([bias_t3_value(float(m), alpha0, quad) for m in xs])
-    return xs, ys
+    return xs, bias_t3_batch(xs, alpha0, quad)
 
 
 def _plugin_values(model: ModelSpec, mu: np.ndarray, geo: GeometryParams,
@@ -488,8 +518,7 @@ def _plugin_values(model: ModelSpec, mu: np.ndarray, geo: GeometryParams,
         # Tabulated quadrature values with linear interpolation; the node
         # spacing keeps interpolation error well below Monte Carlo resolution.
         mu_max = math.ceil(float(np.max(mu)) + 1.0)
-        table_quad = QuadratureSettings(max(quad.abs_tol, 1e-7), quad.r_max_offset,
-                                        quad.max_subdivisions)
+        table_quad = QuadratureSettings(max(quad.abs_tol, 1e-7), quad.r_max_offset)
         xs, ys = _t3_bias_table(geo.alpha0, float(mu_max), table_quad)
         return np.interp(mu, xs, ys)
     if model.variant == POLYTOMY:

@@ -1,10 +1,22 @@
-"""Adaptive quadrature and the three-ray (t3) bias correction.
+"""The three-ray (t3) bias correction by closed-form radial moments and
+fixed Gauss-Legendre rules.
 
-The t3 bias is a 1-D error-function-weighted Gaussian integral plus a 2-D
-polar integral; both semi-infinite domains are truncated at mu0y + offset,
-where the Gaussian tail is far below the requested tolerance.  The inner
-radial integral has a closed form, but numerical evaluation of the double
-integral is fast, simple, and is the route taken here.
+The t3 bias is a 1-D error-function-weighted Gaussian integral along the
+axis plus a 2-D polar integral.  Completing the square in the polar term,
+r^2 - 2 mu r sin(phi) + mu^2 = (r - a)^2 + mu^2 cos^2(phi) with
+a = mu sin(phi), turns its inner radial integral into truncated Gaussian
+moments M_k = int_0^inf r^k exp(-(r - a)^2 / 2) dr, which obey
+
+    M_0 = sqrt(pi/2) (1 + erf(a / sqrt(2))),   M_1 = a M_0 + exp(-a^2 / 2),
+    M_{k+1} = a M_k + k M_{k-1}.
+
+That leaves two smooth 1-D integrals: the axis term, truncated to
+mu0y +- r_max_offset where the Gaussian tail is far below any usable
+tolerance, and the angular term.  Both are evaluated with a 64-node and a
+128-node Gauss-Legendre rule; the 128-node value is returned, and a
+difference between the two above a term's share of abs_tol raises
+ConvergenceError.  Every (mu0y, alpha0) row of a batch goes through one
+vectorized evaluation, so a whole grid costs one erf call.
 """
 
 from __future__ import annotations
@@ -20,13 +32,14 @@ from .geometry import DomainError
 from .special import erf
 
 _SQRT2 = math.sqrt(2.0)
+_RULE_SIZES = (64, 128)  # coarse and fine Gauss-Legendre rules
+_AXIS_PANEL = 24.0       # widest axis panel the coarse rule resolves to ~1e-14
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
     abs_tol: float = 1e-8
     r_max_offset: float = 12.0
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not self.abs_tol > 0:
@@ -36,159 +49,113 @@ class QuadratureSettings:
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive subdivision hit its budget; carries the best estimate."""
+    """The coarse and fine rules disagree beyond the tolerance; carries the
+    fine rule's estimate."""
 
     def __init__(self, message: str, best: float):
         super().__init__(message)
         self.best = best
 
 
-def quad_adaptive_1d(f, a: float, b: float, abs_tol: float,
-                     max_subdivisions: int = 2000) -> float:
-    """Adaptive Simpson integration of a vectorized integrand on [a, b].
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the coarse and the fine rule on [-1, 1] side by side, and a
+    (nodes, 2) weight matrix: column 0 weighs the coarse nodes, column 1 the
+    fine ones.
 
-    Each interval is accepted once its Richardson error estimate fits within
-    its proportional share of ``abs_tol``; the accepted pieces are summed
-    with math.fsum, so the result does not depend on acceptance order.
+    Built on first use, not at import: a run without t3 values should not
+    pay for leggauss.
     """
-    if b < a:
-        raise DomainError("integration bounds must satisfy a <= b")
-    if a == b:
-        return 0.0
-    if not abs_tol > 0:
-        raise DomainError("abs_tol must be positive")
-
-    width = b - a
-    n0 = 8
-    edges = np.linspace(a, b, n0 + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    fe = np.asarray(f(edges), dtype=float)
-    fm = np.asarray(f(mids), dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    s = (hi - lo) / 6.0 * (fe[:-1] + 4.0 * fm + fe[1:])
-    frontier = list(zip(lo, hi, fe[:-1], fm, fe[1:], s))
-
-    accepted: list[float] = []
-    splits = 0
-    while frontier:
-        arr = np.array([(it[0], it[1]) for it in frontier])
-        la, lb = arr[:, 0], arr[:, 1]
-        m = 0.5 * (la + lb)
-        lmid = 0.5 * (la + m)
-        rmid = 0.5 * (m + lb)
-        fl = np.asarray(f(lmid), dtype=float)
-        fr = np.asarray(f(rmid), dtype=float)
-
-        nxt = []
-        for i, (ia, ib, ifa, ifm, ifb, is_) in enumerate(frontier):
-            im = m[i]
-            s_l = (im - ia) / 6.0 * (ifa + 4.0 * fl[i] + ifm)
-            s_r = (ib - im) / 6.0 * (ifm + 4.0 * fr[i] + ifb)
-            err = (s_l + s_r - is_) / 15.0
-            if abs(err) <= abs_tol * (ib - ia) / width:
-                accepted.append(s_l + s_r + err)
-            else:
-                nxt.append((ia, im, ifa, fl[i], ifm, s_l))
-                nxt.append((im, ib, ifm, fr[i], ifb, s_r))
-                splits += 1
-                if splits > max_subdivisions:
-                    best = math.fsum(accepted) + math.fsum(it[5] for it in nxt)
-                    best += math.fsum(frontier[j][5] for j in range(i + 1, len(frontier)))
-                    raise ConvergenceError(
-                        f"no convergence within {max_subdivisions} subdivisions", best)
-        frontier = nxt
-    return math.fsum(accepted)
+    (xc, wc), (xf, wf) = (np.polynomial.legendre.leggauss(k) for k in _RULE_SIZES)
+    w = np.zeros((xc.size + xf.size, 2))
+    w[:xc.size, 0] = wc
+    w[xc.size:, 1] = wf
+    return np.concatenate([xc, xf]), w
 
 
-def g_integrand(r, phi, mu0y: float, alpha0: float):
-    """Radial factor of the t3 polar integrand.
-
-    r (r^2 cos^2(phi + alpha0) - mu0y r (sin phi - sin alpha0 cos(phi + alpha0))
-       + mu0y^2)
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("r must be nonnegative")
-    c = np.cos(phi + alpha0)
-    return r * (r * r * c * c
-                - mu0y * r * (np.sin(phi) - math.sin(alpha0) * c)
-                + mu0y * mu0y)
+def _radial_moments(a: np.ndarray, erf_a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """M_0..M_3 of exp(-(r - a)^2 / 2) over r >= 0, given erf(a / sqrt(2))."""
+    m0 = math.sqrt(0.5 * math.pi) * (1.0 + erf_a)
+    m1 = a * m0 + np.exp(-0.5 * a * a)
+    m2 = a * m1 + m0
+    m3 = a * m2 + 2.0 * m1
+    return m0, m1, m2, m3
 
 
-def _radial_integrals(phis: np.ndarray, mu0y: float, alpha0: float,
-                      upper: float, abs_tol: float) -> np.ndarray:
-    """Inner radial integral of the t3 polar term, for a batch of angles.
-
-    Composite Simpson with panel doubling until every angle's Richardson
-    estimate clears abs_tol; vectorizing over angles keeps the outer
-    adaptive pass cheap.
-    """
-    col = phis[:, None]
-    sin_phi = np.sin(col)
-
-    def composite(n_panels: int) -> np.ndarray:
-        r = np.linspace(0.0, upper, n_panels + 1)[None, :]
-        expo = -0.5 * (r * r - 2.0 * mu0y * r * sin_phi + mu0y * mu0y)
-        vals = g_integrand(r, col, mu0y, alpha0) * np.exp(expo)
-        w = np.ones(n_panels + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return (upper / n_panels / 3.0) * (vals @ w)
-
-    n = 64
-    prev = composite(n)
-    for _ in range(12):
-        n *= 2
-        cur = composite(n)
-        if np.max(np.abs(cur - prev)) / 15.0 <= abs_tol:
-            return cur
-        prev = cur
-    raise ConvergenceError("radial integral did not converge", float(np.sum(cur)))
-
-
-def _t3_terms(mu0y: float, alpha0: float, settings: QuadratureSettings) -> tuple[float, float]:
+def _t3_terms(mu: np.ndarray, alpha0: np.ndarray,
+              r_max_offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """Axis and angular terms for each (mu, alpha0) row, as (rows, 2) arrays
+    holding the coarse and the fine rule's value."""
+    x, w = _gauss_legendre()
+    mu = mu[:, None]
+    alpha0 = alpha0[:, None]
     beta0 = 0.5 * (0.5 * math.pi - alpha0)
-    cot_b = math.cos(beta0) / math.sin(beta0)
-    upper = mu0y + settings.r_max_offset
-    tol = settings.abs_tol
 
-    def f_axis(y):
-        d = y - mu0y
-        return d * d * np.exp(-0.5 * d * d) * erf(y * cot_b / _SQRT2)
+    # the axis term integrates over d = y - mu0y, truncated on both sides of
+    # the Gaussian bump at d = 0: the left tail below -offset is bounded by
+    # the same e^{-offset^2/2} factor as the right one.  The window is cut
+    # into panels no wider than _AXIS_PANEL, so the fixed rules resolve the
+    # unit-width bump whatever the offset
+    panels = math.ceil(2.0 * r_max_offset / _AXIS_PANEL)
+    t_axis = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) / panels).ravel()
+    w_axis = np.tile(w, (panels, 1)) / panels
+    d_lo = np.maximum(-mu, -r_max_offset)
+    d_width = r_max_offset - d_lo
+    d = d_lo + d_width * t_axis
+    phi_half = 0.5 * (beta0 + 0.5 * math.pi)
+    phi = phi_half * (1.0 + x) - 0.5 * math.pi
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    a = mu * sin_phi
 
-    # truncate on both sides of the Gaussian bump at y = mu0y: the left tail
-    # below mu0y - offset is bounded by the same e^{-offset^2/2} factor, and
-    # keeping the domain a fixed multiple of the bump width means the initial
-    # panels always see it, however far out the bump sits
-    y_lo = max(0.0, mu0y - settings.r_max_offset)
-    term1 = math.sqrt(2.0 / math.pi) * quad_adaptive_1d(
-        f_axis, y_lo, upper, 0.5 * tol / math.sqrt(2.0 / math.pi),
-        settings.max_subdivisions)
+    erfs = erf(np.concatenate([(mu + d) / (np.tan(beta0) * _SQRT2), a / _SQRT2], axis=1))
+    erf_axis, erf_a = erfs[:, :t_axis.size], erfs[:, t_axis.size:]
 
-    inner_tol = tol / 100.0
+    f_axis = d * d * np.exp(-0.5 * d * d) * erf_axis
+    term1 = math.sqrt(2.0 / math.pi) * 0.5 * d_width * (f_axis @ w_axis)
 
-    def f_angular(phis):
-        phis = np.atleast_1d(np.asarray(phis, dtype=float))
-        return _radial_integrals(phis, mu0y, alpha0, upper, inner_tol)
-
-    term2 = (2.0 / math.pi) * quad_adaptive_1d(
-        f_angular, -0.5 * math.pi, beta0, 0.5 * tol * math.pi / 2.0,
-        settings.max_subdivisions)
+    _, m1, m2, m3 = _radial_moments(a, erf_a)
+    c = np.cos(phi + alpha0)
+    f_angular = np.exp(-0.5 * (mu * cos_phi) ** 2) * (
+        c * c * m3 - mu * (sin_phi - np.sin(alpha0) * c) * m2 + mu * mu * m1)
+    term2 = (2.0 / math.pi) * phi_half * (f_angular @ w)
     return term1, term2
+
+
+def bias_t3_batch(mu0y, alpha0,
+                  settings: QuadratureSettings = QuadratureSettings()) -> np.ndarray:
+    """t3 bias correction for each (mu0y, alpha0) pair, broadcast together.
+
+    Raises ConvergenceError when, for some pair, either term's coarse and
+    fine rules differ by more than half of settings.abs_tol.
+    """
+    mu, alpha = np.broadcast_arrays(np.atleast_1d(np.asarray(mu0y, dtype=float)),
+                                    np.atleast_1d(np.asarray(alpha0, dtype=float)))
+    if mu.ndim != 1:
+        raise DomainError("mu0y and alpha0 must be scalars or 1-D arrays")
+    if np.any(mu < 0):
+        raise DomainError("mu0y must be nonnegative")
+    if not np.all((alpha > 0.0) & (alpha <= math.pi / 6.0 + 1e-12)):
+        raise DomainError("alpha0 must lie in (0, pi/6]")
+    term1, term2 = _t3_terms(mu, alpha, settings.r_max_offset)
+    values = term1[:, 1] + term2[:, 1]
+    share = 0.5 * settings.abs_tol
+    off = (np.abs(term1[:, 1] - term1[:, 0]) > share) | (np.abs(term2[:, 1] - term2[:, 0]) > share)
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ConvergenceError(
+            f"t3 bias at mu0y={mu[k]:.17g}: the {_RULE_SIZES[0]}- and {_RULE_SIZES[1]}-node "
+            f"rules differ by more than abs_tol={settings.abs_tol:g}", float(values[k]))
+    return values
 
 
 def bias_t3(mu0y: float, alpha0: float,
             settings: QuadratureSettings = QuadratureSettings()) -> BiasEstimate:
-    """t3 bias correction by adaptive quadrature of both integrals."""
-    if mu0y < 0:
-        raise DomainError("mu0y must be nonnegative")
-    if not 0.0 < alpha0 <= math.pi / 6.0 + 1e-12:
-        raise DomainError("alpha0 must lie in (0, pi/6]")
-    term1, term2 = _t3_terms(mu0y, alpha0, settings)
+    """t3 bias correction at one point: the one-row case of bias_t3_batch."""
+    value = float(bias_t3_batch(mu0y, alpha0, settings)[0])
     u = settings.r_max_offset
     tail_bound = (u * u + mu0y * mu0y + 4.0) * math.exp(-0.5 * u * u)
     return BiasEstimate(
-        term1 + term2, "quadrature",
+        value, "quadrature",
         settings={
             "model": "t3", "mu0y": mu0y, "alpha0": alpha0,
             "abs_tol": settings.abs_tol, "r_max": mu0y + u,

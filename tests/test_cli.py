@@ -63,6 +63,24 @@ class TestBiasCommand:
         assert code == 0
         assert float(text.splitlines()[1].split(",")[3]) == 1.0
 
+    @pytest.mark.parametrize("method", ["aic", "llf", "ulf", "uo", "minimax", "consistent",
+                                        "bootstrap"])
+    def test_counts_report_observed_distance(self, tmp_path, method):
+        base = ["bias", "--model", "t1", "--counts", "60,20,20", "--seed", "1",
+                "--samples", "200"]
+        _, plugin = run_cli([*base, "--method", "plugin"], tmp_path, "plugin.csv")
+        code, text = run_cli([*base, "--method", method], tmp_path, f"{method}.csv")
+        assert code == 0
+        mu_plugin = float(plugin.splitlines()[1].split(",")[1])
+        assert mu_plugin == pytest.approx(5.4433, abs=1e-4)
+        assert float(text.splitlines()[1].split(",")[1]) == mu_plugin
+
+    def test_t3_nonconvergence_exit_3(self, tmp_path, capsys):
+        code, text = run_cli(["bias", "--model", "t3", "--mu0y", "1", "--abs-tol", "1e-16"],
+                             tmp_path)
+        assert code == 3 and text == ""
+        assert "rules differ by more than abs_tol=1e-16" in capsys.readouterr().err
+
     def test_monte_carlo_requires_seed(self, tmp_path):
         code, _ = run_cli(["bias", "--model", "t1", "--mu0y", "1",
                            "--method", "monte-carlo", "--samples", "1000"], tmp_path)
@@ -183,6 +201,11 @@ class TestRadiiCommand:
         assert code == 3
         assert "error" in json.loads(text)
 
+    def test_nonconvergence_exit_3_with_error_json(self, tmp_path):
+        code, text = run_cli(["radii", "--model", "t3", "--abs-tol", "1e-16"], tmp_path)
+        assert code == 3
+        assert "rules differ by more than abs_tol" in json.loads(text)["error"]
+
 
 class TestConfigPrecedence:
     def test_flags_override_config(self, tmp_path):
@@ -198,6 +221,15 @@ class TestConfigPrecedence:
         code, text = run_cli(["bias", "--config", str(cfg), "--model", "t3"], tmp_path)
         assert code == 0
         assert float(text.splitlines()[1].split(",")[3]) == pytest.approx(2.8269933, abs=1e-6)
+
+    @pytest.mark.parametrize("key", ["samplez", "resolution"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, key):
+        # a misspelling, and a key only another subcommand takes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu0y": 0.0, key: 5}), encoding="utf-8")
+        code, text = run_cli(["bias", "--config", str(cfg), "--model", "t1"], tmp_path)
+        assert code == 2 and text == ""
+        assert repr(key) in capsys.readouterr().err
 
 
 class TestOutputDiscipline:

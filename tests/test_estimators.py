@@ -42,6 +42,24 @@ class TestNoncentralRadiusCdf:
                 assert noncentral_radius_cdf(r, s) == pytest.approx(
                     noncentral_radius_cdf_series(r, s), abs=1e-9)
 
+    def test_matches_scipy_ncx2(self):
+        # ||z||^2 is noncentral chi-square with 2 degrees of freedom; at
+        # center_norm 40 the mixture weight e^{-lambda/2} underflows
+        from scipy.stats import ncx2
+        for r, s in [(0.3, 0.7), (1.77, 1.5), (2.21, 5.0), (6.0, 3.0), (1.0, 12.0),
+                     (40.0, 40.0), (35.0, 40.0), (45.0, 40.0), (2.0, 41.9), (2.0, 42.1),
+                     (500.0, 470.0), (500.0, 539.0)]:
+            assert noncentral_radius_cdf(r, s) == pytest.approx(
+                ncx2.cdf(r * r, 2, s * s), abs=1e-12)
+
+    def test_vectorized_over_centers(self):
+        centers = np.array([0.0, 0.5, 2.0, 4.5, 40.0, 1e6])
+        probs = noncentral_radius_cdf(1.9, centers)
+        assert probs.shape == centers.shape
+        for s, p in zip(centers, probs):
+            assert p == pytest.approx(noncentral_radius_cdf(1.9, float(s)), abs=1e-15)
+        assert np.all(noncentral_radius_cdf(0.0, centers) == 0.0)
+
     def test_matches_monte_carlo(self):
         rng = _chunk_rng(8, 0)
         z = standard_normals(rng, (400_000, 2)) + np.array([0.0, 1.5])
