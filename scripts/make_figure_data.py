@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from aicg.cli import csv_text, parse_grid, write_text
+from aicg.cli import curve_csv, parse_grid, write_text
 from aicg.estimators import EstimatorRule
 from aicg.montecarlo import McSettings, curve_grid
 from aicg.selection import parse_model_id
@@ -55,23 +55,13 @@ def main() -> int:
             settings = McSettings(args.seed, args.samples, workers=args.workers)
             curves = curve_grid(model, n, grid, rules, settings)
 
-            header = ["mu0y", "target", "target_se", "aicg_bias", "aic_bias"]
-            for rule in rules:
-                header += [rule.method, f"{rule.method}_se"]
-            target = [pt.estimate for pt in curves["target"]]
+            target = None
             if args.smooth_window > 1:
-                target = moving_average(target, args.smooth_window)
-            rows = []
-            for i, mu in enumerate(grid):
-                row = [mu, target[i], curves["target"][i].std_error,
-                       curves["aicg"][i].estimate, curves["aic"][i].estimate]
-                for rule in rules:
-                    pt = curves[rule.method][i]
-                    row += [pt.estimate, pt.std_error]
-                rows.append(row)
+                target = moving_average([pt.estimate for pt in curves["target"]],
+                                        args.smooth_window)
             out = args.out_dir / f"curve_{model.model_id.replace(':', '')}_n{n}.csv"
-            write_text(str(out), csv_text(header, rows))
-            print(f"wrote {out} ({len(rows)} rows)")
+            write_text(str(out), curve_csv(grid, curves, [r.method for r in rules], target))
+            print(f"wrote {out} ({len(grid)} rows)")
     return 0
 
 

@@ -45,6 +45,7 @@ from .models import (
     MLEResult,
     ModelSpec,
     cone_of,
+    mle_rows,
     mle_simplex,
     neg2loglik_at,
     polytomy_model,
@@ -75,6 +76,7 @@ from .selection import (
     parse_model_id,
     region_grid,
     score,
+    score_batch,
     simplex_lattice,
 )
 

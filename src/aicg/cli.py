@@ -26,23 +26,16 @@ from typing import Any, Sequence
 
 from .closedform import (
     BiasEstimate,
-    bias_aic,
     bias_constant,
     bias_halflines_at_singularity,
     bias_t1,
 )
-from .estimators import (
-    EstimatorRule,
-    InfeasibleError,
-    minimax_radius,
-    transformed_observation,
-    uo_radius,
-)
-from .geometry import Counts, DomainError, GeometryParams, TransformedPoint, mu0y
+from .estimators import EstimatorRule, InfeasibleError, minimax_radius, uo_radius
+from .geometry import Counts, DomainError, GeometryParams, TransformedPoint
 from .models import HALFLINES, POLYTOMY, T1, T3, UNCONSTRAINED, ModelSpec, cone_of
-from .montecarlo import McSettings, curve_grid, grid_values, mc_bias_gaussian
+from .montecarlo import CurvePoint, McSettings, curve_grid, grid_values, mc_bias_gaussian
 from .quadrature import ConvergenceError, QuadratureSettings, bias_t3
-from .selection import parse_model_id, region_grid, score
+from .selection import parse_model_id, region_grid, score, score_batch
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -187,7 +180,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 def _mc_settings(cfg: RunConfig, seed: int) -> McSettings:
     return McSettings(seed=seed, samples=int(cfg.require("samples")),
-                      chunk_size=int(cfg.get("chunk_size", 1 << 16)),
                       workers=int(cfg.get("workers", 1)))
 
 
@@ -233,12 +225,17 @@ def cmd_bias(cfg: RunConfig) -> str:
         rule = EstimatorRule(rule_method, radius=cfg.get("radius"),
                              eta_exponent=float(cfg.get("eta_exponent", 1.0 / 3.0)),
                              bootstrap_b=int(cfg.get("samples") or 1000))
-        from .selection import _bias_for  # single scoring path for all estimators
-        est = _bias_for(model, counts, counts.n, rule, seed, quad)
+        scores = score_batch([model], counts.as_array()[None], rule, seed, quad)[0]
+        if scores.errors[0] is not None:
+            raise DomainError(scores.errors[0])
         # the observed distance, whichever estimator ran; models without a
-        # line have no distance to report
-        mu_hat = (transformed_observation(model, counts).geometry.mu0y
-                  if model.variant in (T1, T3) else 0.0)
+        # line report 0
+        mu_hat = float(scores.mu_hat[0])
+        if math.isnan(mu_hat):
+            raise DomainError(f"counts {counts_text} put the estimate at a simplex "
+                              "vertex, where the observed distance is undefined")
+        std_error = None if scores.std_error is None else float(scores.std_error[0])
+        est = BiasEstimate(float(scores.bias[0]), scores.bias_method, std_error)
         return _bias_row(cfg, model, mu_hat, est)
 
     mu = float(mu)
@@ -306,16 +303,26 @@ def cmd_target(cfg: RunConfig) -> str:
     settings = _mc_settings(cfg, seed)
     rules = _rules_from_methods(cfg, n)
     curves = curve_grid(model, n, grid, rules, settings, _quad(cfg))
+    return curve_csv(grid, curves, [rule.method for rule in rules])
 
+
+def curve_csv(grid: Sequence[float], curves: dict[str, list[CurvePoint]],
+              methods: Sequence[str], target: Sequence[float] | None = None) -> str:
+    """The curve table of curve_grid's output: mu0y, the simulated target and
+    its standard error, the generalized and the classical correction, then a
+    value and standard-error column per estimator method.  `target`, when
+    given, replaces the target values (for example by a smoothed curve)."""
+    if target is None:
+        target = [pt.estimate for pt in curves["target"]]
     header = ["mu0y", "target", "target_se", "aicg_bias", "aic_bias"]
-    for rule in rules:
-        header += [rule.method, f"{rule.method}_se"]
+    for method in methods:
+        header += [method, f"{method}_se"]
     rows = []
     for i, mu in enumerate(grid):
-        row = [mu, curves["target"][i].estimate, curves["target"][i].std_error,
+        row = [mu, target[i], curves["target"][i].std_error,
                curves["aicg"][i].estimate, curves["aic"][i].estimate]
-        for rule in rules:
-            pt = curves[rule.method][i]
+        for method in methods:
+            pt = curves[method][i]
             row += [pt.estimate, pt.std_error]
         rows.append(row)
     return csv_text(header, rows)
@@ -435,8 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--models", help="comma list of model ids")
     select.add_argument("--counts", help="n1,n2,n3")
     select.add_argument("--n", type=int)
-    select.add_argument("--n-from-counts", action="store_true", dest="n_from_counts",
-                        help="take n from the counts total (always true; kept explicit)")
     select.add_argument("--method")
     select.add_argument("--radius", type=float)
     select.add_argument("--eta-exponent", dest="eta_exponent", type=float)

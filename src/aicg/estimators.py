@@ -20,13 +20,10 @@ import numpy as np
 
 from .closedform import BiasEstimate, bias_aic, bias_constant, singularity_bias
 from .geometry import (
-    CENTROID,
     Counts,
     DomainError,
     GeometryParams,
-    SimplexPoint,
     TransformedPoint,
-    mu0y,
     phi_from_p1,
     transform_map,
 )
@@ -42,11 +39,10 @@ from .models import (
     project_points,
 )
 from .montecarlo import McSettings, mc_bias_gaussian
-from .quadrature import QuadratureSettings, bias_t3_batch, bias_t3_value
+from .quadrature import QuadratureSettings, bias_t3_batch
 from .special import erf, norm_cdf
 
 _SQRT2 = math.sqrt(2.0)
-_T3_SING = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
 _FAR = 40.0
 
 # Published reference radii (derived at reference sample size 1e6); used when
@@ -72,7 +68,6 @@ class EstimatorRule:
     eta_exponent: float = 1.0 / 3.0
     bootstrap_b: int = 1000
     reference_n: int | None = None
-    observed: str | None = None  # "muhat" | "zbar" | None = per-model convention
 
     def __post_init__(self):
         if self.method not in ("plugin", "aic", "llf", "ulf", "uo", "minimax",
@@ -82,16 +77,12 @@ class EstimatorRule:
             raise DomainError("radius must be nonnegative")
         if self.bootstrap_b < 1:
             raise DomainError("bootstrap replicate count must be >= 1")
-        if self.observed not in (None, "muhat", "zbar"):
-            raise DomainError("observed must be 'muhat' or 'zbar'")
 
 
 def default_observed(model: ModelSpec, method: str) -> str:
-    if method in ("uo", "minimax") and model.variant == T1:
-        return "muhat"
-    if method == "consistent":
-        return "muhat"
-    return "zbar"
+    """The observed point a rule works from: the raw observation zbar for the
+    three-line neighborhood rules, the constrained estimate muhat otherwise."""
+    return "zbar" if model.variant == T3 and method in ("uo", "minimax") else "muhat"
 
 
 def default_radius(model: ModelSpec, method: str) -> float:
@@ -110,9 +101,6 @@ class Observation:
     zbar: TransformedPoint
     geometry: GeometryParams
     topology: int
-
-    def point(self, which: str) -> TransformedPoint:
-        return self.muhat if which == "muhat" else self.zbar
 
 
 def transformed_observation(model: ModelSpec, counts: Counts, n: int | None = None) -> Observation:
@@ -142,36 +130,47 @@ def transformed_observation(model: ModelSpec, counts: Counts, n: int | None = No
 
 def plugin_bias(model: ModelSpec, counts: Counts, n: int | None = None,
                 quad: QuadratureSettings = QuadratureSettings()) -> BiasEstimate:
-    """Bias correction with the generating parameter replaced by the MLE."""
-    if model.variant in (POLYTOMY, UNCONSTRAINED):
-        return BiasEstimate(bias_constant(model).value, "plug-in",
-                            settings={"model": model.model_id})
-    if model.variant == HALFLINES:
-        raise DomainError("half-lines models carry no observed-data parametrization")
-    obs = transformed_observation(model, counts, n)
-    mu = obs.geometry.mu0y
+    """Bias correction with the generating parameter replaced by the MLE: the
+    one-row case of selection.score_batch under the plug-in rule."""
+    from .selection import score_batch  # runtime import; selection builds on this module
+    if n is not None and n != counts.n:
+        raise DomainError("n must match the total count")
+    scores = score_batch([model], counts.as_array()[None], EstimatorRule("plugin"),
+                         quad=quad)[0]
+    if scores.errors[0] is not None:
+        raise DomainError(scores.errors[0])
+    return BiasEstimate(float(scores.bias[0]), "plug-in",
+                        settings={"model": model.model_id,
+                                  "mu_hat": float(scores.mu_hat[0])})
+
+
+def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0,
+                 quad: QuadratureSettings = QuadratureSettings()):
+    """Bias correction at distance mu along a ray of the model's cone,
+    elementwise; alpha0 is the t3 cone angle at each distance (other models
+    ignore it).  Scalars in give scalars out.
+
+    The t3 values come from one bias_t3_batch call on the distinct
+    (mu, alpha0) pairs.  Half-lines models have a closed form only at the
+    origin.
+    """
+    mu_arr, alpha_arr = np.broadcast_arrays(np.asarray(mu, dtype=float),
+                                            np.asarray(alpha0, dtype=float))
     if model.variant == T1:
-        value = 1.0 + erf(mu / _SQRT2)
+        values = 1.0 + erf(mu_arr / _SQRT2)
+    elif model.variant == T3:
+        pairs, where = np.unique(np.stack([mu_arr.ravel(), alpha_arr.ravel()], axis=1),
+                                 axis=0, return_inverse=True)
+        values = bias_t3_batch(pairs[:, 0], pairs[:, 1], quad)[where.ravel()]
+    elif model.variant in (POLYTOMY, UNCONSTRAINED):
+        values = np.full(mu_arr.shape, bias_constant(model).value)
+    elif np.all(mu_arr == 0.0):
+        values = np.full(mu_arr.shape, singularity_bias(model))
     else:
-        value = bias_t3_value(mu, obs.geometry.alpha0, quad)
-    return BiasEstimate(value, "plug-in",
-                        settings={"model": model.model_id, "mu_hat": mu})
-
-
-def bias_on_cone(model: ModelSpec, mu: float, geo: GeometryParams | None = None,
-                 quad: QuadratureSettings = QuadratureSettings()) -> float:
-    """Bias correction at distance mu along a ray of the model's cone."""
-    if model.variant == T1:
-        return 1.0 + erf(mu / _SQRT2)
-    if model.variant == T3:
-        alpha0 = geo.alpha0 if geo is not None else math.pi / 6.0
-        return bias_t3_value(mu, alpha0, quad)
-    if model.variant in (POLYTOMY, UNCONSTRAINED):
-        return bias_constant(model).value
-    if mu == 0.0:
-        return singularity_bias(model)
-    raise DomainError("half-lines bias away from the origin has no closed form; "
-                      "use the Monte Carlo engine")
+        raise DomainError("half-lines bias away from the origin has no closed form; "
+                          "use the Monte Carlo engine")
+    values = np.reshape(values, mu_arr.shape)
+    return float(values) if values.ndim == 0 else values
 
 
 @lru_cache(maxsize=128)
@@ -197,19 +196,19 @@ def least_favorable(model: ModelSpec, which: str,
         value = min(b0, 2.0) if which == "lower" else max(b0, 2.0)
         return BiasEstimate(value, method, settings={"model": model.model_id})
 
-    def f(mu: float) -> float:
-        if model.variant == T1:
-            return 1.0 + erf(mu / _SQRT2)
-        geo = GeometryParams.from_mu0y(mu, reference_n)
-        return bias_t3_value(mu, geo.alpha0, quad)
-
     sign = 1.0 if which == "lower" else -1.0
+    cone_angle = np.vectorize(lambda m: GeometryParams.from_mu0y(m, reference_n).alpha0,
+                              otypes=[float])
+
+    def f(mus):
+        return sign * bias_on_cone(model, mus, cone_angle(mus), quad)
+
     grid = [0.5 * i for i in range(101)]
-    vals = [sign * f(m) for m in grid]
+    vals = f(np.array(grid)).tolist()
     k = int(np.argmin(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    x, fx = _golden_min(lambda m: sign * f(m), lo, hi, 1e-4)
+    x, fx = _golden_min(f, lo, hi, 1e-4)
     best = min([(vals[0], grid[0]), (vals[-1], grid[-1]), (fx, x)])
     return BiasEstimate(sign * best[0], method,
                         settings={"model": model.model_id, "argmu": best[1],
@@ -234,27 +233,22 @@ def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc < fd else (d, fd)
 
 
-def neighborhood_rule(model: ModelSpec, r: float, observed: TransformedPoint,
-                      method: str = "uo", seed: int = 0) -> BiasEstimate:
-    """Singularity value inside the radius-r ball, the classical value outside.
+def neighborhood_values(model: ModelSpec, r: float, distance):
+    """Neighborhood rule by distance from the singularity (the origin, the
+    only one these models have): the singularity value inside the radius-r
+    ball, the classical value outside; elementwise."""
+    return np.where(np.asarray(distance) <= r, singularity_bias(model), bias_aic(model).value)
 
-    With several singularities the nearest would win (ties uniformly at
-    random from the seed); the models here have a single one at the origin.
-    """
+
+def neighborhood_rule(model: ModelSpec, r: float, observed: TransformedPoint,
+                      method: str = "uo") -> BiasEstimate:
+    """The neighborhood rule at one observed point of the transformed plane."""
     if r < 0:
         raise DomainError("radius must be nonnegative")
-    singularities = [np.zeros(2)]
-    dists = [float(np.linalg.norm(observed.as_array() - s)) for s in singularities]
-    order = np.argsort(dists, kind="stable")
-    nearest = order[0]
-    ties = [i for i in order if abs(dists[i] - dists[nearest]) < 1e-15]
-    if len(ties) > 1:
-        nearest = np.random.default_rng(seed).choice(ties)
-    inside = dists[nearest] <= r
-    value = singularity_bias(model) if inside else bias_aic(model).value
-    return BiasEstimate(value, method,
+    distance = float(np.linalg.norm(observed.as_array()))
+    return BiasEstimate(float(neighborhood_values(model, r, distance)), method,
                         settings={"model": model.model_id, "radius": r,
-                                  "inside": bool(inside)})
+                                  "inside": distance <= r})
 
 
 def noncentral_radius_cdf(r: float, center_norm):
@@ -321,19 +315,16 @@ def expected_neighborhood_value(model: ModelSpec, r: float, mu_grid: np.ndarray)
     if model.variant == T1:
         return 2.0 - norm_cdf(r - mu_grid)
     if model.variant == T3:
-        h = _T3_SING - 2.0
+        h = singularity_bias(model) - 2.0
         return 2.0 + h * noncentral_radius_cdf(r, mu_grid)
     raise DomainError(f"no expected-rule closed form for {model.model_id}")
 
 
 @lru_cache(maxsize=64)
-def _truth_grid(model_variant: str, grid_key: tuple[float, ...], n: float,
+def _truth_grid(model: ModelSpec, grid_key: tuple[float, ...], n: float,
                 quad: QuadratureSettings) -> tuple[float, ...]:
-    mus = np.array(grid_key)
-    if model_variant == T1:
-        return tuple(1.0 + erf(mus / _SQRT2))
     alphas = [GeometryParams.from_mu0y(mu, n).alpha0 for mu in grid_key]
-    return tuple(bias_t3_batch(mus, alphas, quad))
+    return tuple(bias_on_cone(model, np.array(grid_key), alphas, quad))
 
 
 def _radius_grid(grid) -> tuple[float, ...]:
@@ -351,7 +342,7 @@ def minimax_radius(model: ModelSpec, mu_grid, n: float,
     if model.variant not in (T1, T3):
         raise DomainError(f"{model.model_id} has a constant bias; no radius applies")
     grid = _radius_grid(mu_grid)
-    truth = np.array(_truth_grid(model.variant, grid, float(n), quad))
+    truth = np.array(_truth_grid(model, grid, float(n), quad))
     mus = np.array(grid)
 
     def sup_risk(r: float) -> float:
@@ -379,7 +370,7 @@ def uo_radius(model: ModelSpec, mu_grid, n: float, violation_tol: float = 1.02e-
     if model.variant not in (T1, T3):
         raise DomainError(f"{model.model_id} has a constant bias; no radius applies")
     grid = _radius_grid(mu_grid)
-    truth = np.array(_truth_grid(model.variant, grid, float(n), quad))
+    truth = np.array(_truth_grid(model, grid, float(n), quad))
     mus = np.array(grid)
     aic = 2.0 * model.dim
     gap = aic - truth
@@ -412,6 +403,17 @@ def uo_radius(model: ModelSpec, mu_grid, n: float, violation_tol: float = 1.02e-
                 "violation_tol": violation_tol}
 
 
+def consistent_radius(n: float, eta_exponent: float) -> float:
+    """Radius sqrt(n) * eta_n = n^(1/2 - e) of the consistent rule's shrinkage
+    ball; the exponent must lie strictly inside (0, 1/2) so the radius grows
+    without bound yet more slowly than sqrt(n)."""
+    if n < 3:
+        raise DomainError("consistent estimation needs n >= 3")
+    if not 0.0 < eta_exponent < 0.5:
+        raise DomainError("rate exponent must lie strictly inside (0, 1/2)")
+    return float(n) ** (0.5 - eta_exponent)
+
+
 def consistent_estimate(model: ModelSpec, observed: TransformedPoint, n: float,
                         eta_exponent: float = 1.0 / 3.0,
                         geo: GeometryParams | None = None,
@@ -419,16 +421,11 @@ def consistent_estimate(model: ModelSpec, observed: TransformedPoint, n: float,
                         ) -> tuple[TransformedPoint, BiasEstimate]:
     """Shrink the observation to the singularity inside a slowly-growing ball.
 
-    The ball radius is sqrt(n) * eta_n with eta_n = n^(-e); exponents must lie
-    strictly inside (0, 1/2) so the radius grows without bound yet more slowly
-    than sqrt(n).  Outside the ball the estimate is the cone projection of the
-    observation, and the bias is evaluated at whichever estimate results.
+    The ball radius is consistent_radius(n, eta_exponent).  Outside the ball
+    the estimate is the cone projection of the observation, and the bias is
+    evaluated at whichever estimate results.
     """
-    if n < 3:
-        raise DomainError("consistent estimation needs n >= 3")
-    if not 0.0 < eta_exponent < 0.5:
-        raise DomainError("rate exponent must lie strictly inside (0, 1/2)")
-    radius = float(n) ** (0.5 - eta_exponent)
+    radius = consistent_radius(n, eta_exponent)
     if geo is None:
         geo = GeometryParams.from_phi0(1.0, n)
     cone = cone_of(model, geo)
@@ -438,7 +435,7 @@ def consistent_estimate(model: ModelSpec, observed: TransformedPoint, n: float,
     else:
         proj = project_points(cone, observed.as_array()[None])[0]
         mu_t = TransformedPoint(float(proj[0]), float(proj[1]))
-        value = bias_on_cone(model, mu_t.norm(), geo, quad)
+        value = bias_on_cone(model, mu_t.norm(), geo.alpha0, quad)
     est = BiasEstimate(value, "consistent",
                        settings={"model": model.model_id, "radius": radius,
                                  "eta_exponent": eta_exponent,
@@ -448,7 +445,7 @@ def consistent_estimate(model: ModelSpec, observed: TransformedPoint, n: float,
 
 def bootstrap_bias(model: ModelSpec, data: Counts, n: int | None = None,
                    b_replicates: int = 1000, seed: int = 0,
-                   eta_exponent: float = 1.0 / 3.0, observed: str = "muhat",
+                   eta_exponent: float = 1.0 / 3.0,
                    chunk_size: int = 1 << 16, workers: int = 1,
                    quad: QuadratureSettings = QuadratureSettings()) -> BiasEstimate:
     """Parametric bootstrap of the bias correction around the shrunken center.
@@ -466,8 +463,7 @@ def bootstrap_bias(model: ModelSpec, data: Counts, n: int | None = None,
     else:
         obs = transformed_observation(model, data, n)
         geo = obs.geometry
-        center, _ = consistent_estimate(model, obs.point(observed), n,
-                                        eta_exponent, geo, quad)
+        center, _ = consistent_estimate(model, obs.muhat, n, eta_exponent, geo, quad)
     cone = cone_of(model, geo)
     est = mc_bias_gaussian(cone, center, McSettings(seed, b_replicates, chunk_size, workers))
     return BiasEstimate(est.value, "bootstrap", std_error=est.std_error,
@@ -512,20 +508,15 @@ def _t3_bias_table(alpha0: float, mu_max: float,
 
 def _plugin_values(model: ModelSpec, mu: np.ndarray, geo: GeometryParams,
                    quad: QuadratureSettings) -> np.ndarray:
-    if model.variant == T1:
-        return 1.0 + erf(mu / _SQRT2)
     if model.variant == T3:
-        # Tabulated quadrature values with linear interpolation; the node
-        # spacing keeps interpolation error well below Monte Carlo resolution.
+        # Monte Carlo columns evaluate 1e5-1e6 distances: tabulated t3 values
+        # with linear interpolation, whose node spacing keeps interpolation
+        # error well below Monte Carlo resolution.
         mu_max = math.ceil(float(np.max(mu)) + 1.0)
         table_quad = QuadratureSettings(max(quad.abs_tol, 1e-7), quad.r_max_offset)
         xs, ys = _t3_bias_table(geo.alpha0, float(mu_max), table_quad)
         return np.interp(mu, xs, ys)
-    if model.variant == POLYTOMY:
-        return np.zeros_like(mu)
-    if model.variant == UNCONSTRAINED:
-        return np.full_like(mu, 4.0)
-    raise DomainError(f"no plug-in rule for {model.model_id}")
+    return bias_on_cone(model, mu, geo.alpha0, quad)
 
 
 def rule_evaluator(model: ModelSpec, rule: EstimatorRule,
@@ -554,14 +545,11 @@ def rule_evaluator(model: ModelSpec, rule: EstimatorRule,
         return plugin_fn
     if rule.method in ("uo", "minimax"):
         r = rule.radius if rule.radius is not None else default_radius(model, rule.method)
-        which = rule.observed or default_observed(model, rule.method)
-        sing = singularity_bias(model)
-        aic = bias_aic(model).value
+        which = default_observed(model, rule.method)
 
         def neighborhood_fn(z):
             pts = z if which == "zbar" else project_points(cone, z)
-            inside = np.linalg.norm(pts, axis=1) <= r
-            return np.where(inside, sing, aic)
+            return neighborhood_values(model, r, np.linalg.norm(pts, axis=1))
         return neighborhood_fn
     if rule.method == "consistent":
         if rule.reference_n is None:
@@ -569,13 +557,10 @@ def rule_evaluator(model: ModelSpec, rule: EstimatorRule,
         if not 0.0 < rule.eta_exponent < 0.5:
             raise DomainError("rate exponent must lie strictly inside (0, 1/2)")
         radius = float(rule.reference_n) ** (0.5 - rule.eta_exponent)
-        which = rule.observed or default_observed(model, rule.method)
 
         def consistent_fn(z):
-            proj = project_points(cone, z)
-            obs = z if which == "zbar" else proj
-            mu_t = np.where(np.linalg.norm(obs, axis=1) <= radius, 0.0,
-                            np.linalg.norm(proj, axis=1))
+            dist = np.linalg.norm(project_points(cone, z), axis=1)
+            mu_t = np.where(dist <= radius, 0.0, dist)
             return _plugin_values(model, mu_t, geo, quad)
         return consistent_fn
     raise DomainError(f"no draw-wise evaluator for method {rule.method!r}")

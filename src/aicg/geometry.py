@@ -234,10 +234,6 @@ class TransformMap:
         w = self.matrix @ (theta.free_coords() - self.anchor)
         return TransformedPoint(float(w[0]), float(w[1]))
 
-    def apply_free(self, v: np.ndarray) -> np.ndarray:
-        """Vectorized image of free-coordinate points, shape (..., 2)."""
-        return (np.asarray(v, dtype=float) - self.anchor) @ self.matrix.T
-
 
 def _rotation_to_y(u: np.ndarray) -> np.ndarray:
     psi = math.atan2(u[1], u[0])

@@ -9,12 +9,11 @@ lives only in the transformed plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
-    CENTROID,
     Counts,
     DomainError,
     GeometryParams,
@@ -130,56 +129,57 @@ class MLEResult:
     topology: int | None = None  # which line carries the estimate (t1/t3)
 
 
-def neg2loglik_at(counts: Counts, p: SimplexPoint) -> float:
-    """-2 sum n_i log p_i with 0 log 0 = 0; +inf when n_i > 0 meets p_i = 0."""
-    total = 0.0
-    for c, prob in zip((counts.n1, counts.n2, counts.n3), p.as_tuple()):
-        if c == 0:
-            continue
-        if prob <= 0.0:
-            return math.inf
-        total += c * math.log(prob)
-    return -2.0 * total
-
-
-def _t1_fit(counts: Counts, topology: int) -> MLEResult:
-    n = counts.n
-    c = (counts.n1, counts.n2, counts.n3)[topology - 1]
-    big = max(c / n, 1.0 / 3.0)
-    small = (1.0 - big) / 2.0
-    ps = [small, small, small]
-    ps[topology - 1] = big
-    est = SimplexPoint(*ps, boundary_ok=True)
-    return MLEResult(
-        estimate=est,
-        neg2loglik=neg2loglik_at(counts, est),
-        at_vertex_of_cone=c / n <= 1.0 / 3.0,
-        topology=topology,
-    )
-
-
-def mle_simplex(model: ModelSpec, counts: Counts) -> MLEResult:
-    """Constrained maximum likelihood on the simplex.
+def mle_rows(model: ModelSpec, counts) -> tuple[np.ndarray, np.ndarray | None]:
+    """Constrained maximum likelihood on the simplex for an (N, 3) array of
+    counts: the (N, 3) estimates and, for the line models, the 0-based index
+    of the line carrying each estimate (None for the other models).
 
     t1:i clamps p_i at 1/3 from below with the other two equal; t3 fits the
-    best topology (count ties resolved by likelihood, then smallest index);
-    polytomy is the centroid; unconstrained is the sample mean (closure
-    points allowed).
+    line of the largest count, ties going to the smallest index (tied lines
+    give the same likelihood); polytomy is the centroid; unconstrained is the
+    sample mean (closure points allowed).
     """
     if model.variant == HALFLINES:
         raise DomainError("half-lines models have no simplex parametrization")
-    if model.variant == T1:
-        return _t1_fit(counts, model.topology)
-    if model.variant == T3:
-        cs = (counts.n1, counts.n2, counts.n3)
-        best = max(cs)
-        fits = [_t1_fit(counts, i + 1) for i in range(3) if cs[i] == best]
-        return min(fits, key=lambda r: (r.neg2loglik, r.topology))
+    counts = np.asarray(counts, dtype=float)
     if model.variant == POLYTOMY:
-        return MLEResult(CENTROID, neg2loglik_at(counts, CENTROID), True, None)
-    est = counts.mean()
-    at_vertex = all(abs(p - 1.0 / 3.0) < 1e-15 for p in est.as_tuple())
-    return MLEResult(est, neg2loglik_at(counts, est), at_vertex, None)
+        return np.full_like(counts, 1.0 / 3.0), None
+    n = counts.sum(axis=1)
+    if model.variant == UNCONSTRAINED:
+        return counts / n[:, None], None
+    if model.variant == T1:
+        line = np.full(len(counts), model.topology - 1)
+    else:
+        line = np.argmax(counts, axis=1)
+    rows = np.arange(len(counts))
+    big = np.maximum(counts[rows, line] / n, 1.0 / 3.0)
+    theta = np.repeat(((1.0 - big) / 2.0)[:, None], 3, axis=1)
+    theta[rows, line] = big
+    return theta, line
+
+
+def neg2loglik_rows(counts, theta) -> np.ndarray:
+    """-2 sum n_i log p_i per row, with 0 log 0 = 0; +inf when n_i > 0 meets
+    p_i = 0."""
+    counts = np.asarray(counts, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(counts > 0, counts * np.log(theta), 0.0)
+    return -2.0 * terms.sum(axis=1)
+
+
+def neg2loglik_at(counts: Counts, p: SimplexPoint) -> float:
+    """One-row case of neg2loglik_rows."""
+    return float(neg2loglik_rows(counts.as_array()[None], np.array([p.as_tuple()]))[0])
+
+
+def mle_simplex(model: ModelSpec, counts: Counts) -> MLEResult:
+    """One-row case of mle_rows, as an MLEResult."""
+    c = counts.as_array()[None]
+    theta, line = mle_rows(model, c)
+    est = SimplexPoint(*theta[0].tolist(), boundary_ok=True)
+    at_vertex = bool(np.all(np.abs(theta[0] - 1.0 / 3.0) < 1e-15))
+    topology = None if line is None else int(line[0]) + 1
+    return MLEResult(est, float(neg2loglik_rows(c, theta)[0]), at_vertex, topology)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .closedform import BiasEstimate, bias_aic, bias_constant, bias_t1
+from .closedform import BiasEstimate, bias_aic
 from .geometry import (
     DomainError,
     GeometryParams,
@@ -28,18 +28,8 @@ from .geometry import (
     phi_from_mu0y,
     theta_on_line,
 )
-from .models import (
-    POLYTOMY,
-    T1,
-    T3,
-    UNCONSTRAINED,
-    Cone,
-    ModelSpec,
-    cone_of,
-    project_points,
-    theta_in_model,
-)
-from .quadrature import QuadratureSettings, bias_t3_value
+from .models import Cone, ModelSpec, cone_of, mle_rows, project_points, theta_in_model
+from .quadrature import QuadratureSettings
 from .special import norm_ppf
 
 _U53 = float(2.0 ** -53)
@@ -146,23 +136,6 @@ def mc_bias_gaussian(cone: Cone, mu0: TransformedPoint,
                                   "min_draw": lowest})
 
 
-def _theta_hat(model: ModelSpec, counts: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized simplex MLE for (N, 3) count arrays."""
-    if model.variant == POLYTOMY:
-        return np.full_like(counts, 1.0 / 3.0)
-    if model.variant == UNCONSTRAINED:
-        return counts / n
-    if model.variant == T1:
-        idx = np.full(len(counts), model.topology - 1)
-    else:  # T3: ties resolve to the smallest index, matching mle_simplex
-        idx = np.argmax(counts, axis=1)
-    rows = np.arange(len(counts))
-    big = np.maximum(counts[rows, idx] / n, 1.0 / 3.0)
-    out = np.repeat(((1.0 - big) / 2.0)[:, None], 3, axis=1)
-    out[rows, idx] = big
-    return out
-
-
 def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
                         settings: McSettings) -> BiasEstimate:
     """Finite-n bias-correction target, estimated by trinomial simulation.
@@ -179,7 +152,7 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
 
     def kernel(rng, size):
         counts = trinomial_counts(rng, n, t0, size)
-        logs = np.log(np.maximum(_theta_hat(model, counts, n), 1e-12))
+        logs = np.log(np.maximum(mle_rows(model, counts)[0], 1e-12))
         d1 = counts[:, 0] - n * t0[0]
         d2 = counts[:, 1] - n * t0[1]
         return 2.0 * (d1 * (logs[:, 0] - logs[:, 2]) + d2 * (logs[:, 1] - logs[:, 2]))
@@ -220,19 +193,6 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def analytic_bias(model: ModelSpec, mu: float, n: float,
-                  quad: QuadratureSettings = QuadratureSettings()) -> float:
-    """Large-n bias correction at distance mu from the origin, per model."""
-    if model.variant == T1:
-        return bias_t1(mu).value
-    if model.variant == T3:
-        geo = GeometryParams.from_mu0y(mu, n)
-        return bias_t3_value(mu, geo.alpha0, quad)
-    if model.variant in (POLYTOMY, UNCONSTRAINED):
-        return bias_constant(model).value
-    raise DomainError(f"no bias curve available for {model.model_id}")
-
-
 def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
                rules: Sequence = (), settings: McSettings | None = None,
                quad: QuadratureSettings = QuadratureSettings()) -> dict[str, list[CurvePoint]]:
@@ -244,17 +204,19 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     """
     if settings is None:
         raise DomainError("curve_grid requires Monte Carlo settings")
-    from .estimators import rule_evaluator  # runtime import; estimators builds on this module
+    # runtime import; estimators builds on this module
+    from .estimators import bias_on_cone, rule_evaluator
 
     curves: dict[str, list[CurvePoint]] = {"target": [], "aicg": [], "aic": []}
     for rule in rules:
         curves[rule.method] = []
 
+    phis = [phi_from_mu0y(mu, n) for mu in grid]
+    geos = [GeometryParams.from_phi0(phi0, n) for phi0 in phis]
+    aicg = bias_on_cone(model, np.array(grid, dtype=float), [g.alpha0 for g in geos], quad)
     aic_value = bias_aic(model).value
-    for i, mu in enumerate(grid):
-        phi0 = phi_from_mu0y(mu, n)
+    for i, (mu, phi0, geo) in enumerate(zip(grid, phis, geos)):
         theta0 = theta_on_line(phi0, model.topology or 1)
-        geo = GeometryParams.from_phi0(phi0, n)
         cone = cone_of(model, geo)
         mu0 = TransformedPoint(0.0, mu)
 
@@ -262,7 +224,7 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
                           settings.chunk_size, settings.workers)
         target = mc_target_trinomial(model, theta0, n, cell)
         curves["target"].append(CurvePoint(mu, target.value, target.std_error, n))
-        curves["aicg"].append(CurvePoint(mu, analytic_bias(model, mu, n, quad), 0.0, n))
+        curves["aicg"].append(CurvePoint(mu, float(aicg[i]), 0.0, n))
         curves["aic"].append(CurvePoint(mu, aic_value, 0.0, n))
 
         for j, rule in enumerate(rules):

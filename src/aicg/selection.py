@@ -13,20 +13,19 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .closedform import BiasEstimate, bias_aic
+from .closedform import bias_constant, singularity_bias
 from .estimators import (
     EstimatorRule,
+    bias_on_cone,
     bootstrap_bias,
-    consistent_estimate,
+    consistent_radius,
     default_observed,
     default_radius,
     least_favorable,
-    neighborhood_rule,
-    plugin_bias,
-    transformed_observation,
+    neighborhood_values,
 )
 from .geometry import Counts, DomainError
-from .models import POLYTOMY, T1, T3, UNCONSTRAINED, ModelSpec, mle_simplex
+from .models import T1, T3, ModelSpec, mle_rows, neg2loglik_rows
 from .quadrature import QuadratureSettings
 
 _VERSION = "0.1.0"
@@ -57,36 +56,134 @@ class SelectionReport:
         return None
 
 
-def _bias_for(model: ModelSpec, counts: Counts, n: int, rule: EstimatorRule,
-              seed: int, quad: QuadratureSettings) -> BiasEstimate:
-    if rule.method == "plugin":
-        return plugin_bias(model, counts, n, quad)
-    if rule.method == "aic":
-        return bias_aic(model)
-    if rule.method in ("llf", "ulf"):
-        return least_favorable(model, "lower" if rule.method == "llf" else "upper",
-                               quad, float(n))
-    if rule.method in ("uo", "minimax"):
-        if model.variant in (POLYTOMY, UNCONSTRAINED):
-            return BiasEstimate(bias_aic(model).value, rule.method,
-                                settings={"model": model.model_id, "constant": True})
-        obs = transformed_observation(model, counts, n)
-        r = rule.radius if rule.radius is not None else default_radius(model, rule.method)
-        which = rule.observed or default_observed(model, rule.method)
-        return neighborhood_rule(model, r, obs.point(which), rule.method, seed)
-    if rule.method == "consistent":
-        if model.variant in (POLYTOMY, UNCONSTRAINED):
-            return BiasEstimate(bias_aic(model).value, "consistent",
-                                settings={"model": model.model_id, "constant": True})
-        obs = transformed_observation(model, counts, n)
-        which = rule.observed or default_observed(model, rule.method)
-        _, est = consistent_estimate(model, obs.point(which), n,
-                                     rule.eta_exponent, obs.geometry, quad)
-        return est
-    if rule.method == "bootstrap":
-        return bootstrap_bias(model, counts, n, rule.bootstrap_b, seed,
-                              rule.eta_exponent, rule.observed or "muhat", quad=quad)
-    raise DomainError(f"estimator method {rule.method!r} not usable for scoring")
+@dataclass(frozen=True)
+class ModelScores:
+    """One model's scores on N count rows.  A row the estimator cannot handle
+    holds NaN values and its error message; the other rows are unaffected."""
+
+    model: ModelSpec
+    bias_method: str
+    neg2loglik: np.ndarray
+    bias: np.ndarray
+    std_error: np.ndarray | None  # bootstrap only
+    mu_hat: np.ndarray  # observed distance; 0 without a line, NaN where undefined
+    errors: tuple[str | None, ...]
+
+    @property
+    def aicg(self) -> np.ndarray:
+        return self.neg2loglik + self.bias
+
+    @property
+    def aic(self) -> np.ndarray:
+        return self.neg2loglik + 2.0 * self.model.dim
+
+
+# rules that read the observed distance of a line model
+_OBSERVED_RULES = ("plugin", "uo", "minimax", "consistent", "bootstrap")
+
+
+def _line_geometry(counts: np.ndarray, theta: np.ndarray, line: np.ndarray, n: int):
+    """Per row of a line model's fit: the observed distance mu_hat, the cone
+    angle alpha0_hat and the norm of the transformed sample mean, with an
+    error message where the estimate reaches a vertex (p = 1), which has no
+    distance.
+
+    The transform is the Fisher scaling at the estimate followed by a
+    rotation, which keeps norms: ||zbar||^2 = n sum_i (xbar_i - 1/3)^2 / theta_i.
+    """
+    p_big = theta[np.arange(len(counts)), line]
+    valid = p_big < 1.0
+    errors = tuple(None if p < 1.0 else f"p1={p!r} outside [1/3, 1)" for p in p_big.tolist())
+    phi = np.where(valid, 1.5 * (1.0 - p_big), 1.0)
+    mu_hat = math.sqrt(2.0 * n) * (1.0 - phi) / np.sqrt(phi * (3.0 - 2.0 * phi))
+    alpha0 = np.arctan(1.0 / np.sqrt(3.0 * (3.0 - 2.0 * phi)))
+    theta = np.where(valid[:, None], theta, 1.0 / 3.0)
+    zbar_norm = np.sqrt(n * np.sum((counts / n - 1.0 / 3.0) ** 2 / theta, axis=1))
+    return np.where(valid, mu_hat, np.nan), alpha0, zbar_norm, errors
+
+
+def _rule_values(model: ModelSpec, rule: EstimatorRule, n: int, counts: np.ndarray,
+                 mu_hat: np.ndarray, alpha0: np.ndarray, zbar_norm: np.ndarray,
+                 seed: int, quad: QuadratureSettings) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rule's bias value (and bootstrap standard error) for each row."""
+    method = rule.method
+    rows = len(counts)
+    if method == "aic":
+        return np.full(rows, 2.0 * model.dim), None
+    if method in ("llf", "ulf"):
+        which = "lower" if method == "llf" else "upper"
+        return np.full(rows, least_favorable(model, which, quad, float(n)).value), None
+    if method == "bootstrap":
+        ests = [bootstrap_bias(model, Counts(*map(int, c)), n, rule.bootstrap_b, seed,
+                               rule.eta_exponent, quad=quad) for c in counts]
+        return np.array([e.value for e in ests]), np.array([e.std_error for e in ests])
+    if model.variant not in (T1, T3):
+        return np.full(rows, bias_constant(model).value), None
+    if method == "plugin":
+        return bias_on_cone(model, mu_hat, alpha0, quad), None
+    if method in ("uo", "minimax"):
+        r = rule.radius if rule.radius is not None else default_radius(model, method)
+        dist = zbar_norm if default_observed(model, method) == "zbar" else mu_hat
+        return neighborhood_values(model, r, dist), None
+    if method == "consistent":
+        shrunk = mu_hat <= consistent_radius(n, rule.eta_exponent)
+        values = np.full(rows, singularity_bias(model))
+        values[~shrunk] = bias_on_cone(model, mu_hat[~shrunk], alpha0[~shrunk], quad)
+        return values, None
+    raise DomainError(f"estimator method {method!r} not usable for scoring")
+
+
+def _score_model(model: ModelSpec, counts: np.ndarray, n: int, rule: EstimatorRule,
+                 seed: int, quad: QuadratureSettings) -> ModelScores:
+    rows = len(counts)
+    nan = np.full(rows, np.nan)
+    label = "plug-in" if rule.method == "plugin" else rule.method
+    try:
+        theta, line = mle_rows(model, counts)
+    except DomainError as exc:
+        return ModelScores(model, label, nan, nan, None, nan, (str(exc),) * rows)
+    errors: tuple[str | None, ...] = (None,) * rows
+    mu_hat = alpha0 = zbar_norm = np.zeros(rows)
+    if line is not None:
+        mu_hat, alpha0, zbar_norm, geometry_errors = _line_geometry(counts, theta, line, n)
+        if rule.method in _OBSERVED_RULES:
+            errors = geometry_errors
+    ok = np.array([e is None for e in errors])
+    bias, std_error = nan.copy(), None
+    if ok.any():
+        try:
+            values, ses = _rule_values(model, rule, n, counts[ok], mu_hat[ok], alpha0[ok],
+                                       zbar_norm[ok], seed, quad)
+        except (DomainError, ValueError) as exc:
+            errors = tuple(e or str(exc) for e in errors)
+            ok[:] = False
+        else:
+            bias[ok] = values
+            if ses is not None:
+                std_error = nan.copy()
+                std_error[ok] = ses
+    neg2loglik = np.where(ok, neg2loglik_rows(counts, theta), np.nan)
+    return ModelScores(model, label, neg2loglik, bias, std_error, mu_hat, errors)
+
+
+def score_batch(models: Sequence[ModelSpec], counts, rule: EstimatorRule, seed: int = 0,
+                quad: QuadratureSettings = QuadratureSettings()) -> tuple[ModelScores, ...]:
+    """Score every candidate model on every row of an (N, 3) count array whose
+    rows share one total n: one vectorized MLE per model, and the rule
+    evaluated for all rows at once (the bootstrap runs one Monte Carlo per
+    row).
+
+    The multinomial coefficient is dropped from every -2 log L; it is common
+    to all models for fixed data, so score differences are unaffected.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2 or counts.shape[1] != 3 or len(counts) == 0:
+        raise DomainError("counts must be a nonempty (N, 3) array")
+    totals = counts.sum(axis=1)
+    if np.any(counts < 0) or np.any(counts % 1) or np.any(totals != totals[0]) or totals[0] < 1:
+        raise DomainError("count rows must be nonnegative integers sharing one total n >= 1")
+    n = int(totals[0])
+    return tuple(_score_model(model, counts, n, rule, seed, quad) for model in models)
 
 
 def _rank(values: list[tuple[float, str]]) -> dict[str, int]:
@@ -97,50 +194,32 @@ def _rank(values: list[tuple[float, str]]) -> dict[str, int]:
 def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule,
           seed: int = 0, quad: QuadratureSettings = QuadratureSettings()) -> SelectionReport:
     """Score each candidate model on observed counts and rank by the
-    generalized criterion (ties broken by model id).
-
-    The multinomial coefficient is dropped from every -2 log L; it is common
-    to all models for fixed data, so score differences are unaffected.
-    A model the estimator cannot handle yields an error row, leaving the
-    other rows intact.
+    generalized criterion (ties broken by model id): the one-row case of
+    score_batch.  A model the estimator cannot handle yields an error row,
+    leaving the other rows intact.
     """
     if not models:
         raise DomainError("need at least one candidate model")
-    n = counts.n
-    partial = []
-    for model in models:
-        try:
-            fit = mle_simplex(model, counts)
-            bias = _bias_for(model, counts, n, rule, seed, quad)
-            partial.append((model.model_id, fit.neg2loglik, bias, None))
-        except (DomainError, ValueError) as exc:
-            partial.append((model.model_id, None, None, str(exc)))
-
-    scored = [(mid, n2ll, b, n2ll + b.value, n2ll + bias_aic_value(mid))
-              for mid, n2ll, b, err in partial if err is None]
-    rank_g = _rank([(s[3], s[0]) for s in scored])
-    rank_a = _rank([(s[4], s[0]) for s in scored])
+    batch = score_batch(models, counts.as_array()[None], rule, seed, quad)
+    scored = [s for s in batch if s.errors[0] is None]
+    rank_g = _rank([(float(s.aicg[0]), s.model.model_id) for s in scored])
+    rank_a = _rank([(float(s.aic[0]), s.model.model_id) for s in scored])
 
     rows = []
-    for mid, n2ll, bias, err in partial:
-        if err is not None:
-            rows.append(ScoreRow(mid, None, None, None, None, None, None, None, err))
+    for s in batch:
+        mid = s.model.model_id
+        if s.errors[0] is not None:
+            rows.append(ScoreRow(mid, None, None, None, None, None, None, None, s.errors[0]))
             continue
-        aicg = n2ll + bias.value
-        aic = n2ll + bias_aic_value(mid)
-        rows.append(ScoreRow(mid, n2ll, bias.method, bias.value, aicg, aic,
-                             rank_g[mid], rank_a[mid]))
+        rows.append(ScoreRow(mid, float(s.neg2loglik[0]), s.bias_method, float(s.bias[0]),
+                             float(s.aicg[0]), float(s.aic[0]), rank_g[mid], rank_a[mid]))
     rows.sort(key=lambda r: (r.rank_aicg is None, r.rank_aicg or 0, r.model_id))
     meta = {
-        "n": n, "seed": seed, "estimator": rule.method,
+        "n": counts.n, "seed": seed, "estimator": rule.method,
         "radius": rule.radius, "version": _VERSION,
         "note": "multinomial coefficient dropped from -2 log L",
     }
     return SelectionReport(tuple(rows), meta)
-
-
-def bias_aic_value(model_id: str) -> float:
-    return 2.0 * parse_model_id(model_id).dim
 
 
 def parse_model_id(model_id: str) -> ModelSpec:
@@ -195,14 +274,20 @@ def simplex_lattice(resolution: int) -> list[tuple[int, int, int]]:
 
 
 def largest_remainder_counts(p: Sequence[float], n: int) -> tuple[int, int, int]:
-    """Round n*p to integers summing to n, largest fractional parts first."""
-    raw = [n * x for x in p]
-    base = [math.floor(v) for v in raw]
-    short = n - sum(base)
-    rema = sorted(range(3), key=lambda i: (-(raw[i] - base[i]), i))
-    for i in rema[:short]:
-        base[i] += 1
-    return tuple(base)
+    """Round n*p to integers summing to n, largest fractional parts first:
+    the one-row case of _rounded_counts."""
+    return tuple(int(c) for c in _rounded_counts(np.array([p], dtype=float), n)[0])
+
+
+def _rounded_counts(p: np.ndarray, n: int) -> np.ndarray:
+    """Largest-remainder rounding of n*p for each row of an (N, 3) array;
+    equal remainders go to the smallest index."""
+    raw = n * p
+    base = np.floor(raw)
+    short = n - base.sum(axis=1)
+    order = np.argsort(base - raw, axis=1, kind="stable")
+    place = np.argsort(order, axis=1, kind="stable")
+    return base + (place < short[:, None])
 
 
 def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
@@ -217,23 +302,17 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
     if len(models) < 2:
         raise DomainError("region grids need at least two models")
     pts = simplex_lattice(resolution)
-    winners = []
-    for (i, j, k) in pts:
-        counts = Counts(*largest_remainder_counts(
-            (i / resolution, j / resolution, k / resolution), n))
-        report = score(models, counts, rule, seed, quad)
-        best = [r for r in report.rows if r.rank_aicg == 1]
-        if not best:
-            winners.append("error")
-            continue
-        top = best[0]
-        tied = [r.model_id for r in report.rows
-                if r.aicg is not None and r.aicg == top.aicg]
-        winners.append("tie" if len(tied) > 1 else top.model_id)
+    counts = _rounded_counts(np.array(pts) / resolution, n)
+    aicg = np.array([s.aicg for s in score_batch(models, counts, rule, seed, quad)])
+    # error rows hold NaN, which equals nothing, so a point where every
+    # model failed has no best score
+    at_best = aicg == np.min(np.where(np.isnan(aicg), np.inf, aicg), axis=0)
+    ids = tuple(m.model_id for m in models)
+    winners = tuple("error" if hits.size == 0 else "tie" if hits.size > 1 else ids[hits[0]]
+                    for hits in map(np.flatnonzero, at_best.T))
     return RegionGrid(
-        resolution=resolution, n=n,
-        model_ids=tuple(m.model_id for m in models),
-        points=tuple(pts), winners=tuple(winners),
+        resolution=resolution, n=n, model_ids=ids,
+        points=tuple(pts), winners=winners,
         metadata={"estimator": rule.method, "seed": seed, "version": _VERSION},
     )
 

@@ -101,10 +101,6 @@ def norm_cdf(x):
     return 0.5 * erfc(-x_arr / _SQRT2) if x_arr.ndim else float(0.5 * erfc(-x_arr / _SQRT2))
 
 
-def _norm_pdf(x):
-    return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / math.sqrt(2.0 * math.pi)
-
-
 # Acklam's rational approximation of the normal quantile (|rel err| < 1.2e-9),
 # used as the starting point for one Halley step against norm_cdf above.
 _PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
@@ -158,35 +154,3 @@ def norm_ppf(p):
     x = x - u / (1.0 + 0.5 * x * u)
     return float(x[0]) if scalar else x
 
-
-def bessel_i0e(t):
-    """Exponentially scaled modified Bessel function I0(t) * exp(-t), t >= 0.
-
-    Power series (scaled term-by-term, overflow-free) for t <= 50; standard
-    asymptotic expansion beyond, where its truncation error is < 1e-9.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr < 0.0):
-        raise ValueError("bessel_i0e requires t >= 0")
-    out = np.empty_like(t_arr)
-
-    small = t_arr <= 50.0
-    if np.any(small):
-        ts = t_arr[small]
-        q = 0.25 * ts * ts
-        term = np.exp(-ts)
-        total = term.copy()
-        for k in range(1, 200):
-            term = term * q / (k * k)
-            total += term
-            if np.all(term <= 1e-17 * total):
-                break
-        out[small] = total
-    big = ~small
-    if np.any(big):
-        z = 1.0 / (8.0 * t_arr[big])
-        s = 1.0 + z * (1.0 + z * (4.5 + z * (37.5 + z * 459.375)))
-        out[big] = s / np.sqrt(2.0 * math.pi * t_arr[big])
-    return float(out[0]) if scalar else out

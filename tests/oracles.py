@@ -113,3 +113,46 @@ def gauss_hermite_expectation(f, mu: float, n_nodes: int = 200) -> float:
     """E f(Y) for Y ~ N(mu, 1) by Gauss-Hermite quadrature."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
     return float(np.sum(weights * f(nodes + mu)) / math.sqrt(2.0 * math.pi))
+
+
+def largest_remainder_reference(p: tuple[float, float, float], n: int) -> tuple[int, int, int]:
+    """Round n*p to integers summing to n one point at a time: floor every
+    component, then hand the shortfall out by largest fractional part, equal
+    parts going to the smaller index."""
+    raw = [n * x for x in p]
+    base = [math.floor(v) for v in raw]
+    for i in sorted(range(3), key=lambda i: (-(raw[i] - base[i]), i))[:n - sum(base)]:
+        base[i] += 1
+    return tuple(base)
+
+
+def t1_polytomy_scores(counts: tuple[int, int, int]) -> tuple[float | None, float]:
+    """Generalized scores of t1:1 and polytomy under the plug-in rule, from
+    the closed forms with math.log and math.erf only.
+
+    The t1:1 estimate is p1 = max(n1/n, 1/3) with p2 = p3; its plug-in bias is
+    1 + erf(mu/sqrt(2)) at mu = sqrt(2n)(1 - phi)/sqrt(phi(3 - 2 phi)),
+    phi = (3/2)(1 - p1).  At p1 = 1 (all counts on the first taxon) the
+    distance is undefined and t1:1 has no score (None).  Polytomy has bias 0.
+    """
+    n = sum(counts)
+
+    def neg2loglik(ps):
+        return -2.0 * sum(c * math.log(p) for c, p in zip(counts, ps) if c > 0)
+
+    polytomy = neg2loglik((1.0 / 3.0,) * 3)
+    p1 = max(counts[0] / n, 1.0 / 3.0)
+    if p1 == 1.0:
+        return None, polytomy
+    rest = (1.0 - p1) / 2.0
+    phi = 1.5 * (1.0 - p1)
+    mu = math.sqrt(2.0 * n) * (1.0 - phi) / math.sqrt(phi * (3.0 - 2.0 * phi))
+    return neg2loglik((p1, rest, rest)) + 1.0 + math.erf(mu / math.sqrt(2.0)), polytomy
+
+
+def t1_polytomy_winner(counts: tuple[int, int, int]) -> str:
+    """The lower of the two t1_polytomy_scores ("tie" when equal)."""
+    line, polytomy = t1_polytomy_scores(counts)
+    if line is None or line > polytomy:
+        return "polytomy"
+    return "tie" if line == polytomy else "t1:1"

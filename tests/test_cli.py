@@ -75,6 +75,12 @@ class TestBiasCommand:
         assert mu_plugin == pytest.approx(5.4433, abs=1e-4)
         assert float(text.splitlines()[1].split(",")[1]) == mu_plugin
 
+    def test_counts_at_vertex_exit_2(self, tmp_path, capsys):
+        code, text = run_cli(["bias", "--model", "t3", "--counts", "0,0,5",
+                              "--method", "aic"], tmp_path)
+        assert code == 2 and text == ""
+        assert "simplex vertex" in capsys.readouterr().err
+
     def test_t3_nonconvergence_exit_3(self, tmp_path, capsys):
         code, text = run_cli(["bias", "--model", "t3", "--mu0y", "1", "--abs-tol", "1e-16"],
                              tmp_path)
@@ -129,12 +135,22 @@ class TestTargetCommand:
 
 class TestSelectCommand:
     def test_strong_signal(self, tmp_path):
-        code, text = run_cli(["select", "--counts", "120,40,40", "--n-from-counts",
+        code, text = run_cli(["select", "--counts", "120,40,40",
                               "--models", "t1:1,polytomy", "--method", "plugin"], tmp_path)
         assert code == 0
         data_rows = [l for l in text.splitlines() if l and not l.startswith("#")]
         top = data_rows[1].split(",")
         assert top[0] == "t1:1" and top[6] == "1"
+
+    def test_vertex_counts_keep_other_rows(self, tmp_path):
+        code, text = run_cli(["select", "--counts", "0,0,5", "--models", "t3,t1:1,polytomy"],
+                             tmp_path)
+        assert code == 0
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        rows = [l.split(",", 8) for l in lines[1:]]
+        assert [(r[0], r[2], r[6], r[8]) for r in rows] == [
+            ("polytomy", "plug-in", "1", ""), ("t1:1", "plug-in", "2", ""),
+            ("t3", "", "", "p1=1.0 outside [1/3, 1)")]
 
     def test_near_centroid(self, tmp_path):
         code, text = run_cli(["select", "--counts", "67,67,66",

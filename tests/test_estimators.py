@@ -6,6 +6,7 @@ import pytest
 from aicg.closedform import bias_t1, singularity_bias
 from aicg.estimators import (
     EstimatorRule,
+    bias_on_cone,
     bootstrap_bias,
     consistent_estimate,
     crude_bounds,
@@ -21,7 +22,8 @@ from aicg.estimators import (
 from aicg.geometry import Counts, DomainError, GeometryParams, TransformedPoint, mu0y
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.montecarlo import _chunk_rng, standard_normals
-from aicg.quadrature import QuadratureSettings
+from aicg.quadrature import bias_t3, bias_t3_batch
+from aicg.selection import score_batch
 from aicg.special import erf, norm_cdf
 
 from oracles import noncentral_radius_cdf_series
@@ -114,6 +116,50 @@ class TestLeastFavorable:
         single = validate_halflines([2 * math.pi])
         assert least_favorable(single, "lower").value == pytest.approx(1.0)
         assert least_favorable(single, "upper").value == pytest.approx(2.0)
+
+    def test_t3_extremes_of_a_fine_scan(self):
+        # the least-favorable values against a 0.01-spaced scan over [0, 50]
+        # with the cone geometry at the reference sample size
+        mus = np.arange(0.0, 50.0 + 1e-9, 0.01)
+        alphas = np.array([GeometryParams.from_mu0y(m, 1e6).alpha0 for m in mus])
+        values = np.concatenate([bias_t3_batch(mus[k:k + 500], alphas[k:k + 500])
+                                 for k in range(0, len(mus), 500)])
+        assert least_favorable(t3_model(), "lower").value == pytest.approx(
+            values.min(), abs=1e-6)
+        assert least_favorable(t3_model(), "upper").value == pytest.approx(
+            values.max(), abs=1e-6)
+
+
+class TestBiasOnCone:
+    def test_t1_closed_form(self):
+        mus = np.array([0.0, 0.5, 2.0, 7.0])
+        assert bias_on_cone(t1_model(1), mus) == pytest.approx(
+            [bias_t1(m).value for m in mus], abs=1e-15)
+        assert bias_on_cone(t1_model(1), 0.0) == 1.0
+
+    def test_t3_pairs_match_one_point_values(self):
+        mus = np.array([2.0, 0.0, 2.0, 1.0, 2.0])
+        alphas = np.array([0.5, 0.5, 0.5, 0.4, 0.4])
+        values = bias_on_cone(t3_model(), mus, alphas)
+        assert values.shape == (5,)
+        assert values[0] == values[2]
+        for m, a, v in zip(mus, alphas, values):
+            assert v == pytest.approx(bias_t3(m, a).value, abs=1e-13)
+
+    def test_scalar_in_scalar_out(self):
+        value = bias_on_cone(t3_model(), 0.0)
+        assert isinstance(value, float)
+        assert value == pytest.approx(T3_SINGULAR, abs=1e-13)
+
+    def test_constant_models(self):
+        assert np.all(bias_on_cone(polytomy_model(), np.array([0.0, 3.0])) == 0.0)
+        assert np.all(bias_on_cone(unconstrained_model(), np.array([0.0, 3.0])) == 4.0)
+
+    def test_halflines_only_at_origin(self):
+        three = validate_halflines([2 * math.pi / 3, 4 * math.pi / 3, 2 * math.pi])
+        assert bias_on_cone(three, 0.0) == singularity_bias(three)
+        with pytest.raises(DomainError):
+            bias_on_cone(three, 1.0)
 
 
 class TestNeighborhoodRule:
@@ -289,12 +335,11 @@ class TestRuleRangeEnvelope:
         for model in [t1_model(1), t3_model(), polytomy_model(), unconstrained_model()]:
             lo = least_favorable(model, "lower", reference_n=100.0).value
             hi = least_favorable(model, "upper", reference_n=100.0).value
-            for counts in counts_list:
-                for method in ("plugin", "uo", "minimax", "consistent"):
-                    rule = EstimatorRule(method)
-                    from aicg.selection import _bias_for
-                    est = _bias_for(model, counts, counts.n, rule, 0, QuadratureSettings())
-                    assert lo - 1e-9 <= est.value <= hi + 1e-9
+            for method in ("plugin", "uo", "minimax", "consistent"):
+                scores = score_batch([model], [c.as_array() for c in counts_list],
+                                     EstimatorRule(method))[0]
+                assert scores.errors == (None,) * len(counts_list)
+                assert np.all((lo - 1e-9 <= scores.bias) & (scores.bias <= hi + 1e-9))
 
 
 class TestRuleValidation:

@@ -17,8 +17,10 @@ from aicg.geometry import (
 from aicg.models import (
     Cone,
     cone_of,
+    mle_rows,
     mle_simplex,
     neg2loglik_at,
+    neg2loglik_rows,
     polytomy_model,
     project_points,
     project_transformed,
@@ -85,6 +87,25 @@ class TestMleSimplex:
     def test_halflines_rejected(self):
         with pytest.raises(DomainError):
             mle_simplex(validate_halflines([TWO_PI]), Counts(1, 1, 1))
+
+    def test_t3_tie_break_across_first_and_last(self):
+        r = mle_simplex(t3_model(), Counts(40, 20, 40))
+        assert r.topology == 1
+        assert r.estimate.as_tuple() == pytest.approx((0.4, 0.3, 0.3), abs=1e-15)
+
+    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300), st.integers(0, 300))
+                    .filter(lambda c: sum(c) > 0), min_size=1, max_size=12))
+    def test_mle_simplex_is_a_row_of_mle_rows(self, rows):
+        counts = np.array(rows, dtype=float)
+        for model in (t1_model(1), t1_model(3), t3_model(), polytomy_model(),
+                      unconstrained_model()):
+            theta, line = mle_rows(model, counts)
+            n2ll = neg2loglik_rows(counts, theta)
+            for i, c in enumerate(rows):
+                fit = mle_simplex(model, Counts(*c))
+                assert fit.estimate.as_tuple() == tuple(theta[i])
+                assert fit.neg2loglik == n2ll[i]
+                assert fit.topology == (None if line is None else int(line[i]) + 1)
 
 
 class TestNeg2Loglik:

@@ -13,9 +13,12 @@ from aicg.selection import (
     parse_model_id,
     region_grid,
     score,
+    score_batch,
     simplex_lattice,
     winning_component,
 )
+
+from oracles import largest_remainder_reference, t1_polytomy_scores, t1_polytomy_winner
 
 PLUGIN = EstimatorRule("plugin")
 
@@ -98,6 +101,15 @@ class TestLattice:
         c = largest_remainder_counts((0.25, 0.5, 0.25), 200)
         assert c == (50, 100, 50)
 
+    @pytest.mark.parametrize("n, res", [(10, 50), (97, 60), (200, 100), (7, 51)])
+    def test_matches_pointwise_rounding(self, n, res):
+        # at n = 10, R = 50, 120 points have fractional parts that are equal
+        # in exact arithmetic but split by rounding, e.g. (2, 6, 42): 0.4
+        # against 10 * (42/50) - 8 = 0.40000000000000036
+        for (i, j, k) in simplex_lattice(res):
+            p = (i / res, j / res, k / res)
+            assert largest_remainder_counts(p, n) == largest_remainder_reference(p, n)
+
 
 class TestRegionGrid:
     def test_small_grid_all_labeled(self):
@@ -126,6 +138,96 @@ class TestRegionGrid:
     def test_needs_two_models(self):
         with pytest.raises(DomainError):
             region_grid([t1_model(1)], 100, 60, PLUGIN)
+
+    @pytest.mark.parametrize("n, res", [(200, 100), (10, 50)])
+    def test_t1_polytomy_matches_pointwise_oracle(self, n, res):
+        # n = 10 rounds the points near the first vertex to (10, 0, 0), where
+        # t1:1 has no plug-in value and polytomy wins alone
+        grid = region_grid([t1_model(1), polytomy_model()], n, res, PLUGIN)
+        counts = [largest_remainder_counts((i / res, j / res, k / res), n)
+                  for (i, j, k) in grid.points]
+        if n == 10:
+            assert (10, 0, 0) in counts
+        assert list(grid.winners) == [t1_polytomy_winner(c) for c in counts]
+        line, polytomy = score_batch([t1_model(1), polytomy_model()], counts, PLUGIN)
+        for i, c in enumerate(counts):
+            want_line, want_polytomy = t1_polytomy_scores(c)
+            assert polytomy.aicg[i] == pytest.approx(want_polytomy, rel=1e-14)
+            if want_line is None:
+                assert line.errors[i] == "p1=1.0 outside [1/3, 1)"
+            else:
+                assert line.aicg[i] == pytest.approx(want_line, rel=1e-14)
+
+    def test_t3_labels_at_vertex_rounded_counts(self):
+        # at n = 10 every lattice point rounds to one of 66 count triples;
+        # t3 wins exactly on the permutations of these, and the vertex
+        # triples (10, 0, 0) leave t3 without a plug-in value
+        t3_wins = {(9, 1, 0), (8, 1, 1), (7, 2, 1), (6, 3, 1), (6, 2, 2), (5, 3, 2),
+                   (4, 4, 2), (4, 3, 3)}
+        grid = region_grid([t3_model(), unconstrained_model()], 10, 50, PLUGIN)
+        for (i, j, k), winner in zip(grid.points, grid.winners):
+            c = largest_remainder_counts((i / 50, j / 50, k / 50), 10)
+            assert winner == ("t3" if tuple(sorted(c, reverse=True)) in t3_wins
+                              else "unconstrained")
+        assert grid.winners.count("t3") == 831
+
+    def test_error_cell_when_every_model_fails(self):
+        hl = validate_halflines([2 * math.pi])
+        grid = region_grid([hl, hl], 10, 2, PLUGIN)
+        assert set(grid.winners) == {"error"}
+
+    def test_equal_scores_are_a_tie(self):
+        grid = region_grid([t1_model(1), t1_model(1)], 10, 2, PLUGIN)
+        assert set(grid.winners) == {"tie"}
+
+
+class TestScoreBatch:
+    ALL = [t1_model(1), t1_model(2), t3_model(), polytomy_model(), unconstrained_model()]
+    ROWS = [(120, 40, 40), (67, 67, 66), (50, 100, 50), (30, 160, 10), (70, 70, 60)]
+
+    @pytest.mark.parametrize("method", ["plugin", "aic", "llf", "ulf", "uo", "minimax",
+                                        "consistent"])
+    def test_rows_match_one_row_scores(self, method):
+        rule = EstimatorRule(method)
+        batch = score_batch(self.ALL, self.ROWS, rule)
+        for i, row in enumerate(self.ROWS):
+            single = {r.model_id: r for r in score(self.ALL, Counts(*row), rule).rows}
+            for s in batch:
+                one = single[s.model.model_id]
+                assert one.bias_method == s.bias_method
+                assert one.bias_value == pytest.approx(s.bias[i], abs=1e-12)
+                assert one.aicg == pytest.approx(s.aicg[i], abs=1e-12)
+                assert one.aic == pytest.approx(s.aic[i], abs=1e-12)
+
+    def test_bootstrap_row_carries_standard_error(self):
+        rule = EstimatorRule("bootstrap", bootstrap_b=500)
+        batch = score_batch([t1_model(1)], [(60, 20, 20), (40, 30, 30)], rule, seed=3)
+        assert batch[0].bias_method == "bootstrap"
+        assert np.all(batch[0].std_error > 0)
+
+    def test_error_rows_are_per_model_and_row(self):
+        t3, t1 = score_batch([t3_model(), t1_model(1)], [(0, 0, 5), (3, 1, 1)], PLUGIN)
+        assert t3.errors == ("p1=1.0 outside [1/3, 1)", None)
+        assert np.isnan(t3.aicg[0]) and np.isfinite(t3.aicg[1])
+        assert t1.errors == (None, None)
+
+    def test_vertex_counts_keep_rules_without_distance(self):
+        # the classical rule needs no observed distance, so vertex counts
+        # still score
+        t3, = score_batch([t3_model()], [(0, 0, 5)], EstimatorRule("aic"))
+        assert t3.errors == (None,) and t3.bias[0] == 2.0
+        assert np.isnan(t3.mu_hat[0])
+
+    def test_observed_distance(self):
+        t1, poly = score_batch([t1_model(1), polytomy_model()], [(60, 20, 20)], PLUGIN)
+        assert t1.mu_hat[0] == pytest.approx(5.4433105395181718, abs=1e-14)
+        assert poly.mu_hat[0] == 0.0
+
+    @pytest.mark.parametrize("rows", [[(1, 2, 3), (1, 2, 4)], [(1, 2)], [(-1, 2, 3)],
+                                      [(0, 0, 0)], [(1.5, 1, 1)]])
+    def test_rejects_bad_rows(self, rows):
+        with pytest.raises(DomainError):
+            score_batch([t1_model(1)], rows, PLUGIN)
 
 
 class TestParseModelId:
