@@ -16,7 +16,9 @@ infeasibility.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -72,11 +74,14 @@ def write_text(out: str | None, text: str) -> None:
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequence[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt_field(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """`# ` comment lines, then the header and rows; a field holding a comma,
+    quote or line break is quoted, so every row has the header's width."""
+    buf = io.StringIO()
+    buf.writelines(f"# {c}\n" for c in comments)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt_field(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def json_text(obj) -> str:

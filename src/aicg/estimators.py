@@ -180,10 +180,11 @@ def least_favorable(model: ModelSpec, which: str,
     """Infimum ('lower') or supremum ('upper') of the bias over the cone.
 
     Computed by a coarse scan of distances [0, 50] (with the cone geometry
-    the model has at reference_n) plus golden-section refinement; the far
-    endpoint already sits at the regular-model limit to within 1e-6.  For
-    half-lines models the value along each ray interpolates between the
-    origin value and the regular limit 2, so the extremes are those two.
+    the model has at reference_n) and two finer scans around its best point,
+    down to a spacing of 1e-4; the far endpoint already sits at the
+    regular-model limit to within 1e-6.  For half-lines models the value
+    along each ray interpolates between the origin value and the regular
+    limit 2, so the extremes are those two.
     """
     if which not in ("lower", "upper"):
         raise DomainError("which must be 'lower' or 'upper'")
@@ -203,13 +204,19 @@ def least_favorable(model: ModelSpec, which: str,
     def f(mus):
         return sign * bias_on_cone(model, mus, cone_angle(mus), quad)
 
-    grid = [0.5 * i for i in range(101)]
-    vals = f(np.array(grid)).tolist()
-    k = int(np.argmin(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    x, fx = _golden_min(f, lo, hi, 1e-4)
-    best = min([(vals[0], grid[0]), (vals[-1], grid[-1]), (fx, x)])
+    def best_of(mus):
+        vals = f(mus)
+        k = int(np.argmin(vals))
+        return float(vals[k]), float(mus[k])
+
+    # a 0.5-spaced scan of [0, 50], then two batched scans over one step
+    # either side of the best point so far, spaced 0.01 and then 1e-4
+    step = 0.5
+    best = best_of(np.linspace(0.0, 50.0, 101))
+    for fine in (0.01, 1e-4):
+        lo, hi = max(best[1] - step, 0.0), min(best[1] + step, 50.0)
+        best = min(best, best_of(np.linspace(lo, hi, round((hi - lo) / fine) + 1)))
+        step = fine
     return BiasEstimate(sign * best[0], method,
                         settings={"model": model.model_id, "argmu": best[1],
                                   "reference_n": reference_n})

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -147,10 +148,17 @@ class TestSelectCommand:
                              tmp_path)
         assert code == 0
         lines = [l for l in text.splitlines() if not l.startswith("#")]
-        rows = [l.split(",", 8) for l in lines[1:]]
+        rows = list(csv.reader(lines[1:]))
         assert [(r[0], r[2], r[6], r[8]) for r in rows] == [
             ("polytomy", "plug-in", "1", ""), ("t1:1", "plug-in", "2", ""),
             ("t3", "", "", "p1=1.0 outside [1/3, 1)")]
+
+    def test_error_row_with_comma_keeps_header_width(self, tmp_path):
+        code, text = run_cli(["select", "--counts", "0,0,5", "--models", "t3,t1:1"], tmp_path)
+        assert code == 0
+        rows = list(csv.reader(l for l in text.splitlines() if not l.startswith("#")))
+        assert len(rows) == 3 and all(len(r) == len(rows[0]) for r in rows)
+        assert rows[2][0] == "t3" and rows[2][-1] == "p1=1.0 outside [1/3, 1)"
 
     def test_near_centroid(self, tmp_path):
         code, text = run_cli(["select", "--counts", "67,67,66",
