@@ -61,6 +61,7 @@ from .montecarlo import (
     curve_grid,
     mc_bias_gaussian,
     mc_expected_estimator,
+    mc_expected_estimators,
     mc_target_trinomial,
 )
 from .quadrature import (

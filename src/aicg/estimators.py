@@ -24,6 +24,8 @@ from .geometry import (
     DomainError,
     GeometryParams,
     TransformedPoint,
+    angles_from_phi0,
+    phi_from_mu0y,
     phi_from_p1,
     transform_map,
 )
@@ -198,11 +200,10 @@ def least_favorable(model: ModelSpec, which: str,
         return BiasEstimate(value, method, settings={"model": model.model_id})
 
     sign = 1.0 if which == "lower" else -1.0
-    cone_angle = np.vectorize(lambda m: GeometryParams.from_mu0y(m, reference_n).alpha0,
-                              otypes=[float])
 
     def f(mus):
-        return sign * bias_on_cone(model, mus, cone_angle(mus), quad)
+        alphas, _ = angles_from_phi0(phi_from_mu0y(mus, reference_n))
+        return sign * bias_on_cone(model, mus, alphas, quad)
 
     def best_of(mus):
         vals = f(mus)
@@ -330,8 +331,9 @@ def expected_neighborhood_value(model: ModelSpec, r: float, mu_grid: np.ndarray)
 @lru_cache(maxsize=64)
 def _truth_grid(model: ModelSpec, grid_key: tuple[float, ...], n: float,
                 quad: QuadratureSettings) -> tuple[float, ...]:
-    alphas = [GeometryParams.from_mu0y(mu, n).alpha0 for mu in grid_key]
-    return tuple(bias_on_cone(model, np.array(grid_key), alphas, quad))
+    mus = np.array(grid_key)
+    alphas, _ = angles_from_phi0(phi_from_mu0y(mus, n))
+    return tuple(bias_on_cone(model, mus, alphas, quad))
 
 
 def _radius_grid(grid) -> tuple[float, ...]:
@@ -506,7 +508,10 @@ def crude_bounds(model: ModelSpec) -> tuple[BiasEstimate, BiasEstimate]:
             BiasEstimate(hi, "crude-bound", settings=meta | {"side": "upper"}))
 
 
-@lru_cache(maxsize=16)
+# A curve's chunks visit every grid point in turn, and each point needs a
+# table or two (chunk maxima straddle an integer), so the cache holds enough
+# tables for a few hundred grid points.
+@lru_cache(maxsize=512)
 def _t3_bias_table(alpha0: float, mu_max: float,
                    quad: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
     xs = np.arange(0.0, mu_max + 0.05, 0.05)
@@ -531,31 +536,30 @@ def rule_evaluator(model: ModelSpec, rule: EstimatorRule,
                    quad: QuadratureSettings = QuadratureSettings()):
     """Vectorized map from transformed-plane draws to the rule's value.
 
-    The returned callable takes an (N, 2) array and feeds
-    montecarlo.mc_expected_estimator.
+    The returned callable takes the (N, 2) draws and their (N, 2) projections
+    onto the model's cone at ``geo`` and feeds
+    montecarlo.mc_expected_estimators.
     """
     if geo is None:
         geo = GeometryParams.from_phi0(1.0, rule.reference_n or 1e6)
-    cone = cone_of(model, geo)
 
     if rule.method == "aic":
         const = bias_aic(model).value
-        return lambda z: np.full(len(z), const)
+        return lambda z, proj: np.full(len(z), const)
     if rule.method in ("llf", "ulf"):
         const = least_favorable(model, "lower" if rule.method == "llf" else "upper",
                                 quad, float(rule.reference_n or 1e6)).value
-        return lambda z: np.full(len(z), const)
+        return lambda z, proj: np.full(len(z), const)
     if rule.method == "plugin":
-        def plugin_fn(z):
-            proj = project_points(cone, z)
+        def plugin_fn(z, proj):
             return _plugin_values(model, np.linalg.norm(proj, axis=1), geo, quad)
         return plugin_fn
     if rule.method in ("uo", "minimax"):
         r = rule.radius if rule.radius is not None else default_radius(model, rule.method)
         which = default_observed(model, rule.method)
 
-        def neighborhood_fn(z):
-            pts = z if which == "zbar" else project_points(cone, z)
+        def neighborhood_fn(z, proj):
+            pts = z if which == "zbar" else proj
             return neighborhood_values(model, r, np.linalg.norm(pts, axis=1))
         return neighborhood_fn
     if rule.method == "consistent":
@@ -565,8 +569,8 @@ def rule_evaluator(model: ModelSpec, rule: EstimatorRule,
             raise DomainError("rate exponent must lie strictly inside (0, 1/2)")
         radius = float(rule.reference_n) ** (0.5 - rule.eta_exponent)
 
-        def consistent_fn(z):
-            dist = np.linalg.norm(project_points(cone, z), axis=1)
+        def consistent_fn(z, proj):
+            dist = np.linalg.norm(proj, axis=1)
             mu_t = np.where(dist <= radius, 0.0, dist)
             return _plugin_values(model, mu_t, geo, quad)
         return consistent_fn

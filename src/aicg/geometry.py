@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 INTERIOR_TOL = 1e-9  # points with min(p_i) below this are treated as on-face
+_PHI_MIN = 1e-12  # phi0 at or below this is unattainable from a distance mu0y
 _CENTROID = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 # Directions of the three topology lines (centroid -> vertex i) in (p1, p2).
@@ -139,36 +140,45 @@ def mu0y(phi0: float, n: float) -> float:
     return math.sqrt(2.0 * n) * (1.0 - phi0) / math.sqrt(phi0 * (3.0 - 2.0 * phi0))
 
 
-def phi_from_mu0y(mu: float, n: float) -> float:
-    """Invert mu0y(., n) by bisection; mu0y is strictly decreasing on (0, 1]."""
-    if mu < 0:
+def phi_from_mu0y(mu, n: float):
+    """Invert mu0y(., n), elementwise in mu (scalars in give floats out).
+
+    Squaring mu = sqrt(2n) (1 - phi) / sqrt(phi (3 - 2 phi)) gives
+    (2n + 2 mu^2) phi^2 - (4n + 3 mu^2) phi + 2n = 0.  Its smaller root,
+    written without cancellation,
+
+        phi = 4n / (4n + 3 mu^2 + mu sqrt(8n + 9 mu^2)),
+
+    lies in (0, 1] and is the one on which mu0y is the given distance.
+    Distances whose phi0 would fall to _PHI_MIN or below are unattainable.
+    """
+    m = np.asarray(mu, dtype=float)
+    if not np.all(m >= 0.0):
         raise DomainError("mu0y must be nonnegative")
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    if mu == 0.0:
-        return 1.0
-    lo, hi = 1e-12, 1.0  # mu0y(lo) huge, mu0y(hi) = 0
-    if mu >= mu0y(lo, n):
-        raise DomainError(f"mu0y={mu!r} unattainable for n={n!r}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mu0y(mid, n) > mu:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    with np.errstate(over="ignore"):
+        mm = m * m
+        phi = 4.0 * n / (4.0 * n + 3.0 * mm + m * np.sqrt(8.0 * n + 9.0 * mm))
+    low = phi <= _PHI_MIN
+    if np.any(low):
+        raise DomainError(f"mu0y={float(m[low].flat[0])!r} unattainable for n={n!r}")
+    return float(phi) if phi.ndim == 0 else phi
 
 
-def angles_from_phi0(phi0: float) -> tuple[float, float]:
-    """Cone angles (alpha0, beta0) of the three-line geometry at phi0.
+def angles_from_phi0(phi0):
+    """Cone angles (alpha0, beta0) of the three-line geometry at phi0,
+    elementwise (scalars in give floats out).
 
     alpha0 = arctan(1 / sqrt(3 (3 - 2 phi0))), beta0 = (pi/2 - alpha0) / 2.
     """
-    _check_phi(phi0)
-    alpha0 = math.atan(1.0 / math.sqrt(3.0 * (3.0 - 2.0 * phi0)))
+    phi = np.asarray(phi0, dtype=float)
+    if not np.all((phi > 0.0) & (phi <= 1.0)):
+        raise DomainError(f"phi0={phi0!r} outside (0, 1]")
+    alpha0 = np.arctan(1.0 / np.sqrt(3.0 * (3.0 - 2.0 * phi)))
     beta0 = 0.5 * (0.5 * math.pi - alpha0)
+    if phi.ndim == 0:
+        return float(alpha0), float(beta0)
     return alpha0, beta0
 
 

@@ -8,6 +8,13 @@ worker threads evaluate the chunks.
 Normal variates come from inverse-CDF sampling: u = (k + 1/2) / 2^53 with k a
 53-bit integer from the chunk stream, mapped through norm_ppf.  Trinomial
 counts come from sequential binomial conditioning on the same streams.
+
+The expected values of estimator rules use common random numbers: each chunk
+draws one block e of standard normals from the stream of the seed alone, and
+every generating point (0, mu0y) and every rule evaluated there uses
+z = (0, mu0y) + e.  A rule's value at a point therefore does not depend on
+which other points or rules share the run.  Each standard error is still the
+per-point one, but the errors at different points are positively correlated.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -90,15 +98,22 @@ def trinomial_counts(rng: np.random.Generator, n: int, theta: np.ndarray,
     return np.column_stack([c1, c2, rest - c2]).astype(float)
 
 
-def _run_chunks(settings: McSettings, kernel: Callable[[np.random.Generator, int], np.ndarray]):
-    """Reduce a per-draw statistic over all chunks; returns (mean, se, min, n)."""
+def _run_chunks(settings: McSettings, kernel: Callable[[np.random.Generator, int], Iterable]
+                ) -> list[tuple[float, float, float]]:
+    """Reduce per-draw statistics over all chunks.
+
+    ``kernel(rng, size)`` gives, for one chunk, an iterable holding one array
+    of per-draw values per statistic, always in the same order; each array is
+    reduced to its sum, sum of squares and min as it arrives.  Returns one
+    (mean, se, min) triple per statistic.
+    """
     full, rem = divmod(settings.samples, settings.chunk_size)
     sizes = [settings.chunk_size] * full + ([rem] if rem else [])
 
     def one(index_size):
         index, size = index_size
-        vals = kernel(_chunk_rng(settings.seed, index), size)
-        return float(vals.sum()), float((vals * vals).sum()), float(vals.min())
+        return [(float(vals.sum()), float((vals * vals).sum()), float(vals.min()))
+                for vals in kernel(_chunk_rng(settings.seed, index), size)]
 
     tasks = list(enumerate(sizes))
     if settings.workers > 1:
@@ -108,13 +123,15 @@ def _run_chunks(settings: McSettings, kernel: Callable[[np.random.Generator, int
         parts = [one(t) for t in tasks]
 
     n = settings.samples
-    mean = math.fsum(p[0] for p in parts) / n
-    if n > 1:
-        var = max(0.0, (math.fsum(p[1] for p in parts) - n * mean * mean) / (n - 1))
-    else:
-        var = 0.0
-    se = math.sqrt(var / n)
-    return mean, se, min(p[2] for p in parts), n
+    stats = []
+    for chunks in zip(*parts):  # one statistic's (sum, sum of squares, min) per chunk
+        mean = math.fsum(c[0] for c in chunks) / n
+        if n > 1:
+            var = max(0.0, (math.fsum(c[1] for c in chunks) - n * mean * mean) / (n - 1))
+        else:
+            var = 0.0
+        stats.append((mean, math.sqrt(var / n), min(c[2] for c in chunks)))
+    return stats
 
 
 def mc_bias_gaussian(cone: Cone, mu0: TransformedPoint,
@@ -127,11 +144,11 @@ def mc_bias_gaussian(cone: Cone, mu0: TransformedPoint,
     def kernel(rng, size):
         z = center + standard_normals(rng, (size, 2))
         m = project_points(cone, z)
-        return 2.0 * np.einsum("ij,ij->i", z - center, m - center)
+        return [2.0 * np.einsum("ij,ij->i", z - center, m - center)]
 
-    mean, se, lowest, n = _run_chunks(settings, kernel)
+    [(mean, se, lowest)] = _run_chunks(settings, kernel)
     return BiasEstimate(mean, "monte-carlo", std_error=se,
-                        settings={"mu0": (mu0.x, mu0.y), "samples": n,
+                        settings={"mu0": (mu0.x, mu0.y), "samples": settings.samples,
                                   "seed": settings.seed, "chunk_size": settings.chunk_size,
                                   "min_draw": lowest})
 
@@ -155,32 +172,56 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
         logs = np.log(np.maximum(mle_rows(model, counts)[0], 1e-12))
         d1 = counts[:, 0] - n * t0[0]
         d2 = counts[:, 1] - n * t0[1]
-        return 2.0 * (d1 * (logs[:, 0] - logs[:, 2]) + d2 * (logs[:, 1] - logs[:, 2]))
+        return [2.0 * (d1 * (logs[:, 0] - logs[:, 2]) + d2 * (logs[:, 1] - logs[:, 2]))]
 
-    mean, se, lowest, total = _run_chunks(settings, kernel)
+    [(mean, se, lowest)] = _run_chunks(settings, kernel)
     return BiasEstimate(mean, "monte-carlo", std_error=se,
                         settings={"model": model.model_id, "theta0": theta0.as_tuple(),
-                                  "n": n, "samples": total, "seed": settings.seed,
+                                  "n": n, "samples": settings.samples, "seed": settings.seed,
                                   "min_draw": lowest})
 
 
-def mc_expected_estimator(value_fn: Callable[[np.ndarray], np.ndarray], cone: Cone,
-                          mu0: TransformedPoint, settings: McSettings) -> BiasEstimate:
-    """Expectation of a data-dependent bias-correction rule under z ~ N(mu0, I).
+# A rule's value per draw, from the draws z and their cone projections, both
+# (N, 2); estimators.rule_evaluator builds them.
+RuleEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    ``value_fn`` maps an (N, 2) array of draws to the rule's value per draw;
-    build it with estimators.rule_evaluator.
+
+def mc_expected_estimators(
+        points: Sequence[tuple[Cone, TransformedPoint, Sequence[RuleEvaluator]]],
+        settings: McSettings) -> list[list[BiasEstimate]]:
+    """Expectations of data-dependent bias-correction rules under
+    z ~ N(mu0, I), for several (cone, mu0, evaluators) points in one run.
+
+    Each chunk draws one block e of standard normals from the stream of
+    settings.seed (common random numbers).  Every point projects its
+    z = mu0 + e onto its cone once, and each of its evaluators maps the draws
+    and the projection to the rule's value.  Returns one estimate per
+    evaluator, grouped by point.
     """
-    center = mu0.as_array()
+    centers = [mu0.as_array() for _, mu0, _ in points]
 
     def kernel(rng, size):
-        z = center + standard_normals(rng, (size, 2))
-        return np.asarray(value_fn(z), dtype=float)
+        e = standard_normals(rng, (size, 2))
+        for (cone, _, evaluators), center in zip(points, centers):
+            z = center + e
+            proj = project_points(cone, z)
+            for fn in evaluators:
+                yield np.asarray(fn(z, proj), dtype=float)
 
-    mean, se, lowest, n = _run_chunks(settings, kernel)
-    return BiasEstimate(mean, "monte-carlo", std_error=se,
-                        settings={"mu0": (mu0.x, mu0.y), "samples": n,
-                                  "seed": settings.seed, "min_draw": lowest})
+    stats = iter(_run_chunks(settings, kernel))
+    return [[BiasEstimate(mean, "monte-carlo", std_error=se,
+                          settings={"mu0": (mu0.x, mu0.y), "samples": settings.samples,
+                                    "seed": settings.seed, "min_draw": lowest})
+             for mean, se, lowest in islice(stats, len(evaluators))]
+            for _, mu0, evaluators in points]
+
+
+def mc_expected_estimator(value_fn: RuleEvaluator, cone: Cone, mu0: TransformedPoint,
+                          settings: McSettings) -> BiasEstimate:
+    """Expectation of one rule at one point: the one-point, one-rule case of
+    mc_expected_estimators, so it equals that rule's column at mu0 of a curve
+    run with the same settings."""
+    return mc_expected_estimators([(cone, mu0, [value_fn])], settings)[0][0]
 
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:
@@ -199,8 +240,12 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     """Per-grid-point curve data: simulated target, analytic corrections, and
     the expected value of each requested estimator rule.
 
-    Seeds for the (grid point, curve) cells derive from settings.seed so the
-    full table is reproducible and insensitive to which columns are requested.
+    The target at grid point i draws trinomials from the stream
+    derive_seed(settings.seed, i, 0).  The rule columns share one block of
+    normal draws per chunk from the stream of settings.seed (see
+    mc_expected_estimators), so each rule's value at a distance mu0y is the
+    same whichever other rules are requested, in whatever order, and on any
+    grid that holds mu0y.
     """
     if settings is None:
         raise DomainError("curve_grid requires Monte Carlo settings")
@@ -211,26 +256,24 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     for rule in rules:
         curves[rule.method] = []
 
-    phis = [phi_from_mu0y(mu, n) for mu in grid]
-    geos = [GeometryParams.from_phi0(phi0, n) for phi0 in phis]
-    aicg = bias_on_cone(model, np.array(grid, dtype=float), [g.alpha0 for g in geos], quad)
+    mus = np.array(grid, dtype=float)
+    geos = [GeometryParams.from_phi0(float(phi0), n) for phi0 in phi_from_mu0y(mus, n)]
+    aicg = bias_on_cone(model, mus, [g.alpha0 for g in geos], quad)
     aic_value = bias_aic(model).value
-    for i, (mu, phi0, geo) in enumerate(zip(grid, phis, geos)):
-        theta0 = theta_on_line(phi0, model.topology or 1)
-        cone = cone_of(model, geo)
-        mu0 = TransformedPoint(0.0, mu)
-
+    points = []
+    for i, (mu, geo) in enumerate(zip(grid, geos)):
+        theta0 = theta_on_line(geo.phi0, model.topology or 1)
         cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples,
                           settings.chunk_size, settings.workers)
         target = mc_target_trinomial(model, theta0, n, cell)
         curves["target"].append(CurvePoint(mu, target.value, target.std_error, n))
         curves["aicg"].append(CurvePoint(mu, float(aicg[i]), 0.0, n))
         curves["aic"].append(CurvePoint(mu, aic_value, 0.0, n))
+        points.append((cone_of(model, geo), TransformedPoint(0.0, mu),
+                       [rule_evaluator(model, rule, geo, quad) for rule in rules]))
 
-        for j, rule in enumerate(rules):
-            fn = rule_evaluator(model, rule, geo, quad)
-            cell = McSettings(derive_seed(settings.seed, i, j + 1), settings.samples,
-                              settings.chunk_size, settings.workers)
-            est = mc_expected_estimator(fn, cone, mu0, cell)
-            curves[rule.method].append(CurvePoint(mu, est.value, est.std_error, n))
+    if rules:
+        for mu, estimates in zip(grid, mc_expected_estimators(points, settings)):
+            for rule, est in zip(rules, estimates):
+                curves[rule.method].append(CurvePoint(mu, est.value, est.std_error, n))
     return curves

@@ -32,7 +32,14 @@ def erf_decimal(x: float, digits: int = 60) -> float:
 
 
 def erfc_decimal(x: float, digits: int = 60) -> float:
-    """1 - erf computed in Decimal, so the tail keeps relative accuracy."""
+    """1 - erf computed in Decimal, so the tail keeps relative accuracy.
+
+    For x > 0 the Maclaurin sum cancels about x^2 / ln 10 digits, and
+    1 - erf another x^2 / ln 10, so x^2 must stay well inside
+    (digits - 17) ln(10) / 2 for a result good to double precision.
+    """
+    if x > 0 and x * x > (digits - 17) * math.log(10.0) / 2.0:
+        raise ValueError(f"erfc_decimal({x}) needs more than {digits} digits")
     getcontext().prec = digits
     xd = Decimal(repr(x))
     term = xd
@@ -52,10 +59,14 @@ def erfc_decimal(x: float, digits: int = 60) -> float:
 def _pi_decimal(digits: int) -> Decimal:
     """Machin's formula; plenty for double-precision comparisons."""
     getcontext().prec = digits + 10
+    # a Decimal term only reaches 0 when its exponent underflows, hundreds of
+    # thousands of steps on; below this the sums (both under 1) cannot move
+    negligible = Decimal(10) ** -(getcontext().prec + 2)
+
     def arccot(x: int) -> Decimal:
         total = term = Decimal(1) / x
         n = 1
-        while term != 0:
+        while term >= negligible:
             term = term / (x * x)
             total += term / (2 * n + 1) * (-1) ** n
             n += 1
@@ -63,6 +74,21 @@ def _pi_decimal(digits: int) -> Decimal:
     pi = 4 * (4 * arccot(5) - arccot(239))
     getcontext().prec = digits
     return +pi
+
+
+def phi_from_mu0y_mpmath(mu: float, n: float, digits: int = 40) -> float:
+    """phi0 in (0, 1] with mu0y(phi0, n) = mu, found by mpmath's bracketing
+    root finder on the unsquared equation sqrt(2n)(1 - phi)/sqrt(phi(3 - 2 phi))
+    = mu, which is strictly decreasing in phi."""
+    with mpmath.workdps(digits):
+        m, big_n = mpmath.mpf(mu), mpmath.mpf(n)
+        if m == 0:
+            return 1.0
+
+        def f(phi):
+            return mpmath.sqrt(2 * big_n) * (1 - phi) / mpmath.sqrt(phi * (3 - 2 * phi)) - m
+        return float(mpmath.findroot(f, (mpmath.mpf("1e-13"), mpmath.mpf(1)),
+                                     solver="anderson"))
 
 
 def norm_ppf_mpmath(p: float, digits: int = 40) -> float:

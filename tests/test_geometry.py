@@ -21,6 +21,8 @@ from aicg.geometry import (
     transform_map,
 )
 
+from oracles import phi_from_mu0y_mpmath
+
 
 class TestSimplexPoint:
     def test_valid(self):
@@ -93,6 +95,49 @@ class TestMu0y:
             mu = mu0y(phi, 777)
             assert phi_from_mu0y(mu, 777) == pytest.approx(phi, abs=1e-10)
 
+    @staticmethod
+    def _distances(n):
+        """Distances from 1e-8 up to the largest attainable one, and a fine grid
+        over [0, 10)."""
+        top = math.log10(mu0y(2e-12, n))
+        return np.concatenate([[0.0], np.logspace(-8.0, top, 300), np.arange(0.0, 10.0, 0.05)])
+
+    @pytest.mark.parametrize("n", [1, 10, 1e3, 1e6])
+    def test_round_trip_within_a_few_ulps(self, n):
+        # mu0y(phi) rounds phi to a double first, so the round trip can only
+        # return mu to within ulp(mu) plus |d mu0y / d phi| ulp(phi)
+        for mu in self._distances(n):
+            mu = float(mu)
+            phi = phi_from_mu0y(mu, n)
+            slope = math.sqrt(2.0 * n) * (3.0 - phi) / (2.0 * (phi * (3.0 - 2.0 * phi)) ** 1.5)
+            bound = 4.0 * (math.ulp(mu) + slope * math.ulp(phi))
+            assert abs(mu0y(phi, n) - mu) <= bound, (n, mu)
+
+    @pytest.mark.parametrize("n", [1, 10, 1e3, 1e6])
+    def test_matches_mpmath_root(self, n):
+        for mu in self._distances(n)[::7]:
+            want = phi_from_mu0y_mpmath(float(mu), n)
+            assert phi_from_mu0y(float(mu), n) == pytest.approx(want, rel=4 * 2.0 ** -52, abs=0)
+
+    def test_elementwise_over_arrays(self):
+        mus = self._distances(1e3)
+        phis = phi_from_mu0y(mus, 1e3)
+        assert isinstance(phis, np.ndarray) and phis.shape == mus.shape
+        assert [phi_from_mu0y(float(m), 1e3) for m in mus] == list(phis)
+        assert isinstance(phi_from_mu0y(1.5, 1e3), float)
+        assert phi_from_mu0y(0.0, 1e3) == 1.0
+
+    def test_unattainable_and_invalid_distances(self):
+        with pytest.raises(DomainError, match="unattainable"):
+            phi_from_mu0y(1e7, 10)
+        with pytest.raises(DomainError, match="unattainable"):
+            phi_from_mu0y(np.array([1.0, math.inf]), 10)
+        for bad in (-0.5, math.nan, np.array([0.5, -1.0])):
+            with pytest.raises(DomainError, match="nonnegative"):
+                phi_from_mu0y(bad, 10)
+        with pytest.raises(DomainError):
+            phi_from_mu0y(1.0, 0.5)
+
 
 class TestAngles:
     def test_symmetric_case(self):
@@ -108,6 +153,14 @@ class TestAngles:
         for phi in np.linspace(0.01, 1.0, 60):
             a0, b0 = angles_from_phi0(phi)
             assert 2.0 * b0 + a0 == pytest.approx(math.pi / 2.0, abs=1e-14)
+
+    def test_elementwise_over_arrays(self):
+        phis = np.linspace(0.01, 1.0, 60)
+        alphas, betas = angles_from_phi0(phis)
+        assert list(alphas) == [angles_from_phi0(float(p))[0] for p in phis]
+        assert list(betas) == [angles_from_phi0(float(p))[1] for p in phis]
+        with pytest.raises(DomainError):
+            angles_from_phi0(np.array([0.5, 0.0]))
 
 
 class TestFisherInformation:

@@ -227,3 +227,56 @@ class TestCurveGrid:
                            rules=[EstimatorRule("aic")], settings=McSettings(77, 20_000))
         for i in range(2):
             assert base["target"][i].estimate == extra["target"][i].estimate
+
+        # each rule column at a given mu0y is the same whichever other
+        # columns are requested, in whatever order, on any grid holding mu0y
+        settings = McSettings(77, 20_000, chunk_size=1 << 13)
+        plugin, uo = EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5)
+        for model in (t1_model(1), t3_model()):
+            runs = [curve_grid(model, 500, [0.0, 1.0], [plugin], settings),
+                    curve_grid(model, 500, [0.0, 1.0], [uo], settings),
+                    curve_grid(model, 500, [0.0, 1.0], [plugin, uo], settings),
+                    curve_grid(model, 500, [0.0, 1.0], [uo, plugin], settings),
+                    curve_grid(model, 500, [1.0, 0.5, 0.0],
+                               [uo, EstimatorRule("aic"), plugin], settings)]
+            for method in ("plugin", "uo"):
+                for mu in (0.0, 1.0):
+                    cells = {(pt.estimate, pt.std_error) for run in runs if method in run
+                             for pt in run[method] if pt.mu0y == mu}
+                    assert len(cells) == 1, (model.model_id, method, mu, cells)
+
+    def test_rule_column_is_the_one_point_estimate(self):
+        model, n, settings = t3_model(), 500, McSettings(5, 30_000, chunk_size=1 << 13)
+        rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=1.0)]
+        curves = curve_grid(model, n, [0.0, 0.5, 1.5], rules, settings)
+        for i, mu in enumerate([0.0, 0.5, 1.5]):
+            geo = GeometryParams.from_mu0y(mu, n)
+            for rule in rules:
+                est = mc_expected_estimator(rule_evaluator(model, rule, geo),
+                                            cone_of(model, geo), TransformedPoint(0.0, mu),
+                                            settings)
+                pt = curves[rule.method][i]
+                assert (pt.estimate, pt.std_error) == (est.value, est.std_error)
+
+    def test_rule_columns_share_one_block_of_normals(self, monkeypatch):
+        import aicg.montecarlo as mc
+        shapes = []
+
+        def counting(rng, shape):
+            shapes.append(shape)
+            return standard_normals(rng, shape)
+        monkeypatch.setattr(mc, "standard_normals", counting)
+        rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5),
+                 EstimatorRule("aic")]
+        curve_grid(t1_model(1), 500, [0.0, 0.5, 1.0, 1.5], rules,
+                   McSettings(3, 20_000, chunk_size=1 << 13))
+        assert shapes == [(1 << 13, 2), (1 << 13, 2), (20_000 - 2 * (1 << 13), 2)]
+
+    def test_rule_columns_independent_of_workers(self):
+        rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5)]
+        grid = [0.0, 0.5, 1.0]
+        one = curve_grid(t3_model(), 500, grid, rules, McSettings(9, 40_000, 1 << 13, 1))
+        three = curve_grid(t3_model(), 500, grid, rules, McSettings(9, 40_000, 1 << 13, 3))
+        for method in ("target", "plugin", "uo"):
+            assert [(p.estimate, p.std_error) for p in one[method]] == \
+                [(p.estimate, p.std_error) for p in three[method]]

@@ -44,7 +44,11 @@ def test_erf_vectorized_matches_scalar():
 
 def test_erfc_complements_erf():
     for x in [-3.0, -0.5, 0.0, 0.7, 2.9, 3.5, 10.0]:
-        assert erfc(x) == pytest.approx(erfc_decimal(x), rel=1e-12)
+        assert erfc(x) == pytest.approx(float(mpmath.erfc(x)), rel=1e-12, abs=0)
+        if x <= 3.5:  # where the 60-digit Maclaurin sum has digits to spare
+            assert erfc(x) == pytest.approx(erfc_decimal(x), rel=1e-12, abs=0)
+    with pytest.raises(ValueError):
+        erfc_decimal(10.0)
 
 
 def test_norm_cdf_basics():
