@@ -508,9 +508,9 @@ def crude_bounds(model: ModelSpec) -> tuple[BiasEstimate, BiasEstimate]:
             BiasEstimate(hi, "crude-bound", settings=meta | {"side": "upper"}))
 
 
-# A curve's chunks visit every grid point in turn, and each point needs a
-# table or two (chunk maxima straddle an integer), so the cache holds enough
-# tables for a few hundred grid points.
+# A curve's chunks visit every grid point in turn, and each point needs one
+# table (its cone angle and reach), so the cache holds the tables of a
+# 512-point grid.
 @lru_cache(maxsize=512)
 def _t3_bias_table(alpha0: float, mu_max: float,
                    quad: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
@@ -518,13 +518,21 @@ def _t3_bias_table(alpha0: float, mu_max: float,
     return xs, bias_t3_batch(xs, alpha0, quad)
 
 
+# A draw centred at distance mu0y lies beyond mu0y + 6 with probability
+# exp(-18) < 2e-8, so a table of reach ceil(mu0y) + 7 serves every chunk of a
+# point but a rare one, which builds a longer table.
+_T3_TABLE_MARGIN = 7
+
+
 def _plugin_values(model: ModelSpec, mu: np.ndarray, geo: GeometryParams,
                    quad: QuadratureSettings) -> np.ndarray:
     if model.variant == T3:
         # Monte Carlo columns evaluate 1e5-1e6 distances: tabulated t3 values
         # with linear interpolation, whose node spacing keeps interpolation
-        # error well below Monte Carlo resolution.
-        mu_max = math.ceil(float(np.max(mu)) + 1.0)
+        # error well below Monte Carlo resolution.  One table per point; the
+        # chunk's own reach keeps np.interp from clamping.
+        mu_max = max(math.ceil(geo.mu0y) + _T3_TABLE_MARGIN,
+                     math.ceil(float(np.max(mu)) + 1.0))
         table_quad = QuadratureSettings(max(quad.abs_tol, 1e-7), quad.r_max_offset)
         xs, ys = _t3_bias_table(geo.alpha0, float(mu_max), table_quad)
         return np.interp(mu, xs, ys)

@@ -231,6 +231,8 @@ def project_points(cone: Cone, points: np.ndarray) -> np.ndarray:
         return pts.copy()
     dirs = cone.directions()  # sorted by angle, so argmin tie-break is by angle
     t = np.clip(pts @ dirs.T, 0.0, None)
+    if len(dirs) == 1:  # the t1 cone: nothing to choose between
+        return t * dirs[0]
     # ||w - t d||^2 = ||w||^2 - t^2 once t is the clipped inner product
     best = np.argmin(-t * t, axis=1)
     return t[np.arange(len(pts)), best, None] * dirs[best]

@@ -7,7 +7,11 @@ worker threads evaluate the chunks.
 
 Normal variates come from inverse-CDF sampling: u = (k + 1/2) / 2^53 with k a
 53-bit integer from the chunk stream, mapped through norm_ppf.  Trinomial
-counts come from sequential binomial conditioning on the same streams.
+counts come from sequential binomial conditioning on the same streams.  The
+finite-n target of a single-line model t1:k draws only the count c_k its MLE
+reads, c_k ~ Binomial(n, theta0_k), and looks each replicate up in a table of
+the statistic over the chunk's range of c_k; for t1:1 that count is the first
+trinomial component, so its values are those of the full trinomial draw.
 
 The expected values of estimator rules use common random numbers: each chunk
 draws one block e of standard normals from the stream of the seed alone, and
@@ -20,7 +24,6 @@ per-point one, but the errors at different points are positively correlated.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Sequence
@@ -36,7 +39,7 @@ from .geometry import (
     phi_from_mu0y,
     theta_on_line,
 )
-from .models import Cone, ModelSpec, cone_of, mle_rows, project_points, theta_in_model
+from .models import T1, Cone, ModelSpec, cone_of, mle_rows, project_points, theta_in_model
 from .quadrature import QuadratureSettings
 from .special import norm_ppf
 
@@ -117,6 +120,8 @@ def _run_chunks(settings: McSettings, kernel: Callable[[np.random.Generator, int
 
     tasks = list(enumerate(sizes))
     if settings.workers > 1:
+        # imported here: a serial run never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=settings.workers) as pool:
             parts = list(pool.map(one, tasks))
     else:
@@ -160,6 +165,14 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
     Per replicate: 2 sum_i (c_i - n theta0_i) log thetahat_i, written in the
     zero-sum form 2 [d1 (L1 - L3) + d2 (L2 - L3)] so constant estimates give
     an exact zero; thetahat components are clamped at 1e-12 before logging.
+
+    The t1:k estimate depends on c_k alone and its other two components are
+    equal, so the replicate is 2 d_k (L_k - L_j) for either j != k, a function
+    of one Binomial(n, theta0_k) draw.  Those models draw only c_k from each
+    chunk's stream and read the statistic from a table over the range of the
+    chunk's counts.  For t1:1, c_1 is the first draw of the trinomial kernel,
+    so the estimate keeps its bits; t1:2 and t1:3 draw a different stream of
+    the same law.  The other models' MLEs read all three counts.
     """
     if n < 1:
         raise DomainError("sample size must be >= 1")
@@ -167,12 +180,28 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
         raise DomainError(f"theta0 outside the parameter space of {model.model_id}")
     t0 = np.array(theta0.as_tuple())
 
-    def kernel(rng, size):
-        counts = trinomial_counts(rng, n, t0, size)
-        logs = np.log(np.maximum(mle_rows(model, counts)[0], 1e-12))
-        d1 = counts[:, 0] - n * t0[0]
-        d2 = counts[:, 1] - n * t0[1]
-        return [2.0 * (d1 * (logs[:, 0] - logs[:, 2]) + d2 * (logs[:, 1] - logs[:, 2]))]
+    if model.variant == T1:
+        k, j = model.topology - 1, model.topology % 3
+
+        def line_stat(c):
+            rows = np.zeros((len(c), 3))
+            rows[:, k], rows[:, j] = c, n - c
+            logs = np.log(np.maximum(mle_rows(model, rows)[0], 1e-12))
+            # + 0.0: the zero-sum form's other term, d (L - L) with two equal logs
+            return 2.0 * ((c - n * t0[k]) * (logs[:, k] - logs[:, j]) + 0.0)
+
+        def kernel(rng, size):
+            # a chunk's counts span a few sqrt(n theta0_k (1 - theta0_k)) values
+            c = rng.binomial(n, t0[k], size=size)
+            lo = c.min()
+            return [line_stat(np.arange(lo, c.max() + 1.0))[c - lo]]
+    else:
+        def kernel(rng, size):
+            counts = trinomial_counts(rng, n, t0, size)
+            logs = np.log(np.maximum(mle_rows(model, counts)[0], 1e-12))
+            d1 = counts[:, 0] - n * t0[0]
+            d2 = counts[:, 1] - n * t0[1]
+            return [2.0 * (d1 * (logs[:, 0] - logs[:, 2]) + d2 * (logs[:, 1] - logs[:, 2]))]
 
     [(mean, se, lowest)] = _run_chunks(settings, kernel)
     return BiasEstimate(mean, "monte-carlo", std_error=se,

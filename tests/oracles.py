@@ -136,6 +136,40 @@ def t1_mle_bruteforce(counts: tuple[int, int, int], topology: int = 1,
     return float(ps[np.argmax(ll)])
 
 
+def trinomial_target_kernel(model, theta0: tuple[float, float, float], n: int):
+    """The finite-n target's per-draw kernel for every model: full trinomial
+    counts, the MLE of each row and three clamped logs per draw.  Feed it to
+    montecarlo._run_chunks; for t1:1 the library must give the same bits."""
+    from aicg.models import mle_rows
+    from aicg.montecarlo import trinomial_counts
+    t0 = np.array(theta0)
+
+    def kernel(rng, size):
+        counts = trinomial_counts(rng, n, t0, size)
+        logs = np.log(np.maximum(mle_rows(model, counts)[0], 1e-12))
+        d1 = counts[:, 0] - n * t0[0]
+        d2 = counts[:, 1] - n * t0[1]
+        return [2.0 * (d1 * (logs[:, 0] - logs[:, 2]) + d2 * (logs[:, 1] - logs[:, 2]))]
+    return kernel
+
+
+def t1_target_exact(topology: int, theta0: tuple[float, float, float], n: int) -> float:
+    """The t1:k finite-n target as the finite sum over c = c_k of
+    Binom(c; n, theta0_k) g(c), where g(c) = 2 sum_i (c_i - n theta0_i) log
+    thetahat_i with thetahat_k = max(c/n, 1/3), the other two (1 - thetahat_k)/2
+    and every component clamped at 1e-12 before logging.  The pmf comes from
+    lgamma in log space and the sum from math.fsum."""
+    p = theta0[topology - 1]
+    terms = []
+    for c in range(n + 1):
+        log_pmf = (math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+                   + c * math.log(p) + (n - c) * math.log1p(-p))
+        big = max(c / n, 1.0 / 3.0)
+        gap = math.log(max(big, 1e-12)) - math.log(max((1.0 - big) / 2.0, 1e-12))
+        terms.append(math.exp(log_pmf) * 2.0 * (c - n * p) * gap)
+    return math.fsum(terms)
+
+
 def project_bruteforce(angles: tuple[float, ...], w: np.ndarray,
                        n_radial: int = 4000, r_max: float = 60.0) -> np.ndarray:
     """Nearest cone point by dense sampling along every ray."""

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aicg
 from aicg.cli import main, parse_angle, parse_grid, fmt_float
 
 
@@ -229,6 +234,16 @@ class TestRadiiCommand:
         code, text = run_cli(["radii", "--model", "t3", "--abs-tol", "1e-16"], tmp_path)
         assert code == 3
         assert "rules differ by more than abs_tol" in json.loads(text)["error"]
+
+
+class TestImports:
+    def test_cli_import_skips_thread_pool(self):
+        # the pool is imported only by a run with --workers above 1
+        src = str(Path(aicg.__file__).resolve().parents[1])
+        code = "import sys, aicg.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestConfigPrecedence:

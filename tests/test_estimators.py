@@ -21,10 +21,10 @@ from aicg.estimators import (
 )
 from aicg.geometry import Counts, DomainError, GeometryParams, TransformedPoint, mu0y
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
-from aicg.montecarlo import _chunk_rng, standard_normals
+from aicg.montecarlo import McSettings, _chunk_rng, curve_grid, standard_normals
 from aicg.quadrature import bias_t3, bias_t3_batch
 from aicg.selection import score_batch
-from aicg.special import erf, norm_cdf
+from aicg.special import erf, norm_cdf, norm_ppf
 
 from oracles import noncentral_radius_cdf_series
 
@@ -327,6 +327,45 @@ class TestCrudeBounds:
         m = validate_halflines([math.pi, 2 * math.pi])
         lo, hi = crude_bounds(m)
         assert (lo.value, hi.value) == (2.0, 2.0)
+
+
+class TestT3BiasTable:
+    """The t3 plug-in columns interpolate one bias table per grid point."""
+
+    def test_cold_curve_builds_one_table_per_point(self):
+        from aicg.estimators import _t3_bias_table
+        grid = [0.0, 0.4, 0.9, 1.5, 2.2, 3.0, 4.75]
+        rules = [EstimatorRule("plugin"), EstimatorRule("consistent", reference_n=500)]
+        _t3_bias_table.cache_clear()
+        curve_grid(t3_model(), 500, grid, rules, McSettings(3, 30_000, chunk_size=1 << 13))
+        assert _t3_bias_table.cache_info().misses == len(grid)
+
+    def test_table_reaches_past_every_draw(self):
+        from aicg.estimators import _plugin_values, _t3_bias_table
+        from aicg.quadrature import QuadratureSettings
+        # the uniforms (k + 1/2) 2^-53 below 1 run from 2^-54 to 1 - 2^-52
+        # (k + 1/2 rounds to even above 2^52), so no normal draw is larger
+        # in size than -norm_ppf(2^-54)
+        e_max = -float(norm_ppf(np.array([2.0 ** -54]))[0])
+        assert float(norm_ppf(np.array([1.0 - 2.0 ** -52]))[0]) < e_max
+        quad = QuadratureSettings()
+        table_quad = QuadratureSettings(max(quad.abs_tol, 1e-7), quad.r_max_offset)
+        for mu in (0.0, 0.3, 2.5, 7.0):
+            geo = GeometryParams.from_mu0y(mu, 1000)
+            _t3_bias_table.cache_clear()
+            # chunks whose draws reach mu0y + 4 or mu0y + 6 share the point's
+            # own table
+            for reach in (4.0, 6.0):
+                _plugin_values(t3_model(), np.array([0.0, geo.mu0y + reach]), geo, quad)
+            xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(geo.mu0y) + 7), table_quad)
+            assert _t3_bias_table.cache_info()[:2] == (2, 1)
+            assert xs[-1] >= geo.mu0y + 6.0
+            # the farthest possible draw gets a longer table instead of a clamp
+            farthest = geo.mu0y + math.sqrt(2.0) * e_max
+            _plugin_values(t3_model(), np.array([0.0, farthest]), geo, quad)
+            xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(farthest + 1.0)), table_quad)
+            assert _t3_bias_table.cache_info()[:2] == (3, 2)
+            assert xs[-1] >= farthest
 
 
 class TestRuleRangeEnvelope:

@@ -219,6 +219,20 @@ class TestProjection:
                 inner = np.einsum("ij,ij->i", w - mu0, proj - mu0)
                 assert inner.min() >= -1e-12
 
+    @given(st.sampled_from([math.pi / 2, TWO_PI]) | st.floats(1e-6, TWO_PI),
+           st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=1, max_size=40),
+           st.floats(0.0, 30.0))
+    def test_one_ray_matches_general_argmin(self, angle, pts, along):
+        # the one-ray shortcut gives the bits of the argmin over candidates,
+        # on both sides of the ray (negative inner products project to 0)
+        cone = Cone("rays", (angle,))
+        dirs = cone.directions()
+        w = np.array(pts + [tuple(along * dirs[0]), tuple(-along * dirs[0])])
+        t = np.clip(w @ dirs.T, 0.0, None)
+        best = np.argmin(-t * t, axis=1)
+        general = t[np.arange(len(w)), best, None] * dirs[best]
+        assert project_points(cone, w).tobytes() == general.tobytes()
+
     def test_tie_breaks_to_smallest_angle(self):
         cone = Cone("rays", (math.pi / 2, 3 * math.pi / 2))
         out = project_transformed(cone, TransformedPoint(5.0, 0.0))

@@ -26,10 +26,11 @@ from aicg.montecarlo import (
     standard_normals,
     trinomial_counts,
     _chunk_rng,
+    _run_chunks,
 )
 from aicg.special import norm_cdf
 
-from oracles import gauss_hermite_expectation
+from oracles import gauss_hermite_expectation, t1_target_exact, trinomial_target_kernel
 
 N_MED = 200_000
 
@@ -164,6 +165,67 @@ class TestTargetTrinomial:
             mc_target_trinomial(t1_model(1), SimplexPoint(0.2, 0.5, 0.3), 100, McSettings(1, 10))
         with pytest.raises(DomainError):
             mc_target_trinomial(polytomy_model(), theta_on_line(0.5, 1), 100, McSettings(1, 10))
+
+
+class TestT1TargetKernel:
+    """t1 draws only the count its MLE reads and looks the replicate up."""
+
+    # n, then a phi0 at which P(c_1 = n), the clamped case, is 0.12-0.37
+    CASES = [(1, 0.9), (2, 0.8), (10, 0.2), (1000, 0.0015)]
+
+    @pytest.mark.parametrize("n, phi0", CASES)
+    @pytest.mark.parametrize("chunk_size", [4096, 512])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_t1_1_matches_trinomial_kernel_bit_for_bit(self, n, phi0, chunk_size, workers):
+        model = t1_model(1)
+        # each chunk tabulates its own range of counts, whatever its size
+        settings = McSettings(17, 5 * chunk_size + 123, chunk_size, workers)
+        for theta0 in (theta_on_line(phi0, 1), CENTROID):
+            assert theta0.p1 ** n > 0.1 or theta0 == CENTROID
+            est = mc_target_trinomial(model, theta0, n, settings)
+            [(mean, se, lowest)] = _run_chunks(
+                McSettings(17, settings.samples, chunk_size),
+                trinomial_target_kernel(model, theta0.as_tuple(), n))
+            assert (est.value, est.std_error, est.settings["min_draw"]) == (mean, se, lowest)
+
+    def test_t1_draws_no_trinomials(self, monkeypatch):
+        import aicg.montecarlo as mc
+        binomial_sizes = []
+
+        def refuse(*args):
+            raise AssertionError("t1 drew a trinomial")
+        monkeypatch.setattr(mc, "trinomial_counts", refuse)
+        monkeypatch.setattr(mc, "_chunk_rng", lambda seed, index: _Recorder(
+            _chunk_rng(seed, index), binomial_sizes))
+        for k in (1, 2, 3):
+            mc_target_trinomial(t1_model(k), theta_on_line(0.7, k), 300,
+                                McSettings(5, 10_000, chunk_size=4096))
+        assert binomial_sizes == [4096, 4096, 1808] * 3
+
+    @pytest.mark.parametrize("n", [30, 1000])
+    @pytest.mark.parametrize("topology", [1, 2, 3])
+    def test_matches_exact_binomial_sum(self, n, topology):
+        for i, phi0 in enumerate((1.0, 0.9, 0.5)):
+            theta0 = theta_on_line(phi0, topology)
+            exact = t1_target_exact(topology, theta0.as_tuple(), n)
+            est = mc_target_trinomial(t1_model(topology), theta0, n,
+                                      McSettings(100 * topology + i, 200_000))
+            assert abs(est.value - exact) <= 4.0 * est.std_error, (phi0, exact, est.value)
+
+    def test_exact_sum_matches_boundary_constant(self):
+        # at the centroid the large-n target tends to bias_t1(0) = 1
+        assert t1_target_exact(1, CENTROID.as_tuple(), 4000) == pytest.approx(1.0, abs=0.03)
+
+
+class _Recorder:
+    """A generator stand-in that records the sizes of its binomial draws."""
+
+    def __init__(self, rng, sizes):
+        self.rng, self.sizes = rng, sizes
+
+    def binomial(self, n, p, size=None):
+        self.sizes.append(size)
+        return self.rng.binomial(n, p, size=size)
 
 
 class TestExpectedEstimator:
