@@ -51,6 +51,8 @@ def fmt_float(x: float) -> str:
 
 
 def fmt_field(x) -> str:
+    if isinstance(x, str):
+        return x
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -380,8 +382,8 @@ def cmd_regions(cfg: RunConfig) -> str:
     rule = EstimatorRule(method, radius=cfg.get("radius"),
                          bootstrap_b=int(cfg.get("samples") or 1000))
     grid = region_grid(models, n, resolution, rule, seed, _quad(cfg))
-    rows = [[i / resolution, j / resolution, k / resolution, w]
-            for (i, j, k), w in zip(grid.points, grid.winners)]
+    coord = [fmt_float(i / resolution) for i in range(resolution + 1)]
+    rows = [[coord[i], coord[j], coord[k], w] for (i, j, k), w in zip(grid.points, grid.winners)]
     return csv_text(["p1", "p2", "p3", "winner"], rows)
 
 

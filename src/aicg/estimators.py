@@ -292,12 +292,29 @@ def _poisson_mixture(r: float, center_norm: np.ndarray) -> np.ndarray:
     low = min(float(np.min(half_lam)), x)
     high = max(float(np.max(half_lam)), x)
     k = np.arange(max(0, int(low - reach(low))), int(high + reach(high)) + 2)
-    log_fact = np.array([math.lgamma(i + 1.0) for i in k])
+    log_fact = _log_factorials(int(k[-1]) + 1)[k[0]:]
     pois_x = _poisson_pmf(np.array([x]), k, log_fact)[0]
     # P(Poisson(x) > k), summed from the top so small tails keep their
     # relative accuracy
     chi_cdf = np.append(np.cumsum(pois_x[::-1])[::-1][1:], 0.0)
     return np.clip(_poisson_pmf(half_lam, k, log_fact) @ chi_cdf, 0.0, 1.0)
+
+
+# log k! for k = 0, 1, ...: one table for the process, grown on demand and
+# never written in place, so every caller reads the same math.lgamma values
+_LOG_FACTORIALS = np.zeros(0)
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    """log k! for k < count, as a read-only view of the shared table."""
+    global _LOG_FACTORIALS
+    have = len(_LOG_FACTORIALS)
+    if have < count:
+        grown = np.concatenate([_LOG_FACTORIALS, [math.lgamma(i + 1.0)
+                                                  for i in range(have, max(count, 2 * have))]])
+        grown.flags.writeable = False
+        _LOG_FACTORIALS = grown
+    return _LOG_FACTORIALS[:count]
 
 
 def _poisson_pmf(rates: np.ndarray, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
@@ -544,31 +561,29 @@ def rule_evaluator(model: ModelSpec, rule: EstimatorRule,
                    quad: QuadratureSettings = QuadratureSettings()):
     """Vectorized map from transformed-plane draws to the rule's value.
 
-    The returned callable takes the (N, 2) draws and their (N, 2) projections
-    onto the model's cone at ``geo`` and feeds
-    montecarlo.mc_expected_estimators.
+    The returned callable takes the (N, 2) draws and the (N,) distances from
+    the origin of their projections onto the model's cone at ``geo``
+    (models.projected_distances) and feeds montecarlo.mc_expected_estimators.
     """
     if geo is None:
         geo = GeometryParams.from_phi0(1.0, rule.reference_n or 1e6)
 
     if rule.method == "aic":
         const = bias_aic(model).value
-        return lambda z, proj: np.full(len(z), const)
+        return lambda z, dist: np.full(len(z), const)
     if rule.method in ("llf", "ulf"):
         const = least_favorable(model, "lower" if rule.method == "llf" else "upper",
                                 quad, float(rule.reference_n or 1e6)).value
-        return lambda z, proj: np.full(len(z), const)
+        return lambda z, dist: np.full(len(z), const)
     if rule.method == "plugin":
-        def plugin_fn(z, proj):
-            return _plugin_values(model, np.linalg.norm(proj, axis=1), geo, quad)
-        return plugin_fn
+        return lambda z, dist: _plugin_values(model, dist, geo, quad)
     if rule.method in ("uo", "minimax"):
         r = rule.radius if rule.radius is not None else default_radius(model, rule.method)
         which = default_observed(model, rule.method)
 
-        def neighborhood_fn(z, proj):
-            pts = z if which == "zbar" else proj
-            return neighborhood_values(model, r, np.linalg.norm(pts, axis=1))
+        def neighborhood_fn(z, dist):
+            return neighborhood_values(
+                model, r, np.linalg.norm(z, axis=1) if which == "zbar" else dist)
         return neighborhood_fn
     if rule.method == "consistent":
         if rule.reference_n is None:
@@ -577,8 +592,7 @@ def rule_evaluator(model: ModelSpec, rule: EstimatorRule,
             raise DomainError("rate exponent must lie strictly inside (0, 1/2)")
         radius = float(rule.reference_n) ** (0.5 - rule.eta_exponent)
 
-        def consistent_fn(z, proj):
-            dist = np.linalg.norm(proj, axis=1)
+        def consistent_fn(z, dist):
             mu_t = np.where(dist <= radius, 0.0, dist)
             return _plugin_values(model, mu_t, geo, quad)
         return consistent_fn

@@ -238,6 +238,27 @@ def project_points(cone: Cone, points: np.ndarray) -> np.ndarray:
     return t[np.arange(len(pts)), best, None] * dirs[best]
 
 
+def projected_distances(cone: Cone, points: np.ndarray) -> np.ndarray:
+    """||project_points(cone, points)|| per row, without forming the projection.
+
+    For a ray cone the winning candidate has the largest clipped inner
+    product t (||w - t d||^2 = ||w||^2 - t^2), and its norm is t itself, so
+    the distance is max(0, max_k w.d_k).  The inner products are formed
+    elementwise, not by a BLAS product, so each row's bits are its own.  A
+    point cone gives 0, the plane ||w||.
+    """
+    pts = np.asarray(points, dtype=float)
+    if cone.kind == "point":
+        return np.zeros(len(pts))
+    if cone.kind == "plane":
+        return np.linalg.norm(pts, axis=1)
+    x, y = pts[:, 0], pts[:, 1]
+    dist = np.zeros(len(pts))
+    for dx, dy in cone.directions().tolist():
+        np.maximum(dist, x * dx + y * dy, out=dist)
+    return dist
+
+
 def project_transformed(cone: Cone, w: TransformedPoint) -> TransformedPoint:
     out = project_points(cone, w.as_array()[None, :])[0]
     return TransformedPoint(float(out[0]), float(out[1]))

@@ -39,11 +39,13 @@ from .geometry import (
     phi_from_mu0y,
     theta_on_line,
 )
-from .models import T1, Cone, ModelSpec, cone_of, mle_rows, project_points, theta_in_model
+from .models import (T1, Cone, ModelSpec, cone_of, mle_rows, project_points,
+                     projected_distances, theta_in_model)
 from .quadrature import QuadratureSettings
 from .special import norm_ppf
 
 _U53 = float(2.0 ** -53)
+_U_MAX = 1.0 - _U53  # the largest double below 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,9 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     """Inverse-CDF normal draws; one 53-bit uniform per variate."""
     k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    return norm_ppf((k.astype(float) + 0.5) * _U53)
+    # k + 1/2 rounds to even above 2^52, so k = 2^53 - 1 would give u = 1
+    u = (k.astype(float) + 0.5) * _U53
+    return norm_ppf(np.minimum(u, _U_MAX, out=u))
 
 
 def trinomial_counts(rng: np.random.Generator, n: int, theta: np.ndarray,
@@ -210,8 +214,8 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
                                   "min_draw": lowest})
 
 
-# A rule's value per draw, from the draws z and their cone projections, both
-# (N, 2); estimators.rule_evaluator builds them.
+# A rule's value per draw, from the (N, 2) draws z and the (N,) distances of
+# their cone projections from the origin; estimators.rule_evaluator builds them.
 RuleEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -222,9 +226,9 @@ def mc_expected_estimators(
     z ~ N(mu0, I), for several (cone, mu0, evaluators) points in one run.
 
     Each chunk draws one block e of standard normals from the stream of
-    settings.seed (common random numbers).  Every point projects its
-    z = mu0 + e onto its cone once, and each of its evaluators maps the draws
-    and the projection to the rule's value.  Returns one estimate per
+    settings.seed (common random numbers).  Every point computes the distance
+    of its z = mu0 + e's cone projection once, and each of its evaluators maps
+    the draws and that distance to the rule's value.  Returns one estimate per
     evaluator, grouped by point.
     """
     centers = [mu0.as_array() for _, mu0, _ in points]
@@ -233,9 +237,9 @@ def mc_expected_estimators(
         e = standard_normals(rng, (size, 2))
         for (cone, _, evaluators), center in zip(points, centers):
             z = center + e
-            proj = project_points(cone, z)
+            dist = projected_distances(cone, z)
             for fn in evaluators:
-                yield np.asarray(fn(z, proj), dtype=float)
+                yield np.asarray(fn(z, dist), dtype=float)
 
     stats = iter(_run_chunks(settings, kernel))
     return [[BiasEstimate(mean, "monte-carlo", std_error=se,

@@ -34,6 +34,7 @@ from .special import erf
 _SQRT2 = math.sqrt(2.0)
 _RULE_SIZES = (64, 128)  # coarse and fine Gauss-Legendre rules
 _AXIS_PANEL = 24.0       # widest axis panel the coarse rule resolves to ~1e-14
+_NEWTON_STEPS = 8        # evaluations at most; from Tricomi's estimate three suffice
 
 
 @dataclass(frozen=True)
@@ -57,16 +58,63 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_{n-1}(x) and P_n(x) for 0 < x < 1 by the three-term recurrence.
+
+    Where x >= 1/2 the recurrence runs on the differences
+    D_k = P_k - P_{k-1}, D_{k+1} = (k D_k - (2k + 1)(1 - x) P_k) / (k + 1),
+    in which 1 - x is exact (Reinsch's modification): near x = 1 the plain
+    recurrence loses about 1e-12 of relative accuracy at n = 128, which the
+    weights would inherit.  Below 1/2, where 1 - x would round, the plain
+    recurrence is accurate.
+    """
+    outer = x >= 0.5
+    u = np.where(outer, 1.0 - x, 0.0)
+    d = -u
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        d = (k * d - (2 * k + 1) * u * p1) / (k + 1)
+        p0, p1 = p1, np.where(outer, p1 + d, ((2 * k + 1) * x * p1 - k * p0) / (k + 1))
+    return p0, p1
+
+
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-node Gauss-Legendre rule, n even.
+
+    Newton's iteration on P_n from Tricomi's estimate of the positive roots,
+    all roots at once; the negative half mirrors them.  The weight
+    2 / g(x) with g = (1 - x^2) P_n'(x)^2 is evaluated at the last iterate x
+    and carried to the root x - dx by g'/g = 2x / (1 - x^2): near x = 1 the
+    half-ulp between a double and the root would otherwise move the weight by
+    up to 1e-12 relative.
+    """
+    i = np.arange(1, n // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * i - 1) / (4 * n + 2))
+    for _ in range(_NEWTON_STEPS):
+        p0, p1 = _legendre_pair(n, x)
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
+        dp = n * (p0 - x * p1) / one_minus_x2
+        dx = p1 / dp
+        if np.max(np.abs(dx)) < 1e-12:  # the next step leaves x within an ulp
+            break
+        x = x - dx
+    else:
+        raise RuntimeError(f"Gauss-Legendre nodes for n={n} did not converge")
+    w = 2.0 / (one_minus_x2 * dp * dp * (1.0 - 2.0 * x * dx / one_minus_x2))
+    x = x - dx
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
 @lru_cache(maxsize=1)
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """Nodes of the coarse and the fine rule on [-1, 1] side by side, and a
     (nodes, 2) weight matrix: column 0 weighs the coarse nodes, column 1 the
     fine ones.
 
-    Built on first use, not at import: a run without t3 values should not
-    pay for leggauss.
+    Built on first use from _legendre_rule, a few milliseconds of vectorized
+    Newton steps: no eigensolver and no numpy.polynomial import.
     """
-    (xc, wc), (xf, wf) = (np.polynomial.legendre.leggauss(k) for k in _RULE_SIZES)
+    (xc, wc), (xf, wf) = (_legendre_rule(k) for k in _RULE_SIZES)
     w = np.zeros((xc.size + xf.size, 2))
     w[:xc.size, 0] = wc
     w[xc.size:, 1] = wf
@@ -111,13 +159,15 @@ def _t3_terms(mu: np.ndarray, alpha0: np.ndarray,
     erf_axis, erf_a = erfs[:, :t_axis.size], erfs[:, t_axis.size:]
 
     f_axis = d * d * np.exp(-0.5 * d * d) * erf_axis
-    term1 = math.sqrt(2.0 / math.pi) * 0.5 * d_width * (f_axis @ w_axis)
+    # the rule sums are einsum's fixed-order loops, not a BLAS product, whose
+    # blocking (and so a row's last bits) depends on how many rows share the call
+    term1 = math.sqrt(2.0 / math.pi) * 0.5 * d_width * np.einsum("ij,jk->ik", f_axis, w_axis)
 
     _, m1, m2, m3 = _radial_moments(a, erf_a)
     c = np.cos(phi + alpha0)
     f_angular = np.exp(-0.5 * (mu * cos_phi) ** 2) * (
         c * c * m3 - mu * (sin_phi - np.sin(alpha0) * c) * m2 + mu * mu * m1)
-    term2 = (2.0 / math.pi) * phi_half * (f_angular @ w)
+    term2 = (2.0 / math.pi) * phi_half * np.einsum("ij,jk->ik", f_angular, w)
     return term1, term2
 
 

@@ -290,6 +290,19 @@ def _rounded_counts(p: np.ndarray, n: int) -> np.ndarray:
     return base + (place < short[:, None])
 
 
+def _winner_labels(aicg: np.ndarray, ids: tuple[str, ...]) -> tuple[str, ...]:
+    """Per column of a (models, points) score array: the id of the one model
+    with the least score, "tie" when several share it, "error" when every
+    score is NaN."""
+    # error rows hold NaN, which equals nothing, so a point where every
+    # model failed has no best score
+    at_best = aicg == np.min(np.where(np.isnan(aicg), np.inf, aicg), axis=0)
+    hits = at_best.sum(axis=0)
+    label = np.where(hits == 1, np.argmax(at_best, axis=0),
+                     np.where(hits > 1, len(ids), len(ids) + 1))
+    return tuple(np.array(ids + ("tie", "error"), dtype=object)[label].tolist())
+
+
 def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
                 rule: EstimatorRule, seed: int = 0,
                 quad: QuadratureSettings = QuadratureSettings()) -> RegionGrid:
@@ -304,15 +317,10 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
     pts = simplex_lattice(resolution)
     counts = _rounded_counts(np.array(pts) / resolution, n)
     aicg = np.array([s.aicg for s in score_batch(models, counts, rule, seed, quad)])
-    # error rows hold NaN, which equals nothing, so a point where every
-    # model failed has no best score
-    at_best = aicg == np.min(np.where(np.isnan(aicg), np.inf, aicg), axis=0)
     ids = tuple(m.model_id for m in models)
-    winners = tuple("error" if hits.size == 0 else "tie" if hits.size > 1 else ids[hits[0]]
-                    for hits in map(np.flatnonzero, at_best.T))
     return RegionGrid(
         resolution=resolution, n=n, model_ids=ids,
-        points=tuple(pts), winners=winners,
+        points=tuple(pts), winners=_winner_labels(aicg, ids),
         metadata={"estimator": rule.method, "seed": seed, "version": _VERSION},
     )
 

@@ -126,6 +126,38 @@ def noncentral_radius_cdf_series(r: float, center_norm: float) -> float:
     return total
 
 
+def gauss_legendre_mpmath(n: int, digits: int = 40) -> tuple[list, list]:
+    """Nodes (ascending) and weights of the n-node Gauss-Legendre rule as
+    mpmath numbers: Newton's method on mpmath.legendre at `digits` digits from
+    the cosine estimate of each root, weight 2 / ((1 - x^2) P_n'(x)^2)."""
+    with mpmath.workdps(digits):
+        nodes, weights = [], []
+        for i in range(1, n + 1):
+            x = mpmath.cos(mpmath.pi * (4 * i - 1) / (4 * n + 2))
+            for _ in range(100):
+                dp = n * (mpmath.legendre(n - 1, x) - x * mpmath.legendre(n, x)) / (1 - x * x)
+                step = mpmath.legendre(n, x) / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** (5 - digits):
+                    break
+            dp = n * (mpmath.legendre(n - 1, x) - x * mpmath.legendre(n, x)) / (1 - x * x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes[::-1], weights[::-1]
+
+
+def region_winners_loop(aicg: np.ndarray, ids: tuple[str, ...]) -> tuple[str, ...]:
+    """Winner label per column of a (models, points) score array, one point
+    at a time: the model with the least score, "tie" when several share it,
+    "error" when every score is NaN."""
+    labels = []
+    for column in aicg.T:
+        scored = column[~np.isnan(column)]
+        hits = np.flatnonzero(column == scored.min()) if scored.size else []
+        labels.append("error" if len(hits) == 0 else "tie" if len(hits) > 1 else ids[hits[0]])
+    return tuple(labels)
+
+
 def t1_mle_bruteforce(counts: tuple[int, int, int], topology: int = 1,
                       grid_size: int = 100_000) -> float:
     """Grid-search the constrained single-line MLE's clamped component."""

@@ -62,6 +62,29 @@ class TestNoncentralRadiusCdf:
             assert p == pytest.approx(noncentral_radius_cdf(1.9, float(s)), abs=1e-15)
         assert np.all(noncentral_radius_cdf(0.0, centers) == 0.0)
 
+    @pytest.mark.parametrize("r", [0.5, 1.77, 2.21, 6.0])
+    def test_log_factorial_table_keeps_bits(self, r, monkeypatch):
+        # the shared table against log k! built afresh by math.lgamma per call
+        import aicg.estimators as est
+        grid = np.arange(0.0, 5.0001, 0.05)
+        est.noncentral_radius_cdf(40.0, 40.0)  # grow the table past this test's windows
+
+        def both():  # the grid in one call (one index window), and point by point
+            return noncentral_radius_cdf(r, grid), [noncentral_radius_cdf(r, s) for s in grid]
+        got = both()
+        monkeypatch.setattr(est, "_log_factorials", lambda count: np.array(
+            [math.lgamma(i + 1.0) for i in range(count)]))
+        want = both()
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+
+    def test_log_factorial_table_is_read_only(self):
+        import aicg.estimators as est
+        table = est._log_factorials(30)
+        assert table[20] == math.lgamma(21.0)
+        with pytest.raises(ValueError):
+            table[3] = 0.0
+
     def test_matches_monte_carlo(self):
         rng = _chunk_rng(8, 0)
         z = standard_normals(rng, (400_000, 2)) + np.array([0.0, 1.5])

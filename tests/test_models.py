@@ -24,6 +24,7 @@ from aicg.models import (
     polytomy_model,
     project_points,
     project_transformed,
+    projected_distances,
     t1_model,
     t3_model,
     theta_in_model,
@@ -241,6 +242,55 @@ class TestProjection:
         cone2 = Cone("rays", (math.pi / 2, TWO_PI))
         out2 = project_transformed(cone2, TransformedPoint(2.0, 2.0))
         assert (out2.x, out2.y) == (0.0, 2.0)
+
+
+# coordinates whose squares are normal doubles: the reference
+# ||project_points(w)|| squares them, and sqrt(t * t) == |t| holds only then
+_coordinate = st.floats(-50, 50).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
+_points = st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40)
+
+
+def _ray_angles():
+    """Sorted distinct ray angles in (0, 2pi]: any ray cone, the cones of
+    halflines models among them."""
+    return st.lists(st.floats(1e-3, TWO_PI), min_size=1, max_size=6, unique=True).map(
+        lambda a: tuple(sorted(a)))
+
+
+class TestProjectedDistances:
+    """projected_distances against the norm of project_points."""
+
+    @given(st.sampled_from([1, 2, 3]), _points)
+    def test_t1_bits_equal_projection_norm(self, topology, pts):
+        cone = cone_of(t1_model(topology))
+        w = np.array(pts)
+        want = np.linalg.norm(project_points(cone, w), axis=1)
+        assert np.array_equal(projected_distances(cone, w), want)
+
+    @given(st.floats(0.05, 1.0) | _ray_angles(), _points)
+    def test_ray_cones_match_projection_norm(self, shape, pts):
+        # t3 cones (from phi0) and arbitrary ray sets.  Both sides round the
+        # inner products (4 roundings more on the reference side), so they
+        # agree to a few units of eps (|x| + |y|), not in relative ulps: near
+        # a ray's normal the inner product cancels
+        if isinstance(shape, float):
+            cone = cone_of(t3_model(), GeometryParams.from_phi0(shape, 1000))
+        else:
+            cone = Cone("rays", shape)
+        w = np.array(pts)
+        want = np.linalg.norm(project_points(cone, w), axis=1)
+        got = projected_distances(cone, w)
+        bound = 4.0 * np.finfo(float).eps * np.abs(w).sum(axis=1)
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.all(got >= 0.0)
+
+    def test_point_and_plane_cones(self):
+        w = np.array([[3.0, -4.0], [0.0, 0.0], [-1e3, 2.5]])
+        assert np.array_equal(projected_distances(cone_of(polytomy_model()), w), np.zeros(3))
+        plane = cone_of(unconstrained_model())
+        assert np.array_equal(projected_distances(plane, w),
+                              np.linalg.norm(project_points(plane, w), axis=1))
+        assert projected_distances(plane, w)[0] == 5.0
 
 
 class TestValidateHalflines:

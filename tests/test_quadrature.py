@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+
+import aicg
 
 from aicg.closedform import bias_halflines_at_singularity
 from aicg.geometry import DomainError
@@ -9,6 +16,8 @@ from aicg.models import validate_halflines
 from aicg.quadrature import (
     ConvergenceError,
     QuadratureSettings,
+    _gauss_legendre,
+    _legendre_rule,
     _radial_moments,
     _t3_terms,
     bias_t3,
@@ -16,6 +25,8 @@ from aicg.quadrature import (
     bias_t3_value,
 )
 from aicg.special import erf
+
+from oracles import gauss_legendre_mpmath
 
 TWO_PI = 2 * math.pi
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
@@ -143,3 +154,83 @@ class TestBiasT3:
         # integrate to the regular-model value instead of missing the bump
         for mu in [50.0, 300.0, 5000.0]:
             assert bias_t3(mu, math.pi / 6).value == pytest.approx(2.0, abs=1e-9)
+
+
+class TestGaussLegendre:
+    """The Newton-built rules against a 40-digit mpmath Newton oracle."""
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_matches_mpmath_oracle(self, n):
+        x, w = _legendre_rule(n)
+        want_x, want_w = gauss_legendre_mpmath(n)
+        assert x.shape == w.shape == (n,)
+        for got, want in zip(x.tolist(), want_x):
+            assert abs(mpmath.mpf(got) - want) <= 2 * np.spacing(abs(got))
+        for got, want in zip(w.tolist(), want_w):
+            assert abs((mpmath.mpf(got) - want) / want) <= 1e-14
+
+    def test_rules_are_symmetric_and_sum_to_two(self):
+        for n in (64, 128):
+            x, w = _legendre_rule(n)
+            assert np.all(np.diff(x) > 0)
+            assert x.tobytes() == (-x[::-1]).tobytes()
+            assert w.tobytes() == w[::-1].tobytes()
+            assert math.fsum(w) == pytest.approx(2.0, abs=1e-14)
+
+    def test_builds_without_an_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        x, w = _gauss_legendre.__wrapped__()
+        cached_x, cached_w = _gauss_legendre()
+        assert x.tobytes() == cached_x.tobytes() and w.tobytes() == cached_w.tobytes()
+        assert w.shape == (64 + 128, 2)
+
+    def test_t3_commands_skip_numpy_polynomial_and_eigensolvers(self):
+        # the t3 paths of the benchmark's quadrature workload, at small sizes,
+        # with every eigensolver replaced by one that fails
+        src = str(Path(aicg.__file__).resolve().parents[1])
+        code = """
+import contextlib, io, sys
+import numpy as np
+def refuse(*args, **kwargs):
+    raise AssertionError("eigensolver called")
+for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+    setattr(np.linalg, name, refuse)
+from aicg.cli import main
+runs = [["bias", "--model", "t3", "--mu0y", "1.3"],
+        ["target", "--model", "t3", "--n", "1000", "--grid", "0:1:1", "--samples", "2000",
+         "--method", "plugin", "--seed", "1"],
+        ["regions", "--n", "20", "--resolution", "50", "--pair", "t3,unconstrained"],
+        ["radii", "--n", "1000000", "--model", "t3", "--grid", "0:2:1"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(args) for args in runs]
+print(codes, "numpy.polynomial" in sys.modules)
+"""
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "[0, 0, 0, 0] False"
+
+
+class TestBatchBits:
+    """A row's bits do not depend on how many rows share the call."""
+
+    def test_one_row_and_long_calls_agree(self):
+        alpha0 = math.pi / 6
+        mus = np.arange(0, 11.05, 0.05)
+        longer = np.arange(0, 70.05, 0.05)
+        assert len(mus) == 221 and len(longer) == 1401
+        assert mus.tobytes() == longer[:221].tobytes()
+        batch = bias_t3_batch(mus, alpha0)
+        one_row = np.concatenate([bias_t3_batch(m, alpha0) for m in mus])
+        assert one_row.tobytes() == batch.tobytes()
+        assert bias_t3_batch(longer, alpha0)[:221].tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("alpha0", [0.2, 0.45])
+    def test_prefixes_agree(self, alpha0):
+        mus = np.arange(0, 30.0, 0.07)
+        full = bias_t3_batch(mus, alpha0)
+        for size in (1, 2, 7, 64, 65, 200, 333):
+            assert bias_t3_batch(mus[:size], alpha0).tobytes() == full[:size].tobytes()

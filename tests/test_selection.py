@@ -8,6 +8,8 @@ from aicg.estimators import EstimatorRule
 from aicg.geometry import Counts, DomainError
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.selection import (
+    _rounded_counts,
+    _winner_labels,
     akaike_weights,
     largest_remainder_counts,
     parse_model_id,
@@ -18,7 +20,12 @@ from aicg.selection import (
     winning_component,
 )
 
-from oracles import largest_remainder_reference, t1_polytomy_scores, t1_polytomy_winner
+from oracles import (
+    largest_remainder_reference,
+    region_winners_loop,
+    t1_polytomy_scores,
+    t1_polytomy_winner,
+)
 
 PLUGIN = EstimatorRule("plugin")
 
@@ -179,6 +186,38 @@ class TestRegionGrid:
     def test_equal_scores_are_a_tie(self):
         grid = region_grid([t1_model(1), t1_model(1)], 10, 2, PLUGIN)
         assert set(grid.winners) == {"tie"}
+
+
+class TestWinnerLabels:
+    """The array-built labels against the per-point loop they replace."""
+
+    @given(st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.lists(st.sampled_from([0.0, 1.0, 2.5, -3.0, np.nan]), min_size=m, max_size=m),
+        min_size=1, max_size=30)))
+    def test_matches_loop_oracle(self, columns):
+        aicg = np.array(columns).T
+        ids = tuple(f"m{i}" for i in range(len(aicg)))
+        assert _winner_labels(aicg, ids) == region_winners_loop(aicg, ids)
+
+    @pytest.mark.parametrize("models, n, res", [
+        ([t3_model(), unconstrained_model()], 200, 100),
+        ([t3_model(), unconstrained_model()], 10, 50),
+        ([t1_model(1), polytomy_model(), t1_model(1)], 10, 50),
+        ([validate_halflines([2 * math.pi]), t1_model(2)], 10, 50),
+        ([validate_halflines([2 * math.pi])] * 2, 10, 50),
+    ])
+    def test_region_grid_matches_loop_oracle(self, models, n, res):
+        grid = region_grid(models, n, res, PLUGIN)
+        counts = _rounded_counts(np.array(grid.points) / res, n)
+        aicg = np.array([s.aicg for s in score_batch(models, counts, PLUGIN)])
+        assert grid.winners == region_winners_loop(aicg, grid.model_ids)
+
+    def test_labels_cover_winner_tie_and_error(self):
+        labels = set()
+        for models in ([t1_model(1), polytomy_model(), t1_model(1)],
+                       [validate_halflines([2 * math.pi])] * 2):
+            labels |= set(region_grid(models, 10, 50, PLUGIN).winners)
+        assert labels == {"polytomy", "tie", "error"}
 
 
 class TestScoreBatch:
