@@ -26,17 +26,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .closedform import (
-    BiasEstimate,
-    bias_constant,
-    bias_halflines_at_singularity,
-    bias_t1,
-)
-from .estimators import EstimatorRule, InfeasibleError, minimax_radius, uo_radius
+from .closedform import BiasEstimate
+from .estimators import (EstimatorRule, InfeasibleError, bias_on_cone, minimax_radius,
+                         uo_radius)
 from .geometry import Counts, DomainError, GeometryParams, TransformedPoint
-from .models import HALFLINES, POLYTOMY, T1, T3, UNCONSTRAINED, ModelSpec, cone_of
+from .models import HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, cone_of
 from .montecarlo import CurvePoint, McSettings, curve_grid, grid_values, mc_bias_gaussian
-from .quadrature import ConvergenceError, QuadratureSettings, bias_t3
+from .quadrature import ConvergenceError, QuadratureSettings
 from .selection import parse_model_id, region_grid, score, score_batch
 
 USAGE_EXIT = 2
@@ -256,18 +252,13 @@ def cmd_bias(cfg: RunConfig) -> str:
         point = TransformedPoint(mu, 0.0) if model.variant == HALFLINES \
             else TransformedPoint(0.0, mu)
         est = mc_bias_gaussian(cone, point, settings)
-    elif model.variant == T1:
-        est = bias_t1(mu)
-    elif model.variant == T3:
-        geo = geo or GeometryParams.from_phi0(1.0, float(cfg.get("n") or 1e6))
-        est = bias_t3(mu, geo.alpha0, quad)
-    elif model.variant in (POLYTOMY, UNCONSTRAINED):
-        est = bias_constant(model)
     else:
-        if mu != 0.0:
-            raise UsageError("half-lines closed form exists only at mu0y = 0; "
-                             "use --method monte-carlo away from the origin")
-        est = bias_halflines_at_singularity(model)
+        if model.variant == T3:
+            geo = geo or GeometryParams.from_phi0(1.0, float(cfg.get("n") or 1e6))
+        # a half-lines generating point is (mu0y, 0), on the 2pi ray, as above
+        exact = model.variant != T3 and (model.variant != HALFLINES or mu == 0.0)
+        est = BiasEstimate(bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0, quad),
+                           "closed-form" if exact else "quadrature")
     return _bias_row(cfg, model, mu, est)
 
 

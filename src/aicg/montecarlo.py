@@ -105,22 +105,32 @@ def trinomial_counts(rng: np.random.Generator, n: int, theta: np.ndarray,
     return np.column_stack([c1, c2, rest - c2]).astype(float)
 
 
+def _chunk_moments(vals: np.ndarray) -> tuple[float, int, float, float, float, float]:
+    """One chunk's sum, size, first value, mean less that value, centred sum
+    of squares and min; a constant chunk has a centred sum of exactly 0."""
+    diffs = vals - vals[0]
+    offset = diffs.sum() / vals.size
+    diffs -= offset  # in place: a fresh chunk-sized array costs more than the sums
+    return (float(vals.sum()), vals.size, float(vals[0]), float(offset),
+            float(np.square(diffs, out=diffs).sum()), float(vals.min()))
+
+
 def _run_chunks(settings: McSettings, kernel: Callable[[np.random.Generator, int], Iterable]
                 ) -> list[tuple[float, float, float]]:
     """Reduce per-draw statistics over all chunks.
 
     ``kernel(rng, size)`` gives, for one chunk, an iterable holding one array
     of per-draw values per statistic, always in the same order; each array is
-    reduced to its sum, sum of squares and min as it arrives.  Returns one
-    (mean, se, min) triple per statistic.
+    reduced to its sum, centred sum of squares and min as it arrives, and the
+    centred sums are combined in chunk order by Chan's pairwise formula.
+    Returns one (mean, se, min) triple per statistic.
     """
     full, rem = divmod(settings.samples, settings.chunk_size)
     sizes = [settings.chunk_size] * full + ([rem] if rem else [])
 
     def one(index_size):
         index, size = index_size
-        return [(float(vals.sum()), float((vals * vals).sum()), float(vals.min()))
-                for vals in kernel(_chunk_rng(settings.seed, index), size)]
+        return [_chunk_moments(vals) for vals in kernel(_chunk_rng(settings.seed, index), size)]
 
     tasks = list(enumerate(sizes))
     if settings.workers > 1:
@@ -133,13 +143,18 @@ def _run_chunks(settings: McSettings, kernel: Callable[[np.random.Generator, int
 
     n = settings.samples
     stats = []
-    for chunks in zip(*parts):  # one statistic's (sum, sum of squares, min) per chunk
+    for chunks in zip(*parts):  # one statistic's moments per chunk
         mean = math.fsum(c[0] for c in chunks) / n
-        if n > 1:
-            var = max(0.0, (math.fsum(c[1] for c in chunks) - n * mean * mean) / (n - 1))
-        else:
-            var = 0.0
-        stats.append((mean, math.sqrt(var / n), min(c[2] for c in chunks)))
+        # the running mean is base + offset, base the first chunk's first value
+        _, count, base, offset, m2, _ = chunks[0]
+        for _, size, first, chunk_offset, chunk_m2, _ in chunks[1:]:
+            total = count + size
+            delta = (first - base) + chunk_offset - offset
+            m2 += chunk_m2 + delta * delta * (count * size / total)
+            offset += delta * (size / total)
+            count = total
+        var = m2 / (n - 1) if n > 1 else 0.0
+        stats.append((mean, math.sqrt(var / n), min(c[5] for c in chunks)))
     return stats
 
 

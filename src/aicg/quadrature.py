@@ -1,22 +1,19 @@
-"""The three-ray (t3) bias correction by closed-form radial moments and
-fixed Gauss-Legendre rules.
+"""Bias corrections of ray cones, one Gaussian expectation per ray, by fixed
+Gauss-Legendre rules.
 
-The t3 bias is a 1-D error-function-weighted Gaussian integral along the
-axis plus a 2-D polar integral.  Completing the square in the polar term,
-r^2 - 2 mu r sin(phi) + mu^2 = (r - a)^2 + mu^2 cos^2(phi) with
-a = mu sin(phi), turns its inner radial integral into truncated Gaussian
-moments M_k = int_0^inf r^k exp(-(r - a)^2 / 2) dr, which obey
+For z ~ N(mu0, I) and P the projection onto a cone of rays, the correction
+2 E[(z - mu0).(P z - mu0)] is 2 E[(z - mu0).P z].  On the sector of ray k,
+bounded by the bisectors to its neighbours, P z = t d_k, t = <z, d_k>, and
+(z - mu0).P z = t (t - m_k).  There t and s = <z, d_k-perp> are independent
+N(m_k, 1) and N(s_k, 1), (m_k, s_k) the coordinates of mu0, and the sector is
+t > 0, -t tan b- <= s <= t tan b+, b-+ the half-angles to the bisectors capped
+at pi/2 (past a right angle from every ray, P z = 0).  The bias is then
 
-    M_0 = sqrt(pi/2) (1 + erf(a / sqrt(2))),   M_1 = a M_0 + exp(-a^2 / 2),
-    M_{k+1} = a M_k + k M_{k-1}.
+    2 sum_k int_0^inf t (t - m_k) phi(t - m_k) [Phi(t tan b+ - s_k) - Phi(-t tan b- - s_k)] dt,
 
-That leaves two smooth 1-D integrals: the axis term, truncated to
-mu0y +- r_max_offset where the Gaussian tail is far below any usable
-tolerance, and the angular term.  Both are evaluated with a 64-node and a
-128-node Gauss-Legendre rule; the 128-node value is returned, and a
-difference between the two above a term's share of abs_tol raises
-ConvergenceError.  Every (mu0y, alpha0) row of a batch goes through one
-vectorized evaluation, so a whole grid costs one erf call.
+each integral truncated to m_k +- r_max_offset within t >= 0.  A 64-node and
+a 128-node Gauss-Legendre rule evaluate it; the 128-node value is returned,
+and rules that differ by more than abs_tol in all raise ConvergenceError.
 """
 
 from __future__ import annotations
@@ -33,7 +30,8 @@ from .special import erf
 
 _SQRT2 = math.sqrt(2.0)
 _RULE_SIZES = (64, 128)  # coarse and fine Gauss-Legendre rules
-_AXIS_PANEL = 24.0       # widest axis panel the coarse rule resolves to ~1e-14
+_PANEL = 24.0            # widest panel the coarse rule resolves to ~1e-14
+_ROW_BLOCK = 32          # rows per vectorized block, which bounds the temporaries
 _NEWTON_STEPS = 8        # evaluations at most; from Tricomi's estimate three suffice
 
 
@@ -121,63 +119,63 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([xc, xf]), w
 
 
-def _radial_moments(a: np.ndarray, erf_a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """M_0..M_3 of exp(-(r - a)^2 / 2) over r >= 0, given erf(a / sqrt(2))."""
-    m0 = math.sqrt(0.5 * math.pi) * (1.0 + erf_a)
-    m1 = a * m0 + np.exp(-0.5 * a * a)
-    m2 = a * m1 + m0
-    m3 = a * m2 + 2.0 * m1
-    return m0, m1, m2, m3
-
-
-def _t3_terms(mu: np.ndarray, alpha0: np.ndarray,
-              r_max_offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """Axis and angular terms for each (mu, alpha0) row, as (rows, 2) arrays
-    holding the coarse and the fine rule's value."""
+def _ray_terms(points: np.ndarray, angles: np.ndarray, r_max_offset: float) -> np.ndarray:
+    """Each ray's integral for each row, a (rows, rays, 2) array holding the
+    coarse and the fine rule's value."""
     x, w = _gauss_legendre()
-    mu = mu[:, None]
-    alpha0 = alpha0[:, None]
-    beta0 = 0.5 * (0.5 * math.pi - alpha0)
+    gaps = np.diff(angles, axis=1, append=angles[:, :1] + 2.0 * math.pi)
+    tan_ccw = np.tan(np.minimum(0.5 * gaps, 0.5 * math.pi))[..., None]
+    tan_cw = np.roll(tan_ccw, 1, axis=1)
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    m = points[:, :1] * cos_a + points[:, 1:] * sin_a
+    s = (points[:, 1:] * cos_a - points[:, :1] * sin_a)[..., None]
+    panels = math.ceil(2.0 * r_max_offset / _PANEL)
+    u = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) / panels).ravel()
+    lo = np.maximum(m - r_max_offset, 0.0)
+    width = np.maximum(m + r_max_offset, 0.0) - lo
+    t = lo[..., None] + width[..., None] * u
+    erfs = erf(np.concatenate([t * tan_ccw - s, -t * tan_cw - s], axis=2) / _SQRT2)
+    d = t - m[..., None]
+    f = t * d * np.exp(-0.5 * d * d) * (erfs[..., :u.size] - erfs[..., u.size:])
+    # 2 phi(d) times the Phi difference is e^{-d^2/2} times the erf difference
+    # over sqrt(2 pi).  The sums are einsum's fixed-order loops, not a BLAS
+    # product, whose blocking (and so a row's last bits) depends on the rows
+    w_panels = np.tile(w, (panels, 1)) / panels
+    return (0.5 / math.sqrt(2.0 * math.pi)) * width[..., None] * np.einsum(
+        "ikj,jc->ikc", f, w_panels)
 
-    # the axis term integrates over d = y - mu0y, truncated on both sides of
-    # the Gaussian bump at d = 0: the left tail below -offset is bounded by
-    # the same e^{-offset^2/2} factor as the right one.  The window is cut
-    # into panels no wider than _AXIS_PANEL, so the fixed rules resolve the
-    # unit-width bump whatever the offset
-    panels = math.ceil(2.0 * r_max_offset / _AXIS_PANEL)
-    t_axis = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) / panels).ravel()
-    w_axis = np.tile(w, (panels, 1)) / panels
-    d_lo = np.maximum(-mu, -r_max_offset)
-    d_width = r_max_offset - d_lo
-    d = d_lo + d_width * t_axis
-    phi_half = 0.5 * (beta0 + 0.5 * math.pi)
-    phi = phi_half * (1.0 + x) - 0.5 * math.pi
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
-    a = mu * sin_phi
 
-    erfs = erf(np.concatenate([(mu + d) / (np.tan(beta0) * _SQRT2), a / _SQRT2], axis=1))
-    erf_axis, erf_a = erfs[:, :t_axis.size], erfs[:, t_axis.size:]
-
-    f_axis = d * d * np.exp(-0.5 * d * d) * erf_axis
-    # the rule sums are einsum's fixed-order loops, not a BLAS product, whose
-    # blocking (and so a row's last bits) depends on how many rows share the call
-    term1 = math.sqrt(2.0 / math.pi) * 0.5 * d_width * np.einsum("ij,jk->ik", f_axis, w_axis)
-
-    _, m1, m2, m3 = _radial_moments(a, erf_a)
-    c = np.cos(phi + alpha0)
-    f_angular = np.exp(-0.5 * (mu * cos_phi) ** 2) * (
-        c * c * m3 - mu * (sin_phi - np.sin(alpha0) * c) * m2 + mu * mu * m1)
-    term2 = (2.0 / math.pi) * phi_half * np.einsum("ij,jk->ik", f_angular, w)
-    return term1, term2
+def bias_ray_cone(points, angles,
+                  settings: QuadratureSettings = QuadratureSettings()) -> np.ndarray:
+    """Bias correction of the cone of rays at `angles` for each generating
+    point, a row of the (N, 2) `points`.  The angles increase and span less
+    than 2pi: one (K,) set, or an (N, K) array with a set per row.  Raises
+    ConvergenceError when a row's rules differ by more than settings.abs_tol."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+        raise DomainError("generating points must be a finite (N, 2) array")
+    angs = np.broadcast_to(np.asarray(angles, dtype=float), (len(pts), np.shape(angles)[-1]))
+    if np.any(np.diff(angs, axis=1) <= 0) or np.any(angs[:, -1] - angs[:, 0] >= 2.0 * math.pi):
+        raise DomainError("ray angles must increase and span less than 2pi")
+    # blocks of rows bound the temporaries; each row's bits are its own
+    terms = np.concatenate([np.zeros((0, angs.shape[1], 2))] + [
+        _ray_terms(pts[k:k + _ROW_BLOCK], angs[k:k + _ROW_BLOCK], settings.r_max_offset)
+        for k in range(0, len(pts), _ROW_BLOCK)])
+    values = terms[:, :, 1].sum(axis=1)
+    off = np.abs(terms[:, :, 1] - terms[:, :, 0]).sum(axis=1) > settings.abs_tol
+    if np.any(off):
+        k = int(np.argmax(off))
+        raise ConvergenceError(
+            f"bias at mu0=({pts[k, 0]:.17g}, {pts[k, 1]:.17g}): the {_RULE_SIZES[0]}- and "
+            f"{_RULE_SIZES[1]}-node rules differ by more than abs_tol={settings.abs_tol:g}",
+            float(values[k]))
+    return values
 
 
 def bias_t3_batch(mu0y, alpha0,
                   settings: QuadratureSettings = QuadratureSettings()) -> np.ndarray:
-    """t3 bias correction for each (mu0y, alpha0) pair, broadcast together.
-
-    Raises ConvergenceError when, for some pair, either term's coarse and
-    fine rules differ by more than half of settings.abs_tol.
-    """
+    """t3 bias correction for each (mu0y, alpha0) pair, broadcast together:
+    bias_ray_cone at (0, mu0y)."""
     mu, alpha = np.broadcast_arrays(np.atleast_1d(np.asarray(mu0y, dtype=float)),
                                     np.atleast_1d(np.asarray(alpha0, dtype=float)))
     if mu.ndim != 1:
@@ -186,31 +184,23 @@ def bias_t3_batch(mu0y, alpha0,
         raise DomainError("mu0y must be nonnegative")
     if not np.all((alpha > 0.0) & (alpha <= math.pi / 6.0 + 1e-12)):
         raise DomainError("alpha0 must lie in (0, pi/6]")
-    term1, term2 = _t3_terms(mu, alpha, settings.r_max_offset)
-    values = term1[:, 1] + term2[:, 1]
-    share = 0.5 * settings.abs_tol
-    off = (np.abs(term1[:, 1] - term1[:, 0]) > share) | (np.abs(term2[:, 1] - term2[:, 0]) > share)
-    if np.any(off):
-        k = int(np.argmax(off))
-        raise ConvergenceError(
-            f"t3 bias at mu0y={mu[k]:.17g}: the {_RULE_SIZES[0]}- and {_RULE_SIZES[1]}-node "
-            f"rules differ by more than abs_tol={settings.abs_tol:g}", float(values[k]))
-    return values
+    rays = np.column_stack([np.full_like(alpha, 0.5 * math.pi), math.pi + alpha,
+                            2.0 * math.pi - alpha])
+    return bias_ray_cone(np.column_stack([np.zeros_like(mu), mu]), rays, settings)
 
 
 def bias_t3(mu0y: float, alpha0: float,
             settings: QuadratureSettings = QuadratureSettings()) -> BiasEstimate:
     """t3 bias correction at one point: the one-row case of bias_t3_batch."""
     value = float(bias_t3_batch(mu0y, alpha0, settings)[0])
+    # outside its window a ray's integrand is at most (v^2 + |m_k| |v|) phi(v)
+    # over |v| > u, v = t - m_k, which integrates to at most
+    # 2 phi(u) (u + 1/u + |m_k|); |m_k| <= mu0y, and the bias doubles it
     u = settings.r_max_offset
-    tail_bound = (u * u + mu0y * mu0y + 4.0) * math.exp(-0.5 * u * u)
-    return BiasEstimate(
-        value, "quadrature",
-        settings={
-            "model": "t3", "mu0y": mu0y, "alpha0": alpha0,
-            "abs_tol": settings.abs_tol, "r_max": mu0y + u,
-            "tail_bound": tail_bound,
-        })
+    tail_bound = 12.0 * (u + 1.0 / u + mu0y) * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    return BiasEstimate(value, "quadrature", settings={
+        "model": "t3", "mu0y": mu0y, "alpha0": alpha0, "abs_tol": settings.abs_tol,
+        "r_max": mu0y + u, "tail_bound": tail_bound})
 
 
 @lru_cache(maxsize=4096)

@@ -290,13 +290,13 @@ def _rounded_counts(p: np.ndarray, n: int) -> np.ndarray:
     return base + (place < short[:, None])
 
 
-def _winner_labels(aicg: np.ndarray, ids: tuple[str, ...]) -> tuple[str, ...]:
+def _winner_labels(aicg: np.ndarray, ids: tuple[str, ...], tol: float) -> tuple[str, ...]:
     """Per column of a (models, points) score array: the id of the one model
-    with the least score, "tie" when several share it, "error" when every
-    score is NaN."""
-    # error rows hold NaN, which equals nothing, so a point where every
+    with the least score, "tie" when several lie within tol of it, "error"
+    when every score is NaN."""
+    # error rows hold NaN, which compares false, so a point where every
     # model failed has no best score
-    at_best = aicg == np.min(np.where(np.isnan(aicg), np.inf, aicg), axis=0)
+    at_best = aicg <= np.min(np.where(np.isnan(aicg), np.inf, aicg), axis=0) + tol
     hits = at_best.sum(axis=0)
     label = np.where(hits == 1, np.argmax(at_best, axis=0),
                      np.where(hits > 1, len(ids), len(ids) + 1))
@@ -309,8 +309,9 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
     """Label every lattice point with the model winning at its pseudo-counts.
 
     Pseudo-counts are the sum-preserving largest-remainder rounding of n*p
-    (exact when n is a multiple of the resolution).  Equal generalized scores
-    are recorded as an explicit "tie" so grids stay deterministic.
+    (exact when n is a multiple of the resolution).  Generalized scores
+    within quad.abs_tol of the least are an explicit "tie", so no label rests
+    on the last bits of a quadrature value.
     """
     if len(models) < 2:
         raise DomainError("region grids need at least two models")
@@ -320,7 +321,7 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
     ids = tuple(m.model_id for m in models)
     return RegionGrid(
         resolution=resolution, n=n, model_ids=ids,
-        points=tuple(pts), winners=_winner_labels(aicg, ids),
+        points=tuple(pts), winners=_winner_labels(aicg, ids, quad.abs_tol),
         metadata={"estimator": rule.method, "seed": seed, "version": _VERSION},
     )
 

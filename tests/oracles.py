@@ -146,14 +146,44 @@ def gauss_legendre_mpmath(n: int, digits: int = 40) -> tuple[list, list]:
         return nodes[::-1], weights[::-1]
 
 
-def region_winners_loop(aicg: np.ndarray, ids: tuple[str, ...]) -> tuple[str, ...]:
+def ray_cone_bias_dblquad(point: tuple[float, float], angles, epsabs: float = 1e-12) -> float:
+    """2 E[(z - mu0).(P z - mu0)] for z ~ N(mu0, I) and P the projection onto
+    the rays at `angles`, by scipy's dblquad in polar coordinates.  The
+    projection is found point by point (the ray with the largest clipped
+    inner product), and the angular range is split at every ray, every
+    bisector between neighbouring rays and every ray +- pi/2, where P jumps
+    or has a kink, so each piece has a smooth integrand."""
+    from scipy.integrate import dblquad
+    mx, my = point
+    dirs = [(math.cos(a), math.sin(a)) for a in angles]
+    ordered = sorted(a % (2 * math.pi) for a in angles)
+    cuts = set()
+    for k, a in enumerate(ordered):
+        nxt = ordered[(k + 1) % len(ordered)] + (2 * math.pi if k == len(ordered) - 1 else 0.0)
+        cuts |= {a, 0.5 * (a + nxt), a + 0.5 * math.pi, a - 0.5 * math.pi}
+    cuts = sorted({c % (2 * math.pi) for c in cuts})
+    cuts.append(cuts[0] + 2 * math.pi)
+
+    def f(rho, th):
+        x, y = rho * math.cos(th), rho * math.sin(th)
+        t, dx, dy = max((max(0.0, x * dx + y * dy), dx, dy) for dx, dy in dirs)
+        ex, ey = x - mx, y - my
+        dens = math.exp(-0.5 * (ex * ex + ey * ey)) / (2 * math.pi)
+        return 2 * (ex * (t * dx - mx) + ey * (t * dy - my)) * dens * rho
+
+    reach = math.hypot(mx, my) + 14.0
+    return math.fsum(dblquad(f, lo, hi, 0.0, reach, epsabs=epsabs, epsrel=1e-12)[0]
+                     for lo, hi in zip(cuts, cuts[1:]))
+
+
+def region_winners_loop(aicg: np.ndarray, ids: tuple[str, ...], tol: float) -> tuple[str, ...]:
     """Winner label per column of a (models, points) score array, one point
-    at a time: the model with the least score, "tie" when several share it,
-    "error" when every score is NaN."""
+    at a time: the model with the least score, "tie" when several lie within
+    tol of it, "error" when every score is NaN."""
     labels = []
     for column in aicg.T:
         scored = column[~np.isnan(column)]
-        hits = np.flatnonzero(column == scored.min()) if scored.size else []
+        hits = np.flatnonzero(column <= scored.min() + tol) if scored.size else []
         labels.append("error" if len(hits) == 0 else "tie" if len(hits) > 1 else ids[hits[0]])
     return tuple(labels)
 

@@ -52,6 +52,23 @@ class TestBiasCommand:
         assert code == 0
         assert text.splitlines()[1].split(",")[3] == "1"
 
+    def test_halflines_away_from_origin(self, tmp_path):
+        base = ["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--mu0y"]
+        code, text = run_cli([*base, "1"], tmp_path, "quad.csv")
+        assert code == 0
+        fields = text.splitlines()[1].split(",")
+        assert fields[-4] == "quadrature"
+        code, mc_text = run_cli([*base, "1", "--method", "monte-carlo", "--samples", "1000000",
+                                 "--seed", "7"], tmp_path, "mc.csv")
+        assert code == 0
+        mc = mc_text.splitlines()[1].split(",")
+        assert abs(float(fields[-3]) - float(mc[-3])) <= 4.0 * float(mc[-2])
+        # the origin keeps the closed form's bytes
+        code, text = run_cli([*base, "0"], tmp_path, "origin.csv")
+        assert code == 0
+        assert text.splitlines()[1] == ('"halflines:2.8,4.5,6.28318530718",0,closed-form,'
+                                        '2.7334442533918448,,b1a179f83865')
+
     def test_t3_singular_constant(self, tmp_path):
         code, text = run_cli(["bias", "--model", "t3", "--mu0y", "0"], tmp_path)
         assert code == 0

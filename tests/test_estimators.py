@@ -22,11 +22,11 @@ from aicg.estimators import (
 from aicg.geometry import Counts, DomainError, GeometryParams, TransformedPoint, mu0y
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.montecarlo import McSettings, _chunk_rng, curve_grid, standard_normals
-from aicg.quadrature import bias_t3, bias_t3_batch
+from aicg.quadrature import bias_ray_cone, bias_t3, bias_t3_batch
 from aicg.selection import score_batch
 from aicg.special import erf, norm_cdf, norm_ppf
 
-from oracles import noncentral_radius_cdf_series
+from oracles import noncentral_radius_cdf_series, ray_cone_bias_dblquad
 
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
 GRID = np.arange(0.0, 5.0001, 0.05)
@@ -140,6 +140,25 @@ class TestLeastFavorable:
         assert least_favorable(single, "lower").value == pytest.approx(1.0)
         assert least_favorable(single, "upper").value == pytest.approx(2.0)
 
+    def test_halflines_upper_above_origin_and_limit(self):
+        # on the 2pi ray of halflines:3.5,2pi the bias rises to 2.029013 near
+        # distance 1.04, above both its origin value 1.9976 and the limit 2
+        model = validate_halflines([3.5, 2 * math.pi])
+        assert least_favorable(model, "upper").value >= 2.029013
+        assert least_favorable(model, "lower").value == pytest.approx(
+            singularity_bias(model), abs=1e-12)
+
+    def test_halflines_scan_covers_every_ray(self):
+        # the extremes of a 0.05-spaced scan of [0, 10] on each ray
+        model = validate_halflines([2.8, 4.5, 2 * math.pi])
+        mus = np.arange(0.0, 10.0 + 1e-9, 0.05)
+        scan = [bias_ray_cone(mus[:, None] * [[math.cos(a), math.sin(a)]], model.angles)
+                for a in model.angles]
+        upper, lower = (least_favorable(model, which).value for which in ("upper", "lower"))
+        highest, lowest = max(np.max(v) for v in scan), min(np.min(v) for v in scan)
+        assert highest - 1e-9 <= upper <= highest + 1e-3
+        assert lowest - 1e-6 <= lower <= lowest + 1e-9
+
     def test_t3_extremes_of_a_fine_scan(self):
         # the least-favorable values against a 0.01-spaced scan over [0, 50]
         # with the cone geometry at the reference sample size
@@ -179,10 +198,16 @@ class TestBiasOnCone:
         assert np.all(bias_on_cone(unconstrained_model(), np.array([0.0, 3.0])) == 4.0)
 
     def test_halflines_only_at_origin(self):
+        # the closed form at the origin, the quadrature on the 2pi ray elsewhere
         three = validate_halflines([2 * math.pi / 3, 4 * math.pi / 3, 2 * math.pi])
         assert bias_on_cone(three, 0.0) == singularity_bias(three)
-        with pytest.raises(DomainError):
-            bias_on_cone(three, 1.0)
+        values = bias_on_cone(three, np.array([[0.0, 1.0], [2.5, 0.0]]))
+        assert values.shape == (2, 2)
+        assert values[0, 0] == values[1, 1] == singularity_bias(three)
+        for mu in (1.0, 2.5):
+            want = ray_cone_bias_dblquad((mu, 0.0), three.angles)
+            assert abs(bias_on_cone(three, mu) - want) <= 1e-10
+        assert values[0, 1] == bias_on_cone(three, 1.0)
 
 
 class TestNeighborhoodRule:

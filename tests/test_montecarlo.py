@@ -11,9 +11,11 @@ from aicg.geometry import (
     GeometryParams,
     SimplexPoint,
     TransformedPoint,
+    phi_from_mu0y,
     theta_on_line,
 )
-from aicg.models import cone_of, polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
+from aicg.models import (cone_of, polytomy_model, projected_distances, t1_model, t3_model,
+                         unconstrained_model, validate_halflines)
 from aicg.montecarlo import (
     CurvePoint,
     McSettings,
@@ -154,6 +156,65 @@ class TestSeScaling:
             large = mc_bias_gaussian(cone, TransformedPoint(0, 1), McSettings(1000 + rep, 80_000))
             ratios.append(large.std_error / small.std_error)
         assert all(0.4 <= r <= 0.6 for r in ratios)
+
+
+class TestChunkVariance:
+    """Per-chunk centred sums combined by Chan's formula, against a two-pass
+    variance of the same draws."""
+
+    @staticmethod
+    def two_pass_se(values):
+        mean = math.fsum(values) / len(values)
+        var = math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
+        return math.sqrt(var / len(values))
+
+    def test_t3_plugin_se_far_from_origin(self):
+        # at mu0y = 8 the plug-in values vary by about 1e-4 around 2: the
+        # uncentred sum of squares lost about 8 digits there
+        n, seed, samples = 1000, 5, 100_000
+        settings = McSettings(seed, samples)
+        rule = EstimatorRule("plugin", reference_n=n)
+        curve = curve_grid(t3_model(), n, [0.0, 4.0, 8.0], [rule], settings)["plugin"][2]
+        geo = GeometryParams.from_phi0(phi_from_mu0y(8.0, n), n)
+        cone, fn = cone_of(t3_model(), geo), rule_evaluator(t3_model(), rule, geo)
+        chunks = []
+        for index, size in enumerate([settings.chunk_size, samples - settings.chunk_size]):
+            z = np.array([0.0, 8.0]) + standard_normals(_chunk_rng(seed, index), (size, 2))
+            chunks.append(fn(z, projected_distances(cone, z)))
+        values = np.concatenate(chunks).tolist()
+        assert curve.estimate == math.fsum(float(c.sum()) for c in chunks) / samples
+        want = self.two_pass_se(values)
+        assert abs(curve.std_error - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, 2.8269933431326884, -7.3e5])
+    def test_constant_column_has_zero_se(self, value):
+        def kernel(rng, size):
+            return [np.full(size, value)]
+
+        for samples, chunk in [(100_000, 1 << 16), (10_007, 999), (1, 1 << 16)]:
+            [(mean, se, lowest)] = _run_chunks(McSettings(1, samples, chunk), kernel)
+            assert se == 0.0 and lowest == value
+            assert mean == pytest.approx(value, rel=1e-15)
+
+    def test_large_mean_small_spread(self):
+        def kernel(rng, size):
+            return [1e8 + 1e-3 * standard_normals(rng, size)]
+
+        settings = McSettings(4, 30_000, 4096)
+        [(_, se, _)] = _run_chunks(settings, kernel)
+        sizes = [4096] * 7 + [30_000 - 7 * 4096]
+        values = np.concatenate([kernel(_chunk_rng(4, k), s)[0] for k, s in enumerate(sizes)])
+        want = self.two_pass_se(values.tolist())
+        assert abs(se - want) <= 1e-9 * want
+
+    def test_independent_of_worker_count(self):
+        def kernel(rng, size):
+            e = standard_normals(rng, size)
+            return [2.0 + 1e-4 * e, np.full(size, 0.3), e * e]
+
+        runs = [_run_chunks(McSettings(9, 10_500, 1000, workers), kernel) for workers in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][1][1] == 0.0
 
 
 class TestTargetTrinomial:

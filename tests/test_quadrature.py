@@ -18,48 +18,17 @@ from aicg.quadrature import (
     QuadratureSettings,
     _gauss_legendre,
     _legendre_rule,
-    _radial_moments,
-    _t3_terms,
+    bias_ray_cone,
     bias_t3,
     bias_t3_batch,
     bias_t3_value,
 )
 from aicg.special import erf
 
-from oracles import gauss_legendre_mpmath
+from oracles import gauss_legendre_mpmath, ray_cone_bias_dblquad
 
 TWO_PI = 2 * math.pi
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
-
-
-class TestRadialMoments:
-    """M_k = int_0^inf r^k exp(-(r - a)^2 / 2) dr against scipy quadrature."""
-
-    @pytest.mark.parametrize("a", [-6.0, -2.5, -0.4, 0.0, 0.7, 3.0, 9.0])
-    def test_against_scipy_quad(self, a):
-        from scipy.integrate import quad
-        got = _radial_moments(np.array(a), erf(a / math.sqrt(2.0)))
-        for k, m in enumerate(got):
-            want, _ = quad(lambda r: r ** k * math.exp(-0.5 * (r - a) ** 2), 0.0, math.inf,
-                           epsabs=1e-14, epsrel=1e-13)
-            assert float(m) == pytest.approx(want, rel=1e-10, abs=1e-13)
-
-    @pytest.mark.parametrize("mu", [0.0, 0.8, 2.5])
-    def test_angular_term_matches_polar_integral(self, mu):
-        # the closed-form radial moments reproduce the 2-D polar integral
-        # of r (r^2 c^2 - mu r (sin phi - sin a0 c) + mu^2) e^{-|z - mu0|^2 / 2}
-        from scipy.integrate import dblquad
-        a0 = 0.45
-        beta0 = 0.5 * (math.pi / 2 - a0)
-
-        def f(r, phi):
-            c = math.cos(phi + a0)
-            g = r * (r * r * c * c - mu * r * (math.sin(phi) - math.sin(a0) * c) + mu * mu)
-            return g * math.exp(-0.5 * (r * r - 2.0 * mu * r * math.sin(phi) + mu * mu))
-
-        want, _ = dblquad(f, -math.pi / 2, beta0, 0.0, mu + 14.0, epsabs=1e-13, epsrel=1e-13)
-        _, term2 = _t3_terms(np.array([mu]), np.array([a0]), 12.0)
-        assert term2[0, 1] == pytest.approx(2.0 / math.pi * want, abs=1e-11)
 
 
 class TestBiasT3:
@@ -92,29 +61,11 @@ class TestBiasT3:
         assert all(lo <= v <= hi for v in vals)
 
     def test_tail_truncation_adequate(self):
-        # a wider window spans several axis panels and must agree
+        # a wider window spans several panels and must agree
         for mu in [1.3, 20.0]:
             base = bias_t3(mu, math.pi / 6, QuadratureSettings(abs_tol=1e-9, r_max_offset=12)).value
             wide = bias_t3(mu, math.pi / 6, QuadratureSettings(abs_tol=1e-9, r_max_offset=24)).value
             assert abs(base - wide) < 1e-9
-
-    def test_first_term_is_twice_region_one(self):
-        # the axis term equals twice the right-half-plane wedge integral
-        from scipy.integrate import quad
-        from scipy.stats import norm
-        for mu in [0.0, 0.7, 1.9, 3.2, 4.8]:
-            term1, _ = _t3_terms(np.array([mu]), np.array([math.pi / 6]), 12.0)
-            beta0 = 0.5 * (math.pi / 2 - math.pi / 6)
-            cot_b = math.cos(beta0) / math.sin(beta0)
-
-            def wedge(y):
-                # inner x-integral of the standard normal over (0, y cot b)
-                inner = norm.cdf(y * cot_b) - 0.5
-                d = y - mu
-                return 2.0 * d * d * math.exp(-0.5 * d * d) / math.sqrt(TWO_PI) * inner
-
-            region1, _ = quad(wedge, 0.0, mu + 12.0, points=[mu], epsabs=1e-13, epsrel=1e-12)
-            assert term1[0, 1] == pytest.approx(2.0 * region1, abs=1e-10)
 
     def test_batch_rows_match_scalar(self):
         mus = np.array([0.0, 0.4, 1.7, 3.3, 9.0])
@@ -149,11 +100,97 @@ class TestBiasT3:
         assert est.settings["r_max"] == pytest.approx(12.5)
         assert est.settings["tail_bound"] < 1e-25
 
+    @pytest.mark.parametrize("mu", [0.0, 2.0, 9.0])
+    def test_tail_bound_covers_the_truncated_integrands(self, mu):
+        # twice each ray's integrand with the Phi difference at its bound 1,
+        # outside the window |t - m_k| <= u, summed over the three rays
+        from scipy.integrate import quad
+        u, alpha0 = 8.0, math.pi / 6
+
+        def outside(m):
+            def g(t):
+                return 2.0 * t * abs(t - m) * math.exp(-0.5 * (t - m) ** 2) / math.sqrt(TWO_PI)
+            pieces = [(max(m + u, 0.0), math.inf)] + ([(0.0, m - u)] if m > u else [])
+            return sum(quad(g, lo, hi, epsabs=0, epsrel=1e-10)[0] for lo, hi in pieces)
+
+        truncated = outside(mu) + 2.0 * outside(-mu * math.sin(alpha0))
+        bound = bias_t3(mu, alpha0, QuadratureSettings(r_max_offset=u)).settings["tail_bound"]
+        assert truncated <= bound <= 50.0 * truncated
+
     def test_far_singularity_reaches_regular_value(self):
         # the bump window travels with mu0y, so extreme distances still
         # integrate to the regular-model value instead of missing the bump
         for mu in [50.0, 300.0, 5000.0]:
             assert bias_t3(mu, math.pi / 6).value == pytest.approx(2.0, abs=1e-9)
+
+
+class TestRayCone:
+    """bias_ray_cone, the one primitive behind the t3 and half-lines values,
+    against scipy's dblquad over the plane and the closed forms."""
+
+    T3_ROWS = [(mu, a0) for mu in (0.0, 0.7, 2.5, 8.0) for a0 in (math.pi / 6, 0.33)]
+
+    @pytest.mark.parametrize("mu, alpha0", T3_ROWS)
+    def test_t3_matches_dblquad(self, mu, alpha0):
+        rays = [math.pi / 2, math.pi + alpha0, TWO_PI - alpha0]
+        want = ray_cone_bias_dblquad((0.0, mu), rays)
+        assert abs(bias_t3_batch(mu, alpha0)[0] - want) <= 1e-10
+
+    @pytest.mark.parametrize("angles", [[3.5, TWO_PI], [2.8, 4.5, TWO_PI], [math.pi, TWO_PI]])
+    def test_halflines_match_dblquad(self, angles):
+        first = angles[0]
+        points = [(1.04, 0.0), (3.0, 0.0),                          # on the 2pi ray
+                  (2.2 * math.cos(first), 2.2 * math.sin(first)),   # on the first ray
+                  (-1.2, 0.7), (0.3, -2.0)]                          # off the cone
+        got = bias_ray_cone(points, angles)
+        for point, value in zip(points, got):
+            assert abs(value - ray_cone_bias_dblquad(point, angles)) <= 1e-10
+
+    def test_halflines_above_two_away_from_origin(self):
+        # the value on the 2pi ray of halflines:3.5,2pi rises above both its
+        # origin value and the regular limit 2
+        value = bias_ray_cone([(1.04, 0.0)], [3.5, TWO_PI])[0]
+        assert value == pytest.approx(2.029013, abs=1e-6)
+        assert value > 2.0 > bias_halflines_at_singularity(validate_halflines([3.5, TWO_PI])).value
+
+    def test_single_ray_is_the_t1_closed_form(self):
+        mus = np.linspace(0.0, 20.0, 401)
+        got = bias_ray_cone(np.column_stack([mus, np.zeros_like(mus)]), [TWO_PI])
+        assert np.max(np.abs(got - (1.0 + erf(mus / math.sqrt(2.0))))) <= 5e-14
+
+    @pytest.mark.parametrize("angles", [[TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI], [3.5, TWO_PI],
+                                        [2.8, 4.5, TWO_PI], [math.pi, TWO_PI], [TWO_PI],
+                                        [4.28, 5.28, TWO_PI]])
+    def test_origin_is_the_halflines_closed_form(self, angles):
+        want = bias_halflines_at_singularity(validate_halflines(angles)).value
+        assert bias_ray_cone([(0.0, 0.0)], angles)[0] == pytest.approx(want, abs=1e-14)
+
+    def test_per_row_angles_match_shared_angles(self):
+        points = np.array([[0.0, 0.4], [0.0, 1.7], [0.0, 3.3]])
+        rays = np.array([math.pi / 2, math.pi + 0.4, TWO_PI - 0.4])
+        shared = bias_ray_cone(points, rays)
+        assert bias_ray_cone(points, np.tile(rays, (3, 1))).tobytes() == shared.tobytes()
+        assert bias_t3_batch(points[:, 1], 0.4).tobytes() == shared.tobytes()
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(DomainError):
+            bias_ray_cone([(0.0, 1.0)], [2.0, 1.0])
+        with pytest.raises(DomainError):
+            bias_ray_cone([(0.0, 1.0)], [0.0, TWO_PI])
+        with pytest.raises(DomainError):
+            bias_ray_cone([(0.0, math.nan)], [TWO_PI])
+        with pytest.raises(DomainError):
+            bias_ray_cone([0.0, 1.0], [TWO_PI])
+
+    def test_empty_batch(self):
+        assert bias_ray_cone(np.zeros((0, 2)), [1.0, TWO_PI]).shape == (0,)
+        assert bias_t3_batch(np.zeros(0), math.pi / 6).shape == (0,)
+
+    def test_halflines_nonconvergence_carries_best(self):
+        with pytest.raises(ConvergenceError) as err:
+            bias_ray_cone([(1.0, 0.0)], [2.8, 4.5, TWO_PI], QuadratureSettings(abs_tol=1e-17))
+        assert err.value.best == pytest.approx(
+            bias_ray_cone([(1.0, 0.0)], [2.8, 4.5, TWO_PI])[0], abs=1e-13)
 
 
 class TestGaussLegendre:
@@ -190,7 +227,8 @@ class TestGaussLegendre:
 
     def test_t3_commands_skip_numpy_polynomial_and_eigensolvers(self):
         # the t3 paths of the benchmark's quadrature workload, at small sizes,
-        # with every eigensolver replaced by one that fails
+        # and a half-lines bias away from the origin, with every eigensolver
+        # replaced by one that fails
         src = str(Path(aicg.__file__).resolve().parents[1])
         code = """
 import contextlib, io, sys
@@ -201,6 +239,7 @@ for name in ("eig", "eigh", "eigvals", "eigvalsh"):
     setattr(np.linalg, name, refuse)
 from aicg.cli import main
 runs = [["bias", "--model", "t3", "--mu0y", "1.3"],
+        ["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--mu0y", "1"],
         ["target", "--model", "t3", "--n", "1000", "--grid", "0:1:1", "--samples", "2000",
          "--method", "plugin", "--seed", "1"],
         ["regions", "--n", "20", "--resolution", "50", "--pair", "t3,unconstrained"],
@@ -211,7 +250,7 @@ print(codes, "numpy.polynomial" in sys.modules)
 """
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert out.stdout.strip() == "[0, 0, 0, 0] False"
+        assert out.stdout.strip() == "[0, 0, 0, 0, 0] False"
 
 
 class TestBatchBits:

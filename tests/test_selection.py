@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from aicg.estimators import EstimatorRule
 from aicg.geometry import Counts, DomainError
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
+from aicg.quadrature import QuadratureSettings
 from aicg.selection import (
     _rounded_counts,
     _winner_labels,
@@ -193,11 +194,11 @@ class TestWinnerLabels:
 
     @given(st.integers(1, 4).flatmap(lambda m: st.lists(
         st.lists(st.sampled_from([0.0, 1.0, 2.5, -3.0, np.nan]), min_size=m, max_size=m),
-        min_size=1, max_size=30)))
-    def test_matches_loop_oracle(self, columns):
+        min_size=1, max_size=30)), st.sampled_from([0.0, 1e-8, 1.5]))
+    def test_matches_loop_oracle(self, columns, tol):
         aicg = np.array(columns).T
         ids = tuple(f"m{i}" for i in range(len(aicg)))
-        assert _winner_labels(aicg, ids) == region_winners_loop(aicg, ids)
+        assert _winner_labels(aicg, ids, tol) == region_winners_loop(aicg, ids, tol)
 
     @pytest.mark.parametrize("models, n, res", [
         ([t3_model(), unconstrained_model()], 200, 100),
@@ -210,7 +211,29 @@ class TestWinnerLabels:
         grid = region_grid(models, n, res, PLUGIN)
         counts = _rounded_counts(np.array(grid.points) / res, n)
         aicg = np.array([s.aicg for s in score_batch(models, counts, PLUGIN)])
-        assert grid.winners == region_winners_loop(aicg, grid.model_ids)
+        assert grid.winners == region_winners_loop(aicg, grid.model_ids,
+                                                   QuadratureSettings().abs_tol)
+
+    @pytest.mark.parametrize("shift", [1e-13, -1e-13])
+    def test_ties_survive_last_bit_moves_of_t3_values(self, monkeypatch, shift):
+        # t3 and t1:1 fit the same line in many cells, where their scores
+        # differ by the t3 bias minus the t1 bias only: within abs_tol both
+        # are ties, so moving every t3 value by 1e-13 leaves the grid as it is
+        import aicg.estimators as estimators
+        models = [t3_model(), t1_model(1), polytomy_model()]
+        counts = _rounded_counts(np.array(simplex_lattice(100)) / 100, 200)
+        before = region_grid(models, 200, 100, PLUGIN)
+        aicg = np.array([s.aicg for s in score_batch(models, counts, PLUGIN)])
+        exact = estimators.bias_t3_batch
+        monkeypatch.setattr(estimators, "bias_t3_batch",
+                            lambda *args: exact(*args) + shift)
+        after = region_grid(models, 200, 100, PLUGIN)
+        moved = np.array([s.aicg for s in score_batch(models, counts, PLUGIN)])
+        assert after.winners == before.winners
+        assert before.winners.count("tie") > 583
+        # with exact equality as the tie rule, the same move changes cells
+        assert _winner_labels(moved, before.model_ids, 0.0) != \
+            _winner_labels(aicg, before.model_ids, 0.0)
 
     def test_labels_cover_winner_tie_and_error(self):
         labels = set()
