@@ -21,7 +21,6 @@ from .estimators import (
     neighborhood_rule,
     noncentral_radius_cdf,
     plugin_bias,
-    transformed_observation,
     uo_radius,
 )
 from .geometry import (
@@ -32,13 +31,10 @@ from .geometry import (
     SimplexPoint,
     TransformedPoint,
     angles_from_phi0,
-    fisher_information,
-    mahalanobis,
     mu0y,
     phi_from_mu0y,
     phi_from_p1,
     theta_on_line,
-    transform_map,
 )
 from .models import (
     Cone,

@@ -26,8 +26,6 @@ from .geometry import (
     TransformedPoint,
     angles_from_phi0,
     phi_from_mu0y,
-    phi_from_p1,
-    transform_map,
 )
 from .models import (
     HALFLINES,
@@ -37,10 +35,8 @@ from .models import (
     UNCONSTRAINED,
     ModelSpec,
     cone_of,
-    mle_simplex,
     project_points,
 )
-from .montecarlo import McSettings, mc_bias_gaussian
 from .quadrature import QuadratureSettings, bias_ray_cone, bias_t3_batch
 from .special import erf, norm_cdf
 
@@ -95,52 +91,23 @@ def default_radius(model: ModelSpec, method: str) -> float:
             f"no reference radius for {model.model_id}; calibrate one first") from None
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Transformed-plane view of an observed sample under a line model."""
-
-    muhat: TransformedPoint
-    zbar: TransformedPoint
-    geometry: GeometryParams
-    topology: int
-
-
-def transformed_observation(model: ModelSpec, counts: Counts, n: int | None = None) -> Observation:
-    """Map counts into the transformed plane via the plug-in transform.
-
-    The constrained MLE plays the role of the generating parameter: it fixes
-    the Fisher scaling and puts its own line on the +y axis, so the estimate
-    itself lands at (0, mu0y(phi_hat, n)).
-    """
-    if model.variant not in (T1, T3):
-        raise DomainError("transformed observations are defined for the line models")
-    n = counts.n if n is None else n
-    if n != counts.n:
+def _one_row(model: ModelSpec, counts: Counts, n: int | None, rule: EstimatorRule,
+             seed: int, quad: QuadratureSettings):
+    """score_batch's scores of one model on one row of counts."""
+    from .selection import score_batch  # runtime import; selection builds on this module
+    if n is not None and n != counts.n:
         raise DomainError("n must match the total count")
-    fit = mle_simplex(model, counts)
-    p_big = fit.estimate.as_tuple()[fit.topology - 1]
-    phi_hat = phi_from_p1(p_big)
-    geo = GeometryParams.from_phi0(phi_hat, n)
-    tmap = transform_map(fit.estimate, n, axis_topology=fit.topology)
-    return Observation(
-        muhat=TransformedPoint(0.0, geo.mu0y),
-        zbar=tmap(counts.mean()),
-        geometry=geo,
-        topology=fit.topology,
-    )
+    scores = score_batch([model], counts.as_array()[None], rule, seed, quad)[0]
+    if scores.errors[0] is not None:
+        raise DomainError(scores.errors[0])
+    return scores
 
 
 def plugin_bias(model: ModelSpec, counts: Counts, n: int | None = None,
                 quad: QuadratureSettings = QuadratureSettings()) -> BiasEstimate:
     """Bias correction with the generating parameter replaced by the MLE: the
     one-row case of selection.score_batch under the plug-in rule."""
-    from .selection import score_batch  # runtime import; selection builds on this module
-    if n is not None and n != counts.n:
-        raise DomainError("n must match the total count")
-    scores = score_batch([model], counts.as_array()[None], EstimatorRule("plugin"),
-                         quad=quad)[0]
-    if scores.errors[0] is not None:
-        raise DomainError(scores.errors[0])
+    scores = _one_row(model, counts, n, EstimatorRule("plugin"), 0, quad)
     return BiasEstimate(float(scores.bias[0]), "plug-in",
                         settings={"model": model.model_id,
                                   "mu_hat": float(scores.mu_hat[0])})
@@ -473,29 +440,23 @@ def consistent_estimate(model: ModelSpec, observed: TransformedPoint, n: float,
 def bootstrap_bias(model: ModelSpec, data: Counts, n: int | None = None,
                    b_replicates: int = 1000, seed: int = 0,
                    eta_exponent: float = 1.0 / 3.0,
-                   chunk_size: int = 1 << 16, workers: int = 1,
                    quad: QuadratureSettings = QuadratureSettings()) -> BiasEstimate:
-    """Parametric bootstrap of the bias correction around the shrunken center.
+    """Parametric bootstrap of the bias correction around the shrunken center:
+    the one-row case of selection.score_batch under the bootstrap rule.
 
-    The consistent estimate centers the bootstrap; each replicate draws
+    The consistent estimate mu_tilde centers the bootstrap: (0, mu_hat), or
+    the origin where mu_hat lies within consistent_radius(n, eta_exponent);
+    models without a line center at the origin.  Each replicate draws
     z* ~ N(mu_tilde, I) and re-estimates by ordinary cone projection, and the
-    average of 2 (z* - mu_tilde).(mu*_tilde - mu_tilde) is reported.
+    average of 2 (z* - mu_tilde).(mu*_tilde - mu_tilde) is reported: the value
+    of montecarlo.mc_bias_gaussian at mu_tilde with b_replicates draws.
     """
-    n = data.n if n is None else n
-    if n != data.n:
-        raise DomainError("n must match the total count")
-    if model.variant in (POLYTOMY, UNCONSTRAINED):
-        center = TransformedPoint(0.0, 0.0)
-        geo = GeometryParams.from_phi0(1.0, max(n, 3))
-    else:
-        obs = transformed_observation(model, data, n)
-        geo = obs.geometry
-        center, _ = consistent_estimate(model, obs.muhat, n, eta_exponent, geo, quad)
-    cone = cone_of(model, geo)
-    est = mc_bias_gaussian(cone, center, McSettings(seed, b_replicates, chunk_size, workers))
-    return BiasEstimate(est.value, "bootstrap", std_error=est.std_error,
+    rule = EstimatorRule("bootstrap", eta_exponent=eta_exponent, bootstrap_b=b_replicates)
+    scores = _one_row(model, data, n, rule, seed, quad)
+    return BiasEstimate(float(scores.bias[0]), "bootstrap",
+                        std_error=float(scores.std_error[0]),
                         settings={"model": model.model_id,
-                                  "center": (center.x, center.y),
+                                  "mu_hat": float(scores.mu_hat[0]),
                                   "replicates": b_replicates, "seed": seed,
                                   "eta_exponent": eta_exponent})
 
@@ -590,9 +551,7 @@ def rule_evaluator(model: ModelSpec, rule: EstimatorRule,
     if rule.method == "consistent":
         if rule.reference_n is None:
             raise DomainError("consistent rule needs reference_n")
-        if not 0.0 < rule.eta_exponent < 0.5:
-            raise DomainError("rate exponent must lie strictly inside (0, 1/2)")
-        radius = float(rule.reference_n) ** (0.5 - rule.eta_exponent)
+        radius = consistent_radius(rule.reference_n, rule.eta_exponent)
 
         def consistent_fn(z, dist):
             mu_t = np.where(dist <= radius, 0.0, dist)

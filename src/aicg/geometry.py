@@ -1,4 +1,4 @@
-"""Simplex geometry and the transformed-plane correspondence.
+"""Simplex geometry and the closed forms of the transformed plane.
 
 The trinomial lives on the open 2-simplex; all cone geometry lives in a
 transformed plane obtained by centering at the centroid, scaling by
@@ -6,6 +6,8 @@ sqrt(n) * I(theta0)^{1/2} (I the Fisher information in free coordinates
 (p1, p2)), and rotating a distinguished model direction onto the +y axis.
 Under that map the centroid goes to the origin and a generating parameter on
 a model line goes to (0, mu0y), its Mahalanobis distance from the centroid.
+This module holds that map's closed forms on the model lines (phi0, mu0y and
+the cone angles); the package needs no matrix form of the map.
 """
 
 from __future__ import annotations
@@ -18,13 +20,6 @@ import numpy as np
 INTERIOR_TOL = 1e-9  # points with min(p_i) below this are treated as on-face
 _PHI_MIN = 1e-12  # phi0 at or below this is unattainable from a distance mu0y
 _CENTROID = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-
-# Directions of the three topology lines (centroid -> vertex i) in (p1, p2).
-_TOPOLOGY_DIRS = {
-    1: (2.0, -1.0),
-    2: (-1.0, 2.0),
-    3: (-1.0, -1.0),
-}
 
 
 class DomainError(ValueError):
@@ -211,76 +206,6 @@ class GeometryParams:
     @classmethod
     def from_mu0y(cls, mu: float, n: float) -> "GeometryParams":
         return cls.from_phi0(phi_from_mu0y(mu, n), n)
-
-
-def fisher_information(theta: SimplexPoint) -> np.ndarray:
-    """Trinomial Fisher information per observation in coordinates (p1, p2)."""
-    if not theta.is_interior():
-        raise DomainError("Fisher information degenerate on the simplex faces")
-    p1, p2, p3 = theta.as_tuple()
-    return np.array([
-        [1.0 / p1 + 1.0 / p3, 1.0 / p3],
-        [1.0 / p3, 1.0 / p2 + 1.0 / p3],
-    ])
-
-
-def mahalanobis(theta: SimplexPoint, theta0: SimplexPoint, n: float) -> float:
-    """sqrt(n (theta - theta0)^T I(theta0) (theta - theta0)) in free coordinates."""
-    info = fisher_information(theta0)
-    if not theta.is_interior(0.0):
-        raise DomainError("theta must lie in the closed simplex")
-    d = theta.free_coords() - theta0.free_coords()
-    return math.sqrt(n * float(d @ info @ d))
-
-
-@dataclass(frozen=True)
-class TransformMap:
-    """Affine map simplex -> transformed plane: w = A (v(theta) - anchor)."""
-
-    matrix: np.ndarray
-    anchor: np.ndarray
-
-    def __call__(self, theta: SimplexPoint) -> TransformedPoint:
-        w = self.matrix @ (theta.free_coords() - self.anchor)
-        return TransformedPoint(float(w[0]), float(w[1]))
-
-
-def _rotation_to_y(u: np.ndarray) -> np.ndarray:
-    psi = math.atan2(u[1], u[0])
-    rot = 0.5 * math.pi - psi
-    c, s = math.cos(rot), math.sin(rot)
-    return np.array([[c, -s], [s, c]])
-
-
-def transform_map(theta0: SimplexPoint, n: float, axis_topology: int | None = None) -> TransformMap:
-    """Build the centering/scaling/rotation map determined by theta0.
-
-    The plane is scaled by sqrt(n) * I(theta0)^{1/2} with I^{1/2} the upper
-    factor of the Cholesky decomposition, then rotated so the distinguished
-    half-line lands on the +y axis.  The distinguished direction is the ray
-    from the centroid through theta0; if theta0 is the centroid itself (or
-    ``axis_topology`` is given) the named topology line is used instead,
-    defaulting to topology 1.
-    """
-    if not theta0.is_interior():
-        raise DomainError("theta0 must be strictly interior to the simplex")
-    if n < 1:
-        raise DomainError("sample size must be >= 1")
-    info = fisher_information(theta0)
-    half = np.linalg.cholesky(info).T  # upper triangular; half.T @ half == info
-    scale = math.sqrt(n) * half
-    anchor = np.array(_CENTROID[:2])
-
-    if axis_topology is not None:
-        if axis_topology not in _TOPOLOGY_DIRS:
-            raise DomainError(f"axis_topology must be 1, 2 or 3, got {axis_topology!r}")
-        direction = np.array(_TOPOLOGY_DIRS[axis_topology])
-    else:
-        direction = theta0.free_coords() - anchor
-        if float(np.hypot(*direction)) <= 1e-12:
-            direction = np.array(_TOPOLOGY_DIRS[1])
-    u = scale @ direction
-    return TransformMap(matrix=_rotation_to_y(u) @ scale, anchor=anchor)
 
 
 def theta_on_line(phi0: float, topology: int = 1) -> SimplexPoint:

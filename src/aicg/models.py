@@ -208,13 +208,18 @@ def cone_of(model: ModelSpec, geometry: GeometryParams | None = None) -> Cone:
     if model.variant == T3:
         if geometry is None:
             raise DomainError("t3 cone requires geometry (alpha0)")
-        a0 = geometry.alpha0
-        return Cone("rays", tuple(sorted((0.5 * math.pi, math.pi + a0, TWO_PI - a0))))
+        return t3_cone(geometry.alpha0)
     if model.variant == POLYTOMY:
         return Cone("point")
     if model.variant == UNCONSTRAINED:
         return Cone("plane")
     return Cone("rays", tuple(sorted(a % TWO_PI or TWO_PI for a in model.angles)))
+
+
+def t3_cone(alpha0: float) -> Cone:
+    """The t3 cone at angle alpha0 in (0, pi/6]: rays at pi/2, pi + alpha0 and
+    2pi - alpha0, in increasing order."""
+    return Cone("rays", (0.5 * math.pi, math.pi + alpha0, TWO_PI - alpha0))
 
 
 def project_points(cone: Cone, points: np.ndarray) -> np.ndarray:

@@ -17,15 +17,15 @@ from .closedform import bias_constant, singularity_bias
 from .estimators import (
     EstimatorRule,
     bias_on_cone,
-    bootstrap_bias,
     consistent_radius,
     default_observed,
     default_radius,
     least_favorable,
     neighborhood_values,
 )
-from .geometry import Counts, DomainError
-from .models import T1, T3, ModelSpec, mle_rows, neg2loglik_rows
+from .geometry import Counts, DomainError, TransformedPoint
+from .models import T1, T3, ModelSpec, cone_of, mle_rows, neg2loglik_rows, t3_cone
+from .montecarlo import McSettings, bias_evaluator, mc_expected_estimators
 from .quadrature import QuadratureSettings
 
 _VERSION = "0.1.0"
@@ -114,9 +114,7 @@ def _rule_values(model: ModelSpec, rule: EstimatorRule, n: int, counts: np.ndarr
         which = "lower" if method == "llf" else "upper"
         return np.full(rows, least_favorable(model, which, quad, float(n)).value), None
     if method == "bootstrap":
-        ests = [bootstrap_bias(model, Counts(*map(int, c)), n, rule.bootstrap_b, seed,
-                               rule.eta_exponent, quad=quad) for c in counts]
-        return np.array([e.value for e in ests]), np.array([e.std_error for e in ests])
+        return _bootstrap_values(model, rule, n, mu_hat, alpha0, seed)
     if model.variant not in (T1, T3):
         return np.full(rows, bias_constant(model).value), None
     if method == "plugin":
@@ -131,6 +129,34 @@ def _rule_values(model: ModelSpec, rule: EstimatorRule, n: int, counts: np.ndarr
         values[~shrunk] = bias_on_cone(model, mu_hat[~shrunk], alpha0[~shrunk], quad)
         return values, None
     raise DomainError(f"estimator method {method!r} not usable for scoring")
+
+
+def _bootstrap_values(model: ModelSpec, rule: EstimatorRule, n: int, mu_hat: np.ndarray,
+                      alpha0: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's parametric bootstrap value and standard error.
+
+    A line model's row is centred at its estimate (0, mu_hat), or at the
+    origin where mu_hat lies within consistent_radius; the other models'
+    rows at the origin.  One Monte Carlo run covers the rows' distinct
+    (center, cone) pairs, and every pair sees the same chunk normals, so rows
+    with the same pair share one value and no row's value depends on the
+    other rows.
+    """
+    center = mu_hat
+    if model.variant in (T1, T3):
+        center = np.where(mu_hat <= consistent_radius(n, rule.eta_exponent), 0.0, mu_hat)
+    # only the t3 cone turns with the angle
+    angle = alpha0 if model.variant == T3 else np.zeros_like(center)
+    pairs, where = np.unique(np.column_stack([center, angle]), axis=0, return_inverse=True)
+    points = []
+    for y, a0 in pairs.tolist():
+        cone = t3_cone(a0) if model.variant == T3 else cone_of(model)
+        mu0 = TransformedPoint(0.0, y)
+        points.append((cone, mu0, [bias_evaluator(cone, mu0.as_array())]))
+    ests = [est for [est] in mc_expected_estimators(points, McSettings(seed, rule.bootstrap_b))]
+    values = np.array([est.value for est in ests])
+    std_errors = np.array([est.std_error for est in ests])
+    return values[where.ravel()], std_errors[where.ravel()]
 
 
 def _score_model(model: ModelSpec, counts: np.ndarray, n: int, rule: EstimatorRule,
@@ -170,8 +196,8 @@ def score_batch(models: Sequence[ModelSpec], counts, rule: EstimatorRule, seed: 
                 quad: QuadratureSettings = QuadratureSettings()) -> tuple[ModelScores, ...]:
     """Score every candidate model on every row of an (N, 3) count array whose
     rows share one total n: one vectorized MLE per model, and the rule
-    evaluated for all rows at once (the bootstrap runs one Monte Carlo per
-    row).
+    evaluated for all rows at once (the bootstrap as one Monte Carlo run over
+    the rows' distinct centers and cones).
 
     The multinomial coefficient is dropped from every -2 log L; it is common
     to all models for fixed data, so score differences are unaffected.

@@ -7,10 +7,14 @@ Decimal arithmetic, series identities, and brute-force search.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal, getcontext
 
 import mpmath
 import numpy as np
+
+from aicg.geometry import (CENTROID, DomainError, GeometryParams, SimplexPoint, TransformedPoint,
+                           phi_from_p1)
 
 
 def erf_decimal(x: float, digits: int = 60) -> float:
@@ -295,3 +299,113 @@ def t1_polytomy_winner(counts: tuple[int, int, int]) -> str:
     if line is None or line > polytomy:
         return "polytomy"
     return "tie" if line == polytomy else "t1:1"
+
+
+# The transform from the simplex to the plane as a matrix: the reference for
+# the closed forms that selection._line_geometry evaluates for whole arrays.
+
+# Directions of the three topology lines (centroid -> vertex i) in (p1, p2).
+_TOPOLOGY_DIRS = {
+    1: (2.0, -1.0),
+    2: (-1.0, 2.0),
+    3: (-1.0, -1.0),
+}
+
+
+def fisher_information(theta: SimplexPoint) -> np.ndarray:
+    """Trinomial Fisher information per observation in coordinates (p1, p2)."""
+    if not theta.is_interior():
+        raise DomainError("Fisher information degenerate on the simplex faces")
+    p1, p2, p3 = theta.as_tuple()
+    return np.array([
+        [1.0 / p1 + 1.0 / p3, 1.0 / p3],
+        [1.0 / p3, 1.0 / p2 + 1.0 / p3],
+    ])
+
+
+def mahalanobis(theta: SimplexPoint, theta0: SimplexPoint, n: float) -> float:
+    """sqrt(n (theta - theta0)^T I(theta0) (theta - theta0)) in free coordinates."""
+    info = fisher_information(theta0)
+    if not theta.is_interior(0.0):
+        raise DomainError("theta must lie in the closed simplex")
+    d = theta.free_coords() - theta0.free_coords()
+    return math.sqrt(n * float(d @ info @ d))
+
+
+@dataclass(frozen=True)
+class TransformMap:
+    """Affine map simplex -> transformed plane: w = A (v(theta) - anchor)."""
+
+    matrix: np.ndarray
+    anchor: np.ndarray
+
+    def __call__(self, theta: SimplexPoint) -> TransformedPoint:
+        w = self.matrix @ (theta.free_coords() - self.anchor)
+        return TransformedPoint(float(w[0]), float(w[1]))
+
+
+def _rotation_to_y(u: np.ndarray) -> np.ndarray:
+    psi = math.atan2(u[1], u[0])
+    rot = 0.5 * math.pi - psi
+    c, s = math.cos(rot), math.sin(rot)
+    return np.array([[c, -s], [s, c]])
+
+
+def transform_map(theta0: SimplexPoint, n: float, axis_topology: int | None = None) -> TransformMap:
+    """Build the centering/scaling/rotation map determined by theta0.
+
+    The plane is scaled by sqrt(n) * I(theta0)^{1/2} with I^{1/2} the upper
+    factor of the Cholesky decomposition, then rotated so the distinguished
+    half-line lands on the +y axis.  The distinguished direction is the ray
+    from the centroid through theta0; if theta0 is the centroid itself (or
+    ``axis_topology`` is given) the named topology line is used instead,
+    defaulting to topology 1.
+    """
+    if not theta0.is_interior():
+        raise DomainError("theta0 must be strictly interior to the simplex")
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
+    info = fisher_information(theta0)
+    half = np.linalg.cholesky(info).T  # upper triangular; half.T @ half == info
+    scale = math.sqrt(n) * half
+    anchor = CENTROID.free_coords()
+
+    if axis_topology is not None:
+        if axis_topology not in _TOPOLOGY_DIRS:
+            raise DomainError(f"axis_topology must be 1, 2 or 3, got {axis_topology!r}")
+        direction = np.array(_TOPOLOGY_DIRS[axis_topology])
+    else:
+        direction = theta0.free_coords() - anchor
+        if float(np.hypot(*direction)) <= 1e-12:
+            direction = np.array(_TOPOLOGY_DIRS[1])
+    u = scale @ direction
+    return TransformMap(matrix=_rotation_to_y(u) @ scale, anchor=anchor)
+
+
+def line_observation(model, counts):
+    """A line model's fit of one Counts row seen through the transform map at
+    its constrained MLE, which puts the estimate's own line on the +y axis:
+    the GeometryParams of the estimate, and the images of the estimate and of
+    the sample mean."""
+    from aicg.models import mle_simplex
+    fit = mle_simplex(model, counts)
+    geo = GeometryParams.from_phi0(phi_from_p1(fit.estimate.as_tuple()[fit.topology - 1]),
+                                   counts.n)
+    tmap = transform_map(fit.estimate, counts.n, axis_topology=fit.topology)
+    return geo, tmap(fit.estimate), tmap(counts.mean())
+
+
+def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_exponent: float):
+    """The parametric bootstrap of one Counts row as a scalar chain: the MLE,
+    the transform map at it, consistent_estimate of the estimate (0, mu0y),
+    then one mc_bias_gaussian run around the resulting center.  Models
+    without a line center at the origin.  Returns the BiasEstimate."""
+    from aicg.estimators import consistent_estimate
+    from aicg.models import T1, T3, cone_of
+    from aicg.montecarlo import McSettings, mc_bias_gaussian
+    geo, center = None, TransformedPoint(0.0, 0.0)
+    if model.variant in (T1, T3):
+        geo, _, _ = line_observation(model, counts)
+        center, _ = consistent_estimate(model, TransformedPoint(0.0, geo.mu0y), counts.n,
+                                        eta_exponent, geo)
+    return mc_bias_gaussian(cone_of(model, geo), center, McSettings(seed, b_replicates))

@@ -155,6 +155,18 @@ class TestTargetCommand:
         _, three = run_cli([*base, "--workers", "3"], tmp_path, "w3.csv")
         assert one == three
 
+    def test_consistent_column_needs_n_3(self, tmp_path, capsys):
+        # the column's radius is consistent_radius, as under bias --counts
+        code, text = run_cli(["target", "--model", "t1", "--n", "2", "--grid", "0:1:1",
+                              "--samples", "100", "--seed", "1", "--method", "consistent"],
+                             tmp_path)
+        assert code == 2 and text == ""
+        assert "consistent estimation needs n >= 3" in capsys.readouterr().err
+        code, _ = run_cli(["bias", "--model", "t1", "--counts", "1,1,0",
+                           "--method", "consistent"], tmp_path, "bias.csv")
+        assert code == 2
+        assert "consistent estimation needs n >= 3" in capsys.readouterr().err
+
 
 class TestSelectCommand:
     def test_strong_signal(self, tmp_path):

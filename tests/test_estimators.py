@@ -16,7 +16,6 @@ from aicg.estimators import (
     neighborhood_rule,
     noncentral_radius_cdf,
     plugin_bias,
-    transformed_observation,
     uo_radius,
 )
 from aicg.geometry import Counts, DomainError, GeometryParams, TransformedPoint, mu0y
@@ -26,7 +25,7 @@ from aicg.quadrature import bias_ray_cone, bias_t3, bias_t3_batch
 from aicg.selection import score_batch
 from aicg.special import erf, norm_cdf, norm_ppf
 
-from oracles import noncentral_radius_cdf_series, ray_cone_bias_dblquad
+from oracles import line_observation, noncentral_radius_cdf_series, ray_cone_bias_dblquad
 
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
 GRID = np.arange(0.0, 5.0001, 0.05)
@@ -99,16 +98,16 @@ class TestPluginBias:
 
     def test_t1_formula_at_observed_distance(self):
         counts = Counts(60, 20, 20)
-        obs = transformed_observation(t1_model(1), counts)
+        geo, _, _ = line_observation(t1_model(1), counts)
         est = plugin_bias(t1_model(1), counts)
-        assert est.value == pytest.approx(1.0 + erf(obs.geometry.mu0y / math.sqrt(2)), abs=1e-14)
+        assert est.value == pytest.approx(1.0 + erf(geo.mu0y / math.sqrt(2)), abs=1e-14)
 
     def test_t1_two_units_out(self):
         # find counts whose plug-in distance is ~2 and check the value there
         counts = Counts(80, 60, 60)
-        obs = transformed_observation(t1_model(1), counts)
+        geo, _, _ = line_observation(t1_model(1), counts)
         est = plugin_bias(t1_model(1), counts)
-        assert est.value == pytest.approx(1.0 + erf(obs.geometry.mu0y / math.sqrt(2)), abs=1e-14)
+        assert est.value == pytest.approx(1.0 + erf(geo.mu0y / math.sqrt(2)), abs=1e-14)
         assert 1.0 < est.value < 2.0
 
     def test_polytomy_constant(self):
@@ -324,12 +323,12 @@ class TestBootstrap:
         # these counts put the estimate ~4 units out; eta exponent 0.45 keeps
         # that outside the shrinkage ball, so the bootstrap centers there
         counts = Counts(3524, 3238, 3238)
-        obs = transformed_observation(t1_model(1), counts)
-        assert 3.9 < obs.geometry.mu0y < 4.7
-        assert obs.geometry.mu0y > counts.n ** (0.5 - 0.45)
+        geo, _, _ = line_observation(t1_model(1), counts)
+        assert 3.9 < geo.mu0y < 4.7
+        assert geo.mu0y > counts.n ** (0.5 - 0.45)
         est = bootstrap_bias(t1_model(1), counts, b_replicates=100_000, seed=10,
                              eta_exponent=0.45)
-        expected = bias_t1(obs.geometry.mu0y).value
+        expected = bias_t1(geo.mu0y).value
         assert expected == pytest.approx(1.99994, abs=5e-5)
         assert abs(est.value - expected) <= 3.0 * est.std_error
 
@@ -337,8 +336,8 @@ class TestBootstrap:
         # with the default n^(-1/3) rate the same observation sits inside the
         # ball (radius n^(1/6) = 4.64), so the bootstrap centers on the boundary
         counts = Counts(3524, 3238, 3238)
-        obs = transformed_observation(t1_model(1), counts)
-        assert obs.geometry.mu0y < counts.n ** (0.5 - 1.0 / 3.0)
+        geo, _, _ = line_observation(t1_model(1), counts)
+        assert geo.mu0y < counts.n ** (0.5 - 1.0 / 3.0)
         est = bootstrap_bias(t1_model(1), counts, b_replicates=50_000, seed=11)
         assert abs(est.value - 1.0) <= 3.0 * est.std_error
 

@@ -11,17 +11,14 @@ from aicg.geometry import (
     GeometryParams,
     SimplexPoint,
     angles_from_phi0,
-    fisher_information,
-    mahalanobis,
     mu0y,
     phi_from_mu0y,
     phi_from_p1,
     p1_from_phi,
     theta_on_line,
-    transform_map,
 )
 
-from oracles import phi_from_mu0y_mpmath
+from oracles import fisher_information, mahalanobis, phi_from_mu0y_mpmath, transform_map
 
 
 class TestSimplexPoint:

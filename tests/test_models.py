@@ -12,7 +12,6 @@ from aicg.geometry import (
     SimplexPoint,
     TransformedPoint,
     theta_on_line,
-    transform_map,
 )
 from aicg.models import (
     Cone,
@@ -33,7 +32,7 @@ from aicg.models import (
 )
 from aicg.montecarlo import McSettings, standard_normals, trinomial_counts, _chunk_rng
 
-from oracles import t1_mle_bruteforce
+from oracles import t1_mle_bruteforce, transform_map
 
 TWO_PI = 2 * math.pi
 

@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 
 from aicg.estimators import EstimatorRule
 from aicg.geometry import Counts, DomainError
-from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
+from aicg.models import (mle_rows, polytomy_model, t1_model, t3_model, unconstrained_model,
+                         validate_halflines)
 from aicg.quadrature import QuadratureSettings
 from aicg.selection import (
+    _line_geometry,
     _rounded_counts,
     _winner_labels,
     akaike_weights,
@@ -22,7 +24,9 @@ from aicg.selection import (
 )
 
 from oracles import (
+    bootstrap_bias_per_row,
     largest_remainder_reference,
+    line_observation,
     region_winners_loop,
     t1_polytomy_scores,
     t1_polytomy_winner,
@@ -267,6 +271,25 @@ class TestScoreBatch:
         assert batch[0].bias_method == "bootstrap"
         assert np.all(batch[0].std_error > 0)
 
+    @pytest.mark.parametrize("eta", [1.0 / 3.0, 0.45])
+    def test_bootstrap_rows_match_per_row_chain(self, eta):
+        # n = 200 on the resolution-10 lattice: distances from 0 past 10
+        # against a shrinkage radius of 200^(1/2 - eta), 2.42 or 1.30; the
+        # added rows lie 1.22, 1.36, 2.34 and 2.48 out
+        n, b, seed = 200, 700, 5
+        counts = np.vstack([_rounded_counts(np.array(simplex_lattice(10)) / 10, n),
+                            [(75, 63, 62), (62, 62, 76), (83, 59, 58), (58, 84, 58)]])
+        models = [t1_model(1), t3_model(), polytomy_model(), unconstrained_model()]
+        rule = EstimatorRule("bootstrap", eta_exponent=eta, bootstrap_b=b)
+        radius = n ** (0.5 - eta)
+        for s in score_batch(models, counts, rule, seed):
+            if s.model.variant in ("t1", "t3"):
+                assert np.any((s.mu_hat > 0) & (s.mu_hat <= radius))  # shrunk
+                assert np.any(s.mu_hat > radius)  # centred at the estimate
+            for i, row in enumerate(counts):
+                ref = bootstrap_bias_per_row(s.model, Counts(*map(int, row)), b, seed, eta)
+                assert (s.bias[i], s.std_error[i]) == (ref.value, ref.std_error)
+
     def test_error_rows_are_per_model_and_row(self):
         t3, t1 = score_batch([t3_model(), t1_model(1)], [(0, 0, 5), (3, 1, 1)], PLUGIN)
         assert t3.errors == ("p1=1.0 outside [1/3, 1)", None)
@@ -300,3 +323,33 @@ class TestParseModelId:
     def test_unknown_rejected(self):
         with pytest.raises(DomainError):
             parse_model_id("t9")
+
+
+@st.composite
+def line_count_rows(draw):
+    """One total n and up to eight count rows summing to it, zeros frequent."""
+    n = draw(st.integers(1, 400))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        c1 = draw(st.integers(0, n))
+        c2 = draw(st.integers(0, n - c1))
+        rows.append(draw(st.permutations((c1, c2, n - c1 - c2))))
+    return n, rows
+
+
+@given(line_count_rows(), st.sampled_from([t1_model(1), t1_model(2), t1_model(3), t3_model()]))
+def test_line_geometry_matches_transform_map(n_rows, model):
+    n, rows = n_rows
+    counts = np.array(rows, dtype=float)
+    theta, line = mle_rows(model, counts)
+    mu_hat, alpha0, zbar_norm, errors = _line_geometry(counts, theta, line, n)
+    for i, row in enumerate(rows):
+        if errors[i] is not None:  # the estimate at a vertex, where the map has no scale
+            assert theta[i, line[i]] == 1.0 and np.isnan(mu_hat[i])
+            continue
+        geo, estimate, zbar = line_observation(model, Counts(*row))
+        # the map's Cholesky scaling rounds differently: a zero distance
+        # comes out as a few 1e-15
+        assert mu_hat[i] == pytest.approx(estimate.norm(), rel=1e-12, abs=1e-13)
+        assert zbar_norm[i] == pytest.approx(zbar.norm(), rel=1e-12, abs=1e-13)
+        assert (mu_hat[i], alpha0[i]) == (geo.mu0y, geo.alpha0)
