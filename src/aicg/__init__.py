@@ -14,7 +14,6 @@ from .closedform import (
 from .estimators import (
     EstimatorRule,
     bootstrap_bias,
-    consistent_estimate,
     crude_bounds,
     least_favorable,
     minimax_radius,

@@ -371,6 +371,7 @@ def cmd_regions(cfg: RunConfig) -> str:
     method = str(cfg.get("method", "plugin"))
     seed = _seed_for(cfg, method == "bootstrap")
     rule = EstimatorRule(method, radius=cfg.get("radius"),
+                         eta_exponent=float(cfg.get("eta_exponent", 1.0 / 3.0)),
                          bootstrap_b=int(cfg.get("samples") or 1000))
     grid = region_grid(models, n, resolution, rule, seed, _quad(cfg))
     coord = [fmt_float(i / resolution) for i in range(resolution + 1)]
@@ -389,8 +390,9 @@ def cmd_radii(cfg: RunConfig) -> str:
         out |= {"uo_radius": None, "minimax_radius": None,
                 "note": "constant bias correction; neighborhood radii not applicable"}
         return json_text(out)
-    tol = float(cfg.get("violation_tol", 1.02e-14))
-    r_uo, d_uo = uo_radius(model, grid, n, tol, quad)
+    tol = cfg.get("violation_tol")
+    r_uo, d_uo = uo_radius(model, grid, n, quad=quad,
+                           **({} if tol is None else {"violation_tol": float(tol)}))
     r_mm, d_mm = minimax_radius(model, grid, n, quad)
     out |= {"uo_radius": r_uo, "uo_diagnostics": d_uo,
             "minimax_radius": r_mm, "minimax_diagnostics": d_mm}
@@ -407,9 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="JSON config file; flags take precedence")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
         p.add_argument("--workers", type=int)
         p.add_argument("--abs-tol", dest="abs_tol", type=float,
                        help="quadrature absolute tolerance")
@@ -417,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bias = sub.add_parser("bias", help="one bias-correction value")
     common(bias)
+    bias.add_argument("--samples", type=int)
     bias.add_argument("--model", help="t1[:topology] | t3 | polytomy | unconstrained | halflines")
     bias.add_argument("--mu0y", type=float)
     bias.add_argument("--phi0", type=float)
@@ -428,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     target = sub.add_parser("target", help="curve of simulated target vs corrections")
     common(target)
+    target.add_argument("--samples", type=int)
     target.add_argument("--model")
     target.add_argument("--n", type=int)
     target.add_argument("--grid", help="start:stop:step over mu0y")
@@ -437,6 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     select = sub.add_parser("select", help="rank candidate models on observed counts")
     common(select)
+    select.add_argument("--samples", type=int)
+    select.add_argument("--format", choices=("csv", "json"))
     select.add_argument("--models", help="comma list of model ids")
     select.add_argument("--counts", help="n1,n2,n3")
     select.add_argument("--n", type=int)
@@ -446,11 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     regions = sub.add_parser("regions", help="decision-region grid over the simplex")
     common(regions)
+    regions.add_argument("--samples", type=int)
     regions.add_argument("--pair", help="comma list of competing model ids")
     regions.add_argument("--n", type=int)
     regions.add_argument("--resolution", type=int)
     regions.add_argument("--method")
     regions.add_argument("--radius", type=float)
+    regions.add_argument("--eta-exponent", dest="eta_exponent", type=float)
 
     radii = sub.add_parser("radii", help="calibrated neighborhood radii (JSON)")
     common(radii)

@@ -35,7 +35,6 @@ from .models import (
     UNCONSTRAINED,
     ModelSpec,
     cone_of,
-    project_points,
 )
 from .quadrature import QuadratureSettings, bias_ray_cone, bias_t3_batch
 from .special import erf, norm_cdf
@@ -173,40 +172,29 @@ def least_favorable(model: ModelSpec, which: str,
         alphas, _ = angles_from_phi0(phi_from_mu0y(mus, reference_n))
         return sign * bias_on_cone(model, mus, alphas, quad)
 
-    def best_of(mus):
-        vals = f(mus)
-        k = int(np.argmin(vals))
-        return float(vals[k]), float(mus[k])
-
-    # a 0.5-spaced scan of [0, 50], then two batched scans over one step
-    # either side of the best point so far, spaced 0.01 and then 1e-4
-    step = 0.5
-    best = best_of(np.linspace(0.0, 50.0, 101))
-    for fine in (0.01, 1e-4):
-        lo, hi = max(best[1] - step, 0.0), min(best[1] + step, 50.0)
-        best = min(best, best_of(np.linspace(lo, hi, round((hi - lo) / fine) + 1)))
-        step = fine
+    best = _scan_min(f, 0.0, 50.0, (0.5, 0.01, 1e-4))
     return BiasEstimate(sign * best[0], method,
                         settings={"model": model.model_id, "argmu": best[1],
                                   "reference_n": reference_n})
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+def _scan_min(f, lo: float, hi: float, steps) -> tuple[float, float]:
+    """(f(x), x) at the least value of f found on [lo, hi]: a scan spaced
+    steps[0], then at each finer spacing a scan over one coarser step either
+    side of the best point so far; ties go to the smaller x.  f maps an array
+    of points to an array of values, so each scan is one call."""
+    def best_of(xs):
+        vals = f(xs)
+        k = int(np.argmin(vals))
+        return float(vals[k]), float(xs[k])
+
+    step = steps[0]
+    best = best_of(np.linspace(lo, hi, round((hi - lo) / step) + 1))
+    for fine in steps[1:]:
+        a, b = max(best[1] - step, lo), min(best[1] + step, hi)
+        best = min(best, best_of(np.linspace(a, b, round((b - a) / fine) + 1)))
+        step = fine
+    return best
 
 
 def neighborhood_values(model: ModelSpec, r: float, distance):
@@ -227,45 +215,53 @@ def neighborhood_rule(model: ModelSpec, r: float, observed: TransformedPoint,
                                   "inside": distance <= r})
 
 
-def noncentral_radius_cdf(r: float, center_norm):
-    """P(||z|| <= r) for z ~ N(mu, I_2) with ||mu|| = center_norm, elementwise
-    in center_norm (scalars in give scalars out).
+def noncentral_radius_cdf(r, center_norm):
+    """P(||z|| <= r) for z ~ N(mu, I_2) with ||mu|| = center_norm, for every
+    pair of a radius in r and a center norm in center_norm: an array of shape
+    r.shape + center_norm.shape (scalars in give scalars out).
 
     ||z||^2 is noncentral chi-square with 2 degrees of freedom: a
     Poisson(center_norm^2 / 2) mixture of central chi-square laws with 2 + 2j
-    degrees of freedom, whose CDFs at r^2 are P(Poisson(r^2 / 2) > j).
+    degrees of freedom, whose CDFs at r^2 are P(Poisson(r^2 / 2) > j).  A
+    call sums all its pairs over one window of indices j.
     """
-    if r < 0:
-        raise DomainError("radius must be nonnegative")
+    r_arr = np.asarray(r, dtype=float)
     s = np.asarray(center_norm, dtype=float)
-    flat = np.atleast_1d(s)
+    if np.any(r_arr < 0):
+        raise DomainError("radius must be nonnegative")
+    radii, centers = r_arr.reshape(-1, 1), s.reshape(1, -1)
     # once |center_norm - r| > _FAR, the probability that z lies that far
     # from its center, e^{-_FAR^2 / 2}, underflows: P is exactly 0 or 1
-    probs = np.where(flat < r, 1.0, 0.0)
-    near = np.abs(flat - r) <= _FAR
-    if r > 0.0 and np.any(near):
-        probs[near] = _poisson_mixture(r, flat[near])
-    return float(probs[0]) if s.ndim == 0 else probs
+    probs = np.where(centers < radii, 1.0, 0.0)
+    near = (np.abs(centers - radii) <= _FAR) & (radii > 0.0)
+    if np.any(near):
+        probs[near] = _poisson_mixture(r_arr.ravel(), s.ravel(), near)
+    probs = probs.reshape(r_arr.shape + s.shape)
+    return float(probs) if probs.ndim == 0 else probs
 
 
-def _poisson_mixture(r: float, center_norm: np.ndarray) -> np.ndarray:
-    """The mixture over one window of indices k that holds the mass of
-    Poisson(r^2 / 2) and of every row's Poisson(center_norm^2 / 2)."""
-    x = 0.5 * r * r
-    half_lam = 0.5 * center_norm ** 2
+def _poisson_mixture(r: np.ndarray, center_norm: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """The mixture at the True pairs of the (radius, center) mask near, in
+    row-major order, over one window of indices k that holds the mass of
+    each near pair's Poisson(r^2 / 2) and Poisson(center_norm^2 / 2)."""
+    rows, cols = np.any(near, axis=1), np.any(near, axis=0)
+    x = 0.5 * r[rows] * r[rows]
+    half_lam = 0.5 * center_norm[cols] ** 2
 
     def reach(v: float) -> float:  # Poisson(v) mass beyond v +- reach(v) is negligible
         return 12.0 * math.sqrt(v) + 40.0
 
-    low = min(float(np.min(half_lam)), x)
-    high = max(float(np.max(half_lam)), x)
+    low = min(float(np.min(half_lam)), float(np.min(x)))
+    high = max(float(np.max(half_lam)), float(np.max(x)))
     k = np.arange(max(0, int(low - reach(low))), int(high + reach(high)) + 2)
     log_fact = _log_factorials(int(k[-1]) + 1)[k[0]:]
-    pois_x = _poisson_pmf(np.array([x]), k, log_fact)[0]
+    pois_x = _poisson_pmf(x, k, log_fact)
     # P(Poisson(x) > k), summed from the top so small tails keep their
     # relative accuracy
-    chi_cdf = np.append(np.cumsum(pois_x[::-1])[::-1][1:], 0.0)
-    return np.clip(_poisson_pmf(half_lam, k, log_fact) @ chi_cdf, 0.0, 1.0)
+    tail = np.cumsum(pois_x[:, ::-1], axis=1)[:, ::-1]
+    chi_cdf = np.concatenate([tail[:, 1:], np.zeros((len(x), 1))], axis=1)
+    mix = chi_cdf @ _poisson_pmf(half_lam, k, log_fact).T
+    return np.clip(mix[near[rows][:, cols]], 0.0, 1.0)
 
 
 # log k! for k = 0, 1, ...: one table for the process, grown on demand and
@@ -297,16 +293,16 @@ def _poisson_pmf(rates: np.ndarray, k: np.ndarray, log_fact: np.ndarray) -> np.n
     return p / np.sum(p, axis=1, keepdims=True)
 
 
-def expected_neighborhood_value(model: ModelSpec, r: float, mu_grid: np.ndarray) -> np.ndarray:
-    """E of the radius-r neighborhood rule at each generating distance.
+def expected_neighborhood_value(model: ModelSpec, r, mu_grid) -> np.ndarray:
+    """E of the radius-r neighborhood rule at each generating distance, for
+    every radius in r and distance in mu_grid: shape r.shape + mu_grid.shape.
 
     t1 thresholds the projected estimate (max(y, 0) <= r, giving
     2 - Phi(r - mu)); t3 thresholds the raw draw (||z|| <= r, a noncentral
     radial probability scaling the singularity excess).
     """
-    mu_grid = np.asarray(mu_grid, dtype=float)
     if model.variant == T1:
-        return 2.0 - norm_cdf(r - mu_grid)
+        return 2.0 - norm_cdf(np.subtract.outer(r, np.asarray(mu_grid, dtype=float)))
     if model.variant == T3:
         h = singularity_bias(model) - 2.0
         return 2.0 + h * noncentral_radius_cdf(r, mu_grid)
@@ -321,53 +317,43 @@ def _truth_grid(model: ModelSpec, grid_key: tuple[float, ...], n: float,
     return tuple(bias_on_cone(model, mus, alphas, quad))
 
 
-def _radius_grid(grid) -> tuple[float, ...]:
-    g = tuple(float(x) for x in grid)
-    if not g:
+def _calibration_grid(model: ModelSpec, mu_grid, n: float,
+                      quad: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
+    """The distances a radius is calibrated on and the true bias at each."""
+    if model.variant not in (T1, T3):
+        raise DomainError(f"neighborhood radii are defined for t1 and t3 only, "
+                          f"not {model.model_id}")
+    grid = tuple(float(x) for x in mu_grid)
+    if not grid:
         raise DomainError("radius calibration needs a nonempty grid")
-    return g
+    return np.array(grid), np.array(_truth_grid(model, grid, float(n), quad))
 
 
 def minimax_radius(model: ModelSpec, mu_grid, n: float,
                    quad: QuadratureSettings = QuadratureSettings(),
                    r_max: float = 6.0, tol: float = 1e-3) -> tuple[float, dict]:
     """Neighborhood radius minimizing the sup over the grid of squared error
-    between the expected rule value and the true bias correction."""
-    if model.variant not in (T1, T3):
-        raise DomainError(f"{model.model_id} has a constant bias; no radius applies")
-    grid = _radius_grid(mu_grid)
-    truth = np.array(_truth_grid(model, grid, float(n), quad))
-    mus = np.array(grid)
+    between the expected rule value and the true bias correction: the best
+    point of _scan_min's scans of [0, r_max], spaced 0.05 and then tol, each
+    one expected_neighborhood_value call."""
+    mus, truth = _calibration_grid(model, mu_grid, n, quad)
 
-    def sup_risk(r: float) -> float:
-        return float(np.max((expected_neighborhood_value(model, r, mus) - truth) ** 2))
+    def sup_risk(rs):
+        return np.max((expected_neighborhood_value(model, rs, mus) - truth) ** 2, axis=1)
 
-    r_star, risk_star = _golden_min(sup_risk, 0.0, r_max, tol)
-    scan = np.arange(0.0, r_max + 1e-12, 0.05)
-    scan_risks = [sup_risk(r) for r in scan]
-    k = int(np.argmin(scan_risks))
-    diag = {"sup_risk": risk_star, "scan_r": float(scan[k]),
-            "scan_risk": float(scan_risks[k])}
-    if scan_risks[k] < risk_star - 1e-9:
-        r_ref, risk_ref = _golden_min(
-            sup_risk, max(0.0, scan[k] - 0.05), min(r_max, scan[k] + 0.05), tol)
-        diag["warning"] = "sup-risk curve not unimodal; grid-scan minimizer used"
-        return r_ref, diag | {"sup_risk": risk_ref}
-    return r_star, diag
+    risk, r = _scan_min(sup_risk, 0.0, r_max, (0.05, tol))
+    return r, {"sup_risk": risk}
 
 
 def uo_radius(model: ModelSpec, mu_grid, n: float, violation_tol: float = 1.02e-14,
               quad: QuadratureSettings = QuadratureSettings(),
               r_max: float = 6.0, tol: float = 1e-3) -> tuple[float, dict]:
     """Largest radius whose expected rule value stays between the true bias
-    and the classical correction, up to an opposite-sign slack."""
-    if model.variant not in (T1, T3):
-        raise DomainError(f"{model.model_id} has a constant bias; no radius applies")
-    grid = _radius_grid(mu_grid)
-    truth = np.array(_truth_grid(model, grid, float(n), quad))
-    mus = np.array(grid)
-    aic = 2.0 * model.dim
-    gap = aic - truth
+    and the classical correction, up to an opposite-sign slack: minimax_radius's
+    scans minimize -r over the radii whose largest violation is at most
+    violation_tol, with no assumption that these radii form an interval."""
+    mus, truth = _calibration_grid(model, mu_grid, n, quad)
+    gap = 2.0 * model.dim - truth
     if np.all(gap >= -1e-12):
         side = 1.0     # classical value overestimates; rule must not dip below truth
     elif np.all(gap <= 1e-12):
@@ -376,25 +362,19 @@ def uo_radius(model: ModelSpec, mu_grid, n: float, violation_tol: float = 1.02e-
         raise DomainError("classical bias crosses the true bias on this grid; "
                           "no uniformly outperforming construction")
 
-    def violation(r: float) -> float:
-        e = expected_neighborhood_value(model, r, mus)
-        return float(np.max(side * (truth - e)))
+    def violations(rs):
+        return side * (truth - expected_neighborhood_value(model, rs, mus))
 
-    if violation(0.0) > violation_tol:
-        raise InfeasibleError("no feasible radius: even r = 0 violates the bound")
-    if violation(r_max) <= violation_tol:
-        return r_max, {"capped": True, "max_violation": violation(r_max)}
-    lo, hi = 0.0, r_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if violation(mid) <= violation_tol:
-            lo = mid
-        else:
-            hi = mid
-    e = expected_neighborhood_value(model, lo, mus)
-    worst = int(np.argmax(side * (truth - e)))
-    return lo, {"max_violation": violation(lo), "binding_mu": float(mus[worst]),
-                "violation_tol": violation_tol}
+    def neg_feasible_r(rs):
+        return np.where(np.max(violations(rs), axis=1) <= violation_tol, -rs, np.inf)
+
+    value, r = _scan_min(neg_feasible_r, 0.0, r_max, (0.05, tol))
+    if value == np.inf:
+        raise InfeasibleError(f"no feasible radius in [0, {r_max:g}]")
+    worst = violations(r)
+    k = int(np.argmax(worst))
+    return r, {"capped": r == r_max, "max_violation": float(worst[k]),
+               "binding_mu": float(mus[k]), "violation_tol": violation_tol}
 
 
 def consistent_radius(n: float, eta_exponent: float) -> float:
@@ -406,35 +386,6 @@ def consistent_radius(n: float, eta_exponent: float) -> float:
     if not 0.0 < eta_exponent < 0.5:
         raise DomainError("rate exponent must lie strictly inside (0, 1/2)")
     return float(n) ** (0.5 - eta_exponent)
-
-
-def consistent_estimate(model: ModelSpec, observed: TransformedPoint, n: float,
-                        eta_exponent: float = 1.0 / 3.0,
-                        geo: GeometryParams | None = None,
-                        quad: QuadratureSettings = QuadratureSettings()
-                        ) -> tuple[TransformedPoint, BiasEstimate]:
-    """Shrink the observation to the singularity inside a slowly-growing ball.
-
-    The ball radius is consistent_radius(n, eta_exponent).  Outside the ball
-    the estimate is the cone projection of the observation, and the bias is
-    evaluated at whichever estimate results.
-    """
-    radius = consistent_radius(n, eta_exponent)
-    if geo is None:
-        geo = GeometryParams.from_phi0(1.0, n)
-    cone = cone_of(model, geo)
-    if observed.norm() <= radius:
-        mu_t = TransformedPoint(0.0, 0.0)
-        value = singularity_bias(model)
-    else:
-        proj = project_points(cone, observed.as_array()[None])[0]
-        mu_t = TransformedPoint(float(proj[0]), float(proj[1]))
-        value = bias_on_cone(model, mu_t.norm(), geo.alpha0, quad)
-    est = BiasEstimate(value, "consistent",
-                       settings={"model": model.model_id, "radius": radius,
-                                 "eta_exponent": eta_exponent,
-                                 "shrunk": observed.norm() <= radius})
-    return mu_t, est
 
 
 def bootstrap_bias(model: ModelSpec, data: Counts, n: int | None = None,

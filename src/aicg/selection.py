@@ -299,12 +299,6 @@ def simplex_lattice(resolution: int) -> list[tuple[int, int, int]]:
     return pts
 
 
-def largest_remainder_counts(p: Sequence[float], n: int) -> tuple[int, int, int]:
-    """Round n*p to integers summing to n, largest fractional parts first:
-    the one-row case of _rounded_counts."""
-    return tuple(int(c) for c in _rounded_counts(np.array([p], dtype=float), n)[0])
-
-
 def _rounded_counts(p: np.ndarray, n: int) -> np.ndarray:
     """Largest-remainder rounding of n*p for each row of an (N, 3) array;
     equal remainders go to the smallest index."""
@@ -350,26 +344,3 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
         points=tuple(pts), winners=_winner_labels(aicg, ids, quad.abs_tol),
         metadata={"estimator": rule.method, "seed": seed, "version": _VERSION},
     )
-
-
-def lattice_neighbors(point: tuple[int, int, int]):
-    i, j, k = point
-    return [(i + 1, j - 1, k), (i - 1, j + 1, k), (i + 1, j, k - 1),
-            (i - 1, j, k + 1), (i, j + 1, k - 1), (i, j - 1, k + 1)]
-
-
-def winning_component(grid: RegionGrid, label: str,
-                      start: tuple[int, int, int]) -> set[tuple[int, int, int]]:
-    """Lattice-connected component of `label` cells containing `start`."""
-    lookup = dict(zip(grid.points, grid.winners))
-    if lookup.get(start) != label:
-        return set()
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for nb in lattice_neighbors(cur):
-            if nb not in seen and lookup.get(nb) == label:
-                seen.add(nb)
-                stack.append(nb)
-    return seen

@@ -9,12 +9,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
+from functools import lru_cache
+from typing import Sequence
 
 import mpmath
 import numpy as np
 
+from aicg.closedform import BiasEstimate, singularity_bias
+from aicg.estimators import bias_on_cone, consistent_radius
 from aicg.geometry import (CENTROID, DomainError, GeometryParams, SimplexPoint, TransformedPoint,
                            phi_from_p1)
+from aicg.models import cone_of, project_points
+from aicg.quadrature import QuadratureSettings
+from aicg.selection import RegionGrid, _rounded_counts
 
 
 def erf_decimal(x: float, digits: int = 60) -> float:
@@ -400,8 +407,7 @@ def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_expo
     the transform map at it, consistent_estimate of the estimate (0, mu0y),
     then one mc_bias_gaussian run around the resulting center.  Models
     without a line center at the origin.  Returns the BiasEstimate."""
-    from aicg.estimators import consistent_estimate
-    from aicg.models import T1, T3, cone_of
+    from aicg.models import T1, T3
     from aicg.montecarlo import McSettings, mc_bias_gaussian
     geo, center = None, TransformedPoint(0.0, 0.0)
     if model.variant in (T1, T3):
@@ -409,3 +415,107 @@ def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_expo
         center, _ = consistent_estimate(model, TransformedPoint(0.0, geo.mu0y), counts.n,
                                         eta_exponent, geo)
     return mc_bias_gaussian(cone_of(model, geo), center, McSettings(seed, b_replicates))
+
+
+def consistent_estimate(model, observed: TransformedPoint, n: float,
+                        eta_exponent: float = 1.0 / 3.0,
+                        geo: GeometryParams | None = None,
+                        quad: QuadratureSettings = QuadratureSettings()
+                        ) -> tuple[TransformedPoint, BiasEstimate]:
+    """Shrink one observation to the singularity inside a slowly-growing
+    ball, as a scalar chain: the reference for the consistent rule that
+    score_batch and estimators.rule_evaluator apply to whole arrays.
+
+    The ball radius is consistent_radius(n, eta_exponent).  Outside the ball
+    the estimate is the cone projection of the observation, and the bias is
+    evaluated at whichever estimate results.
+    """
+    radius = consistent_radius(n, eta_exponent)
+    if geo is None:
+        geo = GeometryParams.from_phi0(1.0, n)
+    cone = cone_of(model, geo)
+    if observed.norm() <= radius:
+        mu_t = TransformedPoint(0.0, 0.0)
+        value = singularity_bias(model)
+    else:
+        proj = project_points(cone, observed.as_array()[None])[0]
+        mu_t = TransformedPoint(float(proj[0]), float(proj[1]))
+        value = bias_on_cone(model, mu_t.norm(), geo.alpha0, quad)
+    est = BiasEstimate(value, "consistent",
+                       settings={"model": model.model_id, "radius": radius,
+                                 "eta_exponent": eta_exponent,
+                                 "shrunk": observed.norm() <= radius})
+    return mu_t, est
+
+
+def largest_remainder_counts(p: Sequence[float], n: int) -> tuple[int, int, int]:
+    """Round n*p to integers summing to n, largest fractional parts first:
+    the one-row case of selection._rounded_counts."""
+    return tuple(int(c) for c in _rounded_counts(np.array([p], dtype=float), n)[0])
+
+
+def lattice_neighbors(point: tuple[int, int, int]):
+    i, j, k = point
+    return [(i + 1, j - 1, k), (i - 1, j + 1, k), (i + 1, j, k - 1),
+            (i - 1, j, k + 1), (i, j + 1, k - 1), (i, j - 1, k + 1)]
+
+
+def winning_component(grid: RegionGrid, label: str,
+                      start: tuple[int, int, int]) -> set[tuple[int, int, int]]:
+    """Lattice-connected component of `label` cells containing `start`."""
+    lookup = dict(zip(grid.points, grid.winners))
+    if lookup.get(start) != label:
+        return set()
+    seen = {start}
+    stack = [start]
+    while stack:
+        cur = stack.pop()
+        for nb in lattice_neighbors(cur):
+            if nb not in seen and lookup.get(nb) == label:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
+
+
+@lru_cache(maxsize=None)
+def t3_bias_dblquad(mu: float, n: float) -> float:
+    """The t3 bias at distance mu for sample size n: ray_cone_bias_dblquad on
+    the rays pi/2, pi + alpha0 and 2pi - alpha0, with alpha0 =
+    arctan(1/sqrt(3(3 - 2 phi))) at the phi that phi_from_mu0y_mpmath finds."""
+    phi = phi_from_mu0y_mpmath(mu, n)
+    alpha0 = math.atan(1.0 / math.sqrt(3.0 * (3.0 - 2.0 * phi)))
+    return ray_cone_bias_dblquad((0.0, mu), (0.5 * math.pi, math.pi + alpha0,
+                                             2.0 * math.pi - alpha0))
+
+
+def radii_bruteforce(variant: str, mu_grid, n: float, violation_tol: float = 1.02e-14,
+                     r_max: float = 6.0, step: float = 1e-3) -> tuple[float, float]:
+    """(uo, minimax) neighborhood radii by brute force over every radius
+    k * step in [0, r_max].
+
+    The expected rule value at distance mu is 2 - Phi(r - mu) for t1 and
+    2 + h P(||z|| <= r) for t3, with h = 3 sqrt(3) / (2 pi) and ||z||^2
+    noncentral chi-square (2 degrees of freedom, noncentrality mu^2), both
+    from scipy.stats.  The truth is 1 + erf(mu / sqrt(2)) for t1 and
+    t3_bias_dblquad(mu, n) for t3.  The classical value 2 lies above the t1
+    truth and below the t3 truth, so the uo radius is the largest radius
+    whose rule value crosses the truth, downwards for t1 and upwards for t3,
+    by at most violation_tol at every grid distance.  The minimax radius is
+    the first radius of least sup squared error.
+    """
+    from scipy.stats import ncx2, norm
+    mus = np.array([float(m) for m in mu_grid])
+    rs = np.arange(round(r_max / step) + 1) * step
+    if variant == "t1":
+        truth = np.array([1.0 + math.erf(m / math.sqrt(2.0)) for m in mus])
+        expected = 2.0 - norm.cdf(rs[:, None] - mus)
+        side = 1.0
+    else:
+        truth = np.array([t3_bias_dblquad(m, n) for m in mus])
+        h = 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
+        expected = 2.0 + h * ncx2.cdf(rs[:, None] ** 2, 2, mus ** 2)
+        side = -1.0
+    assert np.all(side * (2.0 - truth) >= 0.0)
+    feasible = np.max(side * (truth - expected), axis=1) <= violation_tol
+    risk = np.max((expected - truth) ** 2, axis=1)
+    return float(rs[feasible].max()), float(rs[np.argmin(risk)])

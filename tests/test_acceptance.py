@@ -13,7 +13,7 @@ import pytest
 
 from aicg.closedform import bias_halflines_at_singularity, bias_t1
 from aicg.cli import main
-from aicg.estimators import consistent_estimate, minimax_radius, uo_radius
+from aicg.estimators import minimax_radius, uo_radius
 from aicg.geometry import (
     CENTROID,
     GeometryParams,
@@ -38,11 +38,11 @@ from aicg.montecarlo import (
     _chunk_rng,
 )
 from aicg.quadrature import QuadratureSettings, bias_t3, bias_t3_value
-from aicg.selection import region_grid, winning_component
+from aicg.selection import region_grid
 from aicg.estimators import EstimatorRule
 from aicg.special import norm_cdf
 
-from oracles import erf_decimal
+from oracles import consistent_estimate, erf_decimal, winning_component
 
 TWO_PI = 2.0 * math.pi
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)

@@ -239,6 +239,26 @@ class TestRegionsCommand:
         assert code == 2
 
 
+    def test_eta_exponent_flag_and_config_key(self, tmp_path):
+        from aicg.estimators import EstimatorRule
+        from aicg.models import t3_model, unconstrained_model
+        from aicg.selection import region_grid
+        base = ["regions", "--pair", "t3,unconstrained", "--n", "200", "--resolution", "50",
+                "--method", "consistent"]
+
+        def winners(text):
+            return tuple(line.split(",")[3] for line in text.splitlines()[1:])
+        models = [t3_model(), unconstrained_model()]
+        want = region_grid(models, 200, 50, EstimatorRule("consistent", eta_exponent=0.1)).winners
+        assert want != region_grid(models, 200, 50, EstimatorRule("consistent")).winners
+        code, text = run_cli([*base, "--eta-exponent", "0.1"], tmp_path, "flag.csv")
+        assert code == 0 and winners(text) == want
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta_exponent": 0.1}), encoding="utf-8")
+        code, text = run_cli([*base, "--config", str(cfg)], tmp_path, "config.csv")
+        assert code == 0 and winners(text) == want
+
+
 class TestRadiiCommand:
     def test_t1_values(self, tmp_path):
         code, text = run_cli(["radii", "--model", "t1", "--grid", "0:5:0.1"], tmp_path)
@@ -252,6 +272,13 @@ class TestRadiiCommand:
         assert code == 0
         doc = json.loads(text)
         assert doc["uo_radius"] is None and doc["minimax_radius"] is None
+
+    def test_halflines_exit_2_names_the_models(self, tmp_path, capsys):
+        code, text = run_cli(["radii", "--model", "halflines", "--angles", "2.8,4.5,2pi"],
+                             tmp_path)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert "t1 and t3 only" in err and "constant bias" not in err
 
     def test_infeasible_exit_3_with_error_json(self, tmp_path):
         code, text = run_cli(["radii", "--model", "t3", "--grid", "0:1:0.5",
@@ -298,6 +325,32 @@ class TestConfigPrecedence:
         code, text = run_cli(["bias", "--config", str(cfg), "--model", "t1"], tmp_path)
         assert code == 2 and text == ""
         assert repr(key) in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("args,key", [
+        (["bias", "--model", "t1", "--mu0y", "1"], "format"),
+        (["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",
+          "--seed", "1"], "format"),
+        (["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "60"], "format"),
+        (["radii", "--model", "t1"], "format"),
+        (["radii", "--model", "t1"], "samples")])
+    def test_flags_a_subcommand_does_not_read_exit_2(self, tmp_path, capsys, args, key):
+        # only select reads --format; radii draws nothing, so takes no --samples
+        value = "json" if key == "format" else "10"
+        with pytest.raises(SystemExit) as exc:
+            main([*args, f"--{key}", value, "--out", str(tmp_path / "flag.out")])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        code, text = run_cli([*args, "--config", str(cfg)], tmp_path)
+        assert code == 2 and text == ""
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["bias", "target", "select", "regions", "radii"])
+    def test_seed_and_workers_on_every_subcommand(self, cmd):
+        from aicg.cli import build_parser
+        args = build_parser().parse_args([cmd, "--seed", "3", "--workers", "1"])
+        assert (args.seed, args.workers) == (3, 1)
 
 
 class TestOutputDiscipline:

@@ -8,7 +8,6 @@ from aicg.estimators import (
     EstimatorRule,
     bias_on_cone,
     bootstrap_bias,
-    consistent_estimate,
     crude_bounds,
     expected_neighborhood_value,
     least_favorable,
@@ -18,14 +17,16 @@ from aicg.estimators import (
     plugin_bias,
     uo_radius,
 )
-from aicg.geometry import Counts, DomainError, GeometryParams, TransformedPoint, mu0y
+from aicg.geometry import (Counts, DomainError, GeometryParams, TransformedPoint,
+                           angles_from_phi0, mu0y, phi_from_mu0y)
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.montecarlo import McSettings, _chunk_rng, curve_grid, standard_normals
 from aicg.quadrature import bias_ray_cone, bias_t3, bias_t3_batch
 from aicg.selection import score_batch
 from aicg.special import erf, norm_cdf, norm_ppf
 
-from oracles import line_observation, noncentral_radius_cdf_series, ray_cone_bias_dblquad
+from oracles import (consistent_estimate, line_observation, noncentral_radius_cdf_series,
+                     radii_bruteforce, ray_cone_bias_dblquad)
 
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
 GRID = np.arange(0.0, 5.0001, 0.05)
@@ -83,6 +84,29 @@ class TestNoncentralRadiusCdf:
         assert table[20] == math.lgamma(21.0)
         with pytest.raises(ValueError):
             table[3] = 0.0
+
+    def test_radius_by_center_array(self):
+        # one call on an (R, M) array: an r = 0 row, near pairs, and far
+        # pairs (|center_norm - r| > 40) that must be exactly 0 or 1
+        from scipy.stats import ncx2
+        radii = np.array([0.0, 0.3, 1.77, 2.21, 6.0, 40.0, 500.0])
+        centers = np.array([0.0, 0.7, 1.5, 5.0, 12.0, 40.0, 41.9, 42.1, 470.0, 539.0])
+        probs = noncentral_radius_cdf(radii, centers)
+        assert probs.shape == (len(radii), len(centers))
+        want = ncx2.cdf(radii[:, None] ** 2, 2, centers ** 2)
+        assert np.max(np.abs(probs - want)) <= 1e-12
+        far = np.abs(centers - radii[:, None]) > 40.0
+        assert np.all(probs[0] == 0.0)
+        assert np.all(probs[far] == np.where(centers < radii[:, None], 1.0, 0.0)[far])
+        assert far.sum() >= 20 and np.any(probs[far] == 1.0)
+        for i, r in enumerate(radii):
+            for j, s in enumerate(centers):
+                assert abs(probs[i, j] - noncentral_radius_cdf(float(r), float(s))) <= 1e-15
+        assert noncentral_radius_cdf(radii, 1.5).shape == radii.shape
+
+    def test_rejects_negative_radius(self):
+        with pytest.raises(DomainError):
+            noncentral_radius_cdf(np.array([1.0, -0.1]), 1.0)
 
     def test_matches_monte_carlo(self):
         rng = _chunk_rng(8, 0)
@@ -265,6 +289,76 @@ class TestRadii:
             minimax_radius(polytomy_model(), GRID, 1e6)
         with pytest.raises(DomainError):
             uo_radius(unconstrained_model(), GRID, 1e6)
+
+    @pytest.mark.parametrize("model", [polytomy_model(), unconstrained_model(),
+                                       validate_halflines([2.8, 4.5, 2.0 * math.pi])])
+    def test_message_names_the_models_radii_apply_to(self, model):
+        for calibrate in (minimax_radius, uo_radius):
+            with pytest.raises(DomainError, match="t1 and t3 only"):
+                calibrate(model, GRID, 1e6)
+
+    @pytest.mark.parametrize("variant,n,step", [
+        ("t1", 30, 0.05), ("t1", 1000, 0.05), ("t1", 1e6, 0.05),
+        ("t1", 30, 1.0), ("t1", 1000, 1.0), ("t1", 1e6, 1.0),
+        ("t3", 30, 1.0), ("t3", 1000, 1.0), ("t3", 1e6, 1.0)])
+    def test_grid_optimum_of_bruteforce(self, variant, n, step):
+        # the scans land on the 1e-3 grid point that a brute-force search of
+        # every radius in [0, 6] picks (scipy rule values, dblquad t3 truth)
+        model = t1_model(1) if variant == "t1" else t3_model()
+        grid = np.arange(0.0, 5.0001, step)
+        want_uo, want_mm = radii_bruteforce(variant, grid, n)
+        assert uo_radius(model, grid, n)[0] == pytest.approx(want_uo, abs=1e-9)
+        assert minimax_radius(model, grid, n)[0] == pytest.approx(want_mm, abs=1e-9)
+
+    def test_one_cdf_call_per_scan(self, monkeypatch):
+        import aicg.estimators as est
+        calls = []
+        cdf = est.noncentral_radius_cdf
+        monkeypatch.setattr(est, "noncentral_radius_cdf",
+                            lambda r, s: calls.append(np.shape(r)) or cdf(r, s))
+        minimax_radius(t3_model(), GRID, 1e6)
+        assert calls == [(121,), (101,)]
+        calls.clear()
+        uo_radius(t3_model(), GRID, 1e6)
+        assert calls == [(121,), (101,), ()]  # the two scans, then the diagnostics
+
+    def test_diagnostics(self):
+        r, diag = uo_radius(t3_model(), GRID, 1e6)
+        assert set(diag) == {"capped", "max_violation", "binding_mu", "violation_tol"}
+        assert diag["capped"] is False and diag["max_violation"] <= diag["violation_tol"]
+        assert diag["binding_mu"] in GRID
+        r, diag = minimax_radius(t3_model(), GRID, 1e6)
+        assert set(diag) == {"sup_risk"}
+        truth = np.array([bias_on_cone(t3_model(), m, a) for m, a in
+                          zip(GRID, angles_from_phi0(phi_from_mu0y(GRID, 1e6))[0])])
+        e = expected_neighborhood_value(t3_model(), r, GRID)
+        assert diag["sup_risk"] == pytest.approx(np.max((e - truth) ** 2), rel=1e-12)
+
+    def test_scan_min_takes_the_deeper_basin(self):
+        import aicg.estimators as est
+
+        def f(x):
+            return np.minimum((x - 1.0) ** 2, (x - 4.7) ** 2 - 0.01)
+        value, x = est._scan_min(f, 0.0, 6.0, (0.05, 1e-3))
+        assert x == pytest.approx(4.7, abs=1e-9) and value == pytest.approx(-0.01, abs=1e-12)
+
+    def test_scan_min_largest_point_of_a_split_feasible_set(self):
+        # uo's form: -r on the feasible radii, +inf elsewhere; the feasible
+        # set [0, 1] u [3, 3.5] is not an interval
+        import aicg.estimators as est
+
+        def neg_feasible(r):
+            return np.where((r <= 1.0) | ((r >= 3.0) & (r <= 3.5)), -r, np.inf)
+        assert est._scan_min(neg_feasible, 0.0, 6.0, (0.05, 1e-3))[1] == pytest.approx(3.5, abs=1e-9)
+
+    def test_expected_value_is_outer_over_radii_and_distances(self):
+        radii = np.array([0.0, 1.0, 2.5])
+        for model in (t1_model(1), t3_model()):
+            e = expected_neighborhood_value(model, radii, GRID)
+            assert e.shape == (3, len(GRID))
+            for i, r in enumerate(radii):
+                one = expected_neighborhood_value(model, float(r), GRID)
+                assert np.max(np.abs(e[i] - one)) <= 1e-15
 
 
 class TestDominanceChain:

@@ -14,22 +14,22 @@ from aicg.selection import (
     _rounded_counts,
     _winner_labels,
     akaike_weights,
-    largest_remainder_counts,
     parse_model_id,
     region_grid,
     score,
     score_batch,
     simplex_lattice,
-    winning_component,
 )
 
 from oracles import (
     bootstrap_bias_per_row,
+    largest_remainder_counts,
     largest_remainder_reference,
     line_observation,
     region_winners_loop,
     t1_polytomy_scores,
     t1_polytomy_winner,
+    winning_component,
 )
 
 PLUGIN = EstimatorRule("plugin")
