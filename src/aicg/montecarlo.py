@@ -5,13 +5,14 @@ reduces per-chunk sums in fixed chunk order with math.fsum, and is therefore
 bit-identical for a given (seed, samples, chunk_size) no matter how many
 worker threads evaluate the chunks.
 
-Normal variates come from inverse-CDF sampling: u = (k + 1/2) / 2^53 with k a
-53-bit integer from the chunk stream, mapped through norm_ppf.  Trinomial
-counts come from sequential binomial conditioning on the same streams.  The
-finite-n target of a single-line model t1:k draws only the count c_k its MLE
-reads, c_k ~ Binomial(n, theta0_k), and looks each replicate up in a table of
-the statistic over the chunk's range of c_k; for t1:1 that count is the first
-trinomial component, so its values are those of the full trinomial draw.
+Normal variates come from the chunk stream's own sampler,
+Generator.standard_normal (a ziggurat), so their bits are fixed for a given
+numpy version.  Trinomial counts come from sequential binomial conditioning
+on the same streams.  The finite-n target of a single-line model t1:k draws
+only the count c_k its MLE reads, c_k ~ Binomial(n, theta0_k), and looks each
+replicate up in a table of the statistic over the chunk's range of c_k; for
+t1:1 that count is the first trinomial component, so its values are those of
+the full trinomial draw.
 
 The expected values of estimator rules, and the bias statistic of the
 parametric bootstrap (bias_evaluator), use common random numbers: each chunk
@@ -43,10 +44,6 @@ from .geometry import (
 from .models import (T1, Cone, ModelSpec, cone_of, mle_rows, project_points,
                      projected_distances, theta_in_model)
 from .quadrature import QuadratureSettings
-from .special import norm_ppf
-
-_U53 = float(2.0 ** -53)
-_U_MAX = 1.0 - _U53  # the largest double below 1
 
 
 @dataclass(frozen=True)
@@ -88,11 +85,8 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Inverse-CDF normal draws; one 53-bit uniform per variate."""
-    k = rng.integers(0, 1 << 53, size=shape, dtype=np.int64)
-    # k + 1/2 rounds to even above 2^52, so k = 2^53 - 1 would give u = 1
-    u = (k.astype(float) + 0.5) * _U53
-    return norm_ppf(np.minimum(u, _U_MAX, out=u))
+    """Standard normal draws of the given shape from the chunk's stream."""
+    return rng.standard_normal(shape)
 
 
 def trinomial_counts(rng: np.random.Generator, n: int, theta: np.ndarray,

@@ -14,6 +14,8 @@ at pi/2 (past a right angle from every ray, P z = 0).  The bias is then
 each integral truncated to m_k +- r_max_offset within t >= 0.  A 64-node and
 a 128-node Gauss-Legendre rule evaluate it; the 128-node value is returned,
 and rules that differ by more than abs_tol in all raise ConvergenceError.
+Where tan b exceeds 3, Phi(t tan b - s) steps over a width 1/tan b, and that
+ray's window is cut into panels around the step.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ _RULE_SIZES = (64, 128)  # coarse and fine Gauss-Legendre rules
 _PANEL = 24.0            # widest panel the coarse rule resolves to ~1e-14
 _ROW_BLOCK = 32          # rows per vectorized block, which bounds the temporaries
 _NEWTON_STEPS = 8        # evaluations at most; from Tricomi's estimate three suffice
+# A sector edge with tan b above _STEEP steps over a width 1/tan b too narrow
+# for one panel, so its window is cut at the step and at _STEP_WIDTHS widths
+# either side.  t3's edges have tan b <= 3, as alpha0 >= arctan(1/3).
+_STEEP = 3.0
+_STEP_WIDTHS = np.array([0.0, -1.0, 1.0, -4.0, 4.0, -16.0, 16.0])
 
 
 @dataclass(frozen=True)
@@ -119,30 +126,65 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([xc, xf]), w
 
 
+def _integrand(t: np.ndarray, m: np.ndarray, s: np.ndarray, tan_ccw: np.ndarray,
+               tan_cw: np.ndarray) -> np.ndarray:
+    """t (t - m) e^{-(t - m)^2/2} [erf((t tan b+ - s)/sqrt2) - erf((-t tan b- - s)/sqrt2)]
+    at the nodes t, whose last axis runs over the nodes of one (row, ray)."""
+    erfs = erf(np.concatenate([t * tan_ccw - s, -t * tan_cw - s], axis=-1) / _SQRT2)
+    d = t - m[..., None]
+    return t * d * np.exp(-0.5 * d * d) * (erfs[..., :t.shape[-1]] - erfs[..., t.shape[-1]:])
+
+
+def _graded_terms(m: np.ndarray, s: np.ndarray, tan_ccw: np.ndarray, tan_cw: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray, panels: int) -> np.ndarray:
+    """The (pairs, 2) coarse and fine integrals of (row, ray) pairs with a
+    steep side, on the window's panels cut again around each steep step."""
+    x, w = _gauss_legendre()
+    tans = np.stack([tan_ccw, tan_cw], axis=1)
+    # Phi(t tan b+ - s) steps at t = s / tan b+, Phi(-t tan b- - s) at -s / tan b-
+    steps = np.stack([s, -s], axis=1) / tans
+    cuts = np.where((tans > _STEEP)[..., None],
+                    steps[..., None] + _STEP_WIDTHS / tans[..., None],
+                    lo[:, None, None]).reshape(len(m), -1)
+    even = lo[:, None] + (hi - lo)[:, None] * (np.arange(panels + 1) / panels)
+    breaks = np.sort(np.concatenate([even, np.clip(cuts, lo[:, None], hi[:, None])], axis=1),
+                     axis=1)
+    h = np.diff(breaks, axis=1)
+    t = breaks[:, :-1, None] + h[..., None] * (0.5 * (1.0 + x))
+    f = _integrand(t, m[:, None], s[:, None, None], tan_ccw[:, None, None],
+                   tan_cw[:, None, None]) * h[..., None]
+    return (0.5 / math.sqrt(2.0 * math.pi)) * np.einsum(
+        "ij,jc->ic", f.reshape(len(m), -1), np.tile(w, (h.shape[1], 1)))
+
+
 def _ray_terms(points: np.ndarray, angles: np.ndarray, r_max_offset: float) -> np.ndarray:
     """Each ray's integral for each row, a (rows, rays, 2) array holding the
     coarse and the fine rule's value."""
     x, w = _gauss_legendre()
     gaps = np.diff(angles, axis=1, append=angles[:, :1] + 2.0 * math.pi)
-    tan_ccw = np.tan(np.minimum(0.5 * gaps, 0.5 * math.pi))[..., None]
+    tan_ccw = np.tan(np.minimum(0.5 * gaps, 0.5 * math.pi))
     tan_cw = np.roll(tan_ccw, 1, axis=1)
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     m = points[:, :1] * cos_a + points[:, 1:] * sin_a
-    s = (points[:, 1:] * cos_a - points[:, :1] * sin_a)[..., None]
+    s = points[:, 1:] * cos_a - points[:, :1] * sin_a
     panels = math.ceil(2.0 * r_max_offset / _PANEL)
     u = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) / panels).ravel()
     lo = np.maximum(m - r_max_offset, 0.0)
-    width = np.maximum(m + r_max_offset, 0.0) - lo
+    hi = np.maximum(m + r_max_offset, 0.0)
+    width = hi - lo
     t = lo[..., None] + width[..., None] * u
-    erfs = erf(np.concatenate([t * tan_ccw - s, -t * tan_cw - s], axis=2) / _SQRT2)
-    d = t - m[..., None]
-    f = t * d * np.exp(-0.5 * d * d) * (erfs[..., :u.size] - erfs[..., u.size:])
+    f = _integrand(t, m, s[..., None], tan_ccw[..., None], tan_cw[..., None])
     # 2 phi(d) times the Phi difference is e^{-d^2/2} times the erf difference
     # over sqrt(2 pi).  The sums are einsum's fixed-order loops, not a BLAS
     # product, whose blocking (and so a row's last bits) depends on the rows
     w_panels = np.tile(w, (panels, 1)) / panels
-    return (0.5 / math.sqrt(2.0 * math.pi)) * width[..., None] * np.einsum(
+    terms = (0.5 / math.sqrt(2.0 * math.pi)) * width[..., None] * np.einsum(
         "ikj,jc->ikc", f, w_panels)
+    steep = (tan_ccw > _STEEP) | (tan_cw > _STEEP)
+    if np.any(steep):
+        terms[steep] = _graded_terms(m[steep], s[steep], tan_ccw[steep], tan_cw[steep],
+                                     lo[steep], hi[steep], panels)
+    return terms
 
 
 def bias_ray_cone(points, angles,

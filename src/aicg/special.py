@@ -1,23 +1,19 @@
 """Self-contained special functions.
 
-Everything downstream (closed-form bias values, quadrature weights, inverse-CDF
-sampling) rests on these, so they are implemented in-package rather than
-delegated: the same bits come back on every platform, and each element's bits
-do not depend on the other elements of the array it arrives in.
+The closed-form bias values and the quadrature weights rest on the error
+function, so it is implemented in-package rather than delegated: the same bits
+come back on every platform, and each element's bits do not depend on the
+other elements of the array it arrives in.  (Monte Carlo normals come from
+numpy's own sampler; see montecarlo.)
 
-Each is a set of fixed-degree rational forms, with no data-dependent loop:
-
-- erf and erfc: W. J. Cody, "Rational Chebyshev approximations for the error
-  function", Math. Comp. 23 (1969), as in SPECFUN's CALERF, with one form on
-  each of |x| <= 0.46875, 0.46875 < |x| <= 4 and |x| > 4;
-- norm_ppf: M. J. Wichura, "Algorithm AS241: the percentage points of the
-  normal distribution", Appl. Statist. 37 (1988), with one form for
-  |p - 1/2| <= 0.425 and two for the tails.
+erf and erfc are W. J. Cody's fixed-degree rational forms ("Rational Chebyshev
+approximations for the error function", Math. Comp. 23 (1969), as in SPECFUN's
+CALERF), one on each of |x| <= 0.46875, 0.46875 < |x| <= 4 and |x| > 4, with
+no data-dependent loop.
 
 Accuracy, measured against mpmath at 50 digits: erf within 4.5e-16 and erfc
 within 6.5e-16 relative on [-26, 26] (erfc is subnormal from x = 26.544 and 0
-from x = 27.226); norm_ppf within 6.6e-16 relative for p in [1e-300, 1 - 2**-53],
-and exactly antisymmetric: norm_ppf(1 - p) == -norm_ppf(p) for p in [0.5, 1).
+from x = 27.226).
 """
 
 from __future__ import annotations
@@ -129,54 +125,3 @@ def norm_cdf(x):
     """Standard normal CDF."""
     x_arr = np.asarray(x, dtype=float)
     return 0.5 * erfc(-x_arr / _SQRT2) if x_arr.ndim else float(0.5 * erfc(-x_arr / _SQRT2))
-
-
-# Wichura's AS241 (PPND16) coefficients, constant term first.
-_PPF_CENTRAL = ((3.387132872796366608e+0, 1.3314166789178437745e+2, 1.9715909503065514427e+3,
-                 1.3731693765509461125e+4, 4.5921953931549871457e+4, 6.7265770927008700853e+4,
-                 3.3430575583588128105e+4, 2.5090809287301226727e+3),
-                (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2,
-                 5.3941960214247511077e+3, 2.1213794301586595867e+4, 3.9307895800092710610e+4,
-                 2.8729085735721942674e+4, 5.2264952788528545610e+3))
-_PPF_NEAR = ((1.42343711074968357734e+0, 4.63033784615654529590e+0, 5.76949722146069140550e+0,
-              3.64784832476320460504e+0, 1.27045825245236838258e+0, 2.41780725177450611770e-1,
-              2.27238449892691845833e-2, 7.74545014278341407640e-4),
-             (1.0, 2.05319162663775882187e+0, 1.67638483018380384940e+0,
-              6.89767334985100004550e-1, 1.48103976427480074590e-1, 1.51986665636164571966e-2,
-              5.47593808499534494600e-4, 1.05075007164441684324e-9))
-_PPF_FAR = ((6.65790464350110377720e+0, 5.46378491116411436990e+0, 1.78482653991729133580e+0,
-             2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-             2.71155556874348757815e-5, 2.01033439929228813265e-7),
-            (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-             1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
-             1.42151175831644588870e-7, 2.04426310338993978564e-15))
-
-
-def norm_ppf(p):
-    """Standard normal quantile by Wichura's AS241; scalars in give scalars out."""
-    p_arr = np.asarray(p, dtype=float)
-    scalar = p_arr.ndim == 0
-    p_arr = np.atleast_1d(p_arr)
-    if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-        raise ValueError("norm_ppf requires p strictly inside (0, 1)")
-    out = np.empty_like(p_arr)
-    q = p_arr - 0.5
-
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        qc = q[central]
-        out[central] = qc * _ratio(0.180625 - qc * qc, _PPF_CENTRAL)
-    tail = ~central
-    if np.any(tail):
-        qt = q[tail]
-        # the smaller of p and 1 - p; both are exact for p in (0, 1)
-        r = np.sqrt(-np.log(np.where(qt < 0.0, p_arr[tail], 1.0 - p_arr[tail])))
-        x = np.empty_like(r)
-        near = r <= 5.0
-        if np.any(near):
-            x[near] = _ratio(r[near] - 1.6, _PPF_NEAR)
-        far = ~near
-        if np.any(far):
-            x[far] = _ratio(r[far] - 5.0, _PPF_FAR)
-        out[tail] = np.where(qt < 0.0, -x, x)
-    return float(out[0]) if scalar else out

@@ -102,22 +102,6 @@ def phi_from_mu0y_mpmath(mu: float, n: float, digits: int = 40) -> float:
                                      solver="anderson"))
 
 
-def norm_ppf_mpmath(p: float, digits: int = 40) -> float:
-    """Normal quantile by Newton's method on log Phi(x) = log(min(p, 1 - p))
-    in mpmath; 1 - p is formed in mpmath, so both tails keep every digit."""
-    with mpmath.workdps(digits):
-        upper = p > 0.5
-        t = 1 - mpmath.mpf(p) if upper else mpmath.mpf(p)
-        target = mpmath.log(t)
-        x = -mpmath.sqrt(-2 * target)  # left of the root: log Phi is concave
-        for _ in range(200):
-            step = (mpmath.log(mpmath.ncdf(x)) - target) * mpmath.ncdf(x) / mpmath.npdf(x)
-            x -= step
-            if abs(step) <= mpmath.mpf(10) ** (-digits + 5) * max(1, abs(x)):
-                break
-        return float(-x if upper else x)
-
-
 def noncentral_radius_cdf_series(r: float, center_norm: float) -> float:
     """P(||z|| <= r), z ~ N(mu, I_2), by the Poisson mixture of central
     chi-square CDFs with even degrees of freedom (all closed form)."""

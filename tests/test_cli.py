@@ -69,6 +69,17 @@ class TestBiasCommand:
         assert text.splitlines()[1] == ('"halflines:2.8,4.5,6.28318530718",0,closed-form,'
                                         '2.7334442533918448,,b1a179f83865')
 
+    @pytest.mark.parametrize("angles", ["3.2,2pi", "3.1516,2pi", "3.15,3.2,2pi"])
+    def test_halflines_wide_sector(self, tmp_path, angles):
+        # a gap just under pi puts a step of width 1/tan b in the window
+        from aicg.quadrature import bias_ray_cone
+        code, text = run_cli(["bias", "--model", "halflines", "--angles", angles,
+                              "--mu0y", "1"], tmp_path)
+        assert code == 0
+        rays = [parse_angle(a) for a in angles.split(",")]
+        want = bias_ray_cone([(1.0, 0.0)], rays)[0]
+        assert text.splitlines()[1].split(",")[-3] == fmt_float(want)
+
     def test_t3_singular_constant(self, tmp_path):
         code, text = run_cli(["bias", "--model", "t3", "--mu0y", "0"], tmp_path)
         assert code == 0
@@ -279,6 +290,18 @@ class TestRadiiCommand:
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert "t1 and t3 only" in err and "constant bias" not in err
+
+    def test_t3_far_grid_exit_0(self, tmp_path):
+        # far out the t3 truth scatters by about 3e-14 about 2, so r = 0 is
+        # feasible only within the quadrature's tolerance
+        code, text = run_cli(["radii", "--model", "t3", "--grid", "0:50:1"], tmp_path, "far.json")
+        assert code == 0
+        code, near = run_cli(["radii", "--model", "t3", "--grid", "0:5:1"], tmp_path, "near.json")
+        assert code == 0
+        far, near = json.loads(text), json.loads(near)
+        assert (far["uo_radius"], far["minimax_radius"]) == (near["uo_radius"],
+                                                             near["minimax_radius"])
+        assert far["uo_diagnostics"]["violation_tol"] == 1e-8
 
     def test_infeasible_exit_3_with_error_json(self, tmp_path):
         code, text = run_cli(["radii", "--model", "t3", "--grid", "0:1:0.5",

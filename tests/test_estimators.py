@@ -6,6 +6,7 @@ import pytest
 from aicg.closedform import bias_t1, singularity_bias
 from aicg.estimators import (
     EstimatorRule,
+    InfeasibleError,
     bias_on_cone,
     bootstrap_bias,
     crude_bounds,
@@ -21,9 +22,9 @@ from aicg.geometry import (Counts, DomainError, GeometryParams, TransformedPoint
                            angles_from_phi0, mu0y, phi_from_mu0y)
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.montecarlo import McSettings, _chunk_rng, curve_grid, standard_normals
-from aicg.quadrature import bias_ray_cone, bias_t3, bias_t3_batch
+from aicg.quadrature import QuadratureSettings, bias_ray_cone, bias_t3, bias_t3_batch
 from aicg.selection import score_batch
-from aicg.special import erf, norm_cdf, norm_ppf
+from aicg.special import erf, norm_cdf
 
 from oracles import (consistent_estimate, line_observation, noncentral_radius_cdf_series,
                      radii_bruteforce, ray_cone_bias_dblquad)
@@ -310,6 +311,32 @@ class TestRadii:
         assert uo_radius(model, grid, n)[0] == pytest.approx(want_uo, abs=1e-9)
         assert minimax_radius(model, grid, n)[0] == pytest.approx(want_mm, abs=1e-9)
 
+    @pytest.mark.parametrize("n, want_uo", [(30, 2.039), (1000, 1.854), (1e6, 1.78)])
+    def test_t3_far_grid_stays_feasible(self, n, want_uo):
+        # far out the t3 truth scatters by about 3e-14 about 2, past the
+        # closed form's 1.02e-14; the quadrature's abs_tol is the t3 default
+        far = np.arange(0.0, 50.0001, 1.0)
+        r_far, diag = uo_radius(t3_model(), far, n)
+        assert diag["violation_tol"] == QuadratureSettings().abs_tol
+        assert r_far == pytest.approx(want_uo, abs=1e-9)
+        near = np.arange(0.0, 5.0001, 1.0)
+        assert r_far == uo_radius(t3_model(), near, n)[0]
+        assert minimax_radius(t3_model(), far, n)[0] == minimax_radius(t3_model(), near, n)[0]
+        with pytest.raises(InfeasibleError):
+            uo_radius(t3_model(), far, n, violation_tol=1.02e-14)
+
+    @pytest.mark.parametrize("n", [30, 1000, 1e6])
+    @pytest.mark.parametrize("step", [0.05, 1.0])
+    def test_default_tolerances(self, n, step):
+        # t1 keeps its closed form's tolerance; t3's default radii are those
+        # of the closed form's tolerance on the README grids
+        grid = np.arange(0.0, 5.0001, step)
+        t1_r, t1_diag = uo_radius(t1_model(1), grid, n)
+        assert t1_diag["violation_tol"] == 1.02e-14
+        assert t1_r == uo_radius(t1_model(1), grid, n, violation_tol=1.02e-14)[0]
+        assert uo_radius(t3_model(), grid, n)[0] == uo_radius(t3_model(), grid, n,
+                                                               violation_tol=1.02e-14)[0]
+
     def test_one_cdf_call_per_scan(self, monkeypatch):
         import aicg.estimators as est
         calls = []
@@ -484,11 +511,6 @@ class TestT3BiasTable:
     def test_table_reaches_past_every_draw(self):
         from aicg.estimators import _plugin_values, _t3_bias_table
         from aicg.quadrature import QuadratureSettings
-        # the uniforms (k + 1/2) 2^-53 below 1 run from 2^-54 to 1 - 2^-52
-        # (k + 1/2 rounds to even above 2^52), so no normal draw is larger
-        # in size than -norm_ppf(2^-54)
-        e_max = -float(norm_ppf(np.array([2.0 ** -54]))[0])
-        assert float(norm_ppf(np.array([1.0 - 2.0 ** -52]))[0]) < e_max
         quad = QuadratureSettings()
         table_quad = QuadratureSettings(max(quad.abs_tol, 1e-7), quad.r_max_offset)
         for mu in (0.0, 0.3, 2.5, 7.0):
@@ -501,12 +523,13 @@ class TestT3BiasTable:
             xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(geo.mu0y) + 7), table_quad)
             assert _t3_bias_table.cache_info()[:2] == (2, 1)
             assert xs[-1] >= geo.mu0y + 6.0
-            # the farthest possible draw gets a longer table instead of a clamp
-            farthest = geo.mu0y + math.sqrt(2.0) * e_max
-            _plugin_values(t3_model(), np.array([0.0, farthest]), geo, quad)
-            xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(farthest + 1.0)), table_quad)
+            # a draw far past the point's table gets a longer table instead
+            # of a clamp
+            far = geo.mu0y + 12.0
+            _plugin_values(t3_model(), np.array([0.0, far]), geo, quad)
+            xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(far + 1.0)), table_quad)
             assert _t3_bias_table.cache_info()[:2] == (3, 2)
-            assert xs[-1] >= farthest
+            assert xs[-1] >= far
 
 
 class TestRuleRangeEnvelope:

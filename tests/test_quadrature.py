@@ -7,6 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aicg
 
@@ -145,6 +146,33 @@ class TestRayCone:
         got = bias_ray_cone(points, angles)
         for point, value in zip(points, got):
             assert abs(value - ray_cone_bias_dblquad(point, angles)) <= 1e-10
+
+    # a sector edge near a right angle steps over a width 1/tan b, far
+    # narrower than one 64-node panel resolves
+    @pytest.mark.parametrize("angles, mu", [([3.2, TWO_PI], 1.0), ([3.1516, TWO_PI], 1.0),
+                                            ([3.15, 3.2, TWO_PI], 1.0), ([3.2, TWO_PI], 3.0)])
+    def test_wide_sector_matches_dblquad(self, angles, mu):
+        got = bias_ray_cone([(mu, 0.0)], angles, QuadratureSettings(abs_tol=1e-13))[0]
+        assert abs(got - ray_cone_bias_dblquad((mu, 0.0), angles)) <= 1e-11
+
+    @settings(max_examples=20)
+    @given(gap=st.floats(math.pi - 0.2, math.pi, exclude_min=True, exclude_max=True),
+           mu=st.floats(0.0, 4.0), off=st.floats(-2.0, 2.0))
+    def test_gap_near_pi_matches_dblquad(self, gap, mu, off):
+        angles = [TWO_PI - gap, TWO_PI]
+        point = (mu, off)
+        got = bias_ray_cone([point], angles, QuadratureSettings(abs_tol=1e-13))[0]
+        assert abs(got - ray_cone_bias_dblquad(point, angles)) <= 1e-11
+
+    def test_t3_edges_are_never_steep(self):
+        # tan b of t3's widest edge, pi/2 - alpha0, is 3 at the smallest
+        # alpha0 = arctan(1/3) and below it elsewhere, so t3 rows keep the
+        # one-panel rule
+        from aicg.quadrature import _STEEP
+        for alpha0 in (math.atan(1.0 / 3.0), 0.33, math.pi / 6):
+            rays = np.array([math.pi / 2, math.pi + alpha0, TWO_PI - alpha0])
+            gaps = np.diff(rays, append=rays[0] + TWO_PI)
+            assert np.max(np.tan(0.5 * gaps)) <= _STEEP
 
     def test_halflines_above_two_away_from_origin(self):
         # the value on the 2pi ray of halflines:3.5,2pi rises above both its
