@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -71,14 +69,17 @@ def write_text(out: str | None, text: str) -> None:
         handle.write(text)
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequence[str] = ()) -> str:
+def csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequence[str] = (),
+             formatted: bool = False) -> str:
     """`# ` comment lines, then the header and rows; a field holding a comma,
-    quote or line break is quoted, so every row has the header's width."""
+    quote or line break is quoted, so every row has the header's width.
+    Rows whose fields are already strings pass formatted=True and skip
+    fmt_field."""
     buf = io.StringIO()
     buf.writelines(f"# {c}\n" for c in comments)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([fmt_field(v) for v in row] for row in rows)
+    writer.writerows(rows if formatted else ([fmt_field(v) for v in row] for row in rows))
     return buf.getvalue()
 
 
@@ -139,16 +140,19 @@ def parse_model(token: str, angles: Sequence[float] | None = None) -> ModelSpec:
 
 
 def settings_hash(resolved: dict[str, Any]) -> str:
+    import hashlib  # here, not at the top: loading OpenSSL costs every other subcommand
     blob = json.dumps(resolved, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-@dataclass
 class RunConfig:
     """Fully resolved options for one subcommand invocation."""
 
-    subcommand: str
-    values: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("subcommand", "values")
+
+    def __init__(self, subcommand: str, values: dict[str, Any] | None = None):
+        self.subcommand = subcommand
+        self.values = {} if values is None else values
 
     def get(self, key: str, default=None):
         v = self.values.get(key)
@@ -347,7 +351,7 @@ def cmd_select(cfg: RunConfig) -> str:
     if cfg.get("format", "csv") == "json":
         return json_text({
             "metadata": report.metadata,
-            "rows": [vars(r) for r in report.rows],
+            "rows": [{k: getattr(r, k) for k in r.__slots__} for r in report.rows],
         })
     header = ["model", "neg2loglik", "bias_method", "bias", "aicg", "aic",
               "rank_aicg", "rank_aic", "error"]
@@ -376,7 +380,7 @@ def cmd_regions(cfg: RunConfig) -> str:
     grid = region_grid(models, n, resolution, rule, seed, _quad(cfg))
     coord = [fmt_float(i / resolution) for i in range(resolution + 1)]
     rows = [[coord[i], coord[j], coord[k], w] for (i, j, k), w in zip(grid.points, grid.winners)]
-    return csv_text(["p1", "p2", "p3", "winner"], rows)
+    return csv_text(["p1", "p2", "p3", "winner"], rows, formatted=True)
 
 
 def cmd_radii(cfg: RunConfig) -> str:

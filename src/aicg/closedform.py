@@ -8,10 +8,9 @@ and the classical twice-the-parameter-count correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
-from .geometry import DomainError
+from .geometry import DomainError, Record
 from .models import HALFLINES, POLYTOMY, T1, T3, UNCONSTRAINED, ModelSpec
 from .special import erf, erfc, norm_cdf  # noqa: F401  (erf is part of this module's API)
 
@@ -24,19 +23,18 @@ METHODS = (
 _STOCHASTIC = ("monte-carlo", "bootstrap")
 
 
-@dataclass(frozen=True)
-class BiasEstimate:
-    """A bias-correction value with provenance."""
+class BiasEstimate(Record):
+    """A bias-correction value with provenance; settings default to a new
+    empty dict."""
 
-    value: float
-    method: str
-    std_error: float | None = None
-    settings: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("value", "method", "std_error", "settings")
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise DomainError(f"unknown bias method {self.method!r}")
-        if (self.std_error is not None) != (self.method in _STOCHASTIC):
+    def __init__(self, value: float, method: str, std_error: float | None = None,
+                 settings: dict[str, Any] | None = None):
+        self._fill(value, method, std_error, {} if settings is None else settings)
+        if method not in METHODS:
+            raise DomainError(f"unknown bias method {method!r}")
+        if (std_error is not None) != (method in _STOCHASTIC):
             raise DomainError("std_error is required exactly for Monte Carlo methods")
 
 

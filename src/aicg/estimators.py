@@ -13,7 +13,6 @@ the raw observation's distance (a noncentral radial probability).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +22,7 @@ from .geometry import (
     Counts,
     DomainError,
     GeometryParams,
+    Record,
     TransformedPoint,
     angles_from_phi0,
     phi_from_mu0y,
@@ -56,23 +56,21 @@ class InfeasibleError(RuntimeError):
     """A calibration problem has no feasible solution."""
 
 
-@dataclass(frozen=True)
-class EstimatorRule:
+class EstimatorRule(Record):
     """Configuration of one data-dependent bias-correction estimator."""
 
-    method: str
-    radius: float | None = None
-    eta_exponent: float = 1.0 / 3.0
-    bootstrap_b: int = 1000
-    reference_n: int | None = None
+    __slots__ = ("method", "radius", "eta_exponent", "bootstrap_b", "reference_n")
 
-    def __post_init__(self):
-        if self.method not in ("plugin", "aic", "llf", "ulf", "uo", "minimax",
-                               "consistent", "bootstrap"):
-            raise DomainError(f"unknown estimator method {self.method!r}")
-        if self.radius is not None and self.radius < 0:
+    def __init__(self, method: str, radius: float | None = None,
+                 eta_exponent: float = 1.0 / 3.0, bootstrap_b: int = 1000,
+                 reference_n: int | None = None):
+        self._fill(method, radius, eta_exponent, bootstrap_b, reference_n)
+        if method not in ("plugin", "aic", "llf", "ulf", "uo", "minimax",
+                          "consistent", "bootstrap"):
+            raise DomainError(f"unknown estimator method {method!r}")
+        if radius is not None and radius < 0:
             raise DomainError("radius must be nonnegative")
-        if self.bootstrap_b < 1:
+        if bootstrap_b < 1:
             raise DomainError("bootstrap replicate count must be >= 1")
 
 

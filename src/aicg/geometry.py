@@ -13,7 +13,6 @@ the cone angles); the package needs no matrix form of the map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,25 +25,63 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
+class Record:
+    """Base of the package's immutable records.  Each record's __init__ sets
+    its slots once, through _fill, and checks them; assignment afterwards
+    raises.  Records compare by identity unless they derive from ValueRecord.
+
+    Plain slotted classes rather than dataclasses, which compile and run
+    generated methods each time their module is imported.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        """Set the slots, in __slots__ order, to values."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ValueRecord(Record):
+    """A Record equal to, and hashed like, the tuple of its fields: the
+    records that key lru_caches."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class SimplexPoint(Record):
     """A probability triple on the 2-simplex.
 
     Strictly interior by default; pass ``boundary_ok=True`` to admit closure
     points (zero components), e.g. unconstrained MLEs at extreme counts.
     """
 
-    p1: float
-    p2: float
-    p3: float
-    boundary_ok: bool = False
+    __slots__ = ("p1", "p2", "p3", "boundary_ok")
 
-    def __post_init__(self):
-        total = self.p1 + self.p2 + self.p3
+    def __init__(self, p1: float, p2: float, p3: float, boundary_ok: bool = False):
+        self._fill(p1, p2, p3, boundary_ok)
+        total = p1 + p2 + p3
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
-        lo = 0.0 if self.boundary_ok else float(np.nextafter(0.0, 1.0))
-        for p in (self.p1, self.p2, self.p3):
+        lo = 0.0 if boundary_ok else float(np.nextafter(0.0, 1.0))
+        for p in (p1, p2, p3):
             if not (p >= lo and math.isfinite(p)):
                 raise DomainError(f"probability {p!r} outside the simplex")
 
@@ -61,16 +98,14 @@ class SimplexPoint:
 CENTROID = SimplexPoint(*_CENTROID)
 
 
-@dataclass(frozen=True)
-class Counts:
+class Counts(Record):
     """An observed trinomial sample."""
 
-    n1: int
-    n2: int
-    n3: int
+    __slots__ = ("n1", "n2", "n3")
 
-    def __post_init__(self):
-        for c in (self.n1, self.n2, self.n3):
+    def __init__(self, n1: int, n2: int, n3: int):
+        self._fill(n1, n2, n3)
+        for c in (n1, n2, n3):
             if c != int(c) or c < 0:
                 raise DomainError(f"count {c!r} is not a nonnegative integer")
         if self.n < 1:
@@ -88,15 +123,14 @@ class Counts:
         return SimplexPoint(self.n1 / n, self.n2 / n, self.n3 / n, boundary_ok=True)
 
 
-@dataclass(frozen=True)
-class TransformedPoint:
+class TransformedPoint(Record):
     """A point of the transformed plane, in Mahalanobis units."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __init__(self, x: float, y: float):
+        self._fill(x, y)
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError("transformed coordinates must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -177,25 +211,21 @@ def angles_from_phi0(phi0):
     return alpha0, beta0
 
 
-@dataclass(frozen=True)
-class GeometryParams:
+class GeometryParams(Record):
     """Derived geometry of a generating parameter on a model line."""
 
-    phi0: float
-    mu0y: float
-    alpha0: float
-    beta0: float
-    n: float
+    __slots__ = ("phi0", "mu0y", "alpha0", "beta0", "n")
 
-    def __post_init__(self):
-        _check_phi(self.phi0)
-        if abs(self.beta0 - 0.5 * (0.5 * math.pi - self.alpha0)) > 1e-12:
+    def __init__(self, phi0: float, mu0y: float, alpha0: float, beta0: float, n: float):
+        self._fill(phi0, mu0y, alpha0, beta0, n)
+        _check_phi(phi0)
+        if abs(beta0 - 0.5 * (0.5 * math.pi - alpha0)) > 1e-12:
             raise DomainError("beta0 must equal (pi/2 - alpha0)/2")
-        a_expected = math.atan(1.0 / math.sqrt(3.0 * (3.0 - 2.0 * self.phi0)))
-        if abs(self.alpha0 - a_expected) > 1e-12:
+        a_expected = math.atan(1.0 / math.sqrt(3.0 * (3.0 - 2.0 * phi0)))
+        if abs(alpha0 - a_expected) > 1e-12:
             raise DomainError("alpha0 inconsistent with phi0")
-        if (self.mu0y == 0.0) != (self.phi0 == 1.0) and abs(self.phi0 - 1.0) > 1e-12:
-            if self.mu0y == 0.0:
+        if (mu0y == 0.0) != (phi0 == 1.0) and abs(phi0 - 1.0) > 1e-12:
+            if mu0y == 0.0:
                 raise DomainError("mu0y = 0 requires phi0 = 1")
 
     @classmethod

@@ -9,7 +9,6 @@ lives only in the transformed plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +16,10 @@ from .geometry import (
     Counts,
     DomainError,
     GeometryParams,
+    Record,
     SimplexPoint,
     TransformedPoint,
+    ValueRecord,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -30,18 +31,17 @@ UNCONSTRAINED = "unconstrained"
 HALFLINES = "halflines"
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(ValueRecord):
     """One candidate model; use the module constructors rather than __init__."""
 
-    variant: str
-    topology: int | None = None
-    angles: tuple[float, ...] = ()
+    __slots__ = ("variant", "topology", "angles")
 
-    def __post_init__(self):
-        if self.variant not in (T1, T3, POLYTOMY, UNCONSTRAINED, HALFLINES):
-            raise DomainError(f"unknown model variant {self.variant!r}")
-        if self.variant == T1 and self.topology not in (1, 2, 3):
+    def __init__(self, variant: str, topology: int | None = None,
+                 angles: tuple[float, ...] = ()):
+        self._fill(variant, topology, angles)
+        if variant not in (T1, T3, POLYTOMY, UNCONSTRAINED, HALFLINES):
+            raise DomainError(f"unknown model variant {variant!r}")
+        if variant == T1 and topology not in (1, 2, 3):
             raise DomainError("t1 requires a topology in {1, 2, 3}")
 
     @property
@@ -121,12 +121,14 @@ def validate_halflines(angles) -> ModelSpec:
     return ModelSpec(HALFLINES, angles=angs)
 
 
-@dataclass(frozen=True)
-class MLEResult:
-    estimate: SimplexPoint
-    neg2loglik: float
-    at_vertex_of_cone: bool
-    topology: int | None = None  # which line carries the estimate (t1/t3)
+class MLEResult(Record):
+    """A constrained MLE; topology is the line carrying it (t1/t3)."""
+
+    __slots__ = ("estimate", "neg2loglik", "at_vertex_of_cone", "topology")
+
+    def __init__(self, estimate: SimplexPoint, neg2loglik: float, at_vertex_of_cone: bool,
+                 topology: int | None = None):
+        self._fill(estimate, neg2loglik, at_vertex_of_cone, topology)
 
 
 def mle_rows(model: ModelSpec, counts) -> tuple[np.ndarray, np.ndarray | None]:
@@ -182,12 +184,13 @@ def mle_simplex(model: ModelSpec, counts: Counts) -> MLEResult:
     return MLEResult(est, float(neg2loglik_rows(c, theta)[0]), at_vertex, topology)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Record):
     """Transformed-plane image of a model's parameter space near the origin."""
 
-    kind: str  # "rays" | "point" | "plane"
-    angles: tuple[float, ...] = ()
+    __slots__ = ("kind", "angles")  # kind: "rays" | "point" | "plane"
+
+    def __init__(self, kind: str, angles: tuple[float, ...] = ()):
+        self._fill(kind, angles)
 
     def directions(self) -> np.ndarray:
         a = np.array(self.angles)

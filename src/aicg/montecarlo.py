@@ -26,7 +26,6 @@ per-point one, but the errors at different points are positively correlated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -36,6 +35,7 @@ from .closedform import BiasEstimate, bias_aic
 from .geometry import (
     DomainError,
     GeometryParams,
+    Record,
     SimplexPoint,
     TransformedPoint,
     phi_from_mu0y,
@@ -46,31 +46,25 @@ from .models import (T1, Cone, ModelSpec, cone_of, mle_rows, project_points,
 from .quadrature import QuadratureSettings
 
 
-@dataclass(frozen=True)
-class McSettings:
-    seed: int
-    samples: int
-    chunk_size: int = 1 << 16
-    workers: int = 1
+class McSettings(Record):
+    __slots__ = ("seed", "samples", "chunk_size", "workers")
 
-    def __post_init__(self):
-        if self.samples < 1:
+    def __init__(self, seed: int, samples: int, chunk_size: int = 1 << 16, workers: int = 1):
+        self._fill(seed, samples, chunk_size, workers)
+        if samples < 1:
             raise DomainError("samples must be >= 1")
-        if self.chunk_size < 1:
+        if chunk_size < 1:
             raise DomainError("chunk_size must be >= 1")
-        if self.workers < 1:
+        if workers < 1:
             raise DomainError("workers must be >= 1")
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    mu0y: float
-    estimate: float
-    std_error: float
-    n: float
+class CurvePoint(Record):
+    __slots__ = ("mu0y", "estimate", "std_error", "n")
 
-    def __post_init__(self):
-        if self.std_error < 0:
+    def __init__(self, mu0y: float, estimate: float, std_error: float, n: float):
+        self._fill(mu0y, estimate, std_error, n)
+        if std_error < 0:
             raise DomainError("std_error must be nonnegative")
 
 

@@ -21,13 +21,12 @@ ray's window is cut into panels around the step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .closedform import BiasEstimate
-from .geometry import DomainError
+from .geometry import DomainError, ValueRecord
 from .special import erf
 
 _SQRT2 = math.sqrt(2.0)
@@ -42,15 +41,14 @@ _STEEP = 3.0
 _STEP_WIDTHS = np.array([0.0, -1.0, 1.0, -4.0, 4.0, -16.0, 16.0])
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    abs_tol: float = 1e-8
-    r_max_offset: float = 12.0
+class QuadratureSettings(ValueRecord):
+    __slots__ = ("abs_tol", "r_max_offset")
 
-    def __post_init__(self):
-        if not self.abs_tol > 0:
+    def __init__(self, abs_tol: float = 1e-8, r_max_offset: float = 12.0):
+        self._fill(abs_tol, r_max_offset)
+        if not abs_tol > 0:
             raise DomainError("abs_tol must be positive")
-        if self.r_max_offset < 8:
+        if r_max_offset < 8:
             raise DomainError("r_max_offset must be at least 8")
 
 

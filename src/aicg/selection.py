@@ -8,7 +8,6 @@ of pseudo-observations with the winning model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ from .estimators import (
     least_favorable,
     neighborhood_values,
 )
-from .geometry import Counts, DomainError, TransformedPoint
+from .geometry import Counts, DomainError, Record, TransformedPoint
 from .models import T1, T3, ModelSpec, cone_of, mle_rows, neg2loglik_rows, t3_cone
 from .montecarlo import McSettings, bias_evaluator, mc_expected_estimators
 from .quadrature import QuadratureSettings
@@ -31,23 +30,25 @@ from .quadrature import QuadratureSettings
 _VERSION = "0.1.0"
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    model_id: str
-    neg2loglik: float | None
-    bias_method: str | None
-    bias_value: float | None
-    aicg: float | None
-    aic: float | None
-    rank_aicg: int | None
-    rank_aic: int | None
-    error: str | None = None
+class ScoreRow(Record):
+    """One model's line of a SelectionReport; an error row holds only the
+    model_id and the error."""
+
+    __slots__ = ("model_id", "neg2loglik", "bias_method", "bias_value", "aicg", "aic",
+                 "rank_aicg", "rank_aic", "error")
+
+    def __init__(self, model_id: str, neg2loglik: float | None, bias_method: str | None,
+                 bias_value: float | None, aicg: float | None, aic: float | None,
+                 rank_aicg: int | None, rank_aic: int | None, error: str | None = None):
+        self._fill(model_id, neg2loglik, bias_method, bias_value, aicg, aic,
+                   rank_aicg, rank_aic, error)
 
 
-@dataclass(frozen=True)
-class SelectionReport:
-    rows: tuple[ScoreRow, ...]
-    metadata: dict[str, Any] = field(default_factory=dict)
+class SelectionReport(Record):
+    __slots__ = ("rows", "metadata")
+
+    def __init__(self, rows: tuple[ScoreRow, ...], metadata: dict[str, Any] | None = None):
+        self._fill(rows, {} if metadata is None else metadata)
 
     def winner(self) -> str | None:
         for row in self.rows:
@@ -56,18 +57,18 @@ class SelectionReport:
         return None
 
 
-@dataclass(frozen=True)
-class ModelScores:
+class ModelScores(Record):
     """One model's scores on N count rows.  A row the estimator cannot handle
-    holds NaN values and its error message; the other rows are unaffected."""
+    holds NaN values and its error message; the other rows are unaffected.
+    std_error is set by the bootstrap only; mu_hat is the observed distance,
+    0 without a line and NaN where undefined."""
 
-    model: ModelSpec
-    bias_method: str
-    neg2loglik: np.ndarray
-    bias: np.ndarray
-    std_error: np.ndarray | None  # bootstrap only
-    mu_hat: np.ndarray  # observed distance; 0 without a line, NaN where undefined
-    errors: tuple[str | None, ...]
+    __slots__ = ("model", "bias_method", "neg2loglik", "bias", "std_error", "mu_hat", "errors")
+
+    def __init__(self, model: ModelSpec, bias_method: str, neg2loglik: np.ndarray,
+                 bias: np.ndarray, std_error: np.ndarray | None, mu_hat: np.ndarray,
+                 errors: tuple[str | None, ...]):
+        self._fill(model, bias_method, neg2loglik, bias, std_error, mu_hat, errors)
 
     @property
     def aicg(self) -> np.ndarray:
@@ -275,14 +276,14 @@ def akaike_weights(report: SelectionReport) -> dict[str, float]:
     return {mid: w / total for mid, w in raw.items()}
 
 
-@dataclass(frozen=True)
-class RegionGrid:
-    resolution: int
-    n: int
-    model_ids: tuple[str, ...]
-    points: tuple[tuple[int, int, int], ...]
-    winners: tuple[str, ...]
-    metadata: dict[str, Any] = field(default_factory=dict)
+class RegionGrid(Record):
+    __slots__ = ("resolution", "n", "model_ids", "points", "winners", "metadata")
+
+    def __init__(self, resolution: int, n: int, model_ids: tuple[str, ...],
+                 points: tuple[tuple[int, int, int], ...], winners: tuple[str, ...],
+                 metadata: dict[str, Any] | None = None):
+        self._fill(resolution, n, model_ids, points, winners,
+                   {} if metadata is None else metadata)
 
 
 def simplex_lattice(resolution: int) -> list[tuple[int, int, int]]:

@@ -227,6 +227,14 @@ class TestSelectCommand:
         assert list(doc) == sorted(doc)
         assert {row["model_id"] for row in doc["rows"]} == {"t1:1", "unconstrained"}
 
+    def test_json_rows_carry_the_score_row_fields(self, tmp_path):
+        code, text = run_cli(["select", "--counts", "30,20,10", "--models",
+                              "t1:1,unconstrained", "--format", "json"], tmp_path)
+        assert code == 0
+        fields = {"model_id", "neg2loglik", "bias_method", "bias_value", "aicg", "aic",
+                  "rank_aicg", "rank_aic", "error"}
+        assert [set(row) for row in json.loads(text)["rows"]] == [fields, fields]
+
     def test_n_mismatch_exit_2(self, tmp_path):
         code, _ = run_cli(["select", "--counts", "10,10,10", "--n", "31",
                            "--models", "t1:1"], tmp_path)
@@ -315,14 +323,39 @@ class TestRadiiCommand:
         assert "rules differ by more than abs_tol" in json.loads(text)["error"]
 
 
+def _fresh_python(code):
+    src = str(Path(aicg.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+
+
 class TestImports:
     def test_cli_import_skips_thread_pool(self):
         # the pool is imported only by a run with --workers above 1
-        src = str(Path(aicg.__file__).resolve().parents[1])
-        code = "import sys, aicg.cli; print('concurrent.futures' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert out.stdout.strip() == "False"
+        out = _fresh_python("import sys, aicg.cli; print('concurrent.futures' in sys.modules)")
+        assert out.strip() == "False"
+
+    def test_cli_import_skips_dataclasses_and_openssl(self):
+        # dataclasses compile generated code at import, and hashlib loads
+        # OpenSSL; only settings_hash (bias) needs hashlib, and imports it itself
+        code = ("import json, sys, aicg.cli; print(json.dumps([m for m in ('dataclasses', "
+                "'hashlib', '_hashlib', 'concurrent.futures') if m in sys.modules]))")
+        assert json.loads(_fresh_python(code)) == []
+
+    def test_help_loads_numpy_and_every_module(self):
+        # --help pays the start-up every subcommand pays, so that timing it
+        # measures that shared cost
+        code = ("import json, runpy, sys\n"
+                "sys.argv = ['aicg', '--help']\n"
+                "try:\n    runpy.run_module('aicg.cli', run_name='__main__')\n"
+                "except SystemExit:\n    pass\n"
+                "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' "
+                "or m.startswith('aicg.'))))")
+        loaded = json.loads(_fresh_python(code).splitlines()[-1])
+        package = Path(aicg.__file__).parent
+        modules = {f"aicg.{p.stem}" for p in package.glob("*.py")} - {"aicg.__init__", "aicg.cli"}
+        assert "numpy" in loaded
+        assert modules <= set(loaded)
 
 
 class TestConfigPrecedence:

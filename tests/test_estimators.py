@@ -144,6 +144,12 @@ class TestPluginBias:
 
 
 class TestLeastFavorable:
+    def test_equal_arguments_hit_the_cache(self):
+        least_favorable(t3_model(), "lower", QuadratureSettings())
+        hits = least_favorable.cache_info().hits
+        least_favorable(t3_model(), "lower", QuadratureSettings())
+        assert least_favorable.cache_info().hits == hits + 1
+
     def test_t1_pair(self):
         assert least_favorable(t1_model(1), "lower").value == pytest.approx(1.0, abs=1e-6)
         assert least_favorable(t1_model(1), "upper").value == pytest.approx(2.0, abs=1e-6)

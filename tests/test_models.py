@@ -37,6 +37,29 @@ from oracles import t1_mle_bruteforce, transform_map
 TWO_PI = 2 * math.pi
 
 
+class TestModelSpec:
+    def test_equal_values_are_equal_and_hash_equal(self):
+        # models key the lru_caches of least_favorable and the radius truth grid
+        pairs = [(t1_model(2), t1_model(2)), (t3_model(), t3_model()),
+                 (validate_halflines([2.8, 4.5, TWO_PI]), validate_halflines([2.8, 4.5, TWO_PI]))]
+        for a, b in pairs:
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+        assert t1_model(1) != t1_model(2)
+        assert t3_model() != polytomy_model()
+        assert t3_model() != "t3"
+
+    def test_fields_are_read_only(self):
+        model = t1_model(1)
+        with pytest.raises(AttributeError):
+            model.topology = 2
+        with pytest.raises(AttributeError):
+            del model.variant
+        with pytest.raises(AttributeError):
+            Cone("point").extra = 1
+        assert model.topology == 1
+
+
 class TestMleSimplex:
     def test_t1_unconstrained_optimum(self):
         r = mle_simplex(t1_model(1), Counts(50, 25, 25))

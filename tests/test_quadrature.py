@@ -96,6 +96,13 @@ class TestBiasT3:
         with pytest.raises(DomainError):
             QuadratureSettings(r_max_offset=4.0)
 
+    def test_settings_equal_by_value(self):
+        # settings key lru_caches, built afresh by each caller
+        assert QuadratureSettings() == QuadratureSettings(1e-8, 12.0)
+        assert hash(QuadratureSettings()) == hash(QuadratureSettings(abs_tol=1e-8))
+        assert QuadratureSettings() != QuadratureSettings(abs_tol=1e-9)
+        assert QuadratureSettings() != QuadratureSettings(r_max_offset=16.0)
+
     def test_metadata_records_truncation(self):
         est = bias_t3(0.5, math.pi / 6)
         assert est.settings["r_max"] == pytest.approx(12.5)
