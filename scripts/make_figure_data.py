@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Emit the bias-correction curve data as CSV files.
 
-For each requested model and sample size, writes one file per (model, n) with
-the simulated finite-n target, the analytic generalized correction, the
-classical correction, and optionally the expected value of data-dependent
-estimator rules on a mu0y grid.  Defaults are desk scale; raise --samples
-toward 1e7 to reproduce publication-quality curves (slow).
+For each requested model and sample size, runs `aicg target` into one file
+per (model, n): the simulated finite-n target, the analytic generalized
+correction, the classical correction, and optionally the expected value of
+data-dependent estimator rules on a mu0y grid.
 
 Example:
     python scripts/make_figure_data.py --out-dir data/curves \
@@ -18,16 +17,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from aicg.cli import curve_csv, parse_grid, write_text
-from aicg.estimators import EstimatorRule
-from aicg.montecarlo import McSettings, curve_grid
+from aicg.cli import main as cli_main
 from aicg.selection import parse_model_id
-
-
-def build_rules(methods: str, n: int) -> list[EstimatorRule]:
-    if not methods:
-        return []
-    return [EstimatorRule(m.strip(), reference_n=n) for m in methods.split(",")]
 
 
 def main() -> int:
@@ -42,37 +33,25 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--methods", default="",
                     help="comma list of estimator rules to add as columns")
-    ap.add_argument("--smooth-window", type=int, default=0,
-                    help="optional centered moving-average window for the target column")
     args = ap.parse_args()
 
-    grid = parse_grid(args.grid)
     for model_id in args.models.split(","):
-        model = parse_model_id(model_id)
-        for n_text in args.n_list.split(","):
-            n = int(n_text)
-            rules = build_rules(args.methods, n)
-            settings = McSettings(args.seed, args.samples, workers=args.workers)
-            curves = curve_grid(model, n, grid, rules, settings)
-
-            target = None
-            if args.smooth_window > 1:
-                target = moving_average([pt.estimate for pt in curves["target"]],
-                                        args.smooth_window)
-            out = args.out_dir / f"curve_{model.model_id.replace(':', '')}_n{n}.csv"
-            write_text(str(out), curve_csv(grid, curves, [r.method for r in rules], target))
-            print(f"wrote {out} ({len(grid)} rows)")
+        try:
+            slug = parse_model_id(model_id).model_id.replace(":", "")
+        except ValueError as exc:  # an id parse_model_id rejects
+            ap.error(str(exc))
+        for n in args.n_list.split(","):
+            out = args.out_dir / f"curve_{slug}_n{n}.csv"
+            code = cli_main([
+                "target", "--model", model_id, "--n", n, "--grid", args.grid,
+                "--samples", str(args.samples), "--seed", str(args.seed),
+                "--workers", str(args.workers), "--out", str(out),
+                *(["--method", args.methods] if args.methods else []),
+            ])
+            if code != 0:
+                return code
+            print(f"wrote {out}")
     return 0
-
-
-def moving_average(values: list[float], window: int) -> list[float]:
-    half = window // 2
-    out = []
-    for i in range(len(values)):
-        lo = max(0, i - half)
-        hi = min(len(values), i + half + 1)
-        out.append(sum(values[lo:hi]) / (hi - lo))
-    return out
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ resolved configuration reproduces the output byte for byte, regardless of
 worker count.
 
 Configuration precedence: command-line flags override the optional JSON
-config file (--config), which overrides built-in defaults.  Exit codes:
+config file (--config), which overrides built-in defaults.  A config value is
+read as the text its flag would take, by the flag's own type, and every real
+number must be finite.  Exit codes:
 0 success, 2 usage or validation error, 3 numerical non-convergence or
 infeasibility.
 """
@@ -28,7 +30,8 @@ from .closedform import BiasEstimate
 from .estimators import (EstimatorRule, InfeasibleError, bias_on_cone, minimax_radius,
                          uo_radius)
 from .geometry import Counts, DomainError, GeometryParams, TransformedPoint
-from .models import HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, cone_of
+from .models import (HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, cone_of,
+                     validate_halflines)
 from .montecarlo import CurvePoint, McSettings, curve_grid, grid_values, mc_bias_gaussian
 from .quadrature import ConvergenceError, QuadratureSettings
 from .selection import parse_model_id, region_grid, score, score_batch
@@ -91,15 +94,17 @@ def parse_angle(token: str) -> float:
     """Angles either in radians ('1.57') or as multiples of pi ('2pi',
     '0.5pi', 'pi/3', '2pi/3')."""
     s = token.strip().lower()
-    if "pi" not in s:
-        return float(s)
-    head, _, tail = s.partition("pi")
-    value = float(head) if head else 1.0
-    value *= math.pi
-    if tail:
-        if not tail.startswith("/"):
-            raise UsageError(f"cannot parse angle {token!r}")
-        value /= float(tail[1:])
+    head, pi, tail = s.partition("pi")
+    try:
+        if not pi:
+            return float(s)
+        value = (float(head) if head else 1.0) * math.pi
+        if tail:
+            if not tail.startswith("/"):
+                raise ValueError
+            value /= float(tail[1:])
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"cannot parse angle {token!r}") from None
     return value
 
 
@@ -125,17 +130,17 @@ def parse_grid(text: str) -> list[float]:
 
 
 def parse_model(token: str, angles: Sequence[float] | None = None) -> ModelSpec:
+    """A model id; the angles of a half-lines id parse as --angles does."""
     s = token.strip().lower()
-    if s == "halflines" or s.startswith("halflines:"):
-        if ":" in s:
-            return parse_model_id(s)
-        if not angles:
+    head, colon, tail = s.partition(":")
+    if head == "halflines":
+        rays = [parse_angle(t) for t in tail.split(",")] if colon else angles
+        if not rays:
             raise UsageError("halflines model requires --angles")
-        from .models import validate_halflines
-        return validate_halflines(angles)
+        return validate_halflines(rays)
     try:
         return parse_model_id(s)
-    except DomainError as exc:
+    except ValueError as exc:  # a DomainError, or a t1 topology int() rejects
         raise UsageError(str(exc)) from exc
 
 
@@ -146,7 +151,8 @@ def settings_hash(resolved: dict[str, Any]) -> str:
 
 
 class RunConfig:
-    """Fully resolved options for one subcommand invocation."""
+    """Fully resolved options for one subcommand invocation, each value of
+    its option's type, or None when neither a flag nor the config set it."""
 
     __slots__ = ("subcommand", "values")
 
@@ -166,6 +172,61 @@ class RunConfig:
         return v
 
 
+def finite_float(text: str) -> float:
+    """The type of every real-valued option."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+# Every option with its flag's argparse settings.  A --config value goes
+# through the same type and choices, read from the text its flag would take,
+# so a value resolves alike, settings_hash included, whichever way it came.
+OPTIONS: dict[str, dict[str, Any]] = {
+    "config": {"help": "JSON config file; flags take precedence"},
+    "out": {"help": "output path (default stdout)"},
+    "seed": {"type": int},
+    "workers": {"type": int, "help": "threads for target and bias --method monte-carlo"},
+    "abs_tol": {"type": finite_float, "help": "quadrature absolute tolerance"},
+    "angles": {"help": "half-lines ray angles, e.g. '2pi/3,4pi/3,2pi'"},
+    "samples": {"type": int},
+    "model": {"help": "t1[:topology] | t3 | polytomy | unconstrained | halflines"},
+    "models": {"help": "comma list of model ids"},
+    "pair": {"help": "comma list of competing model ids"},
+    "mu0y": {"type": finite_float},
+    "phi0": {"type": finite_float},
+    "n": {"type": int},
+    "counts": {"help": "n1,n2,n3"},
+    "grid": {"help": "start:stop:step over mu0y"},
+    "resolution": {"type": int},
+    "method": {"help": "estimator rule; for target a comma list of columns to add"},
+    "radius": {"type": finite_float},
+    "eta_exponent": {"type": finite_float},
+    "violation_tol": {"type": finite_float},
+    "format": {"choices": ("csv", "json")},
+}
+
+
+def _config_value(key: str, value: Any) -> Any:
+    """A config value read by its option's type and choices from the text its
+    flag would take; a JSON list stands for its comma-joined items."""
+    name = key.replace("-", "_")
+    spec = OPTIONS[name]
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    try:
+        parsed = spec.get("type", str)(text)
+        if "choices" in spec and parsed not in spec["choices"]:
+            raise ValueError(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"config key {key!r}: invalid --{name.replace('_', '-')} "
+                         f"value {text!r}") from None
+    return parsed
+
+
 def _resolve(args: argparse.Namespace) -> RunConfig:
     values = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
     if args.config:
@@ -180,59 +241,65 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             if k not in values:
                 raise UsageError(f"unknown key {key!r} in config {args.config!r} "
                                  f"for the {args.cmd} subcommand")
-            if values[k] is None:
-                values[k] = val
+            if values[k] is None and val is not None:
+                values[k] = _config_value(key, val)
     return RunConfig(args.cmd, values)
 
 
 def _mc_settings(cfg: RunConfig, seed: int) -> McSettings:
-    return McSettings(seed=seed, samples=int(cfg.require("samples")),
-                      workers=int(cfg.get("workers", 1)))
+    return McSettings(seed=seed, samples=cfg.require("samples"), workers=cfg.get("workers", 1))
 
 
 def _quad(cfg: RunConfig) -> QuadratureSettings:
-    return QuadratureSettings(abs_tol=float(cfg.get("abs_tol", 1e-8)))
+    return QuadratureSettings(abs_tol=cfg.get("abs_tol", 1e-8))
 
 
 def _angles(cfg: RunConfig) -> list[float] | None:
     raw = cfg.get("angles")
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        return [parse_angle(t) for t in raw.split(",")]
-    return [float(a) for a in raw]
+    return None if raw is None else [parse_angle(t) for t in raw.split(",")]
+
+
+def _rule(cfg: RunConfig, method: str, reference_n: int | None = None) -> EstimatorRule:
+    return EstimatorRule(method, radius=cfg.get("radius"),
+                         eta_exponent=cfg.get("eta_exponent", 1.0 / 3.0),
+                         bootstrap_b=cfg.get("samples", 1000), reference_n=reference_n)
+
+
+def _counts(cfg: RunConfig) -> Counts:
+    counts = parse_counts(cfg.require("counts"))
+    if cfg.get("n", counts.n) != counts.n:
+        raise UsageError("--n disagrees with the counts total")
+    return counts
+
+
+def _seed_for(cfg: RunConfig, stochastic: bool) -> int:
+    if stochastic and cfg.get("seed") is None:
+        raise UsageError("--seed is required for stochastic runs")
+    return cfg.get("seed", 0)
 
 
 def cmd_bias(cfg: RunConfig) -> str:
     model = parse_model(cfg.require("model"), _angles(cfg))
     quad = _quad(cfg)
-    mu = cfg.get("mu0y")
-    phi0 = cfg.get("phi0")
-    counts_text = cfg.get("counts")
-    modes = sum(x is not None for x in (mu, phi0, counts_text))
-    if modes != 1:
+    mu, phi0, counts_text = cfg.get("mu0y"), cfg.get("phi0"), cfg.get("counts")
+    if sum(x is not None for x in (mu, phi0, counts_text)) != 1:
         raise UsageError("provide exactly one of --mu0y, --phi0 (with --n), --counts")
 
     method = cfg.get("method")
     geo = None
     if phi0 is not None:
-        n = float(cfg.require("n", "needed with --phi0"))
-        geo = GeometryParams.from_phi0(float(phi0), n)
+        geo = GeometryParams.from_phi0(phi0, cfg.require("n", "needed with --phi0"))
         mu = geo.mu0y
 
     if counts_text is not None:
-        counts = parse_counts(str(counts_text))
-        if cfg.get("n") is not None and int(cfg.get("n")) != counts.n:
-            raise UsageError("--n disagrees with the counts total")
-        rule_method = method or "plugin"
+        counts = _counts(cfg)
+        rule_method = cfg.get("method", "plugin")
         if rule_method not in ("plugin", "aic", "llf", "ulf", "uo", "minimax",
                                "consistent", "bootstrap"):
             raise UsageError(f"method {rule_method!r} not valid with --counts")
         seed = _seed_for(cfg, rule_method == "bootstrap")
-        rule = EstimatorRule(rule_method, radius=cfg.get("radius"),
-                             eta_exponent=float(cfg.get("eta_exponent", 1.0 / 3.0)),
-                             bootstrap_b=int(cfg.get("samples") or 1000))
-        scores = score_batch([model], counts.as_array()[None], rule, seed, quad)[0]
+        scores = score_batch([model], counts.as_array()[None], _rule(cfg, rule_method), seed,
+                             quad)[0]
         if scores.errors[0] is not None:
             raise DomainError(scores.errors[0])
         # the observed distance, whichever estimator ran; models without a
@@ -245,20 +312,18 @@ def cmd_bias(cfg: RunConfig) -> str:
         est = BiasEstimate(float(scores.bias[0]), scores.bias_method, std_error)
         return _bias_row(cfg, model, mu_hat, est)
 
-    mu = float(mu)
     if mu < 0:
         raise UsageError("--mu0y must be nonnegative")
     if method == "monte-carlo":
-        seed = _seed_for(cfg, True)
-        settings = _mc_settings(cfg, seed)
-        geo = geo or GeometryParams.from_phi0(1.0, float(cfg.get("n") or 1e6))
+        settings = _mc_settings(cfg, _seed_for(cfg, True))
+        geo = geo or GeometryParams.from_phi0(1.0, cfg.get("n", 1e6))
         cone = cone_of(model, geo)
         point = TransformedPoint(mu, 0.0) if model.variant == HALFLINES \
             else TransformedPoint(0.0, mu)
         est = mc_bias_gaussian(cone, point, settings)
     else:
         if model.variant == T3:
-            geo = geo or GeometryParams.from_phi0(1.0, float(cfg.get("n") or 1e6))
+            geo = geo or GeometryParams.from_phi0(1.0, cfg.get("n", 1e6))
         # a half-lines generating point is (mu0y, 0), on the 2pi ray, as above
         exact = model.variant != T3 and (model.variant != HALFLINES or mu == 0.0)
         est = BiasEstimate(bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0, quad),
@@ -273,55 +338,31 @@ def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) ->
     return csv_text(["model", "mu0y", "method", "bias", "std_error", "settings_hash"], [row])
 
 
-def _seed_for(cfg: RunConfig, stochastic: bool) -> int:
-    seed = cfg.get("seed")
-    if seed is None:
-        if stochastic:
-            raise UsageError("--seed is required for stochastic runs")
-        return 0
-    return int(seed)
-
-
-def _rules_from_methods(cfg: RunConfig, n: float) -> list[EstimatorRule]:
-    raw = cfg.get("method")
-    if not raw:
-        return []
-    rules = []
-    for tag in str(raw).split(","):
-        tag = tag.strip()
-        rules.append(EstimatorRule(tag, radius=cfg.get("radius"),
-                                   eta_exponent=float(cfg.get("eta_exponent", 1.0 / 3.0)),
-                                   reference_n=int(n)))
-    return rules
-
-
 def cmd_target(cfg: RunConfig) -> str:
     model = parse_model(cfg.require("model"), _angles(cfg))
     if model.variant == HALFLINES:
         raise UsageError("target curves need a simplex model (t1, t3, polytomy, unconstrained)")
-    n = int(cfg.require("n"))
-    grid = parse_grid(str(cfg.require("grid")))
-    seed = _seed_for(cfg, True)
-    settings = _mc_settings(cfg, seed)
-    rules = _rules_from_methods(cfg, n)
+    n = cfg.require("n")
+    grid = parse_grid(cfg.require("grid"))
+    settings = _mc_settings(cfg, _seed_for(cfg, True))
+    methods = cfg.get("method")
+    rules = [_rule(cfg, tag.strip(), n) for tag in methods.split(",")] if methods else []
     curves = curve_grid(model, n, grid, rules, settings, _quad(cfg))
     return curve_csv(grid, curves, [rule.method for rule in rules])
 
 
 def curve_csv(grid: Sequence[float], curves: dict[str, list[CurvePoint]],
-              methods: Sequence[str], target: Sequence[float] | None = None) -> str:
+              methods: Sequence[str]) -> str:
     """The curve table of curve_grid's output: mu0y, the simulated target and
     its standard error, the generalized and the classical correction, then a
-    value and standard-error column per estimator method.  `target`, when
-    given, replaces the target values (for example by a smoothed curve)."""
-    if target is None:
-        target = [pt.estimate for pt in curves["target"]]
+    value and standard-error column per estimator method."""
     header = ["mu0y", "target", "target_se", "aicg_bias", "aic_bias"]
     for method in methods:
         header += [method, f"{method}_se"]
     rows = []
     for i, mu in enumerate(grid):
-        row = [mu, target[i], curves["target"][i].std_error,
+        target = curves["target"][i]
+        row = [mu, target.estimate, target.std_error,
                curves["aicg"][i].estimate, curves["aic"][i].estimate]
         for method in methods:
             pt = curves[method][i]
@@ -331,24 +372,17 @@ def curve_csv(grid: Sequence[float], curves: dict[str, list[CurvePoint]],
 
 
 def cmd_select(cfg: RunConfig) -> str:
-    models_text = str(cfg.require("models"))
-    ids = [t for t in models_text.split(",") if t.strip()]
+    ids = [t for t in cfg.require("models").split(",") if t.strip()]
     if not ids:
         raise UsageError("empty model list")
     angles = _angles(cfg)
     models = [parse_model(t, angles) for t in ids]
-    counts = parse_counts(str(cfg.require("counts")))
-    n_flag = cfg.get("n")
-    if n_flag is not None and int(n_flag) != counts.n:
-        raise UsageError("--n disagrees with the counts total")
-    method = str(cfg.get("method", "plugin"))
+    counts = _counts(cfg)
+    method = cfg.get("method", "plugin")
     seed = _seed_for(cfg, method == "bootstrap")
-    rule = EstimatorRule(method, radius=cfg.get("radius"),
-                         eta_exponent=float(cfg.get("eta_exponent", 1.0 / 3.0)),
-                         bootstrap_b=int(cfg.get("samples") or 1000))
-    report = score(models, counts, rule, seed, _quad(cfg))
+    report = score(models, counts, _rule(cfg, method), seed, _quad(cfg))
 
-    if cfg.get("format", "csv") == "json":
+    if cfg.get("format") == "json":
         return json_text({
             "metadata": report.metadata,
             "rows": [{k: getattr(r, k) for k in r.__slots__} for r in report.rows],
@@ -363,21 +397,17 @@ def cmd_select(cfg: RunConfig) -> str:
 
 
 def cmd_regions(cfg: RunConfig) -> str:
-    pair_text = str(cfg.require("pair"))
-    ids = [t for t in pair_text.split(",") if t.strip()]
+    ids = [t for t in cfg.require("pair").split(",") if t.strip()]
     if len(ids) < 2:
         raise UsageError("--pair needs at least two models")
     models = [parse_model(t, _angles(cfg)) for t in ids]
-    n = int(cfg.require("n"))
-    resolution = int(cfg.require("resolution"))
+    n = cfg.require("n")
+    resolution = cfg.require("resolution")
     if resolution < 50:
         raise UsageError("resolution must be at least 50")
-    method = str(cfg.get("method", "plugin"))
+    method = cfg.get("method", "plugin")
     seed = _seed_for(cfg, method == "bootstrap")
-    rule = EstimatorRule(method, radius=cfg.get("radius"),
-                         eta_exponent=float(cfg.get("eta_exponent", 1.0 / 3.0)),
-                         bootstrap_b=int(cfg.get("samples") or 1000))
-    grid = region_grid(models, n, resolution, rule, seed, _quad(cfg))
+    grid = region_grid(models, n, resolution, _rule(cfg, method), seed, _quad(cfg))
     coord = [fmt_float(i / resolution) for i in range(resolution + 1)]
     rows = [[coord[i], coord[j], coord[k], w] for (i, j, k), w in zip(grid.points, grid.winners)]
     return csv_text(["p1", "p2", "p3", "winner"], rows, formatted=True)
@@ -385,8 +415,8 @@ def cmd_regions(cfg: RunConfig) -> str:
 
 def cmd_radii(cfg: RunConfig) -> str:
     model = parse_model(cfg.require("model"), _angles(cfg))
-    n = float(cfg.get("n") or 1e6)
-    grid = parse_grid(str(cfg.get("grid") or "0:5:0.05"))
+    n = float(cfg.get("n", 1e6))  # reference_n prints as a float
+    grid = parse_grid(cfg.get("grid", "0:5:0.05"))
     quad = _quad(cfg)
     out: dict[str, Any] = {"model": model.model_id, "reference_n": n,
                            "grid": {"start": grid[0], "stop": grid[-1], "points": len(grid)}}
@@ -394,13 +424,29 @@ def cmd_radii(cfg: RunConfig) -> str:
         out |= {"uo_radius": None, "minimax_radius": None,
                 "note": "constant bias correction; neighborhood radii not applicable"}
         return json_text(out)
-    tol = cfg.get("violation_tol")
-    r_uo, d_uo = uo_radius(model, grid, n, quad=quad,
-                           **({} if tol is None else {"violation_tol": float(tol)}))
+    r_uo, d_uo = uo_radius(model, grid, n, cfg.get("violation_tol"), quad)
     r_mm, d_mm = minimax_radius(model, grid, n, quad)
     out |= {"uo_radius": r_uo, "uo_diagnostics": d_uo,
             "minimax_radius": r_mm, "minimax_diagnostics": d_mm}
     return json_text(out)
+
+
+_COMMON = ("config", "out", "seed", "workers", "abs_tol", "angles")
+# subcommand: (its function, its help, the options it takes after _COMMON)
+_COMMANDS = {
+    "bias": (cmd_bias, "one bias-correction value",
+             ("samples", "model", "mu0y", "phi0", "n", "counts", "method", "radius",
+              "eta_exponent")),
+    "target": (cmd_target, "curve of simulated target vs corrections",
+               ("samples", "model", "n", "grid", "method", "radius", "eta_exponent")),
+    "select": (cmd_select, "rank candidate models on observed counts",
+               ("samples", "format", "models", "counts", "n", "method", "radius",
+                "eta_exponent")),
+    "regions": (cmd_regions, "decision-region grid over the simplex",
+                ("samples", "pair", "n", "resolution", "method", "radius", "eta_exponent")),
+    "radii": (cmd_radii, "calibrated neighborhood radii (JSON)",
+              ("model", "n", "grid", "violation_tol")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,75 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized AIC bias corrections and model selection "
                     "for trinomial models with boundaries and singularities.")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--config", help="JSON config file; flags take precedence")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--abs-tol", dest="abs_tol", type=float,
-                       help="quadrature absolute tolerance")
-        p.add_argument("--angles", help="half-lines ray angles, e.g. '2pi/3,4pi/3,2pi'")
-
-    bias = sub.add_parser("bias", help="one bias-correction value")
-    common(bias)
-    bias.add_argument("--samples", type=int)
-    bias.add_argument("--model", help="t1[:topology] | t3 | polytomy | unconstrained | halflines")
-    bias.add_argument("--mu0y", type=float)
-    bias.add_argument("--phi0", type=float)
-    bias.add_argument("--n", type=int)
-    bias.add_argument("--counts", help="n1,n2,n3")
-    bias.add_argument("--method")
-    bias.add_argument("--radius", type=float)
-    bias.add_argument("--eta-exponent", dest="eta_exponent", type=float)
-
-    target = sub.add_parser("target", help="curve of simulated target vs corrections")
-    common(target)
-    target.add_argument("--samples", type=int)
-    target.add_argument("--model")
-    target.add_argument("--n", type=int)
-    target.add_argument("--grid", help="start:stop:step over mu0y")
-    target.add_argument("--method", help="comma list of estimator columns to add")
-    target.add_argument("--radius", type=float)
-    target.add_argument("--eta-exponent", dest="eta_exponent", type=float)
-
-    select = sub.add_parser("select", help="rank candidate models on observed counts")
-    common(select)
-    select.add_argument("--samples", type=int)
-    select.add_argument("--format", choices=("csv", "json"))
-    select.add_argument("--models", help="comma list of model ids")
-    select.add_argument("--counts", help="n1,n2,n3")
-    select.add_argument("--n", type=int)
-    select.add_argument("--method")
-    select.add_argument("--radius", type=float)
-    select.add_argument("--eta-exponent", dest="eta_exponent", type=float)
-
-    regions = sub.add_parser("regions", help="decision-region grid over the simplex")
-    common(regions)
-    regions.add_argument("--samples", type=int)
-    regions.add_argument("--pair", help="comma list of competing model ids")
-    regions.add_argument("--n", type=int)
-    regions.add_argument("--resolution", type=int)
-    regions.add_argument("--method")
-    regions.add_argument("--radius", type=float)
-    regions.add_argument("--eta-exponent", dest="eta_exponent", type=float)
-
-    radii = sub.add_parser("radii", help="calibrated neighborhood radii (JSON)")
-    common(radii)
-    radii.add_argument("--model")
-    radii.add_argument("--n", type=int)
-    radii.add_argument("--grid")
-    radii.add_argument("--violation-tol", dest="violation_tol", type=float)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for key in _COMMON + options:
+            command.add_argument(f"--{key.replace('_', '-')}", dest=key, **OPTIONS[key])
     return parser
-
-
-_COMMANDS = {
-    "bias": cmd_bias,
-    "target": cmd_target,
-    "select": cmd_select,
-    "regions": cmd_regions,
-    "radii": cmd_radii,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -485,13 +467,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        text = _COMMANDS[args.cmd](cfg)
-    except (UsageError, DomainError) as exc:
+        text = _COMMANDS[args.cmd][0](cfg)
+    except (UsageError, DomainError, OverflowError) as exc:
+        # OverflowError: an integer option past the float range, such as a 400-digit --n
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (ConvergenceError, InfeasibleError) as exc:
         if args.cmd == "radii":
-            write_text(vars(args).get("out"), json_text({"error": str(exc)}))
+            write_text(cfg.get("out"), json_text({"error": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     write_text(cfg.get("out"), text)

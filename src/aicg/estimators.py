@@ -68,7 +68,7 @@ class EstimatorRule(Record):
         if method not in ("plugin", "aic", "llf", "ulf", "uo", "minimax",
                           "consistent", "bootstrap"):
             raise DomainError(f"unknown estimator method {method!r}")
-        if radius is not None and radius < 0:
+        if radius is not None and not radius >= 0:
             raise DomainError("radius must be nonnegative")
         if bootstrap_b < 1:
             raise DomainError("bootstrap replicate count must be >= 1")
@@ -252,7 +252,7 @@ def _poisson_mixture(r: np.ndarray, center_norm: np.ndarray, near: np.ndarray) -
     low = min(float(np.min(half_lam)), float(np.min(x)))
     high = max(float(np.max(half_lam)), float(np.max(x)))
     k = np.arange(max(0, int(low - reach(low))), int(high + reach(high)) + 2)
-    log_fact = _log_factorials(int(k[-1]) + 1)[k[0]:]
+    log_fact = np.array([math.lgamma(j + 1.0) for j in k.tolist()])
     pois_x = _poisson_pmf(x, k, log_fact)
     # P(Poisson(x) > k), summed from the top so small tails keep their
     # relative accuracy
@@ -260,23 +260,6 @@ def _poisson_mixture(r: np.ndarray, center_norm: np.ndarray, near: np.ndarray) -
     chi_cdf = np.concatenate([tail[:, 1:], np.zeros((len(x), 1))], axis=1)
     mix = chi_cdf @ _poisson_pmf(half_lam, k, log_fact).T
     return np.clip(mix[near[rows][:, cols]], 0.0, 1.0)
-
-
-# log k! for k = 0, 1, ...: one table for the process, grown on demand and
-# never written in place, so every caller reads the same math.lgamma values
-_LOG_FACTORIALS = np.zeros(0)
-
-
-def _log_factorials(count: int) -> np.ndarray:
-    """log k! for k < count, as a read-only view of the shared table."""
-    global _LOG_FACTORIALS
-    have = len(_LOG_FACTORIALS)
-    if have < count:
-        grown = np.concatenate([_LOG_FACTORIALS, [math.lgamma(i + 1.0)
-                                                  for i in range(have, max(count, 2 * have))]])
-        grown.flags.writeable = False
-        _LOG_FACTORIALS = grown
-    return _LOG_FACTORIALS[:count]
 
 
 def _poisson_pmf(rates: np.ndarray, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:

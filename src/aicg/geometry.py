@@ -25,6 +25,14 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
+def require_distinct(labels: list[str] | tuple[str, ...], what: str) -> None:
+    """Raise DomainError on the first label that repeats: results keyed by
+    label would otherwise merge the repeats."""
+    repeats = [x for i, x in enumerate(labels) if x in labels[:i]]
+    if repeats:
+        raise DomainError(f"{what} {repeats[0]!r} is repeated")
+
+
 class Record:
     """Base of the package's immutable records.  Each record's __init__ sets
     its slots once, through _fill, and checks them; assignment afterwards

@@ -39,6 +39,7 @@ from .geometry import (
     SimplexPoint,
     TransformedPoint,
     phi_from_mu0y,
+    require_distinct,
     theta_on_line,
 )
 from .models import (T1, Cone, ModelSpec, cone_of, mle_rows, project_points,
@@ -264,11 +265,16 @@ def mc_bias_gaussian(cone: Cone, mu0: TransformedPoint,
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:
     """Inclusive arithmetic grid; step 0 collapses to the single start point."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DomainError("grid start, stop and step must be finite")
     if step < 0:
         raise DomainError("grid step must be nonnegative")
     if step == 0 or stop <= start:
         return [start]
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise DomainError("grid step is too small for its range")
+    count = int(math.floor(span + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -287,6 +293,7 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     """
     if settings is None:
         raise DomainError("curve_grid requires Monte Carlo settings")
+    require_distinct([rule.method for rule in rules], "rule method")
     # runtime import; estimators builds on this module
     from .estimators import bias_on_cone, rule_evaluator
 

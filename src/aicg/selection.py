@@ -22,7 +22,7 @@ from .estimators import (
     least_favorable,
     neighborhood_values,
 )
-from .geometry import Counts, DomainError, Record, TransformedPoint
+from .geometry import Counts, DomainError, Record, TransformedPoint, require_distinct
 from .models import T1, T3, ModelSpec, cone_of, mle_rows, neg2loglik_rows, t3_cone
 from .montecarlo import McSettings, bias_evaluator, mc_expected_estimators
 from .quadrature import QuadratureSettings
@@ -227,6 +227,7 @@ def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule,
     """
     if not models:
         raise DomainError("need at least one candidate model")
+    require_distinct([m.model_id for m in models], "model id")
     batch = score_batch(models, counts.as_array()[None], rule, seed, quad)
     scored = [s for s in batch if s.errors[0] is None]
     rank_g = _rank([(float(s.aicg[0]), s.model.model_id) for s in scored])
@@ -336,10 +337,11 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
     """
     if len(models) < 2:
         raise DomainError("region grids need at least two models")
+    ids = tuple(m.model_id for m in models)
+    require_distinct(ids, "model id")
     pts = simplex_lattice(resolution)
     counts = _rounded_counts(np.array(pts) / resolution, n)
     aicg = np.array([s.aicg for s in score_batch(models, counts, rule, seed, quad)])
-    ids = tuple(m.model_id for m in models)
     return RegionGrid(
         resolution=resolution, n=n, model_ids=ids,
         points=tuple(pts), winners=_winner_labels(aicg, ids, quad.abs_tol),

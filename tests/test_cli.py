@@ -409,6 +409,180 @@ class TestConfigPrecedence:
         assert (args.seed, args.workers) == (3, 1)
 
 
+def _config_run(args, tmp_path, config, name="cfg"):
+    """run_cli with `config` written to a JSON file and passed by --config."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return run_cli([*args, "--config", str(path)], tmp_path, f"{name}.out")
+
+
+def _json_value(text):
+    """A flag's text as a config file would spell it: a JSON number where
+    the text is one, else the string."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return value if isinstance(value, (int, float)) else text
+
+
+# one command per subcommand and mode, together passing every option a
+# subcommand takes (bar --config and --out, which have their own tests)
+PARITY_COMMANDS = [
+    ["bias", "--model", "t3", "--mu0y", "1", "--method", "monte-carlo", "--samples", "500",
+     "--seed", "4", "--workers", "2", "--n", "500"],
+    ["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--phi0", "0.5", "--n", "50",
+     "--abs-tol", "1e-9"],
+    ["bias", "--model", "t3", "--counts", "60,25,15", "--method", "consistent", "--radius",
+     "0.5", "--n", "100", "--eta-exponent", "0.25"],
+    ["target", "--model", "t1", "--n", "100", "--grid", "0:1:0.5", "--samples", "300",
+     "--seed", "3", "--workers", "2", "--method", "uo,consistent", "--radius", "0.4",
+     "--eta-exponent", "0.3", "--abs-tol", "1e-9", "--angles", "2pi"],
+    ["select", "--counts", "60,20,20", "--models", "t1:1,t3,halflines", "--angles", "2pi",
+     "--n", "100", "--method", "bootstrap", "--samples", "50", "--seed", "2", "--format",
+     "json", "--radius", "0.5", "--eta-exponent", "0.25", "--workers", "1", "--abs-tol", "1e-9"],
+    ["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "50", "--method", "uo",
+     "--radius", "0.5", "--seed", "1", "--samples", "10", "--eta-exponent", "0.2",
+     "--workers", "1", "--abs-tol", "1e-9", "--angles", "2pi"],
+    ["radii", "--model", "t1", "--n", "1000", "--grid", "0:2:0.5", "--violation-tol", "1e-12",
+     "--abs-tol", "1e-9", "--seed", "1", "--workers", "1", "--angles", "2pi"],
+]
+PARITY_CASES = [(i, j) for i, args in enumerate(PARITY_COMMANDS)
+                for j in range(1, len(args), 2)]
+
+
+class TestConfigParity:
+    """A value given in the config file runs exactly as the same flag."""
+
+    @pytest.mark.parametrize("command, flag", PARITY_CASES,
+                             ids=[f"{PARITY_COMMANDS[i][0]}{i}-{PARITY_COMMANDS[i][j][2:]}"
+                                  for i, j in PARITY_CASES])
+    def test_config_value_runs_as_its_flag(self, tmp_path, capsys, command, flag):
+        args = PARITY_COMMANDS[command]
+        want = run_cli(args, tmp_path, "flag.out"), capsys.readouterr().err
+        rest = args[:flag] + args[flag + 2:]
+        config = {args[flag][2:]: _json_value(args[flag + 1])}
+        got = _config_run(rest, tmp_path, config), capsys.readouterr().err
+        assert want[0][0] == 0
+        assert got == want
+
+    @pytest.mark.parametrize("args, config", [
+        # the settings_hash of a config-supplied number is the flag's
+        (["bias", "--model", "t1", "--mu0y", "1"], {"mu0y": 1}),
+        (["bias", "--model", "t1", "--counts", "60,20,20", "--method", "uo", "--radius", "0.5"],
+         {"radius": "0.5"}),
+        (["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",
+          "--seed", "1", "--method", "uo", "--radius", "0.5"], {"radius": "0.5"}),
+        (["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--mu0y", "1"],
+         {"angles": [2.8, 4.5, "2pi"]}),
+        (["bias", "--model", "t1", "--counts", "60,20,20", "--eta-exponent", "0.25"],
+         {"eta-exponent": 0.25}),
+    ])
+    def test_config_spellings(self, tmp_path, args, config):
+        # a numeric string, a JSON list of angles and a dashed key
+        key = next(iter(config))
+        flag = args.index("--" + key.replace("_", "-"))
+        want = run_cli(args, tmp_path, "flag.out")
+        assert want[0] == 0
+        assert _config_run(args[:flag] + args[flag + 2:], tmp_path, config) == want
+        if args[0] == "bias" and key == "mu0y":
+            assert want[1].rstrip().endswith(",c32a2b65509c")
+
+    def test_out_from_config(self, tmp_path):
+        args = ["bias", "--model", "t1", "--mu0y", "1"]
+        target = tmp_path / "nested" / "bias.csv"
+        _, want = run_cli(args, tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"out": str(target)}), encoding="utf-8")
+        assert main([*args, "--config", str(config)]) == 0
+        assert target.read_text(encoding="utf-8") == want
+
+    def test_radii_error_json_lands_in_config_out(self, tmp_path, capsys):
+        target = tmp_path / "radii.json"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"out": str(target)}), encoding="utf-8")
+        code = main(["radii", "--model", "t3", "--grid", "0:1:0.5", "--violation-tol", "-1",
+                     "--config", str(config)])
+        assert code == 3
+        assert capsys.readouterr().out == ""
+        assert json.loads(target.read_text(encoding="utf-8")) == {
+            "error": "no feasible radius in [0, 6]"}
+
+
+class TestEdgeInputsExit2:
+    """Inputs that ran with a wrong number, or ended in a traceback, exit 2
+    with a message naming what was wrong."""
+
+    @pytest.mark.parametrize("args, config, needle", [
+        (["bias", "--model", "t1", "--phi0", "0.5"], {"n": 1.7}, "'n'"),
+        (["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo", "--seed", "1"],
+         {"samples": 2.5}, "'samples'"),
+        (["select", "--counts", "10,10,10", "--models", "t1:1"], {"format": "xml"}, "'format'"),
+        (["bias", "--model", "t1"], {"mu0y": math.nan}, "'mu0y'"),
+        (["bias", "--model", "t1", "--counts", "60,20,20", "--method", "uo"],
+         {"radius": "nan"}, "'radius'"),
+        (["radii", "--model", "t1"], {"violation_tol": math.inf}, "'violation_tol'"),
+        (["bias", "--model", "t1", "--mu0y", "1"], {"seed": True}, "'seed'"),
+        (["bias", "--model", "t1", "--counts", "60,20,20", "--method", "bootstrap",
+          "--samples", "0", "--seed", "1"], None, "replicate count must be >= 1"),
+        (["bias", "--model", "t3", "--mu0y", "1", "--n", "0"], None, "sample size"),
+        (["radii", "--model", "t1", "--n", "0"], None, "sample size"),
+        (["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo", "--n", "0",
+          "--samples", "10", "--seed", "1"], None, "sample size"),
+        (["radii", "--model", "t1", "--grid", "0:inf:1"], None, "finite"),
+        (["target", "--model", "t1", "--n", "100", "--grid", "0:inf:1", "--samples", "100",
+          "--seed", "1"], None, "finite"),
+        (["radii", "--model", "t1", "--grid", "0:1e300:1e-300"], None, "too small"),
+        (["select", "--counts", "60,20,20", "--models", "t1:1,t1:1,polytomy"], None,
+         "model id 't1:1' is repeated"),
+        (["select", "--counts", "60,20,20", "--models", "t1,t1:1"], None,
+         "model id 't1:1' is repeated"),
+        (["regions", "--pair", "t1:1,polytomy,t1", "--n", "60", "--resolution", "50"], None,
+         "model id 't1:1' is repeated"),
+        (["target", "--model", "t1", "--n", "1000", "--grid", "0:3:1", "--samples", "100",
+          "--seed", "3", "--method", "plugin,plugin"], None, "rule method 'plugin' is repeated"),
+        (["bias", "--model", "halflines", "--angles", "abc,2pi", "--mu0y", "1"], None,
+         "cannot parse angle 'abc'"),
+        (["bias", "--model", "halflines", "--angles", "2pi/0", "--mu0y", "1"], None,
+         "cannot parse angle '2pi/0'"),
+        (["bias", "--model", "halflines:2.8,x,2pi", "--mu0y", "1"], None,
+         "cannot parse angle 'x'"),
+        (["bias", "--model", "t1:x", "--mu0y", "1"], None, "'x'"),
+        (["bias", "--model", "t3", "--phi0", "0.5", "--n", "1" + "0" * 400], None,
+         "too large"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, args, config, needle):
+        code, text = (run_cli(args, tmp_path) if config is None
+                      else _config_run(args, tmp_path, config))
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert needle in err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["bias", "--model", "t1", "--mu0y", "nan"], "--mu0y"),
+        (["bias", "--model", "t1", "--counts", "60,20,20", "--method", "uo", "--radius", "nan"],
+         "--radius"),
+        (["bias", "--model", "t1", "--mu0y", "inf"], "--mu0y"),
+        (["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",
+          "--seed", "1", "--eta-exponent=-inf"], "--eta-exponent"),
+        (["radii", "--model", "t3", "--abs-tol", "nan"], "--abs-tol"),
+    ])
+    def test_non_finite_flag_exit_2(self, tmp_path, capsys, args, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--out", str(tmp_path / "out.txt")])
+        assert exc.value.code == 2
+        assert f"argument {flag}: not a finite number" in capsys.readouterr().err
+
+    def test_halflines_id_angles_parse_as_angles_flag(self, tmp_path):
+        by_id = run_cli(["bias", "--model", "halflines:2.8,4.5,2pi", "--mu0y", "1"], tmp_path,
+                        "id.csv")
+        by_flag = run_cli(["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi",
+                           "--mu0y", "1"], tmp_path, "flag.csv")
+        assert by_id[0] == 0
+        assert by_id[1].splitlines()[1].split(",")[:-1] == \
+            by_flag[1].splitlines()[1].split(",")[:-1]
+
+
 class TestOutputDiscipline:
     def test_lf_endings_and_trailing_newline(self, tmp_path):
         _, text = run_cli(["bias", "--model", "t1", "--mu0y", "0.5"], tmp_path)

@@ -65,26 +65,26 @@ class TestNoncentralRadiusCdf:
 
     @pytest.mark.parametrize("r", [0.5, 1.77, 2.21, 6.0])
     def test_log_factorial_table_keeps_bits(self, r, monkeypatch):
-        # the shared table against log k! built afresh by math.lgamma per call
+        # each call builds log k! over its own index window; it must hold the
+        # bits of one table of math.lgamma(k + 1) from k = 0, for the grid in
+        # one call (one index window) and point by point
         import aicg.estimators as est
+        windows = []
+        pmf = est._poisson_pmf
+
+        def spy(rates, k, log_fact):
+            windows.append((k, log_fact))
+            return pmf(rates, k, log_fact)
+        monkeypatch.setattr(est, "_poisson_pmf", spy)
         grid = np.arange(0.0, 5.0001, 0.05)
-        est.noncentral_radius_cdf(40.0, 40.0)  # grow the table past this test's windows
-
-        def both():  # the grid in one call (one index window), and point by point
-            return noncentral_radius_cdf(r, grid), [noncentral_radius_cdf(r, s) for s in grid]
-        got = both()
-        monkeypatch.setattr(est, "_log_factorials", lambda count: np.array(
-            [math.lgamma(i + 1.0) for i in range(count)]))
-        want = both()
-        assert got[0].tobytes() == want[0].tobytes()
-        assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
-
-    def test_log_factorial_table_is_read_only(self):
-        import aicg.estimators as est
-        table = est._log_factorials(30)
-        assert table[20] == math.lgamma(21.0)
-        with pytest.raises(ValueError):
-            table[3] = 0.0
+        noncentral_radius_cdf(r, grid)
+        for s in grid:
+            noncentral_radius_cdf(r, s)
+        assert len(windows) == 2 * (1 + len(grid))  # two pmfs per call, every pair near
+        table = np.array([math.lgamma(i + 1.0)
+                          for i in range(max(int(k[-1]) for k, _ in windows) + 1)])
+        for k, log_fact in windows:
+            assert log_fact.tobytes() == table[k[0]:k[-1] + 1].tobytes()
 
     def test_radius_by_center_array(self):
         # one call on an (R, M) array: an r = 0 row, near pairs, and far
@@ -559,3 +559,7 @@ class TestRuleValidation:
     def test_negative_radius(self):
         with pytest.raises(DomainError):
             EstimatorRule("uo", radius=-0.5)
+
+    def test_nan_radius(self):
+        with pytest.raises(DomainError, match="radius must be nonnegative"):
+            EstimatorRule("uo", radius=math.nan)

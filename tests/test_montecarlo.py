@@ -340,8 +340,22 @@ class TestGridValues:
         with pytest.raises(DomainError):
             grid_values(0, 1, -0.1)
 
+    @pytest.mark.parametrize("start, stop, step", [
+        (0.0, math.inf, 1.0), (math.nan, 1.0, 0.5), (0.0, 1.0, math.nan), (-math.inf, 0.0, 0.0),
+        (0.0, 1e300, 1e-300)])
+    def test_non_finite_rejected(self, start, stop, step):
+        # the last grid is finite, but its point count is not
+        with pytest.raises(DomainError):
+            grid_values(start, stop, step)
+
 
 class TestCurveGrid:
+    def test_repeated_rule_method_rejected(self):
+        # the columns are keyed by method, so a repeat would merge two columns
+        rules = [EstimatorRule("plugin"), EstimatorRule("uo"), EstimatorRule("plugin")]
+        with pytest.raises(DomainError, match="rule method 'plugin' is repeated"):
+            curve_grid(t1_model(1), 100, [0.0, 1.0], rules, McSettings(3, 100))
+
     def test_t1_endpoints_and_columns(self):
         curves = curve_grid(t1_model(1), 1000, [0.0, 5.0],
                             rules=[EstimatorRule("uo", radius=0.0)],

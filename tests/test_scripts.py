@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import aicg
+from aicg.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,10 +25,18 @@ def test_make_figure_data(tmp_path):
                       "--n-list", "30", "--grid", "0:1:0.5", "--samples", "200",
                       "--methods", "plugin,uo")
     assert proc.returncode == 0, proc.stderr
-    for model in ("t11", "t3"):
-        lines = (tmp_path / f"curve_{model}_n30.csv").read_text(encoding="utf-8").splitlines()
+    for model, slug in (("t1:1", "t11"), ("t3", "t3")):
+        text = (tmp_path / f"curve_{slug}_n30.csv").read_text(encoding="utf-8")
+        lines = text.splitlines()
         assert lines[0] == "mu0y,target,target_se,aicg_bias,aic_bias,plugin,plugin_se,uo,uo_se"
         assert len(lines) == 4
+        # each file is `aicg target` with the same arguments and the script's
+        # default seed
+        out = tmp_path / f"cli_{slug}.csv"
+        assert cli_main(["target", "--model", model, "--n", "30", "--grid", "0:1:0.5",
+                         "--samples", "200", "--seed", "2026", "--method", "plugin,uo",
+                         "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("method", ["plugin", "bootstrap"])

@@ -33,6 +33,8 @@ from oracles import (
 )
 
 PLUGIN = EstimatorRule("plugin")
+# two half-lines models, which no count row can score
+HALFLINES_PAIR = [validate_halflines([2 * math.pi]), validate_halflines([math.pi, 2 * math.pi])]
 
 
 class TestScore:
@@ -51,6 +53,12 @@ class TestScore:
     def test_empty_model_list_rejected(self):
         with pytest.raises(DomainError):
             score([], Counts(1, 1, 1), PLUGIN)
+
+    @pytest.mark.parametrize("ids", [("t1:1", "t1:1", "polytomy"), ("t1", "t1:1")])
+    def test_repeated_model_id_rejected(self, ids):
+        # ranks are keyed by model id: the repeats would share one rank
+        with pytest.raises(DomainError, match="model id 't1:1' is repeated"):
+            score([parse_model_id(i) for i in ids], Counts(60, 20, 20), PLUGIN)
 
     def test_score_identity(self):
         report = score([t1_model(1), t3_model(), polytomy_model(), unconstrained_model()],
@@ -184,13 +192,21 @@ class TestRegionGrid:
         assert grid.winners.count("t3") == 831
 
     def test_error_cell_when_every_model_fails(self):
-        hl = validate_halflines([2 * math.pi])
-        grid = region_grid([hl, hl], 10, 2, PLUGIN)
+        grid = region_grid(HALFLINES_PAIR, 10, 2, PLUGIN)
         assert set(grid.winners) == {"error"}
 
     def test_equal_scores_are_a_tie(self):
-        grid = region_grid([t1_model(1), t1_model(1)], 10, 2, PLUGIN)
+        # each cell of the resolution-2 lattice swaps two lines into each
+        # other, so the two t1 models on those lines score alike
+        grid = region_grid([t1_model(1), t1_model(2), t1_model(3)], 10, 2, PLUGIN)
         assert set(grid.winners) == {"tie"}
+
+    @pytest.mark.parametrize("models", [[t1_model(1), polytomy_model(), t1_model(1)],
+                                        [t1_model(1), polytomy_model(), parse_model_id("t1")]])
+    def test_repeated_model_id_rejected(self, models):
+        # a repeat would tie with itself wherever it wins
+        with pytest.raises(DomainError, match="model id 't1:1' is repeated"):
+            region_grid(models, 10, 50, PLUGIN)
 
 
 class TestWinnerLabels:
@@ -207,9 +223,9 @@ class TestWinnerLabels:
     @pytest.mark.parametrize("models, n, res", [
         ([t3_model(), unconstrained_model()], 200, 100),
         ([t3_model(), unconstrained_model()], 10, 50),
-        ([t1_model(1), polytomy_model(), t1_model(1)], 10, 50),
+        ([t1_model(1), t1_model(2), t1_model(3)], 10, 50),
         ([validate_halflines([2 * math.pi]), t1_model(2)], 10, 50),
-        ([validate_halflines([2 * math.pi])] * 2, 10, 50),
+        (HALFLINES_PAIR, 10, 50),
     ])
     def test_region_grid_matches_loop_oracle(self, models, n, res):
         grid = region_grid(models, n, res, PLUGIN)
@@ -241,10 +257,9 @@ class TestWinnerLabels:
 
     def test_labels_cover_winner_tie_and_error(self):
         labels = set()
-        for models in ([t1_model(1), polytomy_model(), t1_model(1)],
-                       [validate_halflines([2 * math.pi])] * 2):
+        for models in ([t1_model(1), t1_model(2), t1_model(3)], HALFLINES_PAIR):
             labels |= set(region_grid(models, 10, 50, PLUGIN).winners)
-        assert labels == {"polytomy", "tie", "error"}
+        assert labels == {"t1:1", "t1:2", "t1:3", "tie", "error"}
 
 
 class TestScoreBatch:
