@@ -16,10 +16,6 @@ from pathlib import Path
 
 from aicg.cli import main as cli_main
 
-# every run passes one seed, which the bootstrap method requires and the
-# deterministic methods ignore; the same default as make_figure_data.py
-SEED = 2026
-
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
@@ -38,7 +34,7 @@ def main() -> int:
         code = cli_main([
             "regions", "--pair", pair, "--n", str(args.n),
             "--resolution", str(args.resolution), "--method", args.method,
-            "--seed", str(SEED), "--out", str(out),
+            "--out", str(out),
         ])
         if code != 0:
             return code

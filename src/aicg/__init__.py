@@ -13,13 +13,11 @@ from .closedform import (
 )
 from .estimators import (
     EstimatorRule,
-    bootstrap_bias,
     crude_bounds,
     least_favorable,
     minimax_radius,
     neighborhood_rule,
     noncentral_radius_cdf,
-    plugin_bias,
     uo_radius,
 )
 from .geometry import (

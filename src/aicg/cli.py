@@ -140,7 +140,7 @@ def parse_model(token: str, angles: Sequence[float] | None = None) -> ModelSpec:
         return validate_halflines(rays)
     try:
         return parse_model_id(s)
-    except ValueError as exc:  # a DomainError, or a t1 topology int() rejects
+    except DomainError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -246,8 +246,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return RunConfig(args.cmd, values)
 
 
-def _mc_settings(cfg: RunConfig, seed: int) -> McSettings:
-    return McSettings(seed=seed, samples=cfg.require("samples"), workers=cfg.get("workers", 1))
+def _mc_settings(cfg: RunConfig) -> McSettings:
+    if cfg.get("seed") is None:
+        raise UsageError("--seed is required for stochastic runs")
+    return McSettings(seed=cfg.get("seed"), samples=cfg.require("samples"),
+                      workers=cfg.get("workers", 1))
 
 
 def _quad(cfg: RunConfig) -> QuadratureSettings:
@@ -262,7 +265,7 @@ def _angles(cfg: RunConfig) -> list[float] | None:
 def _rule(cfg: RunConfig, method: str, reference_n: int | None = None) -> EstimatorRule:
     return EstimatorRule(method, radius=cfg.get("radius"),
                          eta_exponent=cfg.get("eta_exponent", 1.0 / 3.0),
-                         bootstrap_b=cfg.get("samples", 1000), reference_n=reference_n)
+                         reference_n=reference_n)
 
 
 def _counts(cfg: RunConfig) -> Counts:
@@ -270,12 +273,6 @@ def _counts(cfg: RunConfig) -> Counts:
     if cfg.get("n", counts.n) != counts.n:
         raise UsageError("--n disagrees with the counts total")
     return counts
-
-
-def _seed_for(cfg: RunConfig, stochastic: bool) -> int:
-    if stochastic and cfg.get("seed") is None:
-        raise UsageError("--seed is required for stochastic runs")
-    return cfg.get("seed", 0)
 
 
 def cmd_bias(cfg: RunConfig) -> str:
@@ -293,13 +290,8 @@ def cmd_bias(cfg: RunConfig) -> str:
 
     if counts_text is not None:
         counts = _counts(cfg)
-        rule_method = cfg.get("method", "plugin")
-        if rule_method not in ("plugin", "aic", "llf", "ulf", "uo", "minimax",
-                               "consistent", "bootstrap"):
-            raise UsageError(f"method {rule_method!r} not valid with --counts")
-        seed = _seed_for(cfg, rule_method == "bootstrap")
-        scores = score_batch([model], counts.as_array()[None], _rule(cfg, rule_method), seed,
-                             quad)[0]
+        rule = _rule(cfg, cfg.get("method", "plugin"))
+        scores = score_batch([model], counts.as_array()[None], rule, quad)[0]
         if scores.errors[0] is not None:
             raise DomainError(scores.errors[0])
         # the observed distance, whichever estimator ran; models without a
@@ -308,14 +300,13 @@ def cmd_bias(cfg: RunConfig) -> str:
         if math.isnan(mu_hat):
             raise DomainError(f"counts {counts_text} put the estimate at a simplex "
                               "vertex, where the observed distance is undefined")
-        std_error = None if scores.std_error is None else float(scores.std_error[0])
-        est = BiasEstimate(float(scores.bias[0]), scores.bias_method, std_error)
+        est = BiasEstimate(float(scores.bias[0]), scores.bias_method)
         return _bias_row(cfg, model, mu_hat, est)
 
     if mu < 0:
         raise UsageError("--mu0y must be nonnegative")
     if method == "monte-carlo":
-        settings = _mc_settings(cfg, _seed_for(cfg, True))
+        settings = _mc_settings(cfg)
         geo = geo or GeometryParams.from_phi0(1.0, cfg.get("n", 1e6))
         cone = cone_of(model, geo)
         point = TransformedPoint(mu, 0.0) if model.variant == HALFLINES \
@@ -332,7 +323,10 @@ def cmd_bias(cfg: RunConfig) -> str:
 
 
 def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) -> str:
-    resolved = {k: v for k, v in cfg.values.items() if v is not None and k != "out"}
+    # what the computation reads: not where the output goes or how many
+    # threads draw it, and the seed and sample count only where it draws
+    unread = {"out", "workers"} | ({"seed", "samples"} if est.method != "monte-carlo" else set())
+    resolved = {k: v for k, v in cfg.values.items() if v is not None and k not in unread}
     row = [model.model_id, mu, est.method, est.value, est.std_error,
            settings_hash(resolved)]
     return csv_text(["model", "mu0y", "method", "bias", "std_error", "settings_hash"], [row])
@@ -344,7 +338,7 @@ def cmd_target(cfg: RunConfig) -> str:
         raise UsageError("target curves need a simplex model (t1, t3, polytomy, unconstrained)")
     n = cfg.require("n")
     grid = parse_grid(cfg.require("grid"))
-    settings = _mc_settings(cfg, _seed_for(cfg, True))
+    settings = _mc_settings(cfg)
     methods = cfg.get("method")
     rules = [_rule(cfg, tag.strip(), n) for tag in methods.split(",")] if methods else []
     curves = curve_grid(model, n, grid, rules, settings, _quad(cfg))
@@ -378,9 +372,7 @@ def cmd_select(cfg: RunConfig) -> str:
     angles = _angles(cfg)
     models = [parse_model(t, angles) for t in ids]
     counts = _counts(cfg)
-    method = cfg.get("method", "plugin")
-    seed = _seed_for(cfg, method == "bootstrap")
-    report = score(models, counts, _rule(cfg, method), seed, _quad(cfg))
+    report = score(models, counts, _rule(cfg, cfg.get("method", "plugin")), _quad(cfg))
 
     if cfg.get("format") == "json":
         return json_text({
@@ -405,9 +397,8 @@ def cmd_regions(cfg: RunConfig) -> str:
     resolution = cfg.require("resolution")
     if resolution < 50:
         raise UsageError("resolution must be at least 50")
-    method = cfg.get("method", "plugin")
-    seed = _seed_for(cfg, method == "bootstrap")
-    grid = region_grid(models, n, resolution, _rule(cfg, method), seed, _quad(cfg))
+    grid = region_grid(models, n, resolution, _rule(cfg, cfg.get("method", "plugin")),
+                       _quad(cfg))
     coord = [fmt_float(i / resolution) for i in range(resolution + 1)]
     rows = [[coord[i], coord[j], coord[k], w] for (i, j, k), w in zip(grid.points, grid.winners)]
     return csv_text(["p1", "p2", "p3", "winner"], rows, formatted=True)
@@ -440,10 +431,9 @@ _COMMANDS = {
     "target": (cmd_target, "curve of simulated target vs corrections",
                ("samples", "model", "n", "grid", "method", "radius", "eta_exponent")),
     "select": (cmd_select, "rank candidate models on observed counts",
-               ("samples", "format", "models", "counts", "n", "method", "radius",
-                "eta_exponent")),
+               ("format", "models", "counts", "n", "method", "radius", "eta_exponent")),
     "regions": (cmd_regions, "decision-region grid over the simplex",
-                ("samples", "pair", "n", "resolution", "method", "radius", "eta_exponent")),
+                ("pair", "n", "resolution", "method", "radius", "eta_exponent")),
     "radii": (cmd_radii, "calibrated neighborhood radii (JSON)",
               ("model", "n", "grid", "violation_tol")),
 }

@@ -20,7 +20,7 @@ METHODS = (
     "closed-form", "quadrature", "monte-carlo", "plug-in", "llf", "ulf",
     "uo", "minimax", "consistent", "bootstrap", "aic", "crude-bound",
 )
-_STOCHASTIC = ("monte-carlo", "bootstrap")
+_STOCHASTIC = ("monte-carlo",)
 
 
 class BiasEstimate(Record):

@@ -2,7 +2,10 @@
 
 Plug-in, lower/upper least favorable, neighborhood rules (uniformly
 outperforming and minimax, with radius calibration), consistent shrinkage
-estimation, the parametric bootstrap built on it, and crude dimension bounds.
+estimation, and crude dimension bounds.  selection.score_batch applies the
+rules to count rows, the parametric bootstrap among them: its value is the
+bias at its centre (the consistent estimate) on the row's own cone, which
+bias_on_cone computes exactly, so scoring draws nothing.
 
 Radius calibration conventions follow the constructions they reproduce: the
 single-line rules threshold the constrained estimate's distance (so the
@@ -19,7 +22,6 @@ import numpy as np
 
 from .closedform import BiasEstimate, bias_aic, bias_constant, singularity_bias
 from .geometry import (
-    Counts,
     DomainError,
     GeometryParams,
     Record,
@@ -59,19 +61,16 @@ class InfeasibleError(RuntimeError):
 class EstimatorRule(Record):
     """Configuration of one data-dependent bias-correction estimator."""
 
-    __slots__ = ("method", "radius", "eta_exponent", "bootstrap_b", "reference_n")
+    __slots__ = ("method", "radius", "eta_exponent", "reference_n")
 
     def __init__(self, method: str, radius: float | None = None,
-                 eta_exponent: float = 1.0 / 3.0, bootstrap_b: int = 1000,
-                 reference_n: int | None = None):
-        self._fill(method, radius, eta_exponent, bootstrap_b, reference_n)
+                 eta_exponent: float = 1.0 / 3.0, reference_n: int | None = None):
+        self._fill(method, radius, eta_exponent, reference_n)
         if method not in ("plugin", "aic", "llf", "ulf", "uo", "minimax",
                           "consistent", "bootstrap"):
             raise DomainError(f"unknown estimator method {method!r}")
         if radius is not None and not radius >= 0:
             raise DomainError("radius must be nonnegative")
-        if bootstrap_b < 1:
-            raise DomainError("bootstrap replicate count must be >= 1")
 
 
 def default_observed(model: ModelSpec, method: str) -> str:
@@ -86,28 +85,6 @@ def default_radius(model: ModelSpec, method: str) -> float:
     except KeyError:
         raise DomainError(
             f"no reference radius for {model.model_id}; calibrate one first") from None
-
-
-def _one_row(model: ModelSpec, counts: Counts, n: int | None, rule: EstimatorRule,
-             seed: int, quad: QuadratureSettings):
-    """score_batch's scores of one model on one row of counts."""
-    from .selection import score_batch  # runtime import; selection builds on this module
-    if n is not None and n != counts.n:
-        raise DomainError("n must match the total count")
-    scores = score_batch([model], counts.as_array()[None], rule, seed, quad)[0]
-    if scores.errors[0] is not None:
-        raise DomainError(scores.errors[0])
-    return scores
-
-
-def plugin_bias(model: ModelSpec, counts: Counts, n: int | None = None,
-                quad: QuadratureSettings = QuadratureSettings()) -> BiasEstimate:
-    """Bias correction with the generating parameter replaced by the MLE: the
-    one-row case of selection.score_batch under the plug-in rule."""
-    scores = _one_row(model, counts, n, EstimatorRule("plugin"), 0, quad)
-    return BiasEstimate(float(scores.bias[0]), "plug-in",
-                        settings={"model": model.model_id,
-                                  "mu_hat": float(scores.mu_hat[0])})
 
 
 def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0,
@@ -374,30 +351,6 @@ def consistent_radius(n: float, eta_exponent: float) -> float:
     if not 0.0 < eta_exponent < 0.5:
         raise DomainError("rate exponent must lie strictly inside (0, 1/2)")
     return float(n) ** (0.5 - eta_exponent)
-
-
-def bootstrap_bias(model: ModelSpec, data: Counts, n: int | None = None,
-                   b_replicates: int = 1000, seed: int = 0,
-                   eta_exponent: float = 1.0 / 3.0,
-                   quad: QuadratureSettings = QuadratureSettings()) -> BiasEstimate:
-    """Parametric bootstrap of the bias correction around the shrunken center:
-    the one-row case of selection.score_batch under the bootstrap rule.
-
-    The consistent estimate mu_tilde centers the bootstrap: (0, mu_hat), or
-    the origin where mu_hat lies within consistent_radius(n, eta_exponent);
-    models without a line center at the origin.  Each replicate draws
-    z* ~ N(mu_tilde, I) and re-estimates by ordinary cone projection, and the
-    average of 2 (z* - mu_tilde).(mu*_tilde - mu_tilde) is reported: the value
-    of montecarlo.mc_bias_gaussian at mu_tilde with b_replicates draws.
-    """
-    rule = EstimatorRule("bootstrap", eta_exponent=eta_exponent, bootstrap_b=b_replicates)
-    scores = _one_row(model, data, n, rule, seed, quad)
-    return BiasEstimate(float(scores.bias[0]), "bootstrap",
-                        std_error=float(scores.std_error[0]),
-                        settings={"model": model.model_id,
-                                  "mu_hat": float(scores.mu_hat[0]),
-                                  "replicates": b_replicates, "seed": seed,
-                                  "eta_exponent": eta_exponent})
 
 
 def crude_bounds(model: ModelSpec) -> tuple[BiasEstimate, BiasEstimate]:

@@ -14,8 +14,7 @@ replicate up in a table of the statistic over the chunk's range of c_k; for
 t1:1 that count is the first trinomial component, so its values are those of
 the full trinomial draw.
 
-The expected values of estimator rules, and the bias statistic of the
-parametric bootstrap (bias_evaluator), use common random numbers: each chunk
+The expected values of estimator rules use common random numbers: each chunk
 draws one block e of standard normals from the stream of the seed alone, and
 every generating point (0, mu0y) and every rule evaluated there uses
 z = (0, mu0y) + e.  A rule's value at a point therefore does not depend on
@@ -201,8 +200,8 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
 
 
 # A rule's value per draw, from the (N, 2) draws z and the (N,) distances of
-# their cone projections from the origin; estimators.rule_evaluator and
-# bias_evaluator build them.
+# their cone projections from the origin; estimators.rule_evaluator builds
+# them.
 RuleEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -244,23 +243,18 @@ def mc_expected_estimator(value_fn: RuleEvaluator, cone: Cone, mu0: TransformedP
     return mc_expected_estimators([(cone, mu0, [value_fn])], settings)[0][0]
 
 
-def bias_evaluator(cone: Cone, center: np.ndarray) -> RuleEvaluator:
-    """The bias-correction statistic 2 (z - c).(P z - c) per draw, for P the
-    projection onto the cone and c the center of the draws."""
-    def evaluate(z, dist):
-        return 2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)
-    return evaluate
-
-
 def mc_bias_gaussian(cone: Cone, mu0: TransformedPoint,
                      settings: McSettings) -> BiasEstimate:
-    """Bias correction 2 E{(z - mu0).(P z - mu0)}, z ~ N(mu0, I): the one-point
-    case of mc_expected_estimators with bias_evaluator, so it equals the
-    bootstrap value of a row centred at mu0 with the same settings."""
+    """Bias correction 2 E{(z - mu0).(P z - mu0)}, z ~ N(mu0, I), for P the
+    projection onto the cone: the one-point case of mc_expected_estimators
+    with that statistic per draw."""
     center = mu0.as_array()
     if float(np.linalg.norm(project_points(cone, center[None])[0] - center)) > 1e-9:
         raise DomainError("mu0 must lie on the cone")
-    return mc_expected_estimators([(cone, mu0, [bias_evaluator(cone, center)])], settings)[0][0]
+
+    def statistic(z, dist):
+        return 2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)
+    return mc_expected_estimators([(cone, mu0, [statistic])], settings)[0][0]
 
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:

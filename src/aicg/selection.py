@@ -22,9 +22,8 @@ from .estimators import (
     least_favorable,
     neighborhood_values,
 )
-from .geometry import Counts, DomainError, Record, TransformedPoint, require_distinct
-from .models import T1, T3, ModelSpec, cone_of, mle_rows, neg2loglik_rows, t3_cone
-from .montecarlo import McSettings, bias_evaluator, mc_expected_estimators
+from .geometry import Counts, DomainError, Record, require_distinct
+from .models import T1, T3, ModelSpec, mle_rows, neg2loglik_rows
 from .quadrature import QuadratureSettings
 
 _VERSION = "0.1.0"
@@ -60,15 +59,14 @@ class SelectionReport(Record):
 class ModelScores(Record):
     """One model's scores on N count rows.  A row the estimator cannot handle
     holds NaN values and its error message; the other rows are unaffected.
-    std_error is set by the bootstrap only; mu_hat is the observed distance,
-    0 without a line and NaN where undefined."""
+    mu_hat is the observed distance, 0 without a line and NaN where
+    undefined."""
 
-    __slots__ = ("model", "bias_method", "neg2loglik", "bias", "std_error", "mu_hat", "errors")
+    __slots__ = ("model", "bias_method", "neg2loglik", "bias", "mu_hat", "errors")
 
     def __init__(self, model: ModelSpec, bias_method: str, neg2loglik: np.ndarray,
-                 bias: np.ndarray, std_error: np.ndarray | None, mu_hat: np.ndarray,
-                 errors: tuple[str | None, ...]):
-        self._fill(model, bias_method, neg2loglik, bias, std_error, mu_hat, errors)
+                 bias: np.ndarray, mu_hat: np.ndarray, errors: tuple[str | None, ...]):
+        self._fill(model, bias_method, neg2loglik, bias, mu_hat, errors)
 
     @property
     def aicg(self) -> np.ndarray:
@@ -105,70 +103,45 @@ def _line_geometry(counts: np.ndarray, theta: np.ndarray, line: np.ndarray, n: i
 
 def _rule_values(model: ModelSpec, rule: EstimatorRule, n: int, counts: np.ndarray,
                  mu_hat: np.ndarray, alpha0: np.ndarray, zbar_norm: np.ndarray,
-                 seed: int, quad: QuadratureSettings) -> tuple[np.ndarray, np.ndarray | None]:
-    """The rule's bias value (and bootstrap standard error) for each row."""
+                 quad: QuadratureSettings) -> np.ndarray:
+    """The rule's bias value for each row."""
     method = rule.method
     rows = len(counts)
     if method == "aic":
-        return np.full(rows, 2.0 * model.dim), None
+        return np.full(rows, 2.0 * model.dim)
     if method in ("llf", "ulf"):
         which = "lower" if method == "llf" else "upper"
-        return np.full(rows, least_favorable(model, which, quad, float(n)).value), None
-    if method == "bootstrap":
-        return _bootstrap_values(model, rule, n, mu_hat, alpha0, seed)
+        return np.full(rows, least_favorable(model, which, quad, float(n)).value)
     if model.variant not in (T1, T3):
-        return np.full(rows, bias_constant(model).value), None
+        return np.full(rows, bias_constant(model).value)
     if method == "plugin":
-        return bias_on_cone(model, mu_hat, alpha0, quad), None
+        return bias_on_cone(model, mu_hat, alpha0, quad)
     if method in ("uo", "minimax"):
         r = rule.radius if rule.radius is not None else default_radius(model, method)
         dist = zbar_norm if default_observed(model, method) == "zbar" else mu_hat
-        return neighborhood_values(model, r, dist), None
+        return neighborhood_values(model, r, dist)
+    shrunk = mu_hat <= consistent_radius(n, rule.eta_exponent)
     if method == "consistent":
-        shrunk = mu_hat <= consistent_radius(n, rule.eta_exponent)
         values = np.full(rows, singularity_bias(model))
         values[~shrunk] = bias_on_cone(model, mu_hat[~shrunk], alpha0[~shrunk], quad)
-        return values, None
+        return values
+    if method == "bootstrap":
+        # the parametric bootstrap's value as B -> infinity: the bias at its
+        # centre, the estimate (0, mu_hat) or, within the consistent radius,
+        # the origin, on the row's own cone
+        return bias_on_cone(model, np.where(shrunk, 0.0, mu_hat), alpha0, quad)
     raise DomainError(f"estimator method {method!r} not usable for scoring")
 
 
-def _bootstrap_values(model: ModelSpec, rule: EstimatorRule, n: int, mu_hat: np.ndarray,
-                      alpha0: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's parametric bootstrap value and standard error.
-
-    A line model's row is centred at its estimate (0, mu_hat), or at the
-    origin where mu_hat lies within consistent_radius; the other models'
-    rows at the origin.  One Monte Carlo run covers the rows' distinct
-    (center, cone) pairs, and every pair sees the same chunk normals, so rows
-    with the same pair share one value and no row's value depends on the
-    other rows.
-    """
-    center = mu_hat
-    if model.variant in (T1, T3):
-        center = np.where(mu_hat <= consistent_radius(n, rule.eta_exponent), 0.0, mu_hat)
-    # only the t3 cone turns with the angle
-    angle = alpha0 if model.variant == T3 else np.zeros_like(center)
-    pairs, where = np.unique(np.column_stack([center, angle]), axis=0, return_inverse=True)
-    points = []
-    for y, a0 in pairs.tolist():
-        cone = t3_cone(a0) if model.variant == T3 else cone_of(model)
-        mu0 = TransformedPoint(0.0, y)
-        points.append((cone, mu0, [bias_evaluator(cone, mu0.as_array())]))
-    ests = [est for [est] in mc_expected_estimators(points, McSettings(seed, rule.bootstrap_b))]
-    values = np.array([est.value for est in ests])
-    std_errors = np.array([est.std_error for est in ests])
-    return values[where.ravel()], std_errors[where.ravel()]
-
-
 def _score_model(model: ModelSpec, counts: np.ndarray, n: int, rule: EstimatorRule,
-                 seed: int, quad: QuadratureSettings) -> ModelScores:
+                 quad: QuadratureSettings) -> ModelScores:
     rows = len(counts)
     nan = np.full(rows, np.nan)
     label = "plug-in" if rule.method == "plugin" else rule.method
     try:
         theta, line = mle_rows(model, counts)
     except DomainError as exc:
-        return ModelScores(model, label, nan, nan, None, nan, (str(exc),) * rows)
+        return ModelScores(model, label, nan, nan, nan, (str(exc),) * rows)
     errors: tuple[str | None, ...] = (None,) * rows
     mu_hat = alpha0 = zbar_norm = np.zeros(rows)
     if line is not None:
@@ -176,29 +149,23 @@ def _score_model(model: ModelSpec, counts: np.ndarray, n: int, rule: EstimatorRu
         if rule.method in _OBSERVED_RULES:
             errors = geometry_errors
     ok = np.array([e is None for e in errors])
-    bias, std_error = nan.copy(), None
+    bias = nan.copy()
     if ok.any():
         try:
-            values, ses = _rule_values(model, rule, n, counts[ok], mu_hat[ok], alpha0[ok],
-                                       zbar_norm[ok], seed, quad)
+            bias[ok] = _rule_values(model, rule, n, counts[ok], mu_hat[ok], alpha0[ok],
+                                    zbar_norm[ok], quad)
         except (DomainError, ValueError) as exc:
             errors = tuple(e or str(exc) for e in errors)
             ok[:] = False
-        else:
-            bias[ok] = values
-            if ses is not None:
-                std_error = nan.copy()
-                std_error[ok] = ses
     neg2loglik = np.where(ok, neg2loglik_rows(counts, theta), np.nan)
-    return ModelScores(model, label, neg2loglik, bias, std_error, mu_hat, errors)
+    return ModelScores(model, label, neg2loglik, bias, mu_hat, errors)
 
 
-def score_batch(models: Sequence[ModelSpec], counts, rule: EstimatorRule, seed: int = 0,
+def score_batch(models: Sequence[ModelSpec], counts, rule: EstimatorRule,
                 quad: QuadratureSettings = QuadratureSettings()) -> tuple[ModelScores, ...]:
     """Score every candidate model on every row of an (N, 3) count array whose
     rows share one total n: one vectorized MLE per model, and the rule
-    evaluated for all rows at once (the bootstrap as one Monte Carlo run over
-    the rows' distinct centers and cones).
+    evaluated for all rows at once.
 
     The multinomial coefficient is dropped from every -2 log L; it is common
     to all models for fixed data, so score differences are unaffected.
@@ -210,7 +177,7 @@ def score_batch(models: Sequence[ModelSpec], counts, rule: EstimatorRule, seed: 
     if np.any(counts < 0) or np.any(counts % 1) or np.any(totals != totals[0]) or totals[0] < 1:
         raise DomainError("count rows must be nonnegative integers sharing one total n >= 1")
     n = int(totals[0])
-    return tuple(_score_model(model, counts, n, rule, seed, quad) for model in models)
+    return tuple(_score_model(model, counts, n, rule, quad) for model in models)
 
 
 def _rank(values: list[tuple[float, str]]) -> dict[str, int]:
@@ -219,7 +186,7 @@ def _rank(values: list[tuple[float, str]]) -> dict[str, int]:
 
 
 def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule,
-          seed: int = 0, quad: QuadratureSettings = QuadratureSettings()) -> SelectionReport:
+          quad: QuadratureSettings = QuadratureSettings()) -> SelectionReport:
     """Score each candidate model on observed counts and rank by the
     generalized criterion (ties broken by model id): the one-row case of
     score_batch.  A model the estimator cannot handle yields an error row,
@@ -228,7 +195,7 @@ def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule,
     if not models:
         raise DomainError("need at least one candidate model")
     require_distinct([m.model_id for m in models], "model id")
-    batch = score_batch(models, counts.as_array()[None], rule, seed, quad)
+    batch = score_batch(models, counts.as_array()[None], rule, quad)
     scored = [s for s in batch if s.errors[0] is None]
     rank_g = _rank([(float(s.aicg[0]), s.model.model_id) for s in scored])
     rank_a = _rank([(float(s.aic[0]), s.model.model_id) for s in scored])
@@ -243,7 +210,7 @@ def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule,
                              float(s.aicg[0]), float(s.aic[0]), rank_g[mid], rank_a[mid]))
     rows.sort(key=lambda r: (r.rank_aicg is None, r.rank_aicg or 0, r.model_id))
     meta = {
-        "n": counts.n, "seed": seed, "estimator": rule.method,
+        "n": counts.n, "estimator": rule.method,
         "radius": rule.radius, "version": _VERSION,
         "note": "multinomial coefficient dropped from -2 log L",
     }
@@ -251,12 +218,18 @@ def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule,
 
 
 def parse_model_id(model_id: str) -> ModelSpec:
-    """Inverse of ModelSpec.model_id, also accepting CLI spellings."""
+    """Inverse of ModelSpec.model_id, also accepting CLI spellings: any case,
+    t1 for t1:1, and u for unconstrained."""
     from .models import t1_model, t3_model, polytomy_model, unconstrained_model, validate_halflines
     s = model_id.strip().lower()
-    if s.startswith("t1"):
-        topo = int(s.split(":", 1)[1]) if ":" in s else 1
-        return t1_model(topo)
+    head, colon, tail = s.partition(":")
+    if head == "t1":
+        if not colon:
+            return t1_model(1)
+        if tail not in ("1", "2", "3"):
+            raise DomainError(f"unknown model id {model_id!r}: t1 topology {tail!r} "
+                              "is not 1, 2 or 3")
+        return t1_model(int(tail))
     if s == "t3":
         return t3_model()
     if s == "polytomy":
@@ -326,7 +299,7 @@ def _winner_labels(aicg: np.ndarray, ids: tuple[str, ...], tol: float) -> tuple[
 
 
 def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
-                rule: EstimatorRule, seed: int = 0,
+                rule: EstimatorRule,
                 quad: QuadratureSettings = QuadratureSettings()) -> RegionGrid:
     """Label every lattice point with the model winning at its pseudo-counts.
 
@@ -341,9 +314,9 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
     require_distinct(ids, "model id")
     pts = simplex_lattice(resolution)
     counts = _rounded_counts(np.array(pts) / resolution, n)
-    aicg = np.array([s.aicg for s in score_batch(models, counts, rule, seed, quad)])
+    aicg = np.array([s.aicg for s in score_batch(models, counts, rule, quad)])
     return RegionGrid(
         resolution=resolution, n=n, model_ids=ids,
         points=tuple(pts), winners=_winner_labels(aicg, ids, quad.abs_tol),
-        metadata={"estimator": rule.method, "seed": seed, "version": _VERSION},
+        metadata={"estimator": rule.method, "version": _VERSION},
     )

@@ -390,7 +390,8 @@ def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_expo
     """The parametric bootstrap of one Counts row as a scalar chain: the MLE,
     the transform map at it, consistent_estimate of the estimate (0, mu0y),
     then one mc_bias_gaussian run around the resulting center.  Models
-    without a line center at the origin.  Returns the BiasEstimate."""
+    without a line center at the origin.  Returns the BiasEstimate: the
+    Monte Carlo reference for score_batch's exact bootstrap values."""
     from aicg.models import T1, T3
     from aicg.montecarlo import McSettings, mc_bias_gaussian
     geo, center = None, TransformedPoint(0.0, 0.0)

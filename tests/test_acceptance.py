@@ -217,7 +217,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         ("target", ["target", "--model", "t3", "--n", "500", "--grid", "0:1:0.5",
                     "--samples", "50000", "--seed", "12"]),
         ("select-boot", ["select", "--counts", "40,30,30", "--models", "t1:1,polytomy",
-                         "--method", "bootstrap", "--samples", "20000", "--seed", "12"]),
+                         "--method", "bootstrap", "--seed", "12"]),
         ("regions", ["regions", "--pair", "t1:1,polytomy", "--n", "60",
                      "--resolution", "60", "--seed", "12"]),
     ]

@@ -121,6 +121,26 @@ class TestBiasCommand:
         assert code == 3 and text == ""
         assert "rules differ by more than abs_tol=1e-16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--workers", "1"], ["--workers", "2"],
+                                       ["--seed", "3"], ["--samples", "5"]])
+    def test_settings_hash_leaves_out_unread_options(self, tmp_path, extra):
+        # workers never change a value; seed and samples only a Monte Carlo one
+        code, text = run_cli(["bias", "--model", "t1", "--mu0y", "1", *extra], tmp_path)
+        assert code == 0
+        assert text.rstrip().endswith(",c32a2b65509c")
+        base = ["bias", "--model", "t1", "--counts", "60,20,20", "--method", "bootstrap"]
+        assert run_cli([*base, *extra], tmp_path, "boot.csv") == \
+            run_cli(base, tmp_path, "boot0.csv")
+
+    def test_settings_hash_keeps_the_monte_carlo_seed(self, tmp_path):
+        base = ["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo",
+                "--samples", "1000"]
+        rows = [run_cli([*base, *extra], tmp_path, f"mc{k}.csv")[1].splitlines()[1]
+                for k, extra in enumerate([["--seed", "1"], ["--seed", "1", "--workers", "2"],
+                                           ["--seed", "2"]])]
+        assert rows[0] == rows[1]
+        assert rows[0].rsplit(",", 1)[1] != rows[2].rsplit(",", 1)[1]
+
     def test_monte_carlo_requires_seed(self, tmp_path):
         code, _ = run_cli(["bias", "--model", "t1", "--mu0y", "1",
                            "--method", "monte-carlo", "--samples", "1000"], tmp_path)
@@ -389,9 +409,13 @@ class TestConfigPrecedence:
           "--seed", "1"], "format"),
         (["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "60"], "format"),
         (["radii", "--model", "t1"], "format"),
-        (["radii", "--model", "t1"], "samples")])
+        (["radii", "--model", "t1"], "samples"),
+        (["select", "--counts", "60,20,20", "--models", "t1:1,polytomy", "--method",
+          "bootstrap"], "samples"),
+        (["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "60"], "samples")])
     def test_flags_a_subcommand_does_not_read_exit_2(self, tmp_path, capsys, args, key):
-        # only select reads --format; radii draws nothing, so takes no --samples
+        # only select reads --format; only bias and target draw, so only they
+        # take --samples
         value = "json" if key == "format" else "10"
         with pytest.raises(SystemExit) as exc:
             main([*args, f"--{key}", value, "--out", str(tmp_path / "flag.out")])
@@ -439,10 +463,10 @@ PARITY_COMMANDS = [
      "--seed", "3", "--workers", "2", "--method", "uo,consistent", "--radius", "0.4",
      "--eta-exponent", "0.3", "--abs-tol", "1e-9", "--angles", "2pi"],
     ["select", "--counts", "60,20,20", "--models", "t1:1,t3,halflines", "--angles", "2pi",
-     "--n", "100", "--method", "bootstrap", "--samples", "50", "--seed", "2", "--format",
+     "--n", "100", "--method", "bootstrap", "--seed", "2", "--format",
      "json", "--radius", "0.5", "--eta-exponent", "0.25", "--workers", "1", "--abs-tol", "1e-9"],
     ["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "50", "--method", "uo",
-     "--radius", "0.5", "--seed", "1", "--samples", "10", "--eta-exponent", "0.2",
+     "--radius", "0.5", "--seed", "1", "--eta-exponent", "0.2",
      "--workers", "1", "--abs-tol", "1e-9", "--angles", "2pi"],
     ["radii", "--model", "t1", "--n", "1000", "--grid", "0:2:0.5", "--violation-tol", "1e-12",
      "--abs-tol", "1e-9", "--seed", "1", "--workers", "1", "--angles", "2pi"],
@@ -523,8 +547,7 @@ class TestEdgeInputsExit2:
          {"radius": "nan"}, "'radius'"),
         (["radii", "--model", "t1"], {"violation_tol": math.inf}, "'violation_tol'"),
         (["bias", "--model", "t1", "--mu0y", "1"], {"seed": True}, "'seed'"),
-        (["bias", "--model", "t1", "--counts", "60,20,20", "--method", "bootstrap",
-          "--samples", "0", "--seed", "1"], None, "replicate count must be >= 1"),
+        (["bias", "--model", "t1foo", "--mu0y", "1"], None, "unknown model id 't1foo'"),
         (["bias", "--model", "t3", "--mu0y", "1", "--n", "0"], None, "sample size"),
         (["radii", "--model", "t1", "--n", "0"], None, "sample size"),
         (["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo", "--n", "0",
@@ -550,6 +573,9 @@ class TestEdgeInputsExit2:
         (["bias", "--model", "t1:x", "--mu0y", "1"], None, "'x'"),
         (["bias", "--model", "t3", "--phi0", "0.5", "--n", "1" + "0" * 400], None,
          "too large"),
+        (["bias", "--model", "t1:1x", "--mu0y", "1"], None, "t1 topology '1x'"),
+        (["bias", "--model", "t1", "--counts", "60,20,20", "--method", "monte-carlo",
+          "--samples", "10", "--seed", "1"], None, "unknown estimator method 'monte-carlo'"),
     ])
     def test_exit_2(self, tmp_path, capsys, args, config, needle):
         code, text = (run_cli(args, tmp_path) if config is None

@@ -8,14 +8,12 @@ from aicg.estimators import (
     EstimatorRule,
     InfeasibleError,
     bias_on_cone,
-    bootstrap_bias,
     crude_bounds,
     expected_neighborhood_value,
     least_favorable,
     minimax_radius,
     neighborhood_rule,
     noncentral_radius_cdf,
-    plugin_bias,
     uo_radius,
 )
 from aicg.geometry import (Counts, DomainError, GeometryParams, TransformedPoint,
@@ -31,6 +29,14 @@ from oracles import (consistent_estimate, line_observation, noncentral_radius_cd
 
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
 GRID = np.arange(0.0, 5.0001, 0.05)
+
+
+def one_row(model, counts, rule):
+    """score_batch's scores of one model on one row of counts, which must
+    score without error."""
+    scores, = score_batch([model], counts.as_array()[None], rule)
+    assert scores.errors == (None,)
+    return scores
 
 
 class TestNoncentralRadiusCdf:
@@ -117,30 +123,31 @@ class TestNoncentralRadiusCdf:
 
 
 class TestPluginBias:
+    PLUGIN = EstimatorRule("plugin")
+
     def test_t1_clamped_counts(self):
-        est = plugin_bias(t1_model(1), Counts(30, 35, 35))
-        assert est.value == 1.0
+        assert one_row(t1_model(1), Counts(30, 35, 35), self.PLUGIN).bias[0] == 1.0
 
     def test_t1_formula_at_observed_distance(self):
         counts = Counts(60, 20, 20)
         geo, _, _ = line_observation(t1_model(1), counts)
-        est = plugin_bias(t1_model(1), counts)
-        assert est.value == pytest.approx(1.0 + erf(geo.mu0y / math.sqrt(2)), abs=1e-14)
+        value = one_row(t1_model(1), counts, self.PLUGIN).bias[0]
+        assert value == pytest.approx(1.0 + erf(geo.mu0y / math.sqrt(2)), abs=1e-14)
 
     def test_t1_two_units_out(self):
         # find counts whose plug-in distance is ~2 and check the value there
         counts = Counts(80, 60, 60)
         geo, _, _ = line_observation(t1_model(1), counts)
-        est = plugin_bias(t1_model(1), counts)
-        assert est.value == pytest.approx(1.0 + erf(geo.mu0y / math.sqrt(2)), abs=1e-14)
-        assert 1.0 < est.value < 2.0
+        value = one_row(t1_model(1), counts, self.PLUGIN).bias[0]
+        assert value == pytest.approx(1.0 + erf(geo.mu0y / math.sqrt(2)), abs=1e-14)
+        assert 1.0 < value < 2.0
 
     def test_polytomy_constant(self):
-        assert plugin_bias(polytomy_model(), Counts(9, 9, 2)).value == 0.0
+        assert one_row(polytomy_model(), Counts(9, 9, 2), self.PLUGIN).bias[0] == 0.0
 
     def test_t3_uses_quadrature(self):
-        est = plugin_bias(t3_model(), Counts(40, 30, 30))
-        assert 2.0 <= est.value <= T3_SINGULAR + 1e-9
+        value = one_row(t3_model(), Counts(40, 30, 30), self.PLUGIN).bias[0]
+        assert 2.0 <= value <= T3_SINGULAR + 1e-9
 
 
 class TestLeastFavorable:
@@ -438,13 +445,16 @@ class TestConsistentEstimate:
 
 
 class TestBootstrap:
+    """The bootstrap's value is the bias at its centre: 1 for a t1 row
+    within the consistent radius, the closed form at mu_hat outside it."""
+
     def test_polytomy_exact_zero(self):
-        est = bootstrap_bias(polytomy_model(), Counts(5, 3, 2), b_replicates=500, seed=3)
-        assert est.value == 0.0 and est.std_error == 0.0
+        scores = one_row(polytomy_model(), Counts(5, 3, 2), EstimatorRule("bootstrap"))
+        assert scores.bias[0] == 0.0
 
     def test_centered_data_recovers_boundary_value(self):
-        est = bootstrap_bias(t1_model(1), Counts(3334, 3333, 3333), b_replicates=100_000, seed=9)
-        assert abs(est.value - 1.0) <= 3.0 * est.std_error
+        scores = one_row(t1_model(1), Counts(3334, 3333, 3333), EstimatorRule("bootstrap"))
+        assert scores.bias[0] == 1.0
 
     def test_far_data_recovers_plugin_value(self):
         # these counts put the estimate ~4 units out; eta exponent 0.45 keeps
@@ -453,11 +463,10 @@ class TestBootstrap:
         geo, _, _ = line_observation(t1_model(1), counts)
         assert 3.9 < geo.mu0y < 4.7
         assert geo.mu0y > counts.n ** (0.5 - 0.45)
-        est = bootstrap_bias(t1_model(1), counts, b_replicates=100_000, seed=10,
-                             eta_exponent=0.45)
-        expected = bias_t1(geo.mu0y).value
-        assert expected == pytest.approx(1.99994, abs=5e-5)
-        assert abs(est.value - expected) <= 3.0 * est.std_error
+        scores = one_row(t1_model(1), counts, EstimatorRule("bootstrap", eta_exponent=0.45))
+        assert scores.bias[0] == bias_t1(float(scores.mu_hat[0])).value
+        assert scores.bias[0] == pytest.approx(1.99994, abs=5e-5)
+        assert scores.mu_hat[0] == pytest.approx(geo.mu0y, abs=1e-12)
 
     def test_default_rate_shrinks_moderate_data(self):
         # with the default n^(-1/3) rate the same observation sits inside the
@@ -465,16 +474,7 @@ class TestBootstrap:
         counts = Counts(3524, 3238, 3238)
         geo, _, _ = line_observation(t1_model(1), counts)
         assert geo.mu0y < counts.n ** (0.5 - 1.0 / 3.0)
-        est = bootstrap_bias(t1_model(1), counts, b_replicates=50_000, seed=11)
-        assert abs(est.value - 1.0) <= 3.0 * est.std_error
-
-    def test_se_shrinks_with_replicates(self):
-        ratios = []
-        for rep in range(5):
-            a = bootstrap_bias(t1_model(1), Counts(40, 30, 30), b_replicates=20_000, seed=rep)
-            b = bootstrap_bias(t1_model(1), Counts(40, 30, 30), b_replicates=80_000, seed=100 + rep)
-            ratios.append(b.std_error / a.std_error)
-        assert all(0.4 <= r <= 0.6 for r in ratios)
+        assert one_row(t1_model(1), counts, EstimatorRule("bootstrap")).bias[0] == 1.0
 
 
 class TestCrudeBounds:
