@@ -16,7 +16,6 @@ from .estimators import (
     crude_bounds,
     least_favorable,
     minimax_radius,
-    neighborhood_rule,
     noncentral_radius_cdf,
     uo_radius,
 )
@@ -53,7 +52,6 @@ from .montecarlo import (
     McSettings,
     curve_grid,
     mc_bias_gaussian,
-    mc_expected_estimator,
     mc_expected_estimators,
     mc_target_trinomial,
 )

@@ -203,7 +203,8 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "counts": {"help": "n1,n2,n3"},
     "grid": {"help": "start:stop:step over mu0y"},
     "resolution": {"type": int},
-    "method": {"help": "estimator rule; for target a comma list of columns to add"},
+    "method": {"help": "estimator rule; for target a comma list of columns to add; "
+                         "with --mu0y or --phi0 only monte-carlo"},
     "radius": {"type": finite_float},
     "eta_exponent": {"type": finite_float},
     "violation_tol": {"type": finite_float},
@@ -262,10 +263,9 @@ def _angles(cfg: RunConfig) -> list[float] | None:
     return None if raw is None else [parse_angle(t) for t in raw.split(",")]
 
 
-def _rule(cfg: RunConfig, method: str, reference_n: int | None = None) -> EstimatorRule:
+def _rule(cfg: RunConfig, method: str) -> EstimatorRule:
     return EstimatorRule(method, radius=cfg.get("radius"),
-                         eta_exponent=cfg.get("eta_exponent", 1.0 / 3.0),
-                         reference_n=reference_n)
+                         eta_exponent=cfg.get("eta_exponent", 1.0 / 3.0))
 
 
 def _counts(cfg: RunConfig) -> Counts:
@@ -305,6 +305,9 @@ def cmd_bias(cfg: RunConfig) -> str:
 
     if mu < 0:
         raise UsageError("--mu0y must be nonnegative")
+    if method not in (None, "monte-carlo"):
+        raise UsageError(f"--method {method!r} needs --counts; with --mu0y or --phi0 "
+                         "only monte-carlo is valid")
     if method == "monte-carlo":
         settings = _mc_settings(cfg)
         geo = geo or GeometryParams.from_phi0(1.0, cfg.get("n", 1e6))
@@ -324,8 +327,11 @@ def cmd_bias(cfg: RunConfig) -> str:
 
 def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) -> str:
     # what the computation reads: not where the output goes or how many
-    # threads draw it, and the seed and sample count only where it draws
+    # threads draw it, the seed and sample count only where it draws, and the
+    # rule's radius and rate only where a rule scores counts
     unread = {"out", "workers"} | ({"seed", "samples"} if est.method != "monte-carlo" else set())
+    if cfg.get("counts") is None:
+        unread |= {"radius", "eta_exponent"}
     resolved = {k: v for k, v in cfg.values.items() if v is not None and k not in unread}
     row = [model.model_id, mu, est.method, est.value, est.std_error,
            settings_hash(resolved)]
@@ -340,7 +346,7 @@ def cmd_target(cfg: RunConfig) -> str:
     grid = parse_grid(cfg.require("grid"))
     settings = _mc_settings(cfg)
     methods = cfg.get("method")
-    rules = [_rule(cfg, tag.strip(), n) for tag in methods.split(",")] if methods else []
+    rules = [_rule(cfg, tag.strip()) for tag in methods.split(",")] if methods else []
     curves = curve_grid(model, n, grid, rules, settings, _quad(cfg))
     return curve_csv(grid, curves, [rule.method for rule in rules])
 

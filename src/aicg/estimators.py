@@ -2,10 +2,12 @@
 
 Plug-in, lower/upper least favorable, neighborhood rules (uniformly
 outperforming and minimax, with radius calibration), consistent shrinkage
-estimation, and crude dimension bounds.  selection.score_batch applies the
-rules to count rows, the parametric bootstrap among them: its value is the
-bias at its centre (the consistent estimate) on the row's own cone, which
-bias_on_cone computes exactly, so scoring draws nothing.
+estimation, the parametric bootstrap, and crude dimension bounds.
+rule_values is the one definition of every rule: selection.score_batch
+applies it to count rows, and montecarlo.curve_grid to the draws of a curve
+point, whose column is its mean.  The bootstrap's value is the bias at its
+centre (the consistent estimate) on the row's own cone, which bias_on_cone
+computes exactly, so scoring draws nothing.
 
 Radius calibration conventions follow the constructions they reproduce: the
 single-line rules threshold the constrained estimate's distance (so the
@@ -23,9 +25,7 @@ import numpy as np
 from .closedform import BiasEstimate, bias_aic, bias_constant, singularity_bias
 from .geometry import (
     DomainError,
-    GeometryParams,
     Record,
-    TransformedPoint,
     angles_from_phi0,
     phi_from_mu0y,
 )
@@ -61,22 +61,16 @@ class InfeasibleError(RuntimeError):
 class EstimatorRule(Record):
     """Configuration of one data-dependent bias-correction estimator."""
 
-    __slots__ = ("method", "radius", "eta_exponent", "reference_n")
+    __slots__ = ("method", "radius", "eta_exponent")
 
     def __init__(self, method: str, radius: float | None = None,
-                 eta_exponent: float = 1.0 / 3.0, reference_n: int | None = None):
-        self._fill(method, radius, eta_exponent, reference_n)
+                 eta_exponent: float = 1.0 / 3.0):
+        self._fill(method, radius, eta_exponent)
         if method not in ("plugin", "aic", "llf", "ulf", "uo", "minimax",
                           "consistent", "bootstrap"):
             raise DomainError(f"unknown estimator method {method!r}")
         if radius is not None and not radius >= 0:
             raise DomainError("radius must be nonnegative")
-
-
-def default_observed(model: ModelSpec, method: str) -> str:
-    """The observed point a rule works from: the raw observation zbar for the
-    three-line neighborhood rules, the constrained estimate muhat otherwise."""
-    return "zbar" if model.variant == T3 and method in ("uo", "minimax") else "muhat"
 
 
 def default_radius(model: ModelSpec, method: str) -> float:
@@ -177,17 +171,6 @@ def neighborhood_values(model: ModelSpec, r: float, distance):
     only one these models have): the singularity value inside the radius-r
     ball, the classical value outside; elementwise."""
     return np.where(np.asarray(distance) <= r, singularity_bias(model), bias_aic(model).value)
-
-
-def neighborhood_rule(model: ModelSpec, r: float, observed: TransformedPoint,
-                      method: str = "uo") -> BiasEstimate:
-    """The neighborhood rule at one observed point of the transformed plane."""
-    if r < 0:
-        raise DomainError("radius must be nonnegative")
-    distance = float(np.linalg.norm(observed.as_array()))
-    return BiasEstimate(float(neighborhood_values(model, r, distance)), method,
-                        settings={"model": model.model_id, "radius": r,
-                                  "inside": distance <= r})
 
 
 def noncentral_radius_cdf(r, center_norm):
@@ -379,74 +362,41 @@ def crude_bounds(model: ModelSpec) -> tuple[BiasEstimate, BiasEstimate]:
             BiasEstimate(hi, "crude-bound", settings=meta | {"side": "upper"}))
 
 
-# A curve's chunks visit every grid point in turn, and each point needs one
-# table (its cone angle and reach), so the cache holds the tables of a
-# 512-point grid.
-@lru_cache(maxsize=512)
-def _t3_bias_table(alpha0: float, mu_max: float,
-                   quad: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.arange(0.0, mu_max + 0.05, 0.05)
-    return xs, bias_t3_batch(xs, alpha0, quad)
+def rule_values(model: ModelSpec, rule: EstimatorRule, n: int, mu_hat: np.ndarray,
+                alpha0: np.ndarray, zbar_norm, quad: QuadratureSettings = QuadratureSettings(),
+                bias_at=None) -> np.ndarray:
+    """The rule's bias value at each observed point of a sample of size n: the
+    observed distance mu_hat of the constrained estimate from the origin, the
+    cone angle alpha0 there and the norm zbar_norm of the raw observation.
 
-
-# A draw centred at distance mu0y lies beyond mu0y + 6 with probability
-# exp(-18) < 2e-8, so a table of reach ceil(mu0y) + 7 serves every chunk of a
-# point but a rare one, which builds a longer table.
-_T3_TABLE_MARGIN = 7
-
-
-def _plugin_values(model: ModelSpec, mu: np.ndarray, geo: GeometryParams,
-                   quad: QuadratureSettings) -> np.ndarray:
-    if model.variant == T3:
-        # Monte Carlo columns evaluate 1e5-1e6 distances: tabulated t3 values
-        # with linear interpolation on a 0.05 spacing, off by up to 1.2e-4
-        # (against bias_t3_batch on 0:20 at step 1e-3), which is not far
-        # below the resolution of 1e6 draws.  One table per point; the
-        # chunk's own reach keeps np.interp from clamping.
-        mu_max = max(math.ceil(geo.mu0y) + _T3_TABLE_MARGIN,
-                     math.ceil(float(np.max(mu)) + 1.0))
-        table_quad = QuadratureSettings(max(quad.abs_tol, 1e-7), quad.r_max_offset)
-        xs, ys = _t3_bias_table(geo.alpha0, float(mu_max), table_quad)
-        return np.interp(mu, xs, ys)
-    return bias_on_cone(model, mu, geo.alpha0, quad)
-
-
-def rule_evaluator(model: ModelSpec, rule: EstimatorRule,
-                   geo: GeometryParams | None = None,
-                   quad: QuadratureSettings = QuadratureSettings()):
-    """Vectorized map from transformed-plane draws to the rule's value.
-
-    The returned callable takes the (N, 2) draws and the (N,) distances from
-    the origin of their projections onto the model's cone at ``geo``
-    (models.projected_distances) and feeds montecarlo.mc_expected_estimators.
+    zbar_norm may be a function of no arguments that returns the norms; only
+    the t3 neighborhood rules call it.  bias_at(model, mu, alpha0, quad) gives
+    the bias at each distance, bias_on_cone by default.
     """
-    if geo is None:
-        geo = GeometryParams.from_phi0(1.0, rule.reference_n or 1e6)
-
-    if rule.method == "aic":
-        const = bias_aic(model).value
-        return lambda z, dist: np.full(len(z), const)
-    if rule.method in ("llf", "ulf"):
-        const = least_favorable(model, "lower" if rule.method == "llf" else "upper",
-                                quad, float(rule.reference_n or 1e6)).value
-        return lambda z, dist: np.full(len(z), const)
-    if rule.method == "plugin":
-        return lambda z, dist: _plugin_values(model, dist, geo, quad)
-    if rule.method in ("uo", "minimax"):
-        r = rule.radius if rule.radius is not None else default_radius(model, rule.method)
-        which = default_observed(model, rule.method)
-
-        def neighborhood_fn(z, dist):
-            return neighborhood_values(
-                model, r, np.linalg.norm(z, axis=1) if which == "zbar" else dist)
-        return neighborhood_fn
-    if rule.method == "consistent":
-        if rule.reference_n is None:
-            raise DomainError("consistent rule needs reference_n")
-        radius = consistent_radius(rule.reference_n, rule.eta_exponent)
-
-        def consistent_fn(z, dist):
-            mu_t = np.where(dist <= radius, 0.0, dist)
-            return _plugin_values(model, mu_t, geo, quad)
-        return consistent_fn
-    raise DomainError(f"no draw-wise evaluator for method {rule.method!r}")
+    bias_at = bias_at or bias_on_cone
+    method = rule.method
+    rows = len(mu_hat)
+    if method == "aic":
+        return np.full(rows, 2.0 * model.dim)
+    if method in ("llf", "ulf"):
+        which = "lower" if method == "llf" else "upper"
+        return np.full(rows, least_favorable(model, which, quad, float(n)).value)
+    if model.variant not in (T1, T3):
+        return np.full(rows, bias_constant(model).value)
+    if method == "plugin":
+        return bias_at(model, mu_hat, alpha0, quad)
+    if method in ("uo", "minimax"):
+        r = rule.radius if rule.radius is not None else default_radius(model, method)
+        if model.variant == T1:  # the single-line rule thresholds the estimate
+            return neighborhood_values(model, r, mu_hat)
+        # the three-line rules threshold the raw observation
+        return neighborhood_values(model, r, zbar_norm() if callable(zbar_norm) else zbar_norm)
+    shrunk = mu_hat <= consistent_radius(n, rule.eta_exponent)
+    if method == "consistent":
+        values = np.full(rows, singularity_bias(model))
+        values[~shrunk] = bias_at(model, mu_hat[~shrunk], alpha0[~shrunk], quad)
+        return values
+    # the parametric bootstrap's value as B -> infinity: the bias at its
+    # centre, the estimate (0, mu_hat) or, within the consistent radius, the
+    # origin, on the point's own cone
+    return bias_at(model, np.where(shrunk, 0.0, mu_hat), alpha0, quad)

@@ -20,11 +20,14 @@ every generating point (0, mu0y) and every rule evaluated there uses
 z = (0, mu0y) + e.  A rule's value at a point therefore does not depend on
 which other points or rules share the run.  Each standard error is still the
 per-point one, but the errors at different points are positively correlated.
+A curve's rule column is the mean over its draws of estimators.rule_values,
+the function that scores count rows.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -41,9 +44,10 @@ from .geometry import (
     require_distinct,
     theta_on_line,
 )
-from .models import (T1, Cone, ModelSpec, cone_of, mle_rows, project_points,
+from .estimators import EstimatorRule, bias_on_cone, rule_values
+from .models import (T1, T3, Cone, ModelSpec, cone_of, mle_rows, project_points,
                      projected_distances, theta_in_model)
-from .quadrature import QuadratureSettings
+from .quadrature import QuadratureSettings, bias_t3_batch
 
 
 class McSettings(Record):
@@ -200,8 +204,7 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
 
 
 # A rule's value per draw, from the (N, 2) draws z and the (N,) distances of
-# their cone projections from the origin; estimators.rule_evaluator builds
-# them.
+# their cone projections from the origin.
 RuleEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -235,14 +238,6 @@ def mc_expected_estimators(
             for _, mu0, evaluators in points]
 
 
-def mc_expected_estimator(value_fn: RuleEvaluator, cone: Cone, mu0: TransformedPoint,
-                          settings: McSettings) -> BiasEstimate:
-    """Expectation of one rule at one point: the one-point, one-rule case of
-    mc_expected_estimators, so it equals that rule's column at mu0 of a curve
-    run with the same settings."""
-    return mc_expected_estimators([(cone, mu0, [value_fn])], settings)[0][0]
-
-
 def mc_bias_gaussian(cone: Cone, mu0: TransformedPoint,
                      settings: McSettings) -> BiasEstimate:
     """Bias correction 2 E{(z - mu0).(P z - mu0)}, z ~ N(mu0, I), for P the
@@ -272,11 +267,60 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
+# A curve's chunks visit every grid point in turn, and each point needs one
+# table (its cone angle and reach), so the cache holds the tables of a
+# 512-point grid.
+@lru_cache(maxsize=512)
+def _t3_bias_table(alpha0: float, mu_max: float,
+                   quad: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.arange(0.0, mu_max + 0.05, 0.05)
+    return xs, bias_t3_batch(xs, alpha0, quad)
+
+
+# A draw centred at distance mu0y lies beyond mu0y + 6 with probability
+# exp(-18) < 2e-8, so a table of reach ceil(mu0y) + 7 serves every chunk of a
+# point but a rare one, which builds a longer table.
+_T3_TABLE_MARGIN = 7
+
+
+def _plugin_values(model: ModelSpec, mu: np.ndarray, alpha0, quad: QuadratureSettings,
+                   geo: GeometryParams) -> np.ndarray:
+    """rule_values' bias_at for the draws of the curve point geo, whose cone
+    angle alpha0 is geo.alpha0.
+
+    A column evaluates 1e5-1e6 distances, too many distinct ones for
+    bias_on_cone: the t3 values come from a table with linear interpolation
+    on a 0.05 spacing, off by up to 1.2e-4 (against bias_t3_batch on 0:20 at
+    step 1e-3), which is not far below the resolution of 1e6 draws.  One
+    table per point; the chunk's own reach keeps np.interp from clamping.
+    """
+    if model.variant != T3 or not mu.size:
+        return bias_on_cone(model, mu, alpha0, quad)
+    mu_max = max(math.ceil(geo.mu0y) + _T3_TABLE_MARGIN, math.ceil(float(np.max(mu)) + 1.0))
+    table_quad = QuadratureSettings(max(quad.abs_tol, 1e-7), quad.r_max_offset)
+    xs, ys = _t3_bias_table(geo.alpha0, float(mu_max), table_quad)
+    return np.interp(mu, xs, ys)
+
+
+def _rule_column(model: ModelSpec, rule: EstimatorRule, n: int, geo: GeometryParams,
+                 quad: QuadratureSettings) -> RuleEvaluator:
+    """The rule's value per draw at the curve point geo: rule_values at the
+    draws' projected distances and the point's cone angle, with the norm of
+    a draw computed only for a rule that reads it."""
+    bias_at = partial(_plugin_values, geo=geo)
+
+    def values(z, dist):
+        return rule_values(model, rule, n, dist, np.broadcast_to(geo.alpha0, dist.shape),
+                           lambda: np.linalg.norm(z, axis=1), quad, bias_at)
+    return values
+
+
 def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
-               rules: Sequence = (), settings: McSettings | None = None,
+               rules: Sequence[EstimatorRule] = (), settings: McSettings | None = None,
                quad: QuadratureSettings = QuadratureSettings()) -> dict[str, list[CurvePoint]]:
     """Per-grid-point curve data: simulated target, analytic corrections, and
-    the expected value of each requested estimator rule.
+    the expected value of each requested estimator rule: the mean over the
+    draws of rule_values for a sample of size n.
 
     The target at grid point i draws trinomials from the stream
     derive_seed(settings.seed, i, 0).  The rule columns share one block of
@@ -288,18 +332,24 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     if settings is None:
         raise DomainError("curve_grid requires Monte Carlo settings")
     require_distinct([rule.method for rule in rules], "rule method")
-    # runtime import; estimators builds on this module
-    from .estimators import bias_on_cone, rule_evaluator
-
     curves: dict[str, list[CurvePoint]] = {"target": [], "aicg": [], "aic": []}
     for rule in rules:
         curves[rule.method] = []
 
     mus = np.array(grid, dtype=float)
     geos = [GeometryParams.from_phi0(float(phi0), n) for phi0 in phi_from_mu0y(mus, n)]
+    # the rule columns first, so that a rule that cannot apply (consistent at
+    # n < 3) fails before the target draws
+    if rules:
+        points = [(cone_of(model, geo), TransformedPoint(0.0, mu),
+                   [_rule_column(model, rule, n, geo, quad) for rule in rules])
+                  for mu, geo in zip(grid, geos)]
+        for mu, estimates in zip(grid, mc_expected_estimators(points, settings)):
+            for rule, est in zip(rules, estimates):
+                curves[rule.method].append(CurvePoint(mu, est.value, est.std_error, n))
+
     aicg = bias_on_cone(model, mus, [g.alpha0 for g in geos], quad)
     aic_value = bias_aic(model).value
-    points = []
     for i, (mu, geo) in enumerate(zip(grid, geos)):
         theta0 = theta_on_line(geo.phi0, model.topology or 1)
         cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples,
@@ -308,11 +358,4 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
         curves["target"].append(CurvePoint(mu, target.value, target.std_error, n))
         curves["aicg"].append(CurvePoint(mu, float(aicg[i]), 0.0, n))
         curves["aic"].append(CurvePoint(mu, aic_value, 0.0, n))
-        points.append((cone_of(model, geo), TransformedPoint(0.0, mu),
-                       [rule_evaluator(model, rule, geo, quad) for rule in rules]))
-
-    if rules:
-        for mu, estimates in zip(grid, mc_expected_estimators(points, settings)):
-            for rule, est in zip(rules, estimates):
-                curves[rule.method].append(CurvePoint(mu, est.value, est.std_error, n))
     return curves

@@ -13,7 +13,8 @@ at pi/2 (past a right angle from every ray, P z = 0).  The bias is then
 
 each integral truncated to m_k +- r_max_offset within t >= 0.  A 64-node and
 a 128-node Gauss-Legendre rule evaluate it; the 128-node value is returned,
-and rules that differ by more than abs_tol in all raise ConvergenceError.
+and rules that differ by more than abs_tol in all raise ConvergenceError, as
+does a distance so large that rounding changes the window's width.
 Where tan b exceeds 3, Phi(t tan b - s) steps over a width 1/tan b, and that
 ray's window is cut into panels around the step.
 """
@@ -170,6 +171,14 @@ def _ray_terms(points: np.ndarray, angles: np.ndarray, r_max_offset: float) -> n
     lo = np.maximum(m - r_max_offset, 0.0)
     hi = np.maximum(m + r_max_offset, 0.0)
     width = hi - lo
+    # far out, m +- r_max_offset rounds to the spacing of doubles near m, and
+    # a window that lost its width would integrate the wrong range
+    lost = (lo > 0.0) & (np.abs(width - 2.0 * r_max_offset) > 2e-6 * r_max_offset)
+    if np.any(lost):
+        k = int(np.argmax(np.any(lost, axis=1)))
+        raise ConvergenceError(
+            f"bias at mu0=({points[k, 0]:.17g}, {points[k, 1]:.17g}): doubles there cannot "
+            f"hold the window of +-{r_max_offset:g} about a ray's distance", math.nan)
     t = lo[..., None] + width[..., None] * u
     f = _integrand(t, m, s[..., None], tan_ccw[..., None], tan_cw[..., None])
     # 2 phi(d) times the Phi difference is e^{-d^2/2} times the erf difference

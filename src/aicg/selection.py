@@ -12,18 +12,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .closedform import bias_constant, singularity_bias
-from .estimators import (
-    EstimatorRule,
-    bias_on_cone,
-    consistent_radius,
-    default_observed,
-    default_radius,
-    least_favorable,
-    neighborhood_values,
-)
+from .estimators import EstimatorRule, rule_values
 from .geometry import Counts, DomainError, Record, require_distinct
-from .models import T1, T3, ModelSpec, mle_rows, neg2loglik_rows
+from .models import ModelSpec, mle_rows, neg2loglik_rows
 from .quadrature import QuadratureSettings
 
 _VERSION = "0.1.0"
@@ -101,38 +92,6 @@ def _line_geometry(counts: np.ndarray, theta: np.ndarray, line: np.ndarray, n: i
     return np.where(valid, mu_hat, np.nan), alpha0, zbar_norm, errors
 
 
-def _rule_values(model: ModelSpec, rule: EstimatorRule, n: int, counts: np.ndarray,
-                 mu_hat: np.ndarray, alpha0: np.ndarray, zbar_norm: np.ndarray,
-                 quad: QuadratureSettings) -> np.ndarray:
-    """The rule's bias value for each row."""
-    method = rule.method
-    rows = len(counts)
-    if method == "aic":
-        return np.full(rows, 2.0 * model.dim)
-    if method in ("llf", "ulf"):
-        which = "lower" if method == "llf" else "upper"
-        return np.full(rows, least_favorable(model, which, quad, float(n)).value)
-    if model.variant not in (T1, T3):
-        return np.full(rows, bias_constant(model).value)
-    if method == "plugin":
-        return bias_on_cone(model, mu_hat, alpha0, quad)
-    if method in ("uo", "minimax"):
-        r = rule.radius if rule.radius is not None else default_radius(model, method)
-        dist = zbar_norm if default_observed(model, method) == "zbar" else mu_hat
-        return neighborhood_values(model, r, dist)
-    shrunk = mu_hat <= consistent_radius(n, rule.eta_exponent)
-    if method == "consistent":
-        values = np.full(rows, singularity_bias(model))
-        values[~shrunk] = bias_on_cone(model, mu_hat[~shrunk], alpha0[~shrunk], quad)
-        return values
-    if method == "bootstrap":
-        # the parametric bootstrap's value as B -> infinity: the bias at its
-        # centre, the estimate (0, mu_hat) or, within the consistent radius,
-        # the origin, on the row's own cone
-        return bias_on_cone(model, np.where(shrunk, 0.0, mu_hat), alpha0, quad)
-    raise DomainError(f"estimator method {method!r} not usable for scoring")
-
-
 def _score_model(model: ModelSpec, counts: np.ndarray, n: int, rule: EstimatorRule,
                  quad: QuadratureSettings) -> ModelScores:
     rows = len(counts)
@@ -152,8 +111,7 @@ def _score_model(model: ModelSpec, counts: np.ndarray, n: int, rule: EstimatorRu
     bias = nan.copy()
     if ok.any():
         try:
-            bias[ok] = _rule_values(model, rule, n, counts[ok], mu_hat[ok], alpha0[ok],
-                                    zbar_norm[ok], quad)
+            bias[ok] = rule_values(model, rule, n, mu_hat[ok], alpha0[ok], zbar_norm[ok], quad)
         except (DomainError, ValueError) as exc:
             errors = tuple(e or str(exc) for e in errors)
             ok[:] = False

@@ -409,7 +409,7 @@ def consistent_estimate(model, observed: TransformedPoint, n: float,
                         ) -> tuple[TransformedPoint, BiasEstimate]:
     """Shrink one observation to the singularity inside a slowly-growing
     ball, as a scalar chain: the reference for the consistent rule that
-    score_batch and estimators.rule_evaluator apply to whole arrays.
+    estimators.rule_values applies to whole arrays of count rows and draws.
 
     The ball radius is consistent_radius(n, eta_exponent).  Outside the ball
     the estimate is the cone projection of the observation, and the bias is

@@ -146,6 +146,46 @@ class TestBiasCommand:
                            "--method", "monte-carlo", "--samples", "1000"], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("where", [["--mu0y", "1"], ["--phi0", "0.5", "--n", "30"]])
+    @pytest.mark.parametrize("method", ["bogus", "uo", "plugin", "bootstrap"])
+    def test_method_without_counts_exit_2(self, tmp_path, capsys, where, method):
+        # a distance has one bias; only monte-carlo chooses how to compute it
+        code, text = run_cli(["bias", "--model", "t1", *where, "--method", method], tmp_path)
+        assert code == 2 and text == ""
+        assert f"--method '{method}' needs --counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--radius", "3"], ["--eta-exponent", "0.2"],
+                                       ["--radius", "3", "--eta-exponent", "0.2"]])
+    def test_settings_hash_leaves_out_rule_options_without_counts(self, tmp_path, extra):
+        # a rule's radius and rate are read only where a rule scores counts
+        code, text = run_cli(["bias", "--model", "t1", "--mu0y", "1", *extra], tmp_path)
+        assert code == 0
+        assert text.rstrip().endswith(",c32a2b65509c")
+        base = ["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo",
+                "--samples", "1000", "--seed", "1"]
+        assert run_cli([*base, *extra], tmp_path, "mc.csv") == \
+            run_cli(base, tmp_path, "mc0.csv")
+        counts = ["bias", "--model", "t1", "--counts", "60,20,20", "--method", "uo"]
+        assert run_cli([*counts, *extra], tmp_path, "c.csv")[1].rsplit(",", 1)[1] != \
+            run_cli(counts, tmp_path, "c0.csv")[1].rsplit(",", 1)[1]
+
+    @pytest.mark.parametrize("model, where", [
+        ("t3", ["--mu0y", "1e17"]),
+        ("t3", ["--mu0y", "1e20"]),
+        ("t3", ["--phi0", "1e-300", "--n", "5"]),
+        ("halflines:2pi/3,4pi/3,2pi", ["--mu0y", "1e20"]),
+    ])
+    def test_distance_past_the_window_exit_3(self, tmp_path, capsys, model, where):
+        # rounding collapses the window m +- r_max_offset: no silent number
+        code, text = run_cli(["bias", "--model", model, *where], tmp_path)
+        assert code == 3 and text == ""
+        assert "cannot hold the window of +-12" in capsys.readouterr().err
+
+    def test_large_distance_inside_the_window_keeps_its_bytes(self, tmp_path):
+        code, text = run_cli(["bias", "--model", "t3", "--mu0y", "1e8"], tmp_path)
+        assert code == 0
+        assert text.splitlines()[1] == "t3,100000000,quadrature,1.9999999897370668,,ed9435d93366"
+
 
 class TestTargetCommand:
     def test_header_exact(self, tmp_path):
@@ -197,6 +237,36 @@ class TestTargetCommand:
                            "--method", "consistent"], tmp_path, "bias.csv")
         assert code == 2
         assert "consistent estimation needs n >= 3" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("model", ["polytomy", "unconstrained"])
+    def test_constant_models_take_every_method(self, tmp_path, model):
+        # as select does, a model without a line takes its constant bias
+        methods = ["plugin", "aic", "llf", "ulf", "uo", "minimax", "consistent", "bootstrap"]
+        code, text = run_cli(["target", "--model", model, "--n", "100", "--grid", "0:0:1",
+                              "--samples", "500", "--seed", "1",
+                              "--method", ",".join(methods)], tmp_path)
+        assert code == 0
+        row = next(csv.DictReader(text.splitlines()))
+        constant = "0" if model == "polytomy" else "4"
+        for method in methods:
+            assert (row[method], row[f"{method}_se"]) == (constant, "0")
+        code, text = run_cli(["select", "--counts", "34,33,33", "--models", model,
+                              "--method", "uo"], tmp_path, "select.csv")
+        assert code == 0
+        assert float(next(csv.DictReader(
+            line for line in text.splitlines() if not line.startswith("#")))["bias"]) \
+            == float(constant)
+
+    def test_every_draw_shrunk_exit_0(self, tmp_path):
+        # a chunk whose draws all lie inside the consistent radius
+        code, text = run_cli(["target", "--model", "t3", "--n", "1000", "--grid", "0:0:1",
+                              "--samples", "100", "--seed", "1", "--method", "consistent",
+                              "--eta-exponent", "0.01"], tmp_path)
+        assert code == 0
+        row = next(csv.DictReader(text.splitlines()))
+        assert float(row["consistent"]) == pytest.approx(2.8269933431326884, rel=1e-15)
+        assert row["consistent_se"] == "0"
 
 
 class TestSelectCommand:

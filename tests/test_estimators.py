@@ -12,8 +12,8 @@ from aicg.estimators import (
     expected_neighborhood_value,
     least_favorable,
     minimax_radius,
-    neighborhood_rule,
     noncentral_radius_cdf,
+    rule_values,
     uo_radius,
 )
 from aicg.geometry import (Counts, DomainError, GeometryParams, TransformedPoint,
@@ -247,26 +247,54 @@ class TestBiasOnCone:
         assert values[0, 1] == bias_on_cone(three, 1.0)
 
 
+def neighborhood(model, r, mu_hat=(), zbar_norm=()):
+    """rule_values of the uo rule with radius r at each observed distance
+    mu_hat and raw-observation norm zbar_norm."""
+    mu_hat, zbar_norm = np.broadcast_arrays(np.asarray(mu_hat, dtype=float),
+                                            np.asarray(zbar_norm, dtype=float))
+    return rule_values(model, EstimatorRule("uo", radius=r), 1000, mu_hat,
+                       np.full(mu_hat.shape, math.pi / 6.0), zbar_norm)
+
+
 class TestNeighborhoodRule:
     def test_t1_published_uo_rule(self):
-        est = neighborhood_rule(t1_model(1), 0.0, TransformedPoint(0, 0))
-        assert est.value == 1.0
-        est = neighborhood_rule(t1_model(1), 0.0, TransformedPoint(0, 0.01))
-        assert est.value == 2.0
+        # t1 thresholds the estimate's distance
+        assert neighborhood(t1_model(1), 0.0, [0.0, 0.01], [5.0, 5.0]).tolist() == [1.0, 2.0]
 
     def test_t3_published_radius(self):
-        est = neighborhood_rule(t3_model(), 1.77, TransformedPoint(0, 1.5))
-        assert est.value == pytest.approx(T3_SINGULAR, abs=1e-9)
-        assert est.value == pytest.approx(2.8269933, abs=1e-7)
+        # t3 thresholds the raw observation's norm
+        value, = neighborhood(t3_model(), 1.77, [3.0], [1.5])
+        assert value == pytest.approx(T3_SINGULAR, abs=1e-9)
+        assert value == pytest.approx(2.8269933, abs=1e-7)
 
     def test_zero_radius_reduces_to_classical(self):
-        for pt in [TransformedPoint(0.3, 0.1), TransformedPoint(0, 2.0)]:
-            est = neighborhood_rule(t3_model(), 0.0, pt)
-            assert est.value == 2.0
+        norms = [math.hypot(0.3, 0.1), 2.0]
+        assert neighborhood(t3_model(), 0.0, [0.0, 0.0], norms).tolist() == [2.0, 2.0]
 
     def test_rejects_negative_radius(self):
         with pytest.raises(DomainError):
-            neighborhood_rule(t1_model(1), -1.0, TransformedPoint(0, 0))
+            neighborhood(t1_model(1), -1.0, [0.0], [0.0])
+
+    def test_norms_computed_only_where_read(self):
+        # a curve passes the draws' norms as a function, which only the t3
+        # neighborhood rules call
+        calls = []
+
+        def norms():
+            calls.append(1)
+            return np.array([1.0, 2.0])
+        mu_hat, alpha0 = np.array([0.5, 4.0]), np.full(2, math.pi / 6.0)
+        for model in (t1_model(1), t3_model(), polytomy_model(), unconstrained_model()):
+            for method in ("plugin", "aic", "llf", "ulf", "uo", "minimax", "consistent",
+                           "bootstrap"):
+                values = rule_values(model, EstimatorRule(method), 30, mu_hat, alpha0, norms)
+                reads = model.variant == "t3" and method in ("uo", "minimax")
+                assert len(calls) == reads, (model.model_id, method)
+                calls.clear()
+                if reads:
+                    assert values.tolist() == rule_values(
+                        model, EstimatorRule(method), 30, mu_hat, alpha0, norms()).tolist()
+                    calls.clear()
 
 
 class TestRadii:
@@ -507,16 +535,15 @@ class TestT3BiasTable:
     """The t3 plug-in columns interpolate one bias table per grid point."""
 
     def test_cold_curve_builds_one_table_per_point(self):
-        from aicg.estimators import _t3_bias_table
+        from aicg.montecarlo import _t3_bias_table
         grid = [0.0, 0.4, 0.9, 1.5, 2.2, 3.0, 4.75]
-        rules = [EstimatorRule("plugin"), EstimatorRule("consistent", reference_n=500)]
+        rules = [EstimatorRule("plugin"), EstimatorRule("consistent")]
         _t3_bias_table.cache_clear()
         curve_grid(t3_model(), 500, grid, rules, McSettings(3, 30_000, chunk_size=1 << 13))
         assert _t3_bias_table.cache_info().misses == len(grid)
 
     def test_table_reaches_past_every_draw(self):
-        from aicg.estimators import _plugin_values, _t3_bias_table
-        from aicg.quadrature import QuadratureSettings
+        from aicg.montecarlo import _plugin_values, _t3_bias_table
         quad = QuadratureSettings()
         table_quad = QuadratureSettings(max(quad.abs_tol, 1e-7), quad.r_max_offset)
         for mu in (0.0, 0.3, 2.5, 7.0):
@@ -525,17 +552,27 @@ class TestT3BiasTable:
             # chunks whose draws reach mu0y + 4 or mu0y + 6 share the point's
             # own table
             for reach in (4.0, 6.0):
-                _plugin_values(t3_model(), np.array([0.0, geo.mu0y + reach]), geo, quad)
+                _plugin_values(t3_model(), np.array([0.0, geo.mu0y + reach]),
+                               np.full(2, geo.alpha0), quad, geo)
             xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(geo.mu0y) + 7), table_quad)
             assert _t3_bias_table.cache_info()[:2] == (2, 1)
             assert xs[-1] >= geo.mu0y + 6.0
             # a draw far past the point's table gets a longer table instead
             # of a clamp
             far = geo.mu0y + 12.0
-            _plugin_values(t3_model(), np.array([0.0, far]), geo, quad)
+            _plugin_values(t3_model(), np.array([0.0, far]), np.full(2, geo.alpha0), quad, geo)
             xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(far + 1.0)), table_quad)
             assert _t3_bias_table.cache_info()[:2] == (3, 2)
             assert xs[-1] >= far
+
+    def test_no_draws_build_no_table(self):
+        # a consistent column whose chunk shrinks every draw asks for no bias
+        from aicg.montecarlo import _plugin_values, _t3_bias_table
+        geo = GeometryParams.from_mu0y(0.0, 1000)
+        _t3_bias_table.cache_clear()
+        values = _plugin_values(t3_model(), np.zeros(0), np.zeros(0), QuadratureSettings(), geo)
+        assert values.shape == (0,)
+        assert _t3_bias_table.cache_info().misses == 0
 
 
 class TestRuleRangeEnvelope:

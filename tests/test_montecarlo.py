@@ -1,10 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from aicg.closedform import bias_t1
-from aicg.estimators import EstimatorRule, rule_evaluator
+from aicg.estimators import EstimatorRule, rule_values
 from aicg.geometry import (
     CENTROID,
     DomainError,
@@ -23,11 +24,11 @@ from aicg.montecarlo import (
     derive_seed,
     grid_values,
     mc_bias_gaussian,
-    mc_expected_estimator,
     mc_target_trinomial,
     standard_normals,
     trinomial_counts,
     _chunk_rng,
+    _plugin_values,
     _run_chunks,
 )
 from aicg.special import norm_cdf
@@ -39,6 +40,26 @@ N_MED = 200_000
 
 def within_3se(estimate, se, target, floor=0.0):
     return abs(estimate - target) <= max(3.0 * se, floor)
+
+
+def rule_draw_values(model, rule, n, mu, settings):
+    """rule_values at the draws z = (0, mu) + e of each chunk of a curve's
+    rule columns, as curve_grid forms them: one array per chunk."""
+    geo = GeometryParams.from_phi0(float(phi_from_mu0y(np.array([mu]), n)[0]), n)
+    cone = cone_of(model, geo)
+    full, rem = divmod(settings.samples, settings.chunk_size)
+    chunks = []
+    for index, size in enumerate([settings.chunk_size] * full + ([rem] if rem else [])):
+        z = np.array([0.0, mu]) + standard_normals(_chunk_rng(settings.seed, index), (size, 2))
+        chunks.append(rule_values(model, rule, n, projected_distances(cone, z),
+                                  np.full(size, geo.alpha0), np.linalg.norm(z, axis=1),
+                                  bias_at=partial(_plugin_values, geo=geo)))
+    return chunks
+
+
+def column_mean(chunks):
+    """The mean the engine forms: the fsum of the chunks' sums."""
+    return math.fsum(float(c.sum()) for c in chunks) / sum(c.size for c in chunks)
 
 
 class TestSettings:
@@ -168,17 +189,12 @@ class TestChunkVariance:
         # uncentred sum of squares lost about 8 digits there
         n, seed, samples = 1000, 5, 100_000
         settings = McSettings(seed, samples)
-        rule = EstimatorRule("plugin", reference_n=n)
+        rule = EstimatorRule("plugin")
         curve = curve_grid(t3_model(), n, [0.0, 4.0, 8.0], [rule], settings)["plugin"][2]
-        geo = GeometryParams.from_phi0(phi_from_mu0y(8.0, n), n)
-        cone, fn = cone_of(t3_model(), geo), rule_evaluator(t3_model(), rule, geo)
-        chunks = []
-        for index, size in enumerate([settings.chunk_size, samples - settings.chunk_size]):
-            z = np.array([0.0, 8.0]) + standard_normals(_chunk_rng(seed, index), (size, 2))
-            chunks.append(fn(z, projected_distances(cone, z)))
-        values = np.concatenate(chunks).tolist()
-        assert curve.estimate == math.fsum(float(c.sum()) for c in chunks) / samples
-        want = self.two_pass_se(values)
+        chunks = rule_draw_values(t3_model(), rule, n, 8.0, settings)
+        assert len(chunks) == 2
+        assert curve.estimate == column_mean(chunks)
+        want = self.two_pass_se(np.concatenate(chunks).tolist())
         assert abs(curve.std_error - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("value", [0.1, 2.0, 2.8269933431326884, -7.3e5])
@@ -298,33 +314,32 @@ class _Recorder:
         return self.rng.binomial(n, p, size=size)
 
 
+def one_point(model, rule, mu, settings, n=1000):
+    """The rule's column of a one-point curve at mu."""
+    return curve_grid(model, n, [mu], [rule], settings)[rule.method][0]
+
+
 class TestExpectedEstimator:
     def test_t1_plugin_matches_quadrature_oracle(self):
         from aicg.special import erf
-        rule = EstimatorRule("plugin")
-        fn = rule_evaluator(t1_model(1), rule)
-        est = mc_expected_estimator(fn, cone_of(t1_model(1)), TransformedPoint(0, 0),
-                                    McSettings(21, 500_000))
+        est = one_point(t1_model(1), EstimatorRule("plugin"), 0.0, McSettings(21, 500_000))
         oracle = gauss_hermite_expectation(
             lambda y: 1.0 + erf(np.maximum(y, 0.0) / math.sqrt(2.0)), 0.0)
-        assert within_3se(est.value, est.std_error, oracle)
+        assert within_3se(est.estimate, est.std_error, oracle)
 
     def test_t1_uo_closed_form(self):
-        rule = EstimatorRule("uo", radius=0.0)
-        fn = rule_evaluator(t1_model(1), rule)
-        est = mc_expected_estimator(fn, cone_of(t1_model(1)), TransformedPoint(0, 1),
-                                    McSettings(22, 500_000))
+        est = one_point(t1_model(1), EstimatorRule("uo", radius=0.0), 1.0,
+                        McSettings(22, 500_000))
         expected = 2.0 - norm_cdf(-1.0)
         assert expected == pytest.approx(1.8413447, abs=1e-7)
-        assert within_3se(est.value, est.std_error, expected)
+        assert within_3se(est.estimate, est.std_error, expected)
 
     def test_polytomy_rule_constant(self):
-        for method in ("plugin", "uo", "llf", "aic"):
-            rule = EstimatorRule(method, radius=1.0)
-            fn = rule_evaluator(polytomy_model(), rule)
-            est = mc_expected_estimator(fn, cone_of(polytomy_model()),
-                                        TransformedPoint(0, 0), McSettings(1, 2000))
-            assert est.value == 0.0 and est.std_error == 0.0
+        for method in ("plugin", "aic", "llf", "ulf", "uo", "minimax", "consistent",
+                       "bootstrap"):
+            est = one_point(polytomy_model(), EstimatorRule(method, radius=1.0), 0.0,
+                            McSettings(1, 2000))
+            assert est.estimate == 0.0 and est.std_error == 0.0
 
 
 class TestGridValues:
@@ -396,13 +411,42 @@ class TestCurveGrid:
         rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=1.0)]
         curves = curve_grid(model, n, [0.0, 0.5, 1.5], rules, settings)
         for i, mu in enumerate([0.0, 0.5, 1.5]):
-            geo = GeometryParams.from_mu0y(mu, n)
             for rule in rules:
-                est = mc_expected_estimator(rule_evaluator(model, rule, geo),
-                                            cone_of(model, geo), TransformedPoint(0.0, mu),
-                                            settings)
+                est = one_point(model, rule, mu, settings, n)
                 pt = curves[rule.method][i]
-                assert (pt.estimate, pt.std_error) == (est.value, est.std_error)
+                assert (pt.estimate, pt.std_error) == (est.estimate, est.std_error)
+
+    @pytest.mark.parametrize("method", ["plugin", "aic", "llf", "ulf", "uo", "minimax",
+                                        "consistent", "bootstrap"])
+    def test_each_column_is_the_mean_of_rule_values(self, method):
+        # the rule scoring count rows is the rule each column averages
+        n, settings = 30, McSettings(8, 3000, chunk_size=1024)
+        rule = EstimatorRule(method, eta_exponent=0.1)
+        for model, grid in [(t1_model(1), [0.0, 2.0]), (t3_model(), [0.0, 2.0]),
+                            (polytomy_model(), [0.0]), (unconstrained_model(), [0.0, 2.0])]:
+            column = curve_grid(model, n, grid, [rule], settings)[method]
+            for mu, pt in zip(grid, column):
+                chunks = rule_draw_values(model, rule, n, mu, settings)
+                assert pt.estimate == column_mean(chunks), (model.model_id, mu)
+
+    def test_t1_bootstrap_column_is_the_consistent_column(self):
+        # a shrunk t1 draw's bootstrap centre is the origin, where the bias
+        # is the singularity value 1
+        settings = McSettings(4, 20_000, chunk_size=1 << 13)
+        rules = [EstimatorRule("bootstrap", eta_exponent=0.2),
+                 EstimatorRule("consistent", eta_exponent=0.2)]
+        curves = curve_grid(t1_model(1), 100, [0.0, 1.0, 2.5, 4.0], rules, settings)
+        assert [(p.estimate, p.std_error) for p in curves["bootstrap"]] == \
+            [(p.estimate, p.std_error) for p in curves["consistent"]]
+
+    def test_t3_consistent_column_shrinks_to_the_singularity_value(self):
+        # like a shrunk count row, a shrunk draw takes singularity_bias(t3);
+        # with every draw shrunk the column is that constant
+        from aicg.closedform import singularity_bias
+        est = one_point(t3_model(), EstimatorRule("consistent", eta_exponent=0.01), 0.0,
+                        McSettings(1, 100))
+        assert est.std_error == 0.0
+        assert est.estimate == pytest.approx(singularity_bias(t3_model()), rel=1e-15)
 
     def test_rule_columns_share_one_block_of_normals(self, monkeypatch):
         import aicg.montecarlo as mc
