@@ -190,7 +190,8 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "config": {"help": "JSON config file; flags take precedence"},
     "out": {"help": "output path (default stdout)"},
     "seed": {"type": int},
-    "workers": {"type": int, "help": "threads for target and bias --method monte-carlo"},
+    "workers": {"type": int,
+                "help": "threads for target's --method columns and bias --method monte-carlo"},
     "abs_tol": {"type": finite_float, "help": "quadrature absolute tolerance"},
     "angles": {"help": "half-lines ray angles, e.g. '2pi/3,4pi/3,2pi'"},
     "samples": {"type": int},

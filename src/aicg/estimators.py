@@ -362,6 +362,20 @@ def crude_bounds(model: ModelSpec) -> tuple[BiasEstimate, BiasEstimate]:
             BiasEstimate(hi, "crude-bound", settings=meta | {"side": "upper"}))
 
 
+def rule_constant(model: ModelSpec, rule: EstimatorRule, n: int,
+                  quad: QuadratureSettings = QuadratureSettings()) -> float | None:
+    """The rule's value where it does not depend on the observation (aic,
+    llf, ulf, and every rule on a model with no line), else None."""
+    if rule.method == "aic":
+        return 2.0 * model.dim
+    if rule.method in ("llf", "ulf"):
+        which = "lower" if rule.method == "llf" else "upper"
+        return least_favorable(model, which, quad, float(n)).value
+    if model.variant not in (T1, T3):
+        return bias_constant(model).value
+    return None
+
+
 def rule_values(model: ModelSpec, rule: EstimatorRule, n: int, mu_hat: np.ndarray,
                 alpha0: np.ndarray, zbar_norm, quad: QuadratureSettings = QuadratureSettings(),
                 bias_at=None) -> np.ndarray:
@@ -376,13 +390,9 @@ def rule_values(model: ModelSpec, rule: EstimatorRule, n: int, mu_hat: np.ndarra
     bias_at = bias_at or bias_on_cone
     method = rule.method
     rows = len(mu_hat)
-    if method == "aic":
-        return np.full(rows, 2.0 * model.dim)
-    if method in ("llf", "ulf"):
-        which = "lower" if method == "llf" else "upper"
-        return np.full(rows, least_favorable(model, which, quad, float(n)).value)
-    if model.variant not in (T1, T3):
-        return np.full(rows, bias_constant(model).value)
+    constant = rule_constant(model, rule, n, quad)
+    if constant is not None:
+        return np.full(rows, constant)
     if method == "plugin":
         return bias_at(model, mu_hat, alpha0, quad)
     if method in ("uo", "minimax"):

@@ -1,27 +1,30 @@
 """Seeded, chunk-reproducible Monte Carlo engines.
 
-Every engine draws through per-chunk generators keyed by (seed, chunk index),
-reduces per-chunk sums in fixed chunk order with math.fsum, and is therefore
+Every engine draws through generators keyed by (seed, stream index), reduces
+per-block sums in fixed block order with math.fsum, and is therefore
 bit-identical for a given (seed, samples, chunk_size) no matter how many
 worker threads evaluate the chunks.
 
 Normal variates come from the chunk stream's own sampler,
 Generator.standard_normal (a ziggurat), so their bits are fixed for a given
-numpy version.  Trinomial counts come from sequential binomial conditioning
-on the same streams.  The finite-n target of a single-line model t1:k draws
-only the count c_k its MLE reads, c_k ~ Binomial(n, theta0_k), and looks each
-replicate up in a table of the statistic over the chunk's range of c_k; for
-t1:1 that count is the first trinomial component, so its values are those of
-the full trinomial draw.
+numpy version.  The finite-n target depends on its draws only through the
+histogram of their counts, which lives on a window of O(sd) values, so it
+draws that histogram: one multinomial over the Binomial(n, theta0_1) pmf
+gives the frequencies of c_1 (of c_k for t1:k, whose MLE reads c_k alone),
+and row-broadcast multinomials, one per block of rows, the frequencies of
+c_2 | c_1 for every occupied c_1.  A row with fewer draws than its window
+draws them one by one.  The statistic is evaluated once per occupied cell,
+so the cost is set by the window and not by the sample count.
 
 The expected values of estimator rules use common random numbers: each chunk
 draws one block e of standard normals from the stream of the seed alone, and
 every generating point (0, mu0y) and every rule evaluated there uses
-z = (0, mu0y) + e.  A rule's value at a point therefore does not depend on
-which other points or rules share the run.  Each standard error is still the
-per-point one, but the errors at different points are positively correlated.
-A curve's rule column is the mean over its draws of estimators.rule_values,
-the function that scores count rows.
+z = (0, mu0y) + e, evaluated on sub-blocks of _DRAW_BLOCK draws.  A rule's
+value at a point therefore does not depend on which other points or rules
+share the run.  Each standard error is still the per-point one, but the
+errors at different points are positively correlated.  A curve's rule column
+is the mean over its draws of estimators.rule_values, the function that
+scores count rows; a rule whose value is a constant draws nothing.
 """
 
 from __future__ import annotations
@@ -44,10 +47,15 @@ from .geometry import (
     require_distinct,
     theta_on_line,
 )
-from .estimators import EstimatorRule, bias_on_cone, rule_values
+from .estimators import EstimatorRule, bias_on_cone, rule_constant, rule_values
 from .models import (T1, T3, Cone, ModelSpec, cone_of, mle_rows, project_points,
                      projected_distances, theta_in_model)
 from .quadrature import QuadratureSettings, bias_t3_batch
+
+
+# Rows evaluated together, by the rule columns and the target's statistic,
+# which bounds their temporaries.
+_DRAW_BLOCK = 8192
 
 
 class McSettings(Record):
@@ -87,25 +95,38 @@ def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def trinomial_counts(rng: np.random.Generator, n: int, theta: np.ndarray,
-                     count: int) -> np.ndarray:
-    """(count, 3) trinomial draws by sequential binomial conditioning."""
-    p1, p2, _ = theta
-    c1 = rng.binomial(n, p1, size=count)
-    rest = n - c1
-    q = min(max(p2 / max(1.0 - p1, 1e-300), 0.0), 1.0)
-    c2 = rng.binomial(rest, q)
-    return np.column_stack([c1, c2, rest - c2]).astype(float)
-
-
-def _chunk_moments(vals: np.ndarray) -> tuple[float, int, float, float, float, float]:
-    """One chunk's sum, size, first value, mean less that value, centred sum
-    of squares and min; a constant chunk has a centred sum of exactly 0."""
+def _chunk_moments(vals: np.ndarray, freq: np.ndarray | None = None
+                   ) -> tuple[float, int, float, float, float, float]:
+    """One block's sum, size, first value, mean less that value, centred sum
+    of squares and min, each value counted freq times (once by default); a
+    constant block has a centred sum of exactly 0."""
     diffs = vals - vals[0]
-    offset = diffs.sum() / vals.size
+    if freq is None:
+        size, total, shift = vals.size, vals.sum(), diffs.sum()
+    else:
+        size, total, shift = int(freq.sum()), (freq * vals).sum(), (freq * diffs).sum()
+    offset = shift / size
     diffs -= offset  # in place: a fresh chunk-sized array costs more than the sums
-    return (float(vals.sum()), vals.size, float(vals[0]), float(offset),
-            float(np.square(diffs, out=diffs).sum()), float(vals.min()))
+    sq = np.square(diffs, out=diffs)
+    return (float(total), size, float(vals[0]), float(offset),
+            float(sq.sum() if freq is None else (freq * sq).sum()), float(vals.min()))
+
+
+def _combine(blocks: Sequence[tuple], samples: int) -> tuple[float, float, float]:
+    """(mean, se, min) of one statistic from its blocks' _chunk_moments: the
+    fsum of the block sums, and the centred sums combined in block order by
+    Chan's pairwise formula."""
+    mean = math.fsum(b[0] for b in blocks) / samples
+    # the running mean is base + offset, base the first block's first value
+    _, count, base, offset, m2, _ = blocks[0]
+    for _, size, first, block_offset, block_m2, _ in blocks[1:]:
+        total = count + size
+        delta = (first - base) + block_offset - offset
+        m2 += block_m2 + delta * delta * (count * size / total)
+        offset += delta * (size / total)
+        count = total
+    var = m2 / (samples - 1) if samples > 1 else 0.0
+    return mean, math.sqrt(var / samples), min(b[5] for b in blocks)
 
 
 def _run_chunks(settings: McSettings, kernel: Callable[[np.random.Generator, int], Iterable]
@@ -114,8 +135,7 @@ def _run_chunks(settings: McSettings, kernel: Callable[[np.random.Generator, int
 
     ``kernel(rng, size)`` gives, for one chunk, an iterable holding one array
     of per-draw values per statistic, always in the same order; each array is
-    reduced to its sum, centred sum of squares and min as it arrives, and the
-    centred sums are combined in chunk order by Chan's pairwise formula.
+    reduced by _chunk_moments as it arrives and the chunks by _combine.
     Returns one (mean, se, min) triple per statistic.
     """
     full, rem = divmod(settings.samples, settings.chunk_size)
@@ -133,22 +153,55 @@ def _run_chunks(settings: McSettings, kernel: Callable[[np.random.Generator, int
             parts = list(pool.map(one, tasks))
     else:
         parts = [one(t) for t in tasks]
+    return [_combine(chunks, settings.samples) for chunks in zip(*parts)]
 
-    n = settings.samples
-    stats = []
-    for chunks in zip(*parts):  # one statistic's moments per chunk
-        mean = math.fsum(c[0] for c in chunks) / n
-        # the running mean is base + offset, base the first chunk's first value
-        _, count, base, offset, m2, _ = chunks[0]
-        for _, size, first, chunk_offset, chunk_m2, _ in chunks[1:]:
-            total = count + size
-            delta = (first - base) + chunk_offset - offset
-            m2 += chunk_m2 + delta * delta * (count * size / total)
-            offset += delta * (size / total)
-            count = total
-        var = m2 / (n - 1) if n > 1 else 0.0
-        stats.append((mean, math.sqrt(var / n), min(c[5] for c in chunks)))
-    return stats
+
+def _binomial_cells(rng: np.random.Generator, m: np.ndarray, p: float, freq: np.ndarray,
+                    block: int) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Draw freq[r] counts from Binomial(m[r], p) for each row r, as blocks
+    (rows, counts, frequencies) of occupied cells.
+
+    A row's pmf is taken on m p +- (12 sd + 40), clipped to [0, m], beyond
+    which its mass is negligible (the reach estimators._poisson_mixture
+    uses).  A row with at least as many draws as its window has counts draws
+    their histogram, one multinomial over the window, with as many rows per
+    call as fit in block cells; a row with fewer draws draws its counts one
+    by one, as frequency-1 cells in blocks of at most block.
+    """
+    reach = 12.0 * np.sqrt(m * p * (1.0 - p)) + 40.0
+    lo = np.maximum(np.floor(m * p - reach), 0).astype(np.int64)
+    hi = np.minimum(np.ceil(m * p + reach), m).astype(np.int64)
+    dense = freq >= hi - lo + 1
+    rows = np.flatnonzero(dense)
+    if rows.size:
+        width = int(np.max(hi[rows] - lo[rows])) + 1
+        with np.errstate(divide="ignore"):
+            log_p, log_q = np.log(p), np.log1p(-p)
+        step = max(1, block // width)
+        for k in range(0, rows.size, step):
+            r = rows[k:k + step]
+            # right-aligned, so the last column, which takes what rounding
+            # leaves of a row's draws, is always a count of the row
+            c = hi[r, None] - np.arange(width - 1, -1, -1)
+            pad = c < lo[r, None]
+            c = np.where(pad, lo[r, None], c)
+            rest = m[r, None] - c
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # log C(m, c) less its value at lo, from the ratios
+                # C(m, c) / C(m, c - 1) = (m - c + 1) / c; 0 log 0 = 0 at p = 0 or 1
+                log_pmf = np.cumsum(np.where(c > lo[r, None], np.log((rest + 1) / c), 0.0), axis=1)
+                log_pmf += np.where(c > 0, c * log_p, 0.0) + np.where(rest > 0, rest * log_q, 0.0)
+            log_pmf[pad] = -np.inf
+            pmf = np.exp(log_pmf - np.max(log_pmf, axis=1, keepdims=True))
+            hist = rng.multinomial(freq[r], pmf / np.sum(pmf, axis=1, keepdims=True))
+            i, j = np.nonzero(hist)
+            yield r[i], c[i, j], hist[i, j]
+    rows = np.flatnonzero(~dense)
+    ends = np.cumsum(freq[rows])
+    total = int(ends[-1]) if rows.size else 0
+    for start in range(0, total, block):
+        r = rows[np.searchsorted(ends, np.arange(start, min(start + block, total)), "right")]
+        yield r, rng.binomial(m[r], p), np.ones(r.size, dtype=np.int64)
 
 
 def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
@@ -159,22 +212,27 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
     zero-sum form 2 [d1 (L1 - L3) + d2 (L2 - L3)] so constant estimates give
     an exact zero; thetahat components are clamped at 1e-12 before logging.
 
+    The replicates are drawn as the histogram of their counts (see
+    _binomial_cells): c_1 from the stream (seed, 0), then c_2 | c_1 ~
+    Binomial(n - c_1, theta0_2 / (1 - theta0_1)) from the stream (seed, 1).
     The t1:k estimate depends on c_k alone and its other two components are
-    equal, so the replicate is 2 d_k (L_k - L_j) for either j != k, a function
-    of one Binomial(n, theta0_k) draw.  Those models draw only c_k from each
-    chunk's stream and read the statistic from a table over the range of the
-    chunk's counts.  For t1:1, c_1 is the first draw of the trinomial kernel,
-    so the estimate keeps its bits; t1:2 and t1:3 draw a different stream of
-    the same law.  The other models' MLEs read all three counts.
+    equal, so the replicate is 2 d_k (L_k - L_j) for either j != k, and t1:k
+    draws only c_k ~ Binomial(n, theta0_k), from the stream (seed, 0).  The
+    statistic is evaluated once per occupied cell and weighted by its count;
+    the workers setting is not read.
     """
     if n < 1:
         raise DomainError("sample size must be >= 1")
     if not theta_in_model(model, theta0):
         raise DomainError(f"theta0 outside the parameter space of {model.model_id}")
     t0 = np.array(theta0.as_tuple())
+    block = min(settings.chunk_size, _DRAW_BLOCK)
+    k = model.topology - 1 if model.variant == T1 else 0
+    first = _binomial_cells(_chunk_rng(settings.seed, 0), np.array([n]), t0[k],
+                            np.array([settings.samples]), block)
 
     if model.variant == T1:
-        k, j = model.topology - 1, model.topology % 3
+        j = model.topology % 3
 
         def line_stat(c):
             rows = np.zeros((len(c), 3))
@@ -182,21 +240,22 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
             logs = np.log(np.maximum(mle_rows(model, rows)[0], 1e-12))
             # + 0.0: the zero-sum form's other term, d (L - L) with two equal logs
             return 2.0 * ((c - n * t0[k]) * (logs[:, k] - logs[:, j]) + 0.0)
-
-        def kernel(rng, size):
-            # a chunk's counts span a few sqrt(n theta0_k (1 - theta0_k)) values
-            c = rng.binomial(n, t0[k], size=size)
-            lo = c.min()
-            return [line_stat(np.arange(lo, c.max() + 1.0))[c - lo]]
+        blocks = ((line_stat(c), freq) for _, c, freq in first)
     else:
-        def kernel(rng, size):
-            counts = trinomial_counts(rng, n, t0, size)
+        def stat(c1, c2):
+            counts = np.empty((len(c1), 3))
+            counts[:, 0], counts[:, 1] = c1, c2
+            counts[:, 2] = n - counts[:, 0] - counts[:, 1]
             logs = np.log(np.maximum(mle_rows(model, counts)[0], 1e-12))
             d1 = counts[:, 0] - n * t0[0]
             d2 = counts[:, 1] - n * t0[1]
-            return [2.0 * (d1 * (logs[:, 0] - logs[:, 2]) + d2 * (logs[:, 1] - logs[:, 2]))]
+            return 2.0 * (d1 * (logs[:, 0] - logs[:, 2]) + d2 * (logs[:, 1] - logs[:, 2]))
+        rng = _chunk_rng(settings.seed, 1)
+        q = min(max(t0[1] / max(1.0 - t0[0], 1e-300), 0.0), 1.0)
+        blocks = ((stat(c1[r], c2), freq) for _, c1, freq1 in first
+                  for r, c2, freq in _binomial_cells(rng, n - c1, q, freq1, block))
 
-    [(mean, se, lowest)] = _run_chunks(settings, kernel)
+    mean, se, lowest = _combine([_chunk_moments(*b) for b in blocks], settings.samples)
     return BiasEstimate(mean, "monte-carlo", std_error=se,
                         settings={"model": model.model_id, "theta0": theta0.as_tuple(),
                                   "n": n, "samples": settings.samples, "seed": settings.seed,
@@ -204,7 +263,8 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
 
 
 # A rule's value per draw, from the (N, 2) draws z and the (N,) distances of
-# their cone projections from the origin.
+# their cone projections from the origin.  Each value depends on its own row
+# alone, so a chunk evaluated on sub-blocks has the bits of the whole chunk.
 RuleEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -217,18 +277,22 @@ def mc_expected_estimators(
     Each chunk draws one block e of standard normals from the stream of
     settings.seed (common random numbers).  Every point computes the distance
     of its z = mu0 + e's cone projection once, and each of its evaluators maps
-    the draws and that distance to the rule's value.  Returns one estimate per
-    evaluator, grouped by point.
+    the draws and that distance to the rule's value, sub-block by sub-block
+    into one array per evaluator.  Returns one estimate per evaluator,
+    grouped by point.
     """
     centers = [mu0.as_array() for _, mu0, _ in points]
 
     def kernel(rng, size):
         e = standard_normals(rng, (size, 2))
         for (cone, _, evaluators), center in zip(points, centers):
-            z = center + e
-            dist = projected_distances(cone, z)
-            for fn in evaluators:
-                yield np.asarray(fn(z, dist), dtype=float)
+            values = [np.empty(size) for _ in evaluators]
+            for k in range(0, size, _DRAW_BLOCK):
+                z = center + e[k:k + _DRAW_BLOCK]
+                dist = projected_distances(cone, z)
+                for fn, out in zip(evaluators, values):
+                    out[k:k + _DRAW_BLOCK] = fn(z, dist)
+            yield from values
 
     stats = iter(_run_chunks(settings, kernel))
     return [[BiasEstimate(mean, "monte-carlo", std_error=se,
@@ -320,11 +384,12 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
                quad: QuadratureSettings = QuadratureSettings()) -> dict[str, list[CurvePoint]]:
     """Per-grid-point curve data: simulated target, analytic corrections, and
     the expected value of each requested estimator rule: the mean over the
-    draws of rule_values for a sample of size n.
+    draws of rule_values for a sample of size n, or with se 0 the rule's
+    constant (rule_constant), which draws nothing.
 
-    The target at grid point i draws trinomials from the stream
-    derive_seed(settings.seed, i, 0).  The rule columns share one block of
-    normal draws per chunk from the stream of settings.seed (see
+    The target at grid point i draws its histogram of counts from the
+    streams of the seed derive_seed(settings.seed, i, 0).  The rule columns
+    share one block of normal draws per chunk from the stream of settings.seed (see
     mc_expected_estimators), so each rule's value at a distance mu0y is the
     same whichever other rules are requested, in whatever order, and on any
     grid that holds mu0y.
@@ -332,30 +397,35 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     if settings is None:
         raise DomainError("curve_grid requires Monte Carlo settings")
     require_distinct([rule.method for rule in rules], "rule method")
-    curves: dict[str, list[CurvePoint]] = {"target": [], "aicg": [], "aic": []}
+    # an aic rule column is the aic column itself
+    curves: dict[str, list[CurvePoint]] = {
+        "target": [], "aicg": [], "aic": [CurvePoint(mu, bias_aic(model).value, 0.0, n)
+                                          for mu in grid]}
+    drawn = []
     for rule in rules:
-        curves[rule.method] = []
+        value = rule_constant(model, rule, n, quad)
+        if value is None:
+            drawn.append(rule)
+        curves[rule.method] = [] if value is None else [CurvePoint(mu, value, 0.0, n)
+                                                        for mu in grid]
 
     mus = np.array(grid, dtype=float)
     geos = [GeometryParams.from_phi0(float(phi0), n) for phi0 in phi_from_mu0y(mus, n)]
     # the rule columns first, so that a rule that cannot apply (consistent at
     # n < 3) fails before the target draws
-    if rules:
+    if drawn:
         points = [(cone_of(model, geo), TransformedPoint(0.0, mu),
-                   [_rule_column(model, rule, n, geo, quad) for rule in rules])
+                   [_rule_column(model, rule, n, geo, quad) for rule in drawn])
                   for mu, geo in zip(grid, geos)]
         for mu, estimates in zip(grid, mc_expected_estimators(points, settings)):
-            for rule, est in zip(rules, estimates):
+            for rule, est in zip(drawn, estimates):
                 curves[rule.method].append(CurvePoint(mu, est.value, est.std_error, n))
 
     aicg = bias_on_cone(model, mus, [g.alpha0 for g in geos], quad)
-    aic_value = bias_aic(model).value
     for i, (mu, geo) in enumerate(zip(grid, geos)):
         theta0 = theta_on_line(geo.phi0, model.topology or 1)
-        cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples,
-                          settings.chunk_size, settings.workers)
+        cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples, settings.chunk_size)
         target = mc_target_trinomial(model, theta0, n, cell)
         curves["target"].append(CurvePoint(mu, target.value, target.std_error, n))
         curves["aicg"].append(CurvePoint(mu, float(aicg[i]), 0.0, n))
-        curves["aic"].append(CurvePoint(mu, aic_value, 0.0, n))
     return curves

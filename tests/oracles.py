@@ -193,21 +193,15 @@ def t1_mle_bruteforce(counts: tuple[int, int, int], topology: int = 1,
     return float(ps[np.argmax(ll)])
 
 
-def trinomial_target_kernel(model, theta0: tuple[float, float, float], n: int):
-    """The finite-n target's per-draw kernel for every model: full trinomial
-    counts, the MLE of each row and three clamped logs per draw.  Feed it to
-    montecarlo._run_chunks; for t1:1 the library must give the same bits."""
-    from aicg.models import mle_rows
-    from aicg.montecarlo import trinomial_counts
-    t0 = np.array(theta0)
-
-    def kernel(rng, size):
-        counts = trinomial_counts(rng, n, t0, size)
-        logs = np.log(np.maximum(mle_rows(model, counts)[0], 1e-12))
-        d1 = counts[:, 0] - n * t0[0]
-        d2 = counts[:, 1] - n * t0[1]
-        return [2.0 * (d1 * (logs[:, 0] - logs[:, 2]) + d2 * (logs[:, 1] - logs[:, 2]))]
-    return kernel
+def trinomial_counts(rng: np.random.Generator, n: int, theta: np.ndarray,
+                     count: int) -> np.ndarray:
+    """(count, 3) trinomial draws by sequential binomial conditioning."""
+    p1, p2, _ = theta
+    c1 = rng.binomial(n, p1, size=count)
+    rest = n - c1
+    q = min(max(p2 / max(1.0 - p1, 1e-300), 0.0), 1.0)
+    c2 = rng.binomial(rest, q)
+    return np.column_stack([c1, c2, rest - c2]).astype(float)
 
 
 def t1_target_exact(topology: int, theta0: tuple[float, float, float], n: int) -> float:
@@ -224,6 +218,60 @@ def t1_target_exact(topology: int, theta0: tuple[float, float, float], n: int) -
         big = max(c / n, 1.0 / 3.0)
         gap = math.log(max(big, 1e-12)) - math.log(max((1.0 - big) / 2.0, 1e-12))
         terms.append(math.exp(log_pmf) * 2.0 * (c - n * p) * gap)
+    return math.fsum(terms)
+
+
+def _line_fit(counts: np.ndarray, k: int) -> np.ndarray:
+    """The t1:k+1 MLE of each row: p_k = max(c_k / n, 1/3), the others equal."""
+    big = np.maximum(counts[:, k] / counts.sum(axis=1), 1.0 / 3.0)
+    theta = np.repeat(((1.0 - big) / 2.0)[:, None], 3, axis=1)
+    theta[:, k] = big
+    return theta
+
+
+def _loglik(counts: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(counts > 0, counts * np.log(theta), 0.0).sum(axis=1)
+
+
+def trinomial_mle(model_id: str, counts: np.ndarray) -> np.ndarray:
+    """Maximum likelihood fits of (N, 3) count rows, by model id: a t1 line's
+    closed form; for t3 the best of the three line fits by likelihood, ties
+    (equal up to rounding) going to the first line; the centroid; the sample
+    mean."""
+    if model_id == "polytomy":
+        return np.full(counts.shape, 1.0 / 3.0)
+    if model_id == "unconstrained":
+        return counts / counts.sum(axis=1, keepdims=True)
+    if model_id.startswith("t1:"):
+        return _line_fit(counts, int(model_id[3:]) - 1)
+    fits = [_line_fit(counts, k) for k in range(3)]
+    ll = np.column_stack([_loglik(counts, f) for f in fits])
+    best = np.argmax(ll >= ll.max(axis=1, keepdims=True) - 1e-9 * (1.0 + np.abs(ll)), axis=1)
+    return np.choose(best[:, None], fits)
+
+
+def trinomial_target_exact(model_id: str, theta0: tuple[float, float, float], n: int,
+                           tail: float = 1e-15) -> float:
+    """The finite-n target E[2 sum_i (c_i - n theta0_i) log thetahat_i], with
+    every component clamped at 1e-12 before logging, as the sum over the
+    trinomial outcomes: c_1 ~ Binomial(n, theta0_1), then c_2 | c_1 ~
+    Binomial(n - c_1, theta0_2 / (1 - theta0_1)), each over the scipy
+    quantile window that leaves at most tail in either tail.  The pmfs come
+    from scipy.stats.binom, the fits from trinomial_mle."""
+    from scipy.stats import binom
+    p1, p2, _ = theta0
+    q = min(p2 / (1.0 - p1), 1.0) if p1 < 1.0 else 0.0
+    c1 = np.arange(binom.ppf(tail, n, p1), binom.isf(tail, n, p1) + 1).astype(np.int64)
+    expected = n * np.array(theta0)
+    terms = []
+    for a, wa in zip(c1.tolist(), binom.pmf(c1, n, p1).tolist()):
+        m = n - a
+        c2 = np.arange(binom.ppf(tail, m, q), binom.isf(tail, m, q) + 1).astype(np.int64)
+        counts = np.column_stack([np.full(len(c2), a), c2, m - c2]).astype(float)
+        logs = np.log(np.maximum(trinomial_mle(model_id, counts), 1e-12))
+        g = 2.0 * ((counts - expected) * logs).sum(axis=1)
+        terms.append(wa * float(np.dot(binom.pmf(c2, m, q), g)))
     return math.fsum(terms)
 
 

@@ -42,7 +42,8 @@ from aicg.selection import region_grid
 from aicg.estimators import EstimatorRule
 from aicg.special import norm_cdf
 
-from oracles import consistent_estimate, erf_decimal, winning_component
+from oracles import (consistent_estimate, erf_decimal, trinomial_target_exact,
+                     winning_component)
 
 TWO_PI = 2.0 * math.pi
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
@@ -144,28 +145,30 @@ def test_criterion_05_pointwise_nonnegativity():
 
 
 def test_criterion_06_finite_n_target():
+    # (a) the exact finite-n target lies within 0.05 of the analytic value;
+    # (b) its Monte Carlo estimate lies within 4 se of the exact target
     t0 = time.perf_counter()
     n = 1000
-    worst = -math.inf
+    worst_gap, worst_z = -math.inf, 0.0
+    cases = []
     for variant in ("t1", "t3"):
         model = t1_model(1) if variant == "t1" else t3_model()
         for i, mu in enumerate(GRID_11):
             phi0 = phi_from_mu0y(mu, n)
-            theta0 = theta_on_line(phi0, 1)
             geo = GeometryParams.from_phi0(phi0, n)
             analytic = bias_t1(mu).value if variant == "t1" \
                 else bias_t3_value(mu, geo.alpha0)
-            est = mc_target_trinomial(model, theta0, n, McSettings(31_000 + i, 10**5))
-            gap = abs(est.value - analytic)
-            tol = max(3.0 * est.std_error, 0.05)
-            worst = max(worst, gap - tol)
-    u_est = mc_target_trinomial(unconstrained_model(), CENTROID, n,
-                                McSettings(31_500, 10**5))
-    u_gap = abs(u_est.value - 4.0) - max(3.0 * u_est.std_error, 0.05)
-    worst = max(worst, u_gap)
+            cases.append((model, theta_on_line(phi0, 1), analytic, 31_000 + i))
+    cases.append((unconstrained_model(), CENTROID, 4.0, 31_500))
+    for model, theta0, analytic, seed in cases:
+        exact = trinomial_target_exact(model.model_id, theta0.as_tuple(), n)
+        est = mc_target_trinomial(model, theta0, n, McSettings(seed, 10**5))
+        worst_gap = max(worst_gap, abs(exact - analytic))
+        worst_z = max(worst_z, abs(est.value - exact) / est.std_error)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 0.0 and elapsed < 300.0
-    report(6, ok, f"worst excess over max(3se, 0.05) = {worst:.4f}", elapsed)
+    ok = worst_gap <= 0.05 and worst_z <= 4.0 and elapsed < 300.0
+    report(6, ok, f"worst |exact - analytic| = {worst_gap:.4f} (<= 0.05), "
+           f"worst |MC - exact| / se = {worst_z:.2f} (<= 4)", elapsed)
 
 
 def test_criterion_07_published_radii():

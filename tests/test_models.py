@@ -30,9 +30,9 @@ from aicg.models import (
     unconstrained_model,
     validate_halflines,
 )
-from aicg.montecarlo import McSettings, standard_normals, trinomial_counts, _chunk_rng
+from aicg.montecarlo import McSettings, standard_normals, _chunk_rng
 
-from oracles import t1_mle_bruteforce, transform_map
+from oracles import t1_mle_bruteforce, transform_map, trinomial_counts
 
 TWO_PI = 2 * math.pi
 

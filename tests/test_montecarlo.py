@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aicg.closedform import bias_t1
-from aicg.estimators import EstimatorRule, rule_values
+from aicg.estimators import EstimatorRule, rule_constant, rule_values
 from aicg.geometry import (
     CENTROID,
     DomainError,
@@ -26,14 +26,14 @@ from aicg.montecarlo import (
     mc_bias_gaussian,
     mc_target_trinomial,
     standard_normals,
-    trinomial_counts,
     _chunk_rng,
     _plugin_values,
     _run_chunks,
 )
 from aicg.special import norm_cdf
 
-from oracles import gauss_hermite_expectation, t1_target_exact, trinomial_target_kernel
+from oracles import (gauss_hermite_expectation, t1_target_exact, trinomial_counts,
+                     trinomial_target_exact)
 
 N_MED = 200_000
 
@@ -254,7 +254,8 @@ class TestTargetTrinomial:
 
 
 class TestT1TargetKernel:
-    """t1 draws only the count its MLE reads and looks the replicate up."""
+    """t1 draws only the count its MLE reads, as the histogram the trinomial
+    models draw for c_1."""
 
     # n, then a phi0 at which P(c_1 = n), the clamped case, is 0.12-0.37
     CASES = [(1, 0.9), (2, 0.8), (10, 0.2), (1000, 0.0015)]
@@ -262,31 +263,31 @@ class TestT1TargetKernel:
     @pytest.mark.parametrize("n, phi0", CASES)
     @pytest.mark.parametrize("chunk_size", [4096, 512])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_t1_1_matches_trinomial_kernel_bit_for_bit(self, n, phi0, chunk_size, workers):
-        model = t1_model(1)
-        # each chunk tabulates its own range of counts, whatever its size
-        settings = McSettings(17, 5 * chunk_size + 123, chunk_size, workers)
+    def test_t1_1_matches_trinomial_kernel_bit_for_bit(self, n, phi0, chunk_size, workers,
+                                                       monkeypatch):
+        # t1:1's c_1 histogram is the first stage of the trinomial models'
+        # draw, and neither the chunk size nor the worker count moves a bit
+        samples = 5 * chunk_size + 123
         for theta0 in (theta_on_line(phi0, 1), CENTROID):
             assert theta0.p1 ** n > 0.1 or theta0 == CENTROID
-            est = mc_target_trinomial(model, theta0, n, settings)
-            [(mean, se, lowest)] = _run_chunks(
-                McSettings(17, settings.samples, chunk_size),
-                trinomial_target_kernel(model, theta0.as_tuple(), n))
-            assert (est.value, est.std_error, est.settings["min_draw"]) == (mean, se, lowest)
+            est, t1_calls = record_target(monkeypatch, t1_model(1), theta0, n,
+                                          McSettings(17, samples, chunk_size, workers))
+            _, t3_calls = record_target(monkeypatch, t3_model(), theta0, n,
+                                        McSettings(17, samples))
+            whole = mc_target_trinomial(t1_model(1), theta0, n, McSettings(17, samples, samples))
+            assert t1_calls == [call for call in t3_calls if call[1] == 0]
+            assert (est.value, est.std_error) == (whole.value, whole.std_error)
 
     def test_t1_draws_no_trinomials(self, monkeypatch):
-        import aicg.montecarlo as mc
-        binomial_sizes = []
-
-        def refuse(*args):
-            raise AssertionError("t1 drew a trinomial")
-        monkeypatch.setattr(mc, "trinomial_counts", refuse)
-        monkeypatch.setattr(mc, "_chunk_rng", lambda seed, index: _Recorder(
-            _chunk_rng(seed, index), binomial_sizes))
+        # one multinomial over the window n p +- (12 sd + 40) of c_k's law
+        n, p = 300, theta_on_line(0.7, 1).p1
+        reach = 12.0 * math.sqrt(n * p * (1.0 - p)) + 40.0
+        width = min(math.ceil(n * p + reach), n) - max(math.floor(n * p - reach), 0) + 1
         for k in (1, 2, 3):
-            mc_target_trinomial(t1_model(k), theta_on_line(0.7, k), 300,
-                                McSettings(5, 10_000, chunk_size=4096))
-        assert binomial_sizes == [4096, 4096, 1808] * 3
+            _, calls = record_target(monkeypatch, t1_model(k), theta_on_line(0.7, k), n,
+                                     McSettings(5, 10_000, chunk_size=4096))
+            assert [(method, index, len(out)) for method, index, out in calls] == \
+                [("multinomial", 0, width)]
 
     @pytest.mark.parametrize("n", [30, 1000])
     @pytest.mark.parametrize("topology", [1, 2, 3])
@@ -303,15 +304,96 @@ class TestT1TargetKernel:
         assert t1_target_exact(1, CENTROID.as_tuple(), 4000) == pytest.approx(1.0, abs=0.03)
 
 
+class TestTargetHistogram:
+    """The histogram sampler has the law of independent trinomial draws, at a
+    cost set by the count window."""
+
+    SEEDS = range(20)
+
+    @staticmethod
+    def z_scores(model, theta0, n, exact, samples=100_000):
+        z = []
+        for seed in TestTargetHistogram.SEEDS:
+            est = mc_target_trinomial(model, theta0, n, McSettings(900 + seed, samples))
+            z.append((est.value - exact) / est.std_error)
+        return np.array(z)
+
+    @staticmethod
+    def assert_standard(z, case):
+        assert abs(z.mean()) <= 1.0 and 0.6 <= z.std(ddof=1) <= 1.5, (case, z.mean(), z.std())
+
+    @pytest.mark.parametrize("n, phi0", TestT1TargetKernel.CASES)
+    @pytest.mark.parametrize("topology", [1, 2, 3])
+    def test_t1_law(self, n, phi0, topology):
+        theta0 = theta_on_line(phi0, topology)
+        exact = t1_target_exact(topology, theta0.as_tuple(), n)
+        self.assert_standard(self.z_scores(t1_model(topology), theta0, n, exact), exact)
+
+    @pytest.mark.parametrize("n", [10, 30, 1000])
+    @pytest.mark.parametrize("model", [t3_model(), unconstrained_model()],
+                             ids=["t3", "unconstrained"])
+    def test_trinomial_law(self, model, n):
+        for theta0 in (CENTROID, theta_on_line(0.6, 2)):
+            exact = trinomial_target_exact(model.model_id, theta0.as_tuple(), n)
+            self.assert_standard(self.z_scores(model, theta0, n, exact), (theta0, exact))
+
+    def test_oracle_matches_the_t1_binomial_sum(self):
+        for n, phi0 in TestT1TargetKernel.CASES:
+            theta0 = theta_on_line(phi0, 2)
+            assert trinomial_target_exact("t1:2", theta0.as_tuple(), n) == \
+                pytest.approx(t1_target_exact(2, theta0.as_tuple(), n), abs=1e-10)
+
+    def test_draws_bounded_by_the_window(self, monkeypatch):
+        def draws(model, samples):
+            _, calls = record_target(monkeypatch, model, theta_on_line(0.8, model.topology or 1),
+                                     1000, McSettings(3, samples))
+            return sum(len(out) for _, _, out in calls)
+        for k in (1, 2, 3):
+            assert draws(t1_model(k), 10**4) == draws(t1_model(k), 10**6) < 1001
+        # t3 draws each c_2 row's histogram once the row has more draws
+        # than its window, so far fewer cells than draws
+        assert draws(t3_model(), 10**6) < 10**5
+
+    @pytest.mark.parametrize("model", [t1_model(2), t3_model()], ids=["t1:2", "t3"])
+    def test_few_draws_per_window(self, model, monkeypatch):
+        # at n = 1e6 the c_1 window holds more counts than 1000 draws, so
+        # every count is drawn one by one, in blocks of at most chunk_size
+        theta0 = theta_on_line(0.003, model.topology or 1)
+        est, calls = record_target(monkeypatch, model, theta0, 10**6, McSettings(8, 1000, 300))
+        assert {method for method, _, _ in calls} == {"binomial"}
+        assert max(len(out) for _, _, out in calls) == 300
+        exact = trinomial_target_exact(model.model_id, theta0.as_tuple(), 10**6)
+        assert abs(est.value - exact) <= 4.0 * est.std_error, (exact, est.value)
+
+
 class _Recorder:
-    """A generator stand-in that records the sizes of its binomial draws."""
+    """A generator stand-in that records the outputs of its draws, with the
+    index of its stream."""
 
-    def __init__(self, rng, sizes):
-        self.rng, self.sizes = rng, sizes
+    def __init__(self, rng, index, calls):
+        self.rng, self.index, self.calls = rng, index, calls
 
-    def binomial(self, n, p, size=None):
-        self.sizes.append(size)
-        return self.rng.binomial(n, p, size=size)
+    def binomial(self, *args, **kwargs):
+        return self.record("binomial", self.rng.binomial(*args, **kwargs))
+
+    def multinomial(self, *args, **kwargs):
+        return self.record("multinomial", self.rng.multinomial(*args, **kwargs))
+
+    def record(self, method, out):
+        self.calls.append((method, self.index, np.asarray(out).ravel().tolist()))
+        return out
+
+
+def record_target(monkeypatch, model, theta0, n, settings):
+    """mc_target_trinomial's estimate, and every draw of its streams as
+    (method, stream index, values)."""
+    import aicg.montecarlo as mc
+    calls = []
+    monkeypatch.setattr(mc, "_chunk_rng",
+                        lambda seed, index: _Recorder(_chunk_rng(seed, index), index, calls))
+    est = mc_target_trinomial(model, theta0, n, settings)
+    monkeypatch.undo()
+    return est, calls
 
 
 def one_point(model, rule, mu, settings, n=1000):
@@ -419,15 +501,60 @@ class TestCurveGrid:
     @pytest.mark.parametrize("method", ["plugin", "aic", "llf", "ulf", "uo", "minimax",
                                         "consistent", "bootstrap"])
     def test_each_column_is_the_mean_of_rule_values(self, method):
-        # the rule scoring count rows is the rule each column averages
+        # the rule scoring count rows is the rule each column averages; a
+        # rule whose value is a constant gives that constant without drawing
         n, settings = 30, McSettings(8, 3000, chunk_size=1024)
         rule = EstimatorRule(method, eta_exponent=0.1)
         for model, grid in [(t1_model(1), [0.0, 2.0]), (t3_model(), [0.0, 2.0]),
                             (polytomy_model(), [0.0]), (unconstrained_model(), [0.0, 2.0])]:
             column = curve_grid(model, n, grid, [rule], settings)[method]
+            constant = rule_constant(model, rule, n)
             for mu, pt in zip(grid, column):
-                chunks = rule_draw_values(model, rule, n, mu, settings)
-                assert pt.estimate == column_mean(chunks), (model.model_id, mu)
+                mean = column_mean(rule_draw_values(model, rule, n, mu, settings))
+                if constant is None:
+                    assert pt.estimate == mean, (model.model_id, mu)
+                else:
+                    assert (pt.estimate, pt.std_error) == (constant, 0.0)
+                    assert mean == pytest.approx(constant, rel=1e-15), (model.model_id, mu)
+
+    def test_sub_blocks_keep_the_column_bits(self, monkeypatch):
+        # a 20,000-draw chunk is two 8,192-draw sub-blocks and a 3,616-draw one
+        import aicg.montecarlo as mc
+        assert 20_000 % mc._DRAW_BLOCK
+        rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5),
+                 EstimatorRule("consistent", eta_exponent=0.1)]
+        settings = McSettings(6, 45_000, chunk_size=20_000)
+        cone = cone_of(t3_model(), GeometryParams.from_phi0(0.9, 300))
+
+        def columns():
+            curves = [curve_grid(model, 300, [0.0, 1.0, 3.0], rules, settings)
+                      for model in (t1_model(1), t3_model())]
+            mc_est = mc_bias_gaussian(cone, TransformedPoint(0.0, 1.0), settings)
+            return [[(p.estimate, p.std_error) for p in c[rule.method]]
+                    for c in curves for rule in rules] + [(mc_est.value, mc_est.std_error)]
+        blocked = columns()
+        monkeypatch.setattr(mc, "_DRAW_BLOCK", settings.chunk_size)
+        assert columns() == blocked
+
+    @pytest.mark.parametrize("model", [t1_model(1), t3_model(), polytomy_model(),
+                                       unconstrained_model()], ids=lambda m: m.model_id)
+    def test_constant_columns_draw_nothing(self, model, monkeypatch):
+        import aicg.montecarlo as mc
+        methods = ["aic", "llf", "ulf"]
+        if model.variant in ("polytomy", "unconstrained"):
+            methods += ["plugin", "uo", "minimax", "consistent", "bootstrap"]
+        rules = [EstimatorRule(method, eta_exponent=0.1) for method in methods]
+
+        def refuse(*args):
+            raise AssertionError("a constant column drew")
+        monkeypatch.setattr(mc, "mc_expected_estimators", refuse)
+        grid = [0.0] if model.variant == "polytomy" else [0.0, 1.5]  # its only point
+        curves = curve_grid(model, 100, grid, rules, McSettings(2, 1000))
+        for rule in rules:
+            value = rule_constant(model, rule, 100)
+            assert value is not None
+            assert [(p.estimate, p.std_error) for p in curves[rule.method]] == \
+                [(value, 0.0)] * len(grid)
 
     def test_t1_bootstrap_column_is_the_consistent_column(self):
         # a shrunk t1 draw's bootstrap centre is the origin, where the bias
