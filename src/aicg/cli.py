@@ -11,8 +11,7 @@ Configuration precedence: command-line flags override the optional JSON
 config file (--config), which overrides built-in defaults.  A config value is
 read as the text its flag would take, by the flag's own type, and every real
 number must be finite.  Exit codes:
-0 success, 2 usage or validation error, 3 numerical non-convergence or
-infeasibility.
+0 success, 2 usage or validation error, 3 infeasible radius calibration.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .geometry import Counts, DomainError, GeometryParams, TransformedPoint
 from .models import (HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, cone_of,
                      validate_halflines)
 from .montecarlo import CurvePoint, McSettings, curve_grid, grid_values, mc_bias_gaussian
-from .quadrature import ConvergenceError, QuadratureSettings
+from .quadrature import QuadratureSettings
 from .selection import parse_model_id, region_grid, score, score_batch
 
 USAGE_EXIT = 2
@@ -192,7 +191,7 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "seed": {"type": int},
     "workers": {"type": int,
                 "help": "threads for target's --method columns and bias --method monte-carlo"},
-    "abs_tol": {"type": finite_float, "help": "quadrature absolute tolerance"},
+    "abs_tol": {"type": finite_float, "help": "regions: tie tolerance on the generalized scores"},
     "angles": {"help": "half-lines ray angles, e.g. '2pi/3,4pi/3,2pi'"},
     "samples": {"type": int},
     "model": {"help": "t1[:topology] | t3 | polytomy | unconstrained | halflines"},
@@ -320,9 +319,8 @@ def cmd_bias(cfg: RunConfig) -> str:
         if model.variant == T3:
             geo = geo or GeometryParams.from_phi0(1.0, cfg.get("n", 1e6))
         # a half-lines generating point is (mu0y, 0), on the 2pi ray, as above
-        exact = model.variant != T3 and (model.variant != HALFLINES or mu == 0.0)
         est = BiasEstimate(bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0, quad),
-                           "closed-form" if exact else "quadrature")
+                           "closed-form")
     return _bias_row(cfg, model, mu, est)
 
 
@@ -469,7 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # OverflowError: an integer option past the float range, such as a 400-digit --n
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ConvergenceError, InfeasibleError) as exc:
+    except InfeasibleError as exc:
         if args.cmd == "radii":
             write_text(cfg.get("out"), json_text({"error": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)

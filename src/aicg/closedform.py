@@ -17,7 +17,7 @@ from .special import erf, erfc, norm_cdf  # noqa: F401  (erf is part of this mod
 _SQRT2 = math.sqrt(2.0)
 
 METHODS = (
-    "closed-form", "quadrature", "monte-carlo", "plug-in", "llf", "ulf",
+    "closed-form", "monte-carlo", "plug-in", "llf", "ulf",
     "uo", "minimax", "consistent", "bootstrap", "aic", "crude-bound",
 )
 _STOCHASTIC = ("monte-carlo",)

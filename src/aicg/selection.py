@@ -264,7 +264,7 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
     Pseudo-counts are the sum-preserving largest-remainder rounding of n*p
     (exact when n is a multiple of the resolution).  Generalized scores
     within quad.abs_tol of the least are an explicit "tie", so no label rests
-    on the last bits of a quadrature value.
+    on the last bits of a bias value.
     """
     if len(models) < 2:
         raise DomainError("region grids need at least two models")

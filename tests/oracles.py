@@ -171,6 +171,23 @@ def ray_cone_bias_dblquad(point: tuple[float, float], angles, epsabs: float = 1e
                      for lo, hi in zip(cuts, cuts[1:]))
 
 
+def norm_cdf2_owen(h: float, k: float, rho: float) -> float:
+    """P(X <= h, Y <= k) for standard normals with correlation |rho| < 1 by
+    Owen's (1956) formula in scipy's Owen's T and normal CDF, with the limits
+    at h = 0 or k = 0 written out: Phi(k)/2 - T(k, -rho/sqrt(1 - rho^2)) at
+    h = 0, and 1/4 + arcsin(rho)/(2 pi) at h = k = 0."""
+    from scipy.special import ndtr, owens_t
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    if h == 0.0 or k == 0.0:
+        x = k if h == 0.0 else h
+        return 0.5 * float(ndtr(x)) - float(owens_t(x, -rho / s))
+    beta = 0.5 if h * k < 0.0 else 0.0
+    return (0.5 * float(ndtr(h)) + 0.5 * float(ndtr(k)) - float(owens_t(h, (k - rho * h) / (h * s)))
+            - float(owens_t(k, (h - rho * k) / (k * s))) - beta)
+
+
 def region_winners_loop(aicg: np.ndarray, ids: tuple[str, ...], tol: float) -> tuple[str, ...]:
     """Winner label per column of a (models, points) score array, one point
     at a time: the model with the least score, "tie" when several lie within

@@ -76,7 +76,7 @@ def test_criterion_02_t3_singular_constant():
     hl = bias_halflines_at_singularity(
         validate_halflines([TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI])).value
     ok = (abs(v - T3_SINGULAR) <= 1e-6 and abs(v - hl) <= 1e-9 and elapsed < 1.0)
-    report(2, ok, f"|quad-const|={abs(v - T3_SINGULAR):.2e}, |quad-halflines|={abs(v - hl):.2e}",
+    report(2, ok, f"|t3-const|={abs(v - T3_SINGULAR):.2e}, |t3-halflines|={abs(v - hl):.2e}",
            elapsed)
 
 

@@ -57,7 +57,7 @@ class TestBiasCommand:
         code, text = run_cli([*base, "1"], tmp_path, "quad.csv")
         assert code == 0
         fields = text.splitlines()[1].split(",")
-        assert fields[-4] == "quadrature"
+        assert fields[-4] == "closed-form"
         code, mc_text = run_cli([*base, "1", "--method", "monte-carlo", "--samples", "1000000",
                                  "--seed", "7"], tmp_path, "mc.csv")
         assert code == 0
@@ -71,7 +71,7 @@ class TestBiasCommand:
 
     @pytest.mark.parametrize("angles", ["3.2,2pi", "3.1516,2pi", "3.15,3.2,2pi"])
     def test_halflines_wide_sector(self, tmp_path, angles):
-        # a gap just under pi puts a step of width 1/tan b in the window
+        # a gap just under pi, where the jump term across its bisector vanishes
         from aicg.quadrature import bias_ray_cone
         code, text = run_cli(["bias", "--model", "halflines", "--angles", angles,
                               "--mu0y", "1"], tmp_path)
@@ -116,10 +116,13 @@ class TestBiasCommand:
         assert "simplex vertex" in capsys.readouterr().err
 
     def test_t3_nonconvergence_exit_3(self, tmp_path, capsys):
+        # a tolerance that a quadrature rule pair could not meet: the closed
+        # form checks none, so the value is the default's, and exit 0
         code, text = run_cli(["bias", "--model", "t3", "--mu0y", "1", "--abs-tol", "1e-16"],
                              tmp_path)
-        assert code == 3 and text == ""
-        assert "rules differ by more than abs_tol=1e-16" in capsys.readouterr().err
+        assert code == 0 and capsys.readouterr().err == ""
+        _, default = run_cli(["bias", "--model", "t3", "--mu0y", "1"], tmp_path, "default.csv")
+        assert text.splitlines()[1].split(",")[:4] == default.splitlines()[1].split(",")[:4]
 
     @pytest.mark.parametrize("extra", [[], ["--workers", "1"], ["--workers", "2"],
                                        ["--seed", "3"], ["--samples", "5"]])
@@ -176,15 +179,18 @@ class TestBiasCommand:
         ("halflines:2pi/3,4pi/3,2pi", ["--mu0y", "1e20"]),
     ])
     def test_distance_past_the_window_exit_3(self, tmp_path, capsys, model, where):
-        # rounding collapses the window m +- r_max_offset: no silent number
+        # distances where a quadrature window once lost its width to
+        # rounding (exit 3): the closed form gives the limit 2
         code, text = run_cli(["bias", "--model", model, *where], tmp_path)
-        assert code == 3 and text == ""
-        assert "cannot hold the window of +-12" in capsys.readouterr().err
+        assert code == 0 and capsys.readouterr().err == ""
+        fields = text.splitlines()[1].split(",")
+        assert fields[-4:-2] == ["closed-form", "2"]
 
     def test_large_distance_inside_the_window_keeps_its_bytes(self, tmp_path):
+        # the limit 2 exactly, where the quadrature gave 1.9999999897370668
         code, text = run_cli(["bias", "--model", "t3", "--mu0y", "1e8"], tmp_path)
         assert code == 0
-        assert text.splitlines()[1] == "t3,100000000,quadrature,1.9999999897370668,,ed9435d93366"
+        assert text.splitlines()[1] == "t3,100000000,closed-form,2,,ed9435d93366"
 
 
 class TestTargetCommand:
@@ -390,8 +396,8 @@ class TestRadiiCommand:
         assert "t1 and t3 only" in err and "constant bias" not in err
 
     def test_t3_far_grid_exit_0(self, tmp_path):
-        # far out the t3 truth scatters by about 3e-14 about 2, so r = 0 is
-        # feasible only within the quadrature's tolerance
+        # far out the t3 truth is 2 or just above, so r = 0 stays feasible
+        # at the closed form's tolerance
         code, text = run_cli(["radii", "--model", "t3", "--grid", "0:50:1"], tmp_path, "far.json")
         assert code == 0
         code, near = run_cli(["radii", "--model", "t3", "--grid", "0:5:1"], tmp_path, "near.json")
@@ -399,7 +405,7 @@ class TestRadiiCommand:
         far, near = json.loads(text), json.loads(near)
         assert (far["uo_radius"], far["minimax_radius"]) == (near["uo_radius"],
                                                              near["minimax_radius"])
-        assert far["uo_diagnostics"]["violation_tol"] == 1e-8
+        assert far["uo_diagnostics"]["violation_tol"] == 1.02e-14
 
     def test_infeasible_exit_3_with_error_json(self, tmp_path):
         code, text = run_cli(["radii", "--model", "t3", "--grid", "0:1:0.5",
@@ -408,9 +414,11 @@ class TestRadiiCommand:
         assert "error" in json.loads(text)
 
     def test_nonconvergence_exit_3_with_error_json(self, tmp_path):
+        # once a quadrature failure (exit 3 with an error JSON); the closed
+        # form has no tolerance to miss, and radii does not read --abs-tol
         code, text = run_cli(["radii", "--model", "t3", "--abs-tol", "1e-16"], tmp_path)
-        assert code == 3
-        assert "rules differ by more than abs_tol" in json.loads(text)["error"]
+        assert code == 0 and "error" not in json.loads(text)
+        assert text == run_cli(["radii", "--model", "t3"], tmp_path, "default.json")[1]
 
 
 def _fresh_python(code):

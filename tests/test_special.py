@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aicg.special import erf, erfc, norm_cdf
+from aicg.special import erf, erfc, norm_cdf, norm_cdf2, owens_t
 
-from oracles import erf_decimal, erfc_decimal
+from oracles import erf_decimal, erfc_decimal, norm_cdf2_owen
 
 
 def test_erf_zero():
@@ -88,3 +88,53 @@ def test_erfc_far_tail_and_limits():
     assert erfc(30.0) == 0.0 and erfc(np.inf) == 0.0
     assert erfc(-np.inf) == 2.0 and erf(np.inf) == 1.0 and erf(-np.inf) == -1.0
     assert np.isnan(erf(np.nan)) and np.isnan(erfc(np.nan))
+
+
+# Owen's T on both sides of |a| = 1, at a = +-inf, and far out in h
+OWEN_H = [0.0, 1e-9, 0.3, 1.0, 2.5, 5.0, 8.0, 12.0, 40.0, 1e10]
+OWEN_A = [0.0, 1e-12, 0.2, 0.999, 1.0, 1.001, 3.0, 50.0, 1e8, np.inf]
+
+
+@pytest.mark.parametrize("h", OWEN_H)
+def test_owens_t_matches_scipy(h):
+    from scipy.special import owens_t as scipy_t
+    a = np.array(OWEN_A + [-x for x in OWEN_A])
+    for sign in (1.0, -1.0):
+        got = owens_t(sign * h, a)
+        assert np.max(np.abs(got - scipy_t(sign * h, a))) <= 1e-16
+    assert owens_t(h, 1.0) == pytest.approx(0.5 * norm_cdf(h) * norm_cdf(-h), abs=1e-16)
+
+
+def test_owens_t_random_arguments():
+    from scipy.special import owens_t as scipy_t
+    rng = np.random.default_rng(11)
+    h = rng.uniform(-9.0, 9.0, 5000)
+    a = rng.uniform(-3.0, 3.0, 5000) * rng.choice([0.1, 1.0, 30.0], 5000)
+    assert np.max(np.abs(owens_t(h, a) - scipy_t(h, a))) <= 1e-16
+
+
+PHI2_CASES = [(h, k, rho) for h in (-2.3, -0.4, 0.0, 0.7, 3.1) for k in (-1.5, 0.0, 0.2, 2.6)
+              for rho in (-0.97, -0.5, 0.0, 0.35, 0.9, 0.999)]
+
+
+@pytest.mark.parametrize("h, k, rho", PHI2_CASES)
+def test_norm_cdf2_matches_owens_formula(h, k, rho):
+    # hk < 0, h = 0, k = 0 and h = k = 0 all occur
+    assert abs(norm_cdf2(h, k, rho) - norm_cdf2_owen(h, k, rho)) <= 1e-14
+    assert norm_cdf2(h, k, rho) == norm_cdf2(k, h, rho)
+
+
+def test_norm_cdf2_vectorized_and_limits():
+    rng = np.random.default_rng(5)
+    h, k = rng.normal(0.0, 2.0, (2, 400))
+    rho = rng.uniform(-1.0, 1.0, 400)
+    got = norm_cdf2(h, k, rho)
+    want = [norm_cdf2_owen(*args) for args in zip(h, k, rho)]
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.array_equal(_bits(got), _bits([norm_cdf2(*args) for args in zip(h, k, rho)]))
+    # rho = +-1: Phi(min(h, k)) and max(0, Phi(h) + Phi(k) - 1)
+    assert norm_cdf2(0.4, -0.3, 1.0) == pytest.approx(norm_cdf(-0.3), abs=1e-16)
+    assert norm_cdf2(0.4, 0.3, -1.0) == pytest.approx(norm_cdf(0.4) + norm_cdf(0.3) - 1.0,
+                                                      abs=1e-16)
+    assert norm_cdf2(0.4, -0.7, -1.0) == 0.0
+    assert norm_cdf2(-1e300, 1e300, 0.3) == 0.0 and norm_cdf2(1e300, 1e300, -0.3) == 1.0
