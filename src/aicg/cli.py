@@ -250,8 +250,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 def _mc_settings(cfg: RunConfig) -> McSettings:
     if cfg.get("seed") is None:
         raise UsageError("--seed is required for stochastic runs")
-    return McSettings(seed=cfg.get("seed"), samples=cfg.require("samples"),
-                      workers=cfg.get("workers", 1))
+    samples = cfg.require("samples")
+    if samples < 2:
+        # one draw has no standard error: a 0 would claim an exact value
+        raise UsageError(f"--samples must be at least 2, got {samples}")
+    return McSettings(seed=cfg.get("seed"), samples=samples, workers=cfg.get("workers", 1))
 
 
 def _quad(cfg: RunConfig) -> QuadratureSettings:

@@ -16,21 +16,22 @@ c_2 | c_1 for every occupied c_1.  A row with fewer draws than its window
 draws them one by one.  The statistic is evaluated once per occupied cell,
 so the cost is set by the window and not by the sample count.
 
-The expected values of estimator rules use common random numbers: each chunk
-draws one block e of standard normals from the stream of the seed alone, and
-every generating point (0, mu0y) and every rule evaluated there uses
-z = (0, mu0y) + e, evaluated on sub-blocks of _DRAW_BLOCK draws.  A rule's
-value at a point therefore does not depend on which other points or rules
-share the run.  Each standard error is still the per-point one, but the
-errors at different points are positively correlated.  A curve's rule column
-is the mean over its draws of estimators.rule_values, the function that
+The expected values of estimator rules use common random numbers: chunk k
+draws its standard normals e from the stream (seed, k), one sub-block of
+_DRAW_BLOCK rows at a time, and every generating point (0, mu0y) and every
+rule evaluated there uses z = (0, mu0y) + e.  Each value array is reduced to
+its moments before the next is made, so no array is chunk-sized, and a rule's
+value at a point does not depend on which other points or rules share the
+run.  Each standard error is still the per-point one, but the errors at
+different points are positively correlated.  A curve's rule column is the
+mean over its draws of estimators.rule_values, the function that
 scores count rows; a rule whose value is a constant draws nothing.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -53,8 +54,7 @@ from .models import (T1, T3, Cone, ModelSpec, cone_of, mle_rows, project_points,
 from .quadrature import QuadratureSettings, bias_t3_batch
 
 
-# Rows evaluated together, by the rule columns and the target's statistic,
-# which bounds their temporaries.
+# The most rows drawn, evaluated and reduced at once: it bounds every temporary.
 _DRAW_BLOCK = 8192
 
 
@@ -95,65 +95,72 @@ def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def _chunk_moments(vals: np.ndarray, freq: np.ndarray | None = None
-                   ) -> tuple[float, int, float, float, float, float]:
-    """One block's sum, size, first value, mean less that value, centred sum
-    of squares and min, each value counted freq times (once by default); a
-    constant block has a centred sum of exactly 0."""
+def _chunk_moments(vals: np.ndarray, freq: np.ndarray | None = None) -> tuple:
+    """One block's moments: its sums (a list of one), size, first value, mean
+    less that value, centred sum of squares and min, each value counted freq
+    times (once by default); a constant block has a centred sum of exactly 0."""
     diffs = vals - vals[0]
     if freq is None:
         size, total, shift = vals.size, vals.sum(), diffs.sum()
     else:
         size, total, shift = int(freq.sum()), (freq * vals).sum(), (freq * diffs).sum()
     offset = shift / size
-    diffs -= offset  # in place: a fresh chunk-sized array costs more than the sums
+    diffs -= offset  # in place: a second block-sized array costs more than the sums
     sq = np.square(diffs, out=diffs)
-    return (float(total), size, float(vals[0]), float(offset),
+    return ([float(total)], size, float(vals[0]), float(offset),
             float(sq.sum() if freq is None else (freq * sq).sum()), float(vals.min()))
 
 
-def _combine(blocks: Sequence[tuple], samples: int) -> tuple[float, float, float]:
-    """(mean, se, min) of one statistic from its blocks' _chunk_moments: the
-    fsum of the block sums, and the centred sums combined in block order by
-    Chan's pairwise formula."""
-    mean = math.fsum(b[0] for b in blocks) / samples
-    # the running mean is base + offset, base the first block's first value
-    _, count, base, offset, m2, _ = blocks[0]
-    for _, size, first, block_offset, block_m2, _ in blocks[1:]:
-        total = count + size
-        delta = (first - base) + block_offset - offset
-        m2 += block_m2 + delta * delta * (count * size / total)
-        offset += delta * (size / total)
-        count = total
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The moments of block a followed by block b, by Chan's pairwise formula
+    (the running mean is base + offset, base a's first value); a's list of
+    sums takes b's, so a is consumed."""
+    sums, count, base, offset, m2, lowest = a
+    block_sums, size, first, block_offset, block_m2, block_min = b
+    total = count + size
+    delta = (first - base) + block_offset - offset
+    sums.extend(block_sums)
+    return (sums, total, base, offset + delta * (size / total),
+            m2 + (block_m2 + delta * delta * (count * size / total)), min(lowest, block_min))
+
+
+def _combine(blocks: Iterable[tuple], samples: int) -> tuple[float, float, float]:
+    """(mean, se, min) of one statistic from its blocks' _chunk_moments, merged
+    in order: the fsum of the block sums, and the centred sums by _merge."""
+    sums, _, _, _, m2, lowest = reduce(_merge, blocks)
     var = m2 / (samples - 1) if samples > 1 else 0.0
-    return mean, math.sqrt(var / samples), min(b[5] for b in blocks)
+    return math.fsum(sums) / samples, math.sqrt(var / samples), lowest
 
 
 def _run_chunks(settings: McSettings, kernel: Callable[[np.random.Generator, int], Iterable]
                 ) -> list[tuple[float, float, float]]:
-    """Reduce per-draw statistics over all chunks.
+    """(mean, se, min) of each per-draw statistic over all chunks.
 
-    ``kernel(rng, size)`` gives, for one chunk, an iterable holding one array
-    of per-draw values per statistic, always in the same order; each array is
-    reduced by _chunk_moments as it arrives and the chunks by _combine.
-    Returns one (mean, se, min) triple per statistic.
+    Chunk k draws from the stream (seed, k) one sub-block of at most
+    _DRAW_BLOCK rows at a time: ``kernel(rng, rows)`` gives, for a sub-block,
+    one array of per-draw values per statistic, always in the same order, and
+    _chunk_moments reduces each before the kernel makes the next.  A chunk
+    merges its sub-blocks in order, and the run its chunks.
     """
-    full, rem = divmod(settings.samples, settings.chunk_size)
-    sizes = [settings.chunk_size] * full + ([rem] if rem else [])
+    def merge(a, b):
+        return list(map(_merge, a, b))
 
-    def one(index_size):
-        index, size = index_size
-        return [_chunk_moments(vals) for vals in kernel(_chunk_rng(settings.seed, index), size)]
+    def one(index):
+        rng, start = _chunk_rng(settings.seed, index), index * settings.chunk_size
+        end = min(start + settings.chunk_size, settings.samples)
+        return reduce(merge, ([_chunk_moments(vals) for vals in
+                               kernel(rng, min(_DRAW_BLOCK, end - k))]
+                              for k in range(start, end, _DRAW_BLOCK)))
 
-    tasks = list(enumerate(sizes))
+    tasks = range(-(-settings.samples // settings.chunk_size))
     if settings.workers > 1:
         # imported here: a serial run never loads concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-            parts = list(pool.map(one, tasks))
+            merged = reduce(merge, pool.map(one, tasks))
     else:
-        parts = [one(t) for t in tasks]
-    return [_combine(chunks, settings.samples) for chunks in zip(*parts)]
+        merged = reduce(merge, map(one, tasks))
+    return [_combine([moments], settings.samples) for moments in merged]
 
 
 def _binomial_cells(rng: np.random.Generator, m: np.ndarray, p: float, freq: np.ndarray,
@@ -255,7 +262,7 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
         blocks = ((stat(c1[r], c2), freq) for _, c1, freq1 in first
                   for r, c2, freq in _binomial_cells(rng, n - c1, q, freq1, block))
 
-    mean, se, lowest = _combine([_chunk_moments(*b) for b in blocks], settings.samples)
+    mean, se, lowest = _combine((_chunk_moments(*b) for b in blocks), settings.samples)
     return BiasEstimate(mean, "monte-carlo", std_error=se,
                         settings={"model": model.model_id, "theta0": theta0.as_tuple(),
                                   "n": n, "samples": settings.samples, "seed": settings.seed,
@@ -264,7 +271,7 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
 
 # A rule's value per draw, from the (N, 2) draws z and the (N,) distances of
 # their cone projections from the origin.  Each value depends on its own row
-# alone, so a chunk evaluated on sub-blocks has the bits of the whole chunk.
+# alone, so its bits do not depend on the sub-block that holds it.
 RuleEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -274,25 +281,19 @@ def mc_expected_estimators(
     """Expectations of data-dependent bias-correction rules under
     z ~ N(mu0, I), for several (cone, mu0, evaluators) points in one run.
 
-    Each chunk draws one block e of standard normals from the stream of
-    settings.seed (common random numbers).  Every point computes the distance
-    of its z = mu0 + e's cone projection once, and each of its evaluators maps
-    the draws and that distance to the rule's value, sub-block by sub-block
-    into one array per evaluator.  Returns one estimate per evaluator,
-    grouped by point.
+    Every point shares each sub-block e of normals (common random numbers):
+    it projects z = mu0 + e on its cone once, and each of its evaluators maps
+    z and the projections' distances to the rule's values.  Returns one
+    estimate per evaluator, grouped by point.
     """
     centers = [mu0.as_array() for _, mu0, _ in points]
 
-    def kernel(rng, size):
-        e = standard_normals(rng, (size, 2))
+    def kernel(rng, rows):
+        e = standard_normals(rng, (rows, 2))
         for (cone, _, evaluators), center in zip(points, centers):
-            values = [np.empty(size) for _ in evaluators]
-            for k in range(0, size, _DRAW_BLOCK):
-                z = center + e[k:k + _DRAW_BLOCK]
-                dist = projected_distances(cone, z)
-                for fn, out in zip(evaluators, values):
-                    out[k:k + _DRAW_BLOCK] = fn(z, dist)
-            yield from values
+            z = center + e
+            dist = projected_distances(cone, z)
+            yield from (fn(z, dist) for fn in evaluators)
 
     stats = iter(_run_chunks(settings, kernel))
     return [[BiasEstimate(mean, "monte-carlo", std_error=se,
@@ -331,9 +332,8 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-# A curve's chunks visit every grid point in turn, and each point needs one
-# table (its cone angle and reach), so the cache holds the tables of a
-# 512-point grid.
+# Each sub-block visits every grid point of a curve in turn, and each point
+# needs one table (its cone angle and reach): the cache holds a 512-point grid's.
 @lru_cache(maxsize=512)
 def _t3_bias_table(alpha0: float, mu_max: float) -> tuple[np.ndarray, np.ndarray]:
     xs = np.arange(0.0, mu_max + 0.05, 0.05)
@@ -341,8 +341,8 @@ def _t3_bias_table(alpha0: float, mu_max: float) -> tuple[np.ndarray, np.ndarray
 
 
 # A draw centred at distance mu0y lies beyond mu0y + 6 with probability
-# exp(-18) < 2e-8, so a table of reach ceil(mu0y) + 7 serves every chunk of a
-# point but a rare one, which builds a longer table.
+# exp(-18) < 2e-8, so a table of reach ceil(mu0y) + 7 serves every sub-block
+# of a point but a rare one, which builds a longer table.
 _T3_TABLE_MARGIN = 7
 
 
@@ -356,7 +356,7 @@ def _plugin_values(model: ModelSpec, mu: np.ndarray, alpha0, quad: QuadratureSet
     2-core x86_64 VM), so the t3 values come from a table with linear
     interpolation on a 0.05 spacing, off by up to 1.2e-4 (against
     bias_t3_batch on 0:20 at step 1e-3), which is not far below the
-    resolution of 1e6 draws.  One table per point; the chunk's own reach
+    resolution of 1e6 draws.  One table per point; the sub-block's own reach
     keeps np.interp from clamping.
     """
     if model.variant != T3 or not mu.size:
@@ -370,12 +370,13 @@ def _rule_column(model: ModelSpec, rule: EstimatorRule, n: int, geo: GeometryPar
                  quad: QuadratureSettings) -> RuleEvaluator:
     """The rule's value per draw at the curve point geo: rule_values at the
     draws' projected distances and the point's cone angle, with the norm of
-    a draw computed only for a rule that reads it."""
+    a draw computed only for a rule that reads it (the bits of
+    np.linalg.norm(z, axis=1), without its slow two-element reduction)."""
     bias_at = partial(_plugin_values, geo=geo)
 
     def values(z, dist):
         return rule_values(model, rule, n, dist, np.broadcast_to(geo.alpha0, dist.shape),
-                           lambda: np.linalg.norm(z, axis=1), quad, bias_at)
+                           lambda: np.sqrt(z[:, 0] * z[:, 0] + z[:, 1] * z[:, 1]), quad, bias_at)
     return values
 
 
@@ -389,10 +390,9 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
 
     The target at grid point i draws its histogram of counts from the
     streams of the seed derive_seed(settings.seed, i, 0).  The rule columns
-    share one block of normal draws per chunk from the stream of settings.seed (see
-    mc_expected_estimators), so each rule's value at a distance mu0y is the
-    same whichever other rules are requested, in whatever order, and on any
-    grid that holds mu0y.
+    share the normal draws of settings.seed (see mc_expected_estimators), so
+    each rule's value at a distance mu0y is the same whichever other rules are
+    requested, in whatever order, and on any grid that holds mu0y.
     """
     if settings is None:
         raise DomainError("curve_grid requires Monte Carlo settings")

@@ -654,6 +654,17 @@ class TestEdgeInputsExit2:
         (["bias", "--model", "t1:1x", "--mu0y", "1"], None, "t1 topology '1x'"),
         (["bias", "--model", "t1", "--counts", "60,20,20", "--method", "monte-carlo",
           "--samples", "10", "--seed", "1"], None, "unknown estimator method 'monte-carlo'"),
+        # one draw has no standard error, so it must not print one of 0
+        (["target", "--model", "t1", "--n", "1000", "--grid", "0:1:1", "--samples", "1",
+          "--method", "plugin,uo", "--seed", "3"], None, "--samples must be at least 2"),
+        (["target", "--model", "t1", "--n", "1000", "--grid", "0:1:1", "--seed", "3"],
+         {"samples": 1}, "--samples must be at least 2"),
+        (["bias", "--model", "t3", "--mu0y", "1", "--method", "monte-carlo", "--samples", "1",
+          "--seed", "3"], None, "--samples must be at least 2"),
+        (["bias", "--model", "t3", "--mu0y", "1", "--method", "monte-carlo", "--seed", "3"],
+         {"samples": 1}, "--samples must be at least 2"),
+        (["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo", "--seed", "3"],
+         {"samples": 0}, "--samples must be at least 2"),
     ])
     def test_exit_2(self, tmp_path, capsys, args, config, needle):
         code, text = (run_cli(args, tmp_path) if config is None

@@ -1,5 +1,6 @@
 import math
-from functools import partial
+import tracemalloc
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from aicg.geometry import (
     phi_from_mu0y,
     theta_on_line,
 )
-from aicg.models import (cone_of, polytomy_model, projected_distances, t1_model, t3_model,
-                         unconstrained_model, validate_halflines)
+from aicg.models import (cone_of, polytomy_model, project_points, projected_distances, t1_model,
+                         t3_model, unconstrained_model, validate_halflines)
 from aicg.montecarlo import (
     CurvePoint,
     McSettings,
@@ -26,7 +27,11 @@ from aicg.montecarlo import (
     mc_bias_gaussian,
     mc_target_trinomial,
     standard_normals,
+    _DRAW_BLOCK,
+    _chunk_moments,
     _chunk_rng,
+    _combine,
+    _merge,
     _plugin_values,
     _run_chunks,
 )
@@ -42,24 +47,44 @@ def within_3se(estimate, se, target, floor=0.0):
     return abs(estimate - target) <= max(3.0 * se, floor)
 
 
-def rule_draw_values(model, rule, n, mu, settings):
-    """rule_values at the draws z = (0, mu) + e of each chunk of a curve's
-    rule columns, as curve_grid forms them: one array per chunk."""
-    geo = GeometryParams.from_phi0(float(phi_from_mu0y(np.array([mu]), n)[0]), n)
-    cone = cone_of(model, geo)
+def sub_block_normals(settings):
+    """The normals e of a rule-column run, as _run_chunks draws them: one list
+    per chunk of one (rows, 2) array per sub-block of at most _DRAW_BLOCK rows,
+    each drawn from the chunk's stream in turn."""
     full, rem = divmod(settings.samples, settings.chunk_size)
     chunks = []
     for index, size in enumerate([settings.chunk_size] * full + ([rem] if rem else [])):
-        z = np.array([0.0, mu]) + standard_normals(_chunk_rng(settings.seed, index), (size, 2))
-        chunks.append(rule_values(model, rule, n, projected_distances(cone, z),
-                                  np.full(size, geo.alpha0), np.linalg.norm(z, axis=1),
-                                  bias_at=partial(_plugin_values, geo=geo)))
+        rng = _chunk_rng(settings.seed, index)
+        chunks.append([standard_normals(rng, (min(_DRAW_BLOCK, size - k), 2))
+                       for k in range(0, size, _DRAW_BLOCK)])
     return chunks
 
 
+def rule_draw_values(model, rule, n, mu, settings):
+    """rule_values at the draws z = (0, mu) + e of a curve's rule columns, as
+    curve_grid forms them: one list per chunk of one array per sub-block."""
+    geo = GeometryParams.from_phi0(float(phi_from_mu0y(np.array([mu]), n)[0]), n)
+    cone = cone_of(model, geo)
+
+    def values(e):
+        z = np.array([0.0, mu]) + e
+        return rule_values(model, rule, n, projected_distances(cone, z),
+                           np.full(len(z), geo.alpha0), np.linalg.norm(z, axis=1),
+                           bias_at=partial(_plugin_values, geo=geo))
+    return [[values(e) for e in blocks] for blocks in sub_block_normals(settings)]
+
+
 def column_mean(chunks):
-    """The mean the engine forms: the fsum of the chunks' sums."""
-    return math.fsum(float(c.sum()) for c in chunks) / sum(c.size for c in chunks)
+    """The mean the engine forms: the fsum of the sub-blocks' sums."""
+    blocks = [block for chunk in chunks for block in chunk]
+    return math.fsum(float(b.sum()) for b in blocks) / sum(b.size for b in blocks)
+
+
+def merged_column(chunks, samples):
+    """(mean, se, min) as _run_chunks reduces the sub-blocks' values: each
+    sub-block by _chunk_moments, each chunk's sub-blocks merged in order by
+    _merge, and the chunks by _combine."""
+    return _combine((reduce(_merge, map(_chunk_moments, chunk)) for chunk in chunks), samples)
 
 
 class TestSettings:
@@ -175,8 +200,8 @@ class TestSeScaling:
 
 
 class TestChunkVariance:
-    """Per-chunk centred sums combined by Chan's formula, against a two-pass
-    variance of the same draws."""
+    """Per-sub-block centred sums combined by Chan's formula, against a
+    two-pass variance of the same draws."""
 
     @staticmethod
     def two_pass_se(values):
@@ -194,7 +219,7 @@ class TestChunkVariance:
         chunks = rule_draw_values(t3_model(), rule, n, 8.0, settings)
         assert len(chunks) == 2
         assert curve.estimate == column_mean(chunks)
-        want = self.two_pass_se(np.concatenate(chunks).tolist())
+        want = self.two_pass_se(np.concatenate([b for chunk in chunks for b in chunk]).tolist())
         assert abs(curve.std_error - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("value", [0.1, 2.0, 2.8269933431326884, -7.3e5])
@@ -211,12 +236,15 @@ class TestChunkVariance:
         def kernel(rng, size):
             return [1e8 + 1e-3 * standard_normals(rng, size)]
 
-        settings = McSettings(4, 30_000, 4096)
-        [(_, se, _)] = _run_chunks(settings, kernel)
-        sizes = [4096] * 7 + [30_000 - 7 * 4096]
-        values = np.concatenate([kernel(_chunk_rng(4, k), s)[0] for k, s in enumerate(sizes)])
-        want = self.two_pass_se(values.tolist())
-        assert abs(se - want) <= 1e-9 * want
+        # chunks below the sub-block size, and chunks of several sub-blocks
+        for chunk in (4096, 20_000):
+            settings = McSettings(4, 30_000, chunk)
+            [(_, se, _)] = _run_chunks(settings, kernel)
+            full, rem = divmod(30_000, chunk)
+            sizes = [chunk] * full + [rem]
+            values = np.concatenate([kernel(_chunk_rng(4, k), s)[0] for k, s in enumerate(sizes)])
+            want = self.two_pass_se(values.tolist())
+            assert abs(se - want) <= 1e-9 * want, chunk
 
     def test_independent_of_worker_count(self):
         def kernel(rng, size):
@@ -226,6 +254,46 @@ class TestChunkVariance:
         runs = [_run_chunks(McSettings(9, 10_500, 1000, workers), kernel) for workers in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][1][1] == 0.0
+
+
+def traced_peak_mb(run):
+    """tracemalloc's peak over a second call of run (the first fills the
+    caches), above what was allocated before it, in MB."""
+    run()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        run()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """The rule columns draw, evaluate and reduce one sub-block at a time, so
+    their working set does not grow with the chunk size.  Chunk-sized arrays
+    peaked at 1.54 MB (2^14 rows) and 4.72 MB (2^18 rows) on this curve, and
+    at 2.19 MB for the bias; sub-blocks peak at 1.11 and 0.76 MB (numpy 2.4,
+    Python 3.11)."""
+
+    def test_curve_peak_does_not_grow_with_chunk_size(self):
+        rules = [EstimatorRule("plugin"), EstimatorRule("uo")]
+        grid = grid_values(0.0, 5.0, 0.5)
+        peaks = [traced_peak_mb(lambda: curve_grid(t1_model(1), 1000, grid, rules,
+                                                   McSettings(5, 100_000, chunk_size=c)))
+                 for c in (1 << 14, 1 << 18)]
+        assert abs(peaks[0] - peaks[1]) <= 0.05, peaks
+        assert max(peaks) <= 1.4, peaks
+
+    def test_bias_peak(self):
+        peak = traced_peak_mb(lambda: mc_bias_gaussian(cone_of(t1_model(1)),
+                                                       TransformedPoint(0, 1),
+                                                       McSettings(5, 200_000)))
+        assert peak <= 1.0, peak
 
 
 class TestTargetTrinomial:
@@ -517,24 +585,37 @@ class TestCurveGrid:
                     assert (pt.estimate, pt.std_error) == (constant, 0.0)
                     assert mean == pytest.approx(constant, rel=1e-15), (model.model_id, mu)
 
-    def test_sub_blocks_keep_the_column_bits(self, monkeypatch):
+    def test_sub_block_draws_are_slices_of_the_chunk_draw(self):
+        # drawing a chunk's normals one sub-block at a time leaves every draw,
+        # common random numbers included, as one chunk-sized draw makes it
+        settings = McSettings(6, 2 * 65_536 + 20_000)
+        chunks = sub_block_normals(settings)
+        assert [len(blocks) for blocks in chunks] == [8, 8, 3]
+        for index, (blocks, size) in enumerate(zip(chunks, [65_536, 65_536, 20_000])):
+            whole = standard_normals(_chunk_rng(6, index), (size, 2))
+            assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_columns_are_the_merged_sub_block_moments(self):
         # a 20,000-draw chunk is two 8,192-draw sub-blocks and a 3,616-draw one
-        import aicg.montecarlo as mc
-        assert 20_000 % mc._DRAW_BLOCK
+        assert 20_000 % _DRAW_BLOCK
+        n, grid = 300, [0.0, 1.0, 3.0]
         rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5),
                  EstimatorRule("consistent", eta_exponent=0.1)]
         settings = McSettings(6, 45_000, chunk_size=20_000)
-        cone = cone_of(t3_model(), GeometryParams.from_phi0(0.9, 300))
+        for model in (t1_model(1), t3_model()):
+            curves = curve_grid(model, n, grid, rules, settings)
+            for rule in rules:
+                for mu, pt in zip(grid, curves[rule.method]):
+                    mean, se, _ = merged_column(rule_draw_values(model, rule, n, mu, settings),
+                                                settings.samples)
+                    assert (pt.estimate, pt.std_error) == (mean, se), (model.model_id, mu)
 
-        def columns():
-            curves = [curve_grid(model, 300, [0.0, 1.0, 3.0], rules, settings)
-                      for model in (t1_model(1), t3_model())]
-            mc_est = mc_bias_gaussian(cone, TransformedPoint(0.0, 1.0), settings)
-            return [[(p.estimate, p.std_error) for p in c[rule.method]]
-                    for c in curves for rule in rules] + [(mc_est.value, mc_est.std_error)]
-        blocked = columns()
-        monkeypatch.setattr(mc, "_DRAW_BLOCK", settings.chunk_size)
-        assert columns() == blocked
+        cone, center = cone_of(t3_model(), GeometryParams.from_phi0(0.9, n)), np.array([0.0, 1.0])
+        est = mc_bias_gaussian(cone, TransformedPoint(0.0, 1.0), settings)
+        chunks = [[2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)
+                   for z in (center + e for e in blocks)] for blocks in sub_block_normals(settings)]
+        mean, se, lowest = merged_column(chunks, settings.samples)
+        assert (est.value, est.std_error, est.settings["min_draw"]) == (mean, se, lowest)
 
     @pytest.mark.parametrize("model", [t1_model(1), t3_model(), polytomy_model(),
                                        unconstrained_model()], ids=lambda m: m.model_id)
