@@ -56,7 +56,6 @@ from .montecarlo import (
     mc_target_trinomial,
 )
 from .quadrature import (
-    QuadratureSettings,
     bias_t3,
     bias_t3_batch,
 )

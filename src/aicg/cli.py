@@ -32,7 +32,6 @@ from .geometry import Counts, DomainError, GeometryParams, TransformedPoint
 from .models import (HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, cone_of,
                      validate_halflines)
 from .montecarlo import CurvePoint, McSettings, curve_grid, grid_values, mc_bias_gaussian
-from .quadrature import QuadratureSettings
 from .selection import parse_model_id, region_grid, score, score_batch
 
 USAGE_EXIT = 2
@@ -191,7 +190,6 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "seed": {"type": int},
     "workers": {"type": int,
                 "help": "threads for target's --method columns and bias --method monte-carlo"},
-    "abs_tol": {"type": finite_float, "help": "regions: tie tolerance on the generalized scores"},
     "angles": {"help": "half-lines ray angles, e.g. '2pi/3,4pi/3,2pi'"},
     "samples": {"type": int},
     "model": {"help": "t1[:topology] | t3 | polytomy | unconstrained | halflines"},
@@ -257,10 +255,6 @@ def _mc_settings(cfg: RunConfig) -> McSettings:
     return McSettings(seed=cfg.get("seed"), samples=samples, workers=cfg.get("workers", 1))
 
 
-def _quad(cfg: RunConfig) -> QuadratureSettings:
-    return QuadratureSettings(abs_tol=cfg.get("abs_tol", 1e-8))
-
-
 def _angles(cfg: RunConfig) -> list[float] | None:
     raw = cfg.get("angles")
     return None if raw is None else [parse_angle(t) for t in raw.split(",")]
@@ -280,7 +274,6 @@ def _counts(cfg: RunConfig) -> Counts:
 
 def cmd_bias(cfg: RunConfig) -> str:
     model = parse_model(cfg.require("model"), _angles(cfg))
-    quad = _quad(cfg)
     mu, phi0, counts_text = cfg.get("mu0y"), cfg.get("phi0"), cfg.get("counts")
     if sum(x is not None for x in (mu, phi0, counts_text)) != 1:
         raise UsageError("provide exactly one of --mu0y, --phi0 (with --n), --counts")
@@ -294,7 +287,7 @@ def cmd_bias(cfg: RunConfig) -> str:
     if counts_text is not None:
         counts = _counts(cfg)
         rule = _rule(cfg, cfg.get("method", "plugin"))
-        scores = score_batch([model], counts.as_array()[None], rule, quad)[0]
+        scores = score_batch([model], counts.as_array()[None], rule)[0]
         if scores.errors[0] is not None:
             raise DomainError(scores.errors[0])
         # the observed distance, whichever estimator ran; models without a
@@ -322,18 +315,25 @@ def cmd_bias(cfg: RunConfig) -> str:
         if model.variant == T3:
             geo = geo or GeometryParams.from_phi0(1.0, cfg.get("n", 1e6))
         # a half-lines generating point is (mu0y, 0), on the 2pi ray, as above
-        est = BiasEstimate(bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0, quad),
+        est = BiasEstimate(bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0),
                            "closed-form")
     return _bias_row(cfg, model, mu, est)
 
 
 def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) -> str:
     # what the computation reads: not where the output goes or how many
-    # threads draw it, the seed and sample count only where it draws, and the
-    # rule's radius and rate only where a rule scores counts
+    # threads draw it, the seed and sample count only where it draws, the
+    # rule's radius and rate only where a rule scores counts, the angles only
+    # where they are a bare halflines id's rays, and n only where it sets the
+    # distance (--phi0) or the t3 cone angle; --counts only checks n
     unread = {"out", "workers"} | ({"seed", "samples"} if est.method != "monte-carlo" else set())
-    if cfg.get("counts") is None:
+    scores_counts = cfg.get("counts") is not None
+    if not scores_counts:
         unread |= {"radius", "eta_exponent"}
+    if model.variant != HALFLINES or ":" in cfg.get("model"):
+        unread.add("angles")
+    if cfg.get("phi0") is None and (model.variant != T3 or scores_counts):
+        unread.add("n")
     resolved = {k: v for k, v in cfg.values.items() if v is not None and k not in unread}
     row = [model.model_id, mu, est.method, est.value, est.std_error,
            settings_hash(resolved)]
@@ -349,7 +349,7 @@ def cmd_target(cfg: RunConfig) -> str:
     settings = _mc_settings(cfg)
     methods = cfg.get("method")
     rules = [_rule(cfg, tag.strip()) for tag in methods.split(",")] if methods else []
-    curves = curve_grid(model, n, grid, rules, settings, _quad(cfg))
+    curves = curve_grid(model, n, grid, rules, settings)
     return curve_csv(grid, curves, [rule.method for rule in rules])
 
 
@@ -380,7 +380,7 @@ def cmd_select(cfg: RunConfig) -> str:
     angles = _angles(cfg)
     models = [parse_model(t, angles) for t in ids]
     counts = _counts(cfg)
-    report = score(models, counts, _rule(cfg, cfg.get("method", "plugin")), _quad(cfg))
+    report = score(models, counts, _rule(cfg, cfg.get("method", "plugin")))
 
     if cfg.get("format") == "json":
         return json_text({
@@ -405,8 +405,7 @@ def cmd_regions(cfg: RunConfig) -> str:
     resolution = cfg.require("resolution")
     if resolution < 50:
         raise UsageError("resolution must be at least 50")
-    grid = region_grid(models, n, resolution, _rule(cfg, cfg.get("method", "plugin")),
-                       _quad(cfg))
+    grid = region_grid(models, n, resolution, _rule(cfg, cfg.get("method", "plugin")))
     coord = [fmt_float(i / resolution) for i in range(resolution + 1)]
     rows = [[coord[i], coord[j], coord[k], w] for (i, j, k), w in zip(grid.points, grid.winners)]
     return csv_text(["p1", "p2", "p3", "winner"], rows, formatted=True)
@@ -416,21 +415,20 @@ def cmd_radii(cfg: RunConfig) -> str:
     model = parse_model(cfg.require("model"), _angles(cfg))
     n = float(cfg.get("n", 1e6))  # reference_n prints as a float
     grid = parse_grid(cfg.get("grid", "0:5:0.05"))
-    quad = _quad(cfg)
     out: dict[str, Any] = {"model": model.model_id, "reference_n": n,
                            "grid": {"start": grid[0], "stop": grid[-1], "points": len(grid)}}
     if model.variant in (POLYTOMY, UNCONSTRAINED):
         out |= {"uo_radius": None, "minimax_radius": None,
                 "note": "constant bias correction; neighborhood radii not applicable"}
         return json_text(out)
-    r_uo, d_uo = uo_radius(model, grid, n, cfg.get("violation_tol"), quad)
-    r_mm, d_mm = minimax_radius(model, grid, n, quad)
+    r_uo, d_uo = uo_radius(model, grid, n, cfg.get("violation_tol"))
+    r_mm, d_mm = minimax_radius(model, grid, n)
     out |= {"uo_radius": r_uo, "uo_diagnostics": d_uo,
             "minimax_radius": r_mm, "minimax_diagnostics": d_mm}
     return json_text(out)
 
 
-_COMMON = ("config", "out", "seed", "workers", "abs_tol", "angles")
+_COMMON = ("config", "out", "seed", "workers", "angles")
 # subcommand: (its function, its help, the options it takes after _COMMON)
 _COMMANDS = {
     "bias": (cmd_bias, "one bias-correction value",

@@ -38,7 +38,7 @@ from .models import (
     ModelSpec,
     cone_of,
 )
-from .quadrature import QuadratureSettings, bias_ray_cone, bias_t3_batch
+from .quadrature import bias_ray_cone, bias_t3_batch
 from .special import erf, norm_cdf
 
 _SQRT2 = math.sqrt(2.0)
@@ -81,8 +81,7 @@ def default_radius(model: ModelSpec, method: str) -> float:
             f"no reference radius for {model.model_id}; calibrate one first") from None
 
 
-def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0,
-                 quad: QuadratureSettings = QuadratureSettings()):
+def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0):
     """Bias correction at distance mu along a ray of the model's cone,
     elementwise; alpha0 is the t3 cone angle at each distance (other models
     ignore it).  Scalars in give scalars out.
@@ -96,22 +95,19 @@ def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0,
     if model.variant == T1:
         values = 1.0 + erf(mu_arr / _SQRT2)
     elif model.variant == T3:
-        values = bias_t3_batch(mu_arr.ravel(), alpha_arr.ravel(), quad)
+        values = bias_t3_batch(mu_arr.ravel(), alpha_arr.ravel())
     elif model.variant in (POLYTOMY, UNCONSTRAINED):
         values = np.full(mu_arr.shape, bias_constant(model).value)
     else:
         flat = mu_arr.ravel()
-        values = bias_ray_cone(np.column_stack([flat, np.zeros_like(flat)]),
-                               cone_of(model).angles, quad)
+        values = bias_ray_cone(np.column_stack([flat, np.zeros_like(flat)]), cone_of(model).angles)
         values[flat == 0.0] = singularity_bias(model)
     values = np.reshape(values, mu_arr.shape)
     return float(values) if values.ndim == 0 else values
 
 
 @lru_cache(maxsize=128)
-def least_favorable(model: ModelSpec, which: str,
-                    quad: QuadratureSettings = QuadratureSettings(),
-                    reference_n: float = 1e6) -> BiasEstimate:
+def least_favorable(model: ModelSpec, which: str, reference_n: float = 1e6) -> BiasEstimate:
     """Infimum ('lower') or supremum ('upper') of the bias over the cone.
 
     Computed by a coarse scan of distances [0, 50] (with the cone geometry
@@ -133,11 +129,11 @@ def least_favorable(model: ModelSpec, which: str,
         if model.variant == HALFLINES:
             cone = cone_of(model)
             points = mus[:, None, None] * cone.directions()
-            values = bias_ray_cone(points.reshape(-1, 2), cone.angles, quad).reshape(len(mus), -1)
+            values = bias_ray_cone(points.reshape(-1, 2), cone.angles).reshape(len(mus), -1)
             values[mus == 0.0] = singularity_bias(model)
             return np.min(sign * values, axis=1)
         alphas, _ = angles_from_phi0(phi_from_mu0y(mus, reference_n))
-        return sign * bias_on_cone(model, mus, alphas, quad)
+        return sign * bias_on_cone(model, mus, alphas)
 
     best = _scan_min(f, 0.0, 50.0, (0.5, 0.01, 1e-4))
     return BiasEstimate(sign * best[0], method,
@@ -249,15 +245,13 @@ def expected_neighborhood_value(model: ModelSpec, r, mu_grid) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _truth_grid(model: ModelSpec, grid_key: tuple[float, ...], n: float,
-                quad: QuadratureSettings) -> tuple[float, ...]:
+def _truth_grid(model: ModelSpec, grid_key: tuple[float, ...], n: float) -> tuple[float, ...]:
     mus = np.array(grid_key)
     alphas, _ = angles_from_phi0(phi_from_mu0y(mus, n))
-    return tuple(bias_on_cone(model, mus, alphas, quad))
+    return tuple(bias_on_cone(model, mus, alphas))
 
 
-def _calibration_grid(model: ModelSpec, mu_grid, n: float,
-                      quad: QuadratureSettings) -> tuple[np.ndarray, np.ndarray]:
+def _calibration_grid(model: ModelSpec, mu_grid, n: float) -> tuple[np.ndarray, np.ndarray]:
     """The distances a radius is calibrated on and the true bias at each."""
     if model.variant not in (T1, T3):
         raise DomainError(f"neighborhood radii are defined for t1 and t3 only, "
@@ -265,17 +259,16 @@ def _calibration_grid(model: ModelSpec, mu_grid, n: float,
     grid = tuple(float(x) for x in mu_grid)
     if not grid:
         raise DomainError("radius calibration needs a nonempty grid")
-    return np.array(grid), np.array(_truth_grid(model, grid, float(n), quad))
+    return np.array(grid), np.array(_truth_grid(model, grid, float(n)))
 
 
 def minimax_radius(model: ModelSpec, mu_grid, n: float,
-                   quad: QuadratureSettings = QuadratureSettings(),
                    r_max: float = 6.0, tol: float = 1e-3) -> tuple[float, dict]:
     """Neighborhood radius minimizing the sup over the grid of squared error
     between the expected rule value and the true bias correction: the best
     point of _scan_min's scans of [0, r_max], spaced 0.05 and then tol, each
     one expected_neighborhood_value call."""
-    mus, truth = _calibration_grid(model, mu_grid, n, quad)
+    mus, truth = _calibration_grid(model, mu_grid, n)
 
     def sup_risk(rs):
         return np.max((expected_neighborhood_value(model, rs, mus) - truth) ** 2, axis=1)
@@ -285,7 +278,6 @@ def minimax_radius(model: ModelSpec, mu_grid, n: float,
 
 
 def uo_radius(model: ModelSpec, mu_grid, n: float, violation_tol: float | None = None,
-              quad: QuadratureSettings = QuadratureSettings(),
               r_max: float = 6.0, tol: float = 1e-3) -> tuple[float, dict]:
     """Largest radius whose expected rule value stays between the true bias
     and the classical correction, up to an opposite-sign slack: minimax_radius's
@@ -295,7 +287,7 @@ def uo_radius(model: ModelSpec, mu_grid, n: float, violation_tol: float | None =
     By default the slack is 1.02e-14, the accuracy of the closed forms that
     give the truth.
     """
-    mus, truth = _calibration_grid(model, mu_grid, n, quad)
+    mus, truth = _calibration_grid(model, mu_grid, n)
     if violation_tol is None:
         violation_tol = 1.02e-14
     gap = 2.0 * model.dim - truth
@@ -360,39 +352,37 @@ def crude_bounds(model: ModelSpec) -> tuple[BiasEstimate, BiasEstimate]:
             BiasEstimate(hi, "crude-bound", settings=meta | {"side": "upper"}))
 
 
-def rule_constant(model: ModelSpec, rule: EstimatorRule, n: int,
-                  quad: QuadratureSettings = QuadratureSettings()) -> float | None:
+def rule_constant(model: ModelSpec, rule: EstimatorRule, n: int) -> float | None:
     """The rule's value where it does not depend on the observation (aic,
     llf, ulf, and every rule on a model with no line), else None."""
     if rule.method == "aic":
         return 2.0 * model.dim
     if rule.method in ("llf", "ulf"):
         which = "lower" if rule.method == "llf" else "upper"
-        return least_favorable(model, which, quad, float(n)).value
+        return least_favorable(model, which, float(n)).value
     if model.variant not in (T1, T3):
         return bias_constant(model).value
     return None
 
 
 def rule_values(model: ModelSpec, rule: EstimatorRule, n: int, mu_hat: np.ndarray,
-                alpha0: np.ndarray, zbar_norm, quad: QuadratureSettings = QuadratureSettings(),
-                bias_at=None) -> np.ndarray:
+                alpha0: np.ndarray, zbar_norm, bias_at=None) -> np.ndarray:
     """The rule's bias value at each observed point of a sample of size n: the
     observed distance mu_hat of the constrained estimate from the origin, the
     cone angle alpha0 there and the norm zbar_norm of the raw observation.
 
     zbar_norm may be a function of no arguments that returns the norms; only
-    the t3 neighborhood rules call it.  bias_at(model, mu, alpha0, quad) gives
-    the bias at each distance, bias_on_cone by default.
+    the t3 neighborhood rules call it.  bias_at(model, mu, alpha0) gives the
+    bias at each distance, bias_on_cone by default.
     """
     bias_at = bias_at or bias_on_cone
     method = rule.method
     rows = len(mu_hat)
-    constant = rule_constant(model, rule, n, quad)
+    constant = rule_constant(model, rule, n)
     if constant is not None:
         return np.full(rows, constant)
     if method == "plugin":
-        return bias_at(model, mu_hat, alpha0, quad)
+        return bias_at(model, mu_hat, alpha0)
     if method in ("uo", "minimax"):
         r = rule.radius if rule.radius is not None else default_radius(model, method)
         if model.variant == T1:  # the single-line rule thresholds the estimate
@@ -402,9 +392,9 @@ def rule_values(model: ModelSpec, rule: EstimatorRule, n: int, mu_hat: np.ndarra
     shrunk = mu_hat <= consistent_radius(n, rule.eta_exponent)
     if method == "consistent":
         values = np.full(rows, singularity_bias(model))
-        values[~shrunk] = bias_at(model, mu_hat[~shrunk], alpha0[~shrunk], quad)
+        values[~shrunk] = bias_at(model, mu_hat[~shrunk], alpha0[~shrunk])
         return values
     # the parametric bootstrap's value as B -> infinity: the bias at its
     # centre, the estimate (0, mu_hat) or, within the consistent radius, the
     # origin, on the point's own cone
-    return bias_at(model, np.where(shrunk, 0.0, mu_hat), alpha0, quad)
+    return bias_at(model, np.where(shrunk, 0.0, mu_hat), alpha0)

@@ -36,7 +36,8 @@ def require_distinct(labels: list[str] | tuple[str, ...], what: str) -> None:
 class Record:
     """Base of the package's immutable records.  Each record's __init__ sets
     its slots once, through _fill, and checks them; assignment afterwards
-    raises.  Records compare by identity unless they derive from ValueRecord.
+    raises.  Records compare by identity; models.ModelSpec, which keys
+    lru_caches, compares by value.
 
     Plain slotted classes rather than dataclasses, which compile and run
     generated methods each time their module is imported.
@@ -54,24 +55,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class ValueRecord(Record):
-    """A Record equal to, and hashed like, the tuple of its fields: the
-    records that key lru_caches."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 class SimplexPoint(Record):

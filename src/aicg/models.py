@@ -19,7 +19,6 @@ from .geometry import (
     Record,
     SimplexPoint,
     TransformedPoint,
-    ValueRecord,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -31,8 +30,10 @@ UNCONSTRAINED = "unconstrained"
 HALFLINES = "halflines"
 
 
-class ModelSpec(ValueRecord):
-    """One candidate model; use the module constructors rather than __init__."""
+class ModelSpec(Record):
+    """One candidate model; use the module constructors rather than __init__.
+    Models key lru_caches, so a model is equal to, and hashed like, the
+    tuple of its fields."""
 
     __slots__ = ("variant", "topology", "angles")
 
@@ -43,6 +44,15 @@ class ModelSpec(ValueRecord):
             raise DomainError(f"unknown model variant {variant!r}")
         if variant == T1 and topology not in (1, 2, 3):
             raise DomainError("t1 requires a topology in {1, 2, 3}")
+
+    def __eq__(self, other):
+        if type(other) is not ModelSpec:
+            return NotImplemented
+        return (self.variant, self.topology, self.angles) == \
+            (other.variant, other.topology, other.angles)
+
+    def __hash__(self):
+        return hash((self.variant, self.topology, self.angles))
 
     @property
     def model_id(self) -> str:

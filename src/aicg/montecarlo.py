@@ -51,7 +51,7 @@ from .geometry import (
 from .estimators import EstimatorRule, bias_on_cone, rule_constant, rule_values
 from .models import (T1, T3, Cone, ModelSpec, cone_of, mle_rows, project_points,
                      projected_distances, theta_in_model)
-from .quadrature import QuadratureSettings, bias_t3_batch
+from .quadrature import bias_t3_batch
 
 
 # The most rows drawn, evaluated and reduced at once: it bounds every temporary.
@@ -346,8 +346,7 @@ def _t3_bias_table(alpha0: float, mu_max: float) -> tuple[np.ndarray, np.ndarray
 _T3_TABLE_MARGIN = 7
 
 
-def _plugin_values(model: ModelSpec, mu: np.ndarray, alpha0, quad: QuadratureSettings,
-                   geo: GeometryParams) -> np.ndarray:
+def _plugin_values(model: ModelSpec, mu: np.ndarray, alpha0, geo: GeometryParams) -> np.ndarray:
     """rule_values' bias_at for the draws of the curve point geo, whose cone
     angle alpha0 is geo.alpha0.
 
@@ -360,14 +359,14 @@ def _plugin_values(model: ModelSpec, mu: np.ndarray, alpha0, quad: QuadratureSet
     keeps np.interp from clamping.
     """
     if model.variant != T3 or not mu.size:
-        return bias_on_cone(model, mu, alpha0, quad)
+        return bias_on_cone(model, mu, alpha0)
     mu_max = max(math.ceil(geo.mu0y) + _T3_TABLE_MARGIN, math.ceil(float(np.max(mu)) + 1.0))
     xs, ys = _t3_bias_table(geo.alpha0, float(mu_max))
     return np.interp(mu, xs, ys)
 
 
-def _rule_column(model: ModelSpec, rule: EstimatorRule, n: int, geo: GeometryParams,
-                 quad: QuadratureSettings) -> RuleEvaluator:
+def _rule_column(model: ModelSpec, rule: EstimatorRule, n: int,
+                 geo: GeometryParams) -> RuleEvaluator:
     """The rule's value per draw at the curve point geo: rule_values at the
     draws' projected distances and the point's cone angle, with the norm of
     a draw computed only for a rule that reads it (the bits of
@@ -376,13 +375,13 @@ def _rule_column(model: ModelSpec, rule: EstimatorRule, n: int, geo: GeometryPar
 
     def values(z, dist):
         return rule_values(model, rule, n, dist, np.broadcast_to(geo.alpha0, dist.shape),
-                           lambda: np.sqrt(z[:, 0] * z[:, 0] + z[:, 1] * z[:, 1]), quad, bias_at)
+                           lambda: np.sqrt(z[:, 0] * z[:, 0] + z[:, 1] * z[:, 1]), bias_at)
     return values
 
 
 def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
-               rules: Sequence[EstimatorRule] = (), settings: McSettings | None = None,
-               quad: QuadratureSettings = QuadratureSettings()) -> dict[str, list[CurvePoint]]:
+               rules: Sequence[EstimatorRule] = (),
+               settings: McSettings | None = None) -> dict[str, list[CurvePoint]]:
     """Per-grid-point curve data: simulated target, analytic corrections, and
     the expected value of each requested estimator rule: the mean over the
     draws of rule_values for a sample of size n, or with se 0 the rule's
@@ -403,7 +402,7 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
                                           for mu in grid]}
     drawn = []
     for rule in rules:
-        value = rule_constant(model, rule, n, quad)
+        value = rule_constant(model, rule, n)
         if value is None:
             drawn.append(rule)
         curves[rule.method] = [] if value is None else [CurvePoint(mu, value, 0.0, n)
@@ -415,13 +414,13 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     # n < 3) fails before the target draws
     if drawn:
         points = [(cone_of(model, geo), TransformedPoint(0.0, mu),
-                   [_rule_column(model, rule, n, geo, quad) for rule in drawn])
+                   [_rule_column(model, rule, n, geo) for rule in drawn])
                   for mu, geo in zip(grid, geos)]
         for mu, estimates in zip(grid, mc_expected_estimators(points, settings)):
             for rule, est in zip(drawn, estimates):
                 curves[rule.method].append(CurvePoint(mu, est.value, est.std_error, n))
 
-    aicg = bias_on_cone(model, mus, [g.alpha0 for g in geos], quad)
+    aicg = bias_on_cone(model, mus, [g.alpha0 for g in geos])
     for i, (mu, geo) in enumerate(zip(grid, geos)):
         theta0 = theta_on_line(geo.phi0, model.topology or 1)
         cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples, settings.chunk_size)

@@ -25,21 +25,10 @@ from functools import lru_cache
 import numpy as np
 
 from .closedform import BiasEstimate
-from .geometry import DomainError, ValueRecord
+from .geometry import DomainError
 from .special import norm_cdf, norm_cdf2
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-class QuadratureSettings(ValueRecord):
-    __slots__ = ("abs_tol", "r_max_offset")
-
-    def __init__(self, abs_tol: float = 1e-8, r_max_offset: float = 12.0):
-        self._fill(abs_tol, r_max_offset)
-        if not abs_tol > 0:
-            raise DomainError("abs_tol must be positive")
-        if r_max_offset < 8:
-            raise DomainError("r_max_offset must be at least 8")
 
 
 def _polar_mass(pts: np.ndarray, angs: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -57,13 +46,11 @@ def _polar_mass(pts: np.ndarray, angs: np.ndarray, gaps: np.ndarray) -> np.ndarr
     return mass
 
 
-def bias_ray_cone(points, angles,
-                  settings: QuadratureSettings = QuadratureSettings()) -> np.ndarray:
+def bias_ray_cone(points, angles) -> np.ndarray:
     """Bias correction of the cone of rays at `angles` for each generating
     point, a row of the (N, 2) `points`.  The angles increase and span less
     than 2pi: one (K,) set, or an (N, K) array with a set per row.  Each
-    row's value is computed elementwise, so its bits are its own.  settings
-    is not read; it stays for the callers that pass it."""
+    row's value is computed elementwise, so its bits are its own."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
         raise DomainError("generating points must be a finite (N, 2) array")
@@ -84,8 +71,7 @@ def bias_ray_cone(points, angles,
     return 2.0 * (1.0 - _polar_mass(pts, angs, gaps) + jumps.sum(axis=1))
 
 
-def bias_t3_batch(mu0y, alpha0,
-                  settings: QuadratureSettings = QuadratureSettings()) -> np.ndarray:
+def bias_t3_batch(mu0y, alpha0) -> np.ndarray:
     """t3 bias correction for each (mu0y, alpha0) pair, broadcast together:
     bias_ray_cone at (0, mu0y)."""
     mu, alpha = np.broadcast_arrays(np.atleast_1d(np.asarray(mu0y, dtype=float)),
@@ -98,19 +84,17 @@ def bias_t3_batch(mu0y, alpha0,
         raise DomainError("alpha0 must lie in (0, pi/6]")
     rays = np.column_stack([np.full_like(alpha, 0.5 * math.pi), math.pi + alpha,
                             2.0 * math.pi - alpha])
-    return bias_ray_cone(np.column_stack([np.zeros_like(mu), mu]), rays, settings)
+    return bias_ray_cone(np.column_stack([np.zeros_like(mu), mu]), rays)
 
 
-def bias_t3(mu0y: float, alpha0: float,
-            settings: QuadratureSettings = QuadratureSettings()) -> BiasEstimate:
+def bias_t3(mu0y: float, alpha0: float) -> BiasEstimate:
     """t3 bias correction at one point: the one-row case of bias_t3_batch."""
-    value = float(bias_t3_batch(mu0y, alpha0, settings)[0])
+    value = float(bias_t3_batch(mu0y, alpha0)[0])
     return BiasEstimate(value, "closed-form",
                         settings={"model": "t3", "mu0y": mu0y, "alpha0": alpha0})
 
 
 @lru_cache(maxsize=4096)
-def bias_t3_value(mu0y: float, alpha0: float,
-                  settings: QuadratureSettings = QuadratureSettings()) -> float:
+def bias_t3_value(mu0y: float, alpha0: float) -> float:
     """Memoized scalar t3 bias; safe because bias_t3 is a pure function."""
-    return bias_t3(mu0y, alpha0, settings).value
+    return bias_t3(mu0y, alpha0).value

@@ -15,9 +15,10 @@ import numpy as np
 from .estimators import EstimatorRule, rule_values
 from .geometry import Counts, DomainError, Record, require_distinct
 from .models import ModelSpec, mle_rows, neg2loglik_rows
-from .quadrature import QuadratureSettings
 
 _VERSION = "0.1.0"
+# region_grid's generalized scores within this of the least one are a tie.
+_TIE_TOL = 1e-8
 
 
 class ScoreRow(Record):
@@ -92,8 +93,8 @@ def _line_geometry(counts: np.ndarray, theta: np.ndarray, line: np.ndarray, n: i
     return np.where(valid, mu_hat, np.nan), alpha0, zbar_norm, errors
 
 
-def _score_model(model: ModelSpec, counts: np.ndarray, n: int, rule: EstimatorRule,
-                 quad: QuadratureSettings) -> ModelScores:
+def _score_model(model: ModelSpec, counts: np.ndarray, n: int,
+                 rule: EstimatorRule) -> ModelScores:
     rows = len(counts)
     nan = np.full(rows, np.nan)
     label = "plug-in" if rule.method == "plugin" else rule.method
@@ -111,7 +112,7 @@ def _score_model(model: ModelSpec, counts: np.ndarray, n: int, rule: EstimatorRu
     bias = nan.copy()
     if ok.any():
         try:
-            bias[ok] = rule_values(model, rule, n, mu_hat[ok], alpha0[ok], zbar_norm[ok], quad)
+            bias[ok] = rule_values(model, rule, n, mu_hat[ok], alpha0[ok], zbar_norm[ok])
         except (DomainError, ValueError) as exc:
             errors = tuple(e or str(exc) for e in errors)
             ok[:] = False
@@ -119,8 +120,8 @@ def _score_model(model: ModelSpec, counts: np.ndarray, n: int, rule: EstimatorRu
     return ModelScores(model, label, neg2loglik, bias, mu_hat, errors)
 
 
-def score_batch(models: Sequence[ModelSpec], counts, rule: EstimatorRule,
-                quad: QuadratureSettings = QuadratureSettings()) -> tuple[ModelScores, ...]:
+def score_batch(models: Sequence[ModelSpec], counts,
+                rule: EstimatorRule) -> tuple[ModelScores, ...]:
     """Score every candidate model on every row of an (N, 3) count array whose
     rows share one total n: one vectorized MLE per model, and the rule
     evaluated for all rows at once.
@@ -135,7 +136,7 @@ def score_batch(models: Sequence[ModelSpec], counts, rule: EstimatorRule,
     if np.any(counts < 0) or np.any(counts % 1) or np.any(totals != totals[0]) or totals[0] < 1:
         raise DomainError("count rows must be nonnegative integers sharing one total n >= 1")
     n = int(totals[0])
-    return tuple(_score_model(model, counts, n, rule, quad) for model in models)
+    return tuple(_score_model(model, counts, n, rule) for model in models)
 
 
 def _rank(values: list[tuple[float, str]]) -> dict[str, int]:
@@ -143,8 +144,7 @@ def _rank(values: list[tuple[float, str]]) -> dict[str, int]:
     return {values[i][1]: pos + 1 for pos, i in enumerate(order)}
 
 
-def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule,
-          quad: QuadratureSettings = QuadratureSettings()) -> SelectionReport:
+def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule) -> SelectionReport:
     """Score each candidate model on observed counts and rank by the
     generalized criterion (ties broken by model id): the one-row case of
     score_batch.  A model the estimator cannot handle yields an error row,
@@ -153,7 +153,7 @@ def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule,
     if not models:
         raise DomainError("need at least one candidate model")
     require_distinct([m.model_id for m in models], "model id")
-    batch = score_batch(models, counts.as_array()[None], rule, quad)
+    batch = score_batch(models, counts.as_array()[None], rule)
     scored = [s for s in batch if s.errors[0] is None]
     rank_g = _rank([(float(s.aicg[0]), s.model.model_id) for s in scored])
     rank_a = _rank([(float(s.aic[0]), s.model.model_id) for s in scored])
@@ -257,14 +257,13 @@ def _winner_labels(aicg: np.ndarray, ids: tuple[str, ...], tol: float) -> tuple[
 
 
 def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
-                rule: EstimatorRule,
-                quad: QuadratureSettings = QuadratureSettings()) -> RegionGrid:
+                rule: EstimatorRule) -> RegionGrid:
     """Label every lattice point with the model winning at its pseudo-counts.
 
     Pseudo-counts are the sum-preserving largest-remainder rounding of n*p
     (exact when n is a multiple of the resolution).  Generalized scores
-    within quad.abs_tol of the least are an explicit "tie", so no label rests
-    on the last bits of a bias value.
+    within _TIE_TOL of the least are an explicit "tie", so no label rests on
+    the last bits of a bias value.
     """
     if len(models) < 2:
         raise DomainError("region grids need at least two models")
@@ -272,9 +271,9 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
     require_distinct(ids, "model id")
     pts = simplex_lattice(resolution)
     counts = _rounded_counts(np.array(pts) / resolution, n)
-    aicg = np.array([s.aicg for s in score_batch(models, counts, rule, quad)])
+    aicg = np.array([s.aicg for s in score_batch(models, counts, rule)])
     return RegionGrid(
         resolution=resolution, n=n, model_ids=ids,
-        points=tuple(pts), winners=_winner_labels(aicg, ids, quad.abs_tol),
+        points=tuple(pts), winners=_winner_labels(aicg, ids, _TIE_TOL),
         metadata={"estimator": rule.method, "version": _VERSION},
     )

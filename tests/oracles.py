@@ -20,7 +20,6 @@ from aicg.estimators import bias_on_cone, consistent_radius
 from aicg.geometry import (CENTROID, DomainError, GeometryParams, SimplexPoint, TransformedPoint,
                            phi_from_p1)
 from aicg.models import cone_of, project_points
-from aicg.quadrature import QuadratureSettings
 from aicg.selection import RegionGrid, _rounded_counts
 
 
@@ -469,8 +468,7 @@ def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_expo
 
 def consistent_estimate(model, observed: TransformedPoint, n: float,
                         eta_exponent: float = 1.0 / 3.0,
-                        geo: GeometryParams | None = None,
-                        quad: QuadratureSettings = QuadratureSettings()
+                        geo: GeometryParams | None = None
                         ) -> tuple[TransformedPoint, BiasEstimate]:
     """Shrink one observation to the singularity inside a slowly-growing
     ball, as a scalar chain: the reference for the consistent rule that
@@ -490,7 +488,7 @@ def consistent_estimate(model, observed: TransformedPoint, n: float,
     else:
         proj = project_points(cone, observed.as_array()[None])[0]
         mu_t = TransformedPoint(float(proj[0]), float(proj[1]))
-        value = bias_on_cone(model, mu_t.norm(), geo.alpha0, quad)
+        value = bias_on_cone(model, mu_t.norm(), geo.alpha0)
     est = BiasEstimate(value, "consistent",
                        settings={"model": model.model_id, "radius": radius,
                                  "eta_exponent": eta_exponent,

@@ -37,7 +37,7 @@ from aicg.montecarlo import (
     standard_normals,
     _chunk_rng,
 )
-from aicg.quadrature import QuadratureSettings, bias_t3, bias_t3_value
+from aicg.quadrature import bias_t3, bias_t3_value
 from aicg.selection import region_grid
 from aicg.estimators import EstimatorRule
 from aicg.special import norm_cdf
@@ -71,7 +71,7 @@ def test_criterion_01_t1_closed_form():
 
 def test_criterion_02_t3_singular_constant():
     t0 = time.perf_counter()
-    v = bias_t3(0.0, math.pi / 6.0, QuadratureSettings(abs_tol=1e-10)).value
+    v = bias_t3(0.0, math.pi / 6.0).value
     elapsed = time.perf_counter() - t0
     hl = bias_halflines_at_singularity(
         validate_halflines([TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI])).value

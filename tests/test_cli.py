@@ -11,6 +11,9 @@ import pytest
 
 import aicg
 from aicg.cli import main, parse_angle, parse_grid, fmt_float
+from aicg.geometry import GeometryParams
+
+from oracles import ray_cone_bias_dblquad
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -116,24 +119,40 @@ class TestBiasCommand:
         assert "simplex vertex" in capsys.readouterr().err
 
     def test_t3_nonconvergence_exit_3(self, tmp_path, capsys):
-        # a tolerance that a quadrature rule pair could not meet: the closed
-        # form checks none, so the value is the default's, and exit 0
-        code, text = run_cli(["bias", "--model", "t3", "--mu0y", "1", "--abs-tol", "1e-16"],
-                             tmp_path)
+        # where a quadrature rule pair once missed its tolerance (exit 3): the
+        # closed form checks none, so exit 0 with the plane's value
+        code, text = run_cli(["bias", "--model", "t3", "--mu0y", "1"], tmp_path)
         assert code == 0 and capsys.readouterr().err == ""
-        _, default = run_cli(["bias", "--model", "t3", "--mu0y", "1"], tmp_path, "default.csv")
-        assert text.splitlines()[1].split(",")[:4] == default.splitlines()[1].split(",")[:4]
+        fields = text.splitlines()[1].split(",")
+        assert fields[2] == "closed-form"
+        alpha0 = GeometryParams.from_phi0(1.0, 1e6).alpha0
+        want = ray_cone_bias_dblquad((0.0, 1.0), (0.5 * math.pi, math.pi + alpha0,
+                                                  2.0 * math.pi - alpha0))
+        assert abs(float(fields[3]) - want) <= 1e-13
 
     @pytest.mark.parametrize("extra", [[], ["--workers", "1"], ["--workers", "2"],
-                                       ["--seed", "3"], ["--samples", "5"]])
+                                       ["--seed", "3"], ["--samples", "5"], ["--angles", "2pi"],
+                                       ["--n", "100"]])
     def test_settings_hash_leaves_out_unread_options(self, tmp_path, extra):
-        # workers never change a value; seed and samples only a Monte Carlo one
+        # workers never change a value; seed and samples only a Monte Carlo
+        # one; angles only a bare halflines id's; n only a --phi0 distance or
+        # a t3 cone angle, and --counts only checks it against their total
         code, text = run_cli(["bias", "--model", "t1", "--mu0y", "1", *extra], tmp_path)
         assert code == 0
         assert text.rstrip().endswith(",c32a2b65509c")
         base = ["bias", "--model", "t1", "--counts", "60,20,20", "--method", "bootstrap"]
         assert run_cli([*base, *extra], tmp_path, "boot.csv") == \
             run_cli(base, tmp_path, "boot0.csv")
+
+    def test_settings_hash_keeps_angles_and_n_where_read(self, tmp_path):
+        # a bare halflines id's rays, the n of a --phi0 distance and the n of
+        # a t3 cone angle set the value, so they stay in the hash
+        def settings_hash(*args):
+            return run_cli(["bias", *args], tmp_path)[1].rstrip().rsplit(",", 1)[1]
+        halflines = ["--model", "halflines", "--mu0y", "1", "--angles"]
+        assert settings_hash(*halflines, "2.8,4.5,2pi") != settings_hash(*halflines, "3.5,2pi")
+        for where in (["--model", "t1", "--phi0", "0.5"], ["--model", "t3", "--mu0y", "1"]):
+            assert settings_hash(*where, "--n", "50") != settings_hash(*where, "--n", "60")
 
     def test_settings_hash_keeps_the_monte_carlo_seed(self, tmp_path):
         base = ["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo",
@@ -158,7 +177,8 @@ class TestBiasCommand:
         assert f"--method '{method}' needs --counts" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [["--radius", "3"], ["--eta-exponent", "0.2"],
-                                       ["--radius", "3", "--eta-exponent", "0.2"]])
+                                       ["--radius", "3", "--eta-exponent", "0.2"],
+                                       ["--radius", "3", "--angles", "2pi", "--n", "100"]])
     def test_settings_hash_leaves_out_rule_options_without_counts(self, tmp_path, extra):
         # a rule's radius and rate are read only where a rule scores counts
         code, text = run_cli(["bias", "--model", "t1", "--mu0y", "1", *extra], tmp_path)
@@ -413,12 +433,16 @@ class TestRadiiCommand:
         assert code == 3
         assert "error" in json.loads(text)
 
-    def test_nonconvergence_exit_3_with_error_json(self, tmp_path):
+    def test_nonconvergence_exit_3_with_error_json(self, tmp_path, capsys):
         # once a quadrature failure (exit 3 with an error JSON); the closed
-        # form has no tolerance to miss, and radii does not read --abs-tol
-        code, text = run_cli(["radii", "--model", "t3", "--abs-tol", "1e-16"], tmp_path)
+        # form has no tolerance to miss, and --abs-tol, which set one, exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(["radii", "--model", "t3", "--abs-tol", "1e-16",
+                  "--out", str(tmp_path / "out.json")])
+        assert exc.value.code == 2 and not (tmp_path / "out.json").exists()
+        assert "unrecognized arguments: --abs-tol" in capsys.readouterr().err
+        code, text = run_cli(["radii", "--model", "t3"], tmp_path)
         assert code == 0 and "error" not in json.loads(text)
-        assert text == run_cli(["radii", "--model", "t3"], tmp_path, "default.json")[1]
 
 
 def _fresh_python(code):
@@ -504,6 +528,24 @@ class TestConfigPrecedence:
         assert code == 2 and text == ""
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["bias", "--model", "t1", "--mu0y", "1"],
+        ["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",
+         "--seed", "1"],
+        ["select", "--counts", "60,20,20", "--models", "t1:1,polytomy"],
+        ["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "60"],
+        ["radii", "--model", "t1"]], ids=lambda args: args[0])
+    def test_abs_tol_is_gone_exit_2(self, tmp_path, capsys, args):
+        # the closed forms read no tolerance and the regions tie tolerance is
+        # fixed, so no subcommand takes --abs-tol, as a flag or a config key
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--abs-tol", "1e-9", "--out", str(tmp_path / "flag.out")])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, text = _config_run(args, tmp_path, {"abs_tol": 1e-9})
+        assert code == 2 and text == ""
+        assert "unknown key 'abs_tol'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd", ["bias", "target", "select", "regions", "radii"])
     def test_seed_and_workers_on_every_subcommand(self, cmd):
         from aicg.cli import build_parser
@@ -533,21 +575,20 @@ def _json_value(text):
 PARITY_COMMANDS = [
     ["bias", "--model", "t3", "--mu0y", "1", "--method", "monte-carlo", "--samples", "500",
      "--seed", "4", "--workers", "2", "--n", "500"],
-    ["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--phi0", "0.5", "--n", "50",
-     "--abs-tol", "1e-9"],
+    ["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--phi0", "0.5", "--n", "50"],
     ["bias", "--model", "t3", "--counts", "60,25,15", "--method", "consistent", "--radius",
      "0.5", "--n", "100", "--eta-exponent", "0.25"],
     ["target", "--model", "t1", "--n", "100", "--grid", "0:1:0.5", "--samples", "300",
      "--seed", "3", "--workers", "2", "--method", "uo,consistent", "--radius", "0.4",
-     "--eta-exponent", "0.3", "--abs-tol", "1e-9", "--angles", "2pi"],
+     "--eta-exponent", "0.3", "--angles", "2pi"],
     ["select", "--counts", "60,20,20", "--models", "t1:1,t3,halflines", "--angles", "2pi",
      "--n", "100", "--method", "bootstrap", "--seed", "2", "--format",
-     "json", "--radius", "0.5", "--eta-exponent", "0.25", "--workers", "1", "--abs-tol", "1e-9"],
+     "json", "--radius", "0.5", "--eta-exponent", "0.25", "--workers", "1"],
     ["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "50", "--method", "uo",
      "--radius", "0.5", "--seed", "1", "--eta-exponent", "0.2",
-     "--workers", "1", "--abs-tol", "1e-9", "--angles", "2pi"],
+     "--workers", "1", "--angles", "2pi"],
     ["radii", "--model", "t1", "--n", "1000", "--grid", "0:2:0.5", "--violation-tol", "1e-12",
-     "--abs-tol", "1e-9", "--seed", "1", "--workers", "1", "--angles", "2pi"],
+     "--seed", "1", "--workers", "1", "--angles", "2pi"],
 ]
 PARITY_CASES = [(i, j) for i, args in enumerate(PARITY_COMMANDS)
                 for j in range(1, len(args), 2)]
@@ -680,7 +721,7 @@ class TestEdgeInputsExit2:
         (["bias", "--model", "t1", "--mu0y", "inf"], "--mu0y"),
         (["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",
           "--seed", "1", "--eta-exponent=-inf"], "--eta-exponent"),
-        (["radii", "--model", "t3", "--abs-tol", "nan"], "--abs-tol"),
+        (["radii", "--model", "t3", "--violation-tol", "nan"], "--violation-tol"),
     ])
     def test_non_finite_flag_exit_2(self, tmp_path, capsys, args, flag):
         with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,7 @@ from aicg.geometry import (Counts, DomainError, GeometryParams, TransformedPoint
                            angles_from_phi0, mu0y, phi_from_mu0y)
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.montecarlo import McSettings, _chunk_rng, curve_grid, standard_normals
-from aicg.quadrature import QuadratureSettings, bias_ray_cone, bias_t3, bias_t3_batch
+from aicg.quadrature import bias_ray_cone, bias_t3, bias_t3_batch
 from aicg.selection import score_batch
 from aicg.special import erf, norm_cdf
 
@@ -152,9 +152,9 @@ class TestPluginBias:
 
 class TestLeastFavorable:
     def test_equal_arguments_hit_the_cache(self):
-        least_favorable(t3_model(), "lower", QuadratureSettings())
+        least_favorable(t3_model(), "lower")
         hits = least_favorable.cache_info().hits
-        least_favorable(t3_model(), "lower", QuadratureSettings())
+        least_favorable(t3_model(), "lower")
         assert least_favorable.cache_info().hits == hits + 1
 
     def test_t1_pair(self):
@@ -545,7 +545,6 @@ class TestT3BiasTable:
 
     def test_table_reaches_past_every_draw(self):
         from aicg.montecarlo import _plugin_values, _t3_bias_table
-        quad = QuadratureSettings()
         for mu in (0.0, 0.3, 2.5, 7.0):
             geo = GeometryParams.from_mu0y(mu, 1000)
             _t3_bias_table.cache_clear()
@@ -553,14 +552,14 @@ class TestT3BiasTable:
             # own table
             for reach in (4.0, 6.0):
                 _plugin_values(t3_model(), np.array([0.0, geo.mu0y + reach]),
-                               np.full(2, geo.alpha0), quad, geo)
+                               np.full(2, geo.alpha0), geo)
             xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(geo.mu0y) + 7))
             assert _t3_bias_table.cache_info()[:2] == (2, 1)
             assert xs[-1] >= geo.mu0y + 6.0
             # a draw far past the point's table gets a longer table instead
             # of a clamp
             far = geo.mu0y + 12.0
-            _plugin_values(t3_model(), np.array([0.0, far]), np.full(2, geo.alpha0), quad, geo)
+            _plugin_values(t3_model(), np.array([0.0, far]), np.full(2, geo.alpha0), geo)
             xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(far + 1.0)))
             assert _t3_bias_table.cache_info()[:2] == (3, 2)
             assert xs[-1] >= far
@@ -570,7 +569,7 @@ class TestT3BiasTable:
         from aicg.montecarlo import _plugin_values, _t3_bias_table
         geo = GeometryParams.from_mu0y(0.0, 1000)
         _t3_bias_table.cache_clear()
-        values = _plugin_values(t3_model(), np.zeros(0), np.zeros(0), QuadratureSettings(), geo)
+        values = _plugin_values(t3_model(), np.zeros(0), np.zeros(0), geo)
         assert values.shape == (0,)
         assert _t3_bias_table.cache_info().misses == 0
 

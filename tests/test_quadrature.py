@@ -16,7 +16,6 @@ from aicg.closedform import bias_halflines_at_singularity
 from aicg.geometry import DomainError
 from aicg.models import validate_halflines
 from aicg.quadrature import (
-    QuadratureSettings,
     bias_ray_cone,
     bias_t3,
     bias_t3_batch,
@@ -33,11 +32,11 @@ T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
 
 class TestBiasT3:
     def test_singular_constant(self):
-        v = bias_t3(0.0, math.pi / 6, QuadratureSettings(abs_tol=1e-8)).value
+        v = bias_t3(0.0, math.pi / 6).value
         assert v == pytest.approx(T3_SINGULAR, abs=1e-15)
 
     def test_matches_halflines_closed_form(self):
-        v = bias_t3(0.0, math.pi / 6, QuadratureSettings(abs_tol=1e-10)).value
+        v = bias_t3(0.0, math.pi / 6).value
         hl = bias_halflines_at_singularity(
             validate_halflines([TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI])).value
         assert v == pytest.approx(hl, abs=1e-15)
@@ -61,11 +60,11 @@ class TestBiasT3:
         assert all(lo <= v <= hi for v in vals)
 
     def test_tail_truncation_adequate(self):
-        # the closed form truncates nothing: the window setting is unread
+        # the closed form truncates nothing, so it has no window to widen:
+        # near and far along the line it is the plane's dblquad value
         for mu in [1.3, 20.0]:
-            base = bias_t3(mu, math.pi / 6, QuadratureSettings(abs_tol=1e-9, r_max_offset=12)).value
-            wide = bias_t3(mu, math.pi / 6, QuadratureSettings(abs_tol=1e-9, r_max_offset=24)).value
-            assert base == wide
+            value = bias_t3(mu, math.pi / 6).value
+            assert value == pytest.approx(ray_cone_bias_dblquad((0.0, mu), T3_RAYS), abs=1e-13)
 
     def test_batch_rows_match_scalar(self):
         mus = np.array([0.0, 0.4, 1.7, 3.3, 9.0])
@@ -84,24 +83,10 @@ class TestBiasT3:
             bias_t3_batch([0.5, 1.0], [math.pi / 6, 0.0])
 
     def test_nonconvergence_carries_best(self):
-        # a tolerance no pair of quadrature rules could certify raises
-        # nothing: the closed form checks none, and returns the same bits
-        value = bias_t3(1.0, math.pi / 6, QuadratureSettings(abs_tol=1e-16)).value
-        assert value == bias_t3(1.0, math.pi / 6).value
+        # where a quadrature rule pair once missed its tolerance, the closed
+        # form, which checks none, raises nothing and gives the plane's value
+        value = bias_t3(1.0, math.pi / 6).value
         assert value == pytest.approx(ray_cone_bias_dblquad((0.0, 1.0), T3_RAYS), abs=1e-13)
-
-    def test_settings_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSettings(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSettings(r_max_offset=4.0)
-
-    def test_settings_equal_by_value(self):
-        # settings key lru_caches, built afresh by each caller
-        assert QuadratureSettings() == QuadratureSettings(1e-8, 12.0)
-        assert hash(QuadratureSettings()) == hash(QuadratureSettings(abs_tol=1e-8))
-        assert QuadratureSettings() != QuadratureSettings(abs_tol=1e-9)
-        assert QuadratureSettings() != QuadratureSettings(r_max_offset=16.0)
 
     def test_metadata_records_truncation(self):
         # a closed form: the metadata is the point, with no window or tail
@@ -214,11 +199,11 @@ class TestRayCone:
         assert bias_t3_batch(np.zeros(0), math.pi / 6).shape == (0,)
 
     def test_halflines_nonconvergence_carries_best(self):
-        # the closed form checks no tolerance: abs_tol=1e-17 raises nothing
-        # and gives the default's bits
+        # where a quadrature rule pair once missed its tolerance, the closed
+        # form, which checks none, raises nothing and gives the plane's value
         for angles in ([2.8, 4.5, TWO_PI], [3.5, TWO_PI]):
-            tight = bias_ray_cone([(1.0, 0.0)], angles, QuadratureSettings(abs_tol=1e-17))[0]
-            assert tight == bias_ray_cone([(1.0, 0.0)], angles)[0]
+            value = bias_ray_cone([(1.0, 0.0)], angles)[0]
+            assert abs(value - ray_cone_bias_dblquad((1.0, 0.0), angles)) <= 1e-13
 
 
 class TestGaussLegendre:

@@ -8,8 +8,9 @@ from aicg.estimators import EstimatorRule
 from aicg.geometry import Counts, DomainError
 from aicg.models import (mle_rows, polytomy_model, t1_model, t3_model, unconstrained_model,
                          validate_halflines)
-from aicg.quadrature import QuadratureSettings, bias_t3_batch
+from aicg.quadrature import bias_t3_batch
 from aicg.selection import (
+    _TIE_TOL,
     _line_geometry,
     _rounded_counts,
     _winner_labels,
@@ -230,13 +231,12 @@ class TestWinnerLabels:
         grid = region_grid(models, n, res, PLUGIN)
         counts = _rounded_counts(np.array(grid.points) / res, n)
         aicg = np.array([s.aicg for s in score_batch(models, counts, PLUGIN)])
-        assert grid.winners == region_winners_loop(aicg, grid.model_ids,
-                                                   QuadratureSettings().abs_tol)
+        assert grid.winners == region_winners_loop(aicg, grid.model_ids, _TIE_TOL)
 
     @pytest.mark.parametrize("shift", [1e-13, -1e-13])
     def test_ties_survive_last_bit_moves_of_t3_values(self, monkeypatch, shift):
         # t3 and t1:1 fit the same line in many cells, where their scores
-        # differ by the t3 bias minus the t1 bias only: within abs_tol both
+        # differ by the t3 bias minus the t1 bias only: within _TIE_TOL both
         # are ties, so moving every t3 value by 1e-13 leaves the grid as it is
         import aicg.estimators as estimators
         models = [t3_model(), t1_model(1), polytomy_model()]
