@@ -13,7 +13,6 @@ from .closedform import (
 )
 from .estimators import (
     EstimatorRule,
-    crude_bounds,
     least_favorable,
     minimax_radius,
     noncentral_radius_cdf,
@@ -29,19 +28,14 @@ from .geometry import (
     angles_from_phi0,
     mu0y,
     phi_from_mu0y,
-    phi_from_p1,
     theta_on_line,
 )
 from .models import (
     Cone,
-    MLEResult,
     ModelSpec,
     cone_of,
     mle_rows,
-    mle_simplex,
-    neg2loglik_at,
     polytomy_model,
-    project_transformed,
     t1_model,
     t3_model,
     unconstrained_model,
@@ -62,7 +56,6 @@ from .quadrature import (
 from .selection import (
     RegionGrid,
     SelectionReport,
-    akaike_weights,
     parse_model_id,
     region_grid,
     score,

@@ -26,9 +26,9 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .closedform import BiasEstimate
-from .estimators import (EstimatorRule, InfeasibleError, bias_on_cone, minimax_radius,
-                         uo_radius)
-from .geometry import Counts, DomainError, GeometryParams, TransformedPoint
+from .estimators import (DEFAULT_RADII, ETA_EXPONENT, EstimatorRule, InfeasibleError,
+                         bias_on_cone, minimax_radius, uo_radius)
+from .geometry import Counts, DomainError, GeometryParams, TransformedPoint, phi_from_mu0y
 from .models import (HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, cone_of,
                      validate_halflines)
 from .montecarlo import CurvePoint, McSettings, curve_grid, grid_values, mc_bias_gaussian
@@ -36,6 +36,8 @@ from .selection import parse_model_id, region_grid, score, score_batch
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
+# the sample size of bias --mu0y's t3 cone angle and of radii, unless --n is given
+REFERENCE_N = 1e6
 
 class UsageError(ValueError):
     pass
@@ -262,7 +264,7 @@ def _angles(cfg: RunConfig) -> list[float] | None:
 
 def _rule(cfg: RunConfig, method: str) -> EstimatorRule:
     return EstimatorRule(method, radius=cfg.get("radius"),
-                         eta_exponent=cfg.get("eta_exponent", 1.0 / 3.0))
+                         eta_exponent=cfg.get("eta_exponent", ETA_EXPONENT))
 
 
 def _counts(cfg: RunConfig) -> Counts:
@@ -304,16 +306,17 @@ def cmd_bias(cfg: RunConfig) -> str:
     if method not in (None, "monte-carlo"):
         raise UsageError(f"--method {method!r} needs --counts; with --mu0y or --phi0 "
                          "only monte-carlo is valid")
+    n = cfg.get("n", REFERENCE_N)
+    if n < 1:
+        raise DomainError("sample size must be >= 1")
+    if geo is None and model.variant == T3:
+        # the t3 cone angle at the generating point, as on a target curve
+        geo = GeometryParams.from_phi0(phi_from_mu0y(mu, n), n)
     if method == "monte-carlo":
-        settings = _mc_settings(cfg)
-        geo = geo or GeometryParams.from_phi0(1.0, cfg.get("n", 1e6))
-        cone = cone_of(model, geo)
         point = TransformedPoint(mu, 0.0) if model.variant == HALFLINES \
             else TransformedPoint(0.0, mu)
-        est = mc_bias_gaussian(cone, point, settings)
+        est = mc_bias_gaussian(cone_of(model, geo), point, _mc_settings(cfg))
     else:
-        if model.variant == T3:
-            geo = geo or GeometryParams.from_phi0(1.0, cfg.get("n", 1e6))
         # a half-lines generating point is (mu0y, 0), on the 2pi ray, as above
         est = BiasEstimate(bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0),
                            "closed-form")
@@ -325,7 +328,8 @@ def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) ->
     # threads draw it, the seed and sample count only where it draws, the
     # rule's radius and rate only where a rule scores counts, the angles only
     # where they are a bare halflines id's rays, and n only where it sets the
-    # distance (--phi0) or the t3 cone angle; --counts only checks n
+    # distance (--phi0) or the t3 cone angle; --counts only checks n.  An
+    # option given at the value the run takes without it hashes as left out.
     unread = {"out", "workers"} | ({"seed", "samples"} if est.method != "monte-carlo" else set())
     scores_counts = cfg.get("counts") is not None
     if not scores_counts:
@@ -334,7 +338,12 @@ def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) ->
         unread.add("angles")
     if cfg.get("phi0") is None and (model.variant != T3 or scores_counts):
         unread.add("n")
-    resolved = {k: v for k, v in cfg.values.items() if v is not None and k not in unread}
+    defaults = {"method": "plugin" if scores_counts else None,
+                "n": REFERENCE_N if cfg.get("phi0") is None else None,
+                "eta_exponent": ETA_EXPONENT,
+                "radius": DEFAULT_RADII.get((model.variant, cfg.get("method")))}
+    resolved = {k: v for k, v in cfg.values.items()
+                if v is not None and k not in unread and v != defaults.get(k)}
     row = [model.model_id, mu, est.method, est.value, est.std_error,
            settings_hash(resolved)]
     return csv_text(["model", "mu0y", "method", "bias", "std_error", "settings_hash"], [row])
@@ -413,7 +422,7 @@ def cmd_regions(cfg: RunConfig) -> str:
 
 def cmd_radii(cfg: RunConfig) -> str:
     model = parse_model(cfg.require("model"), _angles(cfg))
-    n = float(cfg.get("n", 1e6))  # reference_n prints as a float
+    n = float(cfg.get("n", REFERENCE_N))  # reference_n prints as a float
     grid = parse_grid(cfg.get("grid", "0:5:0.05"))
     out: dict[str, Any] = {"model": model.model_id, "reference_n": n,
                            "grid": {"start": grid[0], "stop": grid[-1], "points": len(grid)}}

@@ -18,7 +18,7 @@ _SQRT2 = math.sqrt(2.0)
 
 METHODS = (
     "closed-form", "monte-carlo", "plug-in", "llf", "ulf",
-    "uo", "minimax", "consistent", "bootstrap", "aic", "crude-bound",
+    "uo", "minimax", "consistent", "bootstrap", "aic",
 )
 _STOCHASTIC = ("monte-carlo",)
 

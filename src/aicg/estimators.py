@@ -2,7 +2,7 @@
 
 Plug-in, lower/upper least favorable, neighborhood rules (uniformly
 outperforming and minimax, with radius calibration), consistent shrinkage
-estimation, the parametric bootstrap, and crude dimension bounds.
+estimation and the parametric bootstrap.
 rule_values is the one definition of every rule: selection.score_batch
 applies it to count rows, and montecarlo.curve_grid to the draws of a curve
 point, whose column is its mean.  The bootstrap's value is the bias at its
@@ -43,6 +43,12 @@ from .special import erf, norm_cdf
 
 _SQRT2 = math.sqrt(2.0)
 _FAR = 40.0
+# radius calibration scans [0, _R_MAX] spaced 0.05, then _R_STEP near its best
+_R_MAX = 6.0
+_R_STEP = 1e-3
+
+# The consistent rule's default rate exponent e: its radius is n^(1/2 - e).
+ETA_EXPONENT = 1.0 / 3.0
 
 # Published reference radii (derived at reference sample size 1e6); used when
 # a neighborhood rule is applied without an explicit radius.
@@ -64,7 +70,7 @@ class EstimatorRule(Record):
     __slots__ = ("method", "radius", "eta_exponent")
 
     def __init__(self, method: str, radius: float | None = None,
-                 eta_exponent: float = 1.0 / 3.0):
+                 eta_exponent: float = ETA_EXPONENT):
         self._fill(method, radius, eta_exponent)
         if method not in ("plugin", "aic", "llf", "ulf", "uo", "minimax",
                           "consistent", "bootstrap"):
@@ -262,23 +268,22 @@ def _calibration_grid(model: ModelSpec, mu_grid, n: float) -> tuple[np.ndarray, 
     return np.array(grid), np.array(_truth_grid(model, grid, float(n)))
 
 
-def minimax_radius(model: ModelSpec, mu_grid, n: float,
-                   r_max: float = 6.0, tol: float = 1e-3) -> tuple[float, dict]:
+def minimax_radius(model: ModelSpec, mu_grid, n: float) -> tuple[float, dict]:
     """Neighborhood radius minimizing the sup over the grid of squared error
     between the expected rule value and the true bias correction: the best
-    point of _scan_min's scans of [0, r_max], spaced 0.05 and then tol, each
-    one expected_neighborhood_value call."""
+    point of _scan_min's scans of [0, _R_MAX], spaced 0.05 and then _R_STEP,
+    each one expected_neighborhood_value call."""
     mus, truth = _calibration_grid(model, mu_grid, n)
 
     def sup_risk(rs):
         return np.max((expected_neighborhood_value(model, rs, mus) - truth) ** 2, axis=1)
 
-    risk, r = _scan_min(sup_risk, 0.0, r_max, (0.05, tol))
+    risk, r = _scan_min(sup_risk, 0.0, _R_MAX, (0.05, _R_STEP))
     return r, {"sup_risk": risk}
 
 
-def uo_radius(model: ModelSpec, mu_grid, n: float, violation_tol: float | None = None,
-              r_max: float = 6.0, tol: float = 1e-3) -> tuple[float, dict]:
+def uo_radius(model: ModelSpec, mu_grid, n: float,
+              violation_tol: float | None = None) -> tuple[float, dict]:
     """Largest radius whose expected rule value stays between the true bias
     and the classical correction, up to an opposite-sign slack: minimax_radius's
     scans minimize -r over the radii whose largest violation is at most
@@ -305,13 +310,13 @@ def uo_radius(model: ModelSpec, mu_grid, n: float, violation_tol: float | None =
     def neg_feasible_r(rs):
         return np.where(np.max(violations(rs), axis=1) <= violation_tol, -rs, np.inf)
 
-    value, r = _scan_min(neg_feasible_r, 0.0, r_max, (0.05, tol))
+    value, r = _scan_min(neg_feasible_r, 0.0, _R_MAX, (0.05, _R_STEP))
     if value == np.inf:
-        raise InfeasibleError(f"no feasible radius in [0, {r_max:g}]")
+        raise InfeasibleError(f"no feasible radius in [0, {_R_MAX:g}]")
     worst = violations(r)
     k = int(np.argmax(worst))
     # + 0.0: where the rule meets the truth exactly, side * 0.0 may be -0.0
-    return r, {"capped": r == r_max, "max_violation": float(worst[k]) + 0.0,
+    return r, {"capped": r == _R_MAX, "max_violation": float(worst[k]) + 0.0,
                "binding_mu": float(mus[k]), "violation_tol": violation_tol}
 
 
@@ -324,32 +329,6 @@ def consistent_radius(n: float, eta_exponent: float) -> float:
     if not 0.0 < eta_exponent < 0.5:
         raise DomainError("rate exponent must lie strictly inside (0, 1/2)")
     return float(n) ** (0.5 - eta_exponent)
-
-
-def crude_bounds(model: ModelSpec) -> tuple[BiasEstimate, BiasEstimate]:
-    """Dimension bounds: twice the largest affine subspace locally inside the
-    space (never below the universal lower bound 0) and twice its affine hull."""
-    if model.variant == POLYTOMY:
-        lo, hi = 0.0, 0.0
-    elif model.variant == UNCONSTRAINED:
-        lo, hi = 4.0, 4.0
-    elif model.variant == T1:
-        lo, hi = 0.0, 2.0
-    elif model.variant == T3:
-        lo, hi = 0.0, 4.0
-    else:
-        angles = [a % (2.0 * math.pi) for a in model.angles]
-        has_line = any(
-            abs(abs(a - b) - math.pi) < 1e-12
-            for i, a in enumerate(angles) for b in angles[i + 1:])
-        collinear = all(
-            min(abs(a - angles[0]), abs(abs(a - angles[0]) - math.pi)) < 1e-12
-            for a in angles)
-        lo = 2.0 if has_line else 0.0
-        hi = 2.0 if collinear else 4.0
-    meta = {"model": model.model_id}
-    return (BiasEstimate(lo, "crude-bound", settings=meta | {"side": "lower"}),
-            BiasEstimate(hi, "crude-bound", settings=meta | {"side": "upper"}))
 
 
 def rule_constant(model: ModelSpec, rule: EstimatorRule, n: int) -> float | None:

@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-INTERIOR_TOL = 1e-9  # points with min(p_i) below this are treated as on-face
 _PHI_MIN = 1e-12  # phi0 at or below this is unattainable from a distance mu0y
 _CENTROID = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
@@ -58,32 +57,21 @@ class Record:
 
 
 class SimplexPoint(Record):
-    """A probability triple on the 2-simplex.
+    """A probability triple strictly inside the 2-simplex."""
 
-    Strictly interior by default; pass ``boundary_ok=True`` to admit closure
-    points (zero components), e.g. unconstrained MLEs at extreme counts.
-    """
+    __slots__ = ("p1", "p2", "p3")
 
-    __slots__ = ("p1", "p2", "p3", "boundary_ok")
-
-    def __init__(self, p1: float, p2: float, p3: float, boundary_ok: bool = False):
-        self._fill(p1, p2, p3, boundary_ok)
+    def __init__(self, p1: float, p2: float, p3: float):
+        self._fill(p1, p2, p3)
         total = p1 + p2 + p3
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
-        lo = 0.0 if boundary_ok else float(np.nextafter(0.0, 1.0))
         for p in (p1, p2, p3):
-            if not (p >= lo and math.isfinite(p)):
+            if not (p > 0.0 and math.isfinite(p)):
                 raise DomainError(f"probability {p!r} outside the simplex")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p1, self.p2, self.p3)
-
-    def free_coords(self) -> np.ndarray:
-        return np.array([self.p1, self.p2])
-
-    def is_interior(self, tol: float = INTERIOR_TOL) -> bool:
-        return min(self.p1, self.p2, self.p3) >= tol
 
 
 CENTROID = SimplexPoint(*_CENTROID)
@@ -109,10 +97,6 @@ class Counts(Record):
     def as_array(self) -> np.ndarray:
         return np.array([self.n1, self.n2, self.n3], dtype=float)
 
-    def mean(self) -> SimplexPoint:
-        n = self.n
-        return SimplexPoint(self.n1 / n, self.n2 / n, self.n3 / n, boundary_ok=True)
-
 
 class TransformedPoint(Record):
     """A point of the transformed plane, in Mahalanobis units."""
@@ -127,19 +111,10 @@ class TransformedPoint(Record):
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y])
 
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-
-def phi_from_p1(p1: float) -> float:
-    """Branch-length-like parameter phi0 = (3/2)(1 - p1), for p1 in [1/3, 1)."""
-    if not 1.0 / 3.0 <= p1 < 1.0:
-        raise DomainError(f"p1={p1!r} outside [1/3, 1)")
-    return 1.5 * (1.0 - p1)
-
 
 def p1_from_phi(phi0: float) -> float:
-    """Inverse of :func:`phi_from_p1`: p1 = 1 - (2/3) phi0."""
+    """The largest component p1 = 1 - (2/3) phi0 of the point at phi0 on a
+    topology line."""
     _check_phi(phi0)
     return 1.0 - 2.0 * phi0 / 3.0
 
@@ -223,10 +198,6 @@ class GeometryParams(Record):
     def from_phi0(cls, phi0: float, n: float) -> "GeometryParams":
         alpha0, beta0 = angles_from_phi0(phi0)
         return cls(phi0=phi0, mu0y=mu0y(phi0, n), alpha0=alpha0, beta0=beta0, n=n)
-
-    @classmethod
-    def from_mu0y(cls, mu: float, n: float) -> "GeometryParams":
-        return cls.from_phi0(phi_from_mu0y(mu, n), n)
 
 
 def theta_on_line(phi0: float, topology: int = 1) -> SimplexPoint:

@@ -12,16 +12,11 @@ import math
 
 import numpy as np
 
-from .geometry import (
-    Counts,
-    DomainError,
-    GeometryParams,
-    Record,
-    SimplexPoint,
-    TransformedPoint,
-)
+from .geometry import DomainError, GeometryParams, Record, SimplexPoint
 
 TWO_PI = 2.0 * math.pi
+# theta_in_model's slack for a point of the closure of a parameter space
+_MEMBER_TOL = 1e-9
 
 T1 = "t1"
 T3 = "t3"
@@ -131,16 +126,6 @@ def validate_halflines(angles) -> ModelSpec:
     return ModelSpec(HALFLINES, angles=angs)
 
 
-class MLEResult(Record):
-    """A constrained MLE; topology is the line carrying it (t1/t3)."""
-
-    __slots__ = ("estimate", "neg2loglik", "at_vertex_of_cone", "topology")
-
-    def __init__(self, estimate: SimplexPoint, neg2loglik: float, at_vertex_of_cone: bool,
-                 topology: int | None = None):
-        self._fill(estimate, neg2loglik, at_vertex_of_cone, topology)
-
-
 def mle_rows(model: ModelSpec, counts) -> tuple[np.ndarray, np.ndarray | None]:
     """Constrained maximum likelihood on the simplex for an (N, 3) array of
     counts: the (N, 3) estimates and, for the line models, the 0-based index
@@ -177,21 +162,6 @@ def neg2loglik_rows(counts, theta) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(counts > 0, counts * np.log(theta), 0.0)
     return -2.0 * terms.sum(axis=1)
-
-
-def neg2loglik_at(counts: Counts, p: SimplexPoint) -> float:
-    """One-row case of neg2loglik_rows."""
-    return float(neg2loglik_rows(counts.as_array()[None], np.array([p.as_tuple()]))[0])
-
-
-def mle_simplex(model: ModelSpec, counts: Counts) -> MLEResult:
-    """One-row case of mle_rows, as an MLEResult."""
-    c = counts.as_array()[None]
-    theta, line = mle_rows(model, c)
-    est = SimplexPoint(*theta[0].tolist(), boundary_ok=True)
-    at_vertex = bool(np.all(np.abs(theta[0] - 1.0 / 3.0) < 1e-15))
-    topology = None if line is None else int(line[0]) + 1
-    return MLEResult(est, float(neg2loglik_rows(c, theta)[0]), at_vertex, topology)
 
 
 class Cone(Record):
@@ -277,22 +247,18 @@ def projected_distances(cone: Cone, points: np.ndarray) -> np.ndarray:
     return dist
 
 
-def project_transformed(cone: Cone, w: TransformedPoint) -> TransformedPoint:
-    out = project_points(cone, w.as_array()[None, :])[0]
-    return TransformedPoint(float(out[0]), float(out[1]))
-
-
-def theta_in_model(model: ModelSpec, theta: SimplexPoint, tol: float = 1e-9) -> bool:
-    """Membership of a simplex point in the model's parameter space closure."""
+def theta_in_model(model: ModelSpec, theta: SimplexPoint) -> bool:
+    """Membership of a simplex point in the model's parameter space closure,
+    within _MEMBER_TOL."""
     p = theta.as_tuple()
     if model.variant == UNCONSTRAINED:
         return True
     if model.variant == POLYTOMY:
-        return all(abs(x - 1.0 / 3.0) <= tol for x in p)
+        return all(abs(x - 1.0 / 3.0) <= _MEMBER_TOL for x in p)
     if model.variant == T1:
         i = model.topology - 1
         j, k = [m for m in range(3) if m != i]
-        return p[i] >= p[j] - tol and abs(p[j] - p[k]) <= tol
+        return p[i] >= p[j] - _MEMBER_TOL and abs(p[j] - p[k]) <= _MEMBER_TOL
     if model.variant == T3:
-        return any(theta_in_model(t1_model(i), theta, tol) for i in (1, 2, 3))
+        return any(theta_in_model(t1_model(i), theta) for i in (1, 2, 3))
     raise DomainError("half-lines models have no simplex parameter space")

@@ -199,15 +199,6 @@ def parse_model_id(model_id: str) -> ModelSpec:
     raise DomainError(f"unknown model id {model_id!r}")
 
 
-def akaike_weights(report: SelectionReport) -> dict[str, float]:
-    """Optional exp(-delta/2) weights over the generalized scores."""
-    scored = [(r.model_id, r.aicg) for r in report.rows if r.aicg is not None]
-    best = min(v for _, v in scored)
-    raw = {mid: math.exp(-0.5 * (v - best)) for mid, v in scored}
-    total = sum(raw.values())
-    return {mid: w / total for mid, w in raw.items()}
-
-
 class RegionGrid(Record):
     __slots__ = ("resolution", "n", "model_ids", "points", "winners", "metadata")
 

@@ -17,9 +17,8 @@ import numpy as np
 
 from aicg.closedform import BiasEstimate, singularity_bias
 from aicg.estimators import bias_on_cone, consistent_radius
-from aicg.geometry import (CENTROID, DomainError, GeometryParams, SimplexPoint, TransformedPoint,
-                           phi_from_p1)
-from aicg.models import cone_of, project_points
+from aicg.geometry import CENTROID, DomainError, GeometryParams, SimplexPoint, TransformedPoint
+from aicg.models import cone_of, mle_rows, project_points
 from aicg.selection import RegionGrid, _rounded_counts
 
 
@@ -367,9 +366,20 @@ _TOPOLOGY_DIRS = {
 }
 
 
+# points with a component below this are treated as on a face
+_INTERIOR_TOL = 1e-9
+
+
+def _free_coords(theta) -> np.ndarray:
+    """(p1, p2) of a SimplexPoint or of a probability triple, which may lie
+    on a face."""
+    p = theta.as_tuple() if isinstance(theta, SimplexPoint) else tuple(theta)
+    return np.array(p[:2], dtype=float)
+
+
 def fisher_information(theta: SimplexPoint) -> np.ndarray:
     """Trinomial Fisher information per observation in coordinates (p1, p2)."""
-    if not theta.is_interior():
+    if min(theta.as_tuple()) < _INTERIOR_TOL:
         raise DomainError("Fisher information degenerate on the simplex faces")
     p1, p2, p3 = theta.as_tuple()
     return np.array([
@@ -381,9 +391,7 @@ def fisher_information(theta: SimplexPoint) -> np.ndarray:
 def mahalanobis(theta: SimplexPoint, theta0: SimplexPoint, n: float) -> float:
     """sqrt(n (theta - theta0)^T I(theta0) (theta - theta0)) in free coordinates."""
     info = fisher_information(theta0)
-    if not theta.is_interior(0.0):
-        raise DomainError("theta must lie in the closed simplex")
-    d = theta.free_coords() - theta0.free_coords()
+    d = _free_coords(theta) - _free_coords(theta0)
     return math.sqrt(n * float(d @ info @ d))
 
 
@@ -394,8 +402,9 @@ class TransformMap:
     matrix: np.ndarray
     anchor: np.ndarray
 
-    def __call__(self, theta: SimplexPoint) -> TransformedPoint:
-        w = self.matrix @ (theta.free_coords() - self.anchor)
+    def __call__(self, theta) -> TransformedPoint:
+        """The image of a SimplexPoint or of a probability triple."""
+        w = self.matrix @ (_free_coords(theta) - self.anchor)
         return TransformedPoint(float(w[0]), float(w[1]))
 
 
@@ -416,21 +425,21 @@ def transform_map(theta0: SimplexPoint, n: float, axis_topology: int | None = No
     ``axis_topology`` is given) the named topology line is used instead,
     defaulting to topology 1.
     """
-    if not theta0.is_interior():
+    if min(theta0.as_tuple()) < _INTERIOR_TOL:
         raise DomainError("theta0 must be strictly interior to the simplex")
     if n < 1:
         raise DomainError("sample size must be >= 1")
     info = fisher_information(theta0)
     half = np.linalg.cholesky(info).T  # upper triangular; half.T @ half == info
     scale = math.sqrt(n) * half
-    anchor = CENTROID.free_coords()
+    anchor = _free_coords(CENTROID)
 
     if axis_topology is not None:
         if axis_topology not in _TOPOLOGY_DIRS:
             raise DomainError(f"axis_topology must be 1, 2 or 3, got {axis_topology!r}")
         direction = np.array(_TOPOLOGY_DIRS[axis_topology])
     else:
-        direction = theta0.free_coords() - anchor
+        direction = _free_coords(theta0) - anchor
         if float(np.hypot(*direction)) <= 1e-12:
             direction = np.array(_TOPOLOGY_DIRS[1])
     u = scale @ direction
@@ -442,12 +451,11 @@ def line_observation(model, counts):
     its constrained MLE, which puts the estimate's own line on the +y axis:
     the GeometryParams of the estimate, and the images of the estimate and of
     the sample mean."""
-    from aicg.models import mle_simplex
-    fit = mle_simplex(model, counts)
-    geo = GeometryParams.from_phi0(phi_from_p1(fit.estimate.as_tuple()[fit.topology - 1]),
-                                   counts.n)
-    tmap = transform_map(fit.estimate, counts.n, axis_topology=fit.topology)
-    return geo, tmap(fit.estimate), tmap(counts.mean())
+    theta, line = mle_rows(model, counts.as_array()[None])
+    estimate, topology = SimplexPoint(*theta[0].tolist()), int(line[0]) + 1
+    geo = GeometryParams.from_phi0(1.5 * (1.0 - estimate.as_tuple()[topology - 1]), counts.n)
+    tmap = transform_map(estimate, counts.n, axis_topology=topology)
+    return geo, tmap(estimate), tmap(counts.as_array() / counts.n)
 
 
 def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_exponent: float):
@@ -482,17 +490,17 @@ def consistent_estimate(model, observed: TransformedPoint, n: float,
     if geo is None:
         geo = GeometryParams.from_phi0(1.0, n)
     cone = cone_of(model, geo)
-    if observed.norm() <= radius:
+    shrunk = math.hypot(observed.x, observed.y) <= radius
+    if shrunk:
         mu_t = TransformedPoint(0.0, 0.0)
         value = singularity_bias(model)
     else:
         proj = project_points(cone, observed.as_array()[None])[0]
         mu_t = TransformedPoint(float(proj[0]), float(proj[1]))
-        value = bias_on_cone(model, mu_t.norm(), geo.alpha0)
+        value = bias_on_cone(model, math.hypot(mu_t.x, mu_t.y), geo.alpha0)
     est = BiasEstimate(value, "consistent",
                        settings={"model": model.model_id, "radius": radius,
-                                 "eta_exponent": eta_exponent,
-                                 "shrunk": observed.norm() <= radius})
+                                 "eta_exponent": eta_exponent, "shrunk": shrunk})
     return mu_t, est
 
 

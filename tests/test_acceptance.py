@@ -109,7 +109,7 @@ def test_criterion_04_monte_carlo_vs_analytic():
     n_ref = 1e6
     for variant in ("t1", "t3"):
         for i, mu in enumerate(GRID_11):
-            geo = GeometryParams.from_mu0y(mu, n_ref)
+            geo = GeometryParams.from_phi0(phi_from_mu0y(mu, n_ref), n_ref)
             if variant == "t1":
                 model, cone = t1_model(1), cone_of(t1_model(1))
                 analytic = bias_t1(mu).value
@@ -198,14 +198,15 @@ def test_criterion_09_consistent_estimation():
     reps = 10**4
     rng = _chunk_rng(777, 0)
     z0 = standard_normals(rng, (reps, 2))
-    at_boundary = sum(
-        consistent_estimate(t1_model(1), TransformedPoint(*z), n)[0].norm() == 0.0
-        for z in z0) / reps
+
+    def at_origin(z):
+        w = consistent_estimate(t1_model(1), TransformedPoint(*z), n)[0]
+        return math.hypot(w.x, w.y) == 0.0
+
+    at_boundary = sum(at_origin(z) for z in z0) / reps
     mu_far = mu0y(0.9, n)
     z1 = standard_normals(rng, (reps, 2)) + np.array([0.0, mu_far])
-    away = sum(
-        consistent_estimate(t1_model(1), TransformedPoint(*z), n)[0].norm() == 0.0
-        for z in z1) / reps
+    away = sum(at_origin(z) for z in z1) / reps
     elapsed = time.perf_counter() - t0
     ok = at_boundary >= 0.999 and away <= 0.001 and elapsed < 120.0
     report(9, ok, f"P(shrink | boundary)={at_boundary:.4f}, "

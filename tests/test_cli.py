@@ -11,7 +11,7 @@ import pytest
 
 import aicg
 from aicg.cli import main, parse_angle, parse_grid, fmt_float
-from aicg.geometry import GeometryParams
+from aicg.geometry import angles_from_phi0, phi_from_mu0y
 
 from oracles import ray_cone_bias_dblquad
 
@@ -125,7 +125,7 @@ class TestBiasCommand:
         assert code == 0 and capsys.readouterr().err == ""
         fields = text.splitlines()[1].split(",")
         assert fields[2] == "closed-form"
-        alpha0 = GeometryParams.from_phi0(1.0, 1e6).alpha0
+        alpha0, _ = angles_from_phi0(phi_from_mu0y(1.0, 1e6))
         want = ray_cone_bias_dblquad((0.0, 1.0), (0.5 * math.pi, math.pi + alpha0,
                                                   2.0 * math.pi - alpha0))
         assert abs(float(fields[3]) - want) <= 1e-13
@@ -143,6 +143,26 @@ class TestBiasCommand:
         base = ["bias", "--model", "t1", "--counts", "60,20,20", "--method", "bootstrap"]
         assert run_cli([*base, *extra], tmp_path, "boot.csv") == \
             run_cli(base, tmp_path, "boot0.csv")
+
+    @pytest.mark.parametrize("given, left_out, want", [
+        (["--model", "t1", "--counts", "60,20,20", "--method", "plugin"],
+         ["--model", "t1", "--counts", "60,20,20"], "729d35980eaa"),
+        (["--model", "t1", "--counts", "60,20,20", "--eta-exponent", "0.3333333333333333"],
+         ["--model", "t1", "--counts", "60,20,20"], "729d35980eaa"),
+        (["--model", "t1", "--counts", "60,20,20", "--method", "uo", "--radius", "0"],
+         ["--model", "t1", "--counts", "60,20,20", "--method", "uo"], None),
+        (["--model", "t3", "--mu0y", "1", "--n", "1000000"],
+         ["--model", "t3", "--mu0y", "1"], "85c676f975e9"),
+    ], ids=["method-plugin", "eta-exponent", "radius-0", "n-1000000"])
+    def test_settings_hash_leaves_out_options_at_their_default(self, tmp_path, given, left_out,
+                                                                want):
+        # an option given at the value that the run takes without it is the
+        # same run, so it hashes as if it were left out
+        got = run_cli(["bias", *given], tmp_path, "given.csv")
+        assert got[0] == 0
+        assert got == run_cli(["bias", *left_out], tmp_path, "left_out.csv")
+        if want is not None:
+            assert got[1].rstrip().endswith("," + want)
 
     def test_settings_hash_keeps_angles_and_n_where_read(self, tmp_path):
         # a bare halflines id's rays, the n of a --phi0 distance and the n of
@@ -193,18 +213,44 @@ class TestBiasCommand:
             run_cli(counts, tmp_path, "c0.csv")[1].rsplit(",", 1)[1]
 
     @pytest.mark.parametrize("model, where", [
-        ("t3", ["--mu0y", "1e17"]),
-        ("t3", ["--mu0y", "1e20"]),
+        ("t3", ["--mu0y", "1e17", "--n", str(10**23)]),
+        ("t3", ["--mu0y", "1e20", "--n", str(10**29)]),
         ("t3", ["--phi0", "1e-300", "--n", "5"]),
         ("halflines:2pi/3,4pi/3,2pi", ["--mu0y", "1e20"]),
     ])
     def test_distance_past_the_window_exit_3(self, tmp_path, capsys, model, where):
         # distances where a quadrature window once lost its width to
-        # rounding (exit 3): the closed form gives the limit 2
+        # rounding (exit 3): the closed form gives the limit 2.  A t3
+        # distance sets its cone angle at --n, which must be large enough to
+        # reach it
         code, text = run_cli(["bias", "--model", model, *where], tmp_path)
         assert code == 0 and capsys.readouterr().err == ""
         fields = text.splitlines()[1].split(",")
         assert fields[-4:-2] == ["closed-form", "2"]
+
+    def test_t3_distance_out_of_reach_at_n_exit_2(self, tmp_path, capsys):
+        # as on a target curve: phi0 would fall to 1e-12 or below
+        code, text = run_cli(["bias", "--model", "t3", "--mu0y", "1e17"], tmp_path)
+        assert code == 2 and text == ""
+        assert "unattainable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu, n", [(1.0, 2), (0.3, 30), (2.5, 1000), (1.0, 10**6)])
+    def test_t3_cone_angle_follows_n(self, tmp_path, mu, n):
+        # bias --mu0y, bias --phi0 at the same point and the target curve's
+        # aicg_bias column agree: each takes the cone angle at (mu0y, n)
+        phi0 = phi_from_mu0y(mu, n)
+        _, by_mu = run_cli(["bias", "--model", "t3", "--mu0y", repr(mu), "--n", str(n)],
+                           tmp_path, "mu.csv")
+        _, by_phi = run_cli(["bias", "--model", "t3", "--phi0", repr(phi0), "--n", str(n)],
+                            tmp_path, "phi.csv")
+        _, curve = run_cli(["target", "--model", "t3", "--n", str(n), "--grid",
+                            f"{mu!r}:{mu!r}:1", "--samples", "10", "--seed", "1"],
+                           tmp_path, "target.csv")
+        value = by_mu.splitlines()[1].split(",")[3]
+        assert curve.splitlines()[1].split(",")[3] == value
+        # mu0y(phi0, n) returns mu only to within a few ulps
+        assert float(by_phi.splitlines()[1].split(",")[3]) == pytest.approx(float(value),
+                                                                              rel=1e-13)
 
     def test_large_distance_inside_the_window_keeps_its_bytes(self, tmp_path):
         # the limit 2 exactly, where the quadrature gave 1.9999999897370668

@@ -6,23 +6,18 @@ from hypothesis import given, strategies as st
 
 from aicg.geometry import (
     CENTROID,
-    Counts,
     DomainError,
     GeometryParams,
     SimplexPoint,
-    TransformedPoint,
     theta_on_line,
 )
 from aicg.models import (
     Cone,
     cone_of,
     mle_rows,
-    mle_simplex,
-    neg2loglik_at,
     neg2loglik_rows,
     polytomy_model,
     project_points,
-    project_transformed,
     projected_distances,
     t1_model,
     t3_model,
@@ -60,41 +55,51 @@ class TestModelSpec:
         assert model.topology == 1
 
 
+def _fit(model, counts):
+    """The one-row fit of mle_rows: the estimate, its -2 log L and the
+    1-based topology of its line (None off the line models)."""
+    c = np.array([counts], dtype=float)
+    theta, line = mle_rows(model, c)
+    topology = None if line is None else int(line[0]) + 1
+    return tuple(theta[0]), float(neg2loglik_rows(c, theta)[0]), topology
+
+
+def _neg2loglik(counts, p):
+    return float(neg2loglik_rows(np.array([counts], dtype=float), np.array([p]))[0])
+
+
 class TestMleSimplex:
     def test_t1_unconstrained_optimum(self):
-        r = mle_simplex(t1_model(1), Counts(50, 25, 25))
-        assert r.estimate.as_tuple() == pytest.approx((0.5, 0.25, 0.25), abs=1e-15)
-        assert not r.at_vertex_of_cone
+        est, _, _ = _fit(t1_model(1), (50, 25, 25))
+        assert est == pytest.approx((0.5, 0.25, 0.25), abs=1e-15)
+        assert est != CENTROID.as_tuple()
 
     def test_t1_clamped_to_centroid(self):
-        r = mle_simplex(t1_model(1), Counts(20, 40, 40))
-        assert r.estimate.as_tuple() == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
-        assert r.at_vertex_of_cone
+        est, _, _ = _fit(t1_model(1), (20, 40, 40))
+        assert est == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
         # grid-search oracle: interior stationary point clamps at the boundary
         assert t1_mle_bruteforce((20, 40, 40)) == pytest.approx(1 / 3, abs=1e-5)
 
     def test_t3_picks_maximal_count(self):
-        r = mle_simplex(t3_model(), Counts(10, 60, 30))
-        assert r.estimate.as_tuple() == pytest.approx((0.2, 0.6, 0.2), abs=1e-15)
-        assert r.topology == 2
+        est, n2ll, topology = _fit(t3_model(), (10, 60, 30))
+        assert est == pytest.approx((0.2, 0.6, 0.2), abs=1e-15)
+        assert topology == 2
         # oracle: best of the three constrained fits
-        fits = [neg2loglik_at(Counts(10, 60, 30), mle_simplex(t1_model(i), Counts(10, 60, 30)).estimate)
-                for i in (1, 2, 3)]
-        assert r.neg2loglik == pytest.approx(min(fits), abs=1e-12)
+        fits = [_fit(t1_model(i), (10, 60, 30))[1] for i in (1, 2, 3)]
+        assert n2ll == pytest.approx(min(fits), abs=1e-12)
 
     def test_t3_tie_break_smallest_index(self):
-        r = mle_simplex(t3_model(), Counts(40, 40, 20))
-        assert r.topology == 1
+        assert _fit(t3_model(), (40, 40, 20))[2] == 1
 
     def test_polytomy(self):
-        r = mle_simplex(polytomy_model(), Counts(9, 2, 1))
-        assert r.estimate.as_tuple() == CENTROID.as_tuple()
-        assert r.at_vertex_of_cone
+        est, _, topology = _fit(polytomy_model(), (9, 2, 1))
+        assert est == CENTROID.as_tuple()
+        assert topology is None
 
     def test_unconstrained_closure(self):
-        r = mle_simplex(unconstrained_model(), Counts(5, 0, 5))
-        assert r.estimate.as_tuple() == (0.5, 0.0, 0.5)
-        assert math.isfinite(r.neg2loglik)
+        est, n2ll, _ = _fit(unconstrained_model(), (5, 0, 5))
+        assert est == (0.5, 0.0, 0.5)
+        assert math.isfinite(n2ll)
 
     def test_brute_force_agreement_random_counts(self):
         rng = np.random.default_rng(7)
@@ -102,55 +107,36 @@ class TestMleSimplex:
             c = rng.multinomial(rng.integers(10, 500), rng.dirichlet([1, 1, 1]))
             if c.sum() == 0:
                 continue
-            counts = Counts(*map(int, c))
-            fit = mle_simplex(t1_model(1), counts)
-            assert fit.estimate.p1 == pytest.approx(
-                t1_mle_bruteforce(tuple(map(int, c))), abs=1e-5)
+            est, _, _ = _fit(t1_model(1), tuple(map(int, c)))
+            assert est[0] == pytest.approx(t1_mle_bruteforce(tuple(map(int, c))), abs=1e-5)
 
     def test_halflines_rejected(self):
         with pytest.raises(DomainError):
-            mle_simplex(validate_halflines([TWO_PI]), Counts(1, 1, 1))
+            mle_rows(validate_halflines([TWO_PI]), np.array([[1.0, 1.0, 1.0]]))
 
     def test_t3_tie_break_across_first_and_last(self):
-        r = mle_simplex(t3_model(), Counts(40, 20, 40))
-        assert r.topology == 1
-        assert r.estimate.as_tuple() == pytest.approx((0.4, 0.3, 0.3), abs=1e-15)
-
-    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300), st.integers(0, 300))
-                    .filter(lambda c: sum(c) > 0), min_size=1, max_size=12))
-    def test_mle_simplex_is_a_row_of_mle_rows(self, rows):
-        counts = np.array(rows, dtype=float)
-        for model in (t1_model(1), t1_model(3), t3_model(), polytomy_model(),
-                      unconstrained_model()):
-            theta, line = mle_rows(model, counts)
-            n2ll = neg2loglik_rows(counts, theta)
-            for i, c in enumerate(rows):
-                fit = mle_simplex(model, Counts(*c))
-                assert fit.estimate.as_tuple() == tuple(theta[i])
-                assert fit.neg2loglik == n2ll[i]
-                assert fit.topology == (None if line is None else int(line[i]) + 1)
+        est, _, topology = _fit(t3_model(), (40, 20, 40))
+        assert topology == 1
+        assert est == pytest.approx((0.4, 0.3, 0.3), abs=1e-15)
 
 
 class TestNeg2Loglik:
     def test_uniform_value(self):
-        assert neg2loglik_at(Counts(1, 1, 1), CENTROID) == pytest.approx(
+        assert _neg2loglik((1, 1, 1), CENTROID.as_tuple()) == pytest.approx(
             6 * math.log(3), abs=1e-12)
-        assert neg2loglik_at(Counts(1, 1, 1), CENTROID) == pytest.approx(6.591674, abs=1e-6)
+        assert _neg2loglik((1, 1, 1), CENTROID.as_tuple()) == pytest.approx(6.591674, abs=1e-6)
 
     def test_zero_count_convention(self):
-        p = SimplexPoint(1.0, 0.0, 0.0, boundary_ok=True)
-        assert neg2loglik_at(Counts(3, 0, 0), p) == 0.0
+        assert _neg2loglik((3, 0, 0), (1.0, 0.0, 0.0)) == 0.0
 
     def test_positive_count_zero_prob_is_inf(self):
-        p = SimplexPoint(1.0, 0.0, 0.0, boundary_ok=True)
-        assert neg2loglik_at(Counts(3, 1, 0), p) == math.inf
+        assert _neg2loglik((3, 1, 0), (1.0, 0.0, 0.0)) == math.inf
 
     @given(st.tuples(st.integers(0, 200), st.integers(0, 200), st.integers(0, 200))
            .filter(lambda c: sum(c) > 0))
     def test_mle_optimality_over_random_feasible_points(self, c):
-        counts = Counts(*c)
         for model in (t1_model(1), t3_model(), unconstrained_model()):
-            fit = mle_simplex(model, counts)
+            _, n2ll, _ = _fit(model, c)
             rng = np.random.default_rng(sum(c))
             for _ in range(20):
                 if model.variant == "t1":
@@ -160,7 +146,7 @@ class TestNeg2Loglik:
                     cand = theta_on_line(rng.uniform(1e-6, 1.0), rng.integers(1, 4))
                 else:
                     cand = SimplexPoint(*rng.dirichlet([1, 1, 1]))
-                assert fit.neg2loglik <= neg2loglik_at(counts, cand) + 1e-9
+                assert n2ll <= _neg2loglik(c, cand.as_tuple()) + 1e-9
 
 
 class TestConeOf:
@@ -186,24 +172,25 @@ class TestConeOf:
         assert cone_of(unconstrained_model()).kind == "plane"
 
 
+def _project(cone, x, y):
+    return tuple(project_points(cone, np.array([[x, y]]))[0])
+
+
 class TestProjection:
     def test_t1_negative_y_hits_vertex(self):
         cone = cone_of(t1_model(1))
-        out = project_transformed(cone, TransformedPoint(1.0, -2.0))
-        assert (out.x, out.y) == (0.0, 0.0)
+        assert _project(cone, 1.0, -2.0) == (0.0, 0.0)
 
     def test_t1_positive_y_projects_onto_axis(self):
         cone = cone_of(t1_model(1))
-        out = project_transformed(cone, TransformedPoint(1.0, 2.0))
-        assert (out.x, out.y) == (0.0, 2.0)
+        assert _project(cone, 1.0, 2.0) == (0.0, 2.0)
 
     def test_point_on_ray_is_fixed(self):
         geo = GeometryParams.from_phi0(0.8, 50)
         cone = cone_of(t3_model(), geo)
         for a in cone.angles:
-            w = TransformedPoint(3.0 * math.cos(a), 3.0 * math.sin(a))
-            out = project_transformed(cone, w)
-            assert (out.x, out.y) == pytest.approx((w.x, w.y), abs=1e-12)
+            w = (3.0 * math.cos(a), 3.0 * math.sin(a))
+            assert _project(cone, *w) == pytest.approx(w, abs=1e-12)
 
     def test_idempotent_many_points(self):
         rng = np.random.default_rng(3)
@@ -258,12 +245,10 @@ class TestProjection:
 
     def test_tie_breaks_to_smallest_angle(self):
         cone = Cone("rays", (math.pi / 2, 3 * math.pi / 2))
-        out = project_transformed(cone, TransformedPoint(5.0, 0.0))
-        assert (out.x, out.y) == (0.0, 0.0)
+        assert _project(cone, 5.0, 0.0) == (0.0, 0.0)
         # exact tie between the +y ray and the +x ray: smaller angle wins
         cone2 = Cone("rays", (math.pi / 2, TWO_PI))
-        out2 = project_transformed(cone2, TransformedPoint(2.0, 2.0))
-        assert (out2.x, out2.y) == (0.0, 2.0)
+        assert _project(cone2, 2.0, 2.0) == (0.0, 2.0)
 
 
 # coordinates whose squares are normal doubles: the reference
@@ -356,12 +341,11 @@ def test_large_n_mle_views_agree():
     rng = _chunk_rng(2024, 0)
     sims = 1000
     counts = trinomial_counts(rng, n, np.array(theta0.as_tuple()), sims)
+    theta, _ = mle_rows(t1_model(1), counts)
     gaps = []
-    for row in counts:
-        c = Counts(*map(int, row))
-        fit = mle_simplex(t1_model(1), c)
-        a = tmap(fit.estimate).as_array()
-        zbar = tmap(c.mean()).as_array()
+    for row, estimate in zip(counts, theta):
+        a = tmap(estimate).as_array()
+        zbar = tmap(row / n).as_array()
         b = project_points(cone, zbar[None])[0]
         gaps.append(float(np.linalg.norm(a - b)))
     assert float(np.mean(gaps)) <= 0.05

@@ -1,11 +1,13 @@
 """Checks on the package's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 import aicg
 
 PACKAGE = Path(aicg.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 # parameters whose signature a caller fixes: mc_expected_estimators calls
 # mc_bias_gaussian's statistic with the draws and their projected distances
@@ -43,3 +45,75 @@ def test_the_scan_finds_an_unread_parameter(tmp_path):
         "def f(a, b):\n    return a\n\ng = lambda x, *rest: x\n", encoding="utf-8")
     assert sorted(_unread_parameters(tmp_path)) == [("probe", "<lambda>", "rest"),
                                                     ("probe", "f", "b")]
+
+
+# public names read from outside the package, its scripts and README:
+# perfbench/tracer.py reads bias_t3_value's cache_info()
+OUTSIDE_READERS = {"bias_t3_value"}
+
+
+def _reads(node) -> set[str]:
+    """The names a node reads: Name ids, Attribute names and the names that
+    its imports bind."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.rsplit(".", 1)[-1] for alias in n.names)
+    return out
+
+
+def _library_blocks(readme: Path) -> list[str]:
+    """The python code blocks of README's Library section."""
+    text = readme.read_text(encoding="utf-8")
+    section = re.search(r"^## Library\n(.*?)(?=^## )", text, re.S | re.M)
+    return re.findall(r"```python\n(.*?)```", section.group(1), re.S) if section else []
+
+
+def _dead_names(package: Path, scripts: Path, readme: Path) -> list[str]:
+    """Module-level public defs and classes of the package that nothing reads:
+    not another statement of the package (its own body and __init__'s
+    re-exports do not count), not a script, not README's Library examples."""
+    defined, read = set(), set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not stmt.name.startswith("_"):
+                own = stmt.name
+                defined.add(own)
+            read |= _reads(stmt) - {own}
+    for path in sorted(scripts.glob("*.py")):
+        read |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    for block in _library_blocks(readme):
+        read |= _reads(ast.parse(block))
+    return sorted(defined - read - OUTSIDE_READERS)
+
+
+def test_every_public_name_is_read():
+    # a public function that only tests call is a second path to keep in step
+    assert _dead_names(PACKAGE, ROOT / "scripts", ROOT / "README.md") == []
+
+
+def test_the_scan_finds_a_dead_name(tmp_path):
+    package, scripts = tmp_path / "pkg", tmp_path / "scripts"
+    package.mkdir()
+    scripts.mkdir()
+    (package / "__init__.py").write_text("from .a import dead, used\n", encoding="utf-8")
+    (package / "a.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def dead(k):\n    return dead(k - 1) if k else 0\n\n"
+        "def by_script():\n    pass\n\n"
+        "def by_readme():\n    pass\n\n"
+        "class Dead:\n    pass\n", encoding="utf-8")
+    (package / "b.py").write_text("from .a import used\n", encoding="utf-8")
+    (scripts / "s.py").write_text("import pkg\npkg.a.by_script()\n", encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "## Library\n\n```python\nfrom pkg import by_readme\n```\n\n"
+        "## Other\n\n```python\nfrom pkg import Dead\n```\n", encoding="utf-8")
+    assert _dead_names(package, scripts, tmp_path / "README.md") == ["Dead", "dead"]
