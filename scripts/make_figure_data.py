@@ -18,7 +18,7 @@ import argparse
 from pathlib import Path
 
 from aicg.cli import main as cli_main
-from aicg.selection import parse_model_id
+from aicg.models import parse_model_id
 
 
 def main() -> int:

@@ -25,7 +25,7 @@ from .geometry import (
     GeometryParams,
     SimplexPoint,
     TransformedPoint,
-    angles_from_phi0,
+    alpha_from_phi0,
     mu0y,
     phi_from_mu0y,
     theta_on_line,
@@ -35,6 +35,7 @@ from .models import (
     ModelSpec,
     cone_of,
     mle_rows,
+    parse_model_id,
     polytomy_model,
     t1_model,
     t3_model,
@@ -54,9 +55,7 @@ from .quadrature import (
     bias_t3_batch,
 )
 from .selection import (
-    RegionGrid,
     SelectionReport,
-    parse_model_id,
     region_grid,
     score,
     score_batch,

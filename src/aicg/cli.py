@@ -29,15 +29,19 @@ from .closedform import BiasEstimate
 from .estimators import (DEFAULT_RADII, ETA_EXPONENT, EstimatorRule, InfeasibleError,
                          bias_on_cone, minimax_radius, uo_radius)
 from .geometry import Counts, DomainError, GeometryParams, TransformedPoint, phi_from_mu0y
-from .models import (HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, cone_of,
-                     validate_halflines)
+from .models import (HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, cone_of, parse_angle,
+                     parse_model_id)
 from .montecarlo import CurvePoint, McSettings, curve_grid, grid_values, mc_bias_gaussian
-from .selection import parse_model_id, region_grid, score, score_batch
+from .selection import region_grid, score, score_batch, simplex_lattice
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 # the sample size of bias --mu0y's t3 cone angle and of radii, unless --n is given
 REFERENCE_N = 1e6
+# The most points of a regions lattice.  regions holds a few hundred bytes per
+# lattice point and model: on a 2-core x86_64 VM, resolution 1412 (998,988
+# points) with four models peaked at 592 MB resident.
+_MAX_LATTICE_POINTS = 10**6
 
 class UsageError(ValueError):
     pass
@@ -90,24 +94,6 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def parse_angle(token: str) -> float:
-    """Angles either in radians ('1.57') or as multiples of pi ('2pi',
-    '0.5pi', 'pi/3', '2pi/3')."""
-    s = token.strip().lower()
-    head, pi, tail = s.partition("pi")
-    try:
-        if not pi:
-            return float(s)
-        value = (float(head) if head else 1.0) * math.pi
-        if tail:
-            if not tail.startswith("/"):
-                raise ValueError
-            value /= float(tail[1:])
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse angle {token!r}") from None
-    return value
-
-
 def parse_counts(text: str) -> Counts:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
@@ -129,21 +115,6 @@ def parse_grid(text: str) -> list[float]:
         raise UsageError(f"bad grid {text!r}: {exc}") from exc
 
 
-def parse_model(token: str, angles: Sequence[float] | None = None) -> ModelSpec:
-    """A model id; the angles of a half-lines id parse as --angles does."""
-    s = token.strip().lower()
-    head, colon, tail = s.partition(":")
-    if head == "halflines":
-        rays = [parse_angle(t) for t in tail.split(",")] if colon else angles
-        if not rays:
-            raise UsageError("halflines model requires --angles")
-        return validate_halflines(rays)
-    try:
-        return parse_model_id(s)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def settings_hash(resolved: dict[str, Any]) -> str:
     import hashlib  # here, not at the top: loading OpenSSL costs every other subcommand
     blob = json.dumps(resolved, sort_keys=True, default=str).encode("utf-8")
@@ -154,11 +125,10 @@ class RunConfig:
     """Fully resolved options for one subcommand invocation, each value of
     its option's type, or None when neither a flag nor the config set it."""
 
-    __slots__ = ("subcommand", "values")
+    __slots__ = ("values",)
 
-    def __init__(self, subcommand: str, values: dict[str, Any] | None = None):
-        self.subcommand = subcommand
-        self.values = {} if values is None else values
+    def __init__(self, values: dict[str, Any]):
+        self.values = values
 
     def get(self, key: str, default=None):
         v = self.values.get(key)
@@ -244,7 +214,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                                  f"for the {args.cmd} subcommand")
             if values[k] is None and val is not None:
                 values[k] = _config_value(key, val)
-    return RunConfig(args.cmd, values)
+    return RunConfig(values)
 
 
 def _mc_settings(cfg: RunConfig) -> McSettings:
@@ -275,7 +245,7 @@ def _counts(cfg: RunConfig) -> Counts:
 
 
 def cmd_bias(cfg: RunConfig) -> str:
-    model = parse_model(cfg.require("model"), _angles(cfg))
+    model = parse_model_id(cfg.require("model"), _angles(cfg))
     mu, phi0, counts_text = cfg.get("mu0y"), cfg.get("phi0"), cfg.get("counts")
     if sum(x is not None for x in (mu, phi0, counts_text)) != 1:
         raise UsageError("provide exactly one of --mu0y, --phi0 (with --n), --counts")
@@ -283,7 +253,7 @@ def cmd_bias(cfg: RunConfig) -> str:
     method = cfg.get("method")
     geo = None
     if phi0 is not None:
-        geo = GeometryParams.from_phi0(phi0, cfg.require("n", "needed with --phi0"))
+        geo = GeometryParams(phi0, cfg.require("n", "needed with --phi0"))
         mu = geo.mu0y
 
     if counts_text is not None:
@@ -311,7 +281,7 @@ def cmd_bias(cfg: RunConfig) -> str:
         raise DomainError("sample size must be >= 1")
     if geo is None and model.variant == T3:
         # the t3 cone angle at the generating point, as on a target curve
-        geo = GeometryParams.from_phi0(phi_from_mu0y(mu, n), n)
+        geo = GeometryParams(phi_from_mu0y(mu, n), n)
     if method == "monte-carlo":
         point = TransformedPoint(mu, 0.0) if model.variant == HALFLINES \
             else TransformedPoint(0.0, mu)
@@ -326,14 +296,18 @@ def cmd_bias(cfg: RunConfig) -> str:
 def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) -> str:
     # what the computation reads: not where the output goes or how many
     # threads draw it, the seed and sample count only where it draws, the
-    # rule's radius and rate only where a rule scores counts, the angles only
-    # where they are a bare halflines id's rays, and n only where it sets the
-    # distance (--phi0) or the t3 cone angle; --counts only checks n.  An
-    # option given at the value the run takes without it hashes as left out.
+    # radius only where uo or minimax scores counts and the rate only where
+    # consistent or bootstrap does, the angles only where they are a bare
+    # halflines id's rays, and n only where it sets the distance (--phi0) or
+    # the t3 cone angle; --counts only checks n.  An option given at the
+    # value the run takes without it hashes as left out.
     unread = {"out", "workers"} | ({"seed", "samples"} if est.method != "monte-carlo" else set())
     scores_counts = cfg.get("counts") is not None
-    if not scores_counts:
-        unread |= {"radius", "eta_exponent"}
+    method = cfg.get("method") if scores_counts else None
+    if method not in ("uo", "minimax"):
+        unread.add("radius")
+    if method not in ("consistent", "bootstrap"):
+        unread.add("eta_exponent")
     if model.variant != HALFLINES or ":" in cfg.get("model"):
         unread.add("angles")
     if cfg.get("phi0") is None and (model.variant != T3 or scores_counts):
@@ -350,7 +324,7 @@ def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) ->
 
 
 def cmd_target(cfg: RunConfig) -> str:
-    model = parse_model(cfg.require("model"), _angles(cfg))
+    model = parse_model_id(cfg.require("model"), _angles(cfg))
     if model.variant == HALFLINES:
         raise UsageError("target curves need a simplex model (t1, t3, polytomy, unconstrained)")
     n = cfg.require("n")
@@ -387,7 +361,7 @@ def cmd_select(cfg: RunConfig) -> str:
     if not ids:
         raise UsageError("empty model list")
     angles = _angles(cfg)
-    models = [parse_model(t, angles) for t in ids]
+    models = [parse_model_id(t, angles) for t in ids]
     counts = _counts(cfg)
     report = score(models, counts, _rule(cfg, cfg.get("method", "plugin")))
 
@@ -409,19 +383,24 @@ def cmd_regions(cfg: RunConfig) -> str:
     ids = [t for t in cfg.require("pair").split(",") if t.strip()]
     if len(ids) < 2:
         raise UsageError("--pair needs at least two models")
-    models = [parse_model(t, _angles(cfg)) for t in ids]
+    models = [parse_model_id(t, _angles(cfg)) for t in ids]
     n = cfg.require("n")
     resolution = cfg.require("resolution")
     if resolution < 50:
         raise UsageError("resolution must be at least 50")
-    grid = region_grid(models, n, resolution, _rule(cfg, cfg.get("method", "plugin")))
+    points = (resolution + 1) * (resolution + 2) // 2 - 3  # the lattice less its vertices
+    if points > _MAX_LATTICE_POINTS:
+        raise UsageError(f"resolution {resolution} gives {points} lattice points, "
+                         f"above the {_MAX_LATTICE_POINTS} allowed")
+    winners = region_grid(models, n, resolution, _rule(cfg, cfg.get("method", "plugin")))
     coord = [fmt_float(i / resolution) for i in range(resolution + 1)]
-    rows = [[coord[i], coord[j], coord[k], w] for (i, j, k), w in zip(grid.points, grid.winners)]
+    rows = [[coord[i], coord[j], coord[k], w]
+            for (i, j, k), w in zip(simplex_lattice(resolution), winners)]
     return csv_text(["p1", "p2", "p3", "winner"], rows, formatted=True)
 
 
 def cmd_radii(cfg: RunConfig) -> str:
-    model = parse_model(cfg.require("model"), _angles(cfg))
+    model = parse_model_id(cfg.require("model"), _angles(cfg))
     n = float(cfg.get("n", REFERENCE_N))  # reference_n prints as a float
     grid = parse_grid(cfg.get("grid", "0:5:0.05"))
     out: dict[str, Any] = {"model": model.model_id, "reference_n": n,

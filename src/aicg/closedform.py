@@ -8,7 +8,6 @@ and the classical twice-the-parameter-count correction.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 from .geometry import DomainError, Record
 from .models import HALFLINES, POLYTOMY, T1, T3, UNCONSTRAINED, ModelSpec
@@ -24,14 +23,14 @@ _STOCHASTIC = ("monte-carlo",)
 
 
 class BiasEstimate(Record):
-    """A bias-correction value with provenance; settings default to a new
-    empty dict."""
+    """A bias-correction value and the method that gave it; a Monte Carlo
+    estimate also holds its standard error and its least draw."""
 
-    __slots__ = ("value", "method", "std_error", "settings")
+    __slots__ = ("value", "method", "std_error", "min_draw")
 
     def __init__(self, value: float, method: str, std_error: float | None = None,
-                 settings: dict[str, Any] | None = None):
-        self._fill(value, method, std_error, {} if settings is None else settings)
+                 min_draw: float | None = None):
+        self._fill(value, method, std_error, min_draw)
         if method not in METHODS:
             raise DomainError(f"unknown bias method {method!r}")
         if (std_error is not None) != (method in _STOCHASTIC):
@@ -46,8 +45,7 @@ def bias_t1(mu0y: float) -> BiasEstimate:
     """
     if mu0y < 0:
         raise DomainError("mu0y must be nonnegative")
-    return BiasEstimate(1.0 + erf(mu0y / _SQRT2), "closed-form",
-                        settings={"model": T1, "mu0y": mu0y})
+    return BiasEstimate(1.0 + erf(mu0y / _SQRT2), "closed-form")
 
 
 def bias_halflines_at_singularity(model: ModelSpec) -> BiasEstimate:
@@ -65,22 +63,21 @@ def bias_halflines_at_singularity(model: ModelSpec) -> BiasEstimate:
         value = 2.0 + sum(math.sin(g) for g in gaps) / math.pi
     else:
         value = 3.0 + (sum(math.sin(g) for g in gaps[1:]) - phi1) / math.pi
-    return BiasEstimate(value, "closed-form",
-                        settings={"model": model.model_id, "mu0y": 0.0})
+    return BiasEstimate(value, "closed-form")
 
 
 def bias_constant(model: ModelSpec) -> BiasEstimate:
     """Bias of the two everywhere-regular models: 0 (polytomy) or 4 (plane)."""
     if model.variant == POLYTOMY:
-        return BiasEstimate(0.0, "closed-form", settings={"model": POLYTOMY})
+        return BiasEstimate(0.0, "closed-form")
     if model.variant == UNCONSTRAINED:
-        return BiasEstimate(4.0, "closed-form", settings={"model": UNCONSTRAINED})
+        return BiasEstimate(4.0, "closed-form")
     raise DomainError(f"{model.model_id} has no constant bias correction")
 
 
 def bias_aic(model: ModelSpec) -> BiasEstimate:
     """Classical correction: twice the naive parameter count."""
-    return BiasEstimate(2.0 * model.dim, "aic", settings={"model": model.model_id})
+    return BiasEstimate(2.0 * model.dim, "aic")
 
 
 def singularity_bias(model: ModelSpec) -> float:

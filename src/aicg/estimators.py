@@ -26,7 +26,7 @@ from .closedform import BiasEstimate, bias_aic, bias_constant, singularity_bias
 from .geometry import (
     DomainError,
     Record,
-    angles_from_phi0,
+    alpha_from_phi0,
     phi_from_mu0y,
 )
 from .models import (
@@ -126,8 +126,7 @@ def least_favorable(model: ModelSpec, which: str, reference_n: float = 1e6) -> B
         raise DomainError("which must be 'lower' or 'upper'")
     method = "llf" if which == "lower" else "ulf"
     if model.variant in (POLYTOMY, UNCONSTRAINED):
-        value = bias_constant(model).value
-        return BiasEstimate(value, method, settings={"model": model.model_id})
+        return BiasEstimate(bias_constant(model).value, method)
 
     sign = 1.0 if which == "lower" else -1.0
 
@@ -138,13 +137,10 @@ def least_favorable(model: ModelSpec, which: str, reference_n: float = 1e6) -> B
             values = bias_ray_cone(points.reshape(-1, 2), cone.angles).reshape(len(mus), -1)
             values[mus == 0.0] = singularity_bias(model)
             return np.min(sign * values, axis=1)
-        alphas, _ = angles_from_phi0(phi_from_mu0y(mus, reference_n))
-        return sign * bias_on_cone(model, mus, alphas)
+        return sign * bias_on_cone(model, mus, alpha_from_phi0(phi_from_mu0y(mus, reference_n)))
 
     best = _scan_min(f, 0.0, 50.0, (0.5, 0.01, 1e-4))
-    return BiasEstimate(sign * best[0], method,
-                        settings={"model": model.model_id, "argmu": best[1],
-                                  "reference_n": reference_n})
+    return BiasEstimate(sign * best[0], method)
 
 
 def _scan_min(f, lo: float, hi: float, steps) -> tuple[float, float]:
@@ -253,8 +249,7 @@ def expected_neighborhood_value(model: ModelSpec, r, mu_grid) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _truth_grid(model: ModelSpec, grid_key: tuple[float, ...], n: float) -> tuple[float, ...]:
     mus = np.array(grid_key)
-    alphas, _ = angles_from_phi0(phi_from_mu0y(mus, n))
-    return tuple(bias_on_cone(model, mus, alphas))
+    return tuple(bias_on_cone(model, mus, alpha_from_phi0(phi_from_mu0y(mus, n))))
 
 
 def _calibration_grid(model: ModelSpec, mu_grid, n: float) -> tuple[np.ndarray, np.ndarray]:

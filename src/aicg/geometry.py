@@ -6,8 +6,10 @@ sqrt(n) * I(theta0)^{1/2} (I the Fisher information in free coordinates
 (p1, p2)), and rotating a distinguished model direction onto the +y axis.
 Under that map the centroid goes to the origin and a generating parameter on
 a model line goes to (0, mu0y), its Mahalanobis distance from the centroid.
-This module holds that map's closed forms on the model lines (phi0, mu0y and
-the cone angles); the package needs no matrix form of the map.
+This module holds that map's closed forms on the model lines: mu0y and its
+inverse phi_from_mu0y, and the cone angle alpha_from_phi0, each elementwise;
+GeometryParams holds all three at one point.  The package needs no matrix
+form of the map.
 """
 
 from __future__ import annotations
@@ -119,20 +121,25 @@ def p1_from_phi(phi0: float) -> float:
     return 1.0 - 2.0 * phi0 / 3.0
 
 
-def _check_phi(phi0: float) -> None:
-    if not 0.0 < phi0 <= 1.0:
+def _check_phi(phi0) -> np.ndarray:
+    """phi0 as an array, each element of which must lie in (0, 1]."""
+    phi = np.asarray(phi0, dtype=float)
+    if not np.all((phi > 0.0) & (phi <= 1.0)):
         raise DomainError(f"phi0={phi0!r} outside (0, 1]")
+    return phi
 
 
-def mu0y(phi0: float, n: float) -> float:
-    """Mahalanobis distance of the generating parameter from the centroid.
+def mu0y(phi0, n: float):
+    """Mahalanobis distance of the generating parameter from the centroid,
+    elementwise in phi0 (scalars in give floats out).
 
     mu0y = sqrt(2n) (1 - phi0) / sqrt(phi0 (3 - 2 phi0)).
     """
-    _check_phi(phi0)
+    phi = _check_phi(phi0)
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    return math.sqrt(2.0 * n) * (1.0 - phi0) / math.sqrt(phi0 * (3.0 - 2.0 * phi0))
+    mu = math.sqrt(2.0 * n) * (1.0 - phi) / np.sqrt(phi * (3.0 - 2.0 * phi))
+    return float(mu) if mu.ndim == 0 else mu
 
 
 def phi_from_mu0y(mu, n: float):
@@ -161,48 +168,26 @@ def phi_from_mu0y(mu, n: float):
     return float(phi) if phi.ndim == 0 else phi
 
 
-def angles_from_phi0(phi0):
-    """Cone angles (alpha0, beta0) of the three-line geometry at phi0,
-    elementwise (scalars in give floats out).
-
-    alpha0 = arctan(1 / sqrt(3 (3 - 2 phi0))), beta0 = (pi/2 - alpha0) / 2.
-    """
-    phi = np.asarray(phi0, dtype=float)
-    if not np.all((phi > 0.0) & (phi <= 1.0)):
-        raise DomainError(f"phi0={phi0!r} outside (0, 1]")
+def alpha_from_phi0(phi0):
+    """Cone angle alpha0 = arctan(1 / sqrt(3 (3 - 2 phi0))) of the three-line
+    geometry at phi0, elementwise (scalars in give floats out)."""
+    phi = _check_phi(phi0)
     alpha0 = np.arctan(1.0 / np.sqrt(3.0 * (3.0 - 2.0 * phi)))
-    beta0 = 0.5 * (0.5 * math.pi - alpha0)
-    if phi.ndim == 0:
-        return float(alpha0), float(beta0)
-    return alpha0, beta0
+    return float(alpha0) if alpha0.ndim == 0 else alpha0
 
 
 class GeometryParams(Record):
-    """Derived geometry of a generating parameter on a model line."""
+    """The line geometry of the generating parameter at phi0 for a sample of
+    size n: phi0, its distance mu0y and the cone angle alpha0."""
 
-    __slots__ = ("phi0", "mu0y", "alpha0", "beta0", "n")
+    __slots__ = ("phi0", "mu0y", "alpha0")
 
-    def __init__(self, phi0: float, mu0y: float, alpha0: float, beta0: float, n: float):
-        self._fill(phi0, mu0y, alpha0, beta0, n)
-        _check_phi(phi0)
-        if abs(beta0 - 0.5 * (0.5 * math.pi - alpha0)) > 1e-12:
-            raise DomainError("beta0 must equal (pi/2 - alpha0)/2")
-        a_expected = math.atan(1.0 / math.sqrt(3.0 * (3.0 - 2.0 * phi0)))
-        if abs(alpha0 - a_expected) > 1e-12:
-            raise DomainError("alpha0 inconsistent with phi0")
-        if (mu0y == 0.0) != (phi0 == 1.0) and abs(phi0 - 1.0) > 1e-12:
-            if mu0y == 0.0:
-                raise DomainError("mu0y = 0 requires phi0 = 1")
-
-    @classmethod
-    def from_phi0(cls, phi0: float, n: float) -> "GeometryParams":
-        alpha0, beta0 = angles_from_phi0(phi0)
-        return cls(phi0=phi0, mu0y=mu0y(phi0, n), alpha0=alpha0, beta0=beta0, n=n)
+    def __init__(self, phi0: float, n: float):
+        self._fill(phi0, mu0y(phi0, n), alpha_from_phi0(phi0))
 
 
 def theta_on_line(phi0: float, topology: int = 1) -> SimplexPoint:
     """The simplex point at parameter phi0 on the given topology line."""
-    _check_phi(phi0)
     big = p1_from_phi(phi0)
     small = (1.0 - big) / 2.0
     ps = [small, small, small]

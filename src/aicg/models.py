@@ -108,22 +108,62 @@ def validate_halflines(angles) -> ModelSpec:
             raise DomainError("ray angles must be strictly increasing")
     if abs(angs[-1] - TWO_PI) > 1e-12:
         raise DomainError("last ray angle must equal 2pi")
-    angs = angs[:-1] + (TWO_PI,)
-
-    gaps = []
-    prev = 0.0
-    for a in angs:
-        gaps.append(a - prev)
-        prev = a
+    model = ModelSpec(HALFLINES, angles=angs[:-1] + (TWO_PI,))
+    gaps = model.sector_gaps()
     widest = int(np.argmax(gaps))
     if gaps[widest] > gaps[0] + 1e-12:
-        pivot = angs[widest - 1]
-        relabeled = sorted(((a - pivot) % TWO_PI) or TWO_PI for a in angs)
+        pivot = model.angles[widest - 1]
+        relabeled = sorted(((a - pivot) % TWO_PI) or TWO_PI for a in model.angles)
         raise DomainError(
             "largest sector must precede the first ray; rotate by "
             f"{-pivot:.12g} rad, giving angles {tuple(relabeled)}"
         )
-    return ModelSpec(HALFLINES, angles=angs)
+    return model
+
+
+def parse_angle(token: str) -> float:
+    """An angle in radians ('1.57') or as a multiple of pi ('2pi', '0.5pi',
+    'pi/3', '2pi/3')."""
+    s = token.strip().lower()
+    head, pi, tail = s.partition("pi")
+    try:
+        if not pi:
+            return float(s)
+        value = (float(head) if head else 1.0) * math.pi
+        if tail:
+            if not tail.startswith("/"):
+                raise ValueError
+            value /= float(tail[1:])
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"cannot parse angle {token!r}") from None
+    return value
+
+
+def parse_model_id(token: str, angles=None) -> ModelSpec:
+    """Inverse of ModelSpec.model_id, also accepting any case, t1 for t1:1, u
+    for unconstrained, ray angles as parse_angle reads them, and a bare
+    halflines id, whose rays are the given angles."""
+    s = token.strip().lower()
+    head, colon, tail = s.partition(":")
+    if head == HALFLINES:
+        rays = [parse_angle(t) for t in tail.split(",")] if colon else angles
+        if not rays:
+            raise DomainError("halflines model requires --angles")
+        return validate_halflines(rays)
+    if head == T1:
+        if not colon:
+            return t1_model(1)
+        if tail not in ("1", "2", "3"):
+            raise DomainError(f"unknown model id {s!r}: t1 topology {tail!r} "
+                              "is not 1, 2 or 3")
+        return t1_model(int(tail))
+    if s == T3:
+        return t3_model()
+    if s == POLYTOMY:
+        return polytomy_model()
+    if s in (UNCONSTRAINED, "u"):
+        return unconstrained_model()
+    raise DomainError(f"unknown model id {s!r}")
 
 
 def mle_rows(model: ModelSpec, counts) -> tuple[np.ndarray, np.ndarray | None]:

@@ -72,10 +72,10 @@ class McSettings(Record):
 
 
 class CurvePoint(Record):
-    __slots__ = ("mu0y", "estimate", "std_error", "n")
+    __slots__ = ("mu0y", "estimate", "std_error")
 
-    def __init__(self, mu0y: float, estimate: float, std_error: float, n: float):
-        self._fill(mu0y, estimate, std_error, n)
+    def __init__(self, mu0y: float, estimate: float, std_error: float):
+        self._fill(mu0y, estimate, std_error)
         if std_error < 0:
             raise DomainError("std_error must be nonnegative")
 
@@ -263,10 +263,7 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
                   for r, c2, freq in _binomial_cells(rng, n - c1, q, freq1, block))
 
     mean, se, lowest = _combine((_chunk_moments(*b) for b in blocks), settings.samples)
-    return BiasEstimate(mean, "monte-carlo", std_error=se,
-                        settings={"model": model.model_id, "theta0": theta0.as_tuple(),
-                                  "n": n, "samples": settings.samples, "seed": settings.seed,
-                                  "min_draw": lowest})
+    return BiasEstimate(mean, "monte-carlo", std_error=se, min_draw=lowest)
 
 
 # A rule's value per draw, from the (N, 2) draws z and the (N,) distances of
@@ -296,11 +293,9 @@ def mc_expected_estimators(
             yield from (fn(z, dist) for fn in evaluators)
 
     stats = iter(_run_chunks(settings, kernel))
-    return [[BiasEstimate(mean, "monte-carlo", std_error=se,
-                          settings={"mu0": (mu0.x, mu0.y), "samples": settings.samples,
-                                    "seed": settings.seed, "min_draw": lowest})
+    return [[BiasEstimate(mean, "monte-carlo", std_error=se, min_draw=lowest)
              for mean, se, lowest in islice(stats, len(evaluators))]
-            for _, mu0, evaluators in points]
+            for _, _, evaluators in points]
 
 
 def mc_bias_gaussian(cone: Cone, mu0: TransformedPoint,
@@ -317,8 +312,16 @@ def mc_bias_gaussian(cone: Cone, mu0: TransformedPoint,
     return mc_expected_estimators([(cone, mu0, [statistic])], settings)[0][0]
 
 
+# The most points of a grid.  radii holds one noncentral-CDF value per scanned
+# radius and grid point, over a Poisson window that widens with mu0y: on a
+# 2-core x86_64 VM, radii --model t3 --grid 0:50:5e-3 (10,001 points) peaked
+# at 363 MB resident and 0:50:1e-3 (50,001 points) at 1.66 GB.
+_MAX_GRID_POINTS = 10_000
+
+
 def grid_values(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid; step 0 collapses to the single start point."""
+    """Inclusive arithmetic grid of at most _MAX_GRID_POINTS points; step 0
+    collapses to the single start point."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise DomainError("grid start, stop and step must be finite")
     if step < 0:
@@ -329,6 +332,8 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
     if not math.isfinite(span):
         raise DomainError("grid step is too small for its range")
     count = int(math.floor(span + 1e-9)) + 1
+    if count > _MAX_GRID_POINTS:
+        raise DomainError(f"grid of {count} points exceeds the {_MAX_GRID_POINTS} allowed")
     return [start + i * step for i in range(count)]
 
 
@@ -398,18 +403,18 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     require_distinct([rule.method for rule in rules], "rule method")
     # an aic rule column is the aic column itself
     curves: dict[str, list[CurvePoint]] = {
-        "target": [], "aicg": [], "aic": [CurvePoint(mu, bias_aic(model).value, 0.0, n)
+        "target": [], "aicg": [], "aic": [CurvePoint(mu, bias_aic(model).value, 0.0)
                                           for mu in grid]}
     drawn = []
     for rule in rules:
         value = rule_constant(model, rule, n)
         if value is None:
             drawn.append(rule)
-        curves[rule.method] = [] if value is None else [CurvePoint(mu, value, 0.0, n)
+        curves[rule.method] = [] if value is None else [CurvePoint(mu, value, 0.0)
                                                         for mu in grid]
 
     mus = np.array(grid, dtype=float)
-    geos = [GeometryParams.from_phi0(float(phi0), n) for phi0 in phi_from_mu0y(mus, n)]
+    geos = [GeometryParams(float(phi0), n) for phi0 in phi_from_mu0y(mus, n)]
     # the rule columns first, so that a rule that cannot apply (consistent at
     # n < 3) fails before the target draws
     if drawn:
@@ -418,13 +423,13 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
                   for mu, geo in zip(grid, geos)]
         for mu, estimates in zip(grid, mc_expected_estimators(points, settings)):
             for rule, est in zip(drawn, estimates):
-                curves[rule.method].append(CurvePoint(mu, est.value, est.std_error, n))
+                curves[rule.method].append(CurvePoint(mu, est.value, est.std_error))
 
     aicg = bias_on_cone(model, mus, [g.alpha0 for g in geos])
     for i, (mu, geo) in enumerate(zip(grid, geos)):
         theta0 = theta_on_line(geo.phi0, model.topology or 1)
         cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples, settings.chunk_size)
         target = mc_target_trinomial(model, theta0, n, cell)
-        curves["target"].append(CurvePoint(mu, target.value, target.std_error, n))
-        curves["aicg"].append(CurvePoint(mu, float(aicg[i]), 0.0, n))
+        curves["target"].append(CurvePoint(mu, target.value, target.std_error))
+        curves["aicg"].append(CurvePoint(mu, float(aicg[i]), 0.0))
     return curves

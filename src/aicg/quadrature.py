@@ -89,9 +89,7 @@ def bias_t3_batch(mu0y, alpha0) -> np.ndarray:
 
 def bias_t3(mu0y: float, alpha0: float) -> BiasEstimate:
     """t3 bias correction at one point: the one-row case of bias_t3_batch."""
-    value = float(bias_t3_batch(mu0y, alpha0)[0])
-    return BiasEstimate(value, "closed-form",
-                        settings={"model": "t3", "mu0y": mu0y, "alpha0": alpha0})
+    return BiasEstimate(float(bias_t3_batch(mu0y, alpha0)[0]), "closed-form")
 
 
 @lru_cache(maxsize=4096)

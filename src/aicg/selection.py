@@ -7,13 +7,12 @@ of pseudo-observations with the winning model.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Sequence
 
 import numpy as np
 
 from .estimators import EstimatorRule, rule_values
-from .geometry import Counts, DomainError, Record, require_distinct
+from .geometry import Counts, DomainError, Record, alpha_from_phi0, mu0y, require_distinct
 from .models import ModelSpec, mle_rows, neg2loglik_rows
 
 _VERSION = "0.1.0"
@@ -38,8 +37,8 @@ class ScoreRow(Record):
 class SelectionReport(Record):
     __slots__ = ("rows", "metadata")
 
-    def __init__(self, rows: tuple[ScoreRow, ...], metadata: dict[str, Any] | None = None):
-        self._fill(rows, {} if metadata is None else metadata)
+    def __init__(self, rows: tuple[ScoreRow, ...], metadata: dict[str, Any]):
+        self._fill(rows, metadata)
 
     def winner(self) -> str | None:
         for row in self.rows:
@@ -86,8 +85,7 @@ def _line_geometry(counts: np.ndarray, theta: np.ndarray, line: np.ndarray, n: i
     valid = p_big < 1.0
     errors = tuple(None if p < 1.0 else f"p1={p!r} outside [1/3, 1)" for p in p_big.tolist())
     phi = np.where(valid, 1.5 * (1.0 - p_big), 1.0)
-    mu_hat = math.sqrt(2.0 * n) * (1.0 - phi) / np.sqrt(phi * (3.0 - 2.0 * phi))
-    alpha0 = np.arctan(1.0 / np.sqrt(3.0 * (3.0 - 2.0 * phi)))
+    mu_hat, alpha0 = mu0y(phi, n), alpha_from_phi0(phi)
     theta = np.where(valid[:, None], theta, 1.0 / 3.0)
     zbar_norm = np.sqrt(n * np.sum((counts / n - 1.0 / 3.0) ** 2 / theta, axis=1))
     return np.where(valid, mu_hat, np.nan), alpha0, zbar_norm, errors
@@ -175,40 +173,6 @@ def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule) -> S
     return SelectionReport(tuple(rows), meta)
 
 
-def parse_model_id(model_id: str) -> ModelSpec:
-    """Inverse of ModelSpec.model_id, also accepting CLI spellings: any case,
-    t1 for t1:1, and u for unconstrained."""
-    from .models import t1_model, t3_model, polytomy_model, unconstrained_model, validate_halflines
-    s = model_id.strip().lower()
-    head, colon, tail = s.partition(":")
-    if head == "t1":
-        if not colon:
-            return t1_model(1)
-        if tail not in ("1", "2", "3"):
-            raise DomainError(f"unknown model id {model_id!r}: t1 topology {tail!r} "
-                              "is not 1, 2 or 3")
-        return t1_model(int(tail))
-    if s == "t3":
-        return t3_model()
-    if s == "polytomy":
-        return polytomy_model()
-    if s in ("unconstrained", "u"):
-        return unconstrained_model()
-    if s.startswith("halflines:"):
-        return validate_halflines([float(a) for a in s.split(":", 1)[1].split(",")])
-    raise DomainError(f"unknown model id {model_id!r}")
-
-
-class RegionGrid(Record):
-    __slots__ = ("resolution", "n", "model_ids", "points", "winners", "metadata")
-
-    def __init__(self, resolution: int, n: int, model_ids: tuple[str, ...],
-                 points: tuple[tuple[int, int, int], ...], winners: tuple[str, ...],
-                 metadata: dict[str, Any] | None = None):
-        self._fill(resolution, n, model_ids, points, winners,
-                   {} if metadata is None else metadata)
-
-
 def simplex_lattice(resolution: int) -> list[tuple[int, int, int]]:
     """Barycentric lattice (i, j, k)/R, row-major, excluding the 3 vertices."""
     if resolution < 1:
@@ -248,8 +212,9 @@ def _winner_labels(aicg: np.ndarray, ids: tuple[str, ...], tol: float) -> tuple[
 
 
 def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
-                rule: EstimatorRule) -> RegionGrid:
-    """Label every lattice point with the model winning at its pseudo-counts.
+                rule: EstimatorRule) -> tuple[str, ...]:
+    """The label of each point of simplex_lattice(resolution), in its order:
+    the model winning at the point's pseudo-counts.
 
     Pseudo-counts are the sum-preserving largest-remainder rounding of n*p
     (exact when n is a multiple of the resolution).  Generalized scores
@@ -260,11 +225,6 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
         raise DomainError("region grids need at least two models")
     ids = tuple(m.model_id for m in models)
     require_distinct(ids, "model id")
-    pts = simplex_lattice(resolution)
-    counts = _rounded_counts(np.array(pts) / resolution, n)
+    counts = _rounded_counts(np.array(simplex_lattice(resolution)) / resolution, n)
     aicg = np.array([s.aicg for s in score_batch(models, counts, rule)])
-    return RegionGrid(
-        resolution=resolution, n=n, model_ids=ids,
-        points=tuple(pts), winners=_winner_labels(aicg, ids, _TIE_TOL),
-        metadata={"estimator": rule.method, "version": _VERSION},
-    )
+    return _winner_labels(aicg, ids, _TIE_TOL)

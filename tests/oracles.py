@@ -19,7 +19,7 @@ from aicg.closedform import BiasEstimate, singularity_bias
 from aicg.estimators import bias_on_cone, consistent_radius
 from aicg.geometry import CENTROID, DomainError, GeometryParams, SimplexPoint, TransformedPoint
 from aicg.models import cone_of, mle_rows, project_points
-from aicg.selection import RegionGrid, _rounded_counts
+from aicg.selection import _rounded_counts
 
 
 def erf_decimal(x: float, digits: int = 60) -> float:
@@ -453,7 +453,7 @@ def line_observation(model, counts):
     the sample mean."""
     theta, line = mle_rows(model, counts.as_array()[None])
     estimate, topology = SimplexPoint(*theta[0].tolist()), int(line[0]) + 1
-    geo = GeometryParams.from_phi0(1.5 * (1.0 - estimate.as_tuple()[topology - 1]), counts.n)
+    geo = GeometryParams(1.5 * (1.0 - estimate.as_tuple()[topology - 1]), counts.n)
     tmap = transform_map(estimate, counts.n, axis_topology=topology)
     return geo, tmap(estimate), tmap(counts.as_array() / counts.n)
 
@@ -488,7 +488,7 @@ def consistent_estimate(model, observed: TransformedPoint, n: float,
     """
     radius = consistent_radius(n, eta_exponent)
     if geo is None:
-        geo = GeometryParams.from_phi0(1.0, n)
+        geo = GeometryParams(1.0, n)
     cone = cone_of(model, geo)
     shrunk = math.hypot(observed.x, observed.y) <= radius
     if shrunk:
@@ -498,10 +498,7 @@ def consistent_estimate(model, observed: TransformedPoint, n: float,
         proj = project_points(cone, observed.as_array()[None])[0]
         mu_t = TransformedPoint(float(proj[0]), float(proj[1]))
         value = bias_on_cone(model, math.hypot(mu_t.x, mu_t.y), geo.alpha0)
-    est = BiasEstimate(value, "consistent",
-                       settings={"model": model.model_id, "radius": radius,
-                                 "eta_exponent": eta_exponent, "shrunk": shrunk})
-    return mu_t, est
+    return mu_t, BiasEstimate(value, "consistent")
 
 
 def largest_remainder_counts(p: Sequence[float], n: int) -> tuple[int, int, int]:
@@ -516,10 +513,10 @@ def lattice_neighbors(point: tuple[int, int, int]):
             (i - 1, j, k + 1), (i, j + 1, k - 1), (i, j - 1, k + 1)]
 
 
-def winning_component(grid: RegionGrid, label: str,
+def winning_component(lookup: dict[tuple[int, int, int], str], label: str,
                       start: tuple[int, int, int]) -> set[tuple[int, int, int]]:
-    """Lattice-connected component of `label` cells containing `start`."""
-    lookup = dict(zip(grid.points, grid.winners))
+    """Lattice-connected component of `label` cells containing `start`, in
+    the lattice whose winner at each point is `lookup`."""
     if lookup.get(start) != label:
         return set()
     seen = {start}

@@ -38,7 +38,7 @@ from aicg.montecarlo import (
     _chunk_rng,
 )
 from aicg.quadrature import bias_t3, bias_t3_value
-from aicg.selection import region_grid
+from aicg.selection import region_grid, simplex_lattice
 from aicg.estimators import EstimatorRule
 from aicg.special import norm_cdf
 
@@ -109,7 +109,7 @@ def test_criterion_04_monte_carlo_vs_analytic():
     n_ref = 1e6
     for variant in ("t1", "t3"):
         for i, mu in enumerate(GRID_11):
-            geo = GeometryParams.from_phi0(phi_from_mu0y(mu, n_ref), n_ref)
+            geo = GeometryParams(phi_from_mu0y(mu, n_ref), n_ref)
             if variant == "t1":
                 model, cone = t1_model(1), cone_of(t1_model(1))
                 analytic = bias_t1(mu).value
@@ -127,7 +127,7 @@ def test_criterion_04_monte_carlo_vs_analytic():
 
 def test_criterion_05_pointwise_nonnegativity():
     t0 = time.perf_counter()
-    geo = GeometryParams.from_phi0(1.0, 10**6)
+    geo = GeometryParams(1.0, 10**6)
     cases = [
         (cone_of(t1_model(1)), TransformedPoint(0.0, 1.0)),
         (cone_of(t3_model(), geo), TransformedPoint(0.0, 0.0)),
@@ -138,7 +138,7 @@ def test_criterion_05_pointwise_nonnegativity():
     worst = 0.0
     for i, (cone, mu0) in enumerate(cases):
         est = mc_bias_gaussian(cone, mu0, McSettings(55_000 + i, 10**6))
-        worst = min(worst, est.settings["min_draw"])
+        worst = min(worst, est.min_draw)
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-12 and elapsed < 60.0
     report(5, ok, f"min draw over 5 models x 1e6 draws = {worst:.3e}", elapsed)
@@ -155,7 +155,7 @@ def test_criterion_06_finite_n_target():
         model = t1_model(1) if variant == "t1" else t3_model()
         for i, mu in enumerate(GRID_11):
             phi0 = phi_from_mu0y(mu, n)
-            geo = GeometryParams.from_phi0(phi0, n)
+            geo = GeometryParams(phi0, n)
             analytic = bias_t1(mu).value if variant == "t1" \
                 else bias_t3_value(mu, geo.alpha0)
             cases.append((model, theta_on_line(phi0, 1), analytic, 31_000 + i))
@@ -246,19 +246,19 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
 def test_criterion_11_region_grid_properties():
     t0 = time.perf_counter()
     rule = EstimatorRule("plugin")
-    grid_a = region_grid([t1_model(1), polytomy_model()], 200, 200, rule)
-    lookup_a = dict(zip(grid_a.points, grid_a.winners))
-    swap_ok = all(lookup_a[(i, j, k)] == lookup_a[(i, k, j)] for (i, j, k) in grid_a.points)
+    points = simplex_lattice(200)
+    winners_a = region_grid([t1_model(1), polytomy_model()], 200, 200, rule)
+    lookup_a = dict(zip(points, winners_a))
+    swap_ok = all(lookup_a[(i, j, k)] == lookup_a[(i, k, j)] for (i, j, k) in points)
     probes_a = lookup_a[(67, 67, 66)] == "polytomy" and lookup_a[(120, 40, 40)] == "t1:1"
-    component = winning_component(grid_a, "polytomy", (67, 67, 66))
-    connected = len(component) == sum(1 for w in grid_a.winners if w == "polytomy")
+    component = winning_component(lookup_a, "polytomy", (67, 67, 66))
+    connected = len(component) == sum(1 for w in winners_a if w == "polytomy")
 
-    grid_b = region_grid([t3_model(), unconstrained_model()], 200, 200, rule)
-    lookup_b = dict(zip(grid_b.points, grid_b.winners))
+    lookup_b = dict(zip(points, region_grid([t3_model(), unconstrained_model()], 200, 200, rule)))
     perms = [(0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
     perm_ok = all(
         lookup_b[p] == lookup_b[(p[perm[0]], p[perm[1]], p[perm[2]])]
-        for p in grid_b.points for perm in perms)
+        for p in points for perm in perms)
     probes_b = (lookup_b[(100, 50, 50)] == "t3"
                 and lookup_b[(90, 90, 20)] == "unconstrained")
     elapsed = time.perf_counter() - t0

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import aicg
-from aicg.cli import main, parse_angle, parse_grid, fmt_float
-from aicg.geometry import angles_from_phi0, phi_from_mu0y
+from aicg.cli import main, parse_grid, fmt_float
+from aicg.geometry import DomainError, alpha_from_phi0, phi_from_mu0y
+from aicg.models import parse_angle
 
 from oracles import ray_cone_bias_dblquad
 
@@ -125,7 +127,7 @@ class TestBiasCommand:
         assert code == 0 and capsys.readouterr().err == ""
         fields = text.splitlines()[1].split(",")
         assert fields[2] == "closed-form"
-        alpha0, _ = angles_from_phi0(phi_from_mu0y(1.0, 1e6))
+        alpha0 = alpha_from_phi0(phi_from_mu0y(1.0, 1e6))
         want = ray_cone_bias_dblquad((0.0, 1.0), (0.5 * math.pi, math.pi + alpha0,
                                                   2.0 * math.pi - alpha0))
         assert abs(float(fields[3]) - want) <= 1e-13
@@ -208,9 +210,33 @@ class TestBiasCommand:
                 "--samples", "1000", "--seed", "1"]
         assert run_cli([*base, *extra], tmp_path, "mc.csv") == \
             run_cli(base, tmp_path, "mc0.csv")
-        counts = ["bias", "--model", "t1", "--counts", "60,20,20", "--method", "uo"]
-        assert run_cli([*counts, *extra], tmp_path, "c.csv")[1].rsplit(",", 1)[1] != \
-            run_cli(counts, tmp_path, "c0.csv")[1].rsplit(",", 1)[1]
+        # each option moves the hash of a --counts run whose method reads it
+        for option, method in [("--radius", "uo"), ("--eta-exponent", "consistent")]:
+            if option in extra:
+                counts = ["bias", "--model", "t1", "--counts", "60,20,20", "--method", method]
+                assert run_cli([*counts, *extra], tmp_path, "c.csv")[1].rsplit(",", 1)[1] != \
+                    run_cli(counts, tmp_path, "c0.csv")[1].rsplit(",", 1)[1]
+
+    @pytest.mark.parametrize("method, extra, want", [
+        (None, ["--radius", "3"], "729d35980eaa"),
+        (None, ["--eta-exponent", "0.2"], "729d35980eaa"),
+        ("uo", ["--eta-exponent", "0.2"], "377a07fda4cb"),
+        ("minimax", ["--eta-exponent", "0.2"], None),
+        ("consistent", ["--radius", "3"], None),
+        ("bootstrap", ["--radius", "3"], None),
+        ("llf", ["--radius", "3", "--eta-exponent", "0.2"], None),
+    ])
+    def test_settings_hash_leaves_out_rule_options_the_method_does_not_read(
+            self, tmp_path, method, extra, want):
+        # with --counts, only uo and minimax read the radius and only
+        # consistent and bootstrap the rate
+        base = ["bias", "--model", "t1", "--counts", "60,20,20",
+                *(["--method", method] if method else [])]
+        got = run_cli([*base, *extra], tmp_path, "given.csv")
+        assert got[0] == 0
+        assert got == run_cli(base, tmp_path, "left_out.csv")
+        if want is not None:
+            assert got[1].rstrip().endswith("," + want)
 
     @pytest.mark.parametrize("model, where", [
         ("t3", ["--mu0y", "1e17", "--n", str(10**23)]),
@@ -430,8 +456,8 @@ class TestRegionsCommand:
         def winners(text):
             return tuple(line.split(",")[3] for line in text.splitlines()[1:])
         models = [t3_model(), unconstrained_model()]
-        want = region_grid(models, 200, 50, EstimatorRule("consistent", eta_exponent=0.1)).winners
-        assert want != region_grid(models, 200, 50, EstimatorRule("consistent")).winners
+        want = region_grid(models, 200, 50, EstimatorRule("consistent", eta_exponent=0.1))
+        assert want != region_grid(models, 200, 50, EstimatorRule("consistent"))
         code, text = run_cli([*base, "--eta-exponent", "0.1"], tmp_path, "flag.csv")
         assert code == 0 and winners(text) == want
         cfg = tmp_path / "cfg.json"
@@ -783,6 +809,58 @@ class TestEdgeInputsExit2:
         assert by_id[0] == 0
         assert by_id[1].splitlines()[1].split(",")[:-1] == \
             by_flag[1].splitlines()[1].split(",")[:-1]
+
+
+def _capped_cli(args):
+    """One CLI run in a fresh interpreter capped at 1 GiB of address space,
+    so that a grid built past its bound ends in a MemoryError at once
+    instead of loading the machine.  One BLAS thread keeps numpy's own
+    address space small on any core count."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    src = str(Path(aicg.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "aicg.cli", *args], capture_output=True,
+                          text=True, preexec_fn=cap,
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                          timeout=300)
+
+
+class TestOversizedInputsExit2:
+    """A grid or lattice too large to hold is refused before it is built."""
+
+    def test_a_normal_run_fits_the_cap(self):
+        proc = _capped_cli(["target", "--model", "t1", "--n", "10", "--grid", "0:1:0.5",
+                            "--samples", "10", "--seed", "1"])
+        assert proc.returncode == 0 and proc.stderr == ""
+
+    @pytest.mark.parametrize("args, needle", [
+        (["target", "--model", "t1", "--n", "10", "--grid", "0:1:1e-9", "--samples", "10",
+          "--seed", "1"], "grid of 1000000000 points exceeds the 10000 allowed"),
+        (["radii", "--model", "t1", "--grid", "0:5:1e-7"],
+         "grid of 50000001 points exceeds the 10000 allowed"),
+        (["regions", "--n", "200", "--resolution", "100000", "--pair", "t1:1,polytomy"],
+         "resolution 100000 gives 5000149998 lattice points, above the 1000000 allowed"),
+        (["regions", "--n", "200", "--resolution", "1413", "--pair", "t1:1,polytomy"],
+         "resolution 1413 gives 1000402 lattice points"),
+    ], ids=["target-grid", "radii-grid", "regions-resolution", "regions-first-refused"])
+    def test_oversized_exit_2(self, args, needle):
+        proc = _capped_cli(args)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert needle in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_the_bounds_are_point_counts(self, tmp_path):
+        from aicg.montecarlo import _MAX_GRID_POINTS, grid_values
+        from aicg.selection import simplex_lattice
+        assert len(grid_values(0.0, _MAX_GRID_POINTS - 1.0, 1.0)) == _MAX_GRID_POINTS
+        with pytest.raises(DomainError, match="exceeds"):
+            grid_values(0.0, float(_MAX_GRID_POINTS), 1.0)
+        # the count that regions refuses is the lattice's size
+        for resolution in (50, 51):
+            code, text = run_cli(["regions", "--n", "200", "--resolution", str(resolution),
+                                  "--pair", "t1:1,polytomy"], tmp_path)
+            assert code == 0
+            assert len(text.splitlines()) - 1 == len(simplex_lattice(resolution)) == \
+                (resolution + 1) * (resolution + 2) // 2 - 3
 
 
 class TestOutputDiscipline:

@@ -16,7 +16,7 @@ from aicg.estimators import (
     uo_radius,
 )
 from aicg.geometry import (Counts, DomainError, GeometryParams, TransformedPoint,
-                           angles_from_phi0, mu0y, phi_from_mu0y)
+                           alpha_from_phi0, mu0y, phi_from_mu0y)
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.montecarlo import McSettings, _chunk_rng, curve_grid, standard_normals
 from aicg.quadrature import bias_ray_cone, bias_t3, bias_t3_batch
@@ -199,7 +199,7 @@ class TestLeastFavorable:
         # the least-favorable values against a 0.01-spaced scan over [0, 50]
         # with the cone geometry at the reference sample size
         mus = np.arange(0.0, 50.0 + 1e-9, 0.01)
-        alphas, _ = angles_from_phi0(phi_from_mu0y(mus, 1e6))
+        alphas = alpha_from_phi0(phi_from_mu0y(mus, 1e6))
         values = np.concatenate([bias_t3_batch(mus[k:k + 500], alphas[k:k + 500])
                                  for k in range(0, len(mus), 500)])
         assert least_favorable(t3_model(), "lower").value == pytest.approx(
@@ -398,7 +398,7 @@ class TestRadii:
         r, diag = minimax_radius(t3_model(), GRID, 1e6)
         assert set(diag) == {"sup_risk"}
         truth = np.array([bias_on_cone(t3_model(), m, a) for m, a in
-                          zip(GRID, angles_from_phi0(phi_from_mu0y(GRID, 1e6))[0])])
+                          zip(GRID, alpha_from_phi0(phi_from_mu0y(GRID, 1e6)))])
         e = expected_neighborhood_value(t3_model(), r, GRID)
         assert diag["sup_risk"] == pytest.approx(np.max((e - truth) ** 2), rel=1e-12)
 
@@ -550,7 +550,7 @@ class TestT3BiasTable:
     def test_table_reaches_past_every_draw(self):
         from aicg.montecarlo import _plugin_values, _t3_bias_table
         for mu in (0.0, 0.3, 2.5, 7.0):
-            geo = GeometryParams.from_phi0(phi_from_mu0y(mu, 1000), 1000)
+            geo = GeometryParams(phi_from_mu0y(mu, 1000), 1000)
             _t3_bias_table.cache_clear()
             # chunks whose draws reach mu0y + 4 or mu0y + 6 share the point's
             # own table
@@ -571,7 +571,7 @@ class TestT3BiasTable:
     def test_no_draws_build_no_table(self):
         # a consistent column whose chunk shrinks every draw asks for no bias
         from aicg.montecarlo import _plugin_values, _t3_bias_table
-        geo = GeometryParams.from_phi0(phi_from_mu0y(0.0, 1000), 1000)
+        geo = GeometryParams(phi_from_mu0y(0.0, 1000), 1000)
         _t3_bias_table.cache_clear()
         values = _plugin_values(t3_model(), np.zeros(0), np.zeros(0), geo)
         assert values.shape == (0,)

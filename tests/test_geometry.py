@@ -10,7 +10,7 @@ from aicg.geometry import (
     DomainError,
     GeometryParams,
     SimplexPoint,
-    angles_from_phi0,
+    alpha_from_phi0,
     mu0y,
     phi_from_mu0y,
     p1_from_phi,
@@ -86,6 +86,16 @@ class TestMu0y:
         with pytest.raises(DomainError):
             mu0y(-0.5, 10)
 
+    def test_elementwise_with_the_bits_of_the_scalar_formula(self):
+        phis = np.linspace(0.01, 1.0, 60)
+        mus = mu0y(phis, 123)
+        want = [math.sqrt(2.0 * 123) * (1.0 - p) / math.sqrt(p * (3.0 - 2.0 * p))
+                for p in phis.tolist()]
+        assert list(mus) == want == [mu0y(p, 123) for p in phis.tolist()]
+        assert isinstance(mu0y(0.5, 123), float)
+        with pytest.raises(DomainError):
+            mu0y(np.array([0.5, 0.0]), 10)
+
     def test_inverse(self):
         for phi in [0.05, 0.4, 0.9, 1.0]:
             mu = mu0y(phi, 777)
@@ -137,26 +147,18 @@ class TestMu0y:
 
 class TestAngles:
     def test_symmetric_case(self):
-        a0, b0 = angles_from_phi0(1.0)
-        assert a0 == pytest.approx(math.pi / 6.0, abs=1e-15)
-        assert b0 == pytest.approx(math.pi / 6.0, abs=1e-15)
+        assert alpha_from_phi0(1.0) == pytest.approx(math.pi / 6.0, abs=1e-15)
 
     def test_small_phi_limit(self):
-        a0, _ = angles_from_phi0(1e-12)
-        assert a0 == pytest.approx(math.atan(1.0 / 3.0), abs=1e-9)
-
-    def test_beta_identity_grid(self):
-        for phi in np.linspace(0.01, 1.0, 60):
-            a0, b0 = angles_from_phi0(phi)
-            assert 2.0 * b0 + a0 == pytest.approx(math.pi / 2.0, abs=1e-14)
+        assert alpha_from_phi0(1e-12) == pytest.approx(math.atan(1.0 / 3.0), abs=1e-9)
 
     def test_elementwise_over_arrays(self):
         phis = np.linspace(0.01, 1.0, 60)
-        alphas, betas = angles_from_phi0(phis)
-        assert list(alphas) == [angles_from_phi0(float(p))[0] for p in phis]
-        assert list(betas) == [angles_from_phi0(float(p))[1] for p in phis]
+        alphas = alpha_from_phi0(phis)
+        assert list(alphas) == [alpha_from_phi0(float(p)) for p in phis]
+        assert isinstance(alpha_from_phi0(0.5), float)
         with pytest.raises(DomainError):
-            angles_from_phi0(np.array([0.5, 0.0]))
+            alpha_from_phi0(np.array([0.5, 0.0]))
 
 
 class TestFisherInformation:
@@ -227,10 +229,9 @@ class TestTransformMap:
             img3 = tmap.matrix @ np.array([-1.0, -1.0])  # line toward vertex 3
             ang2 = math.atan2(img2[1], img2[0]) % (2 * math.pi)
             ang3 = math.atan2(img3[1], img3[0]) % (2 * math.pi)
-            a0, b0 = angles_from_phi0(phi)
+            a0 = alpha_from_phi0(phi)
             assert ang2 - math.pi == pytest.approx(a0, abs=1e-9)
             assert 2 * math.pi - ang3 == pytest.approx(a0, abs=1e-9)
-            assert 0.5 * (math.pi / 2.0 - (ang2 - math.pi)) == pytest.approx(b0, abs=1e-9)
 
     def test_rejects_on_face(self):
         with pytest.raises(DomainError):
@@ -249,13 +250,13 @@ class TestMahalanobis:
 
 class TestGeometryParams:
     def test_from_phi0_consistent(self):
-        g = GeometryParams.from_phi0(0.8, 200)
-        assert g.beta0 == pytest.approx(0.5 * (math.pi / 2 - g.alpha0), abs=1e-15)
-        assert g.mu0y == pytest.approx(mu0y(0.8, 200), abs=1e-15)
+        g = GeometryParams(0.8, 200)
+        assert (g.phi0, g.mu0y, g.alpha0) == (0.8, mu0y(0.8, 200), alpha_from_phi0(0.8))
 
-    def test_inconsistent_rejected(self):
-        with pytest.raises(DomainError):
-            GeometryParams(phi0=0.8, mu0y=1.0, alpha0=0.4, beta0=0.1, n=100)
+    def test_rejects_phi0_outside_the_line(self):
+        for phi0, n in [(0.0, 10), (1.5, 10), (0.5, 0.5)]:
+            with pytest.raises(DomainError):
+                GeometryParams(phi0, n)
 
 
 @given(st.floats(min_value=1.0 / 3.0, max_value=0.999999))

@@ -63,7 +63,7 @@ def sub_block_normals(settings):
 def rule_draw_values(model, rule, n, mu, settings):
     """rule_values at the draws z = (0, mu) + e of a curve's rule columns, as
     curve_grid forms them: one list per chunk of one array per sub-block."""
-    geo = GeometryParams.from_phi0(float(phi_from_mu0y(np.array([mu]), n)[0]), n)
+    geo = GeometryParams(float(phi_from_mu0y(np.array([mu]), n)[0]), n)
     cone = cone_of(model, geo)
 
     def values(e):
@@ -96,7 +96,7 @@ class TestSettings:
 
     def test_curve_point_validation(self):
         with pytest.raises(DomainError):
-            CurvePoint(0.0, 1.0, -1e-3, 100)
+            CurvePoint(0.0, 1.0, -1e-3)
 
 
 class TestSampling:
@@ -158,11 +158,11 @@ class TestMcBiasGaussian:
                              McSettings(1, 100))
 
     def test_pointwise_nonnegative(self):
-        geo = GeometryParams.from_phi0(0.8, 100)
+        geo = GeometryParams(0.8, 100)
         for cone, mu0 in [(cone_of(t1_model(1)), TransformedPoint(0, 1.5)),
                           (cone_of(t3_model(), geo), TransformedPoint(0, geo.mu0y))]:
             est = mc_bias_gaussian(cone, mu0, McSettings(3, 100_000))
-            assert est.settings["min_draw"] >= -1e-12
+            assert est.min_draw >= -1e-12
 
 
 class TestDeterminism:
@@ -610,12 +610,12 @@ class TestCurveGrid:
                                                 settings.samples)
                     assert (pt.estimate, pt.std_error) == (mean, se), (model.model_id, mu)
 
-        cone, center = cone_of(t3_model(), GeometryParams.from_phi0(0.9, n)), np.array([0.0, 1.0])
+        cone, center = cone_of(t3_model(), GeometryParams(0.9, n)), np.array([0.0, 1.0])
         est = mc_bias_gaussian(cone, TransformedPoint(0.0, 1.0), settings)
         chunks = [[2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)
                    for z in (center + e for e in blocks)] for blocks in sub_block_normals(settings)]
         mean, se, lowest = merged_column(chunks, settings.samples)
-        assert (est.value, est.std_error, est.settings["min_draw"]) == (mean, se, lowest)
+        assert (est.value, est.std_error, est.min_draw) == (mean, se, lowest)
 
     @pytest.mark.parametrize("model", [t1_model(1), t3_model(), polytomy_model(),
                                        unconstrained_model()], ids=lambda m: m.model_id)

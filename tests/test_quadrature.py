@@ -89,10 +89,10 @@ class TestBiasT3:
         assert value == pytest.approx(ray_cone_bias_dblquad((0.0, 1.0), T3_RAYS), abs=1e-13)
 
     def test_metadata_records_truncation(self):
-        # a closed form: the metadata is the point, with no window or tail
+        # a closed form, with no window, tail or standard error
         est = bias_t3(0.5, math.pi / 6)
-        assert est.method == "closed-form"
-        assert est.settings == {"model": "t3", "mu0y": 0.5, "alpha0": math.pi / 6}
+        assert est.method == "closed-form" and est.std_error is None
+        assert est.value == bias_t3_batch(0.5, math.pi / 6)[0]
 
     def test_far_singularity_reaches_regular_value(self):
         # every jump term is positive and vanishes far out, where the value

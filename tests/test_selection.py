@@ -6,15 +6,14 @@ from hypothesis import given, strategies as st
 
 from aicg.estimators import EstimatorRule
 from aicg.geometry import Counts, DomainError
-from aicg.models import (mle_rows, polytomy_model, t1_model, t3_model, unconstrained_model,
-                         validate_halflines)
+from aicg.models import (mle_rows, parse_model_id, polytomy_model, t1_model, t3_model,
+                         unconstrained_model, validate_halflines)
 from aicg.quadrature import bias_t3_batch
 from aicg.selection import (
     _TIE_TOL,
     _line_geometry,
     _rounded_counts,
     _winner_labels,
-    parse_model_id,
     region_grid,
     score,
     score_batch,
@@ -124,26 +123,26 @@ class TestLattice:
 
 class TestRegionGrid:
     def test_small_grid_all_labeled(self):
-        grid = region_grid([t1_model(1), polytomy_model()], 100, 2, PLUGIN)
-        assert len(grid.points) == 3
-        assert all(w in ("t1:1", "polytomy", "tie") for w in grid.winners)
+        winners = region_grid([t1_model(1), polytomy_model()], 100, 2, PLUGIN)
+        assert len(winners) == 3
+        assert all(w in ("t1:1", "polytomy", "tie") for w in winners)
 
     def test_probe_points_at_moderate_resolution(self):
-        grid = region_grid([t1_model(1), polytomy_model()], 60, 60, PLUGIN)
-        lookup = dict(zip(grid.points, grid.winners))
+        winners = region_grid([t1_model(1), polytomy_model()], 60, 60, PLUGIN)
+        lookup = dict(zip(simplex_lattice(60), winners))
         assert lookup[(20, 20, 20)] == "polytomy"
         assert lookup[(36, 12, 12)] == "t1:1"
 
     def test_swap_symmetry_small(self):
-        grid = region_grid([t1_model(1), polytomy_model()], 60, 60, PLUGIN)
-        lookup = dict(zip(grid.points, grid.winners))
-        assert all(lookup[(i, j, k)] == lookup[(i, k, j)] for (i, j, k) in grid.points)
+        points = simplex_lattice(60)
+        lookup = dict(zip(points, region_grid([t1_model(1), polytomy_model()], 60, 60, PLUGIN)))
+        assert all(lookup[(i, j, k)] == lookup[(i, k, j)] for (i, j, k) in points)
 
     def test_component_connectivity_helper(self):
-        grid = region_grid([t1_model(1), polytomy_model()], 60, 60, PLUGIN)
-        comp = winning_component(grid, "polytomy", (20, 20, 20))
+        winners = region_grid([t1_model(1), polytomy_model()], 60, 60, PLUGIN)
+        comp = winning_component(dict(zip(simplex_lattice(60), winners)), "polytomy", (20, 20, 20))
         assert (20, 20, 20) in comp
-        total = sum(1 for w in grid.winners if w == "polytomy")
+        total = sum(1 for w in winners if w == "polytomy")
         assert len(comp) == total
 
     def test_needs_two_models(self):
@@ -154,12 +153,12 @@ class TestRegionGrid:
     def test_t1_polytomy_matches_pointwise_oracle(self, n, res):
         # n = 10 rounds the points near the first vertex to (10, 0, 0), where
         # t1:1 has no plug-in value and polytomy wins alone
-        grid = region_grid([t1_model(1), polytomy_model()], n, res, PLUGIN)
+        winners = region_grid([t1_model(1), polytomy_model()], n, res, PLUGIN)
         counts = [largest_remainder_counts((i / res, j / res, k / res), n)
-                  for (i, j, k) in grid.points]
+                  for (i, j, k) in simplex_lattice(res)]
         if n == 10:
             assert (10, 0, 0) in counts
-        assert list(grid.winners) == [t1_polytomy_winner(c) for c in counts]
+        assert list(winners) == [t1_polytomy_winner(c) for c in counts]
         line, polytomy = score_batch([t1_model(1), polytomy_model()], counts, PLUGIN)
         for i, c in enumerate(counts):
             want_line, want_polytomy = t1_polytomy_scores(c)
@@ -175,22 +174,20 @@ class TestRegionGrid:
         # triples (10, 0, 0) leave t3 without a plug-in value
         t3_wins = {(9, 1, 0), (8, 1, 1), (7, 2, 1), (6, 3, 1), (6, 2, 2), (5, 3, 2),
                    (4, 4, 2), (4, 3, 3)}
-        grid = region_grid([t3_model(), unconstrained_model()], 10, 50, PLUGIN)
-        for (i, j, k), winner in zip(grid.points, grid.winners):
+        winners = region_grid([t3_model(), unconstrained_model()], 10, 50, PLUGIN)
+        for (i, j, k), winner in zip(simplex_lattice(50), winners):
             c = largest_remainder_counts((i / 50, j / 50, k / 50), 10)
             assert winner == ("t3" if tuple(sorted(c, reverse=True)) in t3_wins
                               else "unconstrained")
-        assert grid.winners.count("t3") == 831
+        assert winners.count("t3") == 831
 
     def test_error_cell_when_every_model_fails(self):
-        grid = region_grid(HALFLINES_PAIR, 10, 2, PLUGIN)
-        assert set(grid.winners) == {"error"}
+        assert set(region_grid(HALFLINES_PAIR, 10, 2, PLUGIN)) == {"error"}
 
     def test_equal_scores_are_a_tie(self):
         # each cell of the resolution-2 lattice swaps two lines into each
         # other, so the two t1 models on those lines score alike
-        grid = region_grid([t1_model(1), t1_model(2), t1_model(3)], 10, 2, PLUGIN)
-        assert set(grid.winners) == {"tie"}
+        assert set(region_grid([t1_model(1), t1_model(2), t1_model(3)], 10, 2, PLUGIN)) == {"tie"}
 
     @pytest.mark.parametrize("models", [[t1_model(1), polytomy_model(), t1_model(1)],
                                         [t1_model(1), polytomy_model(), parse_model_id("t1")]])
@@ -219,10 +216,10 @@ class TestWinnerLabels:
         (HALFLINES_PAIR, 10, 50),
     ])
     def test_region_grid_matches_loop_oracle(self, models, n, res):
-        grid = region_grid(models, n, res, PLUGIN)
-        counts = _rounded_counts(np.array(grid.points) / res, n)
+        counts = _rounded_counts(np.array(simplex_lattice(res)) / res, n)
         aicg = np.array([s.aicg for s in score_batch(models, counts, PLUGIN)])
-        assert grid.winners == region_winners_loop(aicg, grid.model_ids, _TIE_TOL)
+        ids = tuple(m.model_id for m in models)
+        assert region_grid(models, n, res, PLUGIN) == region_winners_loop(aicg, ids, _TIE_TOL)
 
     @pytest.mark.parametrize("shift", [1e-13, -1e-13])
     def test_ties_survive_last_bit_moves_of_t3_values(self, monkeypatch, shift):
@@ -239,16 +236,16 @@ class TestWinnerLabels:
                             lambda *args: exact(*args) + shift)
         after = region_grid(models, 200, 100, PLUGIN)
         moved = np.array([s.aicg for s in score_batch(models, counts, PLUGIN)])
-        assert after.winners == before.winners
-        assert before.winners.count("tie") > 583
+        assert after == before
+        assert before.count("tie") > 583
         # with exact equality as the tie rule, the same move changes cells
-        assert _winner_labels(moved, before.model_ids, 0.0) != \
-            _winner_labels(aicg, before.model_ids, 0.0)
+        ids = tuple(m.model_id for m in models)
+        assert _winner_labels(moved, ids, 0.0) != _winner_labels(aicg, ids, 0.0)
 
     def test_labels_cover_winner_tie_and_error(self):
         labels = set()
         for models in ([t1_model(1), t1_model(2), t1_model(3)], HALFLINES_PAIR):
-            labels |= set(region_grid(models, 10, 50, PLUGIN).winners)
+            labels |= set(region_grid(models, 10, 50, PLUGIN))
         assert labels == {"t1:1", "t1:2", "t1:3", "tie", "error"}
 
 

@@ -117,3 +117,55 @@ def test_the_scan_finds_a_dead_name(tmp_path):
         "## Library\n\n```python\nfrom pkg import by_readme\n```\n\n"
         "## Other\n\n```python\nfrom pkg import Dead\n```\n", encoding="utf-8")
     assert _dead_names(package, scripts, tmp_path / "README.md") == ["Dead", "dead"]
+
+
+def _attribute_loads(tree) -> set[str]:
+    """The attribute names a tree reads: x.name in a Load context."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_slots(package: Path, scripts: Path, readme: Path) -> list[str]:
+    """Class.field for each __slots__ field of the package's classes whose
+    name no attribute load reads: not in the package, not in a script, not
+    in README's Library examples.  A field that shares its name with one
+    that is read passes unseen."""
+    slots, loads = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                    slots += [(cls.name, field) for field in ast.literal_eval(stmt.value)]
+        loads |= _attribute_loads(tree)
+    for path in sorted(scripts.glob("*.py")):
+        loads |= _attribute_loads(ast.parse(path.read_text(encoding="utf-8")))
+    for block in _library_blocks(readme):
+        loads |= _attribute_loads(ast.parse(block))
+    return sorted(f"{cls}.{field}" for cls, field in slots if field not in loads)
+
+
+def test_every_slot_is_read():
+    # a record field that nothing reads is a second copy of a fact to keep in step
+    assert _unread_slots(PACKAGE, ROOT / "scripts", ROOT / "README.md") == []
+
+
+def test_the_scan_finds_an_unread_slot(tmp_path):
+    package, scripts = tmp_path / "pkg", tmp_path / "scripts"
+    package.mkdir()
+    scripts.mkdir()
+    (package / "a.py").write_text(
+        "class Point:\n"
+        "    __slots__ = ('x', 'y', 'written', 'by_script', 'by_readme')\n\n"
+        "    def __init__(self):\n"
+        "        self.written = 0\n\n"
+        "    def norm(self):\n"
+        "        return self.x\n\n"
+        "class Empty:\n    __slots__ = ()\n", encoding="utf-8")
+    (package / "b.py").write_text("def f(p):\n    return p.y\n", encoding="utf-8")
+    (scripts / "s.py").write_text("print(point.by_script)\n", encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "## Library\n\n```python\npoint.by_readme\n```\n\n"
+        "## Other\n\n```python\npoint.written\n```\n", encoding="utf-8")
+    assert _unread_slots(package, scripts, tmp_path / "README.md") == ["Point.written"]
