@@ -1,6 +1,9 @@
 """Generalized AIC bias corrections and model selection for trinomial models
 whose parameter spaces carry boundaries and singularities."""
 
+# before the imports: selection reads it while this package is still loading
+__version__ = "0.1.0"
+
 from .closedform import (
     BiasEstimate,
     bias_aic,
@@ -46,7 +49,6 @@ from .montecarlo import (
     CurvePoint,
     McSettings,
     curve_grid,
-    mc_bias_gaussian,
     mc_expected_estimators,
     mc_target_trinomial,
 )
@@ -61,5 +63,3 @@ from .selection import (
     score_batch,
     simplex_lattice,
 )
-
-__version__ = "0.1.0"

@@ -28,10 +28,9 @@ from typing import Any, Sequence
 from .closedform import BiasEstimate
 from .estimators import (DEFAULT_RADII, ETA_EXPONENT, EstimatorRule, InfeasibleError,
                          bias_on_cone, minimax_radius, uo_radius)
-from .geometry import Counts, DomainError, GeometryParams, TransformedPoint, phi_from_mu0y
-from .models import (HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, cone_of, parse_angle,
-                     parse_model_id)
-from .montecarlo import CurvePoint, McSettings, curve_grid, grid_values, mc_bias_gaussian
+from .geometry import Counts, DomainError, GeometryParams, phi_from_mu0y
+from .models import HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, parse_angle, parse_model_id
+from .montecarlo import CurvePoint, McSettings, curve_grid, grid_values
 from .selection import region_grid, score, score_batch, simplex_lattice
 
 USAGE_EXIT = 2
@@ -160,8 +159,7 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "config": {"help": "JSON config file; flags take precedence"},
     "out": {"help": "output path (default stdout)"},
     "seed": {"type": int},
-    "workers": {"type": int,
-                "help": "threads for target's --method columns and bias --method monte-carlo"},
+    "workers": {"type": int, "help": "threads for target's --method columns"},
     "angles": {"help": "half-lines ray angles, e.g. '2pi/3,4pi/3,2pi'"},
     "samples": {"type": int},
     "model": {"help": "t1[:topology] | t3 | polytomy | unconstrained | halflines"},
@@ -174,7 +172,7 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "grid": {"help": "start:stop:step over mu0y"},
     "resolution": {"type": int},
     "method": {"help": "estimator rule; for target a comma list of columns to add; "
-                         "with --mu0y or --phi0 only monte-carlo"},
+                         "bias takes it only with --counts"},
     "radius": {"type": finite_float},
     "eta_exponent": {"type": finite_float},
     "violation_tol": {"type": finite_float},
@@ -250,7 +248,6 @@ def cmd_bias(cfg: RunConfig) -> str:
     if sum(x is not None for x in (mu, phi0, counts_text)) != 1:
         raise UsageError("provide exactly one of --mu0y, --phi0 (with --n), --counts")
 
-    method = cfg.get("method")
     geo = None
     if phi0 is not None:
         geo = GeometryParams(phi0, cfg.require("n", "needed with --phi0"))
@@ -273,35 +270,31 @@ def cmd_bias(cfg: RunConfig) -> str:
 
     if mu < 0:
         raise UsageError("--mu0y must be nonnegative")
-    if method not in (None, "monte-carlo"):
+    method = cfg.get("method")
+    if method is not None:
         raise UsageError(f"--method {method!r} needs --counts; with --mu0y or --phi0 "
-                         "only monte-carlo is valid")
+                         "the bias is its closed form at that distance")
     n = cfg.get("n", REFERENCE_N)
     if n < 1:
         raise DomainError("sample size must be >= 1")
     if geo is None and model.variant == T3:
         # the t3 cone angle at the generating point, as on a target curve
         geo = GeometryParams(phi_from_mu0y(mu, n), n)
-    if method == "monte-carlo":
-        point = TransformedPoint(mu, 0.0) if model.variant == HALFLINES \
-            else TransformedPoint(0.0, mu)
-        est = mc_bias_gaussian(cone_of(model, geo), point, _mc_settings(cfg))
-    else:
-        # a half-lines generating point is (mu0y, 0), on the 2pi ray, as above
-        est = BiasEstimate(bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0),
-                           "closed-form")
+    # a half-lines generating point is (mu0y, 0), on the 2pi ray
+    est = BiasEstimate(bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0),
+                       "closed-form")
     return _bias_row(cfg, model, mu, est)
 
 
 def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) -> str:
-    # what the computation reads: not where the output goes or how many
-    # threads draw it, the seed and sample count only where it draws, the
-    # radius only where uo or minimax scores counts and the rate only where
-    # consistent or bootstrap does, the angles only where they are a bare
-    # halflines id's rays, and n only where it sets the distance (--phi0) or
-    # the t3 cone angle; --counts only checks n.  An option given at the
-    # value the run takes without it hashes as left out.
-    unread = {"out", "workers"} | ({"seed", "samples"} if est.method != "monte-carlo" else set())
+    # what the computation reads: not where the output goes, the threads or
+    # the seed (bias draws nothing), the radius only where uo or minimax
+    # scores counts and the rate only where consistent or bootstrap does,
+    # the angles only where they are a bare halflines id's rays, and n only
+    # where it sets the distance (--phi0) or the t3 cone angle; --counts only
+    # checks n.  An option given at the value the run takes without it
+    # hashes as left out.
+    unread = {"out", "workers", "seed"}
     scores_counts = cfg.get("counts") is not None
     method = cfg.get("method") if scores_counts else None
     if method not in ("uo", "minimax"):
@@ -420,8 +413,7 @@ _COMMON = ("config", "out", "seed", "workers", "angles")
 # subcommand: (its function, its help, the options it takes after _COMMON)
 _COMMANDS = {
     "bias": (cmd_bias, "one bias-correction value",
-             ("samples", "model", "mu0y", "phi0", "n", "counts", "method", "radius",
-              "eta_exponent")),
+             ("model", "mu0y", "phi0", "n", "counts", "method", "radius", "eta_exponent")),
     "target": (cmd_target, "curve of simulated target vs corrections",
                ("samples", "model", "n", "grid", "method", "radius", "eta_exponent")),
     "select": (cmd_select, "rank candidate models on observed counts",

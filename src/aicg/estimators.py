@@ -43,6 +43,9 @@ from .special import erf, norm_cdf
 
 _SQRT2 = math.sqrt(2.0)
 _FAR = 40.0
+# The most elements of a block of centers' Poisson pmfs in the radius CDF
+# (2 MB), so its working set does not grow with the grid.
+_PMF_BLOCK = 1 << 18
 # radius calibration scans [0, _R_MAX] spaced 0.05, then _R_STEP near its best
 _R_MAX = 6.0
 _R_STEP = 1e-3
@@ -197,7 +200,10 @@ def noncentral_radius_cdf(r, center_norm):
 def _poisson_mixture(r: np.ndarray, center_norm: np.ndarray, near: np.ndarray) -> np.ndarray:
     """The mixture at the True pairs of the (radius, center) mask near, in
     row-major order, over one window of indices k that holds the mass of
-    each near pair's Poisson(r^2 / 2) and Poisson(center_norm^2 / 2)."""
+    each near pair's Poisson(r^2 / 2) and Poisson(center_norm^2 / 2).  The
+    centers' pmfs are formed a block of _PMF_BLOCK elements at a time, each
+    row normalised over the whole window, so its values do not depend on the
+    block."""
     rows, cols = np.any(near, axis=1), np.any(near, axis=0)
     x = 0.5 * r[rows] * r[rows]
     half_lam = 0.5 * center_norm[cols] ** 2
@@ -214,7 +220,10 @@ def _poisson_mixture(r: np.ndarray, center_norm: np.ndarray, near: np.ndarray) -
     # relative accuracy
     tail = np.cumsum(pois_x[:, ::-1], axis=1)[:, ::-1]
     chi_cdf = np.concatenate([tail[:, 1:], np.zeros((len(x), 1))], axis=1)
-    mix = chi_cdf @ _poisson_pmf(half_lam, k, log_fact).T
+    mix = np.empty((len(x), len(half_lam)))
+    step = max(1, _PMF_BLOCK // len(k))
+    for j in range(0, len(half_lam), step):
+        mix[:, j:j + step] = chi_cdf @ _poisson_pmf(half_lam[j:j + step], k, log_fact).T
     return np.clip(mix[near[rows][:, cols]], 0.0, 1.0)
 
 

@@ -1,4 +1,4 @@
-"""Candidate models, constrained MLEs on the simplex, and cone projection.
+"""Candidate models, constrained MLEs on the simplex, and cone-projection distances.
 
 Five model families: a single fixed topology line (t1:1, t1:2, t1:3), the
 union of all three lines (t3), the centroid point model (polytomy), the full
@@ -201,7 +201,8 @@ def neg2loglik_rows(counts, theta) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(counts > 0, counts * np.log(theta), 0.0)
-    return -2.0 * terms.sum(axis=1)
+    # + 0.0: a row whose counts all sit where p_i = 1 sums to 0.0, and -2.0 * 0.0 is -0.0
+    return -2.0 * terms.sum(axis=1) + 0.0
 
 
 class Cone(Record):
@@ -245,35 +246,16 @@ def t3_cone(alpha0: float) -> Cone:
     return Cone("rays", (0.5 * math.pi, math.pi + alpha0, TWO_PI - alpha0))
 
 
-def project_points(cone: Cone, points: np.ndarray) -> np.ndarray:
-    """Euclidean projection of an (N, 2) array onto the cone, vectorized.
-
-    Per ray with unit direction d the candidate is max(0, w.d) d; the
-    winning candidate minimizes the distance, ties going to the smallest
-    ray angle.  A point cone projects to the origin, the plane to itself.
-    """
-    pts = np.asarray(points, dtype=float)
-    if cone.kind == "point":
-        return np.zeros_like(pts)
-    if cone.kind == "plane":
-        return pts.copy()
-    dirs = cone.directions()  # sorted by angle, so argmin tie-break is by angle
-    t = np.clip(pts @ dirs.T, 0.0, None)
-    if len(dirs) == 1:  # the t1 cone: nothing to choose between
-        return t * dirs[0]
-    # ||w - t d||^2 = ||w||^2 - t^2 once t is the clipped inner product
-    best = np.argmin(-t * t, axis=1)
-    return t[np.arange(len(pts)), best, None] * dirs[best]
-
-
 def projected_distances(cone: Cone, points: np.ndarray) -> np.ndarray:
-    """||project_points(cone, points)|| per row, without forming the projection.
+    """The distance from the origin of each row's Euclidean projection onto
+    the cone, for an (N, 2) array, without forming the projection.
 
-    For a ray cone the winning candidate has the largest clipped inner
-    product t (||w - t d||^2 = ||w||^2 - t^2), and its norm is t itself, so
-    the distance is max(0, max_k w.d_k).  The inner products are formed
-    elementwise, not by a BLAS product, so each row's bits are its own.  A
-    point cone gives 0, the plane ||w||.
+    Per ray with unit direction d the candidate is t d, t = max(0, w.d), and
+    the projection is the candidate nearest w.  As ||w - t d||^2 =
+    ||w||^2 - t^2, that is the one with the largest t, and its norm is t
+    itself, so the distance is max(0, max_k w.d_k).  The inner products are
+    formed elementwise, not by a BLAS product, so each row's bits are its
+    own.  A point cone gives 0, the plane ||w||.
     """
     pts = np.asarray(points, dtype=float)
     if cone.kind == "point":

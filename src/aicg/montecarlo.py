@@ -49,8 +49,8 @@ from .geometry import (
     theta_on_line,
 )
 from .estimators import EstimatorRule, bias_on_cone, rule_constant, rule_values
-from .models import (T1, T3, Cone, ModelSpec, cone_of, mle_rows, project_points,
-                     projected_distances, theta_in_model)
+from .models import (T1, T3, Cone, ModelSpec, cone_of, mle_rows, projected_distances,
+                     theta_in_model)
 from .quadrature import bias_t3_batch
 
 
@@ -298,24 +298,10 @@ def mc_expected_estimators(
             for _, _, evaluators in points]
 
 
-def mc_bias_gaussian(cone: Cone, mu0: TransformedPoint,
-                     settings: McSettings) -> BiasEstimate:
-    """Bias correction 2 E{(z - mu0).(P z - mu0)}, z ~ N(mu0, I), for P the
-    projection onto the cone: the one-point case of mc_expected_estimators
-    with that statistic per draw."""
-    center = mu0.as_array()
-    if float(np.linalg.norm(project_points(cone, center[None])[0] - center)) > 1e-9:
-        raise DomainError("mu0 must lie on the cone")
-
-    def statistic(z, dist):
-        return 2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)
-    return mc_expected_estimators([(cone, mu0, [statistic])], settings)[0][0]
-
-
-# The most points of a grid.  radii holds one noncentral-CDF value per scanned
-# radius and grid point, over a Poisson window that widens with mu0y: on a
-# 2-core x86_64 VM, radii --model t3 --grid 0:50:5e-3 (10,001 points) peaked
-# at 363 MB resident and 0:50:1e-3 (50,001 points) at 1.66 GB.
+# The most points of a grid.  radii calibration holds a few arrays of one
+# value per scanned radius (121) and grid point at once, about 4 KB a point:
+# on a 2-core x86_64 VM, t3 radii on 10,001 points of 0:50 peaked at 74 MB
+# resident and on 50,001 points at 226 MB.
 _MAX_GRID_POINTS = 10_000
 
 

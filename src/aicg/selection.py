@@ -11,11 +11,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from . import __version__
 from .estimators import EstimatorRule, rule_values
 from .geometry import Counts, DomainError, Record, alpha_from_phi0, mu0y, require_distinct
 from .models import ModelSpec, mle_rows, neg2loglik_rows
 
-_VERSION = "0.1.0"
 # region_grid's generalized scores within this of the least one are a tie.
 _TIE_TOL = 1e-8
 
@@ -167,7 +167,7 @@ def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule) -> S
     rows.sort(key=lambda r: (r.rank_aicg is None, r.rank_aicg or 0, r.model_id))
     meta = {
         "n": counts.n, "estimator": rule.method,
-        "radius": rule.radius, "version": _VERSION,
+        "radius": rule.radius, "version": __version__,
         "note": "multinomial coefficient dropped from -2 log L",
     }
     return SelectionReport(tuple(rows), meta)

@@ -18,7 +18,8 @@ import numpy as np
 from aicg.closedform import BiasEstimate, singularity_bias
 from aicg.estimators import bias_on_cone, consistent_radius
 from aicg.geometry import CENTROID, DomainError, GeometryParams, SimplexPoint, TransformedPoint
-from aicg.models import cone_of, mle_rows, project_points
+from aicg.models import cone_of, mle_rows
+from aicg.montecarlo import McSettings, mc_expected_estimators
 from aicg.selection import _rounded_counts
 
 
@@ -306,6 +307,44 @@ def project_bruteforce(angles: tuple[float, ...], w: np.ndarray,
     return best
 
 
+def project_points(cone, points: np.ndarray) -> np.ndarray:
+    """Euclidean projection of an (N, 2) array onto the cone, vectorized.
+
+    Per ray with unit direction d the candidate is max(0, w.d) d; the
+    winning candidate minimizes the distance, ties going to the smallest
+    ray angle.  A point cone projects to the origin, the plane to itself.
+    The reference for models.projected_distances, which forms only the
+    projection's norm.
+    """
+    pts = np.asarray(points, dtype=float)
+    if cone.kind == "point":
+        return np.zeros_like(pts)
+    if cone.kind == "plane":
+        return pts.copy()
+    dirs = cone.directions()  # sorted by angle, so argmin tie-break is by angle
+    t = np.clip(pts @ dirs.T, 0.0, None)
+    if len(dirs) == 1:  # the t1 cone: nothing to choose between
+        return t * dirs[0]
+    # ||w - t d||^2 = ||w||^2 - t^2 once t is the clipped inner product
+    best = np.argmin(-t * t, axis=1)
+    return t[np.arange(len(pts)), best, None] * dirs[best]
+
+
+def mc_bias_gaussian(cone, mu0: TransformedPoint, settings: McSettings) -> BiasEstimate:
+    """Bias correction 2 E{(z - mu0).(P z - mu0)}, z ~ N(mu0, I), for P the
+    projection onto the cone, by Monte Carlo: the one-point case of
+    montecarlo.mc_expected_estimators with that statistic per draw.  The
+    sampled reference for the closed forms, and for their pointwise
+    nonnegativity through min_draw."""
+    center = mu0.as_array()
+    if float(np.linalg.norm(project_points(cone, center[None])[0] - center)) > 1e-9:
+        raise DomainError("mu0 must lie on the cone")
+
+    def statistic(z, _dist):
+        return 2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)
+    return mc_expected_estimators([(cone, mu0, [statistic])], settings)[0][0]
+
+
 def gauss_hermite_expectation(f, mu: float, n_nodes: int = 200) -> float:
     """E f(Y) for Y ~ N(mu, 1) by Gauss-Hermite quadrature."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
@@ -465,7 +504,6 @@ def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_expo
     without a line center at the origin.  Returns the BiasEstimate: the
     Monte Carlo reference for score_batch's exact bootstrap values."""
     from aicg.models import T1, T3
-    from aicg.montecarlo import McSettings, mc_bias_gaussian
     geo, center = None, TransformedPoint(0.0, 0.0)
     if model.variant in (T1, T3):
         geo, _, _ = line_observation(model, counts)

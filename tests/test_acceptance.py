@@ -32,7 +32,6 @@ from aicg.models import (
 )
 from aicg.montecarlo import (
     McSettings,
-    mc_bias_gaussian,
     mc_target_trinomial,
     standard_normals,
     _chunk_rng,
@@ -42,8 +41,8 @@ from aicg.selection import region_grid, simplex_lattice
 from aicg.estimators import EstimatorRule
 from aicg.special import norm_cdf
 
-from oracles import (consistent_estimate, erf_decimal, trinomial_target_exact,
-                     winning_component)
+from oracles import (consistent_estimate, erf_decimal, mc_bias_gaussian,
+                     trinomial_target_exact, winning_component)
 
 TWO_PI = 2.0 * math.pi
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
@@ -216,8 +215,8 @@ def test_criterion_09_consistent_estimation():
 def test_criterion_10_byte_identical_reruns(tmp_path):
     t0 = time.perf_counter()
     cases = [
-        ("bias-mc", ["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo",
-                     "--samples", "200000", "--seed", "12"]),
+        ("target-plugin", ["target", "--model", "t1", "--n", "500", "--grid", "0:1:0.5",
+                           "--samples", "200000", "--seed", "12", "--method", "plugin"]),
         ("target", ["target", "--model", "t3", "--n", "500", "--grid", "0:1:0.5",
                     "--samples", "50000", "--seed", "12"]),
         ("select-boot", ["select", "--counts", "40,30,30", "--models", "t1:1,polytomy",

@@ -12,10 +12,11 @@ import pytest
 
 import aicg
 from aicg.cli import main, parse_grid, fmt_float
-from aicg.geometry import DomainError, alpha_from_phi0, phi_from_mu0y
-from aicg.models import parse_angle
+from aicg.geometry import DomainError, TransformedPoint, alpha_from_phi0, phi_from_mu0y
+from aicg.models import cone_of, parse_angle, parse_model_id
+from aicg.montecarlo import McSettings
 
-from oracles import ray_cone_bias_dblquad
+from oracles import mc_bias_gaussian, ray_cone_bias_dblquad
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -63,11 +64,10 @@ class TestBiasCommand:
         assert code == 0
         fields = text.splitlines()[1].split(",")
         assert fields[-4] == "closed-form"
-        code, mc_text = run_cli([*base, "1", "--method", "monte-carlo", "--samples", "1000000",
-                                 "--seed", "7"], tmp_path, "mc.csv")
-        assert code == 0
-        mc = mc_text.splitlines()[1].split(",")
-        assert abs(float(fields[-3]) - float(mc[-3])) <= 4.0 * float(mc[-2])
+        # the generating point (1, 0), on the 2pi ray
+        mc = mc_bias_gaussian(cone_of(parse_model_id("halflines:2.8,4.5,2pi")),
+                              TransformedPoint(1.0, 0.0), McSettings(7, 10**6))
+        assert abs(float(fields[-3]) - mc.value) <= 4.0 * mc.std_error
         # the origin keeps the closed form's bytes
         code, text = run_cli([*base, "0"], tmp_path, "origin.csv")
         assert code == 0
@@ -105,8 +105,7 @@ class TestBiasCommand:
     @pytest.mark.parametrize("method", ["aic", "llf", "ulf", "uo", "minimax", "consistent",
                                         "bootstrap"])
     def test_counts_report_observed_distance(self, tmp_path, method):
-        base = ["bias", "--model", "t1", "--counts", "60,20,20", "--seed", "1",
-                "--samples", "200"]
+        base = ["bias", "--model", "t1", "--counts", "60,20,20", "--seed", "1"]
         _, plugin = run_cli([*base, "--method", "plugin"], tmp_path, "plugin.csv")
         code, text = run_cli([*base, "--method", method], tmp_path, f"{method}.csv")
         assert code == 0
@@ -133,12 +132,12 @@ class TestBiasCommand:
         assert abs(float(fields[3]) - want) <= 1e-13
 
     @pytest.mark.parametrize("extra", [[], ["--workers", "1"], ["--workers", "2"],
-                                       ["--seed", "3"], ["--samples", "5"], ["--angles", "2pi"],
-                                       ["--n", "100"]])
+                                       ["--seed", "3"], ["--seed", "3", "--workers", "2"],
+                                       ["--angles", "2pi"], ["--n", "100"]])
     def test_settings_hash_leaves_out_unread_options(self, tmp_path, extra):
-        # workers never change a value; seed and samples only a Monte Carlo
-        # one; angles only a bare halflines id's; n only a --phi0 distance or
-        # a t3 cone angle, and --counts only checks it against their total
+        # bias draws nothing, so neither workers nor the seed change a value;
+        # angles only a bare halflines id's; n only a --phi0 distance or a t3
+        # cone angle, and --counts only checks it against their total
         code, text = run_cli(["bias", "--model", "t1", "--mu0y", "1", *extra], tmp_path)
         assert code == 0
         assert text.rstrip().endswith(",c32a2b65509c")
@@ -176,27 +175,15 @@ class TestBiasCommand:
         for where in (["--model", "t1", "--phi0", "0.5"], ["--model", "t3", "--mu0y", "1"]):
             assert settings_hash(*where, "--n", "50") != settings_hash(*where, "--n", "60")
 
-    def test_settings_hash_keeps_the_monte_carlo_seed(self, tmp_path):
-        base = ["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo",
-                "--samples", "1000"]
-        rows = [run_cli([*base, *extra], tmp_path, f"mc{k}.csv")[1].splitlines()[1]
-                for k, extra in enumerate([["--seed", "1"], ["--seed", "1", "--workers", "2"],
-                                           ["--seed", "2"]])]
-        assert rows[0] == rows[1]
-        assert rows[0].rsplit(",", 1)[1] != rows[2].rsplit(",", 1)[1]
-
-    def test_monte_carlo_requires_seed(self, tmp_path):
-        code, _ = run_cli(["bias", "--model", "t1", "--mu0y", "1",
-                           "--method", "monte-carlo", "--samples", "1000"], tmp_path)
-        assert code == 2
-
     @pytest.mark.parametrize("where", [["--mu0y", "1"], ["--phi0", "0.5", "--n", "30"]])
-    @pytest.mark.parametrize("method", ["bogus", "uo", "plugin", "bootstrap"])
+    @pytest.mark.parametrize("method", ["bogus", "uo", "plugin", "bootstrap", "monte-carlo"])
     def test_method_without_counts_exit_2(self, tmp_path, capsys, where, method):
-        # a distance has one bias; only monte-carlo chooses how to compute it
+        # a distance has one bias, its closed form, so no method chooses how
+        # to compute it: not even monte-carlo, which only estimated it again
         code, text = run_cli(["bias", "--model", "t1", *where, "--method", method], tmp_path)
         assert code == 2 and text == ""
-        assert f"--method '{method}' needs --counts" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--method '{method}' needs --counts" in err and "closed form" in err
 
     @pytest.mark.parametrize("extra", [["--radius", "3"], ["--eta-exponent", "0.2"],
                                        ["--radius", "3", "--eta-exponent", "0.2"],
@@ -206,10 +193,6 @@ class TestBiasCommand:
         code, text = run_cli(["bias", "--model", "t1", "--mu0y", "1", *extra], tmp_path)
         assert code == 0
         assert text.rstrip().endswith(",c32a2b65509c")
-        base = ["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo",
-                "--samples", "1000", "--seed", "1"]
-        assert run_cli([*base, *extra], tmp_path, "mc.csv") == \
-            run_cli(base, tmp_path, "mc0.csv")
         # each option moves the hash of a --counts run whose method reads it
         for option, method in [("--radius", "uo"), ("--eta-exponent", "consistent")]:
             if option in extra:
@@ -385,6 +368,23 @@ class TestSelectCommand:
         assert [(r[0], r[2], r[6], r[8]) for r in rows] == [
             ("polytomy", "plug-in", "1", ""), ("t1:1", "plug-in", "2", ""),
             ("t3", "", "", "p1=1.0 outside [1/3, 1)")]
+
+    @pytest.mark.parametrize("counts", ["0,0,5", "5,0,0", "1,0,0"])
+    def test_no_negative_zero(self, tmp_path, counts):
+        # the unconstrained fit at a vertex has -2 log L = -2 * 0.0, which
+        # once printed as -0 in CSV and -0.0 in JSON
+        base = ["select", "--counts", counts, "--models", "t3,polytomy,unconstrained,t1:3"]
+        code, text = run_cli(base, tmp_path, "select.csv")
+        assert code == 0
+        rows = list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
+        assert [r["neg2loglik"] for r in rows if r["model"] == "unconstrained"] == ["0"]
+        assert all(field != "-0" for r in rows for field in r.values())
+        code, text = run_cli([*base, "--format", "json"], tmp_path, "select.json")
+        assert code == 0
+        doc = json.loads(text)
+        assert [r["neg2loglik"] for r in doc["rows"] if r["model_id"] == "unconstrained"] == [0.0]
+        assert all(math.copysign(1.0, v) == 1.0 for r in doc["rows"] for v in r.values()
+                   if isinstance(v, float) and v == 0.0)
 
     def test_error_row_with_comma_keeps_header_width(self, tmp_path):
         code, text = run_cli(["select", "--counts", "0,0,5", "--models", "t3,t1:1"], tmp_path)
@@ -586,10 +586,11 @@ class TestConfigPrecedence:
         (["radii", "--model", "t1"], "samples"),
         (["select", "--counts", "60,20,20", "--models", "t1:1,polytomy", "--method",
           "bootstrap"], "samples"),
-        (["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "60"], "samples")])
+        (["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "60"], "samples"),
+        (["bias", "--model", "t1", "--mu0y", "1"], "samples")])
     def test_flags_a_subcommand_does_not_read_exit_2(self, tmp_path, capsys, args, key):
-        # only select reads --format; only bias and target draw, so only they
-        # take --samples
+        # only select reads --format; only target draws, so only it takes
+        # --samples
         value = "json" if key == "format" else "10"
         with pytest.raises(SystemExit) as exc:
             main([*args, f"--{key}", value, "--out", str(tmp_path / "flag.out")])
@@ -645,8 +646,7 @@ def _json_value(text):
 # one command per subcommand and mode, together passing every option a
 # subcommand takes (bar --config and --out, which have their own tests)
 PARITY_COMMANDS = [
-    ["bias", "--model", "t3", "--mu0y", "1", "--method", "monte-carlo", "--samples", "500",
-     "--seed", "4", "--workers", "2", "--n", "500"],
+    ["bias", "--model", "t3", "--mu0y", "1", "--seed", "4", "--workers", "2", "--n", "500"],
     ["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--phi0", "0.5", "--n", "50"],
     ["bias", "--model", "t3", "--counts", "60,25,15", "--method", "consistent", "--radius",
      "0.5", "--n", "100", "--eta-exponent", "0.25"],
@@ -730,7 +730,7 @@ class TestEdgeInputsExit2:
 
     @pytest.mark.parametrize("args, config, needle", [
         (["bias", "--model", "t1", "--phi0", "0.5"], {"n": 1.7}, "'n'"),
-        (["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo", "--seed", "1"],
+        (["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--seed", "1"],
          {"samples": 2.5}, "'samples'"),
         (["select", "--counts", "10,10,10", "--models", "t1:1"], {"format": "xml"}, "'format'"),
         (["bias", "--model", "t1"], {"mu0y": math.nan}, "'mu0y'"),
@@ -741,8 +741,7 @@ class TestEdgeInputsExit2:
         (["bias", "--model", "t1foo", "--mu0y", "1"], None, "unknown model id 't1foo'"),
         (["bias", "--model", "t3", "--mu0y", "1", "--n", "0"], None, "sample size"),
         (["radii", "--model", "t1", "--n", "0"], None, "sample size"),
-        (["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo", "--n", "0",
-          "--samples", "10", "--seed", "1"], None, "sample size"),
+        (["bias", "--model", "t1", "--mu0y", "1", "--n", "0"], None, "sample size"),
         (["radii", "--model", "t1", "--grid", "0:inf:1"], None, "finite"),
         (["target", "--model", "t1", "--n", "100", "--grid", "0:inf:1", "--samples", "100",
           "--seed", "1"], None, "finite"),
@@ -766,18 +765,25 @@ class TestEdgeInputsExit2:
          "too large"),
         (["bias", "--model", "t1:1x", "--mu0y", "1"], None, "t1 topology '1x'"),
         (["bias", "--model", "t1", "--counts", "60,20,20", "--method", "monte-carlo",
-          "--samples", "10", "--seed", "1"], None, "unknown estimator method 'monte-carlo'"),
+          "--seed", "1"], None, "unknown estimator method 'monte-carlo'"),
         # one draw has no standard error, so it must not print one of 0
         (["target", "--model", "t1", "--n", "1000", "--grid", "0:1:1", "--samples", "1",
           "--method", "plugin,uo", "--seed", "3"], None, "--samples must be at least 2"),
         (["target", "--model", "t1", "--n", "1000", "--grid", "0:1:1", "--seed", "3"],
          {"samples": 1}, "--samples must be at least 2"),
-        (["bias", "--model", "t3", "--mu0y", "1", "--method", "monte-carlo", "--samples", "1",
+        (["target", "--model", "t3", "--n", "1000", "--grid", "0:1:1", "--samples", "1",
           "--seed", "3"], None, "--samples must be at least 2"),
-        (["bias", "--model", "t3", "--mu0y", "1", "--method", "monte-carlo", "--seed", "3"],
-         {"samples": 1}, "--samples must be at least 2"),
-        (["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo", "--seed", "3"],
+        (["target", "--model", "t3", "--n", "1000", "--grid", "0:1:1", "--method", "plugin",
+          "--seed", "3"], {"samples": 1}, "--samples must be at least 2"),
+        (["target", "--model", "t1", "--n", "1000", "--grid", "0:1:1", "--seed", "3"],
          {"samples": 0}, "--samples must be at least 2"),
+        # bias draws nothing: it takes neither --method monte-carlo nor --samples
+        (["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo", "--seed", "3"],
+         None, "with --mu0y or --phi0 the bias is its closed form"),
+        (["bias", "--model", "t3", "--phi0", "0.5", "--n", "30"], {"method": "monte-carlo"},
+         "--method 'monte-carlo' needs --counts"),
+        (["bias", "--model", "t1", "--mu0y", "1", "--seed", "3"], {"samples": 1000},
+         "unknown key 'samples'"),
     ])
     def test_exit_2(self, tmp_path, capsys, args, config, needle):
         code, text = (run_cli(args, tmp_path) if config is None

@@ -17,7 +17,6 @@ from aicg.models import (
     mle_rows,
     neg2loglik_rows,
     polytomy_model,
-    project_points,
     projected_distances,
     t1_model,
     t3_model,
@@ -27,7 +26,7 @@ from aicg.models import (
 )
 from aicg.montecarlo import McSettings, standard_normals, _chunk_rng
 
-from oracles import t1_mle_bruteforce, transform_map, trinomial_counts
+from oracles import project_points, t1_mle_bruteforce, transform_map, trinomial_counts
 
 TWO_PI = 2 * math.pi
 

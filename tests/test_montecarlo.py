@@ -16,15 +16,14 @@ from aicg.geometry import (
     phi_from_mu0y,
     theta_on_line,
 )
-from aicg.models import (cone_of, polytomy_model, project_points, projected_distances, t1_model,
-                         t3_model, unconstrained_model, validate_halflines)
+from aicg.models import (cone_of, polytomy_model, projected_distances, t1_model, t3_model,
+                         unconstrained_model, validate_halflines)
 from aicg.montecarlo import (
     CurvePoint,
     McSettings,
     curve_grid,
     derive_seed,
     grid_values,
-    mc_bias_gaussian,
     mc_target_trinomial,
     standard_normals,
     _DRAW_BLOCK,
@@ -37,8 +36,8 @@ from aicg.montecarlo import (
 )
 from aicg.special import norm_cdf
 
-from oracles import (gauss_hermite_expectation, t1_target_exact, trinomial_counts,
-                     trinomial_target_exact)
+from oracles import (gauss_hermite_expectation, mc_bias_gaussian, project_points,
+                     t1_target_exact, trinomial_counts, trinomial_target_exact)
 
 N_MED = 200_000
 

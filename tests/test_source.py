@@ -4,14 +4,12 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import aicg
 
 PACKAGE = Path(aicg.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
-
-# parameters whose signature a caller fixes: mc_expected_estimators calls
-# mc_bias_gaussian's statistic with the draws and their projected distances
-FIXED_SIGNATURES = {("montecarlo", "statistic", "dist")}
 
 
 def _unread_parameters(package):
@@ -30,8 +28,7 @@ def _unread_parameters(package):
                                       args.vararg, args.kwarg) if a is not None]
             body = node.body if isinstance(node.body, list) else [node.body]
             read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
-            unread += [(path.stem, name, p) for p in params
-                       if p not in read and (path.stem, name, p) not in FIXED_SIGNATURES]
+            unread += [(path.stem, name, p) for p in params if p not in read]
     return unread
 
 
@@ -169,3 +166,10 @@ def test_the_scan_finds_an_unread_slot(tmp_path):
         "## Library\n\n```python\npoint.by_readme\n```\n\n"
         "## Other\n\n```python\npoint.written\n```\n", encoding="utf-8")
     assert _unread_slots(package, scripts, tmp_path / "README.md") == ["Point.written"]
+
+
+def test_one_version():
+    # select prints aicg.__version__; the package metadata must say the same
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == aicg.__version__
