@@ -30,7 +30,6 @@ def main() -> int:
     ap.add_argument("--grid", default="0:5:0.1")
     ap.add_argument("--samples", type=int, default=100_000)
     ap.add_argument("--seed", type=int, default=2026)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--methods", default="",
                     help="comma list of estimator rules to add as columns")
     args = ap.parse_args()
@@ -44,8 +43,7 @@ def main() -> int:
             out = args.out_dir / f"curve_{slug}_n{n}.csv"
             code = cli_main([
                 "target", "--model", model_id, "--n", n, "--grid", args.grid,
-                "--samples", str(args.samples), "--seed", str(args.seed),
-                "--workers", str(args.workers), "--out", str(out),
+                "--samples", str(args.samples), "--seed", str(args.seed), "--out", str(out),
                 *(["--method", args.methods] if args.methods else []),
             ])
             if code != 0:

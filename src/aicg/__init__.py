@@ -27,16 +27,13 @@ from .geometry import (
     DomainError,
     GeometryParams,
     SimplexPoint,
-    TransformedPoint,
     alpha_from_phi0,
     mu0y,
     phi_from_mu0y,
     theta_on_line,
 )
 from .models import (
-    Cone,
     ModelSpec,
-    cone_of,
     mle_rows,
     parse_model_id,
     polytomy_model,
@@ -49,7 +46,6 @@ from .montecarlo import (
     CurvePoint,
     McSettings,
     curve_grid,
-    mc_expected_estimators,
     mc_target_trinomial,
 )
 from .quadrature import (

@@ -4,8 +4,8 @@ decision-region grids, and neighborhood-radius calibration.
 Output contracts: CSV is comma-separated with LF line endings, a mandatory
 header row, and every numeric field at 17 significant digits; JSON is UTF-8
 with lexicographic key order.  Re-running any subcommand with an identical
-resolved configuration reproduces the output byte for byte, regardless of
-worker count.
+resolved configuration reproduces the output byte for byte.  --workers is
+accepted and not read, so that callers which pass it keep working.
 
 Configuration precedence: command-line flags override the optional JSON
 config file (--config), which overrides built-in defaults.  A config value is
@@ -159,7 +159,7 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "config": {"help": "JSON config file; flags take precedence"},
     "out": {"help": "output path (default stdout)"},
     "seed": {"type": int},
-    "workers": {"type": int, "help": "threads for target's --method columns"},
+    "workers": {"type": int, "help": "accepted and not read"},
     "angles": {"help": "half-lines ray angles, e.g. '2pi/3,4pi/3,2pi'"},
     "samples": {"type": int},
     "model": {"help": "t1[:topology] | t3 | polytomy | unconstrained | halflines"},
@@ -222,7 +222,7 @@ def _mc_settings(cfg: RunConfig) -> McSettings:
     if samples < 2:
         # one draw has no standard error: a 0 would claim an exact value
         raise UsageError(f"--samples must be at least 2, got {samples}")
-    return McSettings(seed=cfg.get("seed"), samples=samples, workers=cfg.get("workers", 1))
+    return McSettings(seed=cfg.get("seed"), samples=samples)
 
 
 def _angles(cfg: RunConfig) -> list[float] | None:
@@ -257,16 +257,12 @@ def cmd_bias(cfg: RunConfig) -> str:
         counts = _counts(cfg)
         rule = _rule(cfg, cfg.get("method", "plugin"))
         scores = score_batch([model], counts.as_array()[None], rule)[0]
-        if scores.errors[0] is not None:
-            raise DomainError(scores.errors[0])
-        # the observed distance, whichever estimator ran; models without a
-        # line report 0
-        mu_hat = float(scores.mu_hat[0])
-        if math.isnan(mu_hat):
-            raise DomainError(f"counts {counts_text} put the estimate at a simplex "
-                              "vertex, where the observed distance is undefined")
+        if scores.error is not None:
+            raise DomainError(scores.error)
+        # the observed distance, whichever estimator ran: 0 for a model
+        # without a line, inf for an estimate at a simplex vertex
         est = BiasEstimate(float(scores.bias[0]), scores.bias_method)
-        return _bias_row(cfg, model, mu_hat, est)
+        return _bias_row(cfg, model, float(scores.mu_hat[0]), est)
 
     if mu < 0:
         raise UsageError("--mu0y must be nonnegative")

@@ -4,10 +4,11 @@ Plug-in, lower/upper least favorable, neighborhood rules (uniformly
 outperforming and minimax, with radius calibration), consistent shrinkage
 estimation and the parametric bootstrap.
 rule_values is the one definition of every rule: selection.score_batch
-applies it to count rows, and montecarlo.curve_grid to the draws of a curve
-point, whose column is its mean.  The bootstrap's value is the bias at its
-centre (the consistent estimate) on the row's own cone, which bias_on_cone
-computes exactly, so scoring draws nothing.
+applies it to count rows, and montecarlo.mc_target_trinomial to the cells of
+a curve point's histogram of counts, whose frequency-weighted mean is the
+rule's column.  The bootstrap's value is the bias at its centre (the
+consistent estimate) on the row's own cone, which bias_on_cone computes
+exactly, so scoring draws nothing.
 
 Radius calibration conventions follow the constructions they reproduce: the
 single-line rules threshold the constrained estimate's distance (so the
@@ -36,7 +37,6 @@ from .models import (
     T3,
     UNCONSTRAINED,
     ModelSpec,
-    cone_of,
 )
 from .quadrature import bias_ray_cone, bias_t3_batch
 from .special import erf, norm_cdf
@@ -97,21 +97,24 @@ def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0):
 
     The t3 values come from one bias_t3_batch call; a half-lines model's,
     but for the closed form at the origin, from one bias_ray_cone call at
-    (mu, 0), on its 2pi ray.
+    (mu, 0), on its 2pi ray.  At mu = +inf, the distance of an estimate at a
+    simplex vertex, a ray's value is its limit, 2.
     """
     mu_arr, alpha_arr = np.broadcast_arrays(np.asarray(mu, dtype=float),
                                             np.asarray(alpha0, dtype=float))
+    far = np.isposinf(mu_arr) & (model.variant not in (POLYTOMY, UNCONSTRAINED))
+    near = np.where(far, 0.0, mu_arr)
     if model.variant == T1:
-        values = 1.0 + erf(mu_arr / _SQRT2)
+        values = 1.0 + erf(near / _SQRT2)
     elif model.variant == T3:
-        values = bias_t3_batch(mu_arr.ravel(), alpha_arr.ravel())
+        values = bias_t3_batch(near.ravel(), alpha_arr.ravel())
     elif model.variant in (POLYTOMY, UNCONSTRAINED):
         values = np.full(mu_arr.shape, bias_constant(model).value)
     else:
-        flat = mu_arr.ravel()
-        values = bias_ray_cone(np.column_stack([flat, np.zeros_like(flat)]), cone_of(model).angles)
+        flat = near.ravel()
+        values = bias_ray_cone(np.column_stack([flat, np.zeros_like(flat)]), model.angles)
         values[flat == 0.0] = singularity_bias(model)
-    values = np.reshape(values, mu_arr.shape)
+    values = np.where(far, 2.0, np.reshape(values, mu_arr.shape))
     return float(values) if values.ndim == 0 else values
 
 
@@ -135,9 +138,12 @@ def least_favorable(model: ModelSpec, which: str, reference_n: float = 1e6) -> B
 
     def f(mus):
         if model.variant == HALFLINES:
-            cone = cone_of(model)
-            points = mus[:, None, None] * cone.directions()
-            values = bias_ray_cone(points.reshape(-1, 2), cone.angles).reshape(len(mus), -1)
+            angles = np.array(model.angles)
+            directions = np.column_stack([np.cos(angles), np.sin(angles)])
+            # snap the ~1e-16 crumbs at axis-aligned angles so axis rays are exact
+            directions[np.abs(directions) < 1e-15] = 0.0
+            points = mus[:, None, None] * directions
+            values = bias_ray_cone(points.reshape(-1, 2), model.angles).reshape(len(mus), -1)
             values[mus == 0.0] = singularity_bias(model)
             return np.min(sign * values, axis=1)
         return sign * bias_on_cone(model, mus, alpha_from_phi0(phi_from_mu0y(mus, reference_n)))
@@ -348,36 +354,36 @@ def rule_constant(model: ModelSpec, rule: EstimatorRule, n: int) -> float | None
     return None
 
 
-def rule_values(model: ModelSpec, rule: EstimatorRule, n: int, mu_hat: np.ndarray,
-                alpha0: np.ndarray, zbar_norm, bias_at=None) -> np.ndarray:
-    """The rule's bias value at each observed point of a sample of size n: the
-    observed distance mu_hat of the constrained estimate from the origin, the
-    cone angle alpha0 there and the norm zbar_norm of the raw observation.
-
-    zbar_norm may be a function of no arguments that returns the norms; only
-    the t3 neighborhood rules call it.  bias_at(model, mu, alpha0) gives the
-    bias at each distance, bias_on_cone by default.
-    """
-    bias_at = bias_at or bias_on_cone
+def rule_values(model: ModelSpec, rule: EstimatorRule, n: int, geometry) -> np.ndarray:
+    """The rule's bias value at each row of a sample of size n, from the
+    geometry that selection.observe gives: (mu_hat, alpha0, zbar_norm,
+    index).  mu_hat holds the distinct observed distances of the constrained
+    estimate from the origin, alpha0 the cone angle at each, and index maps
+    each row to its distance; zbar_norm is the norm of each row's raw
+    observation.  A rule that reads only the distance is evaluated once per
+    distance.  At a simplex vertex the distance and the norm are +inf, so
+    every rule takes its value far from the singularity, 2."""
+    mu_hat, alpha0, zbar_norm, index = geometry
     method = rule.method
-    rows = len(mu_hat)
     constant = rule_constant(model, rule, n)
     if constant is not None:
-        return np.full(rows, constant)
-    if method == "plugin":
-        return bias_at(model, mu_hat, alpha0)
+        return np.full(len(index), constant)
     if method in ("uo", "minimax"):
         r = rule.radius if rule.radius is not None else default_radius(model, method)
-        if model.variant == T1:  # the single-line rule thresholds the estimate
-            return neighborhood_values(model, r, mu_hat)
-        # the three-line rules threshold the raw observation
-        return neighborhood_values(model, r, zbar_norm() if callable(zbar_norm) else zbar_norm)
-    shrunk = mu_hat <= consistent_radius(n, rule.eta_exponent)
-    if method == "consistent":
-        values = np.full(rows, singularity_bias(model))
-        values[~shrunk] = bias_at(model, mu_hat[~shrunk], alpha0[~shrunk])
-        return values
-    # the parametric bootstrap's value as B -> infinity: the bias at its
-    # centre, the estimate (0, mu_hat) or, within the consistent radius, the
-    # origin, on the point's own cone
-    return bias_at(model, np.where(shrunk, 0.0, mu_hat), alpha0)
+        # the single-line rule thresholds the estimate, the three-line rules
+        # the raw observation
+        if model.variant == T1:
+            return neighborhood_values(model, r, mu_hat)[index]
+        return neighborhood_values(model, r, zbar_norm)
+    if method == "plugin":
+        values = bias_on_cone(model, mu_hat, alpha0)
+    else:
+        shrunk = mu_hat <= consistent_radius(n, rule.eta_exponent)
+        if method == "consistent":
+            values = np.where(shrunk, singularity_bias(model), bias_on_cone(model, mu_hat, alpha0))
+        else:
+            # the parametric bootstrap's value as B -> infinity: the bias at
+            # its centre, the estimate (0, mu_hat) or, within the consistent
+            # radius, the origin, on the point's own cone
+            values = bias_on_cone(model, np.where(shrunk, 0.0, mu_hat), alpha0)
+    return values[index]

@@ -100,20 +100,6 @@ class Counts(Record):
         return np.array([self.n1, self.n2, self.n3], dtype=float)
 
 
-class TransformedPoint(Record):
-    """A point of the transformed plane, in Mahalanobis units."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: float, y: float):
-        self._fill(x, y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DomainError("transformed coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-
 def p1_from_phi(phi0: float) -> float:
     """The largest component p1 = 1 - (2/3) phi0 of the point at phi0 on a
     topology line."""

@@ -1,4 +1,4 @@
-"""Candidate models, constrained MLEs on the simplex, and cone-projection distances.
+"""Candidate models and their constrained MLEs on the simplex.
 
 Five model families: a single fixed topology line (t1:1, t1:2, t1:3), the
 union of all three lines (t3), the centroid point model (polytomy), the full
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry import DomainError, GeometryParams, Record, SimplexPoint
+from .geometry import DomainError, Record, SimplexPoint
 
 TWO_PI = 2.0 * math.pi
 # theta_in_model's slack for a point of the closure of a parameter space
@@ -203,70 +203,6 @@ def neg2loglik_rows(counts, theta) -> np.ndarray:
         terms = np.where(counts > 0, counts * np.log(theta), 0.0)
     # + 0.0: a row whose counts all sit where p_i = 1 sums to 0.0, and -2.0 * 0.0 is -0.0
     return -2.0 * terms.sum(axis=1) + 0.0
-
-
-class Cone(Record):
-    """Transformed-plane image of a model's parameter space near the origin."""
-
-    __slots__ = ("kind", "angles")  # kind: "rays" | "point" | "plane"
-
-    def __init__(self, kind: str, angles: tuple[float, ...] = ()):
-        self._fill(kind, angles)
-
-    def directions(self) -> np.ndarray:
-        a = np.array(self.angles)
-        dirs = np.column_stack([np.cos(a), np.sin(a)])
-        # snap the ~1e-16 crumbs at axis-aligned angles so axis rays are exact
-        dirs[np.abs(dirs) < 1e-15] = 0.0
-        return dirs
-
-
-def cone_of(model: ModelSpec, geometry: GeometryParams | None = None) -> Cone:
-    """Ray set of the model in the transformed plane.
-
-    t3 needs cone geometry (its off-axis ray angles depend on alpha0); by
-    convention the line through the generating parameter sits on the +y axis.
-    """
-    if model.variant == T1:
-        return Cone("rays", (0.5 * math.pi,))
-    if model.variant == T3:
-        if geometry is None:
-            raise DomainError("t3 cone requires geometry (alpha0)")
-        return t3_cone(geometry.alpha0)
-    if model.variant == POLYTOMY:
-        return Cone("point")
-    if model.variant == UNCONSTRAINED:
-        return Cone("plane")
-    return Cone("rays", tuple(sorted(a % TWO_PI or TWO_PI for a in model.angles)))
-
-
-def t3_cone(alpha0: float) -> Cone:
-    """The t3 cone at angle alpha0 in (0, pi/6]: rays at pi/2, pi + alpha0 and
-    2pi - alpha0, in increasing order."""
-    return Cone("rays", (0.5 * math.pi, math.pi + alpha0, TWO_PI - alpha0))
-
-
-def projected_distances(cone: Cone, points: np.ndarray) -> np.ndarray:
-    """The distance from the origin of each row's Euclidean projection onto
-    the cone, for an (N, 2) array, without forming the projection.
-
-    Per ray with unit direction d the candidate is t d, t = max(0, w.d), and
-    the projection is the candidate nearest w.  As ||w - t d||^2 =
-    ||w||^2 - t^2, that is the one with the largest t, and its norm is t
-    itself, so the distance is max(0, max_k w.d_k).  The inner products are
-    formed elementwise, not by a BLAS product, so each row's bits are its
-    own.  A point cone gives 0, the plane ||w||.
-    """
-    pts = np.asarray(points, dtype=float)
-    if cone.kind == "point":
-        return np.zeros(len(pts))
-    if cone.kind == "plane":
-        return np.linalg.norm(pts, axis=1)
-    x, y = pts[:, 0], pts[:, 1]
-    dist = np.zeros(len(pts))
-    for dx, dy in cone.directions().tolist():
-        np.maximum(dist, x * dx + y * dy, out=dist)
-    return dist
 
 
 def theta_in_model(model: ModelSpec, theta: SimplexPoint) -> bool:

@@ -48,16 +48,16 @@ class SelectionReport(Record):
 
 
 class ModelScores(Record):
-    """One model's scores on N count rows.  A row the estimator cannot handle
-    holds NaN values and its error message; the other rows are unaffected.
-    mu_hat is the observed distance, 0 without a line and NaN where
-    undefined."""
+    """One model's scores on N count rows.  A model the estimator cannot
+    handle holds NaN values and its error message on every row.  mu_hat is
+    the observed distance: 0 without a line, +inf where the estimate sits at
+    a simplex vertex."""
 
-    __slots__ = ("model", "bias_method", "neg2loglik", "bias", "mu_hat", "errors")
+    __slots__ = ("model", "bias_method", "neg2loglik", "bias", "mu_hat", "error")
 
     def __init__(self, model: ModelSpec, bias_method: str, neg2loglik: np.ndarray,
-                 bias: np.ndarray, mu_hat: np.ndarray, errors: tuple[str | None, ...]):
-        self._fill(model, bias_method, neg2loglik, bias, mu_hat, errors)
+                 bias: np.ndarray, mu_hat: np.ndarray, error: str | None):
+        self._fill(model, bias_method, neg2loglik, bias, mu_hat, error)
 
     @property
     def aicg(self) -> np.ndarray:
@@ -68,54 +68,63 @@ class ModelScores(Record):
         return self.neg2loglik + 2.0 * self.model.dim
 
 
-# rules that read the observed distance of a line model
-_OBSERVED_RULES = ("plugin", "uo", "minimax", "consistent", "bootstrap")
-
-
 def _line_geometry(counts: np.ndarray, theta: np.ndarray, line: np.ndarray, n: int):
-    """Per row of a line model's fit: the observed distance mu_hat, the cone
-    angle alpha0_hat and the norm of the transformed sample mean, with an
-    error message where the estimate reaches a vertex (p = 1), which has no
-    distance.
+    """A line model's fit as estimators.rule_values reads it: (mu_hat,
+    alpha0, zbar_norm, index).
 
-    The transform is the Fisher scaling at the estimate followed by a
-    rotation, which keeps norms: ||zbar||^2 = n sum_i (xbar_i - 1/3)^2 / theta_i.
+    The estimate on the fitted line is p = max(c / n, 1/3), c the row's count
+    of that line's taxon, so the observed distance mu_hat and the cone angle
+    alpha0 are taken once per distinct c, and index maps each row to its c:
+    rows of one total share few counts.  (Where the counts span more values
+    than there are rows, each row is its own.)  An estimate at a vertex
+    (p = 1) lies at distance +inf; its angle is the one at the centroid,
+    which no rule reads at that distance.
+
+    zbar_norm is the norm of each row's transformed sample mean.  The
+    transform is the Fisher scaling at the estimate followed by a rotation,
+    which keeps norms: ||zbar||^2 = n sum_i (xbar_i - 1/3)^2 / theta_i.  At a
+    vertex it is +inf too, its limit as theta_i -> 0 where xbar_i = 0.
     """
-    p_big = theta[np.arange(len(counts)), line]
-    valid = p_big < 1.0
-    errors = tuple(None if p < 1.0 else f"p1={p!r} outside [1/3, 1)" for p in p_big.tolist())
-    phi = np.where(valid, 1.5 * (1.0 - p_big), 1.0)
-    mu_hat, alpha0 = mu0y(phi, n), alpha_from_phi0(phi)
-    theta = np.where(valid[:, None], theta, 1.0 / 3.0)
-    zbar_norm = np.sqrt(n * np.sum((counts / n - 1.0 / 3.0) ** 2 / theta, axis=1))
-    return np.where(valid, mu_hat, np.nan), alpha0, zbar_norm, errors
+    rows = np.arange(len(counts))
+    c = counts[rows, line]
+    low = c.min()
+    span = c.max() - low + 1
+    if span <= len(c):
+        c, index = low + np.arange(span), (c - low).astype(np.intp)
+    else:
+        index = rows
+    p_big = np.maximum(c / n, 1.0 / 3.0)
+    vertex = p_big >= 1.0
+    phi = np.where(vertex, 1.0, 1.5 * (1.0 - p_big))
+    with np.errstate(divide="ignore"):  # (0 - 1/3)^2 / 0 = inf at a vertex
+        zbar_norm = np.sqrt(n * np.sum((counts / n - 1.0 / 3.0) ** 2 / theta, axis=1))
+    return np.where(vertex, np.inf, mu0y(phi, n)), alpha_from_phi0(phi), zbar_norm, index
+
+
+def observe(model: ModelSpec, counts: np.ndarray, n: int):
+    """(theta, geometry) for a nonempty (N, 3) count array with total n: the
+    constrained MLE of each row and what a rule reads of it
+    (estimators.rule_values), the observed distance 0 for a model without a
+    line."""
+    theta, line = mle_rows(model, counts)
+    if line is None:
+        rows = len(counts)
+        return theta, (np.zeros(1), np.zeros(1), np.zeros(rows), np.zeros(rows, np.intp))
+    return theta, _line_geometry(counts, theta, line, n)
 
 
 def _score_model(model: ModelSpec, counts: np.ndarray, n: int,
                  rule: EstimatorRule) -> ModelScores:
-    rows = len(counts)
-    nan = np.full(rows, np.nan)
+    nan = np.full(len(counts), np.nan)
     label = "plug-in" if rule.method == "plugin" else rule.method
+    mu_hat = nan
     try:
-        theta, line = mle_rows(model, counts)
-    except DomainError as exc:
-        return ModelScores(model, label, nan, nan, nan, (str(exc),) * rows)
-    errors: tuple[str | None, ...] = (None,) * rows
-    mu_hat = alpha0 = zbar_norm = np.zeros(rows)
-    if line is not None:
-        mu_hat, alpha0, zbar_norm, geometry_errors = _line_geometry(counts, theta, line, n)
-        if rule.method in _OBSERVED_RULES:
-            errors = geometry_errors
-    ok = np.array([e is None for e in errors])
-    bias = nan.copy()
-    if ok.any():
-        try:
-            bias[ok] = rule_values(model, rule, n, mu_hat[ok], alpha0[ok], zbar_norm[ok])
-        except (DomainError, ValueError) as exc:
-            errors = tuple(e or str(exc) for e in errors)
-            ok[:] = False
-    neg2loglik = np.where(ok, neg2loglik_rows(counts, theta), np.nan)
-    return ModelScores(model, label, neg2loglik, bias, mu_hat, errors)
+        theta, geometry = observe(model, counts, n)
+        mu_hat = geometry[0][geometry[3]]  # each row's observed distance
+        bias = rule_values(model, rule, n, geometry)
+    except (DomainError, ValueError) as exc:
+        return ModelScores(model, label, nan, nan, mu_hat, str(exc))
+    return ModelScores(model, label, neg2loglik_rows(counts, theta), bias, mu_hat, None)
 
 
 def score_batch(models: Sequence[ModelSpec], counts,
@@ -152,15 +161,15 @@ def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule) -> S
         raise DomainError("need at least one candidate model")
     require_distinct([m.model_id for m in models], "model id")
     batch = score_batch(models, counts.as_array()[None], rule)
-    scored = [s for s in batch if s.errors[0] is None]
+    scored = [s for s in batch if s.error is None]
     rank_g = _rank([(float(s.aicg[0]), s.model.model_id) for s in scored])
     rank_a = _rank([(float(s.aic[0]), s.model.model_id) for s in scored])
 
     rows = []
     for s in batch:
         mid = s.model.model_id
-        if s.errors[0] is not None:
-            rows.append(ScoreRow(mid, None, None, None, None, None, None, None, s.errors[0]))
+        if s.error is not None:
+            rows.append(ScoreRow(mid, None, None, None, None, None, None, None, s.error))
             continue
         rows.append(ScoreRow(mid, float(s.neg2loglik[0]), s.bias_method, float(s.bias[0]),
                              float(s.aicg[0]), float(s.aic[0]), rank_g[mid], rank_a[mid]))

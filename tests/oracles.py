@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import mpmath
@@ -17,10 +17,11 @@ import numpy as np
 
 from aicg.closedform import BiasEstimate, singularity_bias
 from aicg.estimators import bias_on_cone, consistent_radius
-from aicg.geometry import CENTROID, DomainError, GeometryParams, SimplexPoint, TransformedPoint
-from aicg.models import cone_of, mle_rows
-from aicg.montecarlo import McSettings, mc_expected_estimators
-from aicg.selection import _rounded_counts
+from aicg.geometry import CENTROID, Counts, DomainError, GeometryParams, Record, SimplexPoint
+from aicg.models import POLYTOMY, T1, T3, UNCONSTRAINED, mle_rows
+from aicg.montecarlo import McSettings, _chunk_moments, _chunk_rng, _combine, _merge
+from aicg.selection import _rounded_counts, score
+from aicg.special import norm_cdf, norm_cdf2
 
 
 def erf_decimal(x: float, digits: int = 60) -> float:
@@ -291,6 +292,67 @@ def trinomial_target_exact(model_id: str, theta0: tuple[float, float, float], n:
     return math.fsum(terms)
 
 
+# The transformed plane, where the closed forms' cones live: the reference
+# geometry of the Gaussian Monte Carlo and the scalar estimator chains.
+
+TWO_PI = 2.0 * math.pi
+
+
+class TransformedPoint(Record):
+    """A point of the transformed plane, in Mahalanobis units."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        self._fill(x, y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError("transformed coordinates must be finite")
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.x, self.y])
+
+
+class Cone(Record):
+    """Transformed-plane image of a model's parameter space near the origin."""
+
+    __slots__ = ("kind", "angles")  # kind: "rays" | "point" | "plane"
+
+    def __init__(self, kind: str, angles: tuple[float, ...] = ()):
+        self._fill(kind, angles)
+
+    def directions(self) -> np.ndarray:
+        a = np.array(self.angles)
+        dirs = np.column_stack([np.cos(a), np.sin(a)])
+        # snap the ~1e-16 crumbs at axis-aligned angles so axis rays are exact
+        dirs[np.abs(dirs) < 1e-15] = 0.0
+        return dirs
+
+
+def cone_of(model, geometry: GeometryParams | None = None) -> Cone:
+    """Ray set of the model in the transformed plane.
+
+    t3 needs cone geometry (its off-axis ray angles depend on alpha0); by
+    convention the line through the generating parameter sits on the +y axis.
+    """
+    if model.variant == T1:
+        return Cone("rays", (0.5 * math.pi,))
+    if model.variant == T3:
+        if geometry is None:
+            raise DomainError("t3 cone requires geometry (alpha0)")
+        return t3_cone(geometry.alpha0)
+    if model.variant == POLYTOMY:
+        return Cone("point")
+    if model.variant == UNCONSTRAINED:
+        return Cone("plane")
+    return Cone("rays", tuple(sorted(a % TWO_PI or TWO_PI for a in model.angles)))
+
+
+def t3_cone(alpha0: float) -> Cone:
+    """The t3 cone at angle alpha0 in (0, pi/6]: rays at pi/2, pi + alpha0 and
+    2pi - alpha0, in increasing order."""
+    return Cone("rays", (0.5 * math.pi, math.pi + alpha0, TWO_PI - alpha0))
+
+
 def project_bruteforce(angles: tuple[float, ...], w: np.ndarray,
                        n_radial: int = 4000, r_max: float = 60.0) -> np.ndarray:
     """Nearest cone point by dense sampling along every ray."""
@@ -313,7 +375,7 @@ def project_points(cone, points: np.ndarray) -> np.ndarray:
     Per ray with unit direction d the candidate is max(0, w.d) d; the
     winning candidate minimizes the distance, ties going to the smallest
     ray angle.  A point cone projects to the origin, the plane to itself.
-    The reference for models.projected_distances, which forms only the
+    The reference for projected_distances, which forms only the
     projection's norm.
     """
     pts = np.asarray(points, dtype=float)
@@ -330,19 +392,112 @@ def project_points(cone, points: np.ndarray) -> np.ndarray:
     return t[np.arange(len(pts)), best, None] * dirs[best]
 
 
+def projected_distances(cone, points: np.ndarray) -> np.ndarray:
+    """The distance from the origin of each row's Euclidean projection onto
+    the cone, for an (N, 2) array, without forming the projection.
+
+    Per ray with unit direction d the candidate is t d, t = max(0, w.d), and
+    the projection is the candidate nearest w.  As ||w - t d||^2 =
+    ||w||^2 - t^2, that is the one with the largest t, and its norm is t
+    itself, so the distance is max(0, max_k w.d_k).  The inner products are
+    formed elementwise, not by a BLAS product, so each row's bits are its
+    own.  A point cone gives 0, the plane ||w||.
+    """
+    pts = np.asarray(points, dtype=float)
+    if cone.kind == "point":
+        return np.zeros(len(pts))
+    if cone.kind == "plane":
+        return np.linalg.norm(pts, axis=1)
+    x, y = pts[:, 0], pts[:, 1]
+    dist = np.zeros(len(pts))
+    for dx, dy in cone.directions().tolist():
+        np.maximum(dist, x * dx + y * dy, out=dist)
+    return dist
+
+
+# The most normal draws made, evaluated and reduced at once by run_chunks.
+DRAW_BLOCK = 8192
+
+
+def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard normal draws of the given shape from the chunk's stream."""
+    return rng.standard_normal(shape)
+
+
+def run_chunks(settings: McSettings, kernel) -> list[tuple[float, float, float]]:
+    """(mean, se, min) of each per-draw statistic over all chunks: the
+    normal-draw engine the gate's Gaussian Monte Carlo runs on.
+
+    Chunk k draws from the stream (seed, k) one sub-block of at most
+    DRAW_BLOCK rows at a time: ``kernel(rng, rows)`` gives, for a sub-block,
+    one array of per-draw values per statistic, always in the same order, and
+    montecarlo._chunk_moments reduces each before the kernel makes the next.
+    A chunk merges its sub-blocks in order, and the run its chunks, so the
+    results are a function of (seed, samples, chunk_size).
+    """
+    def merge(a, b):
+        return list(map(_merge, a, b))
+
+    def one(index):
+        rng, start = _chunk_rng(settings.seed, index), index * settings.chunk_size
+        end = min(start + settings.chunk_size, settings.samples)
+        return reduce(merge, ([_chunk_moments(vals, np.ones(vals.size, dtype=np.int64))
+                               for vals in kernel(rng, min(DRAW_BLOCK, end - k))]
+                              for k in range(start, end, DRAW_BLOCK)))
+
+    merged = reduce(merge, map(one, range(-(-settings.samples // settings.chunk_size))))
+    return [_combine(moments, settings.samples) for moments in merged]
+
+
 def mc_bias_gaussian(cone, mu0: TransformedPoint, settings: McSettings) -> BiasEstimate:
     """Bias correction 2 E{(z - mu0).(P z - mu0)}, z ~ N(mu0, I), for P the
-    projection onto the cone, by Monte Carlo: the one-point case of
-    montecarlo.mc_expected_estimators with that statistic per draw.  The
-    sampled reference for the closed forms, and for their pointwise
-    nonnegativity through min_draw."""
+    projection onto the cone, by Monte Carlo: run_chunks with that statistic
+    per draw z = mu0 + e.  The sampled reference for the closed forms, and
+    for their pointwise nonnegativity through min_draw."""
     center = mu0.as_array()
     if float(np.linalg.norm(project_points(cone, center[None])[0] - center)) > 1e-9:
         raise DomainError("mu0 must lie on the cone")
 
-    def statistic(z, _dist):
-        return 2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)
-    return mc_expected_estimators([(cone, mu0, [statistic])], settings)[0][0]
+    def kernel(rng, rows):
+        z = center + standard_normals(rng, (rows, 2))
+        return [2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)]
+    [(mean, se, lowest)] = run_chunks(settings, kernel)
+    return BiasEstimate(mean, "monte-carlo", std_error=se, min_draw=lowest)
+
+
+def rule_expectation_exact(model, rule, theta0: tuple[float, float, float], n: int) -> float:
+    """E[v_rule(c)] for c ~ Trinomial(n, theta0): the sum over every outcome
+    of its probability, from math.lgamma in log space, times the rule's bias
+    value, which selection.score gives one outcome at a time.  For small n
+    (n = 30 has 496 outcomes)."""
+    log_p = [math.log(p) for p in theta0]
+    terms = []
+    for c1 in range(n + 1):
+        for c2 in range(n + 1 - c1):
+            c = (c1, c2, n - c1 - c2)
+            log_prob = math.lgamma(n + 1) + sum(k * lp - math.lgamma(k + 1)
+                                                for k, lp in zip(c, log_p))
+            row, = score([model], Counts(*c), rule).rows
+            if row.error is not None:
+                raise DomainError(f"counts {c}: {row.error}")
+            terms.append(math.exp(log_prob) * row.bias_value)
+    return math.fsum(terms)
+
+
+def t1_plugin_limit(m):
+    """The t1 plug-in rule's expectation in the Gaussian limit at distance m:
+    with ||Pz|| = max(X, 0), X ~ N(m, 1), and the bias 2 Phi(y) at y,
+    2 [Phi(-m) / 2 + Phi2(m / sqrt 2, m; 1 / sqrt 2)]."""
+    m = np.asarray(m, dtype=float)
+    return 2.0 * (0.5 * norm_cdf(-m) + norm_cdf2(m / math.sqrt(2.0), m, 1.0 / math.sqrt(2.0)))
+
+
+def t1_consistent_limit(m, r: float):
+    """The t1 consistent rule's expectation in the Gaussian limit at distance
+    m for shrinkage radius r: the singularity value 1 where max(X, 0) <= r,
+    else 2 Phi(X), so Phi(r - m) + 2 Phi2(m / sqrt 2, m - r; 1 / sqrt 2)."""
+    m = np.asarray(m, dtype=float)
+    return norm_cdf(r - m) + 2.0 * norm_cdf2(m / math.sqrt(2.0), m - r, 1.0 / math.sqrt(2.0))
 
 
 def gauss_hermite_expectation(f, mu: float, n_nodes: int = 200) -> float:
@@ -362,14 +517,15 @@ def largest_remainder_reference(p: tuple[float, float, float], n: int) -> tuple[
     return tuple(base)
 
 
-def t1_polytomy_scores(counts: tuple[int, int, int]) -> tuple[float | None, float]:
+def t1_polytomy_scores(counts: tuple[int, int, int]) -> tuple[float, float]:
     """Generalized scores of t1:1 and polytomy under the plug-in rule, from
     the closed forms with math.log and math.erf only.
 
     The t1:1 estimate is p1 = max(n1/n, 1/3) with p2 = p3; its plug-in bias is
     1 + erf(mu/sqrt(2)) at mu = sqrt(2n)(1 - phi)/sqrt(phi(3 - 2 phi)),
     phi = (3/2)(1 - p1).  At p1 = 1 (all counts on the first taxon) the
-    distance is undefined and t1:1 has no score (None).  Polytomy has bias 0.
+    estimate sits at the vertex, at distance +inf, where the bias is its
+    limit 2.  Polytomy has bias 0.
     """
     n = sum(counts)
 
@@ -379,7 +535,7 @@ def t1_polytomy_scores(counts: tuple[int, int, int]) -> tuple[float | None, floa
     polytomy = neg2loglik((1.0 / 3.0,) * 3)
     p1 = max(counts[0] / n, 1.0 / 3.0)
     if p1 == 1.0:
-        return None, polytomy
+        return neg2loglik((1.0, 0.0, 0.0)) + 2.0, polytomy
     rest = (1.0 - p1) / 2.0
     phi = 1.5 * (1.0 - p1)
     mu = math.sqrt(2.0 * n) * (1.0 - phi) / math.sqrt(phi * (3.0 - 2.0 * phi))
@@ -389,7 +545,7 @@ def t1_polytomy_scores(counts: tuple[int, int, int]) -> tuple[float | None, floa
 def t1_polytomy_winner(counts: tuple[int, int, int]) -> str:
     """The lower of the two t1_polytomy_scores ("tie" when equal)."""
     line, polytomy = t1_polytomy_scores(counts)
-    if line is None or line > polytomy:
+    if line > polytomy:
         return "polytomy"
     return "tie" if line == polytomy else "t1:1"
 
@@ -503,7 +659,6 @@ def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_expo
     then one mc_bias_gaussian run around the resulting center.  Models
     without a line center at the origin.  Returns the BiasEstimate: the
     Monte Carlo reference for score_batch's exact bootstrap values."""
-    from aicg.models import T1, T3
     geo, center = None, TransformedPoint(0.0, 0.0)
     if model.variant in (T1, T3):
         geo, _, _ = line_observation(model, counts)

@@ -17,32 +17,25 @@ from aicg.estimators import minimax_radius, uo_radius
 from aicg.geometry import (
     CENTROID,
     GeometryParams,
-    TransformedPoint,
     mu0y,
     phi_from_mu0y,
     theta_on_line,
 )
 from aicg.models import (
-    cone_of,
     polytomy_model,
     t1_model,
     t3_model,
     unconstrained_model,
     validate_halflines,
 )
-from aicg.montecarlo import (
-    McSettings,
-    mc_target_trinomial,
-    standard_normals,
-    _chunk_rng,
-)
+from aicg.montecarlo import McSettings, mc_target_trinomial, _chunk_rng
 from aicg.quadrature import bias_t3, bias_t3_value
 from aicg.selection import region_grid, simplex_lattice
 from aicg.estimators import EstimatorRule
 from aicg.special import norm_cdf
 
-from oracles import (consistent_estimate, erf_decimal, mc_bias_gaussian,
-                     trinomial_target_exact, winning_component)
+from oracles import (TransformedPoint, cone_of, consistent_estimate, erf_decimal, mc_bias_gaussian,
+                     standard_normals, trinomial_target_exact, winning_component)
 
 TWO_PI = 2.0 * math.pi
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
@@ -161,7 +154,7 @@ def test_criterion_06_finite_n_target():
     cases.append((unconstrained_model(), CENTROID, 4.0, 31_500))
     for model, theta0, analytic, seed in cases:
         exact = trinomial_target_exact(model.model_id, theta0.as_tuple(), n)
-        est = mc_target_trinomial(model, theta0, n, McSettings(seed, 10**5))
+        est, = mc_target_trinomial(model, theta0, n, McSettings(seed, 10**5))
         worst_gap = max(worst_gap, abs(exact - analytic))
         worst_z = max(worst_z, abs(est.value - exact) / est.std_error)
     elapsed = time.perf_counter() - t0

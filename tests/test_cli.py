@@ -12,11 +12,11 @@ import pytest
 
 import aicg
 from aicg.cli import main, parse_grid, fmt_float
-from aicg.geometry import DomainError, TransformedPoint, alpha_from_phi0, phi_from_mu0y
-from aicg.models import cone_of, parse_angle, parse_model_id
+from aicg.geometry import DomainError, alpha_from_phi0, phi_from_mu0y
+from aicg.models import parse_angle, parse_model_id
 from aicg.montecarlo import McSettings
 
-from oracles import mc_bias_gaussian, ray_cone_bias_dblquad
+from oracles import TransformedPoint, cone_of, mc_bias_gaussian, ray_cone_bias_dblquad
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -113,11 +113,16 @@ class TestBiasCommand:
         assert mu_plugin == pytest.approx(5.4433, abs=1e-4)
         assert float(text.splitlines()[1].split(",")[1]) == mu_plugin
 
-    def test_counts_at_vertex_exit_2(self, tmp_path, capsys):
-        code, text = run_cli(["bias", "--model", "t3", "--counts", "0,0,5",
-                              "--method", "aic"], tmp_path)
-        assert code == 2 and text == ""
-        assert "simplex vertex" in capsys.readouterr().err
+    @pytest.mark.parametrize("model, counts, method", [
+        ("t3", "0,0,5", "aic"), ("t3", "0,0,5", "uo"), ("t1", "5,0,0", "plugin"),
+        ("t1:2", "0,5,0", "consistent")])
+    def test_counts_at_vertex_take_the_far_limit(self, tmp_path, model, counts, method):
+        # the estimate at a vertex lies at distance +inf, where the bias is 2
+        code, text = run_cli(["bias", "--model", model, "--counts", counts,
+                              "--method", method], tmp_path)
+        assert code == 0
+        row = next(csv.DictReader(text.splitlines()))
+        assert (row["mu0y"], row["bias"]) == ("inf", "2")
 
     def test_t3_nonconvergence_exit_3(self, tmp_path, capsys):
         # where a quadrature rule pair once missed its tolerance (exit 3): the
@@ -301,14 +306,21 @@ class TestTargetCommand:
         assert first == second
 
     def test_determinism_across_workers(self, tmp_path):
+        # --workers is accepted and read by nothing
         base = ["target", "--model", "t1", "--n", "300", "--grid", "0:1:0.5",
-                "--samples", "50000", "--seed", "17"]
+                "--samples", "50000", "--seed", "17", "--method", "plugin,uo"]
         _, one = run_cli([*base, "--workers", "1"], tmp_path, "w1.csv")
         _, three = run_cli([*base, "--workers", "3"], tmp_path, "w3.csv")
         assert one == three
 
-    def test_consistent_column_needs_n_3(self, tmp_path, capsys):
-        # the column's radius is consistent_radius, as under bias --counts
+    def test_consistent_column_needs_n_3(self, tmp_path, capsys, monkeypatch):
+        # the column's radius is consistent_radius, as under bias --counts,
+        # and the run fails before anything is drawn
+        import aicg.montecarlo
+
+        def refuse(*args):
+            raise AssertionError("a stream was opened")
+        monkeypatch.setattr(aicg.montecarlo, "_chunk_rng", refuse)
         code, text = run_cli(["target", "--model", "t1", "--n", "2", "--grid", "0:1:1",
                               "--samples", "100", "--seed", "1", "--method", "consistent"],
                              tmp_path)
@@ -365,9 +377,10 @@ class TestSelectCommand:
         assert code == 0
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         rows = list(csv.reader(lines[1:]))
-        assert [(r[0], r[2], r[6], r[8]) for r in rows] == [
-            ("polytomy", "plug-in", "1", ""), ("t1:1", "plug-in", "2", ""),
-            ("t3", "", "", "p1=1.0 outside [1/3, 1)")]
+        # t3's estimate sits at the vertex, an exact fit whose bias is 2
+        assert [(r[0], r[2], r[3], r[6], r[8]) for r in rows] == [
+            ("t3", "plug-in", "2", "1", ""), ("polytomy", "plug-in", "0", "2", ""),
+            ("t1:1", "plug-in", "1", "3", "")]
 
     @pytest.mark.parametrize("counts", ["0,0,5", "5,0,0", "1,0,0"])
     def test_no_negative_zero(self, tmp_path, counts):
@@ -387,11 +400,13 @@ class TestSelectCommand:
                    if isinstance(v, float) and v == 0.0)
 
     def test_error_row_with_comma_keeps_header_width(self, tmp_path):
-        code, text = run_cli(["select", "--counts", "0,0,5", "--models", "t3,t1:1"], tmp_path)
+        code, text = run_cli(["select", "--counts", "3,1,1", "--models", "t3,polytomy",
+                              "--method", "consistent", "--eta-exponent", "0.7"], tmp_path)
         assert code == 0
         rows = list(csv.reader(l for l in text.splitlines() if not l.startswith("#")))
         assert len(rows) == 3 and all(len(r) == len(rows[0]) for r in rows)
-        assert rows[2][0] == "t3" and rows[2][-1] == "p1=1.0 outside [1/3, 1)"
+        assert rows[2][0] == "t3"
+        assert rows[2][-1] == "rate exponent must lie strictly inside (0, 1/2)"
 
     def test_near_centroid(self, tmp_path):
         code, text = run_cli(["select", "--counts", "67,67,66",

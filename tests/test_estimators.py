@@ -15,16 +15,16 @@ from aicg.estimators import (
     rule_values,
     uo_radius,
 )
-from aicg.geometry import (Counts, DomainError, GeometryParams, TransformedPoint,
-                           alpha_from_phi0, mu0y, phi_from_mu0y)
+from aicg.geometry import Counts, DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
-from aicg.montecarlo import McSettings, _chunk_rng, curve_grid, standard_normals
+from aicg.montecarlo import _chunk_rng
 from aicg.quadrature import bias_ray_cone, bias_t3, bias_t3_batch
 from aicg.selection import score_batch
 from aicg.special import erf, norm_cdf
 
-from oracles import (consistent_estimate, line_observation, noncentral_radius_cdf_series,
-                     radii_bruteforce, ray_cone_bias_dblquad)
+from oracles import (TransformedPoint, consistent_estimate, line_observation,
+                     noncentral_radius_cdf_series, radii_bruteforce, ray_cone_bias_dblquad,
+                     standard_normals)
 
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
 GRID = np.arange(0.0, 5.0001, 0.05)
@@ -34,7 +34,7 @@ def one_row(model, counts, rule):
     """score_batch's scores of one model on one row of counts, which must
     score without error."""
     scores, = score_batch([model], counts.as_array()[None], rule)
-    assert scores.errors == (None,)
+    assert scores.error is None
     return scores
 
 
@@ -291,8 +291,8 @@ def neighborhood(model, r, mu_hat=(), zbar_norm=()):
     mu_hat and raw-observation norm zbar_norm."""
     mu_hat, zbar_norm = np.broadcast_arrays(np.asarray(mu_hat, dtype=float),
                                             np.asarray(zbar_norm, dtype=float))
-    return rule_values(model, EstimatorRule("uo", radius=r), 1000, mu_hat,
-                       np.full(mu_hat.shape, math.pi / 6.0), zbar_norm)
+    geometry = (mu_hat, np.full(mu_hat.shape, math.pi / 6.0), zbar_norm, np.arange(mu_hat.size))
+    return rule_values(model, EstimatorRule("uo", radius=r), 1000, geometry)
 
 
 class TestNeighborhoodRule:
@@ -315,25 +315,30 @@ class TestNeighborhoodRule:
             neighborhood(t1_model(1), -1.0, [0.0], [0.0])
 
     def test_norms_computed_only_where_read(self):
-        # a curve passes the draws' norms as a function, which only the t3
-        # neighborhood rules call
-        calls = []
-
-        def norms():
-            calls.append(1)
-            return np.array([1.0, 2.0])
+        # only the t3 neighborhood rules read the raw observation's norm
         mu_hat, alpha0 = np.array([0.5, 4.0]), np.full(2, math.pi / 6.0)
+        index = np.arange(2)
         for model in (t1_model(1), t3_model(), polytomy_model(), unconstrained_model()):
             for method in ("plugin", "aic", "llf", "ulf", "uo", "minimax", "consistent",
                            "bootstrap"):
-                values = rule_values(model, EstimatorRule(method), 30, mu_hat, alpha0, norms)
+                rule = EstimatorRule(method)
+                norms = np.array([1.0, 2.0])
+                unread = rule_values(model, rule, 30, (mu_hat, alpha0, np.full(2, np.nan), index))
+                values = rule_values(model, rule, 30, (mu_hat, alpha0, norms, index))
                 reads = model.variant == "t3" and method in ("uo", "minimax")
-                assert len(calls) == reads, (model.model_id, method)
-                calls.clear()
-                if reads:
-                    assert values.tolist() == rule_values(
-                        model, EstimatorRule(method), 30, mu_hat, alpha0, norms()).tolist()
-                    calls.clear()
+                assert np.array_equal(unread, values) != reads, (model.model_id, method)
+
+    def test_values_per_distance_expand_to_rows(self):
+        # rows that share a distance share its value, through the index
+        mu_hat, alpha0 = np.array([0.0, 0.7, 3.0]), np.full(3, 0.4)
+        index = np.array([2, 0, 2, 1])
+        for method in ("plugin", "uo", "minimax", "consistent", "bootstrap"):
+            rule = EstimatorRule(method)
+            for model in (t1_model(1), t3_model()):
+                per_row = rule_values(model, rule, 30, (mu_hat[index], alpha0[index],
+                                                        np.full(4, 2.5), np.arange(4)))
+                shared = rule_values(model, rule, 30, (mu_hat, alpha0, np.full(4, 2.5), index))
+                assert per_row.tobytes() == shared.tobytes(), (model.model_id, method)
 
 
 class TestRadii:
@@ -575,48 +580,6 @@ class TestCrudeBounds:
         assert self._range(validate_halflines([math.pi, 2 * math.pi])) == (2.0, 2.0)
 
 
-class TestT3BiasTable:
-    """The t3 plug-in columns interpolate one bias table per grid point."""
-
-    def test_cold_curve_builds_one_table_per_point(self):
-        from aicg.montecarlo import _t3_bias_table
-        grid = [0.0, 0.4, 0.9, 1.5, 2.2, 3.0, 4.75]
-        rules = [EstimatorRule("plugin"), EstimatorRule("consistent")]
-        _t3_bias_table.cache_clear()
-        curve_grid(t3_model(), 500, grid, rules, McSettings(3, 30_000, chunk_size=1 << 13))
-        assert _t3_bias_table.cache_info().misses == len(grid)
-
-    def test_table_reaches_past_every_draw(self):
-        from aicg.montecarlo import _plugin_values, _t3_bias_table
-        for mu in (0.0, 0.3, 2.5, 7.0):
-            geo = GeometryParams(phi_from_mu0y(mu, 1000), 1000)
-            _t3_bias_table.cache_clear()
-            # chunks whose draws reach mu0y + 4 or mu0y + 6 share the point's
-            # own table
-            for reach in (4.0, 6.0):
-                _plugin_values(t3_model(), np.array([0.0, geo.mu0y + reach]),
-                               np.full(2, geo.alpha0), geo)
-            xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(geo.mu0y) + 7))
-            assert _t3_bias_table.cache_info()[:2] == (2, 1)
-            assert xs[-1] >= geo.mu0y + 6.0
-            # a draw far past the point's table gets a longer table instead
-            # of a clamp
-            far = geo.mu0y + 12.0
-            _plugin_values(t3_model(), np.array([0.0, far]), np.full(2, geo.alpha0), geo)
-            xs, _ = _t3_bias_table(geo.alpha0, float(math.ceil(far + 1.0)))
-            assert _t3_bias_table.cache_info()[:2] == (3, 2)
-            assert xs[-1] >= far
-
-    def test_no_draws_build_no_table(self):
-        # a consistent column whose chunk shrinks every draw asks for no bias
-        from aicg.montecarlo import _plugin_values, _t3_bias_table
-        geo = GeometryParams(phi_from_mu0y(0.0, 1000), 1000)
-        _t3_bias_table.cache_clear()
-        values = _plugin_values(t3_model(), np.zeros(0), np.zeros(0), geo)
-        assert values.shape == (0,)
-        assert _t3_bias_table.cache_info().misses == 0
-
-
 class TestRuleRangeEnvelope:
     def test_estimates_respect_least_favorable_envelope(self):
         counts_list = [Counts(40, 30, 30), Counts(70, 15, 15), Counts(34, 33, 33)]
@@ -626,7 +589,7 @@ class TestRuleRangeEnvelope:
             for method in ("plugin", "uo", "minimax", "consistent"):
                 scores = score_batch([model], [c.as_array() for c in counts_list],
                                      EstimatorRule(method))[0]
-                assert scores.errors == (None,) * len(counts_list)
+                assert scores.error is None
                 assert np.all((lo - 1e-9 <= scores.bias) & (scores.bias <= hi + 1e-9))
 
 

@@ -12,21 +12,19 @@ from aicg.geometry import (
     theta_on_line,
 )
 from aicg.models import (
-    Cone,
-    cone_of,
     mle_rows,
     neg2loglik_rows,
     polytomy_model,
-    projected_distances,
     t1_model,
     t3_model,
     theta_in_model,
     unconstrained_model,
     validate_halflines,
 )
-from aicg.montecarlo import McSettings, standard_normals, _chunk_rng
+from aicg.montecarlo import _chunk_rng
 
-from oracles import project_points, t1_mle_bruteforce, transform_map, trinomial_counts
+from oracles import (Cone, cone_of, project_points, projected_distances, t1_mle_bruteforce,
+                     transform_map, trinomial_counts)
 
 TWO_PI = 2 * math.pi
 

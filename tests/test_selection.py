@@ -152,7 +152,8 @@ class TestRegionGrid:
     @pytest.mark.parametrize("n, res", [(200, 100), (10, 50)])
     def test_t1_polytomy_matches_pointwise_oracle(self, n, res):
         # n = 10 rounds the points near the first vertex to (10, 0, 0), where
-        # t1:1 has no plug-in value and polytomy wins alone
+        # t1:1's estimate sits at the vertex and its plug-in bias takes its
+        # far limit 2
         winners = region_grid([t1_model(1), polytomy_model()], n, res, PLUGIN)
         counts = [largest_remainder_counts((i / res, j / res, k / res), n)
                   for (i, j, k) in simplex_lattice(res)]
@@ -163,23 +164,21 @@ class TestRegionGrid:
         for i, c in enumerate(counts):
             want_line, want_polytomy = t1_polytomy_scores(c)
             assert polytomy.aicg[i] == pytest.approx(want_polytomy, rel=1e-14)
-            if want_line is None:
-                assert line.errors[i] == "p1=1.0 outside [1/3, 1)"
-            else:
-                assert line.aicg[i] == pytest.approx(want_line, rel=1e-14)
+            assert line.aicg[i] == pytest.approx(want_line, rel=1e-14)
 
     def test_t3_labels_at_vertex_rounded_counts(self):
         # at n = 10 every lattice point rounds to one of 66 count triples;
-        # t3 wins exactly on the permutations of these, and the vertex
-        # triples (10, 0, 0) leave t3 without a plug-in value
-        t3_wins = {(9, 1, 0), (8, 1, 1), (7, 2, 1), (6, 3, 1), (6, 2, 2), (5, 3, 2),
-                   (4, 4, 2), (4, 3, 3)}
+        # t3 wins exactly on the permutations of these: at the vertex triples
+        # (10, 0, 0) both fits are exact and t3's bias, its far limit 2, is
+        # below the unconstrained model's 4
+        t3_wins = {(10, 0, 0), (9, 1, 0), (8, 1, 1), (7, 2, 1), (6, 3, 1), (6, 2, 2),
+                   (5, 3, 2), (4, 4, 2), (4, 3, 3)}
         winners = region_grid([t3_model(), unconstrained_model()], 10, 50, PLUGIN)
         for (i, j, k), winner in zip(simplex_lattice(50), winners):
             c = largest_remainder_counts((i / 50, j / 50, k / 50), 10)
             assert winner == ("t3" if tuple(sorted(c, reverse=True)) in t3_wins
                               else "unconstrained")
-        assert winners.count("t3") == 831
+        assert winners.count("t3") == 846  # 831, and the 15 points that round to a vertex
 
     def test_error_cell_when_every_model_fails(self):
         assert set(region_grid(HALFLINES_PAIR, 10, 2, PLUGIN)) == {"error"}
@@ -303,18 +302,37 @@ class TestScoreBatch:
         assert abs(boot.bias[0] - ref.value) <= 3.0 * ref.std_error
         assert abs(cons.bias[0] - boot.bias[0]) > 5.0 * ref.std_error
 
-    def test_error_rows_are_per_model_and_row(self):
-        t3, t1 = score_batch([t3_model(), t1_model(1)], [(0, 0, 5), (3, 1, 1)], PLUGIN)
-        assert t3.errors == ("p1=1.0 outside [1/3, 1)", None)
-        assert np.isnan(t3.aicg[0]) and np.isfinite(t3.aicg[1])
-        assert t1.errors == (None, None)
+    def test_error_rows_are_per_model(self):
+        # a rule that cannot apply fails on every row of its model only
+        rule = EstimatorRule("consistent")
+        t3, poly = score_batch([t3_model(), polytomy_model()], [(1, 1, 0), (2, 0, 0)], rule)
+        assert t3.error == "consistent estimation needs n >= 3"
+        assert np.all(np.isnan(t3.aicg)) and np.all(np.isnan(t3.bias))
+        assert poly.error is None and np.all(np.isfinite(poly.aicg))
 
     def test_vertex_counts_keep_rules_without_distance(self):
-        # the classical rule needs no observed distance, so vertex counts
-        # still score
+        # the classical rule needs no observed distance; the vertex's is +inf
         t3, = score_batch([t3_model()], [(0, 0, 5)], EstimatorRule("aic"))
-        assert t3.errors == (None,) and t3.bias[0] == 2.0
-        assert np.isnan(t3.mu_hat[0])
+        assert t3.error is None and t3.bias[0] == 2.0
+        assert t3.mu_hat[0] == math.inf
+
+    @pytest.mark.parametrize("method", ["plugin", "uo", "minimax", "consistent", "bootstrap"])
+    def test_vertex_rows_take_the_far_limit(self, method):
+        # an estimate at a vertex lies at distance +inf, where every rule
+        # takes its value far from the singularity, 2; the rows beside it
+        # keep their own values
+        rule = EstimatorRule(method)
+        counts = [(0, 0, 5), (5, 0, 0), (3, 1, 1)]
+        for model in (t3_model(), t1_model(1), t1_model(3)):
+            s, = score_batch([model], counts, rule)
+            vertex = [max(row) == 5 if model.variant == "t3" else row[model.topology - 1] == 5
+                      for row in counts]
+            assert s.error is None
+            assert [b for b, v in zip(s.bias, vertex) if v] == [2.0] * sum(vertex)
+            assert all(m == math.inf for m, v in zip(s.mu_hat, vertex) if v)
+            assert np.all(np.isfinite(s.aicg))
+            alone, = score_batch([model], [counts[2]], rule)
+            assert alone.bias[0] == s.bias[2]
 
     def test_observed_distance(self):
         t1, poly = score_batch([t1_model(1), polytomy_model()], [(60, 20, 20)], PLUGIN)
@@ -365,15 +383,16 @@ def test_line_geometry_matches_transform_map(n_rows, model):
     n, rows = n_rows
     counts = np.array(rows, dtype=float)
     theta, line = mle_rows(model, counts)
-    mu_hat, alpha0, zbar_norm, errors = _line_geometry(counts, theta, line, n)
+    mu_levels, alpha_levels, zbar_norm, index = _line_geometry(counts, theta, line, n)
+    assert len(mu_levels) <= len(rows)
     for i, row in enumerate(rows):
-        if errors[i] is not None:  # the estimate at a vertex, where the map has no scale
-            assert theta[i, line[i]] == 1.0 and np.isnan(mu_hat[i])
+        mu_hat, alpha0 = mu_levels[index[i]], alpha_levels[index[i]]
+        if theta[i, line[i]] == 1.0:  # the estimate at a vertex, where the map has no scale
+            assert mu_hat == zbar_norm[i] == math.inf
             continue
         geo, estimate, zbar = line_observation(model, Counts(*row))
         # the map's Cholesky scaling rounds differently: a zero distance
         # comes out as a few 1e-15
-        assert mu_hat[i] == pytest.approx(math.hypot(estimate.x, estimate.y),
-                                          rel=1e-12, abs=1e-13)
+        assert mu_hat == pytest.approx(math.hypot(estimate.x, estimate.y), rel=1e-12, abs=1e-13)
         assert zbar_norm[i] == pytest.approx(math.hypot(zbar.x, zbar.y), rel=1e-12, abs=1e-13)
-        assert (mu_hat[i], alpha0[i]) == (geo.mu0y, geo.alpha0)
+        assert (mu_hat, alpha0) == (geo.mu0y, geo.alpha0)
