@@ -8,17 +8,14 @@ from .closedform import (
     BiasEstimate,
     bias_aic,
     bias_constant,
-    bias_halflines_at_singularity,
     bias_t1,
-    erf,
-    norm_cdf,
-    singularity_bias,
 )
 from .estimators import (
     EstimatorRule,
     least_favorable,
     minimax_radius,
     noncentral_radius_cdf,
+    singularity_bias,
     uo_radius,
 )
 from .geometry import (
@@ -58,4 +55,8 @@ from .selection import (
     score,
     score_batch,
     simplex_lattice,
+)
+from .special import (
+    erf,
+    norm_cdf,
 )

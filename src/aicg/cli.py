@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 from pathlib import Path
@@ -75,21 +74,19 @@ def write_text(out: str | None, text: str) -> None:
         handle.write(text)
 
 
-def csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequence[str] = (),
-             formatted: bool = False) -> str:
+def csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequence[str] = ()) -> str:
     """`# ` comment lines, then the header and rows; a field holding a comma,
-    quote or line break is quoted, so every row has the header's width.
-    Rows whose fields are already strings pass formatted=True and skip
-    fmt_field."""
+    quote or line break is quoted, so every row has the header's width."""
     buf = io.StringIO()
     buf.writelines(f"# {c}\n" for c in comments)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows if formatted else ([fmt_field(v) for v in row] for row in rows))
+    writer.writerows([fmt_field(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
 def json_text(obj) -> str:
+    import json  # here, as in settings_hash and _resolve: most runs write no JSON
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -116,6 +113,7 @@ def parse_grid(text: str) -> list[float]:
 
 def settings_hash(resolved: dict[str, Any]) -> str:
     import hashlib  # here, not at the top: loading OpenSSL costs every other subcommand
+    import json
     blob = json.dumps(resolved, sort_keys=True, default=str).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -199,6 +197,7 @@ def _config_value(key: str, value: Any) -> Any:
 def _resolve(args: argparse.Namespace) -> RunConfig:
     values = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
     if args.config:
+        import json
         try:
             file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
@@ -307,9 +306,8 @@ def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) ->
                 "radius": DEFAULT_RADII.get((model.variant, cfg.get("method")))}
     resolved = {k: v for k, v in cfg.values.items()
                 if v is not None and k not in unread and v != defaults.get(k)}
-    row = [model.model_id, mu, est.method, est.value, est.std_error,
-           settings_hash(resolved)]
-    return csv_text(["model", "mu0y", "method", "bias", "std_error", "settings_hash"], [row])
+    row = [model.model_id, mu, est.method, est.value, settings_hash(resolved)]
+    return csv_text(["model", "mu0y", "method", "bias", "settings_hash"], [row])
 
 
 def cmd_target(cfg: RunConfig) -> str:
@@ -383,9 +381,11 @@ def cmd_regions(cfg: RunConfig) -> str:
                          f"above the {_MAX_LATTICE_POINTS} allowed")
     winners = region_grid(models, n, resolution, _rule(cfg, cfg.get("method", "plugin")))
     coord = [fmt_float(i / resolution) for i in range(resolution + 1)]
-    rows = [[coord[i], coord[j], coord[k], w]
+    # each distinct label quoted once, by csv_text's rule: a halflines id holds commas
+    label = {w: csv_text([w], [])[:-1] for w in set(winners)}
+    rows = [f"{coord[i]},{coord[j]},{coord[k]},{label[w]}\n"
             for (i, j, k), w in zip(simplex_lattice(resolution), winners)]
-    return csv_text(["p1", "p2", "p3", "winner"], rows, formatted=True)
+    return "p1,p2,p3,winner\n" + "".join(rows)
 
 
 def cmd_radii(cfg: RunConfig) -> str:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closedform import BiasEstimate, bias_aic, bias_constant, singularity_bias
+from .closedform import BiasEstimate, bias_aic, bias_constant
 from .geometry import (
     DomainError,
     Record,
@@ -95,10 +95,10 @@ def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0):
     elementwise; alpha0 is the t3 cone angle at each distance (other models
     ignore it).  Scalars in give scalars out.
 
-    The t3 values come from one bias_t3_batch call; a half-lines model's,
-    but for the closed form at the origin, from one bias_ray_cone call at
-    (mu, 0), on its 2pi ray.  At mu = +inf, the distance of an estimate at a
-    simplex vertex, a ray's value is its limit, 2.
+    The t3 values come from one bias_t3_batch call; a half-lines model's
+    from one bias_ray_cone call at (mu, 0), on its 2pi ray.  At mu = +inf,
+    the distance of an estimate at a simplex vertex, a ray's value is its
+    limit, 2.
     """
     mu_arr, alpha_arr = np.broadcast_arrays(np.asarray(mu, dtype=float),
                                             np.asarray(alpha0, dtype=float))
@@ -113,9 +113,13 @@ def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0):
     else:
         flat = near.ravel()
         values = bias_ray_cone(np.column_stack([flat, np.zeros_like(flat)]), model.angles)
-        values[flat == 0.0] = singularity_bias(model)
     values = np.where(far, 2.0, np.reshape(values, mu_arr.shape))
     return float(values) if values.ndim == 0 else values
+
+
+def singularity_bias(model: ModelSpec) -> float:
+    """Bias value at the model's boundary/singularity (the origin)."""
+    return bias_on_cone(model, 0.0)
 
 
 @lru_cache(maxsize=128)
@@ -144,7 +148,6 @@ def least_favorable(model: ModelSpec, which: str, reference_n: float = 1e6) -> B
             directions[np.abs(directions) < 1e-15] = 0.0
             points = mus[:, None, None] * directions
             values = bias_ray_cone(points.reshape(-1, 2), model.angles).reshape(len(mus), -1)
-            values[mus == 0.0] = singularity_bias(model)
             return np.min(sign * values, axis=1)
         return sign * bias_on_cone(model, mus, alpha_from_phi0(phi_from_mu0y(mus, reference_n)))
 

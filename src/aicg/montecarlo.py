@@ -1,8 +1,8 @@
-"""Seeded, chunk-reproducible Monte Carlo engine for the finite-n curve.
+"""Seeded, reproducible Monte Carlo engine for the finite-n curve.
 
 The engine draws through generators keyed by (seed, stream index) and
 reduces per-block sums in fixed block order with math.fsum, so its results
-are a function of (seed, samples, chunk_size).
+are a function of (seed, samples).
 
 The finite-n target depends on its draws only through the histogram of their
 counts, which lives on a window of O(sd) values, so it draws that histogram:
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .closedform import BiasEstimate, bias_aic
+from .closedform import bias_aic
 from .geometry import (
     DomainError,
     GeometryParams,
@@ -50,14 +50,12 @@ _SCORE_BLOCK = 2048
 
 
 class McSettings(Record):
-    __slots__ = ("seed", "samples", "chunk_size")
+    __slots__ = ("seed", "samples")
 
-    def __init__(self, seed: int, samples: int, chunk_size: int = 1 << 16):
-        self._fill(seed, samples, chunk_size)
+    def __init__(self, seed: int, samples: int):
+        self._fill(seed, samples)
         if samples < 1:
             raise DomainError("samples must be >= 1")
-        if chunk_size < 1:
-            raise DomainError("chunk_size must be >= 1")
 
 
 class CurvePoint(Record):
@@ -81,41 +79,40 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 def _chunk_moments(vals: np.ndarray, freq: np.ndarray) -> tuple:
     """One block's moments: its sums (a list of one), size, first value, mean
-    less that value, centred sum of squares and min, each value counted freq
+    less that value and centred sum of squares, each value counted freq
     times; a constant block has a centred sum of exactly 0."""
     diffs = vals - vals[0]
     size, total, shift = int(freq.sum()), (freq * vals).sum(), (freq * diffs).sum()
     offset = shift / size
     diffs -= offset  # in place: a second block-sized array costs more than the sums
     sq = np.square(diffs, out=diffs)
-    return ([float(total)], size, float(vals[0]), float(offset), float((freq * sq).sum()),
-            float(vals.min()))
+    return [float(total)], size, float(vals[0]), float(offset), float((freq * sq).sum())
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
     """The moments of block a followed by block b, by Chan's pairwise formula
     (the running mean is base + offset, base a's first value); a's list of
     sums takes b's, so a is consumed."""
-    sums, count, base, offset, m2, lowest = a
-    block_sums, size, first, block_offset, block_m2, block_min = b
+    sums, count, base, offset, m2 = a
+    block_sums, size, first, block_offset, block_m2 = b
     total = count + size
     delta = (first - base) + block_offset - offset
     sums.extend(block_sums)
     return (sums, total, base, offset + delta * (size / total),
-            m2 + (block_m2 + delta * delta * (count * size / total)), min(lowest, block_min))
+            m2 + (block_m2 + delta * delta * (count * size / total)))
 
 
-def _combine(moments: tuple, samples: int) -> tuple[float, float, float]:
-    """(mean, se, min) of one statistic from its blocks' _chunk_moments,
-    merged in order by _merge: the fsum of the block sums, and the centred
-    sum of squares."""
-    sums, _, _, _, m2, lowest = moments
+def _combine(moments: tuple, samples: int) -> tuple[float, float]:
+    """(mean, se) of one statistic from its blocks' _chunk_moments, merged in
+    order by _merge: the fsum of the block sums, and the centred sum of
+    squares."""
+    sums, _, _, _, m2 = moments
     var = m2 / (samples - 1) if samples > 1 else 0.0
-    return math.fsum(sums) / samples, math.sqrt(var / samples), lowest
+    return math.fsum(sums) / samples, math.sqrt(var / samples)
 
 
-def _binomial_cells(rng: np.random.Generator, m: np.ndarray, p: float, freq: np.ndarray,
-                    block: int) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _binomial_cells(rng: np.random.Generator, m: np.ndarray, p: float,
+                    freq: np.ndarray) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Draw freq[r] counts from Binomial(m[r], p) for each row r, as blocks
     (rows, counts, frequencies) of occupied cells.
 
@@ -123,8 +120,8 @@ def _binomial_cells(rng: np.random.Generator, m: np.ndarray, p: float, freq: np.
     which its mass is negligible (the reach estimators._poisson_mixture
     uses).  A row with at least as many draws as its window has counts draws
     their histogram, one multinomial over the window, with as many rows per
-    call as fit in block cells; a row with fewer draws draws its counts one
-    by one, as frequency-1 cells in blocks of at most block.
+    call as fit in _CELL_BLOCK cells; a row with fewer draws draws its
+    counts one by one, as frequency-1 cells in blocks of at most _CELL_BLOCK.
     """
     reach = 12.0 * np.sqrt(m * p * (1.0 - p)) + 40.0
     lo = np.maximum(np.floor(m * p - reach), 0).astype(np.int64)
@@ -156,23 +153,24 @@ def _binomial_cells(rng: np.random.Generator, m: np.ndarray, p: float, freq: np.
             i, j = np.nonzero(hist)
             return r[i], c[i, j], hist[i, j]
 
-        step = max(1, block // width)
+        step = max(1, _CELL_BLOCK // width)
         for k in range(0, rows.size, step):
             yield histogram(rows[k:k + step])
     rows = np.flatnonzero(~dense)
     ends = np.cumsum(freq[rows])
     total = int(ends[-1]) if rows.size else 0
-    for start in range(0, total, block):
-        r = rows[np.searchsorted(ends, np.arange(start, min(start + block, total)), "right")]
+    for start in range(0, total, _CELL_BLOCK):
+        r = rows[np.searchsorted(ends, np.arange(start, min(start + _CELL_BLOCK, total)),
+                                 "right")]
         yield r, rng.binomial(m[r], p), np.ones(r.size, dtype=np.int64)
 
 
 def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
                         settings: McSettings,
-                        rules: Sequence[EstimatorRule] = ()) -> list[BiasEstimate]:
+                        rules: Sequence[EstimatorRule] = ()) -> list[tuple[float, float]]:
     """Finite-n bias-correction target, and the expected value of each rule,
-    estimated by trinomial simulation: a list of the target's estimate, then
-    one estimate per rule.
+    estimated by trinomial simulation: a list of (estimate, std_error) pairs,
+    the target's, then one per rule.
 
     Per replicate the target is 2 sum_i (c_i - n theta0_i) log thetahat_i,
     written in the zero-sum form 2 [d1 (L1 - L3) + d2 (L2 - L3)] so constant
@@ -193,10 +191,9 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
     if not theta_in_model(model, theta0):
         raise DomainError(f"theta0 outside the parameter space of {model.model_id}")
     t0 = np.array(theta0.as_tuple())
-    block = min(settings.chunk_size, _CELL_BLOCK)
     k = model.topology - 1 if model.variant == T1 else 0
     first = _binomial_cells(_chunk_rng(settings.seed, 0), np.array([n]), t0[k],
-                            np.array([settings.samples]), block)
+                            np.array([settings.samples]))
 
     def values(counts):
         # every statistic at each cell of the block, scored _SCORE_BLOCK
@@ -233,7 +230,7 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
             rng = _chunk_rng(settings.seed, 1)
             q = min(max(t0[1] / max(1.0 - t0[0], 1e-300), 0.0), 1.0)
             for _, c1, freq1 in first:
-                for r, c2, freq in _binomial_cells(rng, n - c1, q, freq1, block):
+                for r, c2, freq in _binomial_cells(rng, n - c1, q, freq1):
                     counts = np.empty((len(r), 3))
                     counts[:, 0], counts[:, 1] = c1[r], c2
                     counts[:, 2] = n - counts[:, 0] - counts[:, 1]
@@ -241,8 +238,7 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
 
     blocks = ([_chunk_moments(v, freq) for v in values(counts)] for counts, freq in cells())
     merged = reduce(lambda a, b: list(map(_merge, a, b)), blocks)
-    return [BiasEstimate(mean, "monte-carlo", std_error=se, min_draw=lowest)
-            for mean, se, lowest in (_combine(m, settings.samples) for m in merged)]
+    return [_combine(m, settings.samples) for m in merged]
 
 
 # The most points of a grid.  radii calibration holds a few arrays of one
@@ -307,10 +303,10 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     aicg = bias_on_cone(model, mus, [g.alpha0 for g in geos])
     for i, (mu, geo) in enumerate(zip(grid, geos)):
         theta0 = theta_on_line(geo.phi0, model.topology or 1)
-        cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples, settings.chunk_size)
+        cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples)
         target, *columns = mc_target_trinomial(model, theta0, n, cell, drawn)
-        curves["target"].append(CurvePoint(mu, target.value, target.std_error))
+        curves["target"].append(CurvePoint(mu, *target))
         curves["aicg"].append(CurvePoint(mu, float(aicg[i]), 0.0))
-        for rule, est in zip(drawn, columns):
-            curves[rule.method].append(CurvePoint(mu, est.value, est.std_error))
+        for rule, pair in zip(drawn, columns):
+            curves[rule.method].append(CurvePoint(mu, *pair))
     return curves

@@ -13,8 +13,9 @@ Statistica Sinica 2015; Mikkelsen and Hansen, Ann. IHP 2018) then gives
 with (a_g, p_g) the coordinates of mu0 along and across gap g's bisector
 and W the Gaussian mass of the polar cone: 0 when every gap is below pi,
 Phi(-m) for one ray, and Phi2(-m_j, -m_k; cos g) for a reflex gap g > pi
-between rays j and k, at most one per cone.  At mu0 = 0 it is
-closedform.bias_halflines_at_singularity.
+between rays j and k, at most one per cone.  At mu0 = 0, with phi_1 the
+largest gap, it is 2 + (1/pi) sum_i sin(phi_i) for phi_1 <= pi and
+3 + (1/pi) (sum_{i>=2} sin(phi_i) - phi_1) above pi.
 """
 
 from __future__ import annotations

@@ -186,13 +186,9 @@ def simplex_lattice(resolution: int) -> list[tuple[int, int, int]]:
     """Barycentric lattice (i, j, k)/R, row-major, excluding the 3 vertices."""
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
-    pts = []
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            k = resolution - i - j
-            if max(i, j, k) == resolution:
-                continue
-            pts.append((i, j, k))
+    pts = [(i, j, resolution - i - j)
+           for i in range(resolution + 1) for j in range(resolution + 1 - i)]
+    del pts[-1], pts[resolution], pts[0]  # (R, 0, 0), (0, R, 0), (0, 0, R)
     return pts
 
 

@@ -15,8 +15,8 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from aicg.closedform import BiasEstimate, singularity_bias
-from aicg.estimators import bias_on_cone, consistent_radius
+from aicg.closedform import BiasEstimate
+from aicg.estimators import bias_on_cone, consistent_radius, singularity_bias
 from aicg.geometry import CENTROID, Counts, DomainError, GeometryParams, Record, SimplexPoint
 from aicg.models import POLYTOMY, T1, T3, UNCONSTRAINED, mle_rows
 from aicg.montecarlo import McSettings, _chunk_moments, _chunk_rng, _combine, _merge
@@ -424,7 +424,8 @@ def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def run_chunks(settings: McSettings, kernel) -> list[tuple[float, float, float]]:
+def run_chunks(settings: McSettings, kernel,
+               chunk_size: int = 1 << 16) -> list[tuple[float, float, float]]:
     """(mean, se, min) of each per-draw statistic over all chunks: the
     normal-draw engine the gate's Gaussian Monte Carlo runs on.
 
@@ -435,21 +436,39 @@ def run_chunks(settings: McSettings, kernel) -> list[tuple[float, float, float]]
     A chunk merges its sub-blocks in order, and the run its chunks, so the
     results are a function of (seed, samples, chunk_size).
     """
+    lows = []
+
+    def moments(values):
+        # the package's moments keep no minimum, so each sub-block's is kept here
+        lows.append([float(vals.min()) for vals in values])
+        return [_chunk_moments(vals, np.ones(vals.size, dtype=np.int64)) for vals in values]
+
     def merge(a, b):
         return list(map(_merge, a, b))
 
     def one(index):
-        rng, start = _chunk_rng(settings.seed, index), index * settings.chunk_size
-        end = min(start + settings.chunk_size, settings.samples)
-        return reduce(merge, ([_chunk_moments(vals, np.ones(vals.size, dtype=np.int64))
-                               for vals in kernel(rng, min(DRAW_BLOCK, end - k))]
+        rng, start = _chunk_rng(settings.seed, index), index * chunk_size
+        end = min(start + chunk_size, settings.samples)
+        return reduce(merge, (moments(kernel(rng, min(DRAW_BLOCK, end - k)))
                               for k in range(start, end, DRAW_BLOCK)))
 
-    merged = reduce(merge, map(one, range(-(-settings.samples // settings.chunk_size))))
-    return [_combine(moments, settings.samples) for moments in merged]
+    merged = reduce(merge, map(one, range(-(-settings.samples // chunk_size))))
+    return [(*_combine(moments, settings.samples), min(low))
+            for moments, low in zip(merged, zip(*lows))]
 
 
-def mc_bias_gaussian(cone, mu0: TransformedPoint, settings: McSettings) -> BiasEstimate:
+class GaussianEstimate(Record):
+    """A Gaussian Monte Carlo bias estimate, its standard error and its least
+    draw."""
+
+    __slots__ = ("value", "std_error", "min_draw")
+
+    def __init__(self, value: float, std_error: float, min_draw: float):
+        self._fill(value, std_error, min_draw)
+
+
+def mc_bias_gaussian(cone, mu0: TransformedPoint, settings: McSettings,
+                     chunk_size: int = 1 << 16) -> GaussianEstimate:
     """Bias correction 2 E{(z - mu0).(P z - mu0)}, z ~ N(mu0, I), for P the
     projection onto the cone, by Monte Carlo: run_chunks with that statistic
     per draw z = mu0 + e.  The sampled reference for the closed forms, and
@@ -461,8 +480,21 @@ def mc_bias_gaussian(cone, mu0: TransformedPoint, settings: McSettings) -> BiasE
     def kernel(rng, rows):
         z = center + standard_normals(rng, (rows, 2))
         return [2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)]
-    [(mean, se, lowest)] = run_chunks(settings, kernel)
-    return BiasEstimate(mean, "monte-carlo", std_error=se, min_draw=lowest)
+    return GaussianEstimate(*run_chunks(settings, kernel, chunk_size)[0])
+
+
+def halflines_origin_bias(model) -> float:
+    """Bias correction of a half-lines model at the origin, in closed form:
+    the oracle for bias_ray_cone there.  With sector gaps phi_i (phi_1 the
+    largest):
+      2 + (1/pi) sum_i sin(phi_i)                  for phi_1 in (0, pi]
+      3 + (1/pi) (sum_{i>=2} sin(phi_i) - phi_1)   for phi_1 in (pi, 2pi]
+    """
+    gaps = model.sector_gaps()
+    phi1 = gaps[0]
+    if phi1 <= math.pi:
+        return 2.0 + sum(math.sin(g) for g in gaps) / math.pi
+    return 3.0 + (sum(math.sin(g) for g in gaps[1:]) - phi1) / math.pi
 
 
 def rule_expectation_exact(model, rule, theta0: tuple[float, float, float], n: int) -> float:
@@ -498,12 +530,6 @@ def t1_consistent_limit(m, r: float):
     else 2 Phi(X), so Phi(r - m) + 2 Phi2(m / sqrt 2, m - r; 1 / sqrt 2)."""
     m = np.asarray(m, dtype=float)
     return norm_cdf(r - m) + 2.0 * norm_cdf2(m / math.sqrt(2.0), m - r, 1.0 / math.sqrt(2.0))
-
-
-def gauss_hermite_expectation(f, mu: float, n_nodes: int = 200) -> float:
-    """E f(Y) for Y ~ N(mu, 1) by Gauss-Hermite quadrature."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
-    return float(np.sum(weights * f(nodes + mu)) / math.sqrt(2.0 * math.pi))
 
 
 def largest_remainder_reference(p: tuple[float, float, float], n: int) -> tuple[int, int, int]:
@@ -657,7 +683,7 @@ def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_expo
     """The parametric bootstrap of one Counts row as a scalar chain: the MLE,
     the transform map at it, consistent_estimate of the estimate (0, mu0y),
     then one mc_bias_gaussian run around the resulting center.  Models
-    without a line center at the origin.  Returns the BiasEstimate: the
+    without a line center at the origin.  Returns the GaussianEstimate: the
     Monte Carlo reference for score_batch's exact bootstrap values."""
     geo, center = None, TransformedPoint(0.0, 0.0)
     if model.variant in (T1, T3):

@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from aicg.closedform import bias_halflines_at_singularity, bias_t1
+from aicg.closedform import bias_t1
 from aicg.cli import main
-from aicg.estimators import minimax_radius, uo_radius
+from aicg.estimators import minimax_radius, singularity_bias, uo_radius
 from aicg.geometry import (
     CENTROID,
     GeometryParams,
@@ -34,8 +34,9 @@ from aicg.selection import region_grid, simplex_lattice
 from aicg.estimators import EstimatorRule
 from aicg.special import norm_cdf
 
-from oracles import (TransformedPoint, cone_of, consistent_estimate, erf_decimal, mc_bias_gaussian,
-                     standard_normals, trinomial_target_exact, winning_component)
+from oracles import (TransformedPoint, cone_of, consistent_estimate, erf_decimal,
+                     halflines_origin_bias, mc_bias_gaussian, standard_normals,
+                     trinomial_target_exact, winning_component)
 
 TWO_PI = 2.0 * math.pi
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
@@ -65,8 +66,7 @@ def test_criterion_02_t3_singular_constant():
     t0 = time.perf_counter()
     v = bias_t3(0.0, math.pi / 6.0).value
     elapsed = time.perf_counter() - t0
-    hl = bias_halflines_at_singularity(
-        validate_halflines([TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI])).value
+    hl = halflines_origin_bias(validate_halflines([TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI]))
     ok = (abs(v - T3_SINGULAR) <= 1e-6 and abs(v - hl) <= 1e-9 and elapsed < 1.0)
     report(2, ok, f"|t3-const|={abs(v - T3_SINGULAR):.2e}, |t3-halflines|={abs(v - hl):.2e}",
            elapsed)
@@ -74,11 +74,10 @@ def test_criterion_02_t3_singular_constant():
 
 def test_criterion_03_halflines_corollaries():
     t0 = time.perf_counter()
-    single = bias_halflines_at_singularity(validate_halflines([TWO_PI])).value
-    two = bias_halflines_at_singularity(validate_halflines([math.pi, TWO_PI])).value
+    single = singularity_bias(validate_halflines([TWO_PI]))
+    two = singularity_bias(validate_halflines([math.pi, TWO_PI]))
     big_l = 10_000
-    big = bias_halflines_at_singularity(
-        validate_halflines([(i + 1) * TWO_PI / big_l for i in range(big_l)])).value
+    big = singularity_bias(validate_halflines([(i + 1) * TWO_PI / big_l for i in range(big_l)]))
     rng = np.random.default_rng(303)
     worst_gap = 0.0
     for _ in range(50):
@@ -154,9 +153,9 @@ def test_criterion_06_finite_n_target():
     cases.append((unconstrained_model(), CENTROID, 4.0, 31_500))
     for model, theta0, analytic, seed in cases:
         exact = trinomial_target_exact(model.model_id, theta0.as_tuple(), n)
-        est, = mc_target_trinomial(model, theta0, n, McSettings(seed, 10**5))
+        (value, se), = mc_target_trinomial(model, theta0, n, McSettings(seed, 10**5))
         worst_gap = max(worst_gap, abs(exact - analytic))
-        worst_z = max(worst_z, abs(est.value - exact) / est.std_error)
+        worst_z = max(worst_z, abs(value - exact) / se)
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 0.05 and worst_z <= 4.0 and elapsed < 300.0
     report(6, ok, f"worst |exact - analytic| = {worst_gap:.4f} (<= 0.05), "

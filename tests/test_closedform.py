@@ -7,26 +7,27 @@ from aicg.closedform import (
     BiasEstimate,
     bias_aic,
     bias_constant,
-    bias_halflines_at_singularity,
     bias_t1,
-    singularity_bias,
 )
+from aicg.estimators import singularity_bias
 from aicg.geometry import DomainError
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.special import norm_cdf
 
-from oracles import erf_decimal
+from oracles import erf_decimal, halflines_origin_bias
 
 TWO_PI = 2 * math.pi
 
 
 class TestBiasEstimate:
     def test_std_error_discipline(self):
-        with pytest.raises(DomainError):
+        # a bias value carries no standard error: the Monte Carlo target's
+        # (estimate, std_error) pairs are not BiasEstimates
+        assert BiasEstimate.__slots__ == ("value", "method")
+        with pytest.raises(TypeError):
             BiasEstimate(1.0, "closed-form", std_error=0.1)
         with pytest.raises(DomainError):
             BiasEstimate(1.0, "monte-carlo")
-        BiasEstimate(1.0, "monte-carlo", std_error=0.0)
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
@@ -65,20 +66,26 @@ class TestBiasT1:
 
 
 class TestHalflines:
+    """The ray-cone bias at the origin against its two-branch closed form
+    (oracles.halflines_origin_bias)."""
+
     def test_single_ray_matches_t1_boundary(self):
         m = validate_halflines([TWO_PI])
-        assert bias_halflines_at_singularity(m).value == pytest.approx(1.0, abs=1e-14)
+        assert singularity_bias(m) == pytest.approx(1.0, abs=1e-14)
+        assert halflines_origin_bias(m) == pytest.approx(1.0, abs=1e-14)
 
     def test_three_equal_sectors(self):
         m = validate_halflines([TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI])
         expected = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
-        v = bias_halflines_at_singularity(m).value
+        v = singularity_bias(m)
         assert v == pytest.approx(expected, abs=1e-12)
         assert v == pytest.approx(2.8269933, abs=1e-7)
+        assert halflines_origin_bias(m) == pytest.approx(expected, abs=1e-12)
 
     def test_two_equal_sectors(self):
         m = validate_halflines([math.pi, TWO_PI])
-        assert bias_halflines_at_singularity(m).value == pytest.approx(2.0, abs=1e-12)
+        assert singularity_bias(m) == pytest.approx(2.0, abs=1e-12)
+        assert halflines_origin_bias(m) == pytest.approx(2.0, abs=1e-12)
 
     def test_continuity_at_pi(self):
         # both branch formulas agree when the first sector is exactly pi
@@ -97,7 +104,8 @@ class TestHalflines:
             angles = [(i + 1) * TWO_PI / el for i in range(el)]
             m = validate_halflines(angles)
             expected = 2.0 + el / math.pi * math.sin(TWO_PI / el)
-            assert bias_halflines_at_singularity(m).value == pytest.approx(expected, abs=1e-10)
+            assert singularity_bias(m) == pytest.approx(expected, abs=1e-10)
+            assert halflines_origin_bias(m) == pytest.approx(expected, abs=1e-10)
 
     def test_equal_sector_limit_and_monotonicity(self):
         def f(el):
@@ -105,10 +113,6 @@ class TestHalflines:
         vals = [f(el) for el in range(7, 1001)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert abs(f(10_000) - 4.0) < 1e-6
-
-    def test_rejects_other_models(self):
-        with pytest.raises(DomainError):
-            bias_halflines_at_singularity(t1_model(1))
 
 
 class TestConstants:
@@ -125,7 +129,7 @@ class TestConstants:
     def test_equal_sector_limit_approaches_unconstrained(self):
         el = 10_000
         angles = [(i + 1) * TWO_PI / el for i in range(el)]
-        v = bias_halflines_at_singularity(validate_halflines(angles)).value
+        v = singularity_bias(validate_halflines(angles))
         assert v == pytest.approx(bias_constant(unconstrained_model()).value, abs=1e-6)
 
 

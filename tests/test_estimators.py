@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from aicg.closedform import bias_t1, singularity_bias
+from aicg.closedform import bias_t1
 from aicg.estimators import (
     EstimatorRule,
     InfeasibleError,
@@ -13,6 +13,7 @@ from aicg.estimators import (
     minimax_radius,
     noncentral_radius_cdf,
     rule_values,
+    singularity_bias,
     uo_radius,
 )
 from aicg.geometry import Counts, DomainError, alpha_from_phi0, mu0y, phi_from_mu0y

@@ -32,7 +32,7 @@ from aicg.montecarlo import (
 from aicg.selection import observe, score_batch
 from aicg.special import norm_cdf
 
-from oracles import (DRAW_BLOCK, TransformedPoint, cone_of, gauss_hermite_expectation,
+from oracles import (DRAW_BLOCK, TransformedPoint, cone_of, halflines_origin_bias,
                      mc_bias_gaussian, project_points, rule_expectation_exact, run_chunks,
                      standard_normals, t1_consistent_limit, t1_plugin_limit, t1_target_exact,
                      trinomial_counts, trinomial_target_exact)
@@ -44,13 +44,13 @@ def within_3se(estimate, se, target, floor=0.0):
     return abs(estimate - target) <= max(3.0 * se, floor)
 
 
-def sub_block_normals(settings):
+def sub_block_normals(settings, chunk_size=1 << 16):
     """The normals e of oracles.run_chunks: one list per chunk of one
     (rows, 2) array per sub-block of at most DRAW_BLOCK rows, each drawn from
     the chunk's stream in turn."""
-    full, rem = divmod(settings.samples, settings.chunk_size)
+    full, rem = divmod(settings.samples, chunk_size)
     chunks = []
-    for index, size in enumerate([settings.chunk_size] * full + ([rem] if rem else [])):
+    for index, size in enumerate([chunk_size] * full + ([rem] if rem else [])):
         rng = _chunk_rng(settings.seed, index)
         chunks.append([standard_normals(rng, (min(DRAW_BLOCK, size - k), 2))
                        for k in range(0, size, DRAW_BLOCK)])
@@ -60,14 +60,15 @@ def sub_block_normals(settings):
 def merged_column(chunks, samples):
     """(mean, se, min) as run_chunks reduces the sub-blocks' values: each
     sub-block by _chunk_moments, each chunk's sub-blocks merged in order by
-    _merge, and the chunks too."""
+    _merge, and the chunks too; the least value of them all."""
     def moments(vals):
         return _chunk_moments(vals, np.ones(vals.size, dtype=np.int64))
-    return _combine(reduce(_merge, (reduce(_merge, map(moments, chunk)) for chunk in chunks)),
-                    samples)
+    mean, se = _combine(reduce(_merge, (reduce(_merge, map(moments, chunk))
+                                        for chunk in chunks)), samples)
+    return mean, se, min(float(vals.min()) for chunk in chunks for vals in chunk)
 
 
-def scored_cells(monkeypatch, model, theta0, n, settings, rules):
+def scored_cells(model, theta0, n, settings, rules):
     """mc_target_trinomial's estimates, and the cells it scored: one (counts,
     freq) pair per block of cells, in order."""
     import aicg.montecarlo as mc
@@ -85,10 +86,10 @@ def scored_cells(monkeypatch, model, theta0, n, settings, rules):
             parts.clear()
             blocks.append((rows, freq.copy()))
         return _chunk_moments(vals, freq)
-    monkeypatch.setattr(mc, "observe", recording_observe)
-    monkeypatch.setattr(mc, "_chunk_moments", recording_moments)
-    estimates = mc_target_trinomial(model, theta0, n, settings, rules)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "observe", recording_observe)
+        mp.setattr(mc, "_chunk_moments", recording_moments)
+        estimates = mc_target_trinomial(model, theta0, n, settings, rules)
     assert all(len(counts) == len(freq) for counts, freq in blocks)
     return estimates, blocks
 
@@ -97,12 +98,18 @@ def curve_theta0(model, mu, n):
     return theta_on_line(phi_from_mu0y(mu, n), model.topology or 1)
 
 
+def cell_block(monkeypatch, size):
+    """Draw, evaluate and reduce at most size cells at once, so that a small
+    run crosses block boundaries."""
+    import aicg.montecarlo as mc
+    monkeypatch.setattr(mc, "_CELL_BLOCK", size)
+
+
 class TestSettings:
     def test_validation(self):
         with pytest.raises(DomainError):
             McSettings(seed=1, samples=0)
-        with pytest.raises(DomainError):
-            McSettings(seed=1, samples=10, chunk_size=0)
+        assert McSettings.__slots__ == ("seed", "samples")
 
     def test_curve_point_validation(self):
         with pytest.raises(DomainError):
@@ -156,11 +163,9 @@ class TestMcBiasGaussian:
         assert within_3se(est.value, est.std_error, 2.0)
 
     def test_halflines_closed_form_cross_check(self):
-        from aicg.closedform import bias_halflines_at_singularity
         hl = validate_halflines([2.8, 4.5, 2 * math.pi])
         est = mc_bias_gaussian(cone_of(hl), TransformedPoint(0, 0), McSettings(8, 10**6))
-        assert within_3se(est.value, est.std_error,
-                          bias_halflines_at_singularity(hl).value)
+        assert within_3se(est.value, est.std_error, halflines_origin_bias(hl))
 
     def test_off_cone_rejected(self):
         with pytest.raises(DomainError):
@@ -180,11 +185,6 @@ class TestDeterminism:
         a = mc_bias_gaussian(cone_of(t1_model(1)), TransformedPoint(0, 1), McSettings(5, 70_000))
         b = mc_bias_gaussian(cone_of(t1_model(1)), TransformedPoint(0, 1), McSettings(5, 70_000))
         assert a.value == b.value and a.std_error == b.std_error
-
-    def test_chunk_size_changes_stream(self):
-        a = mc_bias_gaussian(cone_of(t1_model(1)), TransformedPoint(0, 1), McSettings(5, 50_000, 1 << 14))
-        b = mc_bias_gaussian(cone_of(t1_model(1)), TransformedPoint(0, 1), McSettings(5, 50_000, 1 << 13))
-        assert a.value != b.value  # chunk layout is part of the contract
 
     def test_derive_seed_stable(self):
         assert derive_seed(10, 3, 1) == derive_seed(10, 3, 1)
@@ -212,23 +212,22 @@ class TestChunkVariance:
         var = math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
         return math.sqrt(var / len(values))
 
-    def test_t3_plugin_se_far_from_origin(self, monkeypatch):
+    def test_t3_plugin_se_far_from_origin(self):
         # at mu0y = 8 the plug-in values lie within a few 1e-2 of 2, most
         # within 1e-5: an uncentred sum of squares loses digits there
         n, samples = 1000, 100_000
         settings = McSettings(derive_seed(5, 2, 0), samples)
         rule = EstimatorRule("plugin")
         curve = curve_grid(t3_model(), n, [0.0, 4.0, 8.0], [rule], McSettings(5, samples))
-        (_, est), blocks = scored_cells(monkeypatch, t3_model(), curve_theta0(t3_model(), 8.0, n),
-                                        n, settings, [rule])
-        assert (curve["plugin"][2].estimate, curve["plugin"][2].std_error) == \
-            (est.value, est.std_error)
+        (_, (estimate, se)), blocks = scored_cells(t3_model(), curve_theta0(t3_model(), 8.0, n),
+                                                   n, settings, [rule])
+        assert (curve["plugin"][2].estimate, curve["plugin"][2].std_error) == (estimate, se)
         assert len(blocks) > 1
         values = np.concatenate([np.repeat(score_batch([t3_model()], counts, rule)[0].bias, freq)
                                  for counts, freq in blocks])
         assert len(values) == samples and 0 < np.ptp(values) < 0.05
         want = self.two_pass_se(values.tolist())
-        assert abs(est.std_error - want) <= 1e-12 * want
+        assert abs(se - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("value", [0.1, 2.0, 2.8269933431326884, -7.3e5])
     def test_constant_column_has_zero_se(self, value):
@@ -236,7 +235,7 @@ class TestChunkVariance:
             return [np.full(size, value)]
 
         for samples, chunk in [(100_000, 1 << 16), (10_007, 999), (1, 1 << 16)]:
-            [(mean, se, lowest)] = run_chunks(McSettings(1, samples, chunk), kernel)
+            [(mean, se, lowest)] = run_chunks(McSettings(1, samples), kernel, chunk)
             assert se == 0.0 and lowest == value
             assert mean == pytest.approx(value, rel=1e-15)
 
@@ -246,8 +245,7 @@ class TestChunkVariance:
 
         # chunks below the sub-block size, and chunks of several sub-blocks
         for chunk in (4096, 20_000):
-            settings = McSettings(4, 30_000, chunk)
-            [(_, se, _)] = run_chunks(settings, kernel)
+            [(_, se, _)] = run_chunks(McSettings(4, 30_000), kernel, chunk)
             full, rem = divmod(30_000, chunk)
             sizes = [chunk] * full + [rem]
             values = np.concatenate([kernel(_chunk_rng(4, k), s)[0] for k, s in enumerate(sizes)])
@@ -275,17 +273,19 @@ def traced_peak_mb(run):
 class TestMemoryBound:
     """A curve draws, scores and reduces its cells one block at a time, and
     the Gaussian oracle its normals one sub-block at a time, so neither
-    working set grows with the chunk size.  Chunk-sized arrays of normals
-    peaked at 1.54 MB (2^14 rows) and 4.72 MB (2^18 rows) on this curve, and
-    at 2.19 MB for the bias; blocks peak at 1.11 and 0.76 MB (numpy 2.4,
-    Python 3.11)."""
+    working set grows with the block or chunk size.  Chunk-sized arrays of
+    normals peaked at 1.54 MB (2^14 rows) and 4.72 MB (2^18 rows) on this
+    curve, and at 2.19 MB for the bias; blocks peak at 1.11 and 0.76 MB
+    (numpy 2.4, Python 3.11)."""
 
-    def test_curve_peak_does_not_grow_with_chunk_size(self):
+    def test_curve_peak_does_not_grow_with_chunk_size(self, monkeypatch):
         rules = [EstimatorRule("plugin"), EstimatorRule("uo")]
         grid = grid_values(0.0, 5.0, 0.5)
-        peaks = [traced_peak_mb(lambda: curve_grid(t1_model(1), 1000, grid, rules,
-                                                   McSettings(5, 100_000, chunk_size=c)))
-                 for c in (1 << 14, 1 << 18)]
+        peaks = []
+        for block in (1 << 14, 1 << 18):
+            cell_block(monkeypatch, block)
+            peaks.append(traced_peak_mb(lambda: curve_grid(t1_model(1), 1000, grid, rules,
+                                                           McSettings(5, 100_000))))
         assert abs(peaks[0] - peaks[1]) <= 0.05, peaks
         assert max(peaks) <= 1.4, peaks
 
@@ -298,21 +298,22 @@ class TestMemoryBound:
 
 class TestTargetTrinomial:
     def test_polytomy_identically_zero(self):
-        est, = mc_target_trinomial(polytomy_model(), CENTROID, 137, McSettings(4, 5000))
-        assert est.value == 0.0 and est.std_error == 0.0
+        (value, se), = mc_target_trinomial(polytomy_model(), CENTROID, 137, McSettings(4, 5000))
+        assert value == 0.0 and se == 0.0
 
     def test_t1_boundary_near_one(self):
-        est, = mc_target_trinomial(t1_model(1), CENTROID, 1000, McSettings(11, N_MED))
-        assert within_3se(est.value, est.std_error, bias_t1(0).value, floor=0.02)
+        (value, se), = mc_target_trinomial(t1_model(1), CENTROID, 1000, McSettings(11, N_MED))
+        assert within_3se(value, se, bias_t1(0).value, floor=0.02)
 
     def test_unconstrained_near_four(self):
-        est, = mc_target_trinomial(unconstrained_model(), CENTROID, 1000, McSettings(12, N_MED))
-        assert within_3se(est.value, est.std_error, 4.0, floor=0.05)
+        (value, se), = mc_target_trinomial(unconstrained_model(), CENTROID, 1000,
+                                           McSettings(12, N_MED))
+        assert within_3se(value, se, 4.0, floor=0.05)
 
     def test_t3_centroid_target_matches_quadrature(self):
         from aicg.quadrature import bias_t3_value
-        est, = mc_target_trinomial(t3_model(), CENTROID, 1000, McSettings(13, N_MED))
-        assert abs(est.value - bias_t3_value(0.0, math.pi / 6)) <= 0.03
+        (value, _), = mc_target_trinomial(t3_model(), CENTROID, 1000, McSettings(13, N_MED))
+        assert abs(value - bias_t3_value(0.0, math.pi / 6)) <= 0.03
 
     def test_theta_outside_model_rejected(self):
         with pytest.raises(DomainError):
@@ -329,33 +330,34 @@ class TestT1TargetKernel:
     CASES = [(1, 0.9), (2, 0.8), (10, 0.2), (1000, 0.0015)]
 
     @pytest.mark.parametrize("n, phi0", CASES)
-    @pytest.mark.parametrize("chunk_size", [4096, 512])
+    @pytest.mark.parametrize("block", [4096, 512])
     @pytest.mark.parametrize("columns", [1, 2])
-    def test_t1_1_matches_trinomial_kernel_bit_for_bit(self, n, phi0, chunk_size, columns,
+    def test_t1_1_matches_trinomial_kernel_bit_for_bit(self, n, phi0, block, columns,
                                                        monkeypatch):
         # t1:1's c_1 histogram is the first stage of the trinomial models'
-        # draw, and neither the chunk size nor the rule columns scored on
+        # draw, and neither the cell block nor the rule columns scored on
         # the same cells move a bit of the target
-        samples = 5 * chunk_size + 123
+        samples = 5 * block + 123
         rules = [EstimatorRule("plugin"), EstimatorRule("uo")][:columns]
         for theta0 in (theta_on_line(phi0, 1), CENTROID):
             assert theta0.p1 ** n > 0.1 or theta0 == CENTROID
-            est, t1_calls = record_target(monkeypatch, t1_model(1), theta0, n,
-                                          McSettings(17, samples, chunk_size), rules)
-            _, t3_calls = record_target(monkeypatch, t3_model(), theta0, n,
-                                        McSettings(17, samples))
-            whole, = mc_target_trinomial(t1_model(1), theta0, n, McSettings(17, samples, samples))
+            cell_block(monkeypatch, block)
+            est, t1_calls = record_target(t1_model(1), theta0, n, McSettings(17, samples), rules)
+            monkeypatch.undo()
+            _, t3_calls = record_target(t3_model(), theta0, n, McSettings(17, samples))
+            cell_block(monkeypatch, samples)
+            whole, = mc_target_trinomial(t1_model(1), theta0, n, McSettings(17, samples))
+            monkeypatch.undo()
             assert t1_calls == [call for call in t3_calls if call[1] == 0]
-            assert (est.value, est.std_error) == (whole.value, whole.std_error)
+            assert est == whole
 
-    def test_t1_draws_no_trinomials(self, monkeypatch):
+    def test_t1_draws_no_trinomials(self):
         # one multinomial over the window n p +- (12 sd + 40) of c_k's law
         n, p = 300, theta_on_line(0.7, 1).p1
         reach = 12.0 * math.sqrt(n * p * (1.0 - p)) + 40.0
         width = min(math.ceil(n * p + reach), n) - max(math.floor(n * p - reach), 0) + 1
         for k in (1, 2, 3):
-            _, calls = record_target(monkeypatch, t1_model(k), theta_on_line(0.7, k), n,
-                                     McSettings(5, 10_000, chunk_size=4096))
+            _, calls = record_target(t1_model(k), theta_on_line(0.7, k), n, McSettings(5, 10_000))
             assert [(method, index, len(out)) for method, index, out in calls] == \
                 [("multinomial", 0, width)]
 
@@ -365,9 +367,9 @@ class TestT1TargetKernel:
         for i, phi0 in enumerate((1.0, 0.9, 0.5)):
             theta0 = theta_on_line(phi0, topology)
             exact = t1_target_exact(topology, theta0.as_tuple(), n)
-            est, = mc_target_trinomial(t1_model(topology), theta0, n,
-                                      McSettings(100 * topology + i, 200_000))
-            assert abs(est.value - exact) <= 4.0 * est.std_error, (phi0, exact, est.value)
+            (value, se), = mc_target_trinomial(t1_model(topology), theta0, n,
+                                               McSettings(100 * topology + i, 200_000))
+            assert abs(value - exact) <= 4.0 * se, (phi0, exact, value)
 
     def test_exact_sum_matches_boundary_constant(self):
         # at the centroid the large-n target tends to bias_t1(0) = 1
@@ -384,8 +386,8 @@ class TestTargetHistogram:
     def z_scores(model, theta0, n, exact, samples=100_000):
         z = []
         for seed in TestTargetHistogram.SEEDS:
-            est, = mc_target_trinomial(model, theta0, n, McSettings(900 + seed, samples))
-            z.append((est.value - exact) / est.std_error)
+            (value, se), = mc_target_trinomial(model, theta0, n, McSettings(900 + seed, samples))
+            z.append((value - exact) / se)
         return np.array(z)
 
     @staticmethod
@@ -413,9 +415,9 @@ class TestTargetHistogram:
             assert trinomial_target_exact("t1:2", theta0.as_tuple(), n) == \
                 pytest.approx(t1_target_exact(2, theta0.as_tuple(), n), abs=1e-10)
 
-    def test_draws_bounded_by_the_window(self, monkeypatch):
+    def test_draws_bounded_by_the_window(self):
         def draws(model, samples):
-            _, calls = record_target(monkeypatch, model, theta_on_line(0.8, model.topology or 1),
+            _, calls = record_target(model, theta_on_line(0.8, model.topology or 1),
                                      1000, McSettings(3, samples))
             return sum(len(out) for _, _, out in calls)
         for k in (1, 2, 3):
@@ -427,13 +429,14 @@ class TestTargetHistogram:
     @pytest.mark.parametrize("model", [t1_model(2), t3_model()], ids=["t1:2", "t3"])
     def test_few_draws_per_window(self, model, monkeypatch):
         # at n = 1e6 the c_1 window holds more counts than 1000 draws, so
-        # every count is drawn one by one, in blocks of at most chunk_size
+        # every count is drawn one by one, in blocks of at most _CELL_BLOCK
         theta0 = theta_on_line(0.003, model.topology or 1)
-        est, calls = record_target(monkeypatch, model, theta0, 10**6, McSettings(8, 1000, 300))
+        cell_block(monkeypatch, 300)
+        (value, se), calls = record_target(model, theta0, 10**6, McSettings(8, 1000))
         assert {method for method, _, _ in calls} == {"binomial"}
         assert max(len(out) for _, _, out in calls) == 300
         exact = trinomial_target_exact(model.model_id, theta0.as_tuple(), 10**6)
-        assert abs(est.value - exact) <= 4.0 * est.std_error, (exact, est.value)
+        assert abs(value - exact) <= 4.0 * se, (exact, value)
 
 
 class _Recorder:
@@ -454,15 +457,15 @@ class _Recorder:
         return out
 
 
-def record_target(monkeypatch, model, theta0, n, settings, rules=()):
-    """mc_target_trinomial's target estimate, and every draw of its streams
-    as (method, stream index, values)."""
+def record_target(model, theta0, n, settings, rules=()):
+    """mc_target_trinomial's target (estimate, std_error), and every draw of
+    its streams as (method, stream index, values)."""
     import aicg.montecarlo as mc
     calls = []
-    monkeypatch.setattr(mc, "_chunk_rng",
-                        lambda seed, index: _Recorder(_chunk_rng(seed, index), index, calls))
-    est, *_ = mc_target_trinomial(model, theta0, n, settings, rules)
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_chunk_rng",
+                   lambda seed, index: _Recorder(_chunk_rng(seed, index), index, calls))
+        est, *_ = mc_target_trinomial(model, theta0, n, settings, rules)
     return est, calls
 
 
@@ -472,16 +475,17 @@ def one_point(model, rule, mu, settings, n=1000):
 
 
 class TestExpectedEstimator:
+    # The exact finite-n column of t1:1 plugin at mu0y = 0 and n = 1e5 lies
+    # 2.086e-4 below its Gaussian limit 1.25: 1.249791373372527, the binomial
+    # sum of score_batch values over every c_1, measured once.
+    T1_PLUGIN_GAP = 2.1e-4
+
     def test_t1_plugin_matches_quadrature_oracle(self):
-        # the Gaussian limit by Gauss-Hermite quadrature; at n = 1e5 the
-        # finite-n column lies 2e-4 below that limit, and the 200-node rule
-        # misses the limit's kink at 0 by 6.6e-4
-        from aicg.special import erf
         est = one_point(t1_model(1), EstimatorRule("plugin"), 0.0, McSettings(21, 500_000),
                         n=100_000)
-        oracle = gauss_hermite_expectation(
-            lambda y: 1.0 + erf(np.maximum(y, 0.0) / math.sqrt(2.0)), 0.0)
-        assert within_3se(est.estimate, est.std_error, oracle, floor=0.001)
+        limit = float(t1_plugin_limit(0.0))
+        assert limit == 1.25
+        assert abs(est.estimate - limit) <= self.T1_PLUGIN_GAP + 3.0 * est.std_error
 
     def test_t1_uo_closed_form(self):
         # radius 0 takes the singularity value 1 where the estimate sits at
@@ -627,7 +631,7 @@ class TestCurveGrid:
 
         # each rule column of a grid is the same whichever other columns are
         # requested, in whatever order
-        settings = McSettings(77, 20_000, chunk_size=1 << 13)
+        settings = McSettings(77, 20_000)
         plugin, uo = EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5)
         for model in (t1_model(1), t3_model()):
             runs = [curve_grid(model, 500, [0.0, 1.0], [plugin], settings),
@@ -643,16 +647,16 @@ class TestCurveGrid:
 
     def test_rule_column_is_the_one_point_estimate(self):
         # grid point i is mc_target_trinomial at the seed derive_seed(seed, i, 0)
-        model, n, settings = t3_model(), 500, McSettings(5, 30_000, chunk_size=1 << 13)
+        model, n, settings = t3_model(), 500, McSettings(5, 30_000)
         rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=1.0)]
         grid = [0.0, 0.5, 1.5]
         curves = curve_grid(model, n, grid, rules, settings)
         for i, mu in enumerate(grid):
-            point = McSettings(derive_seed(5, i, 0), settings.samples, settings.chunk_size)
+            point = McSettings(derive_seed(5, i, 0), settings.samples)
             estimates = mc_target_trinomial(model, curve_theta0(model, mu, n), n, point, rules)
             for method, est in zip(("target", "plugin", "uo"), estimates):
                 pt = curves[method][i]
-                assert (pt.estimate, pt.std_error) == (est.value, est.std_error)
+                assert (pt.estimate, pt.std_error) == est
 
     @pytest.mark.parametrize("method", ["plugin", "aic", "llf", "ulf", "uo", "minimax",
                                         "consistent", "bootstrap"])
@@ -662,21 +666,22 @@ class TestCurveGrid:
         # is a constant gives that constant and scores nothing
         n, samples = 30, 3000
         rule = EstimatorRule(method, eta_exponent=0.1)
+        cell_block(monkeypatch, 1024)
         for model, grid in [(t1_model(1), [0.0, 2.0]), (t3_model(), [0.0, 2.0]),
                             (polytomy_model(), [0.0]), (unconstrained_model(), [0.0, 2.0])]:
-            column = curve_grid(model, n, grid, [rule], McSettings(8, samples, 1024))[method]
+            column = curve_grid(model, n, grid, [rule], McSettings(8, samples))[method]
             constant = rule_constant(model, rule, n)
             for i, (mu, pt) in enumerate(zip(grid, column)):
                 if constant is not None:
                     assert (pt.estimate, pt.std_error) == (constant, 0.0)
                     continue
-                settings = McSettings(derive_seed(8, i, 0), samples, 1024)
-                (_, est), blocks = scored_cells(monkeypatch, model, curve_theta0(model, mu, n),
-                                                n, settings, [rule])
+                settings = McSettings(derive_seed(8, i, 0), samples)
+                (_, est), blocks = scored_cells(model, curve_theta0(model, mu, n), n, settings,
+                                                [rule])
                 sums = [float(np.dot(freq, score_batch([model], counts, rule)[0].bias))
                         for counts, freq in blocks]
                 assert sum(len(freq) for _, freq in blocks) > 1
-                assert (pt.estimate, pt.std_error) == (est.value, est.std_error)
+                assert (pt.estimate, pt.std_error) == est
                 assert pt.estimate == pytest.approx(math.fsum(sums) / samples, rel=1e-14)
 
     def test_sub_block_draws_are_slices_of_the_chunk_draw(self):
@@ -689,28 +694,28 @@ class TestCurveGrid:
             whole = standard_normals(_chunk_rng(6, index), (size, 2))
             assert np.array_equal(np.concatenate(blocks), whole)
 
-    def test_columns_are_the_merged_sub_block_moments(self, monkeypatch):
+    def test_columns_are_the_merged_sub_block_moments(self):
         # a curve column merges, in order, the moments of its blocks of
         # cells, whose values are score_batch's however the engine slices
         # them; the Gaussian oracle merges its normals' sub-blocks
-        n, settings = 300, McSettings(6, 45_000, chunk_size=20_000)
+        n, settings = 300, McSettings(6, 45_000)
         rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5),
                  EstimatorRule("consistent", eta_exponent=0.1)]
         for model in (t1_model(1), t3_model()):
             for mu in (0.0, 1.0, 3.0):
-                estimates, blocks = scored_cells(monkeypatch, model, curve_theta0(model, mu, n),
-                                                 n, settings, rules)
+                estimates, blocks = scored_cells(model, curve_theta0(model, mu, n), n, settings,
+                                                 rules)
                 for rule, est in zip(rules, estimates[1:]):
                     moments = [_chunk_moments(score_batch([model], counts, rule)[0].bias, freq)
                                for counts, freq in blocks]
-                    mean, se, lowest = _combine(reduce(_merge, moments), settings.samples)
-                    assert (est.value, est.std_error, est.min_draw) == (mean, se, lowest), \
+                    assert est == _combine(reduce(_merge, moments), settings.samples), \
                         (model.model_id, mu, rule.method)
 
         cone, center = cone_of(t3_model(), GeometryParams(0.9, n)), np.array([0.0, 1.0])
-        est = mc_bias_gaussian(cone, TransformedPoint(0.0, 1.0), settings)
+        est = mc_bias_gaussian(cone, TransformedPoint(0.0, 1.0), settings, chunk_size=20_000)
         chunks = [[2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)
-                   for z in (center + e for e in blocks)] for blocks in sub_block_normals(settings)]
+                   for z in (center + e for e in blocks)]
+                  for blocks in sub_block_normals(settings, 20_000)]
         mean, se, lowest = merged_column(chunks, settings.samples)
         assert (est.value, est.std_error, est.min_draw) == (mean, se, lowest)
 
@@ -738,7 +743,7 @@ class TestCurveGrid:
     def test_t1_bootstrap_column_is_the_consistent_column(self):
         # a shrunk t1 row's bootstrap centre is the origin, where the bias
         # is the singularity value 1
-        settings = McSettings(4, 20_000, chunk_size=1 << 13)
+        settings = McSettings(4, 20_000)
         rules = [EstimatorRule("bootstrap", eta_exponent=0.2),
                  EstimatorRule("consistent", eta_exponent=0.2)]
         curves = curve_grid(t1_model(1), 100, [0.0, 1.0, 2.5, 4.0], rules, settings)
@@ -748,20 +753,20 @@ class TestCurveGrid:
     def test_t3_consistent_column_shrinks_to_the_singularity_value(self):
         # like a shrunk count row, a shrunk cell takes singularity_bias(t3);
         # with every cell shrunk the column is that constant
-        from aicg.closedform import singularity_bias
+        from aicg.estimators import singularity_bias
         est = one_point(t3_model(), EstimatorRule("consistent", eta_exponent=0.01), 0.0,
                         McSettings(1, 100))
         assert est.std_error == 0.0
         assert est.estimate == pytest.approx(singularity_bias(t3_model()), rel=1e-15)
 
-    def test_rule_columns_share_the_target_histogram(self, monkeypatch):
+    def test_rule_columns_share_the_target_histogram(self):
         # the rule columns draw nothing of their own: a curve with rules
         # makes the draws of the curve without them
         rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5), EstimatorRule("aic")]
-        settings = McSettings(3, 20_000, chunk_size=1 << 13)
+        settings = McSettings(3, 20_000)
         for model in (t1_model(1), t3_model()):
             for mu in (0.0, 1.5):
                 theta0 = curve_theta0(model, mu, 500)
-                _, with_rules = record_target(monkeypatch, model, theta0, 500, settings, rules)
-                _, alone = record_target(monkeypatch, model, theta0, 500, settings)
+                _, with_rules = record_target(model, theta0, 500, settings, rules)
+                _, alone = record_target(model, theta0, 500, settings)
                 assert with_rules == alone and alone

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 import aicg
 
-from aicg.closedform import bias_halflines_at_singularity
 from aicg.geometry import DomainError
 from aicg.models import validate_halflines
 from aicg.quadrature import (
@@ -23,7 +22,7 @@ from aicg.quadrature import (
 )
 from aicg.special import _OWEN_NODES, _legendre_rule, _owen_rule, erf
 
-from oracles import gauss_legendre_mpmath, ray_cone_bias_dblquad
+from oracles import gauss_legendre_mpmath, halflines_origin_bias, ray_cone_bias_dblquad
 
 TWO_PI = 2 * math.pi
 T3_RAYS = [math.pi / 2, 7 * math.pi / 6, 11 * math.pi / 6]  # alpha0 = pi/6
@@ -37,8 +36,7 @@ class TestBiasT3:
 
     def test_matches_halflines_closed_form(self):
         v = bias_t3(0.0, math.pi / 6).value
-        hl = bias_halflines_at_singularity(
-            validate_halflines([TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI])).value
+        hl = halflines_origin_bias(validate_halflines([TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI]))
         assert v == pytest.approx(hl, abs=1e-15)
 
     def test_far_limit(self):
@@ -91,7 +89,7 @@ class TestBiasT3:
     def test_metadata_records_truncation(self):
         # a closed form, with no window, tail or standard error
         est = bias_t3(0.5, math.pi / 6)
-        assert est.method == "closed-form" and est.std_error is None
+        assert est.method == "closed-form"
         assert est.value == bias_t3_batch(0.5, math.pi / 6)[0]
 
     def test_far_singularity_reaches_regular_value(self):
@@ -163,7 +161,7 @@ class TestRayCone:
         # origin value and the regular limit 2
         value = bias_ray_cone([(1.04, 0.0)], [3.5, TWO_PI])[0]
         assert value == pytest.approx(2.029013, abs=1e-6)
-        assert value > 2.0 > bias_halflines_at_singularity(validate_halflines([3.5, TWO_PI])).value
+        assert value > 2.0 > halflines_origin_bias(validate_halflines([3.5, TWO_PI]))
 
     def test_single_ray_is_the_t1_closed_form(self):
         mus = np.linspace(0.0, 20.0, 401)
@@ -174,7 +172,7 @@ class TestRayCone:
                                         [2.8, 4.5, TWO_PI], [math.pi, TWO_PI], [TWO_PI],
                                         [4.28, 5.28, TWO_PI]])
     def test_origin_is_the_halflines_closed_form(self, angles):
-        want = bias_halflines_at_singularity(validate_halflines(angles)).value
+        want = halflines_origin_bias(validate_halflines(angles))
         assert bias_ray_cone([(0.0, 0.0)], angles)[0] == pytest.approx(want, abs=1e-14)
 
     def test_per_row_angles_match_shared_angles(self):

@@ -1,4 +1,5 @@
-"""Every `aicg` command of README § Command line runs as printed."""
+"""Every `aicg` command of README § Command line runs as printed, and so does
+the python block of § Library."""
 
 import re
 import shlex
@@ -53,3 +54,18 @@ def test_example_runs(tmp_path, args):
         _resolve(build_parser().parse_args(args))
         return
     assert main(args) == 0
+
+
+def library_block(readme: Path) -> str:
+    """The python block of the Library section."""
+    text = readme.read_text(encoding="utf-8")
+    section = re.search(r"^## Library\n(.*?)(?=^## )", text, re.S | re.M).group(1)
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_example_runs():
+    # the example's API (records, their fields, the engine's pairs) cannot drift
+    names: dict = {}
+    exec(compile(library_block(ROOT / "README.md"), "README.md § Library", "exec"), names)
+    assert (names["target"], names["target_se"]) == pytest.approx((1.681, 0.0107), abs=1e-3)
+    assert (names["plugin"], names["plugin_se"]) == pytest.approx((1.577, 0.00113), abs=1e-3)
