@@ -4,14 +4,9 @@ whose parameter spaces carry boundaries and singularities."""
 # before the imports: selection reads it while this package is still loading
 __version__ = "0.1.0"
 
-from .closedform import (
-    BiasEstimate,
-    bias_aic,
-    bias_constant,
-    bias_t1,
-)
 from .estimators import (
     EstimatorRule,
+    bias_on_cone,
     least_favorable,
     minimax_radius,
     noncentral_radius_cdf,
@@ -40,13 +35,11 @@ from .models import (
     validate_halflines,
 )
 from .montecarlo import (
-    CurvePoint,
     McSettings,
     curve_grid,
     mc_target_trinomial,
 )
 from .quadrature import (
-    bias_t3,
     bias_t3_batch,
 )
 from .selection import (

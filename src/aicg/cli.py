@@ -24,12 +24,11 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .closedform import BiasEstimate
 from .estimators import (DEFAULT_RADII, ETA_EXPONENT, EstimatorRule, InfeasibleError,
                          bias_on_cone, minimax_radius, uo_radius)
 from .geometry import Counts, DomainError, GeometryParams, phi_from_mu0y
 from .models import HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, parse_angle, parse_model_id
-from .montecarlo import CurvePoint, McSettings, curve_grid, grid_values
+from .montecarlo import McSettings, curve_grid, grid_values
 from .selection import region_grid, score, score_batch, simplex_lattice
 
 USAGE_EXIT = 2
@@ -260,8 +259,8 @@ def cmd_bias(cfg: RunConfig) -> str:
             raise DomainError(scores.error)
         # the observed distance, whichever estimator ran: 0 for a model
         # without a line, inf for an estimate at a simplex vertex
-        est = BiasEstimate(float(scores.bias[0]), scores.bias_method)
-        return _bias_row(cfg, model, float(scores.mu_hat[0]), est)
+        return _bias_row(cfg, model, float(scores.mu_hat[0]), scores.bias_method,
+                         float(scores.bias[0]))
 
     if mu < 0:
         raise UsageError("--mu0y must be nonnegative")
@@ -276,12 +275,11 @@ def cmd_bias(cfg: RunConfig) -> str:
         # the t3 cone angle at the generating point, as on a target curve
         geo = GeometryParams(phi_from_mu0y(mu, n), n)
     # a half-lines generating point is (mu0y, 0), on the 2pi ray
-    est = BiasEstimate(bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0),
-                       "closed-form")
-    return _bias_row(cfg, model, mu, est)
+    return _bias_row(cfg, model, mu, "closed-form",
+                     bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0))
 
 
-def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) -> str:
+def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, method: str, value: float) -> str:
     # what the computation reads: not where the output goes, the threads or
     # the seed (bias draws nothing), the radius only where uo or minimax
     # scores counts and the rate only where consistent or bootstrap does,
@@ -291,10 +289,10 @@ def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) ->
     # hashes as left out.
     unread = {"out", "workers", "seed"}
     scores_counts = cfg.get("counts") is not None
-    method = cfg.get("method") if scores_counts else None
-    if method not in ("uo", "minimax"):
+    rule = cfg.get("method") if scores_counts else None
+    if rule not in ("uo", "minimax"):
         unread.add("radius")
-    if method not in ("consistent", "bootstrap"):
+    if rule not in ("consistent", "bootstrap"):
         unread.add("eta_exponent")
     if model.variant != HALFLINES or ":" in cfg.get("model"):
         unread.add("angles")
@@ -306,7 +304,7 @@ def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, est: BiasEstimate) ->
                 "radius": DEFAULT_RADII.get((model.variant, cfg.get("method")))}
     resolved = {k: v for k, v in cfg.values.items()
                 if v is not None and k not in unread and v != defaults.get(k)}
-    row = [model.model_id, mu, est.method, est.value, settings_hash(resolved)]
+    row = [model.model_id, mu, method, value, settings_hash(resolved)]
     return csv_text(["model", "mu0y", "method", "bias", "settings_hash"], [row])
 
 
@@ -323,7 +321,7 @@ def cmd_target(cfg: RunConfig) -> str:
     return curve_csv(grid, curves, [rule.method for rule in rules])
 
 
-def curve_csv(grid: Sequence[float], curves: dict[str, list[CurvePoint]],
+def curve_csv(grid: Sequence[float], curves: dict[str, list[tuple[float, float]]],
               methods: Sequence[str]) -> str:
     """The curve table of curve_grid's output: mu0y, the simulated target and
     its standard error, the generalized and the classical correction, then a
@@ -333,12 +331,9 @@ def curve_csv(grid: Sequence[float], curves: dict[str, list[CurvePoint]],
         header += [method, f"{method}_se"]
     rows = []
     for i, mu in enumerate(grid):
-        target = curves["target"][i]
-        row = [mu, target.estimate, target.std_error,
-               curves["aicg"][i].estimate, curves["aic"][i].estimate]
+        row = [mu, *curves["target"][i], curves["aicg"][i][0], curves["aic"][i][0]]
         for method in methods:
-            pt = curves[method][i]
-            row += [pt.estimate, pt.std_error]
+            row += curves[method][i]
         rows.append(row)
     return csv_text(header, rows)
 

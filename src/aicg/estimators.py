@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closedform import BiasEstimate, bias_aic, bias_constant
 from .geometry import (
     DomainError,
     Record,
@@ -93,15 +92,19 @@ def default_radius(model: ModelSpec, method: str) -> float:
 def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0):
     """Bias correction at distance mu along a ray of the model's cone,
     elementwise; alpha0 is the t3 cone angle at each distance (other models
-    ignore it).  Scalars in give scalars out.
+    ignore it).  Scalars in give scalars out.  A negative or NaN distance
+    is a DomainError.
 
     The t3 values come from one bias_t3_batch call; a half-lines model's
     from one bias_ray_cone call at (mu, 0), on its 2pi ray.  At mu = +inf,
     the distance of an estimate at a simplex vertex, a ray's value is its
-    limit, 2.
+    limit, 2.  polytomy and unconstrained have no line: their value is the
+    AIC's own, 2 dim, at every distance.
     """
     mu_arr, alpha_arr = np.broadcast_arrays(np.asarray(mu, dtype=float),
                                             np.asarray(alpha0, dtype=float))
+    if not np.all(mu_arr >= 0):
+        raise DomainError("mu0y must be nonnegative")
     far = np.isposinf(mu_arr) & (model.variant not in (POLYTOMY, UNCONSTRAINED))
     near = np.where(far, 0.0, mu_arr)
     if model.variant == T1:
@@ -109,7 +112,7 @@ def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0):
     elif model.variant == T3:
         values = bias_t3_batch(near.ravel(), alpha_arr.ravel())
     elif model.variant in (POLYTOMY, UNCONSTRAINED):
-        values = np.full(mu_arr.shape, bias_constant(model).value)
+        values = np.full(mu_arr.shape, 2.0 * model.dim)
     else:
         flat = near.ravel()
         values = bias_ray_cone(np.column_stack([flat, np.zeros_like(flat)]), model.angles)
@@ -123,7 +126,7 @@ def singularity_bias(model: ModelSpec) -> float:
 
 
 @lru_cache(maxsize=128)
-def least_favorable(model: ModelSpec, which: str, reference_n: float = 1e6) -> BiasEstimate:
+def least_favorable(model: ModelSpec, which: str, reference_n: float = 1e6) -> float:
     """Infimum ('lower') or supremum ('upper') of the bias over the cone.
 
     Computed by a coarse scan of distances [0, 50] (with the cone geometry
@@ -134,9 +137,8 @@ def least_favorable(model: ModelSpec, which: str, reference_n: float = 1e6) -> B
     """
     if which not in ("lower", "upper"):
         raise DomainError("which must be 'lower' or 'upper'")
-    method = "llf" if which == "lower" else "ulf"
     if model.variant in (POLYTOMY, UNCONSTRAINED):
-        return BiasEstimate(bias_constant(model).value, method)
+        return 2.0 * model.dim
 
     sign = 1.0 if which == "lower" else -1.0
 
@@ -152,7 +154,7 @@ def least_favorable(model: ModelSpec, which: str, reference_n: float = 1e6) -> B
         return sign * bias_on_cone(model, mus, alpha_from_phi0(phi_from_mu0y(mus, reference_n)))
 
     best = _scan_min(f, 0.0, 50.0, (0.5, 0.01, 1e-4))
-    return BiasEstimate(sign * best[0], method)
+    return sign * best[0]
 
 
 def _scan_min(f, lo: float, hi: float, steps) -> tuple[float, float]:
@@ -178,7 +180,7 @@ def neighborhood_values(model: ModelSpec, r: float, distance):
     """Neighborhood rule by distance from the singularity (the origin, the
     only one these models have): the singularity value inside the radius-r
     ball, the classical value outside; elementwise."""
-    return np.where(np.asarray(distance) <= r, singularity_bias(model), bias_aic(model).value)
+    return np.where(np.asarray(distance) <= r, singularity_bias(model), 2.0 * model.dim)
 
 
 def noncentral_radius_cdf(r, center_norm):
@@ -346,14 +348,15 @@ def consistent_radius(n: float, eta_exponent: float) -> float:
 
 def rule_constant(model: ModelSpec, rule: EstimatorRule, n: int) -> float | None:
     """The rule's value where it does not depend on the observation (aic,
-    llf, ulf, and every rule on a model with no line), else None."""
+    llf, ulf, and every rule on polytomy and unconstrained, which have no
+    line), else None."""
     if rule.method == "aic":
         return 2.0 * model.dim
     if rule.method in ("llf", "ulf"):
         which = "lower" if rule.method == "llf" else "upper"
-        return least_favorable(model, which, float(n)).value
-    if model.variant not in (T1, T3):
-        return bias_constant(model).value
+        return least_favorable(model, which, float(n))
+    if model.variant in (POLYTOMY, UNCONSTRAINED):
+        return 2.0 * model.dim
     return None
 
 

@@ -28,7 +28,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .closedform import bias_aic
 from .geometry import (
     DomainError,
     GeometryParams,
@@ -54,17 +53,9 @@ class McSettings(Record):
 
     def __init__(self, seed: int, samples: int):
         self._fill(seed, samples)
-        if samples < 1:
-            raise DomainError("samples must be >= 1")
-
-
-class CurvePoint(Record):
-    __slots__ = ("mu0y", "estimate", "std_error")
-
-    def __init__(self, mu0y: float, estimate: float, std_error: float):
-        self._fill(mu0y, estimate, std_error)
-        if std_error < 0:
-            raise DomainError("std_error must be nonnegative")
+        # one draw has no standard error: a 0 would claim an exact value
+        if samples < 2:
+            raise DomainError("samples must be >= 2")
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -107,8 +98,7 @@ def _combine(moments: tuple, samples: int) -> tuple[float, float]:
     order by _merge: the fsum of the block sums, and the centred sum of
     squares."""
     sums, _, _, _, m2 = moments
-    var = m2 / (samples - 1) if samples > 1 else 0.0
-    return math.fsum(sums) / samples, math.sqrt(var / samples)
+    return math.fsum(sums) / samples, math.sqrt(m2 / (samples - 1) / samples)
 
 
 def _binomial_cells(rng: np.random.Generator, m: np.ndarray, p: float,
@@ -249,14 +239,17 @@ _MAX_GRID_POINTS = 10_000
 
 
 def grid_values(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid of at most _MAX_GRID_POINTS points; step 0
-    collapses to the single start point."""
+    """Inclusive arithmetic grid of at most _MAX_GRID_POINTS points; step 0,
+    or a stop equal to the start, gives the single start point, and a stop
+    below the start is a DomainError."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise DomainError("grid start, stop and step must be finite")
     if step < 0:
         raise DomainError("grid step must be nonnegative")
-    if step == 0 or stop <= start:
+    if step == 0 or stop == start:
         return [start]
+    if stop < start:
+        raise DomainError("grid stop must not lie below its start")
     span = (stop - start) / step
     if not math.isfinite(span):
         raise DomainError("grid step is too small for its range")
@@ -268,11 +261,12 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
 
 def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
                rules: Sequence[EstimatorRule] = (),
-               settings: McSettings | None = None) -> dict[str, list[CurvePoint]]:
-    """Per-grid-point curve data: simulated target, analytic corrections, and
-    the expected value of each requested estimator rule for a sample of size
-    n, estimated on the target's own cells (mc_target_trinomial), or with se
-    0 the rule's constant (rule_constant), which scores nothing.
+               settings: McSettings | None = None) -> dict[str, list[tuple[float, float]]]:
+    """Per-grid-point curve data, an (estimate, std_error) pair per column
+    and grid point: simulated target, analytic corrections, and the expected
+    value of each requested estimator rule for a sample of size n, estimated
+    on the target's own cells (mc_target_trinomial), or with se 0 the rule's
+    constant (rule_constant), which scores nothing.
 
     The target and the rule columns at grid point i draw their histogram of
     counts from the streams of the seed derive_seed(settings.seed, i, 0), so
@@ -283,16 +277,14 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
         raise DomainError("curve_grid requires Monte Carlo settings")
     require_distinct([rule.method for rule in rules], "rule method")
     # an aic rule column is the aic column itself
-    curves: dict[str, list[CurvePoint]] = {
-        "target": [], "aicg": [], "aic": [CurvePoint(mu, bias_aic(model).value, 0.0)
-                                          for mu in grid]}
+    curves: dict[str, list[tuple[float, float]]] = {
+        "target": [], "aicg": [], "aic": [(2.0 * model.dim, 0.0)] * len(grid)}
     drawn = []
     for rule in rules:
         value = rule_constant(model, rule, n)
         if value is None:
             drawn.append(rule)
-        curves[rule.method] = [] if value is None else [CurvePoint(mu, value, 0.0)
-                                                        for mu in grid]
+        curves[rule.method] = [] if value is None else [(value, 0.0)] * len(grid)
 
     # one row scored first: a rule that cannot apply (consistent at n < 3)
     # raises before anything is drawn
@@ -301,12 +293,12 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     mus = np.array(grid, dtype=float)
     geos = [GeometryParams(float(phi0), n) for phi0 in phi_from_mu0y(mus, n)]
     aicg = bias_on_cone(model, mus, [g.alpha0 for g in geos])
-    for i, (mu, geo) in enumerate(zip(grid, geos)):
+    for i, geo in enumerate(geos):
         theta0 = theta_on_line(geo.phi0, model.topology or 1)
         cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples)
         target, *columns = mc_target_trinomial(model, theta0, n, cell, drawn)
-        curves["target"].append(CurvePoint(mu, *target))
-        curves["aicg"].append(CurvePoint(mu, float(aicg[i]), 0.0))
+        curves["target"].append(target)
+        curves["aicg"].append((float(aicg[i]), 0.0))
         for rule, pair in zip(drawn, columns):
-            curves[rule.method].append(CurvePoint(mu, *pair))
+            curves[rule.method].append(pair)
     return curves

@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closedform import BiasEstimate
 from .geometry import DomainError
 from .special import norm_cdf, norm_cdf2
 
@@ -88,12 +87,7 @@ def bias_t3_batch(mu0y, alpha0) -> np.ndarray:
     return bias_ray_cone(np.column_stack([np.zeros_like(mu), mu]), rays)
 
 
-def bias_t3(mu0y: float, alpha0: float) -> BiasEstimate:
-    """t3 bias correction at one point: the one-row case of bias_t3_batch."""
-    return BiasEstimate(float(bias_t3_batch(mu0y, alpha0)[0]), "closed-form")
-
-
 @lru_cache(maxsize=4096)
 def bias_t3_value(mu0y: float, alpha0: float) -> float:
-    """Memoized scalar t3 bias; safe because bias_t3 is a pure function."""
-    return bias_t3(mu0y, alpha0).value
+    """Memoized t3 bias at one point: the one-row case of bias_t3_batch."""
+    return float(bias_t3_batch(mu0y, alpha0)[0])

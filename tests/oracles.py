@@ -15,7 +15,6 @@ from typing import Sequence
 import mpmath
 import numpy as np
 
-from aicg.closedform import BiasEstimate
 from aicg.estimators import bias_on_cone, consistent_radius, singularity_bias
 from aicg.geometry import CENTROID, Counts, DomainError, GeometryParams, Record, SimplexPoint
 from aicg.models import POLYTOMY, T1, T3, UNCONSTRAINED, mle_rows
@@ -696,7 +695,7 @@ def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_expo
 def consistent_estimate(model, observed: TransformedPoint, n: float,
                         eta_exponent: float = 1.0 / 3.0,
                         geo: GeometryParams | None = None
-                        ) -> tuple[TransformedPoint, BiasEstimate]:
+                        ) -> tuple[TransformedPoint, float]:
     """Shrink one observation to the singularity inside a slowly-growing
     ball, as a scalar chain: the reference for the consistent rule that
     estimators.rule_values applies to whole arrays of count rows and draws.
@@ -717,7 +716,7 @@ def consistent_estimate(model, observed: TransformedPoint, n: float,
         proj = project_points(cone, observed.as_array()[None])[0]
         mu_t = TransformedPoint(float(proj[0]), float(proj[1]))
         value = bias_on_cone(model, math.hypot(mu_t.x, mu_t.y), geo.alpha0)
-    return mu_t, BiasEstimate(value, "consistent")
+    return mu_t, value
 
 
 def largest_remainder_counts(p: Sequence[float], n: int) -> tuple[int, int, int]:

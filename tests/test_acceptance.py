@@ -11,9 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from aicg.closedform import bias_t1
 from aicg.cli import main
-from aicg.estimators import minimax_radius, singularity_bias, uo_radius
+from aicg.estimators import bias_on_cone, minimax_radius, singularity_bias, uo_radius
 from aicg.geometry import (
     CENTROID,
     GeometryParams,
@@ -29,7 +28,7 @@ from aicg.models import (
     validate_halflines,
 )
 from aicg.montecarlo import McSettings, mc_target_trinomial, _chunk_rng
-from aicg.quadrature import bias_t3, bias_t3_value
+from aicg.quadrature import bias_t3_value
 from aicg.selection import region_grid, simplex_lattice
 from aicg.estimators import EstimatorRule
 from aicg.special import norm_cdf
@@ -51,10 +50,11 @@ def report(num: int, passed: bool, detail: str, elapsed: float | None = None):
 
 
 def test_criterion_01_t1_closed_form():
-    bias_t1(1.0)  # warm any lazy setup before timing
+    t1 = t1_model(1)
+    bias_on_cone(t1, 1.0)  # warm any lazy setup before timing
     t0 = time.perf_counter()
-    at_zero = bias_t1(0.0).value
-    at_five = bias_t1(5.0).value
+    at_zero = bias_on_cone(t1, 0.0)
+    at_five = bias_on_cone(t1, 5.0)
     elapsed = time.perf_counter() - t0
     oracle = 1.0 + erf_decimal(5.0 / math.sqrt(2.0))
     ok = at_zero == 1.0 and abs(at_five - oracle) <= 1e-9 and elapsed < 1e-3
@@ -63,8 +63,9 @@ def test_criterion_01_t1_closed_form():
 
 
 def test_criterion_02_t3_singular_constant():
+    t3 = t3_model()
     t0 = time.perf_counter()
-    v = bias_t3(0.0, math.pi / 6.0).value
+    v = bias_on_cone(t3, 0.0, math.pi / 6.0)
     elapsed = time.perf_counter() - t0
     hl = halflines_origin_bias(validate_halflines([TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI]))
     ok = (abs(v - T3_SINGULAR) <= 1e-6 and abs(v - hl) <= 1e-9 and elapsed < 1.0)
@@ -103,7 +104,7 @@ def test_criterion_04_monte_carlo_vs_analytic():
             geo = GeometryParams(phi_from_mu0y(mu, n_ref), n_ref)
             if variant == "t1":
                 model, cone = t1_model(1), cone_of(t1_model(1))
-                analytic = bias_t1(mu).value
+                analytic = bias_on_cone(t1_model(1), mu)
             else:
                 model = t3_model()
                 cone = cone_of(model, geo)
@@ -147,7 +148,7 @@ def test_criterion_06_finite_n_target():
         for i, mu in enumerate(GRID_11):
             phi0 = phi_from_mu0y(mu, n)
             geo = GeometryParams(phi0, n)
-            analytic = bias_t1(mu).value if variant == "t1" \
+            analytic = bias_on_cone(t1_model(1), mu) if variant == "t1" \
                 else bias_t3_value(mu, geo.alpha0)
             cases.append((model, theta_on_line(phi0, 1), analytic, 31_000 + i))
     cases.append((unconstrained_model(), CENTROID, 4.0, 31_500))

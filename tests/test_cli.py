@@ -539,11 +539,6 @@ def _fresh_python(code):
 
 
 class TestImports:
-    def test_cli_import_skips_thread_pool(self):
-        # the pool is imported only by a run with --workers above 1
-        out = _fresh_python("import sys, aicg.cli; print('concurrent.futures' in sys.modules)")
-        assert out.strip() == "False"
-
     def test_cli_import_skips_dataclasses_and_openssl(self):
         # dataclasses compile generated code at import, hashlib loads
         # OpenSSL and json compiles its regexes; only settings_hash (bias)
@@ -801,6 +796,11 @@ class TestEdgeInputsExit2:
          "--method 'monte-carlo' needs --counts"),
         (["bias", "--model", "t1", "--mu0y", "1", "--seed", "3"], {"samples": 1000},
          "unknown key 'samples'"),
+        # a stop below the start once gave the one start point
+        (["target", "--model", "t1", "--n", "100", "--grid", "5:0:1", "--samples", "100",
+          "--seed", "1"], None, "grid stop must not lie below its start"),
+        (["radii", "--model", "t3", "--grid", "5:0:0.05"], None,
+         "grid stop must not lie below its start"),
     ])
     def test_exit_2(self, tmp_path, capsys, args, config, needle):
         code, text = (run_cli(args, tmp_path) if config is None

@@ -1,15 +1,12 @@
+"""The bias in closed form: t1's 1 + erf(mu0y / sqrt(2)), the half-lines
+value at the origin, the constant models' and the AIC's 2 dim."""
+
 import math
 
 import numpy as np
 import pytest
 
-from aicg.closedform import (
-    BiasEstimate,
-    bias_aic,
-    bias_constant,
-    bias_t1,
-)
-from aicg.estimators import singularity_bias
+from aicg.estimators import EstimatorRule, bias_on_cone, rule_constant, singularity_bias
 from aicg.geometry import DomainError
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.special import norm_cdf
@@ -17,45 +14,34 @@ from aicg.special import norm_cdf
 from oracles import erf_decimal, halflines_origin_bias
 
 TWO_PI = 2 * math.pi
-
-
-class TestBiasEstimate:
-    def test_std_error_discipline(self):
-        # a bias value carries no standard error: the Monte Carlo target's
-        # (estimate, std_error) pairs are not BiasEstimates
-        assert BiasEstimate.__slots__ == ("value", "method")
-        with pytest.raises(TypeError):
-            BiasEstimate(1.0, "closed-form", std_error=0.1)
-        with pytest.raises(DomainError):
-            BiasEstimate(1.0, "monte-carlo")
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            BiasEstimate(1.0, "guesswork")
+T1 = t1_model(1)
 
 
 class TestBiasT1:
+    """The half-line bias 1 + erf(mu0y / sqrt(2)), which bias_on_cone gives
+    for t1."""
+
     def test_boundary_value(self):
-        assert bias_t1(0.0).value == 1.0
+        assert bias_on_cone(T1, 0.0) == 1.0
 
     def test_far_limit(self):
-        assert bias_t1(40.0).value == pytest.approx(2.0, abs=1e-15)
+        assert bias_on_cone(T1, 40.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_unit_distance(self):
-        assert bias_t1(1.0).value == pytest.approx(1.6826895, abs=1e-7)
-        assert bias_t1(1.0).value == pytest.approx(1.0 + erf_decimal(1.0 / math.sqrt(2.0)), abs=1e-14)
+        assert bias_on_cone(T1, 1.0) == pytest.approx(1.6826895, abs=1e-7)
+        assert bias_on_cone(T1, 1.0) == pytest.approx(1.0 + erf_decimal(1.0 / math.sqrt(2.0)), abs=1e-14)
 
     def test_equals_twice_normal_cdf(self):
         for mu in np.linspace(0, 6, 40):
-            assert bias_t1(mu).value == pytest.approx(2.0 * norm_cdf(mu), abs=1e-13)
+            assert bias_on_cone(T1, mu) == pytest.approx(2.0 * norm_cdf(mu), abs=1e-13)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            bias_t1(-0.1)
+            bias_on_cone(T1, -0.1)
 
     def test_monotone_with_bounded_range(self):
         grid = np.arange(0.0, 10.0001, 0.01)
-        vals = np.array([bias_t1(m).value for m in grid])
+        vals = np.array([bias_on_cone(T1, m) for m in grid])
         diffs = np.diff(vals)
         assert np.all(diffs >= 0.0)
         # resolvable in double precision up to ~6; saturates at 2.0 beyond
@@ -117,20 +103,16 @@ class TestHalflines:
 
 class TestConstants:
     def test_polytomy(self):
-        assert bias_constant(polytomy_model()).value == 0.0
+        assert bias_on_cone(polytomy_model(), 0.0) == 0.0
 
     def test_unconstrained(self):
-        assert bias_constant(unconstrained_model()).value == 4.0
-
-    def test_rejects_singular_models(self):
-        with pytest.raises(DomainError):
-            bias_constant(t3_model())
+        assert bias_on_cone(unconstrained_model(), 0.0) == 4.0
 
     def test_equal_sector_limit_approaches_unconstrained(self):
         el = 10_000
         angles = [(i + 1) * TWO_PI / el for i in range(el)]
         v = singularity_bias(validate_halflines(angles))
-        assert v == pytest.approx(bias_constant(unconstrained_model()).value, abs=1e-6)
+        assert v == pytest.approx(bias_on_cone(unconstrained_model(), 0.0), abs=1e-6)
 
 
 class TestAic:
@@ -139,10 +121,10 @@ class TestAic:
         (polytomy_model(), 0.0), (unconstrained_model(), 4.0),
     ])
     def test_twice_dimension(self, model, expected):
-        assert bias_aic(model).value == expected
+        assert rule_constant(model, EstimatorRule("aic"), 100) == expected
 
     def test_halflines(self):
-        assert bias_aic(validate_halflines([TWO_PI])).value == 2.0
+        assert rule_constant(validate_halflines([TWO_PI]), EstimatorRule("aic"), 100) == 2.0
 
 
 def test_singularity_bias_dispatch():

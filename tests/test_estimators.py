@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from aicg.closedform import bias_t1
 from aicg.estimators import (
     EstimatorRule,
     InfeasibleError,
@@ -19,7 +18,7 @@ from aicg.estimators import (
 from aicg.geometry import Counts, DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.montecarlo import _chunk_rng
-from aicg.quadrature import bias_ray_cone, bias_t3, bias_t3_batch
+from aicg.quadrature import bias_ray_cone, bias_t3_batch
 from aicg.selection import score_batch
 from aicg.special import erf, norm_cdf
 
@@ -197,31 +196,31 @@ class TestLeastFavorable:
         assert least_favorable.cache_info().hits == hits + 1
 
     def test_t1_pair(self):
-        assert least_favorable(t1_model(1), "lower").value == pytest.approx(1.0, abs=1e-6)
-        assert least_favorable(t1_model(1), "upper").value == pytest.approx(2.0, abs=1e-6)
+        assert least_favorable(t1_model(1), "lower") == pytest.approx(1.0, abs=1e-6)
+        assert least_favorable(t1_model(1), "upper") == pytest.approx(2.0, abs=1e-6)
 
     def test_t3_pair(self):
-        assert least_favorable(t3_model(), "lower").value == pytest.approx(2.0, abs=1e-6)
-        assert least_favorable(t3_model(), "upper").value == pytest.approx(
+        assert least_favorable(t3_model(), "lower") == pytest.approx(2.0, abs=1e-6)
+        assert least_favorable(t3_model(), "upper") == pytest.approx(
             T3_SINGULAR, abs=1e-6)
-        assert least_favorable(t3_model(), "upper").value == pytest.approx(2.8269933, abs=1e-6)
+        assert least_favorable(t3_model(), "upper") == pytest.approx(2.8269933, abs=1e-6)
 
     def test_constant_models(self):
-        assert least_favorable(polytomy_model(), "lower").value == 0.0
-        assert least_favorable(polytomy_model(), "upper").value == 0.0
-        assert least_favorable(unconstrained_model(), "upper").value == 4.0
+        assert least_favorable(polytomy_model(), "lower") == 0.0
+        assert least_favorable(polytomy_model(), "upper") == 0.0
+        assert least_favorable(unconstrained_model(), "upper") == 4.0
 
     def test_halflines(self):
         single = validate_halflines([2 * math.pi])
-        assert least_favorable(single, "lower").value == pytest.approx(1.0)
-        assert least_favorable(single, "upper").value == pytest.approx(2.0)
+        assert least_favorable(single, "lower") == pytest.approx(1.0)
+        assert least_favorable(single, "upper") == pytest.approx(2.0)
 
     def test_halflines_upper_above_origin_and_limit(self):
         # on the 2pi ray of halflines:3.5,2pi the bias rises to 2.029013 near
         # distance 1.04, above both its origin value 1.9976 and the limit 2
         model = validate_halflines([3.5, 2 * math.pi])
-        assert least_favorable(model, "upper").value >= 2.029013
-        assert least_favorable(model, "lower").value == pytest.approx(
+        assert least_favorable(model, "upper") >= 2.029013
+        assert least_favorable(model, "lower") == pytest.approx(
             singularity_bias(model), abs=1e-12)
 
     def test_halflines_scan_covers_every_ray(self):
@@ -230,7 +229,7 @@ class TestLeastFavorable:
         mus = np.arange(0.0, 10.0 + 1e-9, 0.05)
         scan = [bias_ray_cone(mus[:, None] * [[math.cos(a), math.sin(a)]], model.angles)
                 for a in model.angles]
-        upper, lower = (least_favorable(model, which).value for which in ("upper", "lower"))
+        upper, lower = (least_favorable(model, which) for which in ("upper", "lower"))
         highest, lowest = max(np.max(v) for v in scan), min(np.min(v) for v in scan)
         assert highest - 1e-9 <= upper <= highest + 1e-3
         assert lowest - 1e-6 <= lower <= lowest + 1e-9
@@ -242,9 +241,9 @@ class TestLeastFavorable:
         alphas = alpha_from_phi0(phi_from_mu0y(mus, 1e6))
         values = np.concatenate([bias_t3_batch(mus[k:k + 500], alphas[k:k + 500])
                                  for k in range(0, len(mus), 500)])
-        assert least_favorable(t3_model(), "lower").value == pytest.approx(
+        assert least_favorable(t3_model(), "lower") == pytest.approx(
             values.min(), abs=1e-6)
-        assert least_favorable(t3_model(), "upper").value == pytest.approx(
+        assert least_favorable(t3_model(), "upper") == pytest.approx(
             values.max(), abs=1e-6)
 
 
@@ -252,7 +251,7 @@ class TestBiasOnCone:
     def test_t1_closed_form(self):
         mus = np.array([0.0, 0.5, 2.0, 7.0])
         assert bias_on_cone(t1_model(1), mus) == pytest.approx(
-            [bias_t1(m).value for m in mus], abs=1e-15)
+            [1.0 + erf(m / math.sqrt(2.0)) for m in mus], abs=1e-15)
         assert bias_on_cone(t1_model(1), 0.0) == 1.0
 
     def test_t3_pairs_match_one_point_values(self):
@@ -262,7 +261,20 @@ class TestBiasOnCone:
         assert values.shape == (5,)
         assert values[0] == values[2]
         for m, a, v in zip(mus, alphas, values):
-            assert v == pytest.approx(bias_t3(m, a).value, abs=1e-13)
+            assert v == pytest.approx(bias_t3_batch(m, a)[0], abs=1e-13)
+
+    @pytest.mark.parametrize("mu", [-1.0, math.nan])
+    @pytest.mark.parametrize("model", [
+        t1_model(1), t3_model(), polytomy_model(), unconstrained_model(),
+        validate_halflines([2.8, 4.5, 2 * math.pi])],
+        ids=["t1", "t3", "polytomy", "unconstrained", "halflines"])
+    def test_rejects_negative_and_nan_distances(self, model, mu):
+        # a distance is nonnegative for every model; +inf, a vertex row's, stays legal
+        with pytest.raises(DomainError, match="nonnegative"):
+            bias_on_cone(model, mu)
+        with pytest.raises(DomainError):
+            bias_on_cone(model, [0.5, mu])
+        assert math.isfinite(bias_on_cone(model, math.inf))
 
     def test_scalar_in_scalar_out(self):
         value = bias_on_cone(t3_model(), 0.0)
@@ -488,7 +500,7 @@ class TestConsistentEstimate:
     def test_origin_always_shrinks(self):
         mu_t, est = consistent_estimate(t1_model(1), TransformedPoint(0, 0), 1000)
         assert (mu_t.x, mu_t.y) == (0.0, 0.0)
-        assert est.value == 1.0
+        assert est == 1.0
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(DomainError):
@@ -537,7 +549,7 @@ class TestBootstrap:
         assert 3.9 < geo.mu0y < 4.7
         assert geo.mu0y > counts.n ** (0.5 - 0.45)
         scores = one_row(t1_model(1), counts, EstimatorRule("bootstrap", eta_exponent=0.45))
-        assert scores.bias[0] == bias_t1(float(scores.mu_hat[0])).value
+        assert scores.bias[0] == bias_on_cone(t1_model(1), float(scores.mu_hat[0]))
         assert scores.bias[0] == pytest.approx(1.99994, abs=5e-5)
         assert scores.mu_hat[0] == pytest.approx(geo.mu0y, abs=1e-12)
 
@@ -557,7 +569,7 @@ class TestCrudeBounds:
 
     @staticmethod
     def _range(model):
-        return least_favorable(model, "lower").value, least_favorable(model, "upper").value
+        return least_favorable(model, "lower"), least_favorable(model, "upper")
 
     def test_lower_bound_nonnegative_everywhere(self):
         for model in [t1_model(1), t3_model(), polytomy_model(), unconstrained_model(),
@@ -585,8 +597,8 @@ class TestRuleRangeEnvelope:
     def test_estimates_respect_least_favorable_envelope(self):
         counts_list = [Counts(40, 30, 30), Counts(70, 15, 15), Counts(34, 33, 33)]
         for model in [t1_model(1), t3_model(), polytomy_model(), unconstrained_model()]:
-            lo = least_favorable(model, "lower", reference_n=100.0).value
-            hi = least_favorable(model, "upper", reference_n=100.0).value
+            lo = least_favorable(model, "lower", reference_n=100.0)
+            hi = least_favorable(model, "upper", reference_n=100.0)
             for method in ("plugin", "uo", "minimax", "consistent"):
                 scores = score_batch([model], [c.as_array() for c in counts_list],
                                      EstimatorRule(method))[0]

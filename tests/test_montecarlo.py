@@ -5,8 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from aicg.closedform import bias_t1
-from aicg.estimators import EstimatorRule, rule_constant
+from aicg.estimators import EstimatorRule, bias_on_cone, rule_constant
 from aicg.geometry import (
     CENTROID,
     DomainError,
@@ -18,7 +17,6 @@ from aicg.geometry import (
 from aicg.models import (polytomy_model, t1_model, t3_model, unconstrained_model,
                          validate_halflines)
 from aicg.montecarlo import (
-    CurvePoint,
     McSettings,
     curve_grid,
     derive_seed,
@@ -111,9 +109,14 @@ class TestSettings:
             McSettings(seed=1, samples=0)
         assert McSettings.__slots__ == ("seed", "samples")
 
-    def test_curve_point_validation(self):
-        with pytest.raises(DomainError):
-            CurvePoint(0.0, 1.0, -1e-3)
+    def test_one_sample_rejected(self):
+        # one draw has no standard error: a 0 would claim an exact value
+        with pytest.raises(DomainError, match="samples must be >= 2"):
+            McSettings(seed=1, samples=1)
+        theta0 = theta_on_line(phi_from_mu0y(1.0, 100), 1)
+        (_, se), (_, rule_se) = mc_target_trinomial(t1_model(1), theta0, 100, McSettings(1, 2),
+                                                    [EstimatorRule("plugin")])
+        assert se > 0.0 and rule_se > 0.0
 
 
 class TestSampling:
@@ -221,7 +224,7 @@ class TestChunkVariance:
         curve = curve_grid(t3_model(), n, [0.0, 4.0, 8.0], [rule], McSettings(5, samples))
         (_, (estimate, se)), blocks = scored_cells(t3_model(), curve_theta0(t3_model(), 8.0, n),
                                                    n, settings, [rule])
-        assert (curve["plugin"][2].estimate, curve["plugin"][2].std_error) == (estimate, se)
+        assert curve["plugin"][2] == (estimate, se)
         assert len(blocks) > 1
         values = np.concatenate([np.repeat(score_batch([t3_model()], counts, rule)[0].bias, freq)
                                  for counts, freq in blocks])
@@ -234,7 +237,8 @@ class TestChunkVariance:
         def kernel(rng, size):
             return [np.full(size, value)]
 
-        for samples, chunk in [(100_000, 1 << 16), (10_007, 999), (1, 1 << 16)]:
+        # two samples, the fewest McSettings takes, in one chunk
+        for samples, chunk in [(100_000, 1 << 16), (10_007, 999), (2, 1 << 16)]:
             [(mean, se, lowest)] = run_chunks(McSettings(1, samples), kernel, chunk)
             assert se == 0.0 and lowest == value
             assert mean == pytest.approx(value, rel=1e-15)
@@ -303,7 +307,7 @@ class TestTargetTrinomial:
 
     def test_t1_boundary_near_one(self):
         (value, se), = mc_target_trinomial(t1_model(1), CENTROID, 1000, McSettings(11, N_MED))
-        assert within_3se(value, se, bias_t1(0).value, floor=0.02)
+        assert within_3se(value, se, bias_on_cone(t1_model(1), 0.0), floor=0.02)
 
     def test_unconstrained_near_four(self):
         (value, se), = mc_target_trinomial(unconstrained_model(), CENTROID, 1000,
@@ -372,7 +376,7 @@ class TestT1TargetKernel:
             assert abs(value - exact) <= 4.0 * se, (phi0, exact, value)
 
     def test_exact_sum_matches_boundary_constant(self):
-        # at the centroid the large-n target tends to bias_t1(0) = 1
+        # at the centroid the large-n target tends to the t1 bias at 0, 1
         assert t1_target_exact(1, CENTROID.as_tuple(), 4000) == pytest.approx(1.0, abs=0.03)
 
 
@@ -481,29 +485,29 @@ class TestExpectedEstimator:
     T1_PLUGIN_GAP = 2.1e-4
 
     def test_t1_plugin_matches_quadrature_oracle(self):
-        est = one_point(t1_model(1), EstimatorRule("plugin"), 0.0, McSettings(21, 500_000),
-                        n=100_000)
+        estimate, se = one_point(t1_model(1), EstimatorRule("plugin"), 0.0,
+                                 McSettings(21, 500_000), n=100_000)
         limit = float(t1_plugin_limit(0.0))
         assert limit == 1.25
-        assert abs(est.estimate - limit) <= self.T1_PLUGIN_GAP + 3.0 * est.std_error
+        assert abs(estimate - limit) <= self.T1_PLUGIN_GAP + 3.0 * se
 
     def test_t1_uo_closed_form(self):
         # radius 0 takes the singularity value 1 where the estimate sits at
         # the boundary, c_1 <= n / 3: 2 - P(c_1 <= 333) at n = 1000, and
         # 2 - Phi(-1) in the Gaussian limit
         from scipy.stats import binom
-        est = one_point(t1_model(1), EstimatorRule("uo", radius=0.0), 1.0,
-                        McSettings(22, 500_000))
+        estimate, se = one_point(t1_model(1), EstimatorRule("uo", radius=0.0), 1.0,
+                                 McSettings(22, 500_000))
         assert 2.0 - norm_cdf(-1.0) == pytest.approx(1.8413447, abs=1e-7)
         p1 = curve_theta0(t1_model(1), 1.0, 1000).p1
-        assert within_3se(est.estimate, est.std_error, 2.0 - binom.cdf(333, 1000, p1))
+        assert within_3se(estimate, se, 2.0 - binom.cdf(333, 1000, p1))
 
     def test_polytomy_rule_constant(self):
         for method in ("plugin", "aic", "llf", "ulf", "uo", "minimax", "consistent",
                        "bootstrap"):
-            est = one_point(polytomy_model(), EstimatorRule(method, radius=1.0), 0.0,
-                            McSettings(1, 2000))
-            assert est.estimate == 0.0 and est.std_error == 0.0
+            estimate, se = one_point(polytomy_model(), EstimatorRule(method, radius=1.0), 0.0,
+                                     McSettings(1, 2000))
+            assert estimate == 0.0 and se == 0.0
 
 
 DRAWN_RULES = ("plugin", "uo", "minimax", "consistent", "bootstrap")
@@ -522,10 +526,10 @@ class TestRuleColumnsExact:
         for i, mu in enumerate(grid):
             theta0 = curve_theta0(model, mu, n).as_tuple()
             for rule in rules:
-                pt = curves[rule.method][i]
+                estimate, se = curves[rule.method][i]
                 exact = rule_expectation_exact(model, rule, theta0, n)
-                assert abs(pt.estimate - exact) <= max(5.0 * pt.std_error, 1e-12), \
-                    (rule.method, mu, pt.estimate, pt.std_error, exact)
+                assert abs(estimate - exact) <= max(5.0 * se, 1e-12), \
+                    (rule.method, mu, estimate, se, exact)
 
     def test_no_column_prints_nan_at_n_5(self):
         # every outcome at a vertex has a defined value
@@ -533,8 +537,8 @@ class TestRuleColumnsExact:
         for model in (t1_model(1), t3_model()):
             curves = curve_grid(model, 5, [0.0, 1.0, 2.0], rules, McSettings(1, 2000))
             for method in ("target", *DRAWN_RULES):
-                assert all(math.isfinite(p.estimate) and math.isfinite(p.std_error)
-                           for p in curves[method]), (model.model_id, method)
+                assert all(math.isfinite(estimate) and math.isfinite(se)
+                           for estimate, se in curves[method]), (model.model_id, method)
 
 
 class TestGaussianLimits:
@@ -574,9 +578,9 @@ class TestGaussianLimits:
             r = n ** (1.0 / 6.0)
             limits = t1_plugin_limit(self.MS) if method == "plugin" else \
                 t1_consistent_limit(self.MS, r)
-            for pt, limit in zip(curve, limits):
-                assert abs(pt.estimate - limit) <= self.BOUNDS[method, n] + 4.0 * pt.std_error, \
-                    (n, pt.mu0y, pt.estimate, limit)
+            for mu, (estimate, se), limit in zip(self.MS, curve, limits):
+                assert abs(estimate - limit) <= self.BOUNDS[method, n] + 4.0 * se, \
+                    (n, mu, estimate, limit)
         assert self.BOUNDS[method, 10_000] < self.BOUNDS[method, 1000] / 2.5
 
 
@@ -592,6 +596,14 @@ class TestGridValues:
     def test_negative_step_rejected(self):
         with pytest.raises(DomainError):
             grid_values(0, 1, -0.1)
+
+    def test_reversed_grid_rejected(self):
+        # a stop below the start once gave the one start point; a stop equal
+        # to it, or a step of 0, still does
+        with pytest.raises(DomainError, match="below its start"):
+            grid_values(5.0, 0.0, 1.0)
+        assert grid_values(0.0, 0.0, 1.0) == [0.0]
+        assert grid_values(5.0, 0.0, 0.0) == [5.0]
 
     @pytest.mark.parametrize("start, stop, step", [
         (0.0, math.inf, 1.0), (math.nan, 1.0, 0.5), (0.0, 1.0, math.nan), (-math.inf, 0.0, 0.0),
@@ -614,11 +626,10 @@ class TestCurveGrid:
                             rules=[EstimatorRule("uo", radius=0.0)],
                             settings=McSettings(31, 30_000))
         assert set(curves) == {"target", "aicg", "aic", "uo"}
-        assert curves["aicg"][0].estimate == 1.0
-        assert curves["aicg"][1].estimate == pytest.approx(1.9999994267, abs=1e-7)
-        assert all(pt.estimate == 2.0 for pt in curves["aic"])
-        assert within_3se(curves["target"][0].estimate, curves["target"][0].std_error,
-                          1.0, floor=0.05)
+        assert curves["aicg"][0][0] == 1.0
+        assert curves["aicg"][1][0] == pytest.approx(1.9999994267, abs=1e-7)
+        assert all(estimate == 2.0 for estimate, _ in curves["aic"])
+        assert within_3se(*curves["target"][0], 1.0, floor=0.05)
 
     def test_deterministic_independent_of_columns(self):
         base = curve_grid(t1_model(1), 500, [0.0, 1.0], settings=McSettings(77, 20_000))
@@ -626,8 +637,7 @@ class TestCurveGrid:
                            rules=[EstimatorRule("aic"), EstimatorRule("plugin")],
                            settings=McSettings(77, 20_000))
         for i in range(2):
-            assert (base["target"][i].estimate, base["target"][i].std_error) == \
-                (extra["target"][i].estimate, extra["target"][i].std_error)
+            assert base["target"][i] == extra["target"][i]
 
         # each rule column of a grid is the same whichever other columns are
         # requested, in whatever order
@@ -641,8 +651,7 @@ class TestCurveGrid:
                                settings)]
             for method in ("target", "plugin", "uo"):
                 for i in (0, 1):
-                    cells = {(run[method][i].estimate, run[method][i].std_error)
-                             for run in runs if method in run}
+                    cells = {run[method][i] for run in runs if method in run}
                     assert len(cells) == 1, (model.model_id, method, i, cells)
 
     def test_rule_column_is_the_one_point_estimate(self):
@@ -655,8 +664,7 @@ class TestCurveGrid:
             point = McSettings(derive_seed(5, i, 0), settings.samples)
             estimates = mc_target_trinomial(model, curve_theta0(model, mu, n), n, point, rules)
             for method, est in zip(("target", "plugin", "uo"), estimates):
-                pt = curves[method][i]
-                assert (pt.estimate, pt.std_error) == est
+                assert curves[method][i] == est
 
     @pytest.mark.parametrize("method", ["plugin", "aic", "llf", "ulf", "uo", "minimax",
                                         "consistent", "bootstrap"])
@@ -673,7 +681,7 @@ class TestCurveGrid:
             constant = rule_constant(model, rule, n)
             for i, (mu, pt) in enumerate(zip(grid, column)):
                 if constant is not None:
-                    assert (pt.estimate, pt.std_error) == (constant, 0.0)
+                    assert pt == (constant, 0.0)
                     continue
                 settings = McSettings(derive_seed(8, i, 0), samples)
                 (_, est), blocks = scored_cells(model, curve_theta0(model, mu, n), n, settings,
@@ -681,8 +689,8 @@ class TestCurveGrid:
                 sums = [float(np.dot(freq, score_batch([model], counts, rule)[0].bias))
                         for counts, freq in blocks]
                 assert sum(len(freq) for _, freq in blocks) > 1
-                assert (pt.estimate, pt.std_error) == est
-                assert pt.estimate == pytest.approx(math.fsum(sums) / samples, rel=1e-14)
+                assert pt == est
+                assert pt[0] == pytest.approx(math.fsum(sums) / samples, rel=1e-14)
 
     def test_sub_block_draws_are_slices_of_the_chunk_draw(self):
         # drawing a chunk's normals one sub-block at a time leaves every draw
@@ -737,8 +745,7 @@ class TestCurveGrid:
         for rule in rules:
             value = rule_constant(model, rule, 100)
             assert value is not None
-            assert [(p.estimate, p.std_error) for p in curves[rule.method]] == \
-                [(value, 0.0)] * len(grid)
+            assert curves[rule.method] == [(value, 0.0)] * len(grid)
 
     def test_t1_bootstrap_column_is_the_consistent_column(self):
         # a shrunk t1 row's bootstrap centre is the origin, where the bias
@@ -747,17 +754,16 @@ class TestCurveGrid:
         rules = [EstimatorRule("bootstrap", eta_exponent=0.2),
                  EstimatorRule("consistent", eta_exponent=0.2)]
         curves = curve_grid(t1_model(1), 100, [0.0, 1.0, 2.5, 4.0], rules, settings)
-        assert [(p.estimate, p.std_error) for p in curves["bootstrap"]] == \
-            [(p.estimate, p.std_error) for p in curves["consistent"]]
+        assert curves["bootstrap"] == curves["consistent"]
 
     def test_t3_consistent_column_shrinks_to_the_singularity_value(self):
         # like a shrunk count row, a shrunk cell takes singularity_bias(t3);
         # with every cell shrunk the column is that constant
         from aicg.estimators import singularity_bias
-        est = one_point(t3_model(), EstimatorRule("consistent", eta_exponent=0.01), 0.0,
-                        McSettings(1, 100))
-        assert est.std_error == 0.0
-        assert est.estimate == pytest.approx(singularity_bias(t3_model()), rel=1e-15)
+        estimate, se = one_point(t3_model(), EstimatorRule("consistent", eta_exponent=0.01), 0.0,
+                                 McSettings(1, 100))
+        assert se == 0.0
+        assert estimate == pytest.approx(singularity_bias(t3_model()), rel=1e-15)
 
     def test_rule_columns_share_the_target_histogram(self):
         # the rule columns draw nothing of their own: a curve with rules

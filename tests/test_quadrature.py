@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import aicg
 
+from aicg.estimators import bias_on_cone
 from aicg.geometry import DomainError
-from aicg.models import validate_halflines
+from aicg.models import t3_model, validate_halflines
 from aicg.quadrature import (
     bias_ray_cone,
-    bias_t3,
     bias_t3_batch,
     bias_t3_value,
 )
@@ -27,28 +27,29 @@ from oracles import gauss_legendre_mpmath, halflines_origin_bias, ray_cone_bias_
 TWO_PI = 2 * math.pi
 T3_RAYS = [math.pi / 2, 7 * math.pi / 6, 11 * math.pi / 6]  # alpha0 = pi/6
 T3_SINGULAR = 2.0 + 3.0 * math.sqrt(3.0) / (2.0 * math.pi)
+T3 = t3_model()
 
 
 class TestBiasT3:
     def test_singular_constant(self):
-        v = bias_t3(0.0, math.pi / 6).value
+        v = bias_on_cone(T3, 0.0, math.pi / 6)
         assert v == pytest.approx(T3_SINGULAR, abs=1e-15)
 
     def test_matches_halflines_closed_form(self):
-        v = bias_t3(0.0, math.pi / 6).value
+        v = bias_on_cone(T3, 0.0, math.pi / 6)
         hl = halflines_origin_bias(validate_halflines([TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI]))
         assert v == pytest.approx(hl, abs=1e-15)
 
     def test_far_limit(self):
-        assert bias_t3(8.0, math.pi / 6).value == pytest.approx(2.0, abs=1e-3)
+        assert bias_on_cone(T3, 8.0, math.pi / 6) == pytest.approx(2.0, abs=1e-3)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            bias_t3(-1.0, math.pi / 6)
+            bias_on_cone(T3, -1.0, math.pi / 6)
         with pytest.raises(DomainError):
-            bias_t3(1.0, 0.0)
+            bias_on_cone(T3, 1.0, 0.0)
         with pytest.raises(DomainError):
-            bias_t3(1.0, 1.0)
+            bias_on_cone(T3, 1.0, 1.0)
 
     def test_nonincreasing_on_grid(self):
         grid = np.arange(0.0, 5.0001, 0.1)
@@ -61,7 +62,7 @@ class TestBiasT3:
         # the closed form truncates nothing, so it has no window to widen:
         # near and far along the line it is the plane's dblquad value
         for mu in [1.3, 20.0]:
-            value = bias_t3(mu, math.pi / 6).value
+            value = bias_on_cone(T3, mu, math.pi / 6)
             assert value == pytest.approx(ray_cone_bias_dblquad((0.0, mu), T3_RAYS), abs=1e-13)
 
     def test_batch_rows_match_scalar(self):
@@ -69,10 +70,10 @@ class TestBiasT3:
         alphas = np.array([math.pi / 6, 0.5, 0.45, 0.33, 0.4])
         batch = bias_t3_batch(mus, alphas)
         for mu, a0, v in zip(mus, alphas, batch):
-            assert v == pytest.approx(bias_t3(float(mu), float(a0)).value, abs=1e-14)
+            assert v == pytest.approx(bias_on_cone(T3, float(mu), float(a0)), abs=1e-14)
         # a scalar alpha0 broadcasts over the mu0y rows
         shared = bias_t3_batch(mus, math.pi / 6)
-        assert shared[2] == pytest.approx(bias_t3(1.7, math.pi / 6).value, abs=1e-14)
+        assert shared[2] == pytest.approx(bias_on_cone(T3, 1.7, math.pi / 6), abs=1e-14)
 
     def test_batch_rejects_bad_rows(self):
         with pytest.raises(DomainError):
@@ -83,21 +84,19 @@ class TestBiasT3:
     def test_nonconvergence_carries_best(self):
         # where a quadrature rule pair once missed its tolerance, the closed
         # form, which checks none, raises nothing and gives the plane's value
-        value = bias_t3(1.0, math.pi / 6).value
+        value = bias_on_cone(T3, 1.0, math.pi / 6)
         assert value == pytest.approx(ray_cone_bias_dblquad((0.0, 1.0), T3_RAYS), abs=1e-13)
 
     def test_metadata_records_truncation(self):
         # a closed form, with no window, tail or standard error
-        est = bias_t3(0.5, math.pi / 6)
-        assert est.method == "closed-form"
-        assert est.value == bias_t3_batch(0.5, math.pi / 6)[0]
+        assert bias_on_cone(T3, 0.5, math.pi / 6) == bias_t3_batch(0.5, math.pi / 6)[0]
 
     def test_far_singularity_reaches_regular_value(self):
         # every jump term is positive and vanishes far out, where the value
         # is the regular-model limit 2 exactly, up to the largest doubles
         for mu in [15.0, 50.0, 300.0, 5000.0, 1e8, 1e17, 1e20, 1e300, 1.7e308]:
             for alpha0 in (math.pi / 6, 0.33, math.atan(1.0 / 3.0)):
-                assert bias_t3(mu, alpha0).value == 2.0
+                assert bias_on_cone(T3, mu, alpha0) == 2.0
 
 
 class TestRayCone:
