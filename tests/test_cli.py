@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -532,10 +533,16 @@ class TestRadiiCommand:
         assert code == 0 and "error" not in json.loads(text)
 
 
-def _fresh_python(code):
+def _fresh_process(code):
     src = str(Path(aicg.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def _fresh_python(code):
+    proc = _fresh_process(code)
+    proc.check_returncode()
+    return proc.stdout.decode()
 
 
 class TestImports:
@@ -562,6 +569,36 @@ class TestImports:
         modules = {f"aicg.{p.stem}" for p in package.glob("*.py")} - {"aicg.__init__", "aicg.cli"}
         assert "numpy" in loaded
         assert modules <= set(loaded)
+
+
+class TestProcessExit:
+    """run() freezes the collector's heap on every exit path, so that the
+    interpreter's shutdown collections skip it; main() leaves it alone."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["target", "--model", "t1", "--n", "1000", "--grid", "0:5:0.5", "--samples", "100000",
+          "--method", "plugin,uo", "--seed", "1"], 0),
+        (["--help"], 0),
+        (["target", "--bogus"], 2),  # argparse's exit
+        (["bias", "--model", "t9", "--mu0y", "1"], 2),
+        (["radii", "--model", "t3", "--grid", "0:1:0.5", "--violation-tol", "-1"], 3),
+    ], ids=["target", "help", "unknown-flag", "usage-error", "infeasible"])
+    def test_run_exits_frozen_with_main_output(self, args, code, capsys):
+        frozen = gc.get_freeze_count()
+        try:
+            in_process = main(args)
+        except SystemExit as exc:
+            in_process = exc.code
+        assert gc.get_freeze_count() == frozen
+        captured = capsys.readouterr()
+        probe = ("import atexit, gc, runpy, sys\n"
+                 "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                 f"sys.argv = ['aicg', *{args!r}]\n"
+                 "runpy.run_module('aicg.cli', run_name='__main__')\n")
+        proc = _fresh_process(probe)
+        assert in_process == proc.returncode == code
+        assert proc.stdout == captured.out.encode()
+        assert proc.stderr == (captured.err + "True\n").encode()
 
 
 class TestConfigPrecedence:

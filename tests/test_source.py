@@ -168,6 +168,17 @@ def test_the_scan_finds_an_unread_slot(tmp_path):
     assert _unread_slots(package, scripts, tmp_path / "README.md") == ["Point.written"]
 
 
+def test_only_the_entry_point_touches_the_collector():
+    # importing the package or calling main() in-process must leave the
+    # caller's collector as it was; only cli.run, which ends the process,
+    # freezes the heap
+    users = [(path.stem, getattr(stmt, "name", None))
+             for path in sorted(PACKAGE.glob("*.py"))
+             for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+             if "gc" in _reads(stmt)]
+    assert users == [("cli", "run")]
+
+
 def test_one_version():
     # select prints aicg.__version__; the package metadata must say the same
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
