@@ -17,7 +17,6 @@ from .geometry import (
     CENTROID,
     Counts,
     DomainError,
-    GeometryParams,
     SimplexPoint,
     alpha_from_phi0,
     mu0y,

@@ -24,17 +24,15 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .estimators import (DEFAULT_RADII, ETA_EXPONENT, EstimatorRule, InfeasibleError,
-                         bias_on_cone, minimax_radius, uo_radius)
-from .geometry import Counts, DomainError, GeometryParams, phi_from_mu0y
+from .estimators import (DEFAULT_RADII, ETA_EXPONENT, REFERENCE_N, EstimatorRule,
+                         InfeasibleError, bias_on_cone, minimax_radius, uo_radius)
+from .geometry import Counts, DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
 from .models import HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, parse_angle, parse_model_id
 from .montecarlo import McSettings, curve_grid, grid_values
 from .selection import region_grid, score, score_batch, simplex_lattice
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
-# the sample size of bias --mu0y's t3 cone angle and of radii, unless --n is given
-REFERENCE_N = 1e6
 # The most points of a regions lattice.  regions holds a few hundred bytes per
 # lattice point and model: on a 2-core x86_64 VM, resolution 1412 (998,988
 # points) with four models peaked at 592 MB resident.
@@ -117,25 +115,12 @@ def settings_hash(resolved: dict[str, Any]) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-class RunConfig:
-    """Fully resolved options for one subcommand invocation, each value of
-    its option's type, or None when neither a flag nor the config set it."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: dict[str, Any]):
-        self.values = values
-
-    def get(self, key: str, default=None):
-        v = self.values.get(key)
-        return default if v is None else v
-
-    def require(self, key: str, hint: str = ""):
-        v = self.values.get(key)
-        if v is None:
-            raise UsageError(f"missing required option --{key.replace('_', '-')}"
-                             + (f" ({hint})" if hint else ""))
-        return v
+def _require(cfg: dict[str, Any], key: str, hint: str = ""):
+    v = cfg.get(key)
+    if v is None:
+        raise UsageError(f"missing required option --{key.replace('_', '-')}"
+                         + (f" ({hint})" if hint else ""))
+    return v
 
 
 def finite_float(text: str) -> float:
@@ -193,7 +178,9 @@ def _config_value(key: str, value: Any) -> Any:
     return parsed
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> dict[str, Any]:
+    """The options of one subcommand invocation that a flag or the config
+    set, each value of its option's type."""
     values = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
     if args.config:
         import json
@@ -210,46 +197,46 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
                                  f"for the {args.cmd} subcommand")
             if values[k] is None and val is not None:
                 values[k] = _config_value(key, val)
-    return RunConfig(values)
+    return {k: v for k, v in values.items() if v is not None}
 
 
-def _mc_settings(cfg: RunConfig) -> McSettings:
+def _mc_settings(cfg: dict[str, Any]) -> McSettings:
     if cfg.get("seed") is None:
         raise UsageError("--seed is required for stochastic runs")
-    samples = cfg.require("samples")
+    samples = _require(cfg, "samples")
     if samples < 2:
         # one draw has no standard error: a 0 would claim an exact value
         raise UsageError(f"--samples must be at least 2, got {samples}")
-    return McSettings(seed=cfg.get("seed"), samples=samples)
+    return McSettings(seed=cfg["seed"], samples=samples)
 
 
-def _angles(cfg: RunConfig) -> list[float] | None:
+def _angles(cfg: dict[str, Any]) -> list[float] | None:
     raw = cfg.get("angles")
     return None if raw is None else [parse_angle(t) for t in raw.split(",")]
 
 
-def _rule(cfg: RunConfig, method: str) -> EstimatorRule:
+def _rule(cfg: dict[str, Any], method: str) -> EstimatorRule:
     return EstimatorRule(method, radius=cfg.get("radius"),
                          eta_exponent=cfg.get("eta_exponent", ETA_EXPONENT))
 
 
-def _counts(cfg: RunConfig) -> Counts:
-    counts = parse_counts(cfg.require("counts"))
+def _counts(cfg: dict[str, Any]) -> Counts:
+    counts = parse_counts(_require(cfg, "counts"))
     if cfg.get("n", counts.n) != counts.n:
         raise UsageError("--n disagrees with the counts total")
     return counts
 
 
-def cmd_bias(cfg: RunConfig) -> str:
-    model = parse_model_id(cfg.require("model"), _angles(cfg))
+def cmd_bias(cfg: dict[str, Any]) -> str:
+    model = parse_model_id(_require(cfg, "model"), _angles(cfg))
     mu, phi0, counts_text = cfg.get("mu0y"), cfg.get("phi0"), cfg.get("counts")
     if sum(x is not None for x in (mu, phi0, counts_text)) != 1:
         raise UsageError("provide exactly one of --mu0y, --phi0 (with --n), --counts")
 
-    geo = None
+    alpha0 = math.pi / 6.0  # the t3 cone angle; no other model reads it
     if phi0 is not None:
-        geo = GeometryParams(phi0, cfg.require("n", "needed with --phi0"))
-        mu = geo.mu0y
+        n = _require(cfg, "n", "needed with --phi0")
+        mu, alpha0 = mu0y(phi0, n), alpha_from_phi0(phi0)
 
     if counts_text is not None:
         counts = _counts(cfg)
@@ -271,15 +258,14 @@ def cmd_bias(cfg: RunConfig) -> str:
     n = cfg.get("n", REFERENCE_N)
     if n < 1:
         raise DomainError("sample size must be >= 1")
-    if geo is None and model.variant == T3:
+    if phi0 is None and model.variant == T3:
         # the t3 cone angle at the generating point, as on a target curve
-        geo = GeometryParams(phi_from_mu0y(mu, n), n)
+        alpha0 = alpha_from_phi0(phi_from_mu0y(mu, n))
     # a half-lines generating point is (mu0y, 0), on the 2pi ray
-    return _bias_row(cfg, model, mu, "closed-form",
-                     bias_on_cone(model, mu, geo.alpha0 if geo else math.pi / 6.0))
+    return _bias_row(cfg, model, mu, "closed-form", bias_on_cone(model, mu, alpha0))
 
 
-def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, method: str, value: float) -> str:
+def _bias_row(cfg: dict[str, Any], model: ModelSpec, mu: float, method: str, value: float) -> str:
     # what the computation reads: not where the output goes, the threads or
     # the seed (bias draws nothing), the radius only where uo or minimax
     # scores counts and the rate only where consistent or bootstrap does,
@@ -302,18 +288,17 @@ def _bias_row(cfg: RunConfig, model: ModelSpec, mu: float, method: str, value: f
                 "n": REFERENCE_N if cfg.get("phi0") is None else None,
                 "eta_exponent": ETA_EXPONENT,
                 "radius": DEFAULT_RADII.get((model.variant, cfg.get("method")))}
-    resolved = {k: v for k, v in cfg.values.items()
-                if v is not None and k not in unread and v != defaults.get(k)}
+    resolved = {k: v for k, v in cfg.items() if k not in unread and v != defaults.get(k)}
     row = [model.model_id, mu, method, value, settings_hash(resolved)]
     return csv_text(["model", "mu0y", "method", "bias", "settings_hash"], [row])
 
 
-def cmd_target(cfg: RunConfig) -> str:
-    model = parse_model_id(cfg.require("model"), _angles(cfg))
+def cmd_target(cfg: dict[str, Any]) -> str:
+    model = parse_model_id(_require(cfg, "model"))
     if model.variant == HALFLINES:
         raise UsageError("target curves need a simplex model (t1, t3, polytomy, unconstrained)")
-    n = cfg.require("n")
-    grid = parse_grid(cfg.require("grid"))
+    n = _require(cfg, "n")
+    grid = parse_grid(_require(cfg, "grid"))
     settings = _mc_settings(cfg)
     methods = cfg.get("method")
     rules = [_rule(cfg, tag.strip()) for tag in methods.split(",")] if methods else []
@@ -338,12 +323,11 @@ def curve_csv(grid: Sequence[float], curves: dict[str, list[tuple[float, float]]
     return csv_text(header, rows)
 
 
-def cmd_select(cfg: RunConfig) -> str:
-    ids = [t for t in cfg.require("models").split(",") if t.strip()]
+def cmd_select(cfg: dict[str, Any]) -> str:
+    ids = [t for t in _require(cfg, "models").split(",") if t.strip()]
     if not ids:
         raise UsageError("empty model list")
-    angles = _angles(cfg)
-    models = [parse_model_id(t, angles) for t in ids]
+    models = [parse_model_id(t) for t in ids]
     counts = _counts(cfg)
     report = score(models, counts, _rule(cfg, cfg.get("method", "plugin")))
 
@@ -361,13 +345,13 @@ def cmd_select(cfg: RunConfig) -> str:
     return csv_text(header, rows, comments)
 
 
-def cmd_regions(cfg: RunConfig) -> str:
-    ids = [t for t in cfg.require("pair").split(",") if t.strip()]
+def cmd_regions(cfg: dict[str, Any]) -> str:
+    ids = [t for t in _require(cfg, "pair").split(",") if t.strip()]
     if len(ids) < 2:
         raise UsageError("--pair needs at least two models")
-    models = [parse_model_id(t, _angles(cfg)) for t in ids]
-    n = cfg.require("n")
-    resolution = cfg.require("resolution")
+    models = [parse_model_id(t) for t in ids]
+    n = _require(cfg, "n")
+    resolution = _require(cfg, "resolution")
     if resolution < 50:
         raise UsageError("resolution must be at least 50")
     points = (resolution + 1) * (resolution + 2) // 2 - 3  # the lattice less its vertices
@@ -383,8 +367,8 @@ def cmd_regions(cfg: RunConfig) -> str:
     return "p1,p2,p3,winner\n" + "".join(rows)
 
 
-def cmd_radii(cfg: RunConfig) -> str:
-    model = parse_model_id(cfg.require("model"), _angles(cfg))
+def cmd_radii(cfg: dict[str, Any]) -> str:
+    model = parse_model_id(_require(cfg, "model"))
     n = float(cfg.get("n", REFERENCE_N))  # reference_n prints as a float
     grid = parse_grid(cfg.get("grid", "0:5:0.05"))
     out: dict[str, Any] = {"model": model.model_id, "reference_n": n,
@@ -400,11 +384,12 @@ def cmd_radii(cfg: RunConfig) -> str:
     return json_text(out)
 
 
-_COMMON = ("config", "out", "seed", "workers", "angles")
+_COMMON = ("config", "out", "seed", "workers")
 # subcommand: (its function, its help, the options it takes after _COMMON)
 _COMMANDS = {
     "bias": (cmd_bias, "one bias-correction value",
-             ("model", "mu0y", "phi0", "n", "counts", "method", "radius", "eta_exponent")),
+             ("angles", "model", "mu0y", "phi0", "n", "counts", "method", "radius",
+              "eta_exponent")),
     "target": (cmd_target, "curve of simulated target vs corrections",
                ("samples", "model", "n", "grid", "method", "radius", "eta_exponent")),
     "select": (cmd_select, "rank candidate models on observed counts",

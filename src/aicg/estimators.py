@@ -52,8 +52,13 @@ _R_STEP = 1e-3
 # The consistent rule's default rate exponent e: its radius is n^(1/2 - e).
 ETA_EXPONENT = 1.0 / 3.0
 
-# Published reference radii (derived at reference sample size 1e6); used when
-# a neighborhood rule is applied without an explicit radius.
+# The reference sample size: the cone geometry of least_favorable's scans,
+# and the sample size of bias --mu0y's t3 cone angle and of radii unless --n
+# is given.
+REFERENCE_N = 1e6
+
+# Published reference radii (derived at REFERENCE_N); used when a
+# neighborhood rule is applied without an explicit radius.
 DEFAULT_RADII = {
     (T1, "uo"): 0.0,
     (T1, "minimax"): 0.95,
@@ -79,14 +84,6 @@ class EstimatorRule(Record):
             raise DomainError(f"unknown estimator method {method!r}")
         if radius is not None and not radius >= 0:
             raise DomainError("radius must be nonnegative")
-
-
-def default_radius(model: ModelSpec, method: str) -> float:
-    try:
-        return DEFAULT_RADII[(model.variant, method)]
-    except KeyError:
-        raise DomainError(
-            f"no reference radius for {model.model_id}; calibrate one first") from None
 
 
 def bias_on_cone(model: ModelSpec, mu, alpha0=math.pi / 6.0):
@@ -126,7 +123,7 @@ def singularity_bias(model: ModelSpec) -> float:
 
 
 @lru_cache(maxsize=128)
-def least_favorable(model: ModelSpec, which: str, reference_n: float = 1e6) -> float:
+def least_favorable(model: ModelSpec, which: str, reference_n: float = REFERENCE_N) -> float:
     """Infimum ('lower') or supremum ('upper') of the bias over the cone.
 
     Computed by a coarse scan of distances [0, 50] (with the cone geometry
@@ -266,21 +263,15 @@ def expected_neighborhood_value(model: ModelSpec, r, mu_grid) -> np.ndarray:
     raise DomainError(f"no expected-rule closed form for {model.model_id}")
 
 
-@lru_cache(maxsize=64)
-def _truth_grid(model: ModelSpec, grid_key: tuple[float, ...], n: float) -> tuple[float, ...]:
-    mus = np.array(grid_key)
-    return tuple(bias_on_cone(model, mus, alpha_from_phi0(phi_from_mu0y(mus, n))))
-
-
 def _calibration_grid(model: ModelSpec, mu_grid, n: float) -> tuple[np.ndarray, np.ndarray]:
     """The distances a radius is calibrated on and the true bias at each."""
     if model.variant not in (T1, T3):
         raise DomainError(f"neighborhood radii are defined for t1 and t3 only, "
                           f"not {model.model_id}")
-    grid = tuple(float(x) for x in mu_grid)
-    if not grid:
+    mus = np.array(mu_grid, dtype=float)
+    if not mus.size:
         raise DomainError("radius calibration needs a nonempty grid")
-    return np.array(grid), np.array(_truth_grid(model, grid, float(n)))
+    return mus, bias_on_cone(model, mus, alpha_from_phi0(phi_from_mu0y(mus, n)))
 
 
 def minimax_radius(model: ModelSpec, mu_grid, n: float) -> tuple[float, dict]:
@@ -310,14 +301,13 @@ def uo_radius(model: ModelSpec, mu_grid, n: float,
     mus, truth = _calibration_grid(model, mu_grid, n)
     if violation_tol is None:
         violation_tol = 1.02e-14
-    gap = 2.0 * model.dim - truth
-    if np.all(gap >= -1e-12):
-        side = 1.0     # classical value overestimates; rule must not dip below truth
-    elif np.all(gap <= 1e-12):
-        side = -1.0    # classical value underestimates; rule must not exceed truth
-    else:
-        raise DomainError("classical bias crosses the true bias on this grid; "
-                          "no uniformly outperforming construction")
+    # The classical value 2 lies on one side of the truth at every distance,
+    # in doubles too, so the rule must not cross the truth away from it.
+    # t1's truth is 1 + erf, and erf never exceeds 1.0, so it is at most 2:
+    # the rule must not dip below it.  t3's truth is 2 (1 + its jump terms),
+    # each nonnegative as every t3 gap is below pi, so it is at least 2: the
+    # rule must not exceed it.
+    side = 1.0 if model.variant == T1 else -1.0
 
     def violations(rs):
         return side * (truth - expected_neighborhood_value(model, rs, mus))
@@ -375,7 +365,9 @@ def rule_values(model: ModelSpec, rule: EstimatorRule, n: int, geometry) -> np.n
     if constant is not None:
         return np.full(len(index), constant)
     if method in ("uo", "minimax"):
-        r = rule.radius if rule.radius is not None else default_radius(model, method)
+        r = rule.radius if rule.radius is not None else DEFAULT_RADII.get((model.variant, method))
+        if r is None:
+            raise DomainError(f"no reference radius for {model.model_id}; calibrate one first")
         # the single-line rule thresholds the estimate, the three-line rules
         # the raw observation
         if model.variant == T1:

@@ -7,9 +7,8 @@ sqrt(n) * I(theta0)^{1/2} (I the Fisher information in free coordinates
 Under that map the centroid goes to the origin and a generating parameter on
 a model line goes to (0, mu0y), its Mahalanobis distance from the centroid.
 This module holds that map's closed forms on the model lines: mu0y and its
-inverse phi_from_mu0y, and the cone angle alpha_from_phi0, each elementwise;
-GeometryParams holds all three at one point.  The package needs no matrix
-form of the map.
+inverse phi_from_mu0y, and the cone angle alpha_from_phi0, each elementwise.
+The package needs no matrix form of the map.
 """
 
 from __future__ import annotations
@@ -160,16 +159,6 @@ def alpha_from_phi0(phi0):
     phi = _check_phi(phi0)
     alpha0 = np.arctan(1.0 / np.sqrt(3.0 * (3.0 - 2.0 * phi)))
     return float(alpha0) if alpha0.ndim == 0 else alpha0
-
-
-class GeometryParams(Record):
-    """The line geometry of the generating parameter at phi0 for a sample of
-    size n: phi0, its distance mu0y and the cone angle alpha0."""
-
-    __slots__ = ("phi0", "mu0y", "alpha0")
-
-    def __init__(self, phi0: float, n: float):
-        self._fill(phi0, mu0y(phi0, n), alpha_from_phi0(phi0))
 
 
 def theta_on_line(phi0: float, topology: int = 1) -> SimplexPoint:

@@ -30,9 +30,9 @@ import numpy as np
 
 from .geometry import (
     DomainError,
-    GeometryParams,
     Record,
     SimplexPoint,
+    alpha_from_phi0,
     phi_from_mu0y,
     require_distinct,
     theta_on_line,
@@ -259,9 +259,8 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
-               rules: Sequence[EstimatorRule] = (),
-               settings: McSettings | None = None) -> dict[str, list[tuple[float, float]]]:
+def curve_grid(model: ModelSpec, n: int, grid: Sequence[float], rules: Sequence[EstimatorRule],
+               settings: McSettings) -> dict[str, list[tuple[float, float]]]:
     """Per-grid-point curve data, an (estimate, std_error) pair per column
     and grid point: simulated target, analytic corrections, and the expected
     value of each requested estimator rule for a sample of size n, estimated
@@ -273,8 +272,6 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     a column's value is the same whichever other rules are requested, in
     whatever order.
     """
-    if settings is None:
-        raise DomainError("curve_grid requires Monte Carlo settings")
     require_distinct([rule.method for rule in rules], "rule method")
     # an aic rule column is the aic column itself
     curves: dict[str, list[tuple[float, float]]] = {
@@ -291,10 +288,10 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float],
     for rule in drawn:
         rule_values(model, rule, n, observe(model, np.array([[n, 0.0, 0.0]]), n)[1])
     mus = np.array(grid, dtype=float)
-    geos = [GeometryParams(float(phi0), n) for phi0 in phi_from_mu0y(mus, n)]
-    aicg = bias_on_cone(model, mus, [g.alpha0 for g in geos])
-    for i, geo in enumerate(geos):
-        theta0 = theta_on_line(geo.phi0, model.topology or 1)
+    phis = phi_from_mu0y(mus, n)
+    aicg = bias_on_cone(model, mus, alpha_from_phi0(phis))
+    for i, phi0 in enumerate(phis.tolist()):
+        theta0 = theta_on_line(phi0, model.topology or 1)
         cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples)
         target, *columns = mc_target_trinomial(model, theta0, n, cell, drawn)
         curves["target"].append(target)

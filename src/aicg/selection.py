@@ -205,15 +205,10 @@ def _rounded_counts(p: np.ndarray, n: int) -> np.ndarray:
 
 def _winner_labels(aicg: np.ndarray, ids: tuple[str, ...], tol: float) -> tuple[str, ...]:
     """Per column of a (models, points) score array: the id of the one model
-    with the least score, "tie" when several lie within tol of it, "error"
-    when every score is NaN."""
-    # error rows hold NaN, which compares false, so a point where every
-    # model failed has no best score
-    at_best = aicg <= np.min(np.where(np.isnan(aicg), np.inf, aicg), axis=0) + tol
-    hits = at_best.sum(axis=0)
-    label = np.where(hits == 1, np.argmax(at_best, axis=0),
-                     np.where(hits > 1, len(ids), len(ids) + 1))
-    return tuple(np.array(ids + ("tie", "error"), dtype=object)[label].tolist())
+    with the least score, "tie" when several lie within tol of it."""
+    at_best = aicg <= np.min(aicg, axis=0) + tol
+    label = np.where(at_best.sum(axis=0) == 1, np.argmax(at_best, axis=0), len(ids))
+    return tuple(np.array(ids + ("tie",), dtype=object)[label].tolist())
 
 
 def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
@@ -224,12 +219,17 @@ def region_grid(models: Sequence[ModelSpec], n: int, resolution: int,
     Pseudo-counts are the sum-preserving largest-remainder rounding of n*p
     (exact when n is a multiple of the resolution).  Generalized scores
     within _TIE_TOL of the least are an explicit "tie", so no label rests on
-    the last bits of a bias value.
+    the last bits of a bias value.  A model that cannot be scored (its
+    ModelScores.error is set, on every row) is a DomainError: labelling the
+    grid without it would give its points to the others.
     """
     if len(models) < 2:
         raise DomainError("region grids need at least two models")
     ids = tuple(m.model_id for m in models)
     require_distinct(ids, "model id")
     counts = _rounded_counts(np.array(simplex_lattice(resolution)) / resolution, n)
-    aicg = np.array([s.aicg for s in score_batch(models, counts, rule)])
-    return _winner_labels(aicg, ids, _TIE_TOL)
+    scores = score_batch(models, counts, rule)
+    for s in scores:
+        if s.error is not None:
+            raise DomainError(f"cannot score {s.model.model_id}: {s.error}")
+    return _winner_labels(np.array([s.aicg for s in scores]), ids, _TIE_TOL)

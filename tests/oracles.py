@@ -16,7 +16,8 @@ import mpmath
 import numpy as np
 
 from aicg.estimators import bias_on_cone, consistent_radius, singularity_bias
-from aicg.geometry import CENTROID, Counts, DomainError, GeometryParams, Record, SimplexPoint
+from aicg.geometry import (CENTROID, Counts, DomainError, Record, SimplexPoint, alpha_from_phi0,
+                           mu0y)
 from aicg.models import POLYTOMY, T1, T3, UNCONSTRAINED, mle_rows
 from aicg.montecarlo import McSettings, _chunk_moments, _chunk_rng, _combine, _merge
 from aicg.selection import _rounded_counts, score
@@ -190,12 +191,11 @@ def norm_cdf2_owen(h: float, k: float, rho: float) -> float:
 def region_winners_loop(aicg: np.ndarray, ids: tuple[str, ...], tol: float) -> tuple[str, ...]:
     """Winner label per column of a (models, points) score array, one point
     at a time: the model with the least score, "tie" when several lie within
-    tol of it, "error" when every score is NaN."""
+    tol of it."""
     labels = []
     for column in aicg.T:
-        scored = column[~np.isnan(column)]
-        hits = np.flatnonzero(column <= scored.min() + tol) if scored.size else []
-        labels.append("error" if len(hits) == 0 else "tie" if len(hits) > 1 else ids[hits[0]])
+        hits = np.flatnonzero(column <= column.min() + tol)
+        labels.append("tie" if len(hits) > 1 else ids[hits[0]])
     return tuple(labels)
 
 
@@ -327,18 +327,18 @@ class Cone(Record):
         return dirs
 
 
-def cone_of(model, geometry: GeometryParams | None = None) -> Cone:
+def cone_of(model, alpha0: float | None = None) -> Cone:
     """Ray set of the model in the transformed plane.
 
-    t3 needs cone geometry (its off-axis ray angles depend on alpha0); by
+    t3 needs its cone angle alpha0 (its off-axis ray angles depend on it); by
     convention the line through the generating parameter sits on the +y axis.
     """
     if model.variant == T1:
         return Cone("rays", (0.5 * math.pi,))
     if model.variant == T3:
-        if geometry is None:
-            raise DomainError("t3 cone requires geometry (alpha0)")
-        return t3_cone(geometry.alpha0)
+        if alpha0 is None:
+            raise DomainError("t3 cone requires its cone angle alpha0")
+        return t3_cone(alpha0)
     if model.variant == POLYTOMY:
         return Cone("point")
     if model.variant == UNCONSTRAINED:
@@ -669,13 +669,14 @@ def transform_map(theta0: SimplexPoint, n: float, axis_topology: int | None = No
 def line_observation(model, counts):
     """A line model's fit of one Counts row seen through the transform map at
     its constrained MLE, which puts the estimate's own line on the +y axis:
-    the GeometryParams of the estimate, and the images of the estimate and of
-    the sample mean."""
+    the estimate's distance mu0y and cone angle alpha0, and the images of the
+    estimate and of the sample mean."""
     theta, line = mle_rows(model, counts.as_array()[None])
     estimate, topology = SimplexPoint(*theta[0].tolist()), int(line[0]) + 1
-    geo = GeometryParams(1.5 * (1.0 - estimate.as_tuple()[topology - 1]), counts.n)
+    phi0 = 1.5 * (1.0 - estimate.as_tuple()[topology - 1])
     tmap = transform_map(estimate, counts.n, axis_topology=topology)
-    return geo, tmap(estimate), tmap(counts.as_array() / counts.n)
+    return (mu0y(phi0, counts.n), alpha_from_phi0(phi0), tmap(estimate),
+            tmap(counts.as_array() / counts.n))
 
 
 def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_exponent: float):
@@ -684,30 +685,30 @@ def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_expo
     then one mc_bias_gaussian run around the resulting center.  Models
     without a line center at the origin.  Returns the GaussianEstimate: the
     Monte Carlo reference for score_batch's exact bootstrap values."""
-    geo, center = None, TransformedPoint(0.0, 0.0)
+    alpha0, center = None, TransformedPoint(0.0, 0.0)
     if model.variant in (T1, T3):
-        geo, _, _ = line_observation(model, counts)
-        center, _ = consistent_estimate(model, TransformedPoint(0.0, geo.mu0y), counts.n,
-                                        eta_exponent, geo)
-    return mc_bias_gaussian(cone_of(model, geo), center, McSettings(seed, b_replicates))
+        mu, alpha0, _, _ = line_observation(model, counts)
+        center, _ = consistent_estimate(model, TransformedPoint(0.0, mu), counts.n,
+                                        eta_exponent, alpha0)
+    return mc_bias_gaussian(cone_of(model, alpha0), center, McSettings(seed, b_replicates))
 
 
 def consistent_estimate(model, observed: TransformedPoint, n: float,
                         eta_exponent: float = 1.0 / 3.0,
-                        geo: GeometryParams | None = None
-                        ) -> tuple[TransformedPoint, float]:
+                        alpha0: float | None = None) -> tuple[TransformedPoint, float]:
     """Shrink one observation to the singularity inside a slowly-growing
     ball, as a scalar chain: the reference for the consistent rule that
     estimators.rule_values applies to whole arrays of count rows and draws.
 
     The ball radius is consistent_radius(n, eta_exponent).  Outside the ball
     the estimate is the cone projection of the observation, and the bias is
-    evaluated at whichever estimate results.
+    evaluated at whichever estimate results.  alpha0 defaults to the t3 cone
+    angle at the singularity.
     """
     radius = consistent_radius(n, eta_exponent)
-    if geo is None:
-        geo = GeometryParams(1.0, n)
-    cone = cone_of(model, geo)
+    if alpha0 is None:
+        alpha0 = alpha_from_phi0(1.0)
+    cone = cone_of(model, alpha0)
     shrunk = math.hypot(observed.x, observed.y) <= radius
     if shrunk:
         mu_t = TransformedPoint(0.0, 0.0)
@@ -715,7 +716,7 @@ def consistent_estimate(model, observed: TransformedPoint, n: float,
     else:
         proj = project_points(cone, observed.as_array()[None])[0]
         mu_t = TransformedPoint(float(proj[0]), float(proj[1]))
-        value = bias_on_cone(model, math.hypot(mu_t.x, mu_t.y), geo.alpha0)
+        value = bias_on_cone(model, math.hypot(mu_t.x, mu_t.y), alpha0)
     return mu_t, value
 
 

@@ -15,7 +15,7 @@ from aicg.cli import main
 from aicg.estimators import bias_on_cone, minimax_radius, singularity_bias, uo_radius
 from aicg.geometry import (
     CENTROID,
-    GeometryParams,
+    alpha_from_phi0,
     mu0y,
     phi_from_mu0y,
     theta_on_line,
@@ -101,14 +101,14 @@ def test_criterion_04_monte_carlo_vs_analytic():
     n_ref = 1e6
     for variant in ("t1", "t3"):
         for i, mu in enumerate(GRID_11):
-            geo = GeometryParams(phi_from_mu0y(mu, n_ref), n_ref)
+            alpha0 = alpha_from_phi0(phi_from_mu0y(mu, n_ref))
             if variant == "t1":
                 model, cone = t1_model(1), cone_of(t1_model(1))
                 analytic = bias_on_cone(t1_model(1), mu)
             else:
                 model = t3_model()
-                cone = cone_of(model, geo)
-                analytic = bias_t3_value(mu, geo.alpha0)
+                cone = cone_of(model, alpha0)
+                analytic = bias_t3_value(mu, alpha0)
             est = mc_bias_gaussian(cone, TransformedPoint(0.0, mu),
                                    McSettings(8_800 + i, 10**6))
             worst_z = max(worst_z, abs(est.value - analytic) / est.std_error)
@@ -119,10 +119,9 @@ def test_criterion_04_monte_carlo_vs_analytic():
 
 def test_criterion_05_pointwise_nonnegativity():
     t0 = time.perf_counter()
-    geo = GeometryParams(1.0, 10**6)
     cases = [
         (cone_of(t1_model(1)), TransformedPoint(0.0, 1.0)),
-        (cone_of(t3_model(), geo), TransformedPoint(0.0, 0.0)),
+        (cone_of(t3_model(), alpha_from_phi0(1.0)), TransformedPoint(0.0, 0.0)),
         (cone_of(polytomy_model()), TransformedPoint(0.0, 0.0)),
         (cone_of(unconstrained_model()), TransformedPoint(0.0, 0.0)),
         (cone_of(validate_halflines([2.8, 4.5, TWO_PI])), TransformedPoint(0.0, 0.0)),
@@ -147,9 +146,8 @@ def test_criterion_06_finite_n_target():
         model = t1_model(1) if variant == "t1" else t3_model()
         for i, mu in enumerate(GRID_11):
             phi0 = phi_from_mu0y(mu, n)
-            geo = GeometryParams(phi0, n)
             analytic = bias_on_cone(t1_model(1), mu) if variant == "t1" \
-                else bias_t3_value(mu, geo.alpha0)
+                else bias_t3_value(mu, alpha_from_phi0(phi0))
             cases.append((model, theta_on_line(phi0, 1), analytic, 31_000 + i))
     cases.append((unconstrained_model(), CENTROID, 4.0, 31_500))
     for model, theta0, analytic, seed in cases:

@@ -497,8 +497,7 @@ class TestRadiiCommand:
         assert doc["uo_radius"] is None and doc["minimax_radius"] is None
 
     def test_halflines_exit_2_names_the_models(self, tmp_path, capsys):
-        code, text = run_cli(["radii", "--model", "halflines", "--angles", "2.8,4.5,2pi"],
-                             tmp_path)
+        code, text = run_cli(["radii", "--model", "halflines:2.8,4.5,2pi"], tmp_path)
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert "t1 and t3 only" in err and "constant bias" not in err
@@ -701,15 +700,13 @@ PARITY_COMMANDS = [
      "0.5", "--n", "100", "--eta-exponent", "0.25"],
     ["target", "--model", "t1", "--n", "100", "--grid", "0:1:0.5", "--samples", "300",
      "--seed", "3", "--workers", "2", "--method", "uo,consistent", "--radius", "0.4",
-     "--eta-exponent", "0.3", "--angles", "2pi"],
-    ["select", "--counts", "60,20,20", "--models", "t1:1,t3,halflines", "--angles", "2pi",
-     "--n", "100", "--method", "bootstrap", "--seed", "2", "--format",
+     "--eta-exponent", "0.3"],
+    ["select", "--counts", "60,20,20", "--models", "t1:1,t3,halflines:2pi", "--n", "100", "--method", "bootstrap", "--seed", "2", "--format",
      "json", "--radius", "0.5", "--eta-exponent", "0.25", "--workers", "1"],
     ["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "50", "--method", "uo",
-     "--radius", "0.5", "--seed", "1", "--eta-exponent", "0.2",
-     "--workers", "1", "--angles", "2pi"],
+     "--radius", "0.5", "--seed", "1", "--eta-exponent", "0.2", "--workers", "1"],
     ["radii", "--model", "t1", "--n", "1000", "--grid", "0:2:0.5", "--violation-tol", "1e-12",
-     "--seed", "1", "--workers", "1", "--angles", "2pi"],
+     "--seed", "1", "--workers", "1"],
 ]
 PARITY_CASES = [(i, j) for i, args in enumerate(PARITY_COMMANDS)
                 for j in range(1, len(args), 2)]
@@ -838,6 +835,19 @@ class TestEdgeInputsExit2:
           "--seed", "1"], None, "grid stop must not lie below its start"),
         (["radii", "--model", "t3", "--grid", "5:0:0.05"], None,
          "grid stop must not lie below its start"),
+        # a model that cannot be scored once lost every point to the others
+        (["regions", "--pair", "t1:1,halflines:2pi", "--n", "60", "--resolution", "50"], None,
+         "cannot score halflines:6.28318530718: half-lines models have no simplex"),
+        (["regions", "--pair", "t1:1,polytomy", "--n", "2", "--resolution", "50", "--method",
+          "consistent"], None, "cannot score t1:1: consistent estimation needs n >= 3"),
+        # only bias reads --angles
+        (["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",
+          "--seed", "1"], {"angles": "2pi"}, "unknown key 'angles'"),
+        (["select", "--counts", "60,20,20", "--models", "t1:1,halflines"], {"angles": "2pi"},
+         "unknown key 'angles'"),
+        (["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "50"],
+         {"angles": "2pi"}, "unknown key 'angles'"),
+        (["radii", "--model", "t1"], {"angles": "2pi"}, "unknown key 'angles'"),
     ])
     def test_exit_2(self, tmp_path, capsys, args, config, needle):
         code, text = (run_cli(args, tmp_path) if config is None
@@ -860,6 +870,21 @@ class TestEdgeInputsExit2:
             main([*args, "--out", str(tmp_path / "out.txt")])
         assert exc.value.code == 2
         assert f"argument {flag}: not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",
+         "--seed", "1"],
+        ["select", "--counts", "60,20,20", "--models", "t1:1,halflines"],
+        ["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "50"],
+        ["radii", "--model", "t1"]], ids=lambda args: args[0])
+    def test_angles_flag_outside_bias_exit_2(self, tmp_path, capsys, args):
+        # these subcommands can print no value that --angles sets: target and
+        # radii refuse a half-lines model, select scores one as an error row
+        # and regions exits 2 on it
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--angles", "2pi", "--out", str(tmp_path / "flag.out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --angles 2pi" in capsys.readouterr().err
 
     def test_halflines_id_angles_parse_as_angles_flag(self, tmp_path):
         by_id = run_cli(["bias", "--model", "halflines:2.8,4.5,2pi", "--mu0y", "1"], tmp_path,

@@ -14,10 +14,11 @@ from aicg.estimators import (
     rule_values,
     singularity_bias,
     uo_radius,
+    _calibration_grid,
 )
 from aicg.geometry import Counts, DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
-from aicg.montecarlo import _chunk_rng
+from aicg.montecarlo import _chunk_rng, grid_values
 from aicg.quadrature import bias_ray_cone, bias_t3_batch
 from aicg.selection import score_batch
 from aicg.special import erf, norm_cdf
@@ -168,16 +169,16 @@ class TestPluginBias:
 
     def test_t1_formula_at_observed_distance(self):
         counts = Counts(60, 20, 20)
-        geo, _, _ = line_observation(t1_model(1), counts)
+        mu = line_observation(t1_model(1), counts)[0]
         value = one_row(t1_model(1), counts, self.PLUGIN).bias[0]
-        assert value == pytest.approx(1.0 + erf(geo.mu0y / math.sqrt(2)), abs=1e-14)
+        assert value == pytest.approx(1.0 + erf(mu / math.sqrt(2)), abs=1e-14)
 
     def test_t1_two_units_out(self):
         # find counts whose plug-in distance is ~2 and check the value there
         counts = Counts(80, 60, 60)
-        geo, _, _ = line_observation(t1_model(1), counts)
+        mu = line_observation(t1_model(1), counts)[0]
         value = one_row(t1_model(1), counts, self.PLUGIN).bias[0]
-        assert value == pytest.approx(1.0 + erf(geo.mu0y / math.sqrt(2)), abs=1e-14)
+        assert value == pytest.approx(1.0 + erf(mu / math.sqrt(2)), abs=1e-14)
         assert 1.0 < value < 2.0
 
     def test_polytomy_constant(self):
@@ -370,6 +371,15 @@ class TestRadii:
         r, _ = uo_radius(t1_model(1), GRID, 1e6)
         assert r < 0.2
 
+    @pytest.mark.parametrize("n", [10, 1e3, 1e6])
+    def test_truth_lies_on_one_side_of_the_classical_value(self, n):
+        # uo_radius takes the side of its constraint from the model alone:
+        # exactly, in doubles, the t1 truth never exceeds the classical 2 and
+        # the t3 truth never falls below it
+        grid = grid_values(0.0, 50.0, 0.25)
+        assert np.max(_calibration_grid(t1_model(1), grid, n)[1]) <= 2.0
+        assert np.min(_calibration_grid(t3_model(), grid, n)[1]) >= 2.0
+
     def test_vacuous_violation_tolerance(self):
         r, diag = uo_radius(t1_model(1), GRID, 1e6, violation_tol=math.inf)
         assert r == 6.0 and diag.get("capped")
@@ -545,20 +555,20 @@ class TestBootstrap:
         # these counts put the estimate ~4 units out; eta exponent 0.45 keeps
         # that outside the shrinkage ball, so the bootstrap centers there
         counts = Counts(3524, 3238, 3238)
-        geo, _, _ = line_observation(t1_model(1), counts)
-        assert 3.9 < geo.mu0y < 4.7
-        assert geo.mu0y > counts.n ** (0.5 - 0.45)
+        mu = line_observation(t1_model(1), counts)[0]
+        assert 3.9 < mu < 4.7
+        assert mu > counts.n ** (0.5 - 0.45)
         scores = one_row(t1_model(1), counts, EstimatorRule("bootstrap", eta_exponent=0.45))
         assert scores.bias[0] == bias_on_cone(t1_model(1), float(scores.mu_hat[0]))
         assert scores.bias[0] == pytest.approx(1.99994, abs=5e-5)
-        assert scores.mu_hat[0] == pytest.approx(geo.mu0y, abs=1e-12)
+        assert scores.mu_hat[0] == pytest.approx(mu, abs=1e-12)
 
     def test_default_rate_shrinks_moderate_data(self):
         # with the default n^(-1/3) rate the same observation sits inside the
         # ball (radius n^(1/6) = 4.64), so the bootstrap centers on the boundary
         counts = Counts(3524, 3238, 3238)
-        geo, _, _ = line_observation(t1_model(1), counts)
-        assert geo.mu0y < counts.n ** (0.5 - 1.0 / 3.0)
+        mu = line_observation(t1_model(1), counts)[0]
+        assert mu < counts.n ** (0.5 - 1.0 / 3.0)
         assert one_row(t1_model(1), counts, EstimatorRule("bootstrap")).bias[0] == 1.0
 
 

@@ -8,7 +8,6 @@ from aicg.geometry import (
     CENTROID,
     Counts,
     DomainError,
-    GeometryParams,
     SimplexPoint,
     alpha_from_phi0,
     mu0y,
@@ -81,10 +80,10 @@ class TestMu0y:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            mu0y(0.0, 10)
-        with pytest.raises(DomainError):
-            mu0y(-0.5, 10)
+        # phi0 outside (0, 1], and a sample size below 1
+        for phi0, n in [(0.0, 10), (-0.5, 10), (1.5, 10), (0.5, 0.5)]:
+            with pytest.raises(DomainError):
+                mu0y(phi0, n)
 
     def test_elementwise_with_the_bits_of_the_scalar_formula(self):
         phis = np.linspace(0.01, 1.0, 60)
@@ -157,8 +156,9 @@ class TestAngles:
         alphas = alpha_from_phi0(phis)
         assert list(alphas) == [alpha_from_phi0(float(p)) for p in phis]
         assert isinstance(alpha_from_phi0(0.5), float)
-        with pytest.raises(DomainError):
-            alpha_from_phi0(np.array([0.5, 0.0]))
+        for bad in (np.array([0.5, 0.0]), 1.5):
+            with pytest.raises(DomainError):
+                alpha_from_phi0(bad)
 
 
 class TestFisherInformation:
@@ -246,17 +246,6 @@ class TestMahalanobis:
         theta = SimplexPoint(0.5, 0.25, 0.25)
         assert mahalanobis(theta, CENTROID, 400) == pytest.approx(
             2.0 * mahalanobis(theta, CENTROID, 100), abs=1e-12)
-
-
-class TestGeometryParams:
-    def test_from_phi0_consistent(self):
-        g = GeometryParams(0.8, 200)
-        assert (g.phi0, g.mu0y, g.alpha0) == (0.8, mu0y(0.8, 200), alpha_from_phi0(0.8))
-
-    def test_rejects_phi0_outside_the_line(self):
-        for phi0, n in [(0.0, 10), (1.5, 10), (0.5, 0.5)]:
-            with pytest.raises(DomainError):
-                GeometryParams(phi0, n)
 
 
 @given(st.floats(min_value=1.0 / 3.0, max_value=0.999999))

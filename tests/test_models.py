@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from aicg.geometry import (
     CENTROID,
     DomainError,
-    GeometryParams,
     SimplexPoint,
+    alpha_from_phi0,
     theta_on_line,
 )
 from aicg.models import (
@@ -153,8 +153,7 @@ class TestConeOf:
         assert cone.angles == (math.pi / 2,)
 
     def test_t3_symmetric_rays(self):
-        geo = GeometryParams(1.0, 100)
-        cone = cone_of(t3_model(), geo)
+        cone = cone_of(t3_model(), alpha_from_phi0(1.0))
         angles = np.sort(cone.angles)
         assert angles == pytest.approx(
             [math.pi / 2, math.pi + math.pi / 6, TWO_PI - math.pi / 6], abs=1e-12)
@@ -183,8 +182,7 @@ class TestProjection:
         assert _project(cone, 1.0, 2.0) == (0.0, 2.0)
 
     def test_point_on_ray_is_fixed(self):
-        geo = GeometryParams(0.8, 50)
-        cone = cone_of(t3_model(), geo)
+        cone = cone_of(t3_model(), alpha_from_phi0(0.8))
         for a in cone.angles:
             w = (3.0 * math.cos(a), 3.0 * math.sin(a))
             assert _project(cone, *w) == pytest.approx(w, abs=1e-12)
@@ -192,18 +190,18 @@ class TestProjection:
     def test_idempotent_many_points(self):
         rng = np.random.default_rng(3)
         w = rng.normal(0, 3, size=(10_000, 2))
-        for model, geo in [(t1_model(1), None),
-                           (t3_model(), GeometryParams(0.7, 100)),
-                           (polytomy_model(), None), (unconstrained_model(), None),
-                           (validate_halflines([2.8, 4.5, TWO_PI]), None)]:
-            cone = cone_of(model, geo)
+        for model, alpha0 in [(t1_model(1), None),
+                              (t3_model(), alpha_from_phi0(0.7)),
+                              (polytomy_model(), None), (unconstrained_model(), None),
+                              (validate_halflines([2.8, 4.5, TWO_PI]), None)]:
+            cone = cone_of(model, alpha0)
             once = project_points(cone, w)
             twice = project_points(cone, once)
             assert np.allclose(once, twice, atol=0)
 
     def test_distance_minimizing_against_dense_cone(self):
         rng = np.random.default_rng(4)
-        cone = cone_of(t3_model(), GeometryParams(0.5, 64))
+        cone = cone_of(t3_model(), alpha_from_phi0(0.5))
         dirs = cone.directions()
         ts = np.linspace(0, 30, 1000)
         cone_pts = np.concatenate([t * d for t in ts[:, None] for d in [dirs]], axis=0)
@@ -217,7 +215,7 @@ class TestProjection:
     def test_pointwise_nonnegativity(self):
         # (w - mu0).(proj(w) - mu0) >= 0 for mu0 anywhere on the cone
         rng = np.random.default_rng(9)
-        cone = cone_of(t3_model(), GeometryParams(1.0, 100))
+        cone = cone_of(t3_model(), alpha_from_phi0(1.0))
         w = rng.normal(0, 3, size=(5000, 2))
         proj = project_points(cone, w)
         for a in cone.angles:
@@ -278,7 +276,7 @@ class TestProjectedDistances:
         # agree to a few units of eps (|x| + |y|), not in relative ulps: near
         # a ray's normal the inner product cancels
         if isinstance(shape, float):
-            cone = cone_of(t3_model(), GeometryParams(shape, 1000))
+            cone = cone_of(t3_model(), alpha_from_phi0(shape))
         else:
             cone = Cone("rays", shape)
         w = np.array(pts)

@@ -9,8 +9,9 @@ from aicg.estimators import EstimatorRule, bias_on_cone, rule_constant
 from aicg.geometry import (
     CENTROID,
     DomainError,
-    GeometryParams,
     SimplexPoint,
+    alpha_from_phi0,
+    mu0y,
     phi_from_mu0y,
     theta_on_line,
 )
@@ -176,9 +177,9 @@ class TestMcBiasGaussian:
                              McSettings(1, 100))
 
     def test_pointwise_nonnegative(self):
-        geo = GeometryParams(0.8, 100)
         for cone, mu0 in [(cone_of(t1_model(1)), TransformedPoint(0, 1.5)),
-                          (cone_of(t3_model(), geo), TransformedPoint(0, geo.mu0y))]:
+                          (cone_of(t3_model(), alpha_from_phi0(0.8)),
+                           TransformedPoint(0, mu0y(0.8, 100)))]:
             est = mc_bias_gaussian(cone, mu0, McSettings(3, 100_000))
             assert est.min_draw >= -1e-12
 
@@ -632,7 +633,7 @@ class TestCurveGrid:
         assert within_3se(*curves["target"][0], 1.0, floor=0.05)
 
     def test_deterministic_independent_of_columns(self):
-        base = curve_grid(t1_model(1), 500, [0.0, 1.0], settings=McSettings(77, 20_000))
+        base = curve_grid(t1_model(1), 500, [0.0, 1.0], [], McSettings(77, 20_000))
         extra = curve_grid(t1_model(1), 500, [0.0, 1.0],
                            rules=[EstimatorRule("aic"), EstimatorRule("plugin")],
                            settings=McSettings(77, 20_000))
@@ -719,7 +720,7 @@ class TestCurveGrid:
                     assert est == _combine(reduce(_merge, moments), settings.samples), \
                         (model.model_id, mu, rule.method)
 
-        cone, center = cone_of(t3_model(), GeometryParams(0.9, n)), np.array([0.0, 1.0])
+        cone, center = cone_of(t3_model(), alpha_from_phi0(0.9)), np.array([0.0, 1.0])
         est = mc_bias_gaussian(cone, TransformedPoint(0.0, 1.0), settings, chunk_size=20_000)
         chunks = [[2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)
                    for z in (center + e for e in blocks)]

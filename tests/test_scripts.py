@@ -1,6 +1,9 @@
-"""Smoke runs of the data scripts at tiny sizes."""
+"""Smoke runs of the data scripts at tiny sizes, and of the output comparison
+harness in tools/."""
 
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +51,31 @@ def test_make_region_data(tmp_path, method):
         lines = (tmp_path / f"regions_{slug}_n50_r50.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "p1,p2,p3,winner"
         assert len(lines) == 1 + 1323  # the resolution-50 lattice less its 3 vertices
+
+
+def compare_outputs(old_src, new_src, match):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "compare_outputs.py"),
+                           str(old_src), str(new_src), "--match", match],
+                          capture_output=True, text=True)
+
+
+def test_compare_outputs_same_tree():
+    src = Path(aicg.__file__).resolve().parents[1]
+    proc = compare_outputs(src, src, "select --counts 60,20,20")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    count, total = re.fullmatch(r"(\d+) of (\d+) commands identical\n", proc.stdout).groups()
+    assert count == total and int(total) > 10
+
+
+def test_compare_outputs_names_a_difference(tmp_path):
+    # a copy of the package that prints one digit fewer differs on every
+    # command that prints a float, and on no other
+    src = Path(aicg.__file__).resolve().parent
+    shutil.copytree(src, tmp_path / "aicg", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "aicg" / "cli.py"
+    cli.write_text(cli.read_text(encoding="utf-8").replace(":.17g}", ":.16g}"), encoding="utf-8")
+    proc = compare_outputs(src.parent, tmp_path, "--model t1 --mu0y")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert "DIFFERS (stdout): aicg bias --model t1 --mu0y 1" in lines
+    assert "DIFFERS (stdout): aicg bias --model t1 --mu0y 0" not in lines

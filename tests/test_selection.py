@@ -181,7 +181,15 @@ class TestRegionGrid:
         assert winners.count("t3") == 846  # 831, and the 15 points that round to a vertex
 
     def test_error_cell_when_every_model_fails(self):
-        assert set(region_grid(HALFLINES_PAIR, 10, 2, PLUGIN)) == {"error"}
+        # a model that cannot be scored fails on every row; labelling the
+        # grid without it would give all its points to the other models, so
+        # the grid names the first such model instead
+        for models, n, rule, failing in [
+                (HALFLINES_PAIR, 10, PLUGIN, "halflines:6.28318530718"),
+                ([t1_model(1), HALFLINES_PAIR[0]], 60, PLUGIN, "halflines:6.28318530718"),
+                ([t1_model(1), polytomy_model()], 2, EstimatorRule("consistent"), "t1:1")]:
+            with pytest.raises(DomainError, match=f"cannot score {failing}: "):
+                region_grid(models, n, 50, rule)
 
     def test_equal_scores_are_a_tie(self):
         # each cell of the resolution-2 lattice swaps two lines into each
@@ -200,7 +208,7 @@ class TestWinnerLabels:
     """The array-built labels against the per-point loop they replace."""
 
     @given(st.integers(1, 4).flatmap(lambda m: st.lists(
-        st.lists(st.sampled_from([0.0, 1.0, 2.5, -3.0, np.nan]), min_size=m, max_size=m),
+        st.lists(st.sampled_from([0.0, 1.0, 2.5, -3.0]), min_size=m, max_size=m),
         min_size=1, max_size=30)), st.sampled_from([0.0, 1e-8, 1.5]))
     def test_matches_loop_oracle(self, columns, tol):
         aicg = np.array(columns).T
@@ -211,8 +219,8 @@ class TestWinnerLabels:
         ([t3_model(), unconstrained_model()], 200, 100),
         ([t3_model(), unconstrained_model()], 10, 50),
         ([t1_model(1), t1_model(2), t1_model(3)], 10, 50),
-        ([validate_halflines([2 * math.pi]), t1_model(2)], 10, 50),
-        (HALFLINES_PAIR, 10, 50),
+        ([t1_model(1), polytomy_model()], 10, 50),
+        ([t1_model(2), t3_model(), polytomy_model()], 10, 50),
     ])
     def test_region_grid_matches_loop_oracle(self, models, n, res):
         counts = _rounded_counts(np.array(simplex_lattice(res)) / res, n)
@@ -242,10 +250,10 @@ class TestWinnerLabels:
         assert _winner_labels(moved, ids, 0.0) != _winner_labels(aicg, ids, 0.0)
 
     def test_labels_cover_winner_tie_and_error(self):
-        labels = set()
-        for models in ([t1_model(1), t1_model(2), t1_model(3)], HALFLINES_PAIR):
-            labels |= set(region_grid(models, 10, 50, PLUGIN))
-        assert labels == {"t1:1", "t1:2", "t1:3", "tie", "error"}
+        # every label is a model id or a tie: a model that cannot be scored
+        # raises (test_error_cell_when_every_model_fails)
+        labels = set(region_grid([t1_model(1), t1_model(2), t1_model(3)], 10, 50, PLUGIN))
+        assert labels == {"t1:1", "t1:2", "t1:3", "tie"}
 
 
 class TestScoreBatch:
@@ -390,9 +398,9 @@ def test_line_geometry_matches_transform_map(n_rows, model):
         if theta[i, line[i]] == 1.0:  # the estimate at a vertex, where the map has no scale
             assert mu_hat == zbar_norm[i] == math.inf
             continue
-        geo, estimate, zbar = line_observation(model, Counts(*row))
+        mu, alpha, estimate, zbar = line_observation(model, Counts(*row))
         # the map's Cholesky scaling rounds differently: a zero distance
         # comes out as a few 1e-15
         assert mu_hat == pytest.approx(math.hypot(estimate.x, estimate.y), rel=1e-12, abs=1e-13)
         assert zbar_norm[i] == pytest.approx(math.hypot(zbar.x, zbar.y), rel=1e-12, abs=1e-13)
-        assert (mu_hat, alpha0) == (geo.mu0y, geo.alpha0)
+        assert (mu_hat, alpha0) == (mu, alpha)
