@@ -80,10 +80,10 @@ class TestMu0y:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
-        # phi0 outside (0, 1], and a sample size below 1
-        for phi0, n in [(0.0, 10), (-0.5, 10), (1.5, 10), (0.5, 0.5)]:
-            with pytest.raises(DomainError):
-                mu0y(phi0, n)
+        with pytest.raises(DomainError):
+            mu0y(0.0, 10)
+        with pytest.raises(DomainError):
+            mu0y(-0.5, 10)
 
     def test_elementwise_with_the_bits_of_the_scalar_formula(self):
         phis = np.linspace(0.01, 1.0, 60)
@@ -246,6 +246,19 @@ class TestMahalanobis:
         theta = SimplexPoint(0.5, 0.25, 0.25)
         assert mahalanobis(theta, CENTROID, 400) == pytest.approx(
             2.0 * mahalanobis(theta, CENTROID, 100), abs=1e-12)
+
+
+class TestGeometryParams:
+    """The pair (phi0, n) that fixes the model line's geometry."""
+
+    def test_rejects_phi0_outside_the_line(self):
+        # phi0 outside (0, 1], and a sample size below 1
+        for phi0, n in [(0.0, 10), (1.5, 10), (0.5, 0.5)]:
+            with pytest.raises(DomainError):
+                mu0y(phi0, n)
+        for phi0 in (0.0, 1.5):
+            with pytest.raises(DomainError):
+                alpha_from_phi0(phi0)
 
 
 @given(st.floats(min_value=1.0 / 3.0, max_value=0.999999))
