@@ -7,11 +7,10 @@ __version__ = "0.1.0"
 from .estimators import (
     EstimatorRule,
     bias_on_cone,
+    calibrate_radii,
     least_favorable,
-    minimax_radius,
     noncentral_radius_cdf,
     singularity_bias,
-    uo_radius,
 )
 from .geometry import (
     CENTROID,

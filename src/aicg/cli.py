@@ -10,8 +10,7 @@ accepted and not read, so that callers which pass it keep working.
 Configuration precedence: command-line flags override the optional JSON
 config file (--config), which overrides built-in defaults.  A config value is
 read as the text its flag would take, by the flag's own type, and every real
-number must be finite.  Exit codes:
-0 success, 2 usage or validation error, 3 infeasible radius calibration.
+number must be finite.  Exit codes: 0 success, 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -25,14 +24,13 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .estimators import (DEFAULT_RADII, ETA_EXPONENT, REFERENCE_N, EstimatorRule,
-                         InfeasibleError, bias_on_cone, minimax_radius, uo_radius)
+                         bias_on_cone, calibrate_radii)
 from .geometry import Counts, DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
 from .models import HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, parse_angle, parse_model_id
 from .montecarlo import McSettings, curve_grid, grid_values
 from .selection import region_grid, score, score_batch, simplex_lattice
 
 USAGE_EXIT = 2
-NUMERIC_EXIT = 3
 # The most points of a regions lattice.  regions holds a few hundred bytes per
 # lattice point and model: on a 2-core x86_64 VM, resolution 1412 (998,988
 # points) with four models peaked at 592 MB resident.
@@ -157,7 +155,6 @@ OPTIONS: dict[str, dict[str, Any]] = {
                          "bias takes it only with --counts"},
     "radius": {"type": finite_float},
     "eta_exponent": {"type": finite_float},
-    "violation_tol": {"type": finite_float},
     "format": {"choices": ("csv", "json")},
 }
 
@@ -377,11 +374,7 @@ def cmd_radii(cfg: dict[str, Any]) -> str:
         out |= {"uo_radius": None, "minimax_radius": None,
                 "note": "constant bias correction; neighborhood radii not applicable"}
         return json_text(out)
-    r_uo, d_uo = uo_radius(model, grid, n, cfg.get("violation_tol"))
-    r_mm, d_mm = minimax_radius(model, grid, n)
-    out |= {"uo_radius": r_uo, "uo_diagnostics": d_uo,
-            "minimax_radius": r_mm, "minimax_diagnostics": d_mm}
-    return json_text(out)
+    return json_text(out | calibrate_radii(model, grid, n))
 
 
 _COMMON = ("config", "out", "seed", "workers")
@@ -397,7 +390,7 @@ _COMMANDS = {
     "regions": (cmd_regions, "decision-region grid over the simplex",
                 ("pair", "n", "resolution", "method", "radius", "eta_exponent")),
     "radii": (cmd_radii, "calibrated neighborhood radii (JSON)",
-              ("model", "n", "grid", "violation_tol")),
+              ("model", "n", "grid")),
 }
 
 
@@ -424,11 +417,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # OverflowError: an integer option past the float range, such as a 400-digit --n
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except InfeasibleError as exc:
-        if args.cmd == "radii":
-            write_text(cfg.get("out"), json_text({"error": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
     write_text(cfg.get("out"), text)
     return 0
 

@@ -1,8 +1,9 @@
 """Practical bias-correction estimators.
 
 Plug-in, lower/upper least favorable, neighborhood rules (uniformly
-outperforming and minimax, with radius calibration), consistent shrinkage
-estimation and the parametric bootstrap.
+outperforming and minimax), consistent shrinkage estimation and the
+parametric bootstrap.  calibrate_radii calibrates both neighborhood radii on
+one grid of generating distances.
 rule_values is the one definition of every rule: selection.score_batch
 applies it to count rows, and montecarlo.mc_target_trinomial to the cells of
 a curve point's histogram of counts, whose frequency-weighted mean is the
@@ -48,6 +49,8 @@ _PMF_BLOCK = 1 << 18
 # radius calibration scans [0, _R_MAX] spaced 0.05, then _R_STEP near its best
 _R_MAX = 6.0
 _R_STEP = 1e-3
+# the uo radius's slack: the accuracy of the closed forms that give the truth
+_VIOLATION_TOL = 1.02e-14
 
 # The consistent rule's default rate exponent e: its radius is n^(1/2 - e).
 ETA_EXPONENT = 1.0 / 3.0
@@ -65,10 +68,6 @@ DEFAULT_RADII = {
     (T3, "uo"): 1.77,
     (T3, "minimax"): 2.21,
 }
-
-
-class InfeasibleError(RuntimeError):
-    """A calibration problem has no feasible solution."""
 
 
 class EstimatorRule(Record):
@@ -263,66 +262,57 @@ def expected_neighborhood_value(model: ModelSpec, r, mu_grid) -> np.ndarray:
     raise DomainError(f"no expected-rule closed form for {model.model_id}")
 
 
-def _calibration_grid(model: ModelSpec, mu_grid, n: float) -> tuple[np.ndarray, np.ndarray]:
-    """The distances a radius is calibrated on and the true bias at each."""
+def calibrate_radii(model: ModelSpec, mu_grid, n: float) -> dict:
+    """The uo and minimax radii of a t1 or t3 model on a grid of generating
+    distances at sample size n, with their diagnostics: the fields that
+    radii prints.  The true bias is formed once, and each radius is the best
+    point of _scan_min's scans of [0, _R_MAX], spaced 0.05 and then _R_STEP,
+    each one expected_neighborhood_value call.
+
+    The minimax radius minimizes the sup over the grid of the squared error
+    between the expected rule value and the truth.  The uo radius is the
+    largest whose expected rule value stays between the truth and the
+    classical correction, up to an opposite-sign slack of _VIOLATION_TOL:
+    its scans minimize -r over the radii whose largest violation is at most
+    the slack, with no assumption that these radii form an interval.
+
+    The classical value 2 lies on one side of the truth at every distance,
+    in doubles too, so the rule must not cross the truth away from it.
+    t1's truth is 1 + erf, and erf never exceeds 1.0, so it is at most 2:
+    the rule must not dip below it.  t3's truth is 2 (1 + its jump terms),
+    each nonnegative as every t3 gap is below pi, so it is at least 2: the
+    rule must not exceed it.  So r = 0 is always feasible and the uo search
+    always finds a radius: t1's rule at 0 is 2 - Phi(-mu) = 1 + Phi(mu), at
+    least the truth 2 Phi(mu), and t3's rule at 0 is exactly the classical 2,
+    as noncentral_radius_cdf is exactly 0 at radius 0.
+    """
     if model.variant not in (T1, T3):
         raise DomainError(f"neighborhood radii are defined for t1 and t3 only, "
                           f"not {model.model_id}")
     mus = np.array(mu_grid, dtype=float)
     if not mus.size:
         raise DomainError("radius calibration needs a nonempty grid")
-    return mus, bias_on_cone(model, mus, alpha_from_phi0(phi_from_mu0y(mus, n)))
-
-
-def minimax_radius(model: ModelSpec, mu_grid, n: float) -> tuple[float, dict]:
-    """Neighborhood radius minimizing the sup over the grid of squared error
-    between the expected rule value and the true bias correction: the best
-    point of _scan_min's scans of [0, _R_MAX], spaced 0.05 and then _R_STEP,
-    each one expected_neighborhood_value call."""
-    mus, truth = _calibration_grid(model, mu_grid, n)
+    truth = bias_on_cone(model, mus, alpha_from_phi0(phi_from_mu0y(mus, n)))
+    side = 1.0 if model.variant == T1 else -1.0
 
     def sup_risk(rs):
         return np.max((expected_neighborhood_value(model, rs, mus) - truth) ** 2, axis=1)
-
-    risk, r = _scan_min(sup_risk, 0.0, _R_MAX, (0.05, _R_STEP))
-    return r, {"sup_risk": risk}
-
-
-def uo_radius(model: ModelSpec, mu_grid, n: float,
-              violation_tol: float | None = None) -> tuple[float, dict]:
-    """Largest radius whose expected rule value stays between the true bias
-    and the classical correction, up to an opposite-sign slack: minimax_radius's
-    scans minimize -r over the radii whose largest violation is at most
-    violation_tol, with no assumption that these radii form an interval.
-
-    By default the slack is 1.02e-14, the accuracy of the closed forms that
-    give the truth.
-    """
-    mus, truth = _calibration_grid(model, mu_grid, n)
-    if violation_tol is None:
-        violation_tol = 1.02e-14
-    # The classical value 2 lies on one side of the truth at every distance,
-    # in doubles too, so the rule must not cross the truth away from it.
-    # t1's truth is 1 + erf, and erf never exceeds 1.0, so it is at most 2:
-    # the rule must not dip below it.  t3's truth is 2 (1 + its jump terms),
-    # each nonnegative as every t3 gap is below pi, so it is at least 2: the
-    # rule must not exceed it.
-    side = 1.0 if model.variant == T1 else -1.0
 
     def violations(rs):
         return side * (truth - expected_neighborhood_value(model, rs, mus))
 
     def neg_feasible_r(rs):
-        return np.where(np.max(violations(rs), axis=1) <= violation_tol, -rs, np.inf)
+        return np.where(np.max(violations(rs), axis=1) <= _VIOLATION_TOL, -rs, np.inf)
 
-    value, r = _scan_min(neg_feasible_r, 0.0, _R_MAX, (0.05, _R_STEP))
-    if value == np.inf:
-        raise InfeasibleError(f"no feasible radius in [0, {_R_MAX:g}]")
-    worst = violations(r)
+    risk, r_mm = _scan_min(sup_risk, 0.0, _R_MAX, (0.05, _R_STEP))
+    _, r_uo = _scan_min(neg_feasible_r, 0.0, _R_MAX, (0.05, _R_STEP))
+    worst = violations(r_uo)
     k = int(np.argmax(worst))
     # + 0.0: where the rule meets the truth exactly, side * 0.0 may be -0.0
-    return r, {"capped": r == _R_MAX, "max_violation": float(worst[k]) + 0.0,
-               "binding_mu": float(mus[k]), "violation_tol": violation_tol}
+    return {"uo_radius": r_uo,
+            "uo_diagnostics": {"capped": r_uo == _R_MAX, "max_violation": float(worst[k]) + 0.0,
+                               "binding_mu": float(mus[k]), "violation_tol": _VIOLATION_TOL},
+            "minimax_radius": r_mm, "minimax_diagnostics": {"sup_risk": risk}}
 
 
 def consistent_radius(n: float, eta_exponent: float) -> float:

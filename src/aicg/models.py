@@ -148,7 +148,8 @@ def parse_model_id(token: str, angles=None) -> ModelSpec:
     if head == HALFLINES:
         rays = [parse_angle(t) for t in tail.split(",")] if colon else angles
         if not rays:
-            raise DomainError("halflines model requires --angles")
+            raise DomainError("halflines model requires its ray angles: give them inline, "
+                              "as halflines:2.8,4.5,2pi (bias also takes --angles)")
         return validate_halflines(rays)
     if head == T1:
         if not colon:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aicg.cli import main
-from aicg.estimators import bias_on_cone, minimax_radius, singularity_bias, uo_radius
+from aicg.estimators import bias_on_cone, calibrate_radii, singularity_bias
 from aicg.geometry import (
     CENTROID,
     alpha_from_phi0,
@@ -164,9 +164,9 @@ def test_criterion_06_finite_n_target():
 def test_criterion_07_published_radii():
     t0 = time.perf_counter()
     grid = np.arange(0.0, 5.0001, 0.05)
-    r_mm_t1, _ = minimax_radius(t1_model(1), grid, 1e6)
-    r_uo_t3, _ = uo_radius(t3_model(), grid, 1e6, violation_tol=1.02e-14)
-    r_mm_t3, _ = minimax_radius(t3_model(), grid, 1e6)
+    r_mm_t1 = calibrate_radii(t1_model(1), grid, 1e6)["minimax_radius"]
+    t3 = calibrate_radii(t3_model(), grid, 1e6)
+    r_uo_t3, r_mm_t3 = t3["uo_radius"], t3["minimax_radius"]
     elapsed = time.perf_counter() - t0
     ok = (abs(r_mm_t1 - 0.95) <= 0.05 and abs(r_uo_t3 - 1.77) <= 0.1
           and abs(r_mm_t3 - 2.21) <= 0.1 and elapsed < 300.0)

@@ -514,12 +514,6 @@ class TestRadiiCommand:
                                                              near["minimax_radius"])
         assert far["uo_diagnostics"]["violation_tol"] == 1.02e-14
 
-    def test_infeasible_exit_3_with_error_json(self, tmp_path):
-        code, text = run_cli(["radii", "--model", "t3", "--grid", "0:1:0.5",
-                              "--violation-tol", "-1"], tmp_path)
-        assert code == 3
-        assert "error" in json.loads(text)
-
     def test_nonconvergence_exit_3_with_error_json(self, tmp_path, capsys):
         # once a quadrature failure (exit 3 with an error JSON); the closed
         # form has no tolerance to miss, and --abs-tol, which set one, exits 2
@@ -580,8 +574,7 @@ class TestProcessExit:
         (["--help"], 0),
         (["target", "--bogus"], 2),  # argparse's exit
         (["bias", "--model", "t9", "--mu0y", "1"], 2),
-        (["radii", "--model", "t3", "--grid", "0:1:0.5", "--violation-tol", "-1"], 3),
-    ], ids=["target", "help", "unknown-flag", "usage-error", "infeasible"])
+    ], ids=["target", "help", "unknown-flag", "usage-error"])
     def test_run_exits_frozen_with_main_output(self, args, code, capsys):
         frozen = gc.get_freeze_count()
         try:
@@ -705,8 +698,8 @@ PARITY_COMMANDS = [
      "json", "--radius", "0.5", "--eta-exponent", "0.25", "--workers", "1"],
     ["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "50", "--method", "uo",
      "--radius", "0.5", "--seed", "1", "--eta-exponent", "0.2", "--workers", "1"],
-    ["radii", "--model", "t1", "--n", "1000", "--grid", "0:2:0.5", "--violation-tol", "1e-12",
-     "--seed", "1", "--workers", "1"],
+    ["radii", "--model", "t1", "--n", "1000", "--grid", "0:2:0.5", "--seed", "1",
+     "--workers", "1"],
 ]
 PARITY_CASES = [(i, j) for i, args in enumerate(PARITY_COMMANDS)
                 for j in range(1, len(args), 2)]
@@ -758,17 +751,6 @@ class TestConfigParity:
         assert main([*args, "--config", str(config)]) == 0
         assert target.read_text(encoding="utf-8") == want
 
-    def test_radii_error_json_lands_in_config_out(self, tmp_path, capsys):
-        target = tmp_path / "radii.json"
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"out": str(target)}), encoding="utf-8")
-        code = main(["radii", "--model", "t3", "--grid", "0:1:0.5", "--violation-tol", "-1",
-                     "--config", str(config)])
-        assert code == 3
-        assert capsys.readouterr().out == ""
-        assert json.loads(target.read_text(encoding="utf-8")) == {
-            "error": "no feasible radius in [0, 6]"}
-
 
 class TestEdgeInputsExit2:
     """Inputs that ran with a wrong number, or ended in a traceback, exit 2
@@ -782,6 +764,7 @@ class TestEdgeInputsExit2:
         (["bias", "--model", "t1"], {"mu0y": math.nan}, "'mu0y'"),
         (["bias", "--model", "t1", "--counts", "60,20,20", "--method", "uo"],
          {"radius": "nan"}, "'radius'"),
+        # radii's uo slack is fixed, so the key is unknown
         (["radii", "--model", "t1"], {"violation_tol": math.inf}, "'violation_tol'"),
         (["bias", "--model", "t1", "--mu0y", "1"], {"seed": True}, "'seed'"),
         (["bias", "--model", "t1foo", "--mu0y", "1"], None, "unknown model id 't1foo'"),
@@ -848,6 +831,10 @@ class TestEdgeInputsExit2:
         (["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "50"],
          {"angles": "2pi"}, "unknown key 'angles'"),
         (["radii", "--model", "t1"], {"angles": "2pi"}, "unknown key 'angles'"),
+        # a bare halflines id names the inline form, which every subcommand takes
+        (["select", "--counts", "60,20,20", "--models", "t1:1,halflines"], None,
+         "give them inline, as halflines:2.8,4.5,2pi"),
+        (["radii", "--model", "halflines"], None, "give them inline, as halflines:2.8,4.5,2pi"),
     ])
     def test_exit_2(self, tmp_path, capsys, args, config, needle):
         code, text = (run_cli(args, tmp_path) if config is None
@@ -863,13 +850,20 @@ class TestEdgeInputsExit2:
         (["bias", "--model", "t1", "--mu0y", "inf"], "--mu0y"),
         (["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",
           "--seed", "1", "--eta-exponent=-inf"], "--eta-exponent"),
-        (["radii", "--model", "t3", "--violation-tol", "nan"], "--violation-tol"),
     ])
     def test_non_finite_flag_exit_2(self, tmp_path, capsys, args, flag):
         with pytest.raises(SystemExit) as exc:
             main([*args, "--out", str(tmp_path / "out.txt")])
         assert exc.value.code == 2
         assert f"argument {flag}: not a finite number" in capsys.readouterr().err
+
+    def test_removed_violation_tol_flag_exit_2(self, tmp_path, capsys):
+        # radii's uo slack is fixed, as radius 0 is always feasible
+        with pytest.raises(SystemExit) as exc:
+            main(["radii", "--model", "t3", "--violation-tol", "nan",
+                  "--out", str(tmp_path / "out.json")])
+        assert exc.value.code == 2 and not (tmp_path / "out.json").exists()
+        assert "unrecognized arguments: --violation-tol nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",

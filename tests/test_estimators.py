@@ -5,16 +5,13 @@ import pytest
 
 from aicg.estimators import (
     EstimatorRule,
-    InfeasibleError,
     bias_on_cone,
+    calibrate_radii,
     expected_neighborhood_value,
     least_favorable,
-    minimax_radius,
     noncentral_radius_cdf,
     rule_values,
     singularity_bias,
-    uo_radius,
-    _calibration_grid,
 )
 from aicg.geometry import Counts, DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
@@ -143,7 +140,7 @@ class TestNoncentralRadiusCdf:
         def peak_mb(points):
             tracemalloc.start()
             try:
-                uo_radius(t3_model(), np.linspace(0.0, 50.0, points), 1e6)
+                calibrate_radii(t3_model(), np.linspace(0.0, 50.0, points), 1e6)
                 return tracemalloc.get_traced_memory()[1] / 2**20
             finally:
                 tracemalloc.stop()
@@ -357,9 +354,9 @@ class TestNeighborhoodRule:
 
 class TestRadii:
     def test_t1_minimax_reference_value(self):
-        r, diag = minimax_radius(t1_model(1), GRID, 1e6)
-        assert abs(r - 0.95) <= 0.05
-        assert diag["sup_risk"] > 0
+        radii = calibrate_radii(t1_model(1), GRID, 1e6)
+        assert abs(radii["minimax_radius"] - 0.95) <= 0.05
+        assert radii["minimax_diagnostics"]["sup_risk"] > 0
 
     def test_t1_uo_degenerate_feasibility(self):
         # closed-form dominance guarantees r = 0 feasible: 2 Phi(mu) <= 1 + Phi(mu) <= 2
@@ -368,43 +365,44 @@ class TestRadii:
         truth = 1.0 + erf(mus / math.sqrt(2.0))
         assert np.all(e0 >= truth - 1e-12)
         assert np.all(e0 <= 2.0)
-        r, _ = uo_radius(t1_model(1), GRID, 1e6)
-        assert r < 0.2
+        assert calibrate_radii(t1_model(1), GRID, 1e6)["uo_radius"] < 0.2
 
     @pytest.mark.parametrize("n", [10, 1e3, 1e6])
     def test_truth_lies_on_one_side_of_the_classical_value(self, n):
-        # uo_radius takes the side of its constraint from the model alone:
-        # exactly, in doubles, the t1 truth never exceeds the classical 2 and
-        # the t3 truth never falls below it
+        # calibrate_radii takes the side of its uo constraint from the model
+        # alone: exactly, in doubles, the t1 truth never exceeds the classical
+        # 2 and the t3 truth never falls below it.  So radius 0, whose rule
+        # value is the classical correction's side of the truth, is always
+        # feasible: its largest violation is at most 0.0 with no slack
         grid = grid_values(0.0, 50.0, 0.25)
-        assert np.max(_calibration_grid(t1_model(1), grid, n)[1]) <= 2.0
-        assert np.min(_calibration_grid(t3_model(), grid, n)[1]) >= 2.0
-
-    def test_vacuous_violation_tolerance(self):
-        r, diag = uo_radius(t1_model(1), GRID, 1e6, violation_tol=math.inf)
-        assert r == 6.0 and diag.get("capped")
+        for model, side in ((t1_model(1), 1.0), (t3_model(), -1.0)):
+            truth = bias_on_cone(model, grid, alpha_from_phi0(phi_from_mu0y(grid, n)))
+            assert np.all(side * (truth - 2.0) <= 0.0)
+            violation = side * (truth - expected_neighborhood_value(model, 0.0, grid))
+            assert np.max(violation) <= 0.0, model.model_id
 
     def test_degenerate_grid_pins_singularity(self):
-        r, _ = minimax_radius(t1_model(1), [0.0], 1e6)
-        assert r >= 5.9
+        # at the origin alone every radius is uo-feasible: the uo search
+        # reaches the top of its scan and says so
+        radii = calibrate_radii(t1_model(1), [0.0], 1e6)
+        assert radii["minimax_radius"] >= 5.9
+        assert radii["uo_radius"] == 6.0 and radii["uo_diagnostics"]["capped"] is True
 
     def test_minimax_stability_under_grid_halving(self):
-        r1, _ = minimax_radius(t1_model(1), np.arange(0, 5.0001, 0.05), 1e6)
-        r2, _ = minimax_radius(t1_model(1), np.arange(0, 5.0001, 0.025), 1e6)
+        r1 = calibrate_radii(t1_model(1), np.arange(0, 5.0001, 0.05), 1e6)["minimax_radius"]
+        r2 = calibrate_radii(t1_model(1), np.arange(0, 5.0001, 0.025), 1e6)["minimax_radius"]
         assert abs(r1 - r2) <= 0.02
 
     def test_constant_models_rejected(self):
-        with pytest.raises(DomainError):
-            minimax_radius(polytomy_model(), GRID, 1e6)
-        with pytest.raises(DomainError):
-            uo_radius(unconstrained_model(), GRID, 1e6)
+        for model in (polytomy_model(), unconstrained_model()):
+            with pytest.raises(DomainError):
+                calibrate_radii(model, GRID, 1e6)
 
     @pytest.mark.parametrize("model", [polytomy_model(), unconstrained_model(),
                                        validate_halflines([2.8, 4.5, 2.0 * math.pi])])
     def test_message_names_the_models_radii_apply_to(self, model):
-        for calibrate in (minimax_radius, uo_radius):
-            with pytest.raises(DomainError, match="t1 and t3 only"):
-                calibrate(model, GRID, 1e6)
+        with pytest.raises(DomainError, match="t1 and t3 only"):
+            calibrate_radii(model, GRID, 1e6)
 
     @pytest.mark.parametrize("variant,n,step", [
         ("t1", 30, 0.05), ("t1", 1000, 0.05), ("t1", 1e6, 0.05),
@@ -416,34 +414,32 @@ class TestRadii:
         model = t1_model(1) if variant == "t1" else t3_model()
         grid = np.arange(0.0, 5.0001, step)
         want_uo, want_mm = radii_bruteforce(variant, grid, n)
-        assert uo_radius(model, grid, n)[0] == pytest.approx(want_uo, abs=1e-9)
-        assert minimax_radius(model, grid, n)[0] == pytest.approx(want_mm, abs=1e-9)
+        radii = calibrate_radii(model, grid, n)
+        assert radii["uo_radius"] == pytest.approx(want_uo, abs=1e-9)
+        assert radii["minimax_radius"] == pytest.approx(want_mm, abs=1e-9)
 
     @pytest.mark.parametrize("n, want_uo", [(30, 2.039), (1000, 1.854), (1e6, 1.78)])
     def test_t3_far_grid_stays_feasible(self, n, want_uo):
-        # far out the t3 truth is 2 or just above, never below, so the
-        # closed form's 1.02e-14 is the t3 default too and r = 0 stays
-        # feasible
-        far = np.arange(0.0, 50.0001, 1.0)
-        r_far, diag = uo_radius(t3_model(), far, n)
+        # far out the t3 truth is 2 or just above, never below, so the far
+        # distances stay within the closed form's 1.02e-14 and leave the
+        # radii of the near grid
+        far = calibrate_radii(t3_model(), np.arange(0.0, 50.0001, 1.0), n)
+        diag = far["uo_diagnostics"]
         assert diag["violation_tol"] == 1.02e-14
         assert 0.0 <= diag["max_violation"] <= 1.02e-14
-        assert r_far == pytest.approx(want_uo, abs=1e-9)
-        near = np.arange(0.0, 5.0001, 1.0)
-        assert r_far == uo_radius(t3_model(), near, n)[0]
-        assert minimax_radius(t3_model(), far, n)[0] == minimax_radius(t3_model(), near, n)[0]
+        assert far["uo_radius"] == pytest.approx(want_uo, abs=1e-9)
+        near = calibrate_radii(t3_model(), np.arange(0.0, 5.0001, 1.0), n)
+        assert far["uo_radius"] == near["uo_radius"]
+        assert far["minimax_radius"] == near["minimax_radius"]
 
     @pytest.mark.parametrize("n", [30, 1000, 1e6])
     @pytest.mark.parametrize("step", [0.05, 1.0])
     def test_default_tolerances(self, n, step):
-        # t1 keeps its closed form's tolerance; t3's default radii are those
-        # of the closed form's tolerance on the README grids
+        # t1 and t3 both take the closed form's tolerance on the README grids
         grid = np.arange(0.0, 5.0001, step)
-        t1_r, t1_diag = uo_radius(t1_model(1), grid, n)
-        assert t1_diag["violation_tol"] == 1.02e-14
-        assert t1_r == uo_radius(t1_model(1), grid, n, violation_tol=1.02e-14)[0]
-        assert uo_radius(t3_model(), grid, n)[0] == uo_radius(t3_model(), grid, n,
-                                                               violation_tol=1.02e-14)[0]
+        for model in (t1_model(1), t3_model()):
+            diag = calibrate_radii(model, grid, n)["uo_diagnostics"]
+            assert diag["violation_tol"] == 1.02e-14, model.model_id
 
     def test_one_cdf_call_per_scan(self, monkeypatch):
         import aicg.estimators as est
@@ -451,18 +447,19 @@ class TestRadii:
         cdf = est.noncentral_radius_cdf
         monkeypatch.setattr(est, "noncentral_radius_cdf",
                             lambda r, s: calls.append(np.shape(r)) or cdf(r, s))
-        minimax_radius(t3_model(), GRID, 1e6)
-        assert calls == [(121,), (101,)]
-        calls.clear()
-        uo_radius(t3_model(), GRID, 1e6)
-        assert calls == [(121,), (101,), ()]  # the two scans, then the diagnostics
+        calibrate_radii(t3_model(), GRID, 1e6)
+        # the minimax scans, the uo scans, then the uo diagnostics
+        assert calls == [(121,), (101,), (121,), (101,), ()]
 
     def test_diagnostics(self):
-        r, diag = uo_radius(t3_model(), GRID, 1e6)
+        radii = calibrate_radii(t3_model(), GRID, 1e6)
+        assert set(radii) == {"uo_radius", "uo_diagnostics", "minimax_radius",
+                              "minimax_diagnostics"}
+        diag = radii["uo_diagnostics"]
         assert set(diag) == {"capped", "max_violation", "binding_mu", "violation_tol"}
         assert diag["capped"] is False and diag["max_violation"] <= diag["violation_tol"]
         assert diag["binding_mu"] in GRID
-        r, diag = minimax_radius(t3_model(), GRID, 1e6)
+        r, diag = radii["minimax_radius"], radii["minimax_diagnostics"]
         assert set(diag) == {"sup_risk"}
         truth = np.array([bias_on_cone(t3_model(), m, a) for m, a in
                           zip(GRID, alpha_from_phi0(phi_from_mu0y(GRID, 1e6)))])

@@ -13,7 +13,7 @@ The list covers the benchmark's workload commands at two seeds, every model
 and rule of `bias --counts`, `bias` at distances on every model and on
 half-lines angle sets, `select` in CSV and JSON, `regions`, small `target`
 curves, `radii` grids, every example of README § Command line, and inputs
-that exit 2 or 3.
+that exit 2.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ COUNTS = ("60,25,15", "30,35,35", "0,0,5", "2,1,0")
 ANGLE_SETS = ("2pi", "pi,2pi", "2.8,4.5,2pi", "3.5,2pi", "2pi/3,4pi/3,2pi", "5.97,2pi")
 
 EDGE_INPUTS = [
-    # exit 2
     ["bias", "--model", "t1foo", "--mu0y", "1"],
     ["bias", "--model", "t1:4", "--mu0y", "1"],
     ["bias", "--model", "t1", "--mu0y", "nan"],
@@ -49,6 +48,8 @@ EDGE_INPUTS = [
     ["bias", "--model", "t1", "--counts", "60,20,20", "--n", "99"],
     ["bias", "--model", "t1", "--counts", "1,1,0", "--method", "consistent"],
     ["bias", "--model", "halflines", "--mu0y", "1"],
+    ["select", "--counts", "60,20,20", "--models", "t1:1,halflines"],
+    ["radii", "--model", "halflines"],
     ["bias", "--model", "halflines", "--angles", "abc,2pi", "--mu0y", "1"],
     ["bias", "--model", "t1", "--mu0y", "1", "--samples", "10"],
     ["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "1",
@@ -82,7 +83,6 @@ EDGE_INPUTS = [
     ["radii", "--model", "t1", "--grid", "0:1e300:1e-300"],
     ["radii", "--model", "t1", "--n", "0"],
     ["radii", "--model", "t3", "--grid", "5:0:0.05"],
-    # exit 3
     ["radii", "--model", "t3", "--grid", "0:1:0.5", "--violation-tol", "-1"],
     ["radii", "--model", "t1", "--grid", "0:1:0.5", "--violation-tol", "-1"],
 ]
