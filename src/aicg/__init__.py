@@ -13,10 +13,7 @@ from .estimators import (
     singularity_bias,
 )
 from .geometry import (
-    CENTROID,
-    Counts,
     DomainError,
-    SimplexPoint,
     alpha_from_phi0,
     mu0y,
     phi_from_mu0y,
@@ -33,7 +30,6 @@ from .models import (
     validate_halflines,
 )
 from .montecarlo import (
-    McSettings,
     curve_grid,
     mc_target_trinomial,
 )

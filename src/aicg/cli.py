@@ -25,9 +25,9 @@ from typing import Any, Sequence
 
 from .estimators import (DEFAULT_RADII, ETA_EXPONENT, REFERENCE_N, EstimatorRule,
                          bias_on_cone, calibrate_radii)
-from .geometry import Counts, DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
+from .geometry import DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
 from .models import HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, parse_angle, parse_model_id
-from .montecarlo import McSettings, curve_grid, grid_values
+from .montecarlo import curve_grid, grid_values
 from .selection import region_grid, score, score_batch, simplex_lattice
 
 USAGE_EXIT = 2
@@ -85,13 +85,14 @@ def json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def parse_counts(text: str) -> Counts:
+def parse_counts(text: str) -> tuple[int, int, int]:
+    """Three comma-separated integers; score_batch checks their values."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise UsageError(f"counts must be three comma-separated integers, got {text!r}")
     try:
-        return Counts(*(int(p) for p in parts))
-    except (ValueError, DomainError) as exc:
+        return tuple(int(p) for p in parts)
+    except ValueError as exc:
         raise UsageError(f"bad counts {text!r}: {exc}") from exc
 
 
@@ -197,16 +198,6 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _mc_settings(cfg: dict[str, Any]) -> McSettings:
-    if cfg.get("seed") is None:
-        raise UsageError("--seed is required for stochastic runs")
-    samples = _require(cfg, "samples")
-    if samples < 2:
-        # one draw has no standard error: a 0 would claim an exact value
-        raise UsageError(f"--samples must be at least 2, got {samples}")
-    return McSettings(seed=cfg["seed"], samples=samples)
-
-
 def _angles(cfg: dict[str, Any]) -> list[float] | None:
     raw = cfg.get("angles")
     return None if raw is None else [parse_angle(t) for t in raw.split(",")]
@@ -217,9 +208,9 @@ def _rule(cfg: dict[str, Any], method: str) -> EstimatorRule:
                          eta_exponent=cfg.get("eta_exponent", ETA_EXPONENT))
 
 
-def _counts(cfg: dict[str, Any]) -> Counts:
+def _counts(cfg: dict[str, Any]) -> tuple[int, int, int]:
     counts = parse_counts(_require(cfg, "counts"))
-    if cfg.get("n", counts.n) != counts.n:
+    if cfg.get("n", sum(counts)) != sum(counts):
         raise UsageError("--n disagrees with the counts total")
     return counts
 
@@ -238,7 +229,7 @@ def cmd_bias(cfg: dict[str, Any]) -> str:
     if counts_text is not None:
         counts = _counts(cfg)
         rule = _rule(cfg, cfg.get("method", "plugin"))
-        scores = score_batch([model], counts.as_array()[None], rule)[0]
+        scores = score_batch([model], [counts], rule)[0]
         if scores.error is not None:
             raise DomainError(scores.error)
         # the observed distance, whichever estimator ran: 0 for a model
@@ -296,10 +287,15 @@ def cmd_target(cfg: dict[str, Any]) -> str:
         raise UsageError("target curves need a simplex model (t1, t3, polytomy, unconstrained)")
     n = _require(cfg, "n")
     grid = parse_grid(_require(cfg, "grid"))
-    settings = _mc_settings(cfg)
+    if cfg.get("seed") is None:
+        raise UsageError("--seed is required for stochastic runs")
+    samples = _require(cfg, "samples")
     methods = cfg.get("method")
     rules = [_rule(cfg, tag.strip()) for tag in methods.split(",")] if methods else []
-    curves = curve_grid(model, n, grid, rules, settings)
+    if model.variant == POLYTOMY and grid[-1] > 0:
+        raise UsageError("polytomy's only generating point is the centroid, mu0y = 0; "
+                         f"the grid reaches mu0y = {grid[-1]!r}")
+    curves = curve_grid(model, n, grid, rules, cfg["seed"], samples)
     return curve_csv(grid, curves, [rule.method for rule in rules])
 
 

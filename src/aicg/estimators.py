@@ -20,7 +20,6 @@ the raw observation's distance (a noncentral radial probability).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -121,7 +120,6 @@ def singularity_bias(model: ModelSpec) -> float:
     return bias_on_cone(model, 0.0)
 
 
-@lru_cache(maxsize=128)
 def least_favorable(model: ModelSpec, which: str, reference_n: float = REFERENCE_N) -> float:
     """Infimum ('lower') or supremum ('upper') of the bias over the cone.
 

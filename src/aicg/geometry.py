@@ -8,7 +8,8 @@ Under that map the centroid goes to the origin and a generating parameter on
 a model line goes to (0, mu0y), its Mahalanobis distance from the centroid.
 This module holds that map's closed forms on the model lines: mu0y and its
 inverse phi_from_mu0y, and the cone angle alpha_from_phi0, each elementwise.
-The package needs no matrix form of the map.
+The package needs no matrix form of the map.  A simplex point is a plain
+probability triple; theta_on_line gives the one at phi0 on a topology line.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import numpy as np
 
 _PHI_MIN = 1e-12  # phi0 at or below this is unattainable from a distance mu0y
-_CENTROID = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
 class DomainError(ValueError):
@@ -34,10 +34,11 @@ def require_distinct(labels: list[str] | tuple[str, ...], what: str) -> None:
 
 
 class Record:
-    """Base of the package's immutable records.  Each record's __init__ sets
-    its slots once, through _fill, and checks them; assignment afterwards
-    raises.  Records compare by identity; models.ModelSpec, which keys
-    lru_caches, compares by value.
+    """Base of the package's immutable records: models.ModelSpec and
+    estimators.EstimatorRule, which check their fields, and the results of
+    selection.  Each record's __init__ sets its slots once, through _fill;
+    assignment afterwards raises.  Records compare by identity;
+    models.ModelSpec compares by value, so two specs of one model are equal.
 
     Plain slotted classes rather than dataclasses, which compile and run
     generated methods each time their module is imported.
@@ -55,55 +56,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class SimplexPoint(Record):
-    """A probability triple strictly inside the 2-simplex."""
-
-    __slots__ = ("p1", "p2", "p3")
-
-    def __init__(self, p1: float, p2: float, p3: float):
-        self._fill(p1, p2, p3)
-        total = p1 + p2 + p3
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"probabilities sum to {total!r}, not 1")
-        for p in (p1, p2, p3):
-            if not (p > 0.0 and math.isfinite(p)):
-                raise DomainError(f"probability {p!r} outside the simplex")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p1, self.p2, self.p3)
-
-
-CENTROID = SimplexPoint(*_CENTROID)
-
-
-class Counts(Record):
-    """An observed trinomial sample."""
-
-    __slots__ = ("n1", "n2", "n3")
-
-    def __init__(self, n1: int, n2: int, n3: int):
-        self._fill(n1, n2, n3)
-        for c in (n1, n2, n3):
-            if c != int(c) or c < 0:
-                raise DomainError(f"count {c!r} is not a nonnegative integer")
-        if self.n < 1:
-            raise DomainError("total count must be at least 1")
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2 + self.n3
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.n1, self.n2, self.n3], dtype=float)
-
-
-def p1_from_phi(phi0: float) -> float:
-    """The largest component p1 = 1 - (2/3) phi0 of the point at phi0 on a
-    topology line."""
-    _check_phi(phi0)
-    return 1.0 - 2.0 * phi0 / 3.0
 
 
 def _check_phi(phi0) -> np.ndarray:
@@ -161,10 +113,15 @@ def alpha_from_phi0(phi0):
     return float(alpha0) if alpha0.ndim == 0 else alpha0
 
 
-def theta_on_line(phi0: float, topology: int = 1) -> SimplexPoint:
-    """The simplex point at parameter phi0 on the given topology line."""
-    big = p1_from_phi(phi0)
+def theta_on_line(phi0: float, topology: int = 1) -> tuple[float, float, float]:
+    """The simplex point at parameter phi0 on the given topology line: its
+    largest component 1 - (2/3) phi0 at the topology's index, and the other
+    two equal."""
+    _check_phi(phi0)
+    if topology not in (1, 2, 3):
+        raise DomainError(f"topology must be 1, 2 or 3, got {topology!r}")
+    big = 1.0 - 2.0 * phi0 / 3.0
     small = (1.0 - big) / 2.0
     ps = [small, small, small]
     ps[topology - 1] = big
-    return SimplexPoint(*ps)
+    return tuple(ps)

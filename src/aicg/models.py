@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry import DomainError, Record, SimplexPoint
+from .geometry import DomainError, Record
 
 TWO_PI = 2.0 * math.pi
 # theta_in_model's slack for a point of the closure of a parameter space
@@ -27,8 +27,9 @@ HALFLINES = "halflines"
 
 class ModelSpec(Record):
     """One candidate model; use the module constructors rather than __init__.
-    Models key lru_caches, so a model is equal to, and hashed like, the
-    tuple of its fields."""
+    A model is equal to, and hashed like, the tuple of its fields, so two
+    specs of one model, such as parse_model_id("t1") and t1_model(1), are
+    equal."""
 
     __slots__ = ("variant", "topology", "angles")
 
@@ -206,10 +207,10 @@ def neg2loglik_rows(counts, theta) -> np.ndarray:
     return -2.0 * terms.sum(axis=1) + 0.0
 
 
-def theta_in_model(model: ModelSpec, theta: SimplexPoint) -> bool:
-    """Membership of a simplex point in the model's parameter space closure,
-    within _MEMBER_TOL."""
-    p = theta.as_tuple()
+def theta_in_model(model: ModelSpec, theta) -> bool:
+    """Membership of a probability triple in the model's parameter space
+    closure, within _MEMBER_TOL."""
+    p = tuple(theta)
     if model.variant == UNCONSTRAINED:
         return True
     if model.variant == POLYTOMY:

@@ -2,7 +2,7 @@
 
 The engine draws through generators keyed by (seed, stream index) and
 reduces per-block sums in fixed block order with math.fsum, so its results
-are a function of (seed, samples).
+are a function of the plain pair (seed, samples) that each entry point takes.
 
 The finite-n target depends on its draws only through the histogram of their
 counts, which lives on a window of O(sd) values, so it draws that histogram:
@@ -30,8 +30,6 @@ import numpy as np
 
 from .geometry import (
     DomainError,
-    Record,
-    SimplexPoint,
     alpha_from_phi0,
     phi_from_mu0y,
     require_distinct,
@@ -46,16 +44,6 @@ from .selection import observe
 # cells scored at once: together they bound every temporary.
 _CELL_BLOCK = 8192
 _SCORE_BLOCK = 2048
-
-
-class McSettings(Record):
-    __slots__ = ("seed", "samples")
-
-    def __init__(self, seed: int, samples: int):
-        self._fill(seed, samples)
-        # one draw has no standard error: a 0 would claim an exact value
-        if samples < 2:
-            raise DomainError("samples must be >= 2")
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -155,12 +143,12 @@ def _binomial_cells(rng: np.random.Generator, m: np.ndarray, p: float,
         yield r, rng.binomial(m[r], p), np.ones(r.size, dtype=np.int64)
 
 
-def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
-                        settings: McSettings,
+def mc_target_trinomial(model: ModelSpec, theta0, n: int, seed: int, samples: int,
                         rules: Sequence[EstimatorRule] = ()) -> list[tuple[float, float]]:
     """Finite-n bias-correction target, and the expected value of each rule,
-    estimated by trinomial simulation: a list of (estimate, std_error) pairs,
-    the target's, then one per rule.
+    estimated by trinomial simulation from samples draws at theta0, a
+    probability triple inside the simplex: a list of (estimate, std_error)
+    pairs, the target's, then one per rule.
 
     Per replicate the target is 2 sum_i (c_i - n theta0_i) log thetahat_i,
     written in the zero-sum form 2 [d1 (L1 - L3) + d2 (L2 - L3)] so constant
@@ -178,12 +166,18 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
     """
     if n < 1:
         raise DomainError("sample size must be >= 1")
+    if samples < 2:
+        # one draw has no standard error: a 0 would claim an exact value
+        raise DomainError(f"samples must be at least 2, got {samples}")
+    theta0 = tuple(theta0)
+    if not (len(theta0) == 3 and all(p > 0.0 and math.isfinite(p) for p in theta0)
+            and abs(sum(theta0) - 1.0) <= 1e-12):
+        raise DomainError(f"theta0={theta0!r} is not a probability triple inside the simplex")
     if not theta_in_model(model, theta0):
         raise DomainError(f"theta0 outside the parameter space of {model.model_id}")
-    t0 = np.array(theta0.as_tuple())
+    t0 = np.array(theta0)
     k = model.topology - 1 if model.variant == T1 else 0
-    first = _binomial_cells(_chunk_rng(settings.seed, 0), np.array([n]), t0[k],
-                            np.array([settings.samples]))
+    first = _binomial_cells(_chunk_rng(seed, 0), np.array([n]), t0[k], np.array([samples]))
 
     def values(counts):
         # every statistic at each cell of the block, scored _SCORE_BLOCK
@@ -217,7 +211,7 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
                 yield counts, freq
     else:
         def cells():
-            rng = _chunk_rng(settings.seed, 1)
+            rng = _chunk_rng(seed, 1)
             q = min(max(t0[1] / max(1.0 - t0[0], 1e-300), 0.0), 1.0)
             for _, c1, freq1 in first:
                 for r, c2, freq in _binomial_cells(rng, n - c1, q, freq1):
@@ -228,7 +222,7 @@ def mc_target_trinomial(model: ModelSpec, theta0: SimplexPoint, n: int,
 
     blocks = ([_chunk_moments(v, freq) for v in values(counts)] for counts, freq in cells())
     merged = reduce(lambda a, b: list(map(_merge, a, b)), blocks)
-    return [_combine(m, settings.samples) for m in merged]
+    return [_combine(m, samples) for m in merged]
 
 
 # The most points of a grid.  radii calibration holds a few arrays of one
@@ -260,7 +254,7 @@ def grid_values(start: float, stop: float, step: float) -> list[float]:
 
 
 def curve_grid(model: ModelSpec, n: int, grid: Sequence[float], rules: Sequence[EstimatorRule],
-               settings: McSettings) -> dict[str, list[tuple[float, float]]]:
+               seed: int, samples: int) -> dict[str, list[tuple[float, float]]]:
     """Per-grid-point curve data, an (estimate, std_error) pair per column
     and grid point: simulated target, analytic corrections, and the expected
     value of each requested estimator rule for a sample of size n, estimated
@@ -268,7 +262,7 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float], rules: Sequence[
     constant (rule_constant), which scores nothing.
 
     The target and the rule columns at grid point i draw their histogram of
-    counts from the streams of the seed derive_seed(settings.seed, i, 0), so
+    counts from the streams of the seed derive_seed(seed, i, 0), so
     a column's value is the same whichever other rules are requested, in
     whatever order.
     """
@@ -292,8 +286,8 @@ def curve_grid(model: ModelSpec, n: int, grid: Sequence[float], rules: Sequence[
     aicg = bias_on_cone(model, mus, alpha_from_phi0(phis))
     for i, phi0 in enumerate(phis.tolist()):
         theta0 = theta_on_line(phi0, model.topology or 1)
-        cell = McSettings(derive_seed(settings.seed, i, 0), settings.samples)
-        target, *columns = mc_target_trinomial(model, theta0, n, cell, drawn)
+        target, *columns = mc_target_trinomial(model, theta0, n, derive_seed(seed, i, 0),
+                                               samples, drawn)
         curves["target"].append(target)
         curves["aicg"].append((float(aicg[i]), 0.0))
         for rule, pair in zip(drawn, columns):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .estimators import EstimatorRule, rule_values
-from .geometry import Counts, DomainError, Record, alpha_from_phi0, mu0y, require_distinct
+from .geometry import DomainError, Record, alpha_from_phi0, mu0y, require_distinct
 from .models import ModelSpec, mle_rows, neg2loglik_rows
 
 # region_grid's generalized scores within this of the least one are a tie.
@@ -151,16 +151,16 @@ def _rank(values: list[tuple[float, str]]) -> dict[str, int]:
     return {values[i][1]: pos + 1 for pos, i in enumerate(order)}
 
 
-def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule) -> SelectionReport:
-    """Score each candidate model on observed counts and rank by the
+def score(models: Sequence[ModelSpec], counts, rule: EstimatorRule) -> SelectionReport:
+    """Score each candidate model on an observed count triple and rank by the
     generalized criterion (ties broken by model id): the one-row case of
-    score_batch.  A model the estimator cannot handle yields an error row,
-    leaving the other rows intact.
+    score_batch, which checks the counts.  A model the estimator cannot
+    handle yields an error row, leaving the other rows intact.
     """
     if not models:
         raise DomainError("need at least one candidate model")
     require_distinct([m.model_id for m in models], "model id")
-    batch = score_batch(models, counts.as_array()[None], rule)
+    batch = score_batch(models, [counts], rule)
     scored = [s for s in batch if s.error is None]
     rank_g = _rank([(float(s.aicg[0]), s.model.model_id) for s in scored])
     rank_a = _rank([(float(s.aic[0]), s.model.model_id) for s in scored])
@@ -175,7 +175,7 @@ def score(models: Sequence[ModelSpec], counts: Counts, rule: EstimatorRule) -> S
                              float(s.aicg[0]), float(s.aic[0]), rank_g[mid], rank_a[mid]))
     rows.sort(key=lambda r: (r.rank_aicg is None, r.rank_aicg or 0, r.model_id))
     meta = {
-        "n": counts.n, "estimator": rule.method,
+        "n": int(sum(counts)), "estimator": rule.method,
         "radius": rule.radius, "version": __version__,
         "note": "multinomial coefficient dropped from -2 log L",
     }

@@ -16,10 +16,9 @@ import mpmath
 import numpy as np
 
 from aicg.estimators import bias_on_cone, consistent_radius, singularity_bias
-from aicg.geometry import (CENTROID, Counts, DomainError, Record, SimplexPoint, alpha_from_phi0,
-                           mu0y)
+from aicg.geometry import DomainError, Record, alpha_from_phi0, mu0y
 from aicg.models import POLYTOMY, T1, T3, UNCONSTRAINED, mle_rows
-from aicg.montecarlo import McSettings, _chunk_moments, _chunk_rng, _combine, _merge
+from aicg.montecarlo import _chunk_moments, _chunk_rng, _combine, _merge
 from aicg.selection import _rounded_counts, score
 from aicg.special import norm_cdf, norm_cdf2
 
@@ -423,7 +422,7 @@ def standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def run_chunks(settings: McSettings, kernel,
+def run_chunks(seed: int, samples: int, kernel,
                chunk_size: int = 1 << 16) -> list[tuple[float, float, float]]:
     """(mean, se, min) of each per-draw statistic over all chunks: the
     normal-draw engine the gate's Gaussian Monte Carlo runs on.
@@ -446,13 +445,13 @@ def run_chunks(settings: McSettings, kernel,
         return list(map(_merge, a, b))
 
     def one(index):
-        rng, start = _chunk_rng(settings.seed, index), index * chunk_size
-        end = min(start + chunk_size, settings.samples)
+        rng, start = _chunk_rng(seed, index), index * chunk_size
+        end = min(start + chunk_size, samples)
         return reduce(merge, (moments(kernel(rng, min(DRAW_BLOCK, end - k)))
                               for k in range(start, end, DRAW_BLOCK)))
 
-    merged = reduce(merge, map(one, range(-(-settings.samples // chunk_size))))
-    return [(*_combine(moments, settings.samples), min(low))
+    merged = reduce(merge, map(one, range(-(-samples // chunk_size))))
+    return [(*_combine(moments, samples), min(low))
             for moments, low in zip(merged, zip(*lows))]
 
 
@@ -466,7 +465,7 @@ class GaussianEstimate(Record):
         self._fill(value, std_error, min_draw)
 
 
-def mc_bias_gaussian(cone, mu0: TransformedPoint, settings: McSettings,
+def mc_bias_gaussian(cone, mu0: TransformedPoint, seed: int, samples: int,
                      chunk_size: int = 1 << 16) -> GaussianEstimate:
     """Bias correction 2 E{(z - mu0).(P z - mu0)}, z ~ N(mu0, I), for P the
     projection onto the cone, by Monte Carlo: run_chunks with that statistic
@@ -479,7 +478,7 @@ def mc_bias_gaussian(cone, mu0: TransformedPoint, settings: McSettings,
     def kernel(rng, rows):
         z = center + standard_normals(rng, (rows, 2))
         return [2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)]
-    return GaussianEstimate(*run_chunks(settings, kernel, chunk_size)[0])
+    return GaussianEstimate(*run_chunks(seed, samples, kernel, chunk_size)[0])
 
 
 def halflines_origin_bias(model) -> float:
@@ -508,7 +507,7 @@ def rule_expectation_exact(model, rule, theta0: tuple[float, float, float], n: i
             c = (c1, c2, n - c1 - c2)
             log_prob = math.lgamma(n + 1) + sum(k * lp - math.lgamma(k + 1)
                                                 for k, lp in zip(c, log_p))
-            row, = score([model], Counts(*c), rule).rows
+            row, = score([model], c, rule).rows
             if row.error is not None:
                 raise DomainError(f"counts {c}: {row.error}")
             terms.append(math.exp(log_prob) * row.bias_value)
@@ -586,29 +585,30 @@ _TOPOLOGY_DIRS = {
 }
 
 
+# The centroid of the simplex, the polytomy model's one point.
+CENTROID = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+
 # points with a component below this are treated as on a face
 _INTERIOR_TOL = 1e-9
 
 
 def _free_coords(theta) -> np.ndarray:
-    """(p1, p2) of a SimplexPoint or of a probability triple, which may lie
-    on a face."""
-    p = theta.as_tuple() if isinstance(theta, SimplexPoint) else tuple(theta)
-    return np.array(p[:2], dtype=float)
+    """(p1, p2) of a probability triple, which may lie on a face."""
+    return np.array(tuple(theta)[:2], dtype=float)
 
 
-def fisher_information(theta: SimplexPoint) -> np.ndarray:
+def fisher_information(theta) -> np.ndarray:
     """Trinomial Fisher information per observation in coordinates (p1, p2)."""
-    if min(theta.as_tuple()) < _INTERIOR_TOL:
+    if min(theta) < _INTERIOR_TOL:
         raise DomainError("Fisher information degenerate on the simplex faces")
-    p1, p2, p3 = theta.as_tuple()
+    p1, p2, p3 = theta
     return np.array([
         [1.0 / p1 + 1.0 / p3, 1.0 / p3],
         [1.0 / p3, 1.0 / p2 + 1.0 / p3],
     ])
 
 
-def mahalanobis(theta: SimplexPoint, theta0: SimplexPoint, n: float) -> float:
+def mahalanobis(theta, theta0, n: float) -> float:
     """sqrt(n (theta - theta0)^T I(theta0) (theta - theta0)) in free coordinates."""
     info = fisher_information(theta0)
     d = _free_coords(theta) - _free_coords(theta0)
@@ -623,7 +623,7 @@ class TransformMap:
     anchor: np.ndarray
 
     def __call__(self, theta) -> TransformedPoint:
-        """The image of a SimplexPoint or of a probability triple."""
+        """The image of a probability triple."""
         w = self.matrix @ (_free_coords(theta) - self.anchor)
         return TransformedPoint(float(w[0]), float(w[1]))
 
@@ -635,7 +635,7 @@ def _rotation_to_y(u: np.ndarray) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def transform_map(theta0: SimplexPoint, n: float, axis_topology: int | None = None) -> TransformMap:
+def transform_map(theta0, n: float, axis_topology: int | None = None) -> TransformMap:
     """Build the centering/scaling/rotation map determined by theta0.
 
     The plane is scaled by sqrt(n) * I(theta0)^{1/2} with I^{1/2} the upper
@@ -645,7 +645,7 @@ def transform_map(theta0: SimplexPoint, n: float, axis_topology: int | None = No
     ``axis_topology`` is given) the named topology line is used instead,
     defaulting to topology 1.
     """
-    if min(theta0.as_tuple()) < _INTERIOR_TOL:
+    if min(theta0) < _INTERIOR_TOL:
         raise DomainError("theta0 must be strictly interior to the simplex")
     if n < 1:
         raise DomainError("sample size must be >= 1")
@@ -667,20 +667,21 @@ def transform_map(theta0: SimplexPoint, n: float, axis_topology: int | None = No
 
 
 def line_observation(model, counts):
-    """A line model's fit of one Counts row seen through the transform map at
+    """A line model's fit of one count triple seen through the transform map at
     its constrained MLE, which puts the estimate's own line on the +y axis:
     the estimate's distance mu0y and cone angle alpha0, and the images of the
     estimate and of the sample mean."""
-    theta, line = mle_rows(model, counts.as_array()[None])
-    estimate, topology = SimplexPoint(*theta[0].tolist()), int(line[0]) + 1
-    phi0 = 1.5 * (1.0 - estimate.as_tuple()[topology - 1])
-    tmap = transform_map(estimate, counts.n, axis_topology=topology)
-    return (mu0y(phi0, counts.n), alpha_from_phi0(phi0), tmap(estimate),
-            tmap(counts.as_array() / counts.n))
+    row = np.array(counts, dtype=float)
+    n = int(row.sum())
+    theta, line = mle_rows(model, row[None])
+    estimate, topology = tuple(theta[0].tolist()), int(line[0]) + 1
+    phi0 = 1.5 * (1.0 - estimate[topology - 1])
+    tmap = transform_map(estimate, n, axis_topology=topology)
+    return mu0y(phi0, n), alpha_from_phi0(phi0), tmap(estimate), tmap(row / n)
 
 
 def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_exponent: float):
-    """The parametric bootstrap of one Counts row as a scalar chain: the MLE,
+    """The parametric bootstrap of one count triple as a scalar chain: the MLE,
     the transform map at it, consistent_estimate of the estimate (0, mu0y),
     then one mc_bias_gaussian run around the resulting center.  Models
     without a line center at the origin.  Returns the GaussianEstimate: the
@@ -688,9 +689,9 @@ def bootstrap_bias_per_row(model, counts, b_replicates: int, seed: int, eta_expo
     alpha0, center = None, TransformedPoint(0.0, 0.0)
     if model.variant in (T1, T3):
         mu, alpha0, _, _ = line_observation(model, counts)
-        center, _ = consistent_estimate(model, TransformedPoint(0.0, mu), counts.n,
+        center, _ = consistent_estimate(model, TransformedPoint(0.0, mu), sum(counts),
                                         eta_exponent, alpha0)
-    return mc_bias_gaussian(cone_of(model, alpha0), center, McSettings(seed, b_replicates))
+    return mc_bias_gaussian(cone_of(model, alpha0), center, seed, b_replicates)
 
 
 def consistent_estimate(model, observed: TransformedPoint, n: float,

@@ -14,7 +14,6 @@ import pytest
 from aicg.cli import main
 from aicg.estimators import bias_on_cone, calibrate_radii, singularity_bias
 from aicg.geometry import (
-    CENTROID,
     alpha_from_phi0,
     mu0y,
     phi_from_mu0y,
@@ -27,13 +26,13 @@ from aicg.models import (
     unconstrained_model,
     validate_halflines,
 )
-from aicg.montecarlo import McSettings, mc_target_trinomial, _chunk_rng
+from aicg.montecarlo import mc_target_trinomial, _chunk_rng
 from aicg.quadrature import bias_t3_value
 from aicg.selection import region_grid, simplex_lattice
 from aicg.estimators import EstimatorRule
 from aicg.special import norm_cdf
 
-from oracles import (TransformedPoint, cone_of, consistent_estimate, erf_decimal,
+from oracles import (CENTROID, TransformedPoint, cone_of, consistent_estimate, erf_decimal,
                      halflines_origin_bias, mc_bias_gaussian, standard_normals,
                      trinomial_target_exact, winning_component)
 
@@ -110,7 +109,7 @@ def test_criterion_04_monte_carlo_vs_analytic():
                 cone = cone_of(model, alpha0)
                 analytic = bias_t3_value(mu, alpha0)
             est = mc_bias_gaussian(cone, TransformedPoint(0.0, mu),
-                                   McSettings(8_800 + i, 10**6))
+                                   8_800 + i, 10**6)
             worst_z = max(worst_z, abs(est.value - analytic) / est.std_error)
     elapsed = time.perf_counter() - t0
     ok = worst_z <= 3.0 and elapsed < 120.0
@@ -128,7 +127,7 @@ def test_criterion_05_pointwise_nonnegativity():
     ]
     worst = 0.0
     for i, (cone, mu0) in enumerate(cases):
-        est = mc_bias_gaussian(cone, mu0, McSettings(55_000 + i, 10**6))
+        est = mc_bias_gaussian(cone, mu0, 55_000 + i, 10**6)
         worst = min(worst, est.min_draw)
     elapsed = time.perf_counter() - t0
     ok = worst >= -1e-12 and elapsed < 60.0
@@ -151,8 +150,8 @@ def test_criterion_06_finite_n_target():
             cases.append((model, theta_on_line(phi0, 1), analytic, 31_000 + i))
     cases.append((unconstrained_model(), CENTROID, 4.0, 31_500))
     for model, theta0, analytic, seed in cases:
-        exact = trinomial_target_exact(model.model_id, theta0.as_tuple(), n)
-        (value, se), = mc_target_trinomial(model, theta0, n, McSettings(seed, 10**5))
+        exact = trinomial_target_exact(model.model_id, theta0, n)
+        (value, se), = mc_target_trinomial(model, theta0, n, seed, 10**5)
         worst_gap = max(worst_gap, abs(exact - analytic))
         worst_z = max(worst_z, abs(value - exact) / se)
     elapsed = time.perf_counter() - t0

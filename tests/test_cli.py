@@ -15,7 +15,6 @@ import aicg
 from aicg.cli import main, parse_grid, fmt_float
 from aicg.geometry import DomainError, alpha_from_phi0, phi_from_mu0y
 from aicg.models import parse_angle, parse_model_id
-from aicg.montecarlo import McSettings
 
 from oracles import TransformedPoint, cone_of, mc_bias_gaussian, ray_cone_bias_dblquad
 
@@ -67,7 +66,7 @@ class TestBiasCommand:
         assert fields[-3] == "closed-form"
         # the generating point (1, 0), on the 2pi ray
         mc = mc_bias_gaussian(cone_of(parse_model_id("halflines:2.8,4.5,2pi")),
-                              TransformedPoint(1.0, 0.0), McSettings(7, 10**6))
+                              TransformedPoint(1.0, 0.0), 7, 10**6)
         assert abs(float(fields[-2]) - mc.value) <= 4.0 * mc.std_error
         # the origin keeps the closed form's bytes
         code, text = run_cli([*base, "0"], tmp_path, "origin.csv")
@@ -797,15 +796,15 @@ class TestEdgeInputsExit2:
           "--seed", "1"], None, "unknown estimator method 'monte-carlo'"),
         # one draw has no standard error, so it must not print one of 0
         (["target", "--model", "t1", "--n", "1000", "--grid", "0:1:1", "--samples", "1",
-          "--method", "plugin,uo", "--seed", "3"], None, "--samples must be at least 2"),
+          "--method", "plugin,uo", "--seed", "3"], None, "samples must be at least 2"),
         (["target", "--model", "t1", "--n", "1000", "--grid", "0:1:1", "--seed", "3"],
-         {"samples": 1}, "--samples must be at least 2"),
+         {"samples": 1}, "samples must be at least 2"),
         (["target", "--model", "t3", "--n", "1000", "--grid", "0:1:1", "--samples", "1",
-          "--seed", "3"], None, "--samples must be at least 2"),
+          "--seed", "3"], None, "samples must be at least 2"),
         (["target", "--model", "t3", "--n", "1000", "--grid", "0:1:1", "--method", "plugin",
-          "--seed", "3"], {"samples": 1}, "--samples must be at least 2"),
+          "--seed", "3"], {"samples": 1}, "samples must be at least 2"),
         (["target", "--model", "t1", "--n", "1000", "--grid", "0:1:1", "--seed", "3"],
-         {"samples": 0}, "--samples must be at least 2"),
+         {"samples": 0}, "samples must be at least 2"),
         # bias draws nothing: it takes neither --method monte-carlo nor --samples
         (["bias", "--model", "t1", "--mu0y", "1", "--method", "monte-carlo", "--seed", "3"],
          None, "with --mu0y or --phi0 the bias is its closed form"),
@@ -835,6 +834,12 @@ class TestEdgeInputsExit2:
         (["select", "--counts", "60,20,20", "--models", "t1:1,halflines"], None,
          "give them inline, as halflines:2.8,4.5,2pi"),
         (["radii", "--model", "halflines"], None, "give them inline, as halflines:2.8,4.5,2pi"),
+        # polytomy's one generating point is the centroid: once a grid beyond
+        # it named a theta0 the user never gave
+        (["target", "--model", "polytomy", "--n", "10", "--grid", "0:1:1", "--samples", "10",
+          "--seed", "1"], None,
+         "polytomy's only generating point is the centroid, mu0y = 0; "
+         "the grid reaches mu0y = 1.0"),
     ])
     def test_exit_2(self, tmp_path, capsys, args, config, needle):
         code, text = (run_cli(args, tmp_path) if config is None

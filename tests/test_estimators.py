@@ -13,7 +13,7 @@ from aicg.estimators import (
     rule_values,
     singularity_bias,
 )
-from aicg.geometry import Counts, DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
+from aicg.geometry import DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
 from aicg.models import polytomy_model, t1_model, t3_model, unconstrained_model, validate_halflines
 from aicg.montecarlo import _chunk_rng, grid_values
 from aicg.quadrature import bias_ray_cone, bias_t3_batch
@@ -31,7 +31,7 @@ GRID = np.arange(0.0, 5.0001, 0.05)
 def one_row(model, counts, rule):
     """score_batch's scores of one model on one row of counts, which must
     score without error."""
-    scores, = score_batch([model], counts.as_array()[None], rule)
+    scores, = score_batch([model], [counts], rule)
     assert scores.error is None
     return scores
 
@@ -162,37 +162,31 @@ class TestPluginBias:
     PLUGIN = EstimatorRule("plugin")
 
     def test_t1_clamped_counts(self):
-        assert one_row(t1_model(1), Counts(30, 35, 35), self.PLUGIN).bias[0] == 1.0
+        assert one_row(t1_model(1), (30, 35, 35), self.PLUGIN).bias[0] == 1.0
 
     def test_t1_formula_at_observed_distance(self):
-        counts = Counts(60, 20, 20)
+        counts = (60, 20, 20)
         mu = line_observation(t1_model(1), counts)[0]
         value = one_row(t1_model(1), counts, self.PLUGIN).bias[0]
         assert value == pytest.approx(1.0 + erf(mu / math.sqrt(2)), abs=1e-14)
 
     def test_t1_two_units_out(self):
         # find counts whose plug-in distance is ~2 and check the value there
-        counts = Counts(80, 60, 60)
+        counts = (80, 60, 60)
         mu = line_observation(t1_model(1), counts)[0]
         value = one_row(t1_model(1), counts, self.PLUGIN).bias[0]
         assert value == pytest.approx(1.0 + erf(mu / math.sqrt(2)), abs=1e-14)
         assert 1.0 < value < 2.0
 
     def test_polytomy_constant(self):
-        assert one_row(polytomy_model(), Counts(9, 9, 2), self.PLUGIN).bias[0] == 0.0
+        assert one_row(polytomy_model(), (9, 9, 2), self.PLUGIN).bias[0] == 0.0
 
     def test_t3_uses_quadrature(self):
-        value = one_row(t3_model(), Counts(40, 30, 30), self.PLUGIN).bias[0]
+        value = one_row(t3_model(), (40, 30, 30), self.PLUGIN).bias[0]
         assert 2.0 <= value <= T3_SINGULAR + 1e-9
 
 
 class TestLeastFavorable:
-    def test_equal_arguments_hit_the_cache(self):
-        least_favorable(t3_model(), "lower")
-        hits = least_favorable.cache_info().hits
-        least_favorable(t3_model(), "lower")
-        assert least_favorable.cache_info().hits == hits + 1
-
     def test_t1_pair(self):
         assert least_favorable(t1_model(1), "lower") == pytest.approx(1.0, abs=1e-6)
         assert least_favorable(t1_model(1), "upper") == pytest.approx(2.0, abs=1e-6)
@@ -541,20 +535,20 @@ class TestBootstrap:
     within the consistent radius, the closed form at mu_hat outside it."""
 
     def test_polytomy_exact_zero(self):
-        scores = one_row(polytomy_model(), Counts(5, 3, 2), EstimatorRule("bootstrap"))
+        scores = one_row(polytomy_model(), (5, 3, 2), EstimatorRule("bootstrap"))
         assert scores.bias[0] == 0.0
 
     def test_centered_data_recovers_boundary_value(self):
-        scores = one_row(t1_model(1), Counts(3334, 3333, 3333), EstimatorRule("bootstrap"))
+        scores = one_row(t1_model(1), (3334, 3333, 3333), EstimatorRule("bootstrap"))
         assert scores.bias[0] == 1.0
 
     def test_far_data_recovers_plugin_value(self):
         # these counts put the estimate ~4 units out; eta exponent 0.45 keeps
         # that outside the shrinkage ball, so the bootstrap centers there
-        counts = Counts(3524, 3238, 3238)
+        counts = (3524, 3238, 3238)
         mu = line_observation(t1_model(1), counts)[0]
         assert 3.9 < mu < 4.7
-        assert mu > counts.n ** (0.5 - 0.45)
+        assert mu > sum(counts) ** (0.5 - 0.45)
         scores = one_row(t1_model(1), counts, EstimatorRule("bootstrap", eta_exponent=0.45))
         assert scores.bias[0] == bias_on_cone(t1_model(1), float(scores.mu_hat[0]))
         assert scores.bias[0] == pytest.approx(1.99994, abs=5e-5)
@@ -563,9 +557,9 @@ class TestBootstrap:
     def test_default_rate_shrinks_moderate_data(self):
         # with the default n^(-1/3) rate the same observation sits inside the
         # ball (radius n^(1/6) = 4.64), so the bootstrap centers on the boundary
-        counts = Counts(3524, 3238, 3238)
+        counts = (3524, 3238, 3238)
         mu = line_observation(t1_model(1), counts)[0]
-        assert mu < counts.n ** (0.5 - 1.0 / 3.0)
+        assert mu < sum(counts) ** (0.5 - 1.0 / 3.0)
         assert one_row(t1_model(1), counts, EstimatorRule("bootstrap")).bias[0] == 1.0
 
 
@@ -602,13 +596,12 @@ class TestCrudeBounds:
 
 class TestRuleRangeEnvelope:
     def test_estimates_respect_least_favorable_envelope(self):
-        counts_list = [Counts(40, 30, 30), Counts(70, 15, 15), Counts(34, 33, 33)]
+        counts_list = [(40, 30, 30), (70, 15, 15), (34, 33, 33)]
         for model in [t1_model(1), t3_model(), polytomy_model(), unconstrained_model()]:
             lo = least_favorable(model, "lower", reference_n=100.0)
             hi = least_favorable(model, "upper", reference_n=100.0)
             for method in ("plugin", "uo", "minimax", "consistent"):
-                scores = score_batch([model], [c.as_array() for c in counts_list],
-                                     EstimatorRule(method))[0]
+                scores = score_batch([model], counts_list, EstimatorRule(method))[0]
                 assert scores.error is None
                 assert np.all((lo - 1e-9 <= scores.bias) & (scores.bias <= hi + 1e-9))
 

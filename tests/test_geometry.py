@@ -4,65 +4,88 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from aicg.cli import main
+from aicg.estimators import EstimatorRule
 from aicg.geometry import (
-    CENTROID,
-    Counts,
     DomainError,
-    SimplexPoint,
     alpha_from_phi0,
     mu0y,
     phi_from_mu0y,
-    p1_from_phi,
     theta_on_line,
 )
+from aicg.models import t1_model, t3_model, unconstrained_model
+from aicg.montecarlo import mc_target_trinomial
+from aicg.selection import score, score_batch
 
-from oracles import fisher_information, mahalanobis, phi_from_mu0y_mpmath, transform_map
+from oracles import (CENTROID, fisher_information, mahalanobis, phi_from_mu0y_mpmath,
+                     transform_map)
+
+PLUGIN = EstimatorRule("plugin")
 
 
 class TestSimplexPoint:
+    """A generating point is a plain probability triple, which
+    mc_target_trinomial checks: three components, each positive, summing to 1
+    within 1e-12."""
+
     def test_valid(self):
-        p = SimplexPoint(0.5, 0.3, 0.2)
-        assert p.as_tuple() == (0.5, 0.3, 0.2)
+        for theta0 in ((0.5, 0.3, 0.2), [0.5, 0.3, 0.2], np.array([0.5, 0.3, 0.2])):
+            (_, se), = mc_target_trinomial(unconstrained_model(), theta0, 50, 1, 100)
+            assert se > 0
 
     def test_sum_violation(self):
-        with pytest.raises(DomainError):
-            SimplexPoint(0.5, 0.3, 0.3)
+        for theta0 in ((0.5, 0.3, 0.3), (0.5, 0.3, 0.2 - 2e-12)):
+            with pytest.raises(DomainError, match="probability triple"):
+                mc_target_trinomial(unconstrained_model(), theta0, 50, 1, 100)
 
     def test_interior_requirement(self):
-        with pytest.raises(DomainError):
-            SimplexPoint(1.0, 0.0, 0.0)
+        for theta0 in ((1.0, 0.0, 0.0), (0.6, -0.1, 0.5), (0.5, 0.5), (0.5, 0.3, 0.2, 0.0),
+                       (math.nan, 0.5, 0.5)):
+            with pytest.raises(DomainError, match="probability triple"):
+                mc_target_trinomial(unconstrained_model(), theta0, 50, 1, 100)
 
 
 class TestCounts:
+    """A count triple is plain; score_batch checks it, for score too."""
+
     def test_total(self):
-        assert Counts(3, 4, 5).n == 12
+        assert score([t1_model(1)], (3, 4, 5), PLUGIN).metadata["n"] == 12
+        assert score([t1_model(1)], [3.0, 4.0, 5.0], PLUGIN).metadata["n"] == 12
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            Counts(-1, 2, 3)
-
-    def test_rejects_empty(self):
+            score([t1_model(1)], (-1, 2, 3), PLUGIN)
         with pytest.raises(DomainError):
-            Counts(0, 0, 0)
+            score_batch([t3_model()], [(-1, 2, 3)], PLUGIN)
+        with pytest.raises(DomainError):
+            score([t1_model(1)], (1.5, 2, 3), PLUGIN)
+
+    def test_rejects_empty(self, capsys):
+        with pytest.raises(DomainError):
+            score([t1_model(1)], (0, 0, 0), PLUGIN)
+        with pytest.raises(DomainError):
+            score_batch([t3_model()], [(0, 0, 0)], PLUGIN)
+        assert main(["select", "--models", "t1,t3", "--counts", "0,0,0"]) == 2
+        assert "total n >= 1" in capsys.readouterr().err
 
 
 class TestPhi:
     # phi0 = (3/2)(1 - p1) on a topology line, p1 its largest component
     def test_centroid_endpoint(self):
-        assert p1_from_phi(1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert theta_on_line(1.0, 1)[0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_direct_value(self):
-        assert p1_from_phi(0.75) == pytest.approx(0.5, abs=1e-15)
+        assert theta_on_line(0.75, 1)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            p1_from_phi(1.2)
-        with pytest.raises(DomainError):
-            p1_from_phi(0.0)
+        # phi0 outside (0, 1], and a topology other than 1, 2 or 3
+        for phi0, topology in [(1.2, 1), (0.0, 1), (0.5, 0), (0.5, 4)]:
+            with pytest.raises(DomainError):
+                theta_on_line(phi0, topology)
 
     def test_round_trip_grid(self):
         for p1 in np.linspace(1.0 / 3.0, 1.0 - 1e-9, 100):
-            assert p1_from_phi(1.5 * (1.0 - p1)) == pytest.approx(p1, abs=1e-14)
+            assert theta_on_line(1.5 * (1.0 - p1), 1)[0] == pytest.approx(p1, abs=1e-14)
 
 
 class TestMu0y:
@@ -168,13 +191,13 @@ class TestFisherInformation:
             p = rng.dirichlet([1.5, 1.5, 1.5])
             if min(p) < 1e-6:
                 continue
-            info = fisher_information(SimplexPoint(*p))
+            info = fisher_information(tuple(p))
             assert np.all(np.linalg.eigvalsh(info) > 0)
             assert np.allclose(info, info.T)
 
     def test_rejects_face(self):
         with pytest.raises(DomainError):
-            fisher_information(SimplexPoint(0.5, 0.5 - 1e-13, 1e-13))
+            fisher_information((0.5, 0.5 - 1e-13, 1e-13))
 
 
 class TestTransformMap:
@@ -203,7 +226,7 @@ class TestTransformMap:
         for _ in range(100):
             p = rng.dirichlet([3, 3, 3])
             q = rng.dirichlet([3, 3, 3])
-            theta, theta0 = SimplexPoint(*p), SimplexPoint(*q)
+            theta, theta0 = tuple(p), tuple(q)
             tmap = transform_map(theta0, 64)
             d_map = float(np.linalg.norm(tmap(theta).as_array() - tmap(theta0).as_array()))
             assert d_map == pytest.approx(mahalanobis(theta, theta0, 64), abs=1e-9)
@@ -235,7 +258,7 @@ class TestTransformMap:
 
     def test_rejects_on_face(self):
         with pytest.raises(DomainError):
-            transform_map(SimplexPoint(0.5, 0.5 - 1e-13, 1e-13), 10)
+            transform_map((0.5, 0.5 - 1e-13, 1e-13), 10)
 
 
 class TestMahalanobis:
@@ -243,7 +266,7 @@ class TestMahalanobis:
         assert mahalanobis(CENTROID, CENTROID, 10) == 0.0
 
     def test_sqrt_n_homogeneity(self):
-        theta = SimplexPoint(0.5, 0.25, 0.25)
+        theta = (0.5, 0.25, 0.25)
         assert mahalanobis(theta, CENTROID, 400) == pytest.approx(
             2.0 * mahalanobis(theta, CENTROID, 100), abs=1e-12)
 
@@ -263,4 +286,4 @@ class TestGeometryParams:
 
 @given(st.floats(min_value=1.0 / 3.0, max_value=0.999999))
 def test_phi_round_trip_property(p1):
-    assert p1_from_phi(1.5 * (1.0 - p1)) == pytest.approx(p1, rel=1e-12)
+    assert theta_on_line(1.5 * (1.0 - p1), 1)[0] == pytest.approx(p1, rel=1e-12)

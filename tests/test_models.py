@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aicg.geometry import (
-    CENTROID,
     DomainError,
-    SimplexPoint,
     alpha_from_phi0,
     theta_on_line,
 )
@@ -23,15 +21,15 @@ from aicg.models import (
 )
 from aicg.montecarlo import _chunk_rng
 
-from oracles import (Cone, cone_of, project_points, projected_distances, t1_mle_bruteforce,
-                     transform_map, trinomial_counts)
+from oracles import (CENTROID, Cone, cone_of, project_points, projected_distances,
+                     t1_mle_bruteforce, transform_map, trinomial_counts)
 
 TWO_PI = 2 * math.pi
 
 
 class TestModelSpec:
     def test_equal_values_are_equal_and_hash_equal(self):
-        # models key the lru_caches of least_favorable and the radius truth grid
+        # two specs of one model are one model
         pairs = [(t1_model(2), t1_model(2)), (t3_model(), t3_model()),
                  (validate_halflines([2.8, 4.5, TWO_PI]), validate_halflines([2.8, 4.5, TWO_PI]))]
         for a, b in pairs:
@@ -69,7 +67,7 @@ class TestMleSimplex:
     def test_t1_unconstrained_optimum(self):
         est, _, _ = _fit(t1_model(1), (50, 25, 25))
         assert est == pytest.approx((0.5, 0.25, 0.25), abs=1e-15)
-        assert est != CENTROID.as_tuple()
+        assert est != CENTROID
 
     def test_t1_clamped_to_centroid(self):
         est, _, _ = _fit(t1_model(1), (20, 40, 40))
@@ -90,7 +88,7 @@ class TestMleSimplex:
 
     def test_polytomy(self):
         est, _, topology = _fit(polytomy_model(), (9, 2, 1))
-        assert est == CENTROID.as_tuple()
+        assert est == CENTROID
         assert topology is None
 
     def test_unconstrained_closure(self):
@@ -119,9 +117,9 @@ class TestMleSimplex:
 
 class TestNeg2Loglik:
     def test_uniform_value(self):
-        assert _neg2loglik((1, 1, 1), CENTROID.as_tuple()) == pytest.approx(
+        assert _neg2loglik((1, 1, 1), CENTROID) == pytest.approx(
             6 * math.log(3), abs=1e-12)
-        assert _neg2loglik((1, 1, 1), CENTROID.as_tuple()) == pytest.approx(6.591674, abs=1e-6)
+        assert _neg2loglik((1, 1, 1), CENTROID) == pytest.approx(6.591674, abs=1e-6)
 
     def test_zero_count_convention(self):
         assert _neg2loglik((3, 0, 0), (1.0, 0.0, 0.0)) == 0.0
@@ -142,8 +140,8 @@ class TestNeg2Loglik:
                 elif model.variant == "t3":
                     cand = theta_on_line(rng.uniform(1e-6, 1.0), rng.integers(1, 4))
                 else:
-                    cand = SimplexPoint(*rng.dirichlet([1, 1, 1]))
-                assert n2ll <= _neg2loglik(c, cand.as_tuple()) + 1e-9
+                    cand = tuple(rng.dirichlet([1, 1, 1]))
+                assert n2ll <= _neg2loglik(c, cand) + 1e-9
 
 
 class TestConeOf:
@@ -323,7 +321,7 @@ class TestThetaInModel:
         assert not theta_in_model(t1_model(1), theta_on_line(0.5, 2))
         assert theta_in_model(t3_model(), theta_on_line(0.5, 2))
         assert theta_in_model(polytomy_model(), CENTROID)
-        assert theta_in_model(unconstrained_model(), SimplexPoint(0.7, 0.2, 0.1))
+        assert theta_in_model(unconstrained_model(), (0.7, 0.2, 0.1))
 
 
 def test_large_n_mle_views_agree():
@@ -335,7 +333,7 @@ def test_large_n_mle_views_agree():
     cone = cone_of(t1_model(1))
     rng = _chunk_rng(2024, 0)
     sims = 1000
-    counts = trinomial_counts(rng, n, np.array(theta0.as_tuple()), sims)
+    counts = trinomial_counts(rng, n, np.array(theta0), sims)
     theta, _ = mle_rows(t1_model(1), counts)
     gaps = []
     for row, estimate in zip(counts, theta):

@@ -7,9 +7,7 @@ import pytest
 
 from aicg.estimators import EstimatorRule, bias_on_cone, rule_constant
 from aicg.geometry import (
-    CENTROID,
     DomainError,
-    SimplexPoint,
     alpha_from_phi0,
     mu0y,
     phi_from_mu0y,
@@ -18,7 +16,6 @@ from aicg.geometry import (
 from aicg.models import (polytomy_model, t1_model, t3_model, unconstrained_model,
                          validate_halflines)
 from aicg.montecarlo import (
-    McSettings,
     curve_grid,
     derive_seed,
     grid_values,
@@ -31,7 +28,7 @@ from aicg.montecarlo import (
 from aicg.selection import observe, score_batch
 from aicg.special import norm_cdf
 
-from oracles import (DRAW_BLOCK, TransformedPoint, cone_of, halflines_origin_bias,
+from oracles import (CENTROID, DRAW_BLOCK, TransformedPoint, cone_of, halflines_origin_bias,
                      mc_bias_gaussian, project_points, rule_expectation_exact, run_chunks,
                      standard_normals, t1_consistent_limit, t1_plugin_limit, t1_target_exact,
                      trinomial_counts, trinomial_target_exact)
@@ -43,14 +40,14 @@ def within_3se(estimate, se, target, floor=0.0):
     return abs(estimate - target) <= max(3.0 * se, floor)
 
 
-def sub_block_normals(settings, chunk_size=1 << 16):
+def sub_block_normals(seed, samples, chunk_size=1 << 16):
     """The normals e of oracles.run_chunks: one list per chunk of one
     (rows, 2) array per sub-block of at most DRAW_BLOCK rows, each drawn from
     the chunk's stream in turn."""
-    full, rem = divmod(settings.samples, chunk_size)
+    full, rem = divmod(samples, chunk_size)
     chunks = []
     for index, size in enumerate([chunk_size] * full + ([rem] if rem else [])):
-        rng = _chunk_rng(settings.seed, index)
+        rng = _chunk_rng(seed, index)
         chunks.append([standard_normals(rng, (min(DRAW_BLOCK, size - k), 2))
                        for k in range(0, size, DRAW_BLOCK)])
     return chunks
@@ -67,7 +64,7 @@ def merged_column(chunks, samples):
     return mean, se, min(float(vals.min()) for chunk in chunks for vals in chunk)
 
 
-def scored_cells(model, theta0, n, settings, rules):
+def scored_cells(model, theta0, n, seed, samples, rules):
     """mc_target_trinomial's estimates, and the cells it scored: one (counts,
     freq) pair per block of cells, in order."""
     import aicg.montecarlo as mc
@@ -88,7 +85,7 @@ def scored_cells(model, theta0, n, settings, rules):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "observe", recording_observe)
         mp.setattr(mc, "_chunk_moments", recording_moments)
-        estimates = mc_target_trinomial(model, theta0, n, settings, rules)
+        estimates = mc_target_trinomial(model, theta0, n, seed, samples, rules)
     assert all(len(counts) == len(freq) for counts, freq in blocks)
     return estimates, blocks
 
@@ -105,17 +102,21 @@ def cell_block(monkeypatch, size):
 
 
 class TestSettings:
+    """The pair (seed, samples), which mc_target_trinomial checks."""
+
     def test_validation(self):
-        with pytest.raises(DomainError):
-            McSettings(seed=1, samples=0)
-        assert McSettings.__slots__ == ("seed", "samples")
+        theta0 = theta_on_line(phi_from_mu0y(1.0, 100), 1)
+        with pytest.raises(DomainError, match="samples must be at least 2, got 0"):
+            mc_target_trinomial(t1_model(1), theta0, 100, seed=1, samples=0)
 
     def test_one_sample_rejected(self):
         # one draw has no standard error: a 0 would claim an exact value
-        with pytest.raises(DomainError, match="samples must be >= 2"):
-            McSettings(seed=1, samples=1)
         theta0 = theta_on_line(phi_from_mu0y(1.0, 100), 1)
-        (_, se), (_, rule_se) = mc_target_trinomial(t1_model(1), theta0, 100, McSettings(1, 2),
+        with pytest.raises(DomainError, match="samples must be at least 2, got 1"):
+            mc_target_trinomial(t1_model(1), theta0, 100, 1, 1)
+        with pytest.raises(DomainError, match="samples must be at least 2, got 1"):
+            curve_grid(t3_model(), 100, [0.0, 1.0], [EstimatorRule("plugin")], 1, 1)
+        (_, se), (_, rule_se) = mc_target_trinomial(t1_model(1), theta0, 100, 1, 2,
                                                     [EstimatorRule("plugin")])
         assert se > 0.0 and rule_se > 0.0
 
@@ -153,41 +154,41 @@ class TestSampling:
 class TestMcBiasGaussian:
     def test_t1_boundary(self):
         est = mc_bias_gaussian(cone_of(t1_model(1)), TransformedPoint(0, 0),
-                               McSettings(42, N_MED))
+                               42, N_MED)
         assert within_3se(est.value, est.std_error, 1.0)
 
     def test_polytomy_exact_zero(self):
         est = mc_bias_gaussian(cone_of(polytomy_model()), TransformedPoint(0, 0),
-                               McSettings(1, 5000))
+                               1, 5000)
         assert est.value == 0.0 and est.std_error == 0.0
 
     def test_halflines_two_equal(self):
         hl = validate_halflines([math.pi, 2 * math.pi])
-        est = mc_bias_gaussian(cone_of(hl), TransformedPoint(0, 0), McSettings(7, 10**6))
+        est = mc_bias_gaussian(cone_of(hl), TransformedPoint(0, 0), 7, 10**6)
         assert within_3se(est.value, est.std_error, 2.0)
 
     def test_halflines_closed_form_cross_check(self):
         hl = validate_halflines([2.8, 4.5, 2 * math.pi])
-        est = mc_bias_gaussian(cone_of(hl), TransformedPoint(0, 0), McSettings(8, 10**6))
+        est = mc_bias_gaussian(cone_of(hl), TransformedPoint(0, 0), 8, 10**6)
         assert within_3se(est.value, est.std_error, halflines_origin_bias(hl))
 
     def test_off_cone_rejected(self):
         with pytest.raises(DomainError):
             mc_bias_gaussian(cone_of(t1_model(1)), TransformedPoint(1.0, 1.0),
-                             McSettings(1, 100))
+                             1, 100)
 
     def test_pointwise_nonnegative(self):
         for cone, mu0 in [(cone_of(t1_model(1)), TransformedPoint(0, 1.5)),
                           (cone_of(t3_model(), alpha_from_phi0(0.8)),
                            TransformedPoint(0, mu0y(0.8, 100)))]:
-            est = mc_bias_gaussian(cone, mu0, McSettings(3, 100_000))
+            est = mc_bias_gaussian(cone, mu0, 3, 100_000)
             assert est.min_draw >= -1e-12
 
 
 class TestDeterminism:
     def test_same_settings_bit_identical(self):
-        a = mc_bias_gaussian(cone_of(t1_model(1)), TransformedPoint(0, 1), McSettings(5, 70_000))
-        b = mc_bias_gaussian(cone_of(t1_model(1)), TransformedPoint(0, 1), McSettings(5, 70_000))
+        a = mc_bias_gaussian(cone_of(t1_model(1)), TransformedPoint(0, 1), 5, 70_000)
+        b = mc_bias_gaussian(cone_of(t1_model(1)), TransformedPoint(0, 1), 5, 70_000)
         assert a.value == b.value and a.std_error == b.std_error
 
     def test_derive_seed_stable(self):
@@ -200,8 +201,8 @@ class TestSeScaling:
         cone = cone_of(t1_model(1))
         ratios = []
         for rep in range(10):
-            small = mc_bias_gaussian(cone, TransformedPoint(0, 1), McSettings(rep, 20_000))
-            large = mc_bias_gaussian(cone, TransformedPoint(0, 1), McSettings(1000 + rep, 80_000))
+            small = mc_bias_gaussian(cone, TransformedPoint(0, 1), rep, 20_000)
+            large = mc_bias_gaussian(cone, TransformedPoint(0, 1), 1000 + rep, 80_000)
             ratios.append(large.std_error / small.std_error)
         assert all(0.4 <= r <= 0.6 for r in ratios)
 
@@ -220,11 +221,10 @@ class TestChunkVariance:
         # at mu0y = 8 the plug-in values lie within a few 1e-2 of 2, most
         # within 1e-5: an uncentred sum of squares loses digits there
         n, samples = 1000, 100_000
-        settings = McSettings(derive_seed(5, 2, 0), samples)
         rule = EstimatorRule("plugin")
-        curve = curve_grid(t3_model(), n, [0.0, 4.0, 8.0], [rule], McSettings(5, samples))
+        curve = curve_grid(t3_model(), n, [0.0, 4.0, 8.0], [rule], 5, samples)
         (_, (estimate, se)), blocks = scored_cells(t3_model(), curve_theta0(t3_model(), 8.0, n),
-                                                   n, settings, [rule])
+                                                   n, derive_seed(5, 2, 0), samples, [rule])
         assert curve["plugin"][2] == (estimate, se)
         assert len(blocks) > 1
         values = np.concatenate([np.repeat(score_batch([t3_model()], counts, rule)[0].bias, freq)
@@ -238,9 +238,9 @@ class TestChunkVariance:
         def kernel(rng, size):
             return [np.full(size, value)]
 
-        # two samples, the fewest McSettings takes, in one chunk
+        # two samples, the fewest that have a standard error, in one chunk
         for samples, chunk in [(100_000, 1 << 16), (10_007, 999), (2, 1 << 16)]:
-            [(mean, se, lowest)] = run_chunks(McSettings(1, samples), kernel, chunk)
+            [(mean, se, lowest)] = run_chunks(1, samples, kernel, chunk)
             assert se == 0.0 and lowest == value
             assert mean == pytest.approx(value, rel=1e-15)
 
@@ -250,7 +250,7 @@ class TestChunkVariance:
 
         # chunks below the sub-block size, and chunks of several sub-blocks
         for chunk in (4096, 20_000):
-            [(_, se, _)] = run_chunks(McSettings(4, 30_000), kernel, chunk)
+            [(_, se, _)] = run_chunks(4, 30_000, kernel, chunk)
             full, rem = divmod(30_000, chunk)
             sizes = [chunk] * full + [rem]
             values = np.concatenate([kernel(_chunk_rng(4, k), s)[0] for k, s in enumerate(sizes)])
@@ -290,41 +290,41 @@ class TestMemoryBound:
         for block in (1 << 14, 1 << 18):
             cell_block(monkeypatch, block)
             peaks.append(traced_peak_mb(lambda: curve_grid(t1_model(1), 1000, grid, rules,
-                                                           McSettings(5, 100_000))))
+                                                           5, 100_000)))
         assert abs(peaks[0] - peaks[1]) <= 0.05, peaks
         assert max(peaks) <= 1.4, peaks
 
     def test_bias_peak(self):
         peak = traced_peak_mb(lambda: mc_bias_gaussian(cone_of(t1_model(1)),
                                                        TransformedPoint(0, 1),
-                                                       McSettings(5, 200_000)))
+                                                       5, 200_000))
         assert peak <= 1.0, peak
 
 
 class TestTargetTrinomial:
     def test_polytomy_identically_zero(self):
-        (value, se), = mc_target_trinomial(polytomy_model(), CENTROID, 137, McSettings(4, 5000))
+        (value, se), = mc_target_trinomial(polytomy_model(), CENTROID, 137, 4, 5000)
         assert value == 0.0 and se == 0.0
 
     def test_t1_boundary_near_one(self):
-        (value, se), = mc_target_trinomial(t1_model(1), CENTROID, 1000, McSettings(11, N_MED))
+        (value, se), = mc_target_trinomial(t1_model(1), CENTROID, 1000, 11, N_MED)
         assert within_3se(value, se, bias_on_cone(t1_model(1), 0.0), floor=0.02)
 
     def test_unconstrained_near_four(self):
         (value, se), = mc_target_trinomial(unconstrained_model(), CENTROID, 1000,
-                                           McSettings(12, N_MED))
+                                           12, N_MED)
         assert within_3se(value, se, 4.0, floor=0.05)
 
     def test_t3_centroid_target_matches_quadrature(self):
         from aicg.quadrature import bias_t3_value
-        (value, _), = mc_target_trinomial(t3_model(), CENTROID, 1000, McSettings(13, N_MED))
+        (value, _), = mc_target_trinomial(t3_model(), CENTROID, 1000, 13, N_MED)
         assert abs(value - bias_t3_value(0.0, math.pi / 6)) <= 0.03
 
     def test_theta_outside_model_rejected(self):
         with pytest.raises(DomainError):
-            mc_target_trinomial(t1_model(1), SimplexPoint(0.2, 0.5, 0.3), 100, McSettings(1, 10))
+            mc_target_trinomial(t1_model(1), (0.2, 0.5, 0.3), 100, 1, 10)
         with pytest.raises(DomainError):
-            mc_target_trinomial(polytomy_model(), theta_on_line(0.5, 1), 100, McSettings(1, 10))
+            mc_target_trinomial(polytomy_model(), theta_on_line(0.5, 1), 100, 1, 10)
 
 
 class TestT1TargetKernel:
@@ -345,24 +345,24 @@ class TestT1TargetKernel:
         samples = 5 * block + 123
         rules = [EstimatorRule("plugin"), EstimatorRule("uo")][:columns]
         for theta0 in (theta_on_line(phi0, 1), CENTROID):
-            assert theta0.p1 ** n > 0.1 or theta0 == CENTROID
+            assert theta0[0] ** n > 0.1 or theta0 == CENTROID
             cell_block(monkeypatch, block)
-            est, t1_calls = record_target(t1_model(1), theta0, n, McSettings(17, samples), rules)
+            est, t1_calls = record_target(t1_model(1), theta0, n, 17, samples, rules)
             monkeypatch.undo()
-            _, t3_calls = record_target(t3_model(), theta0, n, McSettings(17, samples))
+            _, t3_calls = record_target(t3_model(), theta0, n, 17, samples)
             cell_block(monkeypatch, samples)
-            whole, = mc_target_trinomial(t1_model(1), theta0, n, McSettings(17, samples))
+            whole, = mc_target_trinomial(t1_model(1), theta0, n, 17, samples)
             monkeypatch.undo()
             assert t1_calls == [call for call in t3_calls if call[1] == 0]
             assert est == whole
 
     def test_t1_draws_no_trinomials(self):
         # one multinomial over the window n p +- (12 sd + 40) of c_k's law
-        n, p = 300, theta_on_line(0.7, 1).p1
+        n, p = 300, theta_on_line(0.7, 1)[0]
         reach = 12.0 * math.sqrt(n * p * (1.0 - p)) + 40.0
         width = min(math.ceil(n * p + reach), n) - max(math.floor(n * p - reach), 0) + 1
         for k in (1, 2, 3):
-            _, calls = record_target(t1_model(k), theta_on_line(0.7, k), n, McSettings(5, 10_000))
+            _, calls = record_target(t1_model(k), theta_on_line(0.7, k), n, 5, 10_000)
             assert [(method, index, len(out)) for method, index, out in calls] == \
                 [("multinomial", 0, width)]
 
@@ -371,14 +371,14 @@ class TestT1TargetKernel:
     def test_matches_exact_binomial_sum(self, n, topology):
         for i, phi0 in enumerate((1.0, 0.9, 0.5)):
             theta0 = theta_on_line(phi0, topology)
-            exact = t1_target_exact(topology, theta0.as_tuple(), n)
+            exact = t1_target_exact(topology, theta0, n)
             (value, se), = mc_target_trinomial(t1_model(topology), theta0, n,
-                                               McSettings(100 * topology + i, 200_000))
+                                               100 * topology + i, 200_000)
             assert abs(value - exact) <= 4.0 * se, (phi0, exact, value)
 
     def test_exact_sum_matches_boundary_constant(self):
         # at the centroid the large-n target tends to the t1 bias at 0, 1
-        assert t1_target_exact(1, CENTROID.as_tuple(), 4000) == pytest.approx(1.0, abs=0.03)
+        assert t1_target_exact(1, CENTROID, 4000) == pytest.approx(1.0, abs=0.03)
 
 
 class TestTargetHistogram:
@@ -391,7 +391,7 @@ class TestTargetHistogram:
     def z_scores(model, theta0, n, exact, samples=100_000):
         z = []
         for seed in TestTargetHistogram.SEEDS:
-            (value, se), = mc_target_trinomial(model, theta0, n, McSettings(900 + seed, samples))
+            (value, se), = mc_target_trinomial(model, theta0, n, 900 + seed, samples)
             z.append((value - exact) / se)
         return np.array(z)
 
@@ -403,7 +403,7 @@ class TestTargetHistogram:
     @pytest.mark.parametrize("topology", [1, 2, 3])
     def test_t1_law(self, n, phi0, topology):
         theta0 = theta_on_line(phi0, topology)
-        exact = t1_target_exact(topology, theta0.as_tuple(), n)
+        exact = t1_target_exact(topology, theta0, n)
         self.assert_standard(self.z_scores(t1_model(topology), theta0, n, exact), exact)
 
     @pytest.mark.parametrize("n", [10, 30, 1000])
@@ -411,19 +411,19 @@ class TestTargetHistogram:
                              ids=["t3", "unconstrained"])
     def test_trinomial_law(self, model, n):
         for theta0 in (CENTROID, theta_on_line(0.6, 2)):
-            exact = trinomial_target_exact(model.model_id, theta0.as_tuple(), n)
+            exact = trinomial_target_exact(model.model_id, theta0, n)
             self.assert_standard(self.z_scores(model, theta0, n, exact), (theta0, exact))
 
     def test_oracle_matches_the_t1_binomial_sum(self):
         for n, phi0 in TestT1TargetKernel.CASES:
             theta0 = theta_on_line(phi0, 2)
-            assert trinomial_target_exact("t1:2", theta0.as_tuple(), n) == \
-                pytest.approx(t1_target_exact(2, theta0.as_tuple(), n), abs=1e-10)
+            assert trinomial_target_exact("t1:2", theta0, n) == \
+                pytest.approx(t1_target_exact(2, theta0, n), abs=1e-10)
 
     def test_draws_bounded_by_the_window(self):
         def draws(model, samples):
             _, calls = record_target(model, theta_on_line(0.8, model.topology or 1),
-                                     1000, McSettings(3, samples))
+                                     1000, 3, samples)
             return sum(len(out) for _, _, out in calls)
         for k in (1, 2, 3):
             assert draws(t1_model(k), 10**4) == draws(t1_model(k), 10**6) < 1001
@@ -437,10 +437,10 @@ class TestTargetHistogram:
         # every count is drawn one by one, in blocks of at most _CELL_BLOCK
         theta0 = theta_on_line(0.003, model.topology or 1)
         cell_block(monkeypatch, 300)
-        (value, se), calls = record_target(model, theta0, 10**6, McSettings(8, 1000))
+        (value, se), calls = record_target(model, theta0, 10**6, 8, 1000)
         assert {method for method, _, _ in calls} == {"binomial"}
         assert max(len(out) for _, _, out in calls) == 300
-        exact = trinomial_target_exact(model.model_id, theta0.as_tuple(), 10**6)
+        exact = trinomial_target_exact(model.model_id, theta0, 10**6)
         assert abs(value - exact) <= 4.0 * se, (exact, value)
 
 
@@ -462,7 +462,7 @@ class _Recorder:
         return out
 
 
-def record_target(model, theta0, n, settings, rules=()):
+def record_target(model, theta0, n, seed, samples, rules=()):
     """mc_target_trinomial's target (estimate, std_error), and every draw of
     its streams as (method, stream index, values)."""
     import aicg.montecarlo as mc
@@ -470,13 +470,13 @@ def record_target(model, theta0, n, settings, rules=()):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "_chunk_rng",
                    lambda seed, index: _Recorder(_chunk_rng(seed, index), index, calls))
-        est, *_ = mc_target_trinomial(model, theta0, n, settings, rules)
+        est, *_ = mc_target_trinomial(model, theta0, n, seed, samples, rules)
     return est, calls
 
 
-def one_point(model, rule, mu, settings, n=1000):
+def one_point(model, rule, mu, seed, samples, n=1000):
     """The rule's column of a one-point curve at mu."""
-    return curve_grid(model, n, [mu], [rule], settings)[rule.method][0]
+    return curve_grid(model, n, [mu], [rule], seed, samples)[rule.method][0]
 
 
 class TestExpectedEstimator:
@@ -487,7 +487,7 @@ class TestExpectedEstimator:
 
     def test_t1_plugin_matches_quadrature_oracle(self):
         estimate, se = one_point(t1_model(1), EstimatorRule("plugin"), 0.0,
-                                 McSettings(21, 500_000), n=100_000)
+                                 21, 500_000, n=100_000)
         limit = float(t1_plugin_limit(0.0))
         assert limit == 1.25
         assert abs(estimate - limit) <= self.T1_PLUGIN_GAP + 3.0 * se
@@ -498,16 +498,16 @@ class TestExpectedEstimator:
         # 2 - Phi(-1) in the Gaussian limit
         from scipy.stats import binom
         estimate, se = one_point(t1_model(1), EstimatorRule("uo", radius=0.0), 1.0,
-                                 McSettings(22, 500_000))
+                                 22, 500_000)
         assert 2.0 - norm_cdf(-1.0) == pytest.approx(1.8413447, abs=1e-7)
-        p1 = curve_theta0(t1_model(1), 1.0, 1000).p1
+        p1 = curve_theta0(t1_model(1), 1.0, 1000)[0]
         assert within_3se(estimate, se, 2.0 - binom.cdf(333, 1000, p1))
 
     def test_polytomy_rule_constant(self):
         for method in ("plugin", "aic", "llf", "ulf", "uo", "minimax", "consistent",
                        "bootstrap"):
             estimate, se = one_point(polytomy_model(), EstimatorRule(method, radius=1.0), 0.0,
-                                     McSettings(1, 2000))
+                                     1, 2000)
             assert estimate == 0.0 and se == 0.0
 
 
@@ -523,9 +523,9 @@ class TestRuleColumnsExact:
     def test_within_5_se_of_the_exact_sum(self, model, n):
         grid = [0.0, 1.0, 2.5]
         rules = [EstimatorRule(method) for method in DRAWN_RULES]
-        curves = curve_grid(model, n, grid, rules, McSettings(7 + n, 50_000))
+        curves = curve_grid(model, n, grid, rules, 7 + n, 50_000)
         for i, mu in enumerate(grid):
-            theta0 = curve_theta0(model, mu, n).as_tuple()
+            theta0 = curve_theta0(model, mu, n)
             for rule in rules:
                 estimate, se = curves[rule.method][i]
                 exact = rule_expectation_exact(model, rule, theta0, n)
@@ -536,7 +536,7 @@ class TestRuleColumnsExact:
         # every outcome at a vertex has a defined value
         rules = [EstimatorRule(method) for method in DRAWN_RULES]
         for model in (t1_model(1), t3_model()):
-            curves = curve_grid(model, 5, [0.0, 1.0, 2.0], rules, McSettings(1, 2000))
+            curves = curve_grid(model, 5, [0.0, 1.0, 2.0], rules, 1, 2000)
             for method in ("target", *DRAWN_RULES):
                 assert all(math.isfinite(estimate) and math.isfinite(se)
                            for estimate, se in curves[method]), (model.model_id, method)
@@ -575,7 +575,7 @@ class TestGaussianLimits:
         rule = EstimatorRule(method)
         for n in (1000, 10_000):
             curve = curve_grid(t1_model(1), n, list(self.MS), [rule],
-                               McSettings(3, 4_000_000))[method]
+                               3, 4_000_000)[method]
             r = n ** (1.0 / 6.0)
             limits = t1_plugin_limit(self.MS) if method == "plugin" else \
                 t1_consistent_limit(self.MS, r)
@@ -620,12 +620,12 @@ class TestCurveGrid:
         # the columns are keyed by method, so a repeat would merge two columns
         rules = [EstimatorRule("plugin"), EstimatorRule("uo"), EstimatorRule("plugin")]
         with pytest.raises(DomainError, match="rule method 'plugin' is repeated"):
-            curve_grid(t1_model(1), 100, [0.0, 1.0], rules, McSettings(3, 100))
+            curve_grid(t1_model(1), 100, [0.0, 1.0], rules, 3, 100)
 
     def test_t1_endpoints_and_columns(self):
         curves = curve_grid(t1_model(1), 1000, [0.0, 5.0],
                             rules=[EstimatorRule("uo", radius=0.0)],
-                            settings=McSettings(31, 30_000))
+                            seed=31, samples=30_000)
         assert set(curves) == {"target", "aicg", "aic", "uo"}
         assert curves["aicg"][0][0] == 1.0
         assert curves["aicg"][1][0] == pytest.approx(1.9999994267, abs=1e-7)
@@ -633,23 +633,23 @@ class TestCurveGrid:
         assert within_3se(*curves["target"][0], 1.0, floor=0.05)
 
     def test_deterministic_independent_of_columns(self):
-        base = curve_grid(t1_model(1), 500, [0.0, 1.0], [], McSettings(77, 20_000))
+        base = curve_grid(t1_model(1), 500, [0.0, 1.0], [], 77, 20_000)
         extra = curve_grid(t1_model(1), 500, [0.0, 1.0],
                            rules=[EstimatorRule("aic"), EstimatorRule("plugin")],
-                           settings=McSettings(77, 20_000))
+                           seed=77, samples=20_000)
         for i in range(2):
             assert base["target"][i] == extra["target"][i]
 
         # each rule column of a grid is the same whichever other columns are
         # requested, in whatever order
-        settings = McSettings(77, 20_000)
+        seed, samples = 77, 20_000
         plugin, uo = EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5)
         for model in (t1_model(1), t3_model()):
-            runs = [curve_grid(model, 500, [0.0, 1.0], [plugin], settings),
-                    curve_grid(model, 500, [0.0, 1.0], [uo], settings),
-                    curve_grid(model, 500, [0.0, 1.0], [plugin, uo], settings),
+            runs = [curve_grid(model, 500, [0.0, 1.0], [plugin], seed, samples),
+                    curve_grid(model, 500, [0.0, 1.0], [uo], seed, samples),
+                    curve_grid(model, 500, [0.0, 1.0], [plugin, uo], seed, samples),
                     curve_grid(model, 500, [0.0, 1.0], [uo, EstimatorRule("aic"), plugin],
-                               settings)]
+                               seed, samples)]
             for method in ("target", "plugin", "uo"):
                 for i in (0, 1):
                     cells = {run[method][i] for run in runs if method in run}
@@ -657,13 +657,13 @@ class TestCurveGrid:
 
     def test_rule_column_is_the_one_point_estimate(self):
         # grid point i is mc_target_trinomial at the seed derive_seed(seed, i, 0)
-        model, n, settings = t3_model(), 500, McSettings(5, 30_000)
+        model, n, samples = t3_model(), 500, 30_000
         rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=1.0)]
         grid = [0.0, 0.5, 1.5]
-        curves = curve_grid(model, n, grid, rules, settings)
+        curves = curve_grid(model, n, grid, rules, 5, samples)
         for i, mu in enumerate(grid):
-            point = McSettings(derive_seed(5, i, 0), settings.samples)
-            estimates = mc_target_trinomial(model, curve_theta0(model, mu, n), n, point, rules)
+            estimates = mc_target_trinomial(model, curve_theta0(model, mu, n), n,
+                                            derive_seed(5, i, 0), samples, rules)
             for method, est in zip(("target", "plugin", "uo"), estimates):
                 assert curves[method][i] == est
 
@@ -678,15 +678,14 @@ class TestCurveGrid:
         cell_block(monkeypatch, 1024)
         for model, grid in [(t1_model(1), [0.0, 2.0]), (t3_model(), [0.0, 2.0]),
                             (polytomy_model(), [0.0]), (unconstrained_model(), [0.0, 2.0])]:
-            column = curve_grid(model, n, grid, [rule], McSettings(8, samples))[method]
+            column = curve_grid(model, n, grid, [rule], 8, samples)[method]
             constant = rule_constant(model, rule, n)
             for i, (mu, pt) in enumerate(zip(grid, column)):
                 if constant is not None:
                     assert pt == (constant, 0.0)
                     continue
-                settings = McSettings(derive_seed(8, i, 0), samples)
-                (_, est), blocks = scored_cells(model, curve_theta0(model, mu, n), n, settings,
-                                                [rule])
+                (_, est), blocks = scored_cells(model, curve_theta0(model, mu, n), n,
+                                                derive_seed(8, i, 0), samples, [rule])
                 sums = [float(np.dot(freq, score_batch([model], counts, rule)[0].bias))
                         for counts, freq in blocks]
                 assert sum(len(freq) for _, freq in blocks) > 1
@@ -696,8 +695,7 @@ class TestCurveGrid:
     def test_sub_block_draws_are_slices_of_the_chunk_draw(self):
         # drawing a chunk's normals one sub-block at a time leaves every draw
         # as one chunk-sized draw makes it
-        settings = McSettings(6, 2 * 65_536 + 20_000)
-        chunks = sub_block_normals(settings)
+        chunks = sub_block_normals(6, 2 * 65_536 + 20_000)
         assert [len(blocks) for blocks in chunks] == [8, 8, 3]
         for index, (blocks, size) in enumerate(zip(chunks, [65_536, 65_536, 20_000])):
             whole = standard_normals(_chunk_rng(6, index), (size, 2))
@@ -707,25 +705,25 @@ class TestCurveGrid:
         # a curve column merges, in order, the moments of its blocks of
         # cells, whose values are score_batch's however the engine slices
         # them; the Gaussian oracle merges its normals' sub-blocks
-        n, settings = 300, McSettings(6, 45_000)
+        n, seed, samples = 300, 6, 45_000
         rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5),
                  EstimatorRule("consistent", eta_exponent=0.1)]
         for model in (t1_model(1), t3_model()):
             for mu in (0.0, 1.0, 3.0):
-                estimates, blocks = scored_cells(model, curve_theta0(model, mu, n), n, settings,
-                                                 rules)
+                estimates, blocks = scored_cells(model, curve_theta0(model, mu, n), n, seed,
+                                                 samples, rules)
                 for rule, est in zip(rules, estimates[1:]):
                     moments = [_chunk_moments(score_batch([model], counts, rule)[0].bias, freq)
                                for counts, freq in blocks]
-                    assert est == _combine(reduce(_merge, moments), settings.samples), \
+                    assert est == _combine(reduce(_merge, moments), samples), \
                         (model.model_id, mu, rule.method)
 
         cone, center = cone_of(t3_model(), alpha_from_phi0(0.9)), np.array([0.0, 1.0])
-        est = mc_bias_gaussian(cone, TransformedPoint(0.0, 1.0), settings, chunk_size=20_000)
+        est = mc_bias_gaussian(cone, TransformedPoint(0.0, 1.0), seed, samples, chunk_size=20_000)
         chunks = [[2.0 * np.einsum("ij,ij->i", z - center, project_points(cone, z) - center)
                    for z in (center + e for e in blocks)]
-                  for blocks in sub_block_normals(settings, 20_000)]
-        mean, se, lowest = merged_column(chunks, settings.samples)
+                  for blocks in sub_block_normals(seed, samples, 20_000)]
+        mean, se, lowest = merged_column(chunks, samples)
         assert (est.value, est.std_error, est.min_draw) == (mean, se, lowest)
 
     @pytest.mark.parametrize("model", [t1_model(1), t3_model(), polytomy_model(),
@@ -742,7 +740,7 @@ class TestCurveGrid:
         monkeypatch.setattr(mc, "observe", refuse)
         monkeypatch.setattr(mc, "rule_values", refuse)
         grid = [0.0] if model.variant == "polytomy" else [0.0, 1.5]  # its only point
-        curves = curve_grid(model, 100, grid, rules, McSettings(2, 1000))
+        curves = curve_grid(model, 100, grid, rules, 2, 1000)
         for rule in rules:
             value = rule_constant(model, rule, 100)
             assert value is not None
@@ -751,10 +749,9 @@ class TestCurveGrid:
     def test_t1_bootstrap_column_is_the_consistent_column(self):
         # a shrunk t1 row's bootstrap centre is the origin, where the bias
         # is the singularity value 1
-        settings = McSettings(4, 20_000)
         rules = [EstimatorRule("bootstrap", eta_exponent=0.2),
                  EstimatorRule("consistent", eta_exponent=0.2)]
-        curves = curve_grid(t1_model(1), 100, [0.0, 1.0, 2.5, 4.0], rules, settings)
+        curves = curve_grid(t1_model(1), 100, [0.0, 1.0, 2.5, 4.0], rules, 4, 20_000)
         assert curves["bootstrap"] == curves["consistent"]
 
     def test_t3_consistent_column_shrinks_to_the_singularity_value(self):
@@ -762,7 +759,7 @@ class TestCurveGrid:
         # with every cell shrunk the column is that constant
         from aicg.estimators import singularity_bias
         estimate, se = one_point(t3_model(), EstimatorRule("consistent", eta_exponent=0.01), 0.0,
-                                 McSettings(1, 100))
+                                 1, 100)
         assert se == 0.0
         assert estimate == pytest.approx(singularity_bias(t3_model()), rel=1e-15)
 
@@ -770,10 +767,9 @@ class TestCurveGrid:
         # the rule columns draw nothing of their own: a curve with rules
         # makes the draws of the curve without them
         rules = [EstimatorRule("plugin"), EstimatorRule("uo", radius=0.5), EstimatorRule("aic")]
-        settings = McSettings(3, 20_000)
         for model in (t1_model(1), t3_model()):
             for mu in (0.0, 1.5):
                 theta0 = curve_theta0(model, mu, 500)
-                _, with_rules = record_target(model, theta0, 500, settings, rules)
-                _, alone = record_target(model, theta0, 500, settings)
+                _, with_rules = record_target(model, theta0, 500, 3, 20_000, rules)
+                _, alone = record_target(model, theta0, 500, 3, 20_000)
                 assert with_rules == alone and alone

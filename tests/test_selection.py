@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aicg.estimators import EstimatorRule
-from aicg.geometry import Counts, DomainError
+from aicg.geometry import DomainError
 from aicg.models import (mle_rows, parse_model_id, polytomy_model, t1_model, t3_model,
                          unconstrained_model, validate_halflines)
 from aicg.quadrature import bias_t3_batch
@@ -38,54 +38,54 @@ HALFLINES_PAIR = [validate_halflines([2 * math.pi]), validate_halflines([math.pi
 
 class TestScore:
     def test_near_centroid_prefers_polytomy(self):
-        report = score([t1_model(1), polytomy_model()], Counts(67, 67, 66), PLUGIN)
+        report = score([t1_model(1), polytomy_model()], (67, 67, 66), PLUGIN)
         assert report.winner() == "polytomy"
 
     def test_strong_signal_prefers_line(self):
-        report = score([t1_model(1), polytomy_model()], Counts(120, 40, 40), PLUGIN)
+        report = score([t1_model(1), polytomy_model()], (120, 40, 40), PLUGIN)
         assert report.winner() == "t1:1"
 
     def test_single_model_ranked_first(self):
-        report = score([t1_model(1)], Counts(10, 5, 5), PLUGIN)
+        report = score([t1_model(1)], (10, 5, 5), PLUGIN)
         assert report.rows[0].rank_aicg == 1
 
     def test_empty_model_list_rejected(self):
         with pytest.raises(DomainError):
-            score([], Counts(1, 1, 1), PLUGIN)
+            score([], (1, 1, 1), PLUGIN)
 
     @pytest.mark.parametrize("ids", [("t1:1", "t1:1", "polytomy"), ("t1", "t1:1")])
     def test_repeated_model_id_rejected(self, ids):
         # ranks are keyed by model id: the repeats would share one rank
         with pytest.raises(DomainError, match="model id 't1:1' is repeated"):
-            score([parse_model_id(i) for i in ids], Counts(60, 20, 20), PLUGIN)
+            score([parse_model_id(i) for i in ids], (60, 20, 20), PLUGIN)
 
     def test_score_identity(self):
         report = score([t1_model(1), t3_model(), polytomy_model(), unconstrained_model()],
-                       Counts(55, 30, 15), PLUGIN)
+                       (55, 30, 15), PLUGIN)
         for row in report.rows:
             assert row.aicg == pytest.approx(row.neg2loglik + row.bias_value, abs=1e-12)
             dim = parse_model_id(row.model_id).dim
             assert row.aicg - row.aic == pytest.approx(row.bias_value - 2 * dim, abs=1e-12)
 
     def test_unconstrained_plugin_matches_classical(self):
-        report = score([unconstrained_model()], Counts(40, 35, 25), PLUGIN)
+        report = score([unconstrained_model()], (40, 35, 25), PLUGIN)
         assert report.rows[0].aicg == report.rows[0].aic
 
     def test_error_row_leaves_others_intact(self):
         hl = validate_halflines([2 * math.pi])
-        report = score([t1_model(1), hl], Counts(30, 20, 10), PLUGIN)
+        report = score([t1_model(1), hl], (30, 20, 10), PLUGIN)
         by_id = {r.model_id: r for r in report.rows}
         assert by_id["t1:1"].rank_aicg == 1
         assert by_id[hl.model_id].error is not None
 
     def test_ranks_are_permutation(self):
         report = score([t1_model(1), t1_model(2), t3_model(), polytomy_model()],
-                       Counts(52, 31, 17), PLUGIN)
+                       (52, 31, 17), PLUGIN)
         ranks = sorted(r.rank_aicg for r in report.rows)
         assert ranks == [1, 2, 3, 4]
 
     def test_metadata(self):
-        report = score([t1_model(1)], Counts(5, 4, 3), PLUGIN)
+        report = score([t1_model(1)], (5, 4, 3), PLUGIN)
         assert report.metadata["n"] == 12
         assert "dropped" in report.metadata["note"]
 
@@ -266,7 +266,7 @@ class TestScoreBatch:
         rule = EstimatorRule(method)
         batch = score_batch(self.ALL, self.ROWS, rule)
         for i, row in enumerate(self.ROWS):
-            single = {r.model_id: r for r in score(self.ALL, Counts(*row), rule).rows}
+            single = {r.model_id: r for r in score(self.ALL, tuple(row), rule).rows}
             for s in batch:
                 one = single[s.model.model_id]
                 assert one.bias_method == s.bias_method
@@ -291,7 +291,7 @@ class TestScoreBatch:
                 assert np.any((s.mu_hat > 0) & (s.mu_hat <= radius))  # shrunk
                 assert np.any(s.mu_hat > radius)  # centred at the estimate
             for i, row in enumerate(counts):
-                ref = bootstrap_bias_per_row(s.model, Counts(*map(int, row)), b, seed, eta)
+                ref = bootstrap_bias_per_row(s.model, tuple(map(int, row)), b, seed, eta)
                 assert abs(s.bias[i] - ref.value) <= 3.0 * ref.std_error
 
     def test_bootstrap_is_the_bias_at_its_centre_on_the_rows_cone(self):
@@ -306,7 +306,7 @@ class TestScoreBatch:
         boot, = score_batch([t3_model()], counts, EstimatorRule("bootstrap", eta_exponent=0.1))
         cons, = score_batch([t3_model()], counts, EstimatorRule("consistent", eta_exponent=0.1))
         assert boot.bias[0] == bias_t3_batch(np.array([0.0]), alpha0)[0]
-        ref = bootstrap_bias_per_row(t3_model(), Counts(0, 10, 20), 2_000_000, 7, 0.1)
+        ref = bootstrap_bias_per_row(t3_model(), (0, 10, 20), 2_000_000, 7, 0.1)
         assert abs(boot.bias[0] - ref.value) <= 3.0 * ref.std_error
         assert abs(cons.bias[0] - boot.bias[0]) > 5.0 * ref.std_error
 
@@ -398,7 +398,7 @@ def test_line_geometry_matches_transform_map(n_rows, model):
         if theta[i, line[i]] == 1.0:  # the estimate at a vertex, where the map has no scale
             assert mu_hat == zbar_norm[i] == math.inf
             continue
-        mu, alpha, estimate, zbar = line_observation(model, Counts(*row))
+        mu, alpha, estimate, zbar = line_observation(model, tuple(row))
         # the map's Cholesky scaling rounds differently: a zero distance
         # comes out as a few 1e-15
         assert mu_hat == pytest.approx(math.hypot(estimate.x, estimate.y), rel=1e-12, abs=1e-13)

@@ -85,6 +85,9 @@ EDGE_INPUTS = [
     ["radii", "--model", "t3", "--grid", "5:0:0.05"],
     ["radii", "--model", "t3", "--grid", "0:1:0.5", "--violation-tol", "-1"],
     ["radii", "--model", "t1", "--grid", "0:1:0.5", "--violation-tol", "-1"],
+    ["select", "--models", "t1,t3", "--counts", "0,0,0"],
+    ["target", "--model", "polytomy", "--n", "10", "--grid", "0:1:1", "--samples", "10",
+     "--seed", "1"],
 ]
 
 
@@ -126,8 +129,9 @@ def commands() -> list[list[str]]:
             for r in RULES for pair, n in (("t1:1,polytomy", "60"), ("t3,unconstrained", "20"))]
     out += [["target", "--model", m, "--n", "100", "--grid", "0:2:1", "--samples", "500",
              "--seed", "3", "--method", ",".join(RULES)] for m in ("t1", "t1:2", "t3")]
-    out += [["target", "--model", m, "--n", "30", "--grid", "0:1:0.5", "--samples", "200",
-             "--seed", "4"] for m in ("polytomy", "unconstrained")]
+    # polytomy's only generating point is mu0y = 0
+    out += [["target", "--model", m, "--n", "30", "--grid", g, "--samples", "200",
+             "--seed", "4"] for m, g in (("polytomy", "0:0:1"), ("unconstrained", "0:1:0.5"))]
     out += [["radii", "--model", m, "--n", n, "--grid", g]
             for m, n, g in (("t1", "1000000", "0:5:0.05"), ("t1", "1000", "0:2:0.5"),
                             ("t3", "1000000", "0:5:0.5"), ("t3", "1000", "0:50:1"),
