@@ -26,7 +26,7 @@ from typing import Any, Sequence
 from .estimators import (DEFAULT_RADII, ETA_EXPONENT, REFERENCE_N, EstimatorRule,
                          bias_on_cone, calibrate_radii)
 from .geometry import DomainError, alpha_from_phi0, mu0y, phi_from_mu0y
-from .models import HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, parse_angle, parse_model_id
+from .models import HALFLINES, POLYTOMY, T3, UNCONSTRAINED, ModelSpec, parse_model_id
 from .montecarlo import curve_grid, grid_values
 from .selection import region_grid, score, score_batch, simplex_lattice
 
@@ -49,10 +49,6 @@ def fmt_field(x) -> str:
         return x
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return str(x).lower()
-    if isinstance(x, int):
-        return str(x)
     if isinstance(x, float):
         return fmt_float(x)
     return str(x)
@@ -141,9 +137,8 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "out": {"help": "output path (default stdout)"},
     "seed": {"type": int},
     "workers": {"type": int, "help": "accepted and not read"},
-    "angles": {"help": "half-lines ray angles, e.g. '2pi/3,4pi/3,2pi'"},
     "samples": {"type": int},
-    "model": {"help": "t1[:topology] | t3 | polytomy | unconstrained | halflines"},
+    "model": {"help": "t1[:topology] | t3 | polytomy | unconstrained | halflines:ANGLES"},
     "models": {"help": "comma list of model ids"},
     "pair": {"help": "comma list of competing model ids"},
     "mu0y": {"type": finite_float},
@@ -198,11 +193,6 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _angles(cfg: dict[str, Any]) -> list[float] | None:
-    raw = cfg.get("angles")
-    return None if raw is None else [parse_angle(t) for t in raw.split(",")]
-
-
 def _rule(cfg: dict[str, Any], method: str) -> EstimatorRule:
     return EstimatorRule(method, radius=cfg.get("radius"),
                          eta_exponent=cfg.get("eta_exponent", ETA_EXPONENT))
@@ -216,7 +206,7 @@ def _counts(cfg: dict[str, Any]) -> tuple[int, int, int]:
 
 
 def cmd_bias(cfg: dict[str, Any]) -> str:
-    model = parse_model_id(_require(cfg, "model"), _angles(cfg))
+    model = parse_model_id(_require(cfg, "model"))
     mu, phi0, counts_text = cfg.get("mu0y"), cfg.get("phi0"), cfg.get("counts")
     if sum(x is not None for x in (mu, phi0, counts_text)) != 1:
         raise UsageError("provide exactly one of --mu0y, --phi0 (with --n), --counts")
@@ -257,10 +247,9 @@ def _bias_row(cfg: dict[str, Any], model: ModelSpec, mu: float, method: str, val
     # what the computation reads: not where the output goes, the threads or
     # the seed (bias draws nothing), the radius only where uo or minimax
     # scores counts and the rate only where consistent or bootstrap does,
-    # the angles only where they are a bare halflines id's rays, and n only
-    # where it sets the distance (--phi0) or the t3 cone angle; --counts only
-    # checks n.  An option given at the value the run takes without it
-    # hashes as left out.
+    # and n only where it sets the distance (--phi0) or the t3 cone angle;
+    # --counts only checks n.  An option given at the value the run takes
+    # without it hashes as left out.
     unread = {"out", "workers", "seed"}
     scores_counts = cfg.get("counts") is not None
     rule = cfg.get("method") if scores_counts else None
@@ -268,8 +257,6 @@ def _bias_row(cfg: dict[str, Any], model: ModelSpec, mu: float, method: str, val
         unread.add("radius")
     if rule not in ("consistent", "bootstrap"):
         unread.add("eta_exponent")
-    if model.variant != HALFLINES or ":" in cfg.get("model"):
-        unread.add("angles")
     if cfg.get("phi0") is None and (model.variant != T3 or scores_counts):
         unread.add("n")
     defaults = {"method": "plugin" if scores_counts else None,
@@ -377,8 +364,7 @@ _COMMON = ("config", "out", "seed", "workers")
 # subcommand: (its function, its help, the options it takes after _COMMON)
 _COMMANDS = {
     "bias": (cmd_bias, "one bias-correction value",
-             ("angles", "model", "mu0y", "phi0", "n", "counts", "method", "radius",
-              "eta_exponent")),
+             ("model", "mu0y", "phi0", "n", "counts", "method", "radius", "eta_exponent")),
     "target": (cmd_target, "curve of simulated target vs corrections",
                ("samples", "model", "n", "grid", "method", "radius", "eta_exponent")),
     "select": (cmd_select, "rank candidate models on observed counts",

@@ -140,18 +140,16 @@ def parse_angle(token: str) -> float:
     return value
 
 
-def parse_model_id(token: str, angles=None) -> ModelSpec:
-    """Inverse of ModelSpec.model_id, also accepting any case, t1 for t1:1, u
-    for unconstrained, ray angles as parse_angle reads them, and a bare
-    halflines id, whose rays are the given angles."""
+def parse_model_id(token: str) -> ModelSpec:
+    """Inverse of ModelSpec.model_id, also accepting any case, t1 for t1:1
+    and ray angles as parse_angle reads them."""
     s = token.strip().lower()
     head, colon, tail = s.partition(":")
     if head == HALFLINES:
-        rays = [parse_angle(t) for t in tail.split(",")] if colon else angles
-        if not rays:
+        if not colon:
             raise DomainError("halflines model requires its ray angles: give them inline, "
-                              "as halflines:2.8,4.5,2pi (bias also takes --angles)")
-        return validate_halflines(rays)
+                              "as halflines:2.8,4.5,2pi")
+        return validate_halflines([parse_angle(t) for t in tail.split(",")])
     if head == T1:
         if not colon:
             return t1_model(1)
@@ -163,7 +161,7 @@ def parse_model_id(token: str, angles=None) -> ModelSpec:
         return t3_model()
     if s == POLYTOMY:
         return polytomy_model()
-    if s in (UNCONSTRAINED, "u"):
+    if s == UNCONSTRAINED:
         return unconstrained_model()
     raise DomainError(f"unknown model id {s!r}")
 

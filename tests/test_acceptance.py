@@ -4,12 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; tolerances and runtime budgets are asserted, not just reported.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from aicg.cli import main
 from aicg.estimators import bias_on_cone, calibrate_radii, singularity_bias

@@ -3,7 +3,6 @@ import gc
 import json
 import math
 import os
-import re
 import resource
 import subprocess
 import sys
@@ -53,13 +52,12 @@ class TestBiasCommand:
         assert fields[0] == "t1:1" and fields[3] == "1"
 
     def test_halflines_single_ray(self, tmp_path):
-        code, text = run_cli(["bias", "--model", "halflines", "--angles", "2pi",
-                              "--mu0y", "0"], tmp_path)
+        code, text = run_cli(["bias", "--model", "halflines:2pi", "--mu0y", "0"], tmp_path)
         assert code == 0
         assert text.splitlines()[1].split(",")[3] == "1"
 
     def test_halflines_away_from_origin(self, tmp_path):
-        base = ["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--mu0y"]
+        base = ["bias", "--model", "halflines:2.8,4.5,2pi", "--mu0y"]
         code, text = run_cli([*base, "1"], tmp_path, "quad.csv")
         assert code == 0
         fields = text.splitlines()[1].split(",")
@@ -72,14 +70,14 @@ class TestBiasCommand:
         code, text = run_cli([*base, "0"], tmp_path, "origin.csv")
         assert code == 0
         assert text.splitlines()[1] == ('"halflines:2.8,4.5,6.28318530718",0,closed-form,'
-                                        '2.7334442533918448,b1a179f83865')
+                                        '2.7334442533918448,4d6e2bdc1f19')
 
     @pytest.mark.parametrize("angles", ["3.2,2pi", "3.1516,2pi", "3.15,3.2,2pi"])
     def test_halflines_wide_sector(self, tmp_path, angles):
         # a gap just under pi, where the jump term across its bisector vanishes
         from aicg.quadrature import bias_ray_cone
-        code, text = run_cli(["bias", "--model", "halflines", "--angles", angles,
-                              "--mu0y", "1"], tmp_path)
+        code, text = run_cli(["bias", "--model", f"halflines:{angles}", "--mu0y", "1"],
+                             tmp_path)
         assert code == 0
         rays = [parse_angle(a) for a in angles.split(",")]
         want = bias_ray_cone([(1.0, 0.0)], rays)[0]
@@ -138,11 +136,11 @@ class TestBiasCommand:
 
     @pytest.mark.parametrize("extra", [[], ["--workers", "1"], ["--workers", "2"],
                                        ["--seed", "3"], ["--seed", "3", "--workers", "2"],
-                                       ["--angles", "2pi"], ["--n", "100"]])
+                                       ["--workers", "1", "--n", "100"], ["--n", "100"]])
     def test_settings_hash_leaves_out_unread_options(self, tmp_path, extra):
         # bias draws nothing, so neither workers nor the seed change a value;
-        # angles only a bare halflines id's; n only a --phi0 distance or a t3
-        # cone angle, and --counts only checks it against their total
+        # n sets only a --phi0 distance or a t3 cone angle, and --counts only
+        # checks it against their total
         code, text = run_cli(["bias", "--model", "t1", "--mu0y", "1", *extra], tmp_path)
         assert code == 0
         assert text.rstrip().endswith(",c32a2b65509c")
@@ -171,12 +169,12 @@ class TestBiasCommand:
             assert got[1].rstrip().endswith("," + want)
 
     def test_settings_hash_keeps_angles_and_n_where_read(self, tmp_path):
-        # a bare halflines id's rays, the n of a --phi0 distance and the n of
-        # a t3 cone angle set the value, so they stay in the hash
+        # a half-lines id's rays, the n of a --phi0 distance and the n of a
+        # t3 cone angle set the value, so they stay in the hash
         def settings_hash(*args):
             return run_cli(["bias", *args], tmp_path)[1].rstrip().rsplit(",", 1)[1]
-        halflines = ["--model", "halflines", "--mu0y", "1", "--angles"]
-        assert settings_hash(*halflines, "2.8,4.5,2pi") != settings_hash(*halflines, "3.5,2pi")
+        assert settings_hash("--model", "halflines:2.8,4.5,2pi", "--mu0y", "1") != \
+            settings_hash("--model", "halflines:3.5,2pi", "--mu0y", "1")
         for where in (["--model", "t1", "--phi0", "0.5"], ["--model", "t3", "--mu0y", "1"]):
             assert settings_hash(*where, "--n", "50") != settings_hash(*where, "--n", "60")
 
@@ -192,7 +190,7 @@ class TestBiasCommand:
 
     @pytest.mark.parametrize("extra", [["--radius", "3"], ["--eta-exponent", "0.2"],
                                        ["--radius", "3", "--eta-exponent", "0.2"],
-                                       ["--radius", "3", "--angles", "2pi", "--n", "100"]])
+                                       ["--radius", "3", "--n", "100"]])
     def test_settings_hash_leaves_out_rule_options_without_counts(self, tmp_path, extra):
         # a rule's radius and rate are read only where a rule scores counts
         code, text = run_cli(["bias", "--model", "t1", "--mu0y", "1", *extra], tmp_path)
@@ -687,7 +685,7 @@ def _json_value(text):
 # subcommand takes (bar --config and --out, which have their own tests)
 PARITY_COMMANDS = [
     ["bias", "--model", "t3", "--mu0y", "1", "--seed", "4", "--workers", "2", "--n", "500"],
-    ["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--phi0", "0.5", "--n", "50"],
+    ["bias", "--model", "halflines:2.8,4.5,2pi", "--phi0", "0.5", "--n", "50"],
     ["bias", "--model", "t3", "--counts", "60,25,15", "--method", "consistent", "--radius",
      "0.5", "--n", "100", "--eta-exponent", "0.25"],
     ["target", "--model", "t1", "--n", "100", "--grid", "0:1:0.5", "--samples", "300",
@@ -726,13 +724,13 @@ class TestConfigParity:
          {"radius": "0.5"}),
         (["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",
           "--seed", "1", "--method", "uo", "--radius", "0.5"], {"radius": "0.5"}),
-        (["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--mu0y", "1"],
-         {"angles": [2.8, 4.5, "2pi"]}),
+        (["select", "--counts", "60,20,20", "--models", "t1:1,polytomy"],
+         {"models": ["t1:1", "polytomy"]}),
         (["bias", "--model", "t1", "--counts", "60,20,20", "--eta-exponent", "0.25"],
          {"eta-exponent": 0.25}),
     ])
     def test_config_spellings(self, tmp_path, args, config):
-        # a numeric string, a JSON list of angles and a dashed key
+        # a numeric string, a JSON list of model ids and a dashed key
         key = next(iter(config))
         flag = args.index("--" + key.replace("_", "-"))
         want = run_cli(args, tmp_path, "flag.out")
@@ -782,9 +780,9 @@ class TestEdgeInputsExit2:
          "model id 't1:1' is repeated"),
         (["target", "--model", "t1", "--n", "1000", "--grid", "0:3:1", "--samples", "100",
           "--seed", "3", "--method", "plugin,plugin"], None, "rule method 'plugin' is repeated"),
-        (["bias", "--model", "halflines", "--angles", "abc,2pi", "--mu0y", "1"], None,
+        (["bias", "--model", "halflines:abc,2pi", "--mu0y", "1"], None,
          "cannot parse angle 'abc'"),
-        (["bias", "--model", "halflines", "--angles", "2pi/0", "--mu0y", "1"], None,
+        (["bias", "--model", "halflines:2pi/0", "--mu0y", "1"], None,
          "cannot parse angle '2pi/0'"),
         (["bias", "--model", "halflines:2.8,x,2pi", "--mu0y", "1"], None,
          "cannot parse angle 'x'"),
@@ -822,7 +820,7 @@ class TestEdgeInputsExit2:
          "cannot score halflines:6.28318530718: half-lines models have no simplex"),
         (["regions", "--pair", "t1:1,polytomy", "--n", "2", "--resolution", "50", "--method",
           "consistent"], None, "cannot score t1:1: consistent estimation needs n >= 3"),
-        # only bias reads --angles
+        # a half-lines model is named inline, so no subcommand takes an angles key
         (["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "100",
           "--seed", "1"], {"angles": "2pi"}, "unknown key 'angles'"),
         (["select", "--counts", "60,20,20", "--models", "t1:1,halflines"], {"angles": "2pi"},
@@ -840,6 +838,12 @@ class TestEdgeInputsExit2:
           "--seed", "1"], None,
          "polytomy's only generating point is the centroid, mu0y = 0; "
          "the grid reaches mu0y = 1.0"),
+        # bias takes no angles key either
+        (["bias", "--model", "halflines:2pi", "--mu0y", "0"], {"angles": "3.5,2pi"},
+         "unknown key 'angles'"),
+        # unconstrained has one spelling
+        (["select", "--counts", "60,20,20", "--models", "t1:1,u"], None,
+         "unknown model id 'u'"),
     ])
     def test_exit_2(self, tmp_path, capsys, args, config, needle):
         code, text = (run_cli(args, tmp_path) if config is None
@@ -875,24 +879,15 @@ class TestEdgeInputsExit2:
          "--seed", "1"],
         ["select", "--counts", "60,20,20", "--models", "t1:1,halflines"],
         ["regions", "--pair", "t1:1,polytomy", "--n", "60", "--resolution", "50"],
-        ["radii", "--model", "t1"]], ids=lambda args: args[0])
+        ["radii", "--model", "t1"],
+        ["bias", "--model", "halflines:2pi", "--mu0y", "0"]], ids=lambda args: args[0])
     def test_angles_flag_outside_bias_exit_2(self, tmp_path, capsys, args):
-        # these subcommands can print no value that --angles sets: target and
-        # radii refuse a half-lines model, select scores one as an error row
-        # and regions exits 2 on it
+        # a half-lines model's rays are given inline, in its id, so no
+        # subcommand takes --angles, bias included
         with pytest.raises(SystemExit) as exc:
             main([*args, "--angles", "2pi", "--out", str(tmp_path / "flag.out")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --angles 2pi" in capsys.readouterr().err
-
-    def test_halflines_id_angles_parse_as_angles_flag(self, tmp_path):
-        by_id = run_cli(["bias", "--model", "halflines:2.8,4.5,2pi", "--mu0y", "1"], tmp_path,
-                        "id.csv")
-        by_flag = run_cli(["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi",
-                           "--mu0y", "1"], tmp_path, "flag.csv")
-        assert by_id[0] == 0
-        assert by_id[1].splitlines()[1].split(",")[:-1] == \
-            by_flag[1].splitlines()[1].split(",")[:-1]
 
 
 def _capped_cli(args):

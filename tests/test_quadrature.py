@@ -249,8 +249,8 @@ for name in ("eig", "eigh", "eigvals", "eigvalsh"):
     setattr(np.linalg, name, refuse)
 from aicg.cli import main
 runs = [["bias", "--model", "t3", "--mu0y", "1.3"],
-        ["bias", "--model", "halflines", "--angles", "2.8,4.5,2pi", "--mu0y", "1"],
-        ["bias", "--model", "halflines", "--angles", "3.5,2pi", "--mu0y", "1"],
+        ["bias", "--model", "halflines:2.8,4.5,2pi", "--mu0y", "1"],
+        ["bias", "--model", "halflines:3.5,2pi", "--mu0y", "1"],
         ["target", "--model", "t3", "--n", "1000", "--grid", "0:1:1", "--samples", "2000",
          "--method", "plugin", "--seed", "1"],
         ["regions", "--n", "20", "--resolution", "50", "--pair", "t3,unconstrained"],

@@ -168,6 +168,41 @@ def test_the_scan_finds_an_unread_slot(tmp_path):
     assert _unread_slots(package, scripts, tmp_path / "README.md") == ["Point.written"]
 
 
+def _unused_imports(paths) -> list[tuple[str, str]]:
+    """(file name, name) for each name that a module-level import binds and
+    no Name node of the module reads."""
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = []
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                bound += [a.asname or a.name for a in stmt.names]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [(path.name, name) for name in bound if name not in read]
+    return unused
+
+
+def test_every_import_is_read():
+    # __init__.py imports to re-export, so it is left out
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    for folder in ("tests", "scripts", "tools"):
+        paths += sorted((ROOT / folder).glob("*.py"))
+    assert _unused_imports(paths) == []
+
+
+def test_the_scan_finds_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import json, sys\nimport os.path\nfrom re import sub as replace, split\n\n"
+        "def f():\n    import math\n    return sys.argv, split\n", encoding="utf-8")
+    assert _unused_imports([probe]) == [("probe.py", "json"), ("probe.py", "os"),
+                                        ("probe.py", "replace")]
+
+
 def test_only_the_entry_point_touches_the_collector():
     # importing the package or calling main() in-process must leave the
     # caller's collector as it was; only cli.run, which ends the process,

@@ -51,6 +51,9 @@ EDGE_INPUTS = [
     ["select", "--counts", "60,20,20", "--models", "t1:1,halflines"],
     ["radii", "--model", "halflines"],
     ["bias", "--model", "halflines", "--angles", "abc,2pi", "--mu0y", "1"],
+    ["bias", "--model", "halflines:2pi", "--angles", "3.5,2pi", "--mu0y", "0"],
+    ["bias", "--model", "t3", "--angles", "3.5,2pi", "--mu0y", "0"],
+    ["select", "--counts", "60,20,20", "--models", "t1:1,u"],
     ["bias", "--model", "t1", "--mu0y", "1", "--samples", "10"],
     ["target", "--model", "t1", "--n", "100", "--grid", "0:1:1", "--samples", "1",
      "--seed", "3"],
@@ -119,7 +122,7 @@ def commands() -> list[list[str]]:
     out += [["bias", "--model", "t3", "--mu0y", "1", "--n", "500"],
             ["bias", "--model", "t3", "--phi0", "0.5", "--n", "50"],
             ["bias", "--model", "t1:3", "--phi0", "0.75", "--n", "50"]]
-    out += [["bias", "--model", "halflines", "--angles", a, "--mu0y", mu]
+    out += [["bias", "--model", f"halflines:{a}", "--mu0y", mu]
             for a in ANGLE_SETS for mu in ("0", "1", "2.5")]
     models = "t1:1,t1:2,t3,polytomy,unconstrained,halflines:2pi"
     out += [["select", "--counts", c, "--models", models, "--method", r, *fmt]
